@@ -13,6 +13,20 @@ every Proved entailment sound.
 Degenerate input note: on an unsatisfiable d, eq_set returns every pair,
 since d entails anything; strategy code removes unsatisfiable clauses
 before asking.
+
+Witness filtering in eq_set (implied-equality detection as in Simplify,
+Detlefs, Nelson & Saxe, JACM 2005): for each d, eq_set first computes one
+integer solution w of d's linear atoms, back-substituting every variable
+towards its own distant target value and keeping w only if it evaluates
+true on every atom. A candidate pair (x, y) with w[x] != w[y], or with x or
+y absent from d's linear atoms (w can then give it any value), is dropped
+without a query. This cannot change the answer: w satisfies d and one of
+the two negations x < y, x > y, so that negation query cannot be Disproved
+(a Disproved answer is sound over the integers), entails_equality cannot
+return Proved, and eq_set counts anything but Proved as "not equal". Only
+the pairs that w leaves equal are sent to entails_equality. Witnesses are
+cached per d next to the satisfiability cache, since pair selection asks
+eq_set about every atom pair of one clause constraint.
 """
 
 from __future__ import annotations
@@ -41,6 +55,7 @@ DNF_CAP = 1024          # max disjuncts when distributing to DNF (2^10)
 _PROBE_BOX = 2          # quick witness probe over [-2,2]^n
 _PROBE_MAX_VARS = 6
 _FM_ROW_CAP = 20000
+_WITNESS_SPREAD = 1000  # gap between the target values of eq_set witnesses
 
 
 class Verdict(enum.Enum):
@@ -239,15 +254,19 @@ def _fm_eliminate(rows: list[tuple[dict[int, int], int]], elim: Sequence[int]):
     return rows, stages, exact
 
 
-def _backsubst_witness(stages, free_idx: Sequence[int]) -> Optional[dict[int, int]]:
+def _backsubst_witness(
+    stages, free_idx: Iterable[int], target: Optional[Sequence[int]] = None
+) -> Optional[dict[int, int]]:
     """Build an integer point from recorded elimination stages.
 
     Variables are assigned in reverse elimination order: at each stage the
     recorded rows only mention the stage variable and later-assigned ones,
-    so they reduce to numeric bounds. May fail (None) when the rational
-    interval contains no integer.
+    so they reduce to numeric bounds. Each variable takes its target value
+    (0 without a target) when its bounds admit it; otherwise its only bound,
+    or its lower bound when it has two. Free variables take their target.
+    May fail (None) when the rational interval contains no integer.
     """
-    env: dict[int, int] = {i: 0 for i in free_idx}
+    env: dict[int, int] = {i: 0 if target is None else target[i] for i in free_idx}
     for v, vrows in reversed(stages):
         lo = None
         hi = None
@@ -264,14 +283,15 @@ def _backsubst_witness(stages, free_idx: Sequence[int]) -> Optional[dict[int, in
                 lo = bound if lo is None else max(lo, bound)
         if lo is not None and hi is not None and lo > hi:
             return None
+        t = 0 if target is None else target[v]
         if lo is None and hi is None:
-            env[v] = 0
+            env[v] = t
         elif lo is None:
-            env[v] = min(0, hi)
+            env[v] = min(t, hi)
         elif hi is None:
-            env[v] = max(0, lo)
+            env[v] = max(t, lo)
         else:
-            env[v] = 0 if lo <= 0 <= hi else lo
+            env[v] = t if lo <= t <= hi else lo
     return env
 
 
@@ -428,6 +448,18 @@ def _satisfiable_uncached(c: ConstraintConj) -> tuple[Verdict, Optional[dict[Var
         w = boxes.find_solution(bsys, -_PROBE_BOX, _PROBE_BOX)
         if w is not None:
             return Verdict.PROVED, w
+    return _branch_witness(atoms, sys_, gdefs)
+
+
+def _branch_witness(
+    atoms: Sequence[LinAtom], sys_: _System, gdefs, target: Optional[Sequence[int]] = None
+) -> tuple[Verdict, Optional[dict[Var, int]]]:
+    """Fourier-Motzkin on each disequality branch of a Gauss-reduced system.
+
+    Proved comes with the first back-substituted point (aimed at `target`,
+    indexed like sys_.vars) that satisfies `atoms`; Disproved means every
+    branch is infeasible over the rationals.
+    """
     branches = _ne_branches(sys_)
     if branches is None:
         return Verdict.UNKNOWN, None
@@ -443,10 +475,10 @@ def _satisfiable_uncached(c: ConstraintConj) -> tuple[Verdict, Optional[dict[Var
         except _Overflow:
             return Verdict.UNKNOWN, None
         saw_feasible = True
-        envi = _backsubst_witness(stages, [])
+        envi = _backsubst_witness(stages, range(len(sys_.vars)), target)
         if envi is not None:
             _apply_gauss_defs(gdefs, envi)
-            env = {v: envi.get(i, 0) for i, v in enumerate(sys_.vars)}
+            env = {v: envi[i] for i, v in enumerate(sys_.vars)}
             if _verify_env(atoms, env):
                 return Verdict.PROVED, env
     if not saw_feasible:
@@ -456,6 +488,8 @@ def _satisfiable_uncached(c: ConstraintConj) -> tuple[Verdict, Optional[dict[Var
 
 _SAT_CACHE: dict[ConstraintConj, tuple[Verdict, Optional[dict[Var, int]]]] = {}
 _SAT_CACHE_MAX = 65536
+# generic witnesses of eq_set antecedents, bounded and cleared like _SAT_CACHE
+_WITNESS_CACHE: dict[ConstraintConj, Optional[dict[Var, int]]] = {}
 
 # optional hook consulted on Unknown verdicts, e.g. an external SMT solver
 _UNKNOWN_RESOLVER = None
@@ -471,6 +505,7 @@ def install_unknown_resolver(fn) -> None:
     global _UNKNOWN_RESOLVER
     _UNKNOWN_RESOLVER = fn
     _SAT_CACHE.clear()
+    _WITNESS_CACHE.clear()
 
 
 def satisfiable_with_witness(
@@ -525,13 +560,45 @@ def entails_equality(d: ConstraintConj, x: Var, y: Var) -> Verdict:
     return entails_atom(d, LinAtom(LinExpr.of(x), Rel.EQ, LinExpr.of(y)))
 
 
+def _generic_witness(d: ConstraintConj) -> Optional[dict[Var, int]]:
+    """An integer solution of d's linear atoms with few coincidental equalities.
+
+    Back-substitution aims every variable at its own target value, so two
+    variables share a value mostly where d forces it. None when no verified
+    solution is found (d unsatisfiable, or beyond the engine's caps).
+    """
+    atoms = d.lin_atoms()
+    sys_ = _lower(atoms)
+    if sys_.ground_false:
+        return None
+    gdefs, unsat = _gauss_reduce(sys_)
+    if unsat:
+        return None
+    target = [_WITNESS_SPREAD * (i + 1) for i in range(len(sys_.vars))]
+    return _branch_witness(atoms, sys_, gdefs, target)[1]
+
+
+def _cached_witness(d: ConstraintConj) -> Optional[dict[Var, int]]:
+    try:
+        return _WITNESS_CACHE[d]
+    except KeyError:
+        pass
+    w = _generic_witness(d)
+    if len(_WITNESS_CACHE) >= _SAT_CACHE_MAX:
+        _WITNESS_CACHE.clear()
+    _WITNESS_CACHE[d] = w
+    return w
+
+
 def eq_set(d: ConstraintConj, a: Atom, b: Atom) -> tuple[tuple[Var, Var], ...]:
     """Equalities X=Y with X in vars(a), Y in vars(b) entailed by d.
 
     Pairs are deduplicated semantically (X=Y and Y=X count once, as do
     shared-variable pairs) and returned in lexicographic name order so
-    strategy runs are deterministic.
+    strategy runs are deterministic. A pair that a witness of d separates
+    is not entailed and is never queried (see the module docstring).
     """
+    w = _cached_witness(d)
     out = []
     seen: set[frozenset[str]] = set()
     for x in a.vars():
@@ -542,6 +609,8 @@ def eq_set(d: ConstraintConj, a: Atom, b: Atom) -> tuple[tuple[Var, Var], ...]:
             elif x.sort is Sort.INT and y.sort is Sort.INT:
                 key = frozenset((x.name, y.name))
                 if key in seen:
+                    continue
+                if w is not None and (x not in w or y not in w or w[x] != w[y]):
                     continue
                 ok = entails_equality(d, x, y) is Verdict.PROVED
             else:

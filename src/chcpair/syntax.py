@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import ArityClash, OverlapError, ParseError, SortMismatch
@@ -36,16 +37,50 @@ class Rel(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+def _memo_hash(cls):
+    """Memoise the hash of a frozen, slotted dataclass in its `_hash` field.
+
+    The field is declared with init=False, compare=False and repr=False, and
+    stays unset until the first hash(). A slot, unlike an instance __dict__,
+    adds no memory to these small and numerous values. Pickling and copying
+    rebuild the value from its compared fields, so a hash computed under one
+    hash seed never travels to another process.
+    """
+    names = tuple(f.name for f in fields(cls) if f.compare)
+    key = attrgetter(*names)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(key(self))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        return cls, tuple(getattr(self, n) for n in names)
+
+    cls.__hash__ = __hash__
+    cls.__reduce__ = __reduce__
+    return cls
+
+
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
     sort: Sort = Sort.INT
+
+    def __hash__(self):
+        # the name alone: equal variables share it, and a str caches its
+        # hash, where hashing the Sort member runs Enum.__hash__ in Python
+        return hash(self.name)
 
     def __repr__(self):
         return self.name if self.sort is Sort.INT else f"{self.name}:arr"
 
 
-@dataclass(frozen=True)
+@_memo_hash
+@dataclass(frozen=True, slots=True)
 class LinExpr:
     """Linear polynomial: sum of coeff*var terms plus an integer constant.
 
@@ -55,6 +90,7 @@ class LinExpr:
 
     coeffs: tuple[tuple[Var, int], ...] = ()
     const: int = 0
+    _hash: int = field(init=False, compare=False, repr=False)
 
     @staticmethod
     def of(v: Var) -> "LinExpr":
@@ -92,7 +128,10 @@ class LinExpr:
         return LinExpr.build(m, self.const + other.const)
 
     def sub(self, other: "LinExpr") -> "LinExpr":
-        return self.add(other.scale(-1))
+        m = self.coeff_map()
+        for v, c in other.coeffs:
+            m[v] = m.get(v, 0) - c
+        return LinExpr.build(m, self.const - other.const)
 
     def scale(self, k: int) -> "LinExpr":
         return LinExpr.build({v: c * k for v, c in self.coeffs}, self.const * k)
@@ -105,11 +144,13 @@ class LinExpr:
         return LinExpr.build(m, self.const)
 
 
-@dataclass(frozen=True)
+@_memo_hash
+@dataclass(frozen=True, slots=True)
 class LinAtom:
     lhs: LinExpr
     rel: Rel
     rhs: LinExpr
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def vars(self) -> tuple[Var, ...]:
         seen: dict[Var, None] = {}
@@ -180,11 +221,13 @@ def eq_atom(x: Var, y: Var) -> ConstraintAtom:
     return LinAtom(LinExpr.of(x), Rel.EQ, LinExpr.of(y))
 
 
-@dataclass(frozen=True)
+@_memo_hash
+@dataclass(frozen=True, slots=True)
 class ConstraintConj:
     """Conjunction of constraint atoms; the empty conjunction is true."""
 
     atoms: tuple[ConstraintAtom, ...] = ()
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __iter__(self) -> Iterator[ConstraintAtom]:
         return iter(self.atoms)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,16 +11,19 @@ from chcpair import (
     LinExpr,
     QuantDisj,
     Rel,
+    Sort,
     Var,
     boxes,
     entails_equality,
     eq_set,
     equiv_quant_disj,
+    install_unknown_resolver,
     is_satisfiable,
     negate_linatom,
     parse_program,
     project,
 )
+from chcpair import lia
 from chcpair.lia import Verdict, qd_of, satisfiable_with_witness
 from chcpair.syntax import print_constraint_atom
 
@@ -205,23 +209,32 @@ def test_sat_verdicts_never_contradict_enumeration():
 
 def test_entails_equality_agrees_with_enumeration():
     rng = random.Random(43)
-    checked = 0
+    checked = disproved = 0
+    x, y = V("X"), V("Y")
+    negations = negate_linatom(LinAtom(LinExpr.of(x), Rel.EQ, LinExpr.of(y)))
     for _ in range(150):
         c = _random_conj(rng)
-        x, y = V("X"), V("Y")
         v = entails_equality(c, x, y)
         sys_ = boxes.lower_conj(c, var_order=[x, y])
         sols = boxes.solutions(sys_, -6, 6)
         if v is Verdict.PROVED:
             assert all(s[x] == s[y] for s in sols)
             checked += 1
-        elif v is Verdict.DISPROVED and sols:
-            # a countermodel exists somewhere; inside the box there may be
-            # none, but if every box point forces equality on an obviously
-            # bounded system we would have a contradiction only when the
-            # engine's witness lies in the box
-            pass
-    assert checked > 0
+        elif v is Verdict.DISPROVED:
+            # Disproved rests on a negation query proved with a witness: a
+            # solution of c that separates X and Y
+            witnesses = [
+                w
+                for na in negations
+                for nv, w in [satisfiable_with_witness(ConstraintConj(c.atoms + (na,)))]
+                if nv is Verdict.PROVED
+            ]
+            assert witnesses, f"no separating witness for {c}"
+            for w in witnesses:
+                assert w[x] != w[y]
+                assert all(boxes.eval_atom(a, w) for a in c.lin_atoms())
+            disproved += 1
+    assert checked > 0 and disproved > 0
 
 
 def test_project_overapproximates_integer_points():
@@ -255,6 +268,61 @@ def test_eq_set_monotone_in_d():
         small = set(eq_set(d, a, b))
         big = set(eq_set(d2, a, b))
         assert small <= big
+
+
+def _eq_set_reference(d, a, b):
+    """eq_set without the witness filter: one entailment query per pair."""
+    out = []
+    seen = set()
+    for x in a.vars():
+        for y in b.vars():
+            if x == y:
+                key = frozenset((x.name,))
+                ok = True
+            elif x.sort is y.sort is Sort.INT:
+                key = frozenset((x.name, y.name))
+                if key in seen:
+                    continue
+                ok = entails_equality(d, x, y) is Verdict.PROVED
+            else:
+                continue
+            if ok and key not in seen:
+                seen.add(key)
+                out.append((x, y))
+    return tuple(sorted(out, key=lambda p: (p[0].name, p[1].name)))
+
+
+def test_eq_set_matches_pairwise_reference():
+    rng = random.Random(46)
+    pool = [V(n) for n in ["X", "Y", "Z", "W", "U"]]
+    deadline = time.monotonic() + 5.0
+    cases = entailed = 0
+    while cases < 400 and time.monotonic() < deadline:
+        d = _random_conj(rng)
+        # chained equalities make some pairs entailed, not only disproved
+        for _ in range(rng.randint(0, 2)):
+            u, w = rng.sample(pool, 2)
+            shift = LinExpr.build({w: 1}, rng.choice([0, 0, 1]))
+            d = ConstraintConj(d.atoms + (LinAtom(LinExpr.of(u), Rel.EQ, shift),))
+        a = Atom("p", tuple(rng.sample(pool, rng.randint(1, 3))))
+        b = Atom("q", tuple(rng.sample(pool, rng.randint(1, 3))))
+        got = eq_set(d, a, b)
+        assert got == _eq_set_reference(d, a, b), f"eq_set differs on {d}, {a}, {b}"
+        witness = lia._WITNESS_CACHE[d]
+        if witness is not None:
+            assert all(boxes.eval_atom(at, witness) for at in d.lin_atoms())
+        entailed += any(x != y for x, y in got)
+        cases += 1
+    assert cases >= 50 and entailed > 0
+
+
+def test_unknown_resolver_install_clears_witness_cache():
+    a = Atom("ack1", (V("M1"), V("Y1"), V("Z1")))
+    b = Atom("ack2", (V("M2"), V("Y2"), V("Z2")))
+    eq_set(D15, a, b)
+    assert D15 in lia._WITNESS_CACHE
+    install_unknown_resolver(None)
+    assert not lia._WITNESS_CACHE
 
 
 @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 5))

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from chcpair import (
@@ -5,6 +9,7 @@ from chcpair import (
     Clause,
     ConstraintConj,
     LinAtom,
+    LinExpr,
     Program,
     Rel,
     Sort,
@@ -176,3 +181,39 @@ def test_array_clause_round_trip():
 def test_comments_ignored():
     p = parse_program("% a comment\np(X) :- X = 1. % trailing\n")
     assert len(p) == 1
+
+
+# --- hashing of the frozen values --------------------------------------------
+
+def test_equal_values_built_differently_hash_equal():
+    x = Var("X")
+    assert LinExpr.of(x) == LinExpr.build({x: 1})
+    assert hash(LinExpr.of(x)) == hash(LinExpr.build({x: 1}))
+    c = conj("X + 2*Y >= 3, X =\\= Z")
+    for value in (c, c.atoms[0], c.atoms[0].lhs):
+        before = hash(value)  # memoised on the original only
+        same = value.subst({x: x})
+        assert same == value and same is not value
+        assert hash(same) == before == hash(value)
+    assert {LinExpr.build({x: 1}): 1}[LinExpr.of(x)] == 1
+
+
+def test_var_sort_still_distinguishes():
+    assert Var("X", Sort.INT) != Var("X", Sort.ARRAY)
+    assert len({Var("X", Sort.INT), Var("X", Sort.ARRAY)}) == 2
+
+
+def test_values_stay_frozen():
+    c = conj("X =< Y + 1")
+    for value, attr in ((Var("X"), "name"), (c, "atoms"), (c.atoms[0], "rel"),
+                        (c.atoms[0].rhs, "const"), (c.atoms[0].rhs, "_hash")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, attr, None)
+
+
+def test_copy_and_pickle_rebuild_equal_values():
+    c = conj("X =< Y + 1, Z = 2*X")
+    hash(c.atoms[0])  # one memoised, the rest not
+    for value in (c, c.atoms[0], c.atoms[1], c.atoms[0].lhs, Var("X")):
+        for clone in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+            assert clone == value and hash(clone) == hash(value)

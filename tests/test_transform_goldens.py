@@ -8,11 +8,14 @@ To record the goldens again after an intended change of output, run
 `PYTHONPATH=src python tests/test_transform_goldens.py --write`.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import chcpair
 from chcpair import PairingConfig, corpus, iterate_pairing, print_program
 
 GOLDEN = Path(__file__).parent / "golden" / "transform"
@@ -28,6 +31,26 @@ def transform_texts(name: str) -> dict[str, str]:
 def test_transform_matches_golden(name):
     for fname, text in transform_texts(name).items():
         assert text.encode() == (GOLDEN / fname).read_bytes(), f"{fname} differs from its golden"
+
+
+def test_transform_text_is_independent_of_the_hash_seed():
+    script = (
+        "from chcpair import PairingConfig, corpus, iterate_pairing, print_program\n"
+        "for name in ('loop_unswitching', 'fib_fundep'):\n"
+        "    res = iterate_pairing(corpus.load(name), [], PairingConfig(iterate=True))\n"
+        "    print(print_program(res.transf) + res.trace_text())\n"
+    )
+    src = str(Path(chcpair.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert "PAIR" in outs[0]
 
 
 if __name__ == "__main__":
