@@ -1,51 +1,57 @@
 """Finite-box enumeration of integer solutions for linear constraint systems.
 
-This is the hot kernel behind the bounded oracle and every brute-force
-check in the test suite. A compiled Cython implementation is used when
-available; setting CHCPAIR_PURE=1 forces the pure-Python fallback.
+This is the kernel behind the bounded oracle and every brute-force check in
+the test suite. A system is a list of rows sum(coeff*var) + const OP 0, with
+OP one of <= (OP_LE), == (OP_EQ) and != (OP_NE). `solutions` lists the
+assignments inside a box that satisfy every row, lexicographically in
+variable order with ascending values.
+
+Enumeration runs a plan, prepared once per system, box and set of pinned
+(fixed) variables and cached on the system:
+
+- the pinned columns fold into the row constants; only free variables are
+  enumerated, in variable order;
+- every LE or EQ row keeps suffix bounds of its free columns, so at each
+  level the rows that level's variable touches give an interval [xlo, xhi]
+  holding exactly the values that leave every such row satisfiable by the
+  later free variables. A row's last free variable is thus solved, not
+  searched: an EQ row gives a single value, or none;
+- an NE row is checked as soon as its last free variable is set;
+- rows with no free variable are checked once, before the search.
+
+No value is tried that some row rules out, so the cost follows the number of
+solutions and partial assignments that can still be extended, rather than
+the size of the box.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Optional, Sequence
 
-from .syntax import ConstraintConj, LinAtom, LinExpr, Rel, Sort, Var
+from .syntax import ConstraintConj, LinAtom, Rel, Var
 
-if os.environ.get("CHCPAIR_PURE"):
-    from . import _boxkernel_py as _impl
+OP_LE = 0
+OP_EQ = 1
+OP_NE = 2
 
-    KERNEL = "pure"
-else:
-    try:
-        from . import _boxkernel as _impl  # type: ignore[attr-defined]
-
-        KERNEL = "compiled"
-    except ImportError:
-        from . import _boxkernel_py as _impl
-
-        KERNEL = "pure"
-
-_INT64_BUDGET = 2**62
+# The only enumerator there is, kept as a constant for tools that report it.
+KERNEL = "pure"
 
 
 @dataclass
 class BoxSystem:
-    """A conjunction of linear atoms lowered to dense integer rows."""
+    """A conjunction of linear atoms lowered to dense integer rows.
+
+    `plans` caches one enumeration plan per (lo, hi, pinned variables); the
+    rows must not change once the system has been queried.
+    """
 
     vars: tuple[Var, ...]
     matrix: list[int]
     consts: list[int]
     ops: list[int]
-
-    @property
-    def nrows(self) -> int:
-        return len(self.consts)
-
-    def max_abs(self) -> int:
-        m = max((abs(c) for c in self.matrix), default=0)
-        return max(m, max((abs(c) for c in self.consts), default=0))
+    plans: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def lower_conj(conj: ConstraintConj, var_order: Optional[Sequence[Var]] = None) -> BoxSystem:
@@ -69,17 +75,17 @@ def lower_conj(conj: ConstraintConj, var_order: Optional[Sequence[Var]] = None) 
         k = d.const
         rel = atom.rel
         if rel is Rel.EQ:
-            rows.append((coeffs, k, _impl.OP_EQ))
+            rows.append((coeffs, k, OP_EQ))
         elif rel is Rel.NE:
-            rows.append((coeffs, k, _impl.OP_NE))
+            rows.append((coeffs, k, OP_NE))
         elif rel is Rel.LE:
-            rows.append((coeffs, k, _impl.OP_LE))
+            rows.append((coeffs, k, OP_LE))
         elif rel is Rel.LT:
-            rows.append((coeffs, k + 1, _impl.OP_LE))
+            rows.append((coeffs, k + 1, OP_LE))
         elif rel is Rel.GE:
-            rows.append(({i: -c for i, c in coeffs.items()}, -k, _impl.OP_LE))
+            rows.append(({i: -c for i, c in coeffs.items()}, -k, OP_LE))
         else:  # GT
-            rows.append(({i: -c for i, c in coeffs.items()}, 1 - k, _impl.OP_LE))
+            rows.append(({i: -c for i, c in coeffs.items()}, 1 - k, OP_LE))
     n = len(vars_)
     matrix: list[int] = []
     consts: list[int] = []
@@ -91,17 +97,133 @@ def lower_conj(conj: ConstraintConj, var_order: Optional[Sequence[Var]] = None) 
     return BoxSystem(tuple(vars_), matrix, consts, ops)
 
 
-def _pick_impl(sys_: BoxSystem, lo: int, hi: int):
-    if KERNEL == "pure":
-        return _impl
-    bound = max(abs(lo), abs(hi), 1)
-    n = len(sys_.vars)
-    budget = (sys_.max_abs() * bound * (n + 1) + 1) * 2
-    if budget >= _INT64_BUDGET:
-        from . import _boxkernel_py
+@dataclass(frozen=True)
+class _Plan:
+    """How to enumerate one system in one box with a fixed set of pinned vars.
 
-        return _boxkernel_py
-    return _impl
+    `pins[j]` lists the (row, coeff) pairs of the j-th pinned variable.
+    `start` holds (row, op, min, max) of every row whose free part can rule
+    out the whole box: the bounds of its free columns' sum. `levels[k]`
+    belongs to the k-th free variable: its position in `vars`, the
+    (row, coeff) pairs it shifts, and the checks (row, coeff, op, min, max)
+    that bound it, with min and max the bounds of the row's free columns
+    after it (both 0 when it is the row's last free variable).
+    """
+
+    pinned: tuple[int, ...]
+    pins: tuple[tuple[tuple[int, int], ...], ...]
+    start: tuple[tuple[int, int, int, int], ...]
+    levels: tuple[tuple[int, tuple, tuple], ...]
+
+
+def _prepare(sys_: BoxSystem, lo: int, hi: int, pinned: tuple[int, ...]) -> _Plan:
+    n = len(sys_.vars)
+    m, ops = sys_.matrix, sys_.ops
+    cols = [tuple((r, m[r * n + v]) for r in range(len(ops)) if m[r * n + v]) for v in range(n)]
+    pinned_set = set(pinned)
+    free = [v for v in range(n) if v not in pinned_set]
+    # rem[r] runs from the bounds of all free columns of row r down to 0 as
+    # the levels below walk past them; last[r] is the row's last free var.
+    rem = [[0, 0] for _ in ops]
+    last = [-1] * len(ops)
+    for v in free:
+        for r, c in cols[v]:
+            rem[r][0] += min(c * lo, c * hi)
+            rem[r][1] += max(c * lo, c * hi)
+            last[r] = v
+    start = tuple(
+        (r, op, rem[r][0], rem[r][1])
+        for r, op in enumerate(ops)
+        if op != OP_NE or last[r] < 0
+    )
+    levels = []
+    for v in free:
+        checks = []
+        for r, c in cols[v]:
+            rem[r][0] -= min(c * lo, c * hi)
+            rem[r][1] -= max(c * lo, c * hi)
+            if ops[r] != OP_NE or last[r] == v:
+                checks.append((r, c, ops[r], rem[r][0], rem[r][1]))
+        levels.append((v, cols[v], tuple(checks)))
+    return _Plan(pinned, tuple(cols[v] for v in pinned), start, tuple(levels))
+
+
+def _run(plan: _Plan, consts, lo: int, hi: int, vals: list, limit: int) -> list[tuple]:
+    """Enumerate the plan from constants `consts`; `vals` holds the pinned
+    values in place and receives the free ones."""
+    s = list(consts)
+    for pos, touched in zip(plan.pinned, plan.pins):
+        x = vals[pos]
+        for r, c in touched:
+            s[r] += c * x
+    for r, op, mn, mx in plan.start:
+        t = s[r]
+        if op == OP_LE:
+            if t + mn > 0:
+                return []
+        elif op == OP_EQ:
+            if t + mn > 0 or t + mx < 0:
+                return []
+        elif t == 0:  # a ground NE row
+            return []
+    out: list[tuple] = []
+    levels = plan.levels
+    last = len(levels) - 1
+    if last < 0:
+        # Nothing to search; an empty system is satisfied whatever the limit.
+        return [tuple(vals)] if limit > 0 or not (vals or s) else []
+
+    def rec(k: int) -> None:
+        pos, touched, checks = levels[k]
+        xlo, xhi = lo, hi
+        skip = None
+        for r, c, op, mn, mx in checks:
+            t = s[r]
+            if op == OP_NE:
+                if t % c == 0:
+                    skip = (-t // c,) if skip is None else skip + (-t // c,)
+                continue
+            # LE: mn + t + c*x <= 0; EQ also mx + t + c*x >= 0.
+            a = -t - mn
+            if c > 0:
+                b = a // c
+                if b < xhi:
+                    xhi = b
+                if op == OP_EQ:
+                    b = -((t + mx) // c)
+                    if b > xlo:
+                        xlo = b
+            else:
+                b = -(a // -c)
+                if b > xlo:
+                    xlo = b
+                if op == OP_EQ:
+                    b = (t + mx) // -c
+                    if b < xhi:
+                        xhi = b
+            if xlo > xhi:
+                return
+        xs = range(xlo, xhi + 1)
+        if skip is not None:
+            xs = [x for x in xs if x not in skip]
+        if k == last:
+            # every value left is a solution
+            head, tail = tuple(vals[:pos]), tuple(vals[pos + 1 :])
+            out.extend([head + (x,) + tail for x in xs[: limit - len(out)]])
+            return
+        for x in xs:
+            vals[pos] = x
+            for r, c in touched:
+                s[r] += c * x
+            rec(k + 1)
+            for r, c in touched:
+                s[r] -= c * x
+            if len(out) >= limit:
+                return
+
+    if limit > 0:
+        rec(0)
+    return out
 
 
 def solutions(
@@ -111,14 +233,19 @@ def solutions(
     fixed: Optional[Mapping[Var, int]] = None,
     limit: int = 2**62,
 ) -> list[dict[Var, int]]:
-    """All assignments (as dicts) in the box satisfying the system."""
-    fixed = fixed or {}
-    fx = [fixed.get(v) for v in sys_.vars]
-    impl = _pick_impl(sys_, lo, hi)
-    raw = impl.solve_box(
-        sys_.matrix, sys_.consts, sys_.ops, sys_.nrows, len(sys_.vars), lo, hi, fx, limit
-    )
-    return [dict(zip(sys_.vars, tup)) for tup in raw]
+    """All assignments (as dicts) in the box satisfying the system.
+
+    Variables in `fixed` keep their given value, inside the box or not. At
+    most `limit` assignments come back, the lexicographically first ones.
+    """
+    vs = sys_.vars
+    vals = [fixed.get(v) for v in vs] if fixed else [None] * len(vs)
+    pinned = tuple([i for i, x in enumerate(vals) if x is not None])
+    key = (lo, hi, pinned)
+    plan = sys_.plans.get(key)
+    if plan is None:
+        plan = sys_.plans[key] = _prepare(sys_, lo, hi, pinned)
+    return [dict(zip(vs, tup)) for tup in _run(plan, sys_.consts, lo, hi, vals, limit)]
 
 
 def find_solution(

@@ -5,12 +5,19 @@ atom enters level k+1 when some clause derives it from body atoms of
 height <= k, at least one of exactly height k. All values (including
 intermediate constraint variables) are confined to the budget box, so the
 result under-approximates the true least model by design.
+
+Each level joins a clause body against the facts known so far only where
+it uses a fact new at the last level (`delta`): for each pivot atom i, the
+atoms before i take the older facts, atom i a delta fact and the atoms
+after i any fact. Every body binding is thus made once over the whole run.
+Atoms join left to right through facts hashed on the argument positions
+that earlier atoms bind; a binding then pins the body variables of the
+clause's box system, whose solutions give the head atoms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Mapping, Optional, Union
 
 from . import boxes
@@ -69,37 +76,108 @@ def _clause_system(c: Clause) -> boxes.BoxSystem:
     )
 
 
-def _bindings(
-    body, facts_per_pred, delta_per_pred, need_delta: bool
-):
-    """Yield variable envs binding every body atom to a known ground atom."""
-    n = len(body)
+def _shapes(body, sys_: boxes.BoxSystem) -> tuple:
+    """How each body atom joins the atoms before it.
 
-    def rec(k: int, env: dict, used_delta: bool):
-        if k == n:
-            if not need_delta or used_delta:
-                yield dict(env)
-            return
-        atom = body[k]
-        pool = facts_per_pred.get(atom.pred, set())
-        dpool = delta_per_pred.get(atom.pred, set())
-        for vals in pool:
-            ok = True
-            touched = []
-            for v, x in zip(atom.args, vals):
-                if v in env:
-                    if env[v] != x:
-                        ok = False
-                        break
+    Per atom: its predicate; the argument positions, and their variables,
+    that earlier atoms bind (the index key); the position pairs a fact must
+    agree on because a variable repeats within the atom; and the
+    (position, variable) pairs the atom binds first. Variables are the
+    system's own objects, so that its lookups find them by identity.
+    """
+    canon = {v: v for v in sys_.vars}
+    bound: set[Var] = set()
+    out = []
+    for atom in body:
+        key_pos, key_vars, eqs, new = [], [], [], []
+        first: dict[Var, int] = {}
+        for pos, v in enumerate(atom.args):
+            v = canon[v]
+            if v in bound:
+                key_pos.append(pos)
+                key_vars.append(v)
+            elif v in first:
+                eqs.append((first[v], pos))
+            else:
+                first[v] = pos
+                new.append((pos, v))
+        bound.update(first)
+        out.append((atom.pred, tuple(key_pos), tuple(key_vars), tuple(eqs), tuple(new)))
+    return tuple(out)
+
+
+class _Indexes:
+    """Facts hashed on the argument positions a join looks them up by.
+
+    Three pools: `delta` (the facts new at the last level), `old`
+    (`total` minus `delta`) and `total`. An index keeps each bucket in the
+    pool's iteration order and drops facts that break a repeated variable.
+    """
+
+    def __init__(self, total: Mapping[str, set], delta: Mapping[str, set]):
+        self.total = total
+        self.delta = delta
+        self.cache: dict = {}
+
+    def get(self, pool: str, pred: str, key_pos: tuple, eqs: tuple) -> dict:
+        k = (pool, pred, key_pos, eqs)
+        idx = self.cache.get(k)
+        if idx is None:
+            facts = (self.delta if pool == "delta" else self.total).get(pred, ())
+            skip = self.delta.get(pred, ()) if pool == "old" else ()
+            idx = self.cache[k] = {}
+            for t in facts:
+                if t in skip or any(t[i] != t[j] for i, j in eqs):
+                    continue
+                key = tuple([t[i] for i in key_pos])
+                bucket = idx.get(key)
+                if bucket is None:
+                    idx[key] = [t]
                 else:
-                    env[v] = x
-                    touched.append(v)
-            if ok:
-                yield from rec(k + 1, env, used_delta or vals in dpool)
-            for v in touched:
-                env.pop(v)
+                    bucket.append(t)
+        return idx
 
-    yield from rec(0, {}, False)
+
+def _join(shapes: tuple, pools: Iterable[str], indexes: _Indexes):
+    """Yield every env that binds body atom i to a fact of pool `pools[i]`.
+
+    Atoms join left to right through hashed lookups, each binding once. The
+    same env object comes back every time: read it before the next one.
+    """
+    idx = [
+        indexes.get(pool, pred, key_pos, eqs)
+        for pool, (pred, key_pos, _, eqs, _) in zip(pools, shapes)
+    ]
+    n = len(shapes)
+    env: dict[Var, int] = {}
+
+    def rec(k: int):
+        if k == n:
+            yield env
+            return
+        key_vars, new = shapes[k][2], shapes[k][4]
+        for vals in idx[k].get(tuple([env[v] for v in key_vars]), ()):
+            for pos, v in new:
+                env[v] = vals[pos]
+            yield from rec(k + 1)
+
+    return rec(0)
+
+
+def _bindings(shapes: tuple, indexes: _Indexes, need_delta: bool):
+    """Yield the envs binding the body to known facts, each exactly once;
+    with `need_delta`, only those that use at least one fact of `delta`.
+
+    Semi-naive: the pivot i is the first atom bound to a delta fact, so the
+    atoms before it take `old` facts and the atoms after it any fact.
+    """
+    if not need_delta:
+        yield from _join(shapes, ["total"] * len(shapes), indexes)
+        return
+    for i, shape in enumerate(shapes):
+        if indexes.delta.get(shape[0]):
+            pools = ["old"] * i + ["delta"] + ["total"] * (len(shapes) - i - 1)
+            yield from _join(shapes, pools, indexes)
 
 
 def bounded_lm(p: Program, b: OracleBudget) -> set[GroundAtom]:
@@ -107,18 +185,23 @@ def bounded_lm(p: Program, b: OracleBudget) -> set[GroundAtom]:
     if p.goals():
         raise ValueError("bounded_lm takes a definite program (no goals)")
     _reject_arrays(p)
-    systems = {c.cid: _clause_system(c) for c in p.clauses}
+    clauses = []
+    for c in p.clauses:
+        sys_ = _clause_system(c)
+        clauses.append((c, sys_, _shapes(c.body, sys_)))
     total: dict[str, set[tuple[int, ...]]] = {}
     delta: dict[str, set[tuple[int, ...]]] = {}
     for level in range(b.depth):
         new: dict[str, set[tuple[int, ...]]] = {}
-        for c in p.clauses:
-            sys_ = systems[c.cid]
-            for env in _bindings(c.body, total, delta, need_delta=level > 0):
+        indexes = _Indexes(total, delta)
+        for c, sys_, shapes in clauses:
+            head = c.head.args
+            known = total.get(c.head.pred, set())
+            for env in _bindings(shapes, indexes, need_delta=level > 0):
                 for full in boxes.solutions(sys_, b.lo, b.hi, fixed=env):
-                    vals = tuple(full[v] for v in c.head.args)
+                    vals = tuple([full[v] for v in head])
                     if all(b.lo <= x <= b.hi for x in vals):
-                        if vals not in total.get(c.head.pred, set()):
+                        if vals not in known:
                             new.setdefault(c.head.pred, set()).add(vals)
         if not any(new.values()):
             break
@@ -135,9 +218,10 @@ def false_derivable(p: Program, b: OracleBudget) -> Union[Found, NotWithinBudget
     facts: dict[str, set[tuple[int, ...]]] = {}
     for ga in lm:
         facts.setdefault(ga.pred, set()).add(ga.args)
+    indexes = _Indexes(facts, {})
     for goal in p.goals():
         sys_ = _clause_system(goal)
-        for env in _bindings(goal.body, facts, {}, need_delta=False):
+        for env in _bindings(_shapes(goal.body, sys_), indexes, need_delta=False):
             hit = boxes.solutions(sys_, b.lo, b.hi, fixed=env, limit=1)
             if hit:
                 return Found(goal.cid, hit[0])

@@ -1,24 +1,74 @@
+import itertools
 import random
+import time
 
 from chcpair import Var, boxes
-from chcpair import _boxkernel_py as pure
 
 from helpers import conj
 
 
-def test_kernels_agree_on_random_systems():
+def _brute_force(sys_, lo, hi, fixed, limit):
+    """Every point of the box, pinned variables held, in lexicographic order."""
+    n = len(sys_.vars)
+    ranges = [
+        [fixed[v]] if v in fixed else range(lo, hi + 1) for v in sys_.vars
+    ]
+    out = []
+    for point in itertools.product(*ranges):
+        ok = True
+        for r, op in enumerate(sys_.ops):
+            s = sys_.consts[r] + sum(
+                sys_.matrix[r * n + i] * x for i, x in enumerate(point)
+            )
+            if (op == boxes.OP_LE and s > 0) or (op == boxes.OP_EQ and s != 0) or (
+                op == boxes.OP_NE and s == 0
+            ):
+                ok = False
+                break
+        if ok:
+            out.append(dict(zip(sys_.vars, point)))
+            if len(out) >= limit:
+                break
+    return out
+
+
+def _random_system(rng):
+    nvars = rng.randint(0, 4)
+    nrows = rng.randint(0, 5)
+    # mostly unit coefficients and zeros, as in clause constraints
+    matrix = [rng.choice([0, 0, 0, 1, -1, 1, -1, 2, -3]) for _ in range(nrows * nvars)]
+    consts = [rng.randint(-6, 6) for _ in range(nrows)]
+    ops = [rng.choice([boxes.OP_LE, boxes.OP_LE, boxes.OP_EQ, boxes.OP_NE]) for _ in range(nrows)]
+    vs = tuple(Var(f"V{i}") for i in range(nvars))
+    return boxes.BoxSystem(vs, matrix, consts, ops)
+
+
+def test_solutions_match_brute_force():
     rng = random.Random(11)
-    compiled = boxes._impl
-    for _ in range(200):
-        nvars = rng.randint(0, 4)
-        nrows = rng.randint(0, 5)
-        matrix = [rng.randint(-3, 3) for _ in range(nrows * nvars)]
-        consts = [rng.randint(-6, 6) for _ in range(nrows)]
-        ops = [rng.choice([0, 0, 1, 2]) for _ in range(nrows)]
-        fixed = [rng.choice([None, None, rng.randint(-2, 2)]) for _ in range(nvars)]
-        a = compiled.solve_box(matrix, consts, ops, nrows, nvars, -2, 2, fixed, 10**6)
-        b = pure.solve_box(matrix, consts, ops, nrows, nvars, -2, 2, fixed, 10**6)
-        assert a == b
+    deadline = time.monotonic() + 4.0
+    systems = queries = found = 0
+    seen = {"ne": False, "no_vars": False, "outside": False, "reused": False}
+    while systems < 400 and time.monotonic() < deadline:
+        sys_ = _random_system(rng)
+        seen["ne"] |= boxes.OP_NE in sys_.ops
+        seen["no_vars"] |= not sys_.vars
+        # one system, several boxes and pinned sets, all through its plan cache
+        for _ in range(3):
+            lo = rng.randint(-3, 1)
+            hi = lo + rng.randint(-1, 4)
+            fixed = {v: rng.randint(-5, 5) for v in sys_.vars if rng.random() < 0.35}
+            seen["outside"] |= any(not lo <= x <= hi for x in fixed.values())
+            for limit in (1, 2, 2**62):
+                want = _brute_force(sys_, lo, hi, fixed, limit)
+                got = boxes.solutions(sys_, lo, hi, fixed=fixed, limit=limit)
+                assert got == want, (sys_, lo, hi, fixed, limit)
+                assert [list(d) for d in got] == [list(sys_.vars)] * len(got)
+                queries += 1
+                found += bool(got)
+        seen["reused"] |= len(sys_.plans) > 1
+        systems += 1
+    assert systems >= 50 and found > queries // 10
+    assert all(seen.values()), seen
 
 
 def test_lowering_and_enumeration():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,16 +9,21 @@ from chcpair import (
     NotWithinBudget,
     OracleBudget,
     Program,
+    ConstraintConj,
     bounded_lm,
+    corpus,
     equisat_probe,
     false_derivable,
     parse_program,
+    print_program,
 )
 from chcpair import boxes
 from chcpair.errors import ArrayUnsupported
 from chcpair.pairing import PairingConfig, iterate_pairing
 
 from helpers import random_definite_program
+
+ARRAY_ENTRIES = ("array_loop", "loop_pipelining")
 
 
 def test_budget_validation():
@@ -107,3 +113,137 @@ def test_equisat_probe_ackermann(ackermann, ackermann_golden):
     assert rep.agreement
     assert isinstance(rep.p0_budget, NotWithinBudget)
     assert isinstance(rep.pn_budget, NotWithinBudget)
+
+
+# --- differential checks against full enumeration ------------------------------
+#
+# The reference below enumerates the full cross product of known facts for
+# every body and keeps, after the first level, the combinations that use at
+# least one fact new at the last level: the oracle's semantics, without its
+# semi-naive indexed join.
+
+
+def _reference_bindings(body, facts_per_pred, delta_per_pred, need_delta):
+    n = len(body)
+
+    def rec(k, env, used_delta):
+        if k == n:
+            if not need_delta or used_delta:
+                yield dict(env)
+            return
+        atom = body[k]
+        pool = facts_per_pred.get(atom.pred, set())
+        dpool = delta_per_pred.get(atom.pred, set())
+        for vals in pool:
+            ok = True
+            touched = []
+            for v, x in zip(atom.args, vals):
+                if v in env:
+                    if env[v] != x:
+                        ok = False
+                        break
+                else:
+                    env[v] = x
+                    touched.append(v)
+            if ok:
+                yield from rec(k + 1, env, used_delta or vals in dpool)
+            for v in touched:
+                env.pop(v)
+
+    yield from rec(0, {}, False)
+
+
+def _system(c):
+    return boxes.lower_conj(ConstraintConj(c.constraint.lin_atoms()), var_order=c.vars())
+
+
+def _reference_lm(p, b):
+    total, delta = {}, {}
+    for level in range(b.depth):
+        new = {}
+        for c in p.clauses:
+            for env in _reference_bindings(c.body, total, delta, need_delta=level > 0):
+                for full in boxes.solutions(_system(c), b.lo, b.hi, fixed=env):
+                    vals = tuple(full[v] for v in c.head.args)
+                    if all(b.lo <= x <= b.hi for x in vals):
+                        if vals not in total.get(c.head.pred, set()):
+                            new.setdefault(c.head.pred, set()).add(vals)
+        if not any(new.values()):
+            break
+        delta = new
+        for pred, tuples in new.items():
+            total.setdefault(pred, set()).update(tuples)
+    return {GroundAtom(pred, vals) for pred, s in total.items() for vals in s}
+
+
+def _reference_violated(p, b):
+    facts = {}
+    for ga in _reference_lm(p.definite(), b):
+        facts.setdefault(ga.pred, set()).add(ga.args)
+    return any(
+        boxes.find_solution(_system(goal), b.lo, b.hi, fixed=env) is not None
+        for goal in p.goals()
+        for env in _reference_bindings(goal.body, facts, {}, need_delta=False)
+    )
+
+
+def _assert_oracle_matches_reference(p, b):
+    assert bounded_lm(p.definite(), b) == _reference_lm(p.definite(), b)
+    res = false_derivable(p, b)
+    assert isinstance(res, Found) == _reference_violated(p, b)
+    if isinstance(res, Found):
+        goal = p.clause(res.goal_id)
+        assert boxes.eval_conj(goal.constraint, res.valuation)
+
+
+def _random_joins(rng):
+    """Clauses whose bodies join two atoms on shared and repeated variables."""
+    lines = [
+        "p(X,Y) :- X = 0, Y = 1.",
+        "p(X,Y) :- X = 1, Y = 1.",
+        "q(X,Y) :- X = Y, X >= 0, X =< 1.",
+    ]
+    for _ in range(rng.randint(2, 4)):
+        head = rng.choice(["p(A,C)", "q(C,A)", "r(A,B,C)", "r(A,A,C)"])
+        body = rng.choice(
+            ["p(A,B), q(B,C)", "q(A,B), p(B,C)", "p(A,A), q(A,C)", "r(A,B,C), p(B,B)", "p(A,B), p(C,A)"]
+        )
+        if head.startswith("r") and "B" not in body:
+            body += ", q(B,C)"
+        shift = rng.choice(["C = C", f"C =< A + {rng.randint(0, 2)}", f"A =\\= {rng.randint(0, 2)}"])
+        lines.append(f"{head} :- {body}, {shift}.")
+    return parse_program("\n".join(lines))
+
+
+def _with_random_goals(p, rng):
+    arity = {c.head.pred: len(c.head.args) for c in p.clauses}
+    goals = []
+    for _ in range(2):
+        pr1, pr2 = rng.choice(sorted(arity)), rng.choice(sorted(arity))
+        xs = [f"X{i}" for i in range(arity[pr1])]
+        ys = [f"Y{i}" for i in range(arity[pr2])]
+        ys[0] = xs[-1] if rng.random() < 0.5 else ys[0]
+        goals.append(
+            f"false :- {pr1}({','.join(xs)}), {pr2}({','.join(ys)}), "
+            f"{xs[0]} >= {ys[-1]} + {rng.randint(0, 3)}."
+        )
+    return parse_program(print_program(p) + "\n" + "\n".join(goals))
+
+
+def test_oracle_matches_full_enumeration_on_random_programs():
+    rng = random.Random(17)
+    deadline = time.monotonic() + 4.0
+    cases = found = 0
+    while cases < 120 and time.monotonic() < deadline:
+        p = random_definite_program(rng) if cases % 2 else _random_joins(rng)
+        p = _with_random_goals(p, rng)
+        b = OracleBudget(rng.randint(1, 5), rng.randint(-2, 0), rng.randint(1, 3))
+        _assert_oracle_matches_reference(p, b)
+        found += isinstance(false_derivable(p, b), Found)
+        cases += 1
+    assert cases >= 30 and 0 < found < cases
+
+
+@pytest.mark.parametrize("name", [n for n in corpus.NAMES if n not in ARRAY_ENTRIES])
+def test_oracle_matches_full_enumeration_on_corpus(name):
+    _assert_oracle_matches_reference(corpus.load(name), OracleBudget(5, 0, 3))
