@@ -18,7 +18,7 @@ clause's box system, whose solutions give the head atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Collection, Iterable, Mapping, Union
 
 from . import boxes
 from .errors import ArrayUnsupported
@@ -114,7 +114,7 @@ class _Indexes:
     pool's iteration order and drops facts that break a repeated variable.
     """
 
-    def __init__(self, total: Mapping[str, set], delta: Mapping[str, set]):
+    def __init__(self, total: Mapping[str, Collection], delta: Mapping[str, set]):
         self.total = total
         self.delta = delta
         self.cache: dict = {}
@@ -218,7 +218,8 @@ def false_derivable(p: Program, b: OracleBudget) -> Union[Found, NotWithinBudget
     facts: dict[str, set[tuple[int, ...]]] = {}
     for ga in lm:
         facts.setdefault(ga.pred, set()).add(ga.args)
-    indexes = _Indexes(facts, {})
+    # Sorted, so that which violation comes first does not hang on set order.
+    indexes = _Indexes({pred: sorted(ts) for pred, ts in facts.items()}, {})
     for goal in p.goals():
         sys_ = _clause_system(goal)
         for env in _bindings(_shapes(goal.body, sys_), indexes, need_delta=False):

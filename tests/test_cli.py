@@ -1,8 +1,11 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import chcpair
 from chcpair import corpus, parse_program
 from chcpair.cli import main
 
@@ -33,6 +36,20 @@ def test_oracle_witness_exit_code(capsys):
 def test_oracle_within_budget(capsys):
     assert run("oracle", CORPUS_DIR / "sum_upto.chc", "--depth", "6", "--box", "0..3") == 0
     assert "not within budget" in capsys.readouterr().out
+
+
+def test_oracle_witness_is_independent_of_the_hash_seed():
+    src = str(Path(chcpair.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "chcpair.cli", "oracle", str(CORPUS_DIR / "hl.chc"),
+            "--depth", "6", "--box", "0..3"]
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("found: goal 1 violated with ")
 
 
 def test_oracle_lists_atoms_for_definite_programs(tmp_path, capsys):
