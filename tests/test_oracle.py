@@ -4,12 +4,12 @@ import time
 import pytest
 
 from chcpair import (
+    ConstraintConj,
     Found,
     GroundAtom,
     NotWithinBudget,
     OracleBudget,
     Program,
-    ConstraintConj,
     bounded_lm,
     corpus,
     equisat_probe,
@@ -158,12 +158,13 @@ def _system(c):
 
 
 def _reference_lm(p, b):
+    systems = {c.cid: _system(c) for c in p.clauses}
     total, delta = {}, {}
     for level in range(b.depth):
         new = {}
         for c in p.clauses:
             for env in _reference_bindings(c.body, total, delta, need_delta=level > 0):
-                for full in boxes.solutions(_system(c), b.lo, b.hi, fixed=env):
+                for full in boxes.solutions(systems[c.cid], b.lo, b.hi, fixed=env):
                     vals = tuple(full[v] for v in c.head.args)
                     if all(b.lo <= x <= b.hi for x in vals):
                         if vals not in total.get(c.head.pred, set()):
