@@ -19,9 +19,9 @@ Enumeration runs a plan, prepared once per system, box and set of pinned
 - an NE row is checked as soon as its last free variable is set;
 - rows with no free variable are checked once, before the search.
 
-No value is tried that some row rules out, so the cost follows the number of
-solutions and partial assignments that can still be extended, rather than
-the size of the box.
+A level tries no value that one of its LE or EQ rows rules out, so the cost
+follows the number of partial assignments that each row can still extend,
+rather than the size of the box.
 """
 
 from __future__ import annotations
