@@ -19,7 +19,7 @@ import chcpair
 from chcpair import PairingConfig, corpus, iterate_pairing, print_program
 
 GOLDEN = Path(__file__).parent / "golden" / "transform"
-NAMES = ("hl1", "fib_monotonicity", "fib_injectivity", "fib_fundep", "loop_unswitching")
+NAMES = corpus.NAMES
 
 
 def transform_texts(name: str) -> dict[str, str]:
