@@ -6,6 +6,12 @@ OP one of <= (OP_LE), == (OP_EQ) and != (OP_NE). `solutions` lists the
 assignments inside a box that satisfy every row, lexicographically in
 variable order with ascending values.
 
+Rows come from `LinAtom.row()`, the one place that turns a relation into
+LE, EQ or NE. `index_rows` numbers the variables of a list of atoms by
+first occurrence and indexes their rows, and `box_system` lays them out
+densely; `lower_conj` does both, and `lia` lowers its queries through
+`index_rows` as well. `eval_atom` evaluates the same rows.
+
 Enumeration runs a plan, prepared once per system, box and set of pinned
 (fixed) variables and cached on the system:
 
@@ -27,7 +33,7 @@ rather than the size of the box.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .syntax import ConstraintConj, LinAtom, Rel, Var
 
@@ -54,47 +60,47 @@ class BoxSystem:
     plans: dict = field(default_factory=dict, compare=False, repr=False)
 
 
+def index_rows(
+    atoms: Iterable[LinAtom], var_order: Sequence[Var] = ()
+) -> tuple[list[Var], dict[Var, int], list[tuple[dict[int, int], int, Rel]]]:
+    """(vars, index, rows): `vars` is `var_order` followed by the other
+    variables by first occurrence, `index` their positions, and rows[i] is
+    atoms[i].row() as (coeffs by position, k, rel)."""
+    vars_: list[Var] = list(var_order)
+    index = {v: i for i, v in enumerate(vars_)}
+    rows = []
+    for atom in atoms:
+        terms, k, rel = atom.row()
+        coeffs: dict[int, int] = {}
+        for v, c in terms:
+            i = index.get(v)
+            if i is None:
+                i = index[v] = len(vars_)
+                vars_.append(v)
+            coeffs[i] = c
+        rows.append((coeffs, k, rel))
+    return vars_, index, rows
+
+
+_OPS = {Rel.LE: OP_LE, Rel.EQ: OP_EQ, Rel.NE: OP_NE}
+
+
+def box_system(vars_: Sequence[Var], rows: Sequence[tuple[dict[int, int], int, Rel]]) -> BoxSystem:
+    """The dense system of rows indexed by `index_rows` over `vars_`."""
+    matrix = [coeffs.get(i, 0) for coeffs, _, _ in rows for i in range(len(vars_))]
+    consts = [k for _, k, _ in rows]
+    return BoxSystem(tuple(vars_), matrix, consts, [_OPS[rel] for _, _, rel in rows])
+
+
 def lower_conj(conj: ConstraintConj, var_order: Optional[Sequence[Var]] = None) -> BoxSystem:
     """Lower the linear part of a conjunction for box evaluation.
 
     Array atoms are not allowed here; callers strip or reject them first.
     """
-    vars_: list[Var] = list(var_order) if var_order is not None else []
-    index = {v: i for i, v in enumerate(vars_)}
-    rows: list[tuple[dict[int, int], int, int]] = []
-    for atom in conj:
-        if not isinstance(atom, LinAtom):
-            raise ValueError("box systems handle linear atoms only")
-        d = atom.lhs.sub(atom.rhs)
-        coeffs: dict[int, int] = {}
-        for v, c in d.coeffs:
-            if v not in index:
-                index[v] = len(vars_)
-                vars_.append(v)
-            coeffs[index[v]] = c
-        k = d.const
-        rel = atom.rel
-        if rel is Rel.EQ:
-            rows.append((coeffs, k, OP_EQ))
-        elif rel is Rel.NE:
-            rows.append((coeffs, k, OP_NE))
-        elif rel is Rel.LE:
-            rows.append((coeffs, k, OP_LE))
-        elif rel is Rel.LT:
-            rows.append((coeffs, k + 1, OP_LE))
-        elif rel is Rel.GE:
-            rows.append(({i: -c for i, c in coeffs.items()}, -k, OP_LE))
-        else:  # GT
-            rows.append(({i: -c for i, c in coeffs.items()}, 1 - k, OP_LE))
-    n = len(vars_)
-    matrix: list[int] = []
-    consts: list[int] = []
-    ops: list[int] = []
-    for coeffs, k, op in rows:
-        matrix.extend(coeffs.get(i, 0) for i in range(n))
-        consts.append(k)
-        ops.append(op)
-    return BoxSystem(tuple(vars_), matrix, consts, ops)
+    if not all(isinstance(atom, LinAtom) for atom in conj):
+        raise ValueError("box systems handle linear atoms only")
+    vars_, _, rows = index_rows(conj, var_order or ())
+    return box_system(vars_, rows)
 
 
 @dataclass(frozen=True)
@@ -255,22 +261,19 @@ def find_solution(
     return got[0] if got else None
 
 
-def eval_atom(atom: LinAtom, env: Mapping[Var, int]) -> bool:
-    """Evaluate a ground linear atom under a total assignment."""
-    d = atom.lhs.sub(atom.rhs)
-    s = d.const + sum(c * env[v] for v, c in d.coeffs)
-    rel = atom.rel
-    if rel is Rel.EQ:
-        return s == 0
-    if rel is Rel.NE:
-        return s != 0
+def row_holds(s: int, rel: Rel) -> bool:
+    """Whether s rel 0, for a row relation (LE, EQ or NE)."""
     if rel is Rel.LE:
         return s <= 0
-    if rel is Rel.LT:
-        return s < 0
-    if rel is Rel.GE:
-        return s >= 0
-    return s > 0
+    if rel is Rel.EQ:
+        return s == 0
+    return s != 0
+
+
+def eval_atom(atom: LinAtom, env: Mapping[Var, int]) -> bool:
+    """Evaluate a ground linear atom under a total assignment."""
+    terms, k, rel = atom.row()
+    return row_holds(k + sum(c * env[v] for v, c in terms), rel)
 
 
 def eval_conj(conj: ConstraintConj, env: Mapping[Var, int]) -> bool:

@@ -10,6 +10,11 @@ hand. Disequalities are handled by bounded case splitting; array atoms are
 dropped before any query, which weakens antecedents and therefore keeps
 every Proved entailment sound.
 
+Every query lowers its linear atoms once, through `boxes.index_rows`, into
+the rows of `LinAtom.row()` (sum(c*v) + k rel 0 with rel LE, EQ or NE);
+`_lower` sorts them into LE, EQ and NE rows, and the box probe of
+satisfiability runs on the same rows before Gauss elimination rewrites them.
+
 Degenerate input note: on an unsatisfiable d, eq_set returns every pair,
 since d entails anything; strategy code removes unsatisfiable clauses
 before asking.
@@ -47,6 +52,7 @@ from .syntax import (
     Sort,
     Var,
     false_atom,
+    fresh_name,
 )
 from .errors import SortMismatch
 
@@ -109,10 +115,8 @@ def qd_subst(q: QuantDisj, theta: Mapping[Var, Var]) -> QuantDisj:
     taken = {v.name for v in image} | {v.name for d in q.disjuncts for v in d.vars()}
     for ev in q.exists:
         if ev in image or ev in theta:
-            k = 1
-            while f"{ev.name}_{k}" in taken:
-                k += 1
-            nn = f"{ev.name}_{k}"
+            taken.add(ev.name)  # renamed even when its own name is free
+            nn = fresh_name(ev.name, taken)
             taken.add(nn)
             ren[ev] = Var(nn, ev.sort)
     full = dict(theta)
@@ -130,10 +134,7 @@ def qd_rename_exists_fresh(q: QuantDisj, taken: set[str]) -> QuantDisj:
     theta: dict[Var, Var] = {}
     for ev in q.exists:
         if ev.name in taken:
-            k = 1
-            while f"{ev.name}_{k}" in taken:
-                k += 1
-            theta[ev] = Var(f"{ev.name}_{k}", ev.sort)
+            theta[ev] = Var(fresh_name(ev.name, taken), ev.sort)
         taken.add(theta.get(ev, ev).name)
     if not theta:
         return q
@@ -299,69 +300,41 @@ def _backsubst_witness(
 class _System:
     vars: tuple[Var, ...]
     index: dict[Var, int]
+    rows: list[tuple[dict[int, int], int, Rel]]
     le: list[tuple[dict[int, int], int]]
     eq: list[tuple[dict[int, int], int]]
     ne: list[tuple[dict[int, int], int]]
     ground_false: bool
 
 
-def _lower(atoms: Iterable[LinAtom], var_order: Sequence[Var] = ()) -> _System:
-    vars_: list[Var] = list(var_order)
-    index = {v: i for i, v in enumerate(vars_)}
-    le, eq, ne = [], [], []
+def _lower(atoms: Iterable[LinAtom]) -> _System:
+    """Split the atoms' indexed rows into le, eq and ne, and flag a false
+    ground row; `rows` keeps them all, ground ones too, for the box probe."""
+    vars_, index, rows = boxes.index_rows(atoms)
+    split: dict[Rel, list] = {Rel.LE: [], Rel.EQ: [], Rel.NE: []}
     ground_false = False
-
-    def row_of(d: LinExpr) -> dict[int, int]:
-        coeffs: dict[int, int] = {}
-        for v, c in d.coeffs:
-            if v not in index:
-                index[v] = len(vars_)
-                vars_.append(v)
-            coeffs[index[v]] = c
-        return coeffs
-
-    for a in atoms:
-        d = a.lhs.sub(a.rhs)
-        coeffs = row_of(d)
-        k = d.const
-        rel = a.rel
-        if not coeffs:
-            holds = {
-                Rel.EQ: k == 0,
-                Rel.NE: k != 0,
-                Rel.LE: k <= 0,
-                Rel.LT: k < 0,
-                Rel.GE: k >= 0,
-                Rel.GT: k > 0,
-            }[rel]
-            if not holds:
-                ground_false = True
-            continue
-        if rel is Rel.EQ:
-            eq.append((coeffs, k))
-        elif rel is Rel.NE:
-            ne.append((coeffs, k))
-        elif rel is Rel.LE:
-            le.append((coeffs, k))
-        elif rel is Rel.LT:
-            le.append((coeffs, k + 1))
-        elif rel is Rel.GE:
-            le.append(({i: -c for i, c in coeffs.items()}, -k))
-        else:
-            le.append(({i: -c for i, c in coeffs.items()}, 1 - k))
-    return _System(tuple(vars_), index, le, eq, ne, ground_false)
+    for coeffs, k, rel in rows:
+        if coeffs:
+            split[rel].append((coeffs, k))
+        elif not boxes.row_holds(k, rel):
+            ground_false = True
+    return _System(
+        tuple(vars_), index, rows, split[Rel.LE], split[Rel.EQ], split[Rel.NE], ground_false
+    )
 
 
-def _ne_branches(sys_: _System) -> Optional[list[list[tuple[dict[int, int], int]]]]:
-    """Expand disequalities into <=-row alternatives (None past the cap)."""
-    if 2 ** len(sys_.ne) > NEQ_SPLIT_CAP:
-        return None
+def _le_branches(sys_: _System, ne_rows) -> list[list[tuple[dict[int, int], int]]]:
+    """The <=-row alternatives of sys_'s LE and EQ rows and the given NE rows.
+
+    Every branch holds the LE rows and each EQ row in both directions, then
+    one of d <= -1 and d >= 1 for each NE row d, in every combination.
+    """
     base = list(sys_.le)
     for c, k in sys_.eq:
         base.append((dict(c), k))
         base.append(({i: -x for i, x in c.items()}, -k))
     branches = [base]
-    for c, k in sys_.ne:
+    for c, k in ne_rows:
         lo = (dict(c), k + 1)  # d <= -1
         hi = ({i: -x for i, x in c.items()}, 1 - k)  # d >= 1
         branches = [br + [alt] for br in branches for alt in (lo, hi)]
@@ -415,12 +388,12 @@ def _gauss_reduce(sys_: _System):
             break
     # ground rows may have appeared
     unsat = False
-    for bucket, pred in ((sys_.le, lambda k: k <= 0), (sys_.eq, lambda k: k == 0), (sys_.ne, lambda k: k != 0)):
+    for bucket, rel in ((sys_.le, Rel.LE), (sys_.eq, Rel.EQ), (sys_.ne, Rel.NE)):
         keep = []
         for coeffs, k in bucket:
             if coeffs:
                 keep.append((coeffs, k))
-            elif not pred(k):
+            elif not boxes.row_holds(k, rel):
                 unsat = True
         bucket[:] = keep
     return defs, unsat
@@ -439,15 +412,16 @@ def _satisfiable_uncached(c: ConstraintConj) -> tuple[Verdict, Optional[dict[Var
         return Verdict.DISPROVED, None
     if not sys_.le and not sys_.eq and not sys_.ne:
         return Verdict.PROVED, {v: 0 for v in sys_.vars}
-    n = len(sys_.vars)
-    gdefs, unsat = _gauss_reduce(sys_)
-    if unsat:
-        return Verdict.DISPROVED, None
-    if 0 < n <= _PROBE_MAX_VARS:
-        bsys = boxes.lower_conj(ConstraintConj(atoms))
+    # The probe goes first, as _gauss_reduce rewrites the rows; it finds no
+    # point where Gauss would find the system unsatisfiable.
+    if len(sys_.vars) <= _PROBE_MAX_VARS:
+        bsys = boxes.box_system(sys_.vars, sys_.rows)
         w = boxes.find_solution(bsys, -_PROBE_BOX, _PROBE_BOX)
         if w is not None:
             return Verdict.PROVED, w
+    gdefs, unsat = _gauss_reduce(sys_)
+    if unsat:
+        return Verdict.DISPROVED, None
     return _branch_witness(atoms, sys_, gdefs)
 
 
@@ -460,9 +434,9 @@ def _branch_witness(
     indexed like sys_.vars) that satisfies `atoms`; Disproved means every
     branch is infeasible over the rationals.
     """
-    branches = _ne_branches(sys_)
-    if branches is None:
+    if 2 ** len(sys_.ne) > NEQ_SPLIT_CAP:
         return Verdict.UNKNOWN, None
+    branches = _le_branches(sys_, sys_.ne)
     residual = sorted(
         {i for rows in branches for coeffs, _ in rows for i in coeffs}
     )
@@ -642,12 +616,21 @@ def negate_linatom(a: LinAtom) -> list[LinAtom]:
 # Projection
 
 
-def _rows_to_atoms(rows, eq_pairs_detect=True) -> list[LinAtom]:
+def _row_atom(coeffs: Mapping[Var, int], k: int, rel: Rel) -> LinAtom:
+    """Print the row sum(coeffs) + k rel 0 as an atom without negative terms.
+
+    Positive terms and a positive k go left, the others right; an LE row
+    without positive terms prints as sum >= k.
+    """
+    pos = {v: c for v, c in coeffs.items() if c > 0}
+    neg = {v: -c for v, c in coeffs.items() if c < 0}
+    if rel is Rel.LE and not pos:
+        return LinAtom(LinExpr.build(neg), Rel.GE, LinExpr.number(k))
+    return LinAtom(LinExpr.build(pos, max(k, 0)), rel, LinExpr.build(neg, max(-k, 0)))
+
+
+def _rows_to_atoms(rows) -> list[LinAtom]:
     """Turn <=-rows back into readable atoms, pairing x<=y with y<=x as =."""
-
-    def expr(coeffs: Mapping[Var, int], const: int) -> LinExpr:
-        return LinExpr.build(dict(coeffs), const)
-
     atoms: list[LinAtom] = []
     used = [False] * len(rows)
     norm = [
@@ -657,29 +640,15 @@ def _rows_to_atoms(rows, eq_pairs_detect=True) -> list[LinAtom]:
     for i, (ci, ki) in enumerate(norm):
         if used[i]:
             continue
-        if eq_pairs_detect:
-            neg = (tuple(sorted(((v, -c) for v, c in ci), key=lambda t: t[0].name)), -ki)
-            for j in range(i + 1, len(norm)):
-                if not used[j] and norm[j] == neg:
-                    used[i] = used[j] = True
-                    pos = {v: c for v, c in ci if c > 0}
-                    negc = {v: -c for v, c in ci if c < 0}
-                    lk = ki if ki > 0 else 0
-                    rk = -ki if ki < 0 else 0
-                    atoms.append(LinAtom(expr(pos, lk), Rel.EQ, expr(negc, rk)))
-                    break
-            if used[i]:
-                continue
         used[i] = True
-        pos = {v: c for v, c in ci if c > 0}
-        negc = {v: -c for v, c in ci if c < 0}
-        if not pos:
-            # all-negative row: print as sum >= const
-            atoms.append(LinAtom(expr(negc, 0), Rel.GE, expr({}, ki)))
-        else:
-            lk = ki if ki > 0 else 0
-            rk = -ki if ki < 0 else 0
-            atoms.append(LinAtom(expr(pos, lk), Rel.LE, expr(negc, rk)))
+        neg = (tuple(sorted(((v, -c) for v, c in ci), key=lambda t: t[0].name)), -ki)
+        rel = Rel.LE
+        for j in range(i + 1, len(norm)):
+            if not used[j] and norm[j] == neg:
+                used[j] = True
+                rel = Rel.EQ
+                break
+        atoms.append(_row_atom(dict(ci), ki, rel))
     return atoms
 
 
@@ -720,14 +689,14 @@ def project(c: ConstraintConj, keep: Iterable[Var]) -> QuantDisj:
     while changed:
         changed = False
         for i, a in enumerate(atoms):
-            if a.rel is not Rel.EQ:
+            terms, k, rel = a.row()
+            if rel is not Rel.EQ:
                 continue
-            d = a.lhs.sub(a.rhs)
-            for v, coef in d.coeffs:
+            for v, coef in terms:
                 if v in elim_left and abs(coef) == 1:
-                    # v = -(d - coef*v)/coef
+                    # v = -(row - coef*v)/coef
                     rest = LinExpr.build(
-                        {w: cc for w, cc in d.coeffs if w != v}, d.const
+                        {w: cc for w, cc in terms if w != v}, k
                     ).scale(-1 if coef == 1 else 1)
                     atoms.pop(i)
                     atoms = [_subst_var_expr(b, v, rest) for b in atoms]
@@ -763,19 +732,11 @@ def project(c: ConstraintConj, keep: Iterable[Var]) -> QuantDisj:
         var_rows = [({sys_.vars[i]: cc for i, cc in row.items()}, k) for row, k in rows]
         datoms = list(passthrough) + _rows_to_atoms(var_rows)
         for row, k in ne_rows:
-            datoms.append(_ne_row_atom({sys_.vars[i]: cc for i, cc in row.items()}, k))
+            datoms.append(_row_atom({sys_.vars[i]: cc for i, cc in row.items()}, k, Rel.NE))
         disjuncts.append(ConstraintConj(tuple(datoms)))
     if not disjuncts:
         return QuantDisj((), (ConstraintConj((false_atom(),)),), True)
     return QuantDisj((), tuple(disjuncts), exact)
-
-
-def _ne_row_atom(coeffs: Mapping[Var, int], k: int) -> LinAtom:
-    pos = {v: c for v, c in coeffs.items() if c > 0}
-    neg = {v: -c for v, c in coeffs.items() if c < 0}
-    lk = k if k > 0 else 0
-    rk = -k if k < 0 else 0
-    return LinAtom(LinExpr.build(pos, lk), Rel.NE, LinExpr.build(neg, rk))
 
 
 def _subst_var_expr(a: LinAtom, v: Var, repl: LinExpr) -> LinAtom:
@@ -792,20 +753,10 @@ def _subst_var_expr(a: LinAtom, v: Var, repl: LinExpr) -> LinAtom:
 
 def _project_branches(sys_: _System, elim_idx: set[int]):
     """FM-project each disequality branch; yields (rows, ne_rows, feasible, exact)."""
-    base = list(sys_.le)
-    for c, k in sys_.eq:
-        base.append((dict(c), k))
-        base.append(({i: -x for i, x in c.items()}, -k))
     ne_plain = [row for row in sys_.ne if not any(i in row[0] for i in elim_idx)]
     ne_split = [row for row in sys_.ne if any(i in row[0] for i in elim_idx)]
-    combos = [[]]
-    for c, k in ne_split:
-        lo = (dict(c), k + 1)
-        hi = ({i: -x for i, x in c.items()}, 1 - k)
-        combos = [br + [alt] for br in combos for alt in (lo, hi)]
     out = []
-    for extra in combos:
-        rows = base + extra
+    for rows in _le_branches(sys_, ne_split):
         try:
             rem, _, ex = _fm_eliminate(rows, sorted(elim_idx))
         except _Unsat:

@@ -151,6 +151,35 @@ class LinAtom:
     rel: Rel
     rhs: LinExpr
     _hash: int = field(init=False, compare=False, repr=False)
+    _row: tuple = field(init=False, compare=False, repr=False)
+
+    def row(self) -> tuple[tuple[tuple[Var, int], ...], int, Rel]:
+        """This atom as the row sum(c*v for v, c in terms) + k rel 0.
+
+        Returns (terms, k, rel) with rel one of LE, EQ and NE: LT and GT add
+        1 to k (integers), and GE and GT turn into rhs - lhs <= 0. Terms come
+        in LinExpr's name order. The row is memoised in `_row`, which, like
+        `_hash`, never travels through pickle or copy.
+        """
+        try:
+            return self._row
+        except AttributeError:
+            pass
+        lhs, rhs, rel = self.lhs, self.rhs, self.rel
+        if rel is Rel.GE or rel is Rel.GT:
+            lhs, rhs = rhs, lhs
+        neg = {v: -c for v, c in rhs.coeffs}
+        if neg.keys().isdisjoint(v for v, _ in lhs.coeffs):
+            # lhs - rhs, sharing lhs's term pairs, as a row lives as long as its atom
+            terms = tuple(sorted(lhs.coeffs + tuple(neg.items()), key=lambda it: it[0].name))
+        else:
+            terms = lhs.sub(rhs).coeffs
+        k = lhs.const - rhs.const
+        if rel is Rel.LT or rel is Rel.GT:
+            k += 1
+        row = (terms, k, rel if rel is Rel.EQ or rel is Rel.NE else Rel.LE)
+        object.__setattr__(self, "_row", row)
+        return row
 
     def vars(self) -> tuple[Var, ...]:
         seen: dict[Var, None] = {}

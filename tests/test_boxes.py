@@ -1,8 +1,9 @@
 import itertools
+import operator
 import random
 import time
 
-from chcpair import Var, boxes
+from chcpair import LinAtom, LinExpr, Rel, Var, boxes
 
 from helpers import conj
 
@@ -107,3 +108,35 @@ def test_big_coefficients_fall_back_to_pure():
     sys_ = boxes.lower_conj(c)
     sols = boxes.solutions(sys_, -2, 2)
     assert [s[Var("X")] for s in sols] == [1]
+
+
+_REL_OPS = {
+    Rel.EQ: operator.eq,
+    Rel.NE: operator.ne,
+    Rel.LE: operator.le,
+    Rel.LT: operator.lt,
+    Rel.GE: operator.ge,
+    Rel.GT: operator.gt,
+}
+
+
+def test_eval_atom_matches_operator_arithmetic():
+    rng = random.Random(12)
+    pool = [Var(n) for n in "XYZ"]
+
+    def expr():
+        vs = rng.sample(pool, rng.randint(0, len(pool)))
+        return LinExpr.build({v: rng.randint(-3, 3) for v in vs}, rng.randint(-4, 4))
+
+    def value(e, env):
+        return e.const + sum(c * env[v] for v, c in e.coeffs)
+
+    for rel, op in _REL_OPS.items():
+        outcomes = set()
+        for _ in range(300):
+            atom = LinAtom(expr(), rel, expr())
+            env = {v: rng.randint(-4, 4) for v in pool}
+            want = op(value(atom.lhs, env), value(atom.rhs, env))
+            assert boxes.eval_atom(atom, env) is want, (atom, env)
+            outcomes.add(want)
+        assert outcomes == {True, False}, rel

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -151,6 +152,20 @@ def test_equiv_of_disjunctions():
 
 # --- negate -----------------------------------------------------------------
 
+def test_existential_renaming_names():
+    e, x, y = V("E"), V("X"), V("Y")
+    q = QuantDisj((e,), (conj("E = X"),))
+    taken = {"E", "E_1", "X"}
+    assert lia.qd_rename_exists_fresh(q, taken) == QuantDisj((V("E_2"),), (conj("E_2 = X"),))
+    assert "E_2" in taken
+    assert lia.qd_rename_exists_fresh(q, {"X"}) is q
+    # captured by the image of theta
+    assert lia.qd_subst(q, {x: e}) == QuantDisj((V("E_1"),), (conj("E_1 = E"),))
+    # in theta's domain, renamed even though no disjunct mentions E
+    free = QuantDisj((e,), (conj("X = 1"),))
+    assert lia.qd_subst(free, {e: y}).exists == (V("E_1"),)
+
+
 def test_negate_forms():
     le = conj("X =< Y").atoms[0]
     assert [print_constraint_atom(a) for a in negate_linatom(le)] == ["X >= Y + 1"]
@@ -235,6 +250,88 @@ def test_entails_equality_agrees_with_enumeration():
                 assert all(boxes.eval_atom(a, w) for a in c.lin_atoms())
             disproved += 1
     assert checked > 0 and disproved > 0
+
+
+def test_lower_and_lower_conj_share_variables_and_rows():
+    rng = random.Random(46)
+    ops = {boxes.OP_LE: Rel.LE, boxes.OP_EQ: Rel.EQ, boxes.OP_NE: Rel.NE}
+    for _ in range(300):
+        c = _random_conj(rng)
+        sys_ = lia._lower(c.lin_atoms())
+        bsys = boxes.lower_conj(c)
+        assert sys_.vars == bsys.vars
+        n = len(bsys.vars)
+        dense = {Rel.LE: [], Rel.EQ: [], Rel.NE: []}
+        ground_false = False
+        for r, op in enumerate(bsys.ops):
+            coeffs, k = bsys.matrix[r * n : (r + 1) * n], bsys.consts[r]
+            if any(coeffs):
+                dense[ops[op]].append((coeffs, k))
+            else:
+                ground_false |= not boxes.row_holds(k, ops[op])
+        for rel, rows in ((Rel.LE, sys_.le), (Rel.EQ, sys_.eq), (Rel.NE, sys_.ne)):
+            assert [([row.get(i, 0) for i in range(n)], k) for row, k in rows] == dense[rel]
+            assert all(0 not in row.values() for row, _ in rows)
+        assert sys_.ground_false == ground_false
+
+
+def test_probe_witness_is_the_first_point_of_the_box():
+    """A conjunction of at most 6 variables with a point in [-2,2]^n gets the
+    lexicographically first such point, variables in order of first
+    occurrence in the atoms' lhs - rhs."""
+    rng = random.Random(47)
+    pool = [V(n) for n in ("X", "Y", "Z", "W", "U", "T")]
+    ref = {Rel.EQ: int.__eq__, Rel.NE: int.__ne__, Rel.LE: int.__le__,
+           Rel.LT: int.__lt__, Rel.GE: int.__ge__, Rel.GT: int.__gt__}
+
+    def value(e, env):
+        # a variable that cancels out of lhs - rhs is in no row: any value
+        return e.const + sum(c * env.get(v, 0) for v, c in e.coeffs)
+
+    def holds(a, env):
+        return ref[a.rel](value(a.lhs, env), value(a.rhs, env))
+
+    deadline = time.monotonic() + 4.0
+    checked = tried = 0
+    while tried < 250 and time.monotonic() < deadline:
+        tried += 1
+        sub = rng.sample(pool, rng.randint(1, len(pool)))
+        c = ConstraintConj(tuple(_random_atom(rng, sub) for _ in range(rng.randint(1, 4))))
+        order: list = []
+        for a in c.lin_atoms():
+            for v, _ in a.lhs.sub(a.rhs).coeffs:
+                if v not in order:
+                    order.append(v)
+        first = next(
+            (
+                p
+                for p in itertools.product(range(-2, 3), repeat=len(order))
+                if all(holds(a, dict(zip(order, p))) for a in c.lin_atoms())
+            ),
+            None,
+        )
+        if first is None:
+            continue
+        verdict, w = satisfiable_with_witness(c)
+        assert verdict is Verdict.PROVED and w == dict(zip(order, first)), c
+        checked += 1
+    assert checked >= 50
+
+
+def test_project_prints_rows_without_negative_terms():
+    cases = [
+        ("X = Y + 2, Y =< 3, Z >= X, W =\\= X + 1", "XZW", [["Z >= X", "W =\\= X + 1", "X =< 5"]]),
+        ("Y =< X, Y >= 1, Y + Z =< 3", "XZ", [["X >= 1", "Z =< 2"]]),
+        ("2*Y = 2*Z, X =< Y, Y =< X, Z >= 0 - 4", "XZ", [["Z >= -4", "Z = X"]]),
+        ("Y =\\= X + 2, Y >= 0, Y =< 5, X =\\= 3", "X",
+         [["X =\\= 3", "X >= -1"], ["X =\\= 3", "X =< 2"]]),
+        ("3*Y >= X + 1, 2*Y =< 7 - Z", "XZ", [["2*X + 3*Z =< 19"]]),
+        ("Y = X + 2, Y =\\= W, Z =\\= Y - 4", "XWZ", [["X + 2 =\\= W", "Z + 2 =\\= X"]]),
+        ("2*Y = 2*Z + 2, X =< Y, Y =< X", "XZ", [["Z + 1 = X"]]),
+    ]
+    for text, keep, want in cases:
+        q = project(conj(text), [V(k) for k in keep])
+        assert [[print_constraint_atom(a) for a in d] for d in q.disjuncts] == want, text
 
 
 def test_project_overapproximates_integer_points():

@@ -206,7 +206,8 @@ def test_var_sort_still_distinguishes():
 def test_values_stay_frozen():
     c = conj("X =< Y + 1")
     for value, attr in ((Var("X"), "name"), (c, "atoms"), (c.atoms[0], "rel"),
-                        (c.atoms[0].rhs, "const"), (c.atoms[0].rhs, "_hash")):
+                        (c.atoms[0].rhs, "const"), (c.atoms[0].rhs, "_hash"),
+                        (c.atoms[0], "_row")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, attr, None)
 
@@ -214,6 +215,30 @@ def test_values_stay_frozen():
 def test_copy_and_pickle_rebuild_equal_values():
     c = conj("X =< Y + 1, Z = 2*X")
     hash(c.atoms[0])  # one memoised, the rest not
+    c.atoms[0].row()
     for value in (c, c.atoms[0], c.atoms[1], c.atoms[0].lhs, Var("X")):
         for clone in (copy.copy(value), pickle.loads(pickle.dumps(value))):
             assert clone == value and hash(clone) == hash(value)
+            if isinstance(value, LinAtom):
+                assert not hasattr(clone, "_row")  # rebuilt, not carried over
+                assert clone.row() == value.row()
+
+
+def test_row_lowers_every_relation_to_le_eq_or_ne():
+    x, y = Var("X"), Var("Y")
+    xy = ((x, 1), (y, -1))
+    yx = ((x, -1), (y, 1))
+    cases = {
+        "X + 2 = Y": (xy, 2, Rel.EQ),
+        "X + 2 =\\= Y": (xy, 2, Rel.NE),
+        "X + 2 =< Y": (xy, 2, Rel.LE),
+        "X + 2 < Y": (xy, 3, Rel.LE),
+        "X + 2 >= Y": (yx, -2, Rel.LE),
+        "X + 2 > Y": (yx, -1, Rel.LE),
+        "Y - X + 3 > 2 * Y - X": (((y, 1),), -2, Rel.LE),
+        "3 =< 1": ((), 2, Rel.LE),
+    }
+    for text, row in cases.items():
+        atom = conj(text).atoms[0]
+        assert atom.row() == row, text
+        assert atom.row() is atom.row()  # memoised
