@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 import time
 
@@ -281,8 +282,8 @@ def test_probe_witness_is_the_first_point_of_the_box():
     occurrence in the atoms' lhs - rhs."""
     rng = random.Random(47)
     pool = [V(n) for n in ("X", "Y", "Z", "W", "U", "T")]
-    ref = {Rel.EQ: int.__eq__, Rel.NE: int.__ne__, Rel.LE: int.__le__,
-           Rel.LT: int.__lt__, Rel.GE: int.__ge__, Rel.GT: int.__gt__}
+    ref = {Rel.EQ: operator.eq, Rel.NE: operator.ne, Rel.LE: operator.le,
+           Rel.LT: operator.lt, Rel.GE: operator.ge, Rel.GT: operator.gt}
 
     def value(e, env):
         # a variable that cancels out of lhs - rhs is in no row: any value
