@@ -115,8 +115,8 @@ def qd_subst(q: QuantDisj, theta: Mapping[Var, Var]) -> QuantDisj:
     taken = {v.name for v in image} | {v.name for d in q.disjuncts for v in d.vars()}
     for ev in q.exists:
         if ev in image or ev in theta:
-            taken.add(ev.name)  # renamed even when its own name is free
-            nn = fresh_name(ev.name, taken)
+            # renamed even when its own name is free, which stays free for the others
+            nn = fresh_name(ev.name, taken | {ev.name})
             taken.add(nn)
             ren[ev] = Var(nn, ev.sort)
     full = dict(theta)

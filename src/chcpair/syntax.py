@@ -168,12 +168,7 @@ class LinAtom:
         lhs, rhs, rel = self.lhs, self.rhs, self.rel
         if rel is Rel.GE or rel is Rel.GT:
             lhs, rhs = rhs, lhs
-        neg = {v: -c for v, c in rhs.coeffs}
-        if neg.keys().isdisjoint(v for v, _ in lhs.coeffs):
-            # lhs - rhs, sharing lhs's term pairs, as a row lives as long as its atom
-            terms = tuple(sorted(lhs.coeffs + tuple(neg.items()), key=lambda it: it[0].name))
-        else:
-            terms = lhs.sub(rhs).coeffs
+        terms = lhs.sub(rhs).coeffs
         k = lhs.const - rhs.const
         if rel is Rel.LT or rel is Rel.GT:
             k += 1

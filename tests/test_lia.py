@@ -165,6 +165,11 @@ def test_existential_renaming_names():
     # in theta's domain, renamed even though no disjunct mentions E
     free = QuantDisj((e,), (conj("X = 1"),))
     assert lia.qd_subst(free, {e: y}).exists == (V("E_1"),)
+    # an existential's own name, reserved for its renaming only, stays free for the next
+    q2 = QuantDisj((V("E_1"), e), (conj("E = X"),))
+    assert lia.qd_subst(q2, {V("E_1"): y, x: e}) == QuantDisj(
+        (V("E_1_1"), V("E_1")), (conj("E_1 = E"),)
+    )
 
 
 def test_negate_forms():
