@@ -10,10 +10,25 @@ hand. Disequalities are handled by bounded case splitting; array atoms are
 dropped before any query, which weakens antecedents and therefore keeps
 every Proved entailment sound.
 
-Every query lowers its linear atoms once, through `boxes.index_rows`, into
-the rows of `LinAtom.row()` (sum(c*v) + k rel 0 with rel LE, EQ or NE);
-`_lower` sorts them into LE, EQ and NE rows, and the box probe of
-satisfiability runs on the same rows before Gauss elimination rewrites them.
+A query is decided in two steps. `_reduce` lowers a conjunction c once,
+through `boxes.index_rows`, into the rows of `LinAtom.row()` (sum(a*v) + k
+rel 0 with rel LE, EQ or NE), sorts them into LE, EQ and NE rows and
+Gauss-reduces them: every EQ row with a unit coefficient defines a variable
+that is substituted away. `_extend` then decides c and a few extra atoms
+without touching c's rows again. It numbers the extra rows after c's
+variables and runs the box probe on all rows as lowered when there are at
+most `_PROBE_MAX_VARS` variables. Otherwise it substitutes c's Gauss
+definitions into the extra rows, resumes Gauss on the extra EQ rows, and
+runs Fourier-Motzkin with witness back-substitution on each disequality
+branch. Since c's rows come first and Gauss always pivots on the first EQ
+row with a unit coefficient, the answer and the witness are those of a
+reduction from scratch. Plain satisfiability extends the empty conjunction.
+An entailment c -> a asks for each negation n of a whether c and n is
+satisfiable, and `implies_quant_disj` asks one query per choice of negated
+atoms for each disjunct of its antecedent: all these queries extend one
+reduction of c, built on the first query that misses the cache and dropped
+when the call returns. Answers are cached, and Unknowns handed to the
+installed resolver, under the whole conjunction.
 
 Degenerate input note: on an unsatisfiable d, eq_set returns every pair,
 since d entails anything; strategy code removes unsatisfiable clauses
@@ -29,7 +44,8 @@ without a query. This cannot change the answer: w satisfies d and one of
 the two negations x < y, x > y, so that negation query cannot be Disproved
 (a Disproved answer is sound over the integers), entails_equality cannot
 return Proved, and eq_set counts anything but Proved as "not equal". Only
-the pairs that w leaves equal are sent to entails_equality. Witnesses are
+the pairs that w leaves equal are sent to entails_equality, and their
+queries extend the reduction of d that w came from. Witnesses are
 cached per d next to the satisfiability cache, since pair selection asks
 eq_set about every atom pair of one clause constraint.
 """
@@ -307,10 +323,11 @@ class _System:
     ground_false: bool
 
 
-def _lower(atoms: Iterable[LinAtom]) -> _System:
+def _lower(atoms: Iterable[LinAtom], var_order: Sequence[Var] = ()) -> _System:
     """Split the atoms' indexed rows into le, eq and ne, and flag a false
-    ground row; `rows` keeps them all, ground ones too, for the box probe."""
-    vars_, index, rows = boxes.index_rows(atoms)
+    ground row; `rows` keeps them all, ground ones too, for the box probe.
+    Variables are numbered after `var_order` as in `boxes.index_rows`."""
+    vars_, index, rows = boxes.index_rows(atoms, var_order)
     split: dict[Rel, list] = {Rel.LE: [], Rel.EQ: [], Rel.NE: []}
     ground_false = False
     for coeffs, k, rel in rows:
@@ -345,29 +362,41 @@ def _verify_env(atoms: Sequence[LinAtom], env: Mapping[Var, int]) -> bool:
     return all(boxes.eval_atom(a, env) for a in atoms)
 
 
+def _subst_rows(rows, v: int, dcoeffs: dict[int, int], dconst: int):
+    """The rows with v replaced by sum(dcoeffs) + dconst; new dicts, never
+    changing the given ones."""
+    out = []
+    for coeffs, k in rows:
+        a = coeffs.get(v)
+        if not a:
+            out.append((coeffs, k))
+            continue
+        merged = {i: c for i, c in coeffs.items() if i != v}
+        for i, c in dcoeffs.items():
+            merged[i] = merged.get(i, 0) + a * c
+        merged = {i: c for i, c in merged.items() if c != 0}
+        out.append((merged, k + a * dconst))
+    return out
+
+
+def _subst_defs(rows, defs):
+    """The rows with each Gauss definition of defs substituted in turn."""
+    if not rows:
+        return rows
+    for v, dcoeffs, dconst in defs:
+        rows = _subst_rows(rows, v, dcoeffs, dconst)
+    return rows
+
+
 def _gauss_reduce(sys_: _System):
     """Substitute away variables defined by unit-coefficient equalities.
 
-    Returns (defs, unsat) where defs is the substitution chain as
+    Each step pivots on the first EQ row with a unit coefficient. Returns
+    (defs, unsat) where defs is the substitution chain as
     (var_index, coeffs, const) meaning var = sum(coeffs) + const, recorded
-    in elimination order. Mutates the system rows in place.
+    in elimination order. Rewrites the system's le, eq and ne lists.
     """
     defs: list[tuple[int, dict[int, int], int]] = []
-
-    def subst_rows(rows, v, dcoeffs, dconst):
-        out = []
-        for coeffs, k in rows:
-            a = coeffs.get(v)
-            if not a:
-                out.append((coeffs, k))
-                continue
-            merged = {i: c for i, c in coeffs.items() if i != v}
-            for i, c in dcoeffs.items():
-                merged[i] = merged.get(i, 0) + a * c
-            merged = {i: c for i, c in merged.items() if c != 0}
-            out.append((merged, k + a * dconst))
-        return out
-
     progress = True
     while progress:
         progress = False
@@ -380,9 +409,9 @@ def _gauss_reduce(sys_: _System):
             dcoeffs = {i: -a * c for i, c in coeffs.items() if i != unit}
             dconst = -a * k
             sys_.eq.pop(idx)
-            sys_.le = subst_rows(sys_.le, unit, dcoeffs, dconst)
-            sys_.eq = subst_rows(sys_.eq, unit, dcoeffs, dconst)
-            sys_.ne = subst_rows(sys_.ne, unit, dcoeffs, dconst)
+            sys_.le = _subst_rows(sys_.le, unit, dcoeffs, dconst)
+            sys_.eq = _subst_rows(sys_.eq, unit, dcoeffs, dconst)
+            sys_.ne = _subst_rows(sys_.ne, unit, dcoeffs, dconst)
             defs.append((unit, dcoeffs, dconst))
             progress = True
             break
@@ -405,24 +434,59 @@ def _apply_gauss_defs(defs, env: dict[int, int]):
         env[v] = dconst + sum(c * env.get(i, 0) for i, c in dcoeffs.items())
 
 
-def _satisfiable_uncached(c: ConstraintConj) -> tuple[Verdict, Optional[dict[Var, int]]]:
-    atoms = c.lin_atoms()
+@dataclass(frozen=True)
+class _Reduced:
+    """A conjunction of linear atoms, lowered and Gauss-reduced once.
+
+    `sys` holds the rows left after Gauss (its `rows`, every row as
+    lowered), `defs` the Gauss definitions in elimination order, and `unsat`
+    whether a ground row is false before or after Gauss. `_extend` reads it
+    and never changes it, so one reduction serves any number of queries.
+    """
+
+    atoms: tuple[LinAtom, ...]
+    sys: _System
+    defs: list[tuple[int, dict[int, int], int]]
+    unsat: bool
+
+
+def _reduce(atoms: Sequence[LinAtom]) -> _Reduced:
     sys_ = _lower(atoms)
-    if sys_.ground_false:
+    defs, unsat = ([], True) if sys_.ground_false else _gauss_reduce(sys_)
+    return _Reduced(tuple(atoms), sys_, defs, unsat)
+
+
+def _extend(base: _Reduced, extra: Sequence[LinAtom]) -> tuple[Verdict, Optional[dict[Var, int]]]:
+    """Decide base and extra, as if the atoms were lowered and reduced afresh.
+
+    The extra rows are numbered after the base's variables. The box probe
+    runs on all rows as lowered. Otherwise the base's Gauss definitions are
+    substituted into the extra rows in elimination order and Gauss resumes:
+    the base's rows come first, so a reduction from scratch would take the
+    same pivots, in the same order, and end with the same rows.
+    """
+    if base.unsat:  # no probe point either: Gauss keeps every integer point
         return Verdict.DISPROVED, None
-    if not sys_.le and not sys_.eq and not sys_.ne:
-        return Verdict.PROVED, {v: 0 for v in sys_.vars}
-    # The probe goes first, as _gauss_reduce rewrites the rows; it finds no
-    # point where Gauss would find the system unsatisfiable.
-    if len(sys_.vars) <= _PROBE_MAX_VARS:
-        bsys = boxes.box_system(sys_.vars, sys_.rows)
-        w = boxes.find_solution(bsys, -_PROBE_BOX, _PROBE_BOX)
+    ext = _lower(extra, base.sys.vars)
+    if ext.ground_false:
+        return Verdict.DISPROVED, None
+    rows = base.sys.rows + ext.rows
+    if len(ext.vars) <= _PROBE_MAX_VARS:
+        w = boxes.find_solution(boxes.box_system(ext.vars, rows), -_PROBE_BOX, _PROBE_BOX)
         if w is not None:
             return Verdict.PROVED, w
-    gdefs, unsat = _gauss_reduce(sys_)
+    le, eq, ne = (_subst_defs(r, base.defs) for r in (ext.le, ext.eq, ext.ne))
+    sys_ = _System(
+        ext.vars, ext.index, rows, base.sys.le + le, base.sys.eq + eq, base.sys.ne + ne, False
+    )
+    defs, unsat = _gauss_reduce(sys_)
     if unsat:
         return Verdict.DISPROVED, None
-    return _branch_witness(atoms, sys_, gdefs)
+    return _branch_witness(base.atoms + tuple(extra), sys_, base.defs + defs)
+
+
+def _satisfiable_uncached(c: ConstraintConj) -> tuple[Verdict, Optional[dict[Var, int]]]:
+    return _extend(_reduce(()), c.lin_atoms())
 
 
 def _branch_witness(
@@ -482,6 +546,18 @@ def install_unknown_resolver(fn) -> None:
     _WITNESS_CACHE.clear()
 
 
+def _settle(c: ConstraintConj, hit):
+    """Hand an internal Unknown on c to the resolver, and cache the answer under c."""
+    if hit[0] is Verdict.UNKNOWN and _UNKNOWN_RESOLVER is not None:
+        resolved = _UNKNOWN_RESOLVER(c)
+        if resolved in (Verdict.PROVED, Verdict.DISPROVED):
+            hit = (resolved, None)
+    if len(_SAT_CACHE) >= _SAT_CACHE_MAX:
+        _SAT_CACHE.clear()
+    _SAT_CACHE[c] = hit
+    return hit
+
+
 def satisfiable_with_witness(
     c: ConstraintConj,
 ) -> tuple[Verdict, Optional[dict[Var, int]]]:
@@ -492,14 +568,7 @@ def satisfiable_with_witness(
     """
     hit = _SAT_CACHE.get(c)
     if hit is None:
-        hit = _satisfiable_uncached(c)
-        if hit[0] is Verdict.UNKNOWN and _UNKNOWN_RESOLVER is not None:
-            resolved = _UNKNOWN_RESOLVER(c)
-            if resolved in (Verdict.PROVED, Verdict.DISPROVED):
-                hit = (resolved, None)
-        if len(_SAT_CACHE) >= _SAT_CACHE_MAX:
-            _SAT_CACHE.clear()
-        _SAT_CACHE[c] = hit
+        hit = _settle(c, _satisfiable_uncached(c))
     verdict, env = hit
     return verdict, dict(env) if env is not None else None
 
@@ -512,56 +581,63 @@ def _conj_with(c: ConstraintConj, extra: Sequence[LinAtom]) -> ConstraintConj:
     return ConstraintConj(c.atoms + tuple(extra))
 
 
-def entails_atom(c: ConstraintConj, atom: LinAtom) -> Verdict:
-    """Validity of for-all(c -> atom) over the integers."""
-    results = []
-    for na in negate_linatom(atom):
-        v, _ = satisfiable_with_witness(_conj_with(c, [na]))
-        if v is Verdict.PROVED:
+def _refute_each(
+    c: ConstraintConj, extras: Iterable[Sequence[LinAtom]], reduced: Optional[_Reduced] = None
+) -> Verdict:
+    """Whether c and e is unsatisfiable for every atom list e of extras.
+
+    Disproved at the first satisfiable one, Proved when all are refuted,
+    Unknown otherwise. Each query is cached and resolved under the whole
+    conjunction, as satisfiable_with_witness does; c is reduced once, on the
+    first cache miss, unless the caller passes its reduction.
+    """
+    verdict = Verdict.PROVED
+    for extra in extras:
+        full = _conj_with(c, extra)
+        hit = _SAT_CACHE.get(full)
+        if hit is None:
+            if reduced is None:
+                reduced = _reduce(c.lin_atoms())
+            hit = _settle(full, _extend(reduced, extra))
+        if hit[0] is Verdict.PROVED:
             return Verdict.DISPROVED
-        results.append(v)
-    if all(r is Verdict.DISPROVED for r in results):
-        return Verdict.PROVED
-    return Verdict.UNKNOWN
+        if hit[0] is Verdict.UNKNOWN:
+            verdict = Verdict.UNKNOWN
+    return verdict
 
 
-def entails_equality(d: ConstraintConj, x: Var, y: Var) -> Verdict:
+def entails_atom(
+    c: ConstraintConj, atom: LinAtom, *, reduced: Optional[_Reduced] = None
+) -> Verdict:
+    """Validity of for-all(c -> atom) over the integers.
+
+    `reduced` is c's reduction when the caller already has it (eq_set's).
+    """
+    return _refute_each(c, ([na] for na in negate_linatom(atom)), reduced)
+
+
+def entails_equality(
+    d: ConstraintConj, x: Var, y: Var, *, reduced: Optional[_Reduced] = None
+) -> Verdict:
     """Does every integer solution of d satisfy x = y?"""
     if x.sort is not Sort.INT or y.sort is not Sort.INT:
         raise SortMismatch("entails_equality is defined on Int variables")
     if x == y:
         return Verdict.PROVED
-    return entails_atom(d, LinAtom(LinExpr.of(x), Rel.EQ, LinExpr.of(y)))
+    return entails_atom(d, LinAtom(LinExpr.of(x), Rel.EQ, LinExpr.of(y)), reduced=reduced)
 
 
-def _generic_witness(d: ConstraintConj) -> Optional[dict[Var, int]]:
-    """An integer solution of d's linear atoms with few coincidental equalities.
+def _generic_witness(reduced: _Reduced) -> Optional[dict[Var, int]]:
+    """An integer solution of the reduced atoms with few coincidental equalities.
 
     Back-substitution aims every variable at its own target value, so two
-    variables share a value mostly where d forces it. None when no verified
-    solution is found (d unsatisfiable, or beyond the engine's caps).
+    variables share a value mostly where the atoms force it. None when no
+    verified solution is found (unsatisfiable, or beyond the engine's caps).
     """
-    atoms = d.lin_atoms()
-    sys_ = _lower(atoms)
-    if sys_.ground_false:
+    if reduced.unsat:
         return None
-    gdefs, unsat = _gauss_reduce(sys_)
-    if unsat:
-        return None
-    target = [_WITNESS_SPREAD * (i + 1) for i in range(len(sys_.vars))]
-    return _branch_witness(atoms, sys_, gdefs, target)[1]
-
-
-def _cached_witness(d: ConstraintConj) -> Optional[dict[Var, int]]:
-    try:
-        return _WITNESS_CACHE[d]
-    except KeyError:
-        pass
-    w = _generic_witness(d)
-    if len(_WITNESS_CACHE) >= _SAT_CACHE_MAX:
-        _WITNESS_CACHE.clear()
-    _WITNESS_CACHE[d] = w
-    return w
+    target = [_WITNESS_SPREAD * (i + 1) for i in range(len(reduced.sys.vars))]
+    return _branch_witness(reduced.atoms, reduced.sys, reduced.defs, target)[1]
 
 
 def eq_set(d: ConstraintConj, a: Atom, b: Atom) -> tuple[tuple[Var, Var], ...]:
@@ -570,9 +646,19 @@ def eq_set(d: ConstraintConj, a: Atom, b: Atom) -> tuple[tuple[Var, Var], ...]:
     Pairs are deduplicated semantically (X=Y and Y=X count once, as do
     shared-variable pairs) and returned in lexicographic name order so
     strategy runs are deterministic. A pair that a witness of d separates
-    is not entailed and is never queried (see the module docstring).
+    is not entailed and is never queried (see the module docstring). When
+    the witness is computed here, the pairs' queries extend the same
+    reduction of d.
     """
-    w = _cached_witness(d)
+    reduced = None
+    if d in _WITNESS_CACHE:
+        w = _WITNESS_CACHE[d]
+    else:
+        reduced = _reduce(d.lin_atoms())
+        w = _generic_witness(reduced)
+        if len(_WITNESS_CACHE) >= _SAT_CACHE_MAX:
+            _WITNESS_CACHE.clear()
+        _WITNESS_CACHE[d] = w
     out = []
     seen: set[frozenset[str]] = set()
     for x in a.vars():
@@ -586,7 +672,7 @@ def eq_set(d: ConstraintConj, a: Atom, b: Atom) -> tuple[tuple[Var, Var], ...]:
                     continue
                 if w is not None and (x not in w or y not in w or w[x] != w[y]):
                     continue
-                ok = entails_equality(d, x, y) is Verdict.PROVED
+                ok = entails_equality(d, x, y, reduced=reduced) is Verdict.PROVED
             else:
                 continue
             if ok and key not in seen:
@@ -817,12 +903,11 @@ def _implies(lhs: QuantDisj, rhs: QuantDisj) -> Verdict:
         if total > DNF_CAP:
             saw_unknown = True
             continue
-        for picks in product(*neg_choices):
-            v, _ = satisfiable_with_witness(_conj_with(phi, list(picks)))
-            if v is Verdict.PROVED:
-                return Verdict.DISPROVED
-            if v is Verdict.UNKNOWN:
-                saw_unknown = True
+        v = _refute_each(phi, product(*neg_choices))
+        if v is Verdict.DISPROVED:
+            return Verdict.DISPROVED
+        if v is Verdict.UNKNOWN:
+            saw_unknown = True
     if saw_unknown:
         return Verdict.UNKNOWN
     return Verdict.PROVED

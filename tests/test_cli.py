@@ -86,20 +86,35 @@ def test_transform_then_validate_trace(tmp_path, capsys):
     assert "all foldings reversible: False" in text
 
 
-def test_transform_iterate_three_atom_goal(tmp_path):
-    f = tmp_path / "three.chc"
-    f.write_text(
-        """
+COUNTERS = """
 p(X,Y) :- X =< 0, Y = 0.
 p(X,Y) :- X > 0, X1 = X - 1, Y = Y1 + 1, p(X1,Y1).
 q(X,Y) :- X =< 0, Y = 0.
 q(X,Y) :- X > 0, X1 = X - 1, Y = Y1 + 1, q(X1,Y1).
-false :- X1 = X2, Y1 =\\= Y2, p(X1,Y1), q(X2,Y2).
 """
-    )
+
+
+def test_transform_iterate_two_atom_goal(tmp_path):
+    f = tmp_path / "two.chc"
+    f.write_text(COUNTERS + "false :- X1 = X2, Y1 =\\= Y2, p(X1,Y1), q(X2,Y2).\n")
     out = tmp_path / "out.chc"
     assert run("transform", f, "--iterate", "-o", out) == 0
     assert parse_program(out.read_text()).goals()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="iterate_pairing takes one atom per cone: exit 3, 'the initial clause "
+    "must contain exactly one Q-atom and one R-atom' (ROADMAP item 4)",
+)
+def test_transform_iterate_goal_with_two_atoms_in_one_cone(tmp_path):
+    f = tmp_path / "three.chc"
+    f.write_text(
+        COUNTERS + "false :- X1 = X3, Y1 =\\= Y3, p(X1,Y1), q(X2,Y2), q(X3,Y3).\n"
+    )
+    out = tmp_path / "out.chc"
+    assert run("transform", f, "--iterate", "-o", out) == 0
 
 
 def test_transform_query_auto_ambiguous(tmp_path, capsys):

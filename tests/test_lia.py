@@ -1,3 +1,4 @@
+import collections
 import itertools
 import operator
 import random
@@ -27,7 +28,7 @@ from chcpair import (
 )
 from chcpair import lia
 from chcpair.lia import Verdict, qd_of, satisfiable_with_witness
-from chcpair.syntax import print_constraint_atom
+from chcpair.syntax import false_atom, print_constraint_atom
 
 from helpers import conj
 
@@ -443,3 +444,201 @@ def test_interval_sat_matches_arithmetic(lo, hi, k):
         assert v is Verdict.PROVED
     else:
         assert v is Verdict.DISPROVED
+
+
+# --- reduce once, then extend ----------------------------------------------
+
+
+def _reference_gauss(sys_):
+    """Gauss elimination on a whole lowered system, as a from-scratch query
+    ran it: pivot on the first EQ row with a unit coefficient, substitute it
+    everywhere, start over; then drop ground rows."""
+    defs = []
+
+    def subst_rows(rows, v, dcoeffs, dconst):
+        out = []
+        for coeffs, k in rows:
+            a = coeffs.get(v)
+            if not a:
+                out.append((coeffs, k))
+                continue
+            merged = {i: c for i, c in coeffs.items() if i != v}
+            for i, c in dcoeffs.items():
+                merged[i] = merged.get(i, 0) + a * c
+            merged = {i: c for i, c in merged.items() if c != 0}
+            out.append((merged, k + a * dconst))
+        return out
+
+    progress = True
+    while progress:
+        progress = False
+        for idx, (coeffs, k) in enumerate(sys_.eq):
+            unit = next((i for i, c in coeffs.items() if abs(c) == 1), None)
+            if unit is None:
+                continue
+            a = coeffs[unit]
+            dcoeffs = {i: -a * c for i, c in coeffs.items() if i != unit}
+            dconst = -a * k
+            sys_.eq.pop(idx)
+            sys_.le = subst_rows(sys_.le, unit, dcoeffs, dconst)
+            sys_.eq = subst_rows(sys_.eq, unit, dcoeffs, dconst)
+            sys_.ne = subst_rows(sys_.ne, unit, dcoeffs, dconst)
+            defs.append((unit, dcoeffs, dconst))
+            progress = True
+            break
+    unsat = False
+    for bucket, rel in ((sys_.le, Rel.LE), (sys_.eq, Rel.EQ), (sys_.ne, Rel.NE)):
+        keep = []
+        for coeffs, k in bucket:
+            if coeffs:
+                keep.append((coeffs, k))
+            elif not boxes.row_holds(k, rel):
+                unsat = True
+        bucket[:] = keep
+    return defs, unsat
+
+
+def _reference_sat(atoms):
+    """Satisfiability of the atoms decided from scratch: lower all of them,
+    probe, Gauss-reduce the whole system, then branch."""
+    sys_ = lia._lower(atoms)
+    if sys_.ground_false:
+        return Verdict.DISPROVED, None
+    if not sys_.le and not sys_.eq and not sys_.ne:
+        return Verdict.PROVED, {v: 0 for v in sys_.vars}
+    if len(sys_.vars) <= lia._PROBE_MAX_VARS:
+        w = boxes.find_solution(boxes.box_system(sys_.vars, sys_.rows), -2, 2)
+        if w is not None:
+            return Verdict.PROVED, w
+    gdefs, unsat = _reference_gauss(sys_)
+    if unsat:
+        return Verdict.DISPROVED, None
+    return lia._branch_witness(atoms, sys_, gdefs)
+
+
+_POOL = [V(n) for n in ("X", "Y", "Z", "W", "U", "T", "S", "R")]
+
+
+def _extension_case(rng):
+    """(kind, base atoms, extras): a random base and a few extra atom lists,
+    each of one kind of extra, over at most 6 or up to 8 variables."""
+    pool = _POOL[: rng.choice([3, 4, 6, 8])]
+    base = [_random_atom(rng, pool) for _ in range(rng.randint(0, 5))]
+    # equalities with a unit coefficient give Gauss pivots
+    for _ in range(rng.randint(0, 3)):
+        u, w = rng.sample(pool, 2)
+        rhs = LinExpr.build({w: rng.choice([1, 2])}, rng.randint(-2, 2))
+        base.append(LinAtom(LinExpr.of(u), Rel.EQ, rhs))
+    base_kind = rng.choice(["plain", "plain", "refuted", "ground_false", "many_ne"])
+    if base_kind == "refuted":  # u = w and u = w + 1: Gauss finds 0 = 1
+        u, w = rng.sample(pool, 2)
+        base += [LinAtom(LinExpr.of(u), Rel.EQ, LinExpr.of(w)),
+                 LinAtom(LinExpr.of(u), Rel.EQ, LinExpr.build({w: 1}, 1))]
+    elif base_kind == "ground_false":
+        base.insert(rng.randint(0, len(base)), false_atom())
+    elif base_kind == "many_ne":
+        ring = _POOL[: lia._PROBE_MAX_VARS + 2]
+        base += [LinAtom(LinExpr.of(a), Rel.NE, LinExpr.of(b)) for a, b in zip(ring, ring[1:])]
+    rng.shuffle(base)
+    kind = rng.choice(["le", "eq", "eqs", "new_vars", "ground"])
+    extras = []
+    for _ in range(rng.randint(1, 4)):
+        if kind == "le":
+            a = _random_atom(rng, pool)
+            extra = negate_linatom(a) if a.rel is not Rel.NE else negate_linatom(
+                LinAtom(a.lhs, Rel.LE, a.rhs))
+        elif kind in ("eq", "eqs"):
+            extra = [
+                negate_linatom(LinAtom(_random_expr(rng, pool), Rel.NE, _random_expr(rng, pool)))[0]
+                for _ in range(1 if kind == "eq" else 2)
+            ]
+        elif kind == "new_vars":
+            fresh = [V("N1"), V("N2")]
+            extra = [_random_atom(rng, rng.sample(pool, 2) + fresh[: rng.randint(1, 2)])]
+        else:  # mostly false
+            extra = [LinAtom(LinExpr.number(rng.randint(0, 3)), rng.choice([Rel.EQ, Rel.LT]),
+                             LinExpr.number(0))]
+        extras.append(tuple(extra if kind == "eqs" else extra[: rng.randint(1, len(extra))]))
+    return base_kind, kind, tuple(base), extras
+
+
+def _build(coeffs, k):
+    return LinExpr.build({V(n): c for n, c in coeffs.items()}, k)
+
+
+# base and extra whose witness depends on the base's NE row coming first
+_NE_ORDER_CASE = (
+    (
+        LinAtom(_build({"W": -1, "Y": 3}, -5), Rel.GE, _build({"Y": 3, "Z": 2}, 4)),
+        LinAtom(_build({"Z": 1}, -1), Rel.NE, _build({"W": -2, "X": 3, "Y": 1, "Z": 2}, -5)),
+        LinAtom(_build({}, -1), Rel.LT, _build({"W": 1, "X": -2, "Z": 3}, 1)),
+    ),
+    [(LinAtom(_build({"Z": 3}, -5), Rel.NE, _build({"X": 2}, -2)),)],
+)
+
+
+def _snapshot(reduced):
+    s = reduced.sys
+    return repr((s.vars, s.rows, s.le, s.eq, s.ne, reduced.defs, reduced.unsat))
+
+
+def test_extending_a_reduced_base_matches_a_query_from_scratch():
+    """_extend of a reduced base gives the verdict and the witness of the
+    whole conjunction decided from scratch, for every kind of extra, and
+    leaves the base as it found it: one base answers several extras the
+    same in either order."""
+    rng = random.Random(48)
+    seen = collections.Counter()
+    deadline = time.monotonic() + 6.0
+    fixed = [("plain", "ne") + _NE_ORDER_CASE]
+    cases = 0
+    for base_kind, kind, base, extras in itertools.chain(
+        fixed, iter(lambda: _extension_case(rng), None)
+    ):
+        if cases >= 600 or time.monotonic() > deadline:
+            break
+        reduced = lia._reduce(base)
+        before = _snapshot(reduced)
+        forward = [lia._extend(reduced, e) for e in extras]
+        backward = [lia._extend(reduced, e) for e in reversed(extras)][::-1]
+        assert _snapshot(reduced) == before, base
+        for extra, got, again in zip(extras, forward, backward):
+            want = _reference_sat(base + extra)
+            assert got == want == again, (base, extra)
+            assert lia._satisfiable_uncached(ConstraintConj(base + extra)) == want
+            seen.update((base_kind, kind, want[0].value))
+            seen["probed"] += len(lia._lower(base + extra).vars) <= lia._PROBE_MAX_VARS
+        cases += 1
+    assert cases >= 100
+    for key in ("plain", "refuted", "ground_false", "many_ne", "le", "eq", "eqs", "new_vars",
+                "ground", "proved", "disproved", "unknown", "probed"):
+        assert seen[key] >= 5, (key, seen)
+
+
+def test_unknown_extension_goes_to_the_resolver_as_the_whole_conjunction():
+    # seven disequalities over seven variables: beyond the case-split cap,
+    # and beyond the probe
+    c = conj("A =\\= B, B =\\= C, C =\\= D, D =\\= E, E =\\= F, F =\\= G, G =\\= A")
+    atom = LinAtom(LinExpr.of(V("A")), Rel.LE, LinExpr.number(100))
+    (na,) = negate_linatom(atom)
+    full = ConstraintConj(c.atoms + (na,))
+    asked = []
+
+    def resolver(q):
+        asked.append(q)
+        return Verdict.DISPROVED
+
+    install_unknown_resolver(None)
+    assert lia.entails_atom(c, atom) is Verdict.UNKNOWN
+    assert lia._SAT_CACHE[full] == (Verdict.UNKNOWN, None)
+    install_unknown_resolver(resolver)
+    try:
+        assert lia.entails_atom(c, atom) is Verdict.PROVED
+        assert asked == [full]
+        assert lia._SAT_CACHE[full] == (Verdict.DISPROVED, None)
+        assert c not in lia._SAT_CACHE
+        # cached under the whole conjunction: asked once
+        assert lia.implies_quant_disj(qd_of(c), qd_of(ConstraintConj((atom,)))) is Verdict.PROVED
+        assert asked == [full]
+    finally:
+        install_unknown_resolver(None)
