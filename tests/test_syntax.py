@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -67,26 +68,86 @@ def test_parse_linear_term_argument():
     assert eq.lhs.as_var() == arg
 
 
+PARSE_ERRORS = [
+    # an unexpected character after comment lines
+    ("% c1\n% c2\n% c3\nq(Y) :- Y @ 1.\n", "unexpected character '@'", 4, 11),
+    # a bad character anywhere wins over an earlier grammar error
+    ("p(X) :- q(X)\nq(Y) :- Y = 1 $ 2.\n", "unexpected character '$'", 2, 15),
+    # a missing final dot, at the end of the text
+    ("p(X) :- q(X)", "expected '.', found ''", 1, 13),
+    ("p(X) :- X > 0.\nq(X) :- p(X)\n", "expected '.', found ''", 3, 1),
+    ("p(X) :- X = +.", "expected term, found '+'", 1, 13),
+    ("p(X) :- ", "expected term, found ''", 1, 9),
+    ("p(X) :-\n  X > 0,\n  X = 2 * .\n", "expected 'var', found '.'", 3, 11),
+    ("p(X) :- X = Y * Z.", "expected 'int', found 'Z'", 1, 17),
+    ("p(X) :- X Y.", "expected 'rel', found 'Y'", 1, 11),
+    ("p(X :- q(X).", "expected ')', found ':-'", 1, 5),
+    (":- foo p(int).", "unknown directive 'foo'", 1, 4),
+    (":- sorts p(real).", "unknown sort 'real'", 1, 4),
+    ("p(A) :-\n read(A, I).", "read takes 3 variables", 2, 2),
+]
+
+
 def test_parse_errors_carry_position():
-    with pytest.raises(ParseError) as e:
-        parse_program("p(X) :- q(X)")  # missing final dot
-    assert e.value.line is not None
+    for text, message, line, col in PARSE_ERRORS:
+        with pytest.raises(ParseError) as e:
+            parse_program(text)
+        assert (e.value.line, e.value.col) == (line, col), text
+        assert str(e.value) == f"{message} (line {line}, column {col})"
 
 
 def test_arity_clash_detected():
-    with pytest.raises(ArityClash):
-        parse_program("p(X) :- p(X,X).")
+    for text, message in [
+        ("p(X) :- p(X,X).", "predicate 'p' used with arity 2 and 1 (line 1)"),
+        ("p(X).\nq(Y) :- p(Y, Y).\n", "predicate 'p' used with arity 2 and 1 (line 2)"),
+    ]:
+        with pytest.raises(ArityClash) as e:
+            parse_program(text)
+        assert str(e.value) == message
 
 
 def test_sort_mismatch_detected():
-    with pytest.raises(SortMismatch):
-        parse_program(":- sorts p(array).\np(X) :- X > 0.")
+    for text, message in [
+        (":- sorts p(array).\np(X) :- X > 0.", "variable X used as int and array (line 2)"),
+        (":- sorts p(array).\nq(A) :- p(A), p(B), A =< B.",
+         "variable A used as int and array (line 2)"),
+        (":- sorts p(array).\nq(X) :-\n  p(X + 1).",
+         "array argument of 'p' must be a variable (line 2)"),
+        (":- sorts p(array, int).\nq(A) :- p(A, A).",
+         "variable A used as array and int (line 2)"),
+    ]:
+        with pytest.raises(SortMismatch) as e:
+            parse_program(text)
+        assert str(e.value) == message
+
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench_e2e" / "inputs"
+FROZEN = sorted((BENCH_INPUTS / "pn").glob("*.chc")) + sorted((BENCH_INPUTS / "defs").glob("*.chc"))
 
 
 def test_round_trip_corpus():
     for name in corpus.NAMES:
         p = corpus.load(name)
-        assert parse_program(print_program(p)) == p
+        text = print_program(p)
+        again = parse_program(text)
+        assert again == p and again.signatures == p.signatures
+        assert print_program(again) == text
+
+
+@pytest.mark.parametrize("path", FROZEN, ids=lambda f: f"{f.parent.name}/{f.stem}")
+def test_round_trip_frozen_programs(path):
+    # the frozen transform outputs are read, never written; each is itself
+    # a printed program, so it reprints byte for byte
+    text = path.read_text()
+    p = parse_program(text)
+    assert print_program(p) == text
+    again = parse_program(text)
+    assert again == p and again.signatures == p.signatures
+    assert print_program(again) == text
+
+
+def test_frozen_programs_are_present():
+    assert {f.parent.name for f in FROZEN} == {"pn", "defs"} and len(FROZEN) >= 19
 
 
 def test_print_clause_matches_surface_syntax():
