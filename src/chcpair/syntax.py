@@ -9,7 +9,9 @@ All values are immutable and hashable.
 from __future__ import annotations
 
 import enum
+import itertools
 import re
+import string
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -506,395 +508,464 @@ def predicate_partition(p: Program, q: str, r: str) -> tuple[Program, Program]:
 
 # ---------------------------------------------------------------------------
 # Parser
+#
+# parse_program runs four stages over the text: _scan cuts it into tokens,
+# _grammar reads the tokens into raw clauses, _infer_sorts gives every
+# variable and predicate position a sort, and _build makes the normalized
+# Clauses. A raw clause numbers its variables in order of first occurrence;
+# a raw linear expression is that number for a bare variable (coefficient 1,
+# constant 0) and a pair (coefficients by number, constant) otherwise.
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|%[^\n]*)
-  | (?P<neck>:-)
-  | (?P<rel>=\\=|=<|>=|=|<|>)
-  | (?P<int>\d+)
-  | (?P<var>[A-Z_][A-Za-z0-9_]*)
-  | (?P<ident>[a-z][A-Za-z0-9_]*)
-  | (?P<punct>[(),.*+\-])
+    (?:\s+|%[^\n]*)*+               # whitespace and comments belong to no token
+    (   :- | =\\= | =< | >= | = | < | >
+      | \d+ | [A-Z_][A-Za-z0-9_]* | [a-z][A-Za-z0-9_]*
+      | [(),.*+\-]
+      | \Z                          # the end of the text, an empty token
+      | .                           # any other character, an error
+    )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-
-class _Tok:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        raw = m.group()
-        if kind != "ws":
-            toks.append(_Tok(kind, raw, line, col))
-        nl = raw.count("\n")
-        if nl:
-            line += nl
-            col = len(raw) - raw.rfind("\n")
-        else:
-            col += len(raw)
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
-    return toks
+_NECK, _REL, _INT, _VAR, _IDENT, _LPAR, _RPAR, _COMMA, _DOT, _STAR, _PLUS, _MINUS, _EOF, _BAD = range(14)
+_FIXED_KINDS = {
+    ":-": _NECK, "(": _LPAR, ")": _RPAR, ",": _COMMA, ".": _DOT, "*": _STAR, "+": _PLUS,
+    "-": _MINUS, "": _EOF, **{r.value: _REL for r in Rel},
+}
+_UPPER = frozenset(string.ascii_uppercase + "_")
+_LOWER = frozenset(string.ascii_lowercase)
+_EXPECTED = {_REL: "rel", _INT: "int", _VAR: "var", _IDENT: "ident", _LPAR: "(", _RPAR: ")", _DOT: "."}
+_RELS = {r.value: r for r in Rel}
+_SORTS = {"int": Sort.INT, "array": Sort.ARRAY}
 
 
-# Raw (untyped) clause pieces produced by the grammar pass, before sort
-# inference assigns Var sorts.
-_RawExpr = tuple  # (coeffs: dict[str,int], const: int)
+class _KindOf(dict):
+    """Token text to token kind, as the alternatives of _TOKEN_RE tell them
+    apart; a text not met before is classified once, by its first character.
+    """
+
+    def __missing__(self, text):
+        c = text[0]
+        kind = self[text] = (
+            _VAR if c in _UPPER else _IDENT if c in _LOWER else _INT if c.isdecimal() else _BAD
+        )
+        return kind
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.i = 0
+def _token_position(text: str, i: int) -> tuple[int, int]:
+    """Line and column, both from 1, of the i-th token; for error messages."""
+    offset = next(itertools.islice(_TOKEN_RE.finditer(text), i, None)).start(1)
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
 
-    def next(self) -> _Tok:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
+def _scan(text: str) -> tuple[list[int], list[str]]:
+    """The kinds and texts of the tokens; the last token is _EOF.
 
-    def expect(self, kind, text=None) -> _Tok:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {t.text!r}", t.line, t.col)
-        return self.next()
+    A character that starts no token raises ParseError, wherever it is,
+    before any grammar error.
+    """
+    texts = _TOKEN_RE.findall(text)
+    kind_of = _KindOf(_FIXED_KINDS)
+    kinds = [kind_of[t] for t in texts]
+    if _BAD in kinds:
+        i = kinds.index(_BAD)
+        raise ParseError(f"unexpected character {texts[i]!r}", *_token_position(text, i))
+    return kinds, texts
 
-    def at(self, kind, text=None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (text is None or t.text == text)
 
-    # --- grammar ---
+def _grammar(text: str, tokens):
+    """Read the tokens into `:- sorts` declarations and raw clauses.
 
-    def program(self):
-        sort_decls: dict[str, tuple[str, ...]] = {}
-        raw_clauses = []
-        while not self.at("eof"):
-            if self.at("neck"):
-                self.next()
-                t = self.expect("ident")
-                if t.text != "sorts":
-                    raise ParseError(f"unknown directive {t.text!r}", t.line, t.col)
-                pred = self.expect("ident").text
-                self.expect("punct", "(")
-                sorts = [self.expect("ident").text]
-                while self.at("punct", ","):
-                    self.next()
-                    sorts.append(self.expect("ident").text)
-                self.expect("punct", ")")
-                self.expect("punct", ".")
-                for s in sorts:
-                    if s not in ("int", "array"):
-                        raise ParseError(f"unknown sort {s!r}", t.line, t.col)
-                sort_decls[pred] = tuple(sorts)
-            else:
-                raw_clauses.append(self.clause())
-        return sort_decls, raw_clauses
+    A declaration is (pred, sorts, token index). A raw clause is (head,
+    constraints, body, token index, variables): head None for a goal or
+    (pred, args); constraints in text order, each ("lin", lhs, rel, rhs),
+    ("read", (a, i, v)) or ("write", (a, i, v, b)); body the (pred, args)
+    atoms in text order; variables a dict from name to number.
+    """
+    kinds, texts = tokens
 
-    def clause(self):
-        t = self.peek()
-        if self.at("ident", "false"):
-            self.next()
-            head = None
-        else:
-            head = self.atom()
-        items = []
-        if self.at("neck"):
-            self.next()
-            items.append(self.item())
-            while self.at("punct", ","):
-                self.next()
-                items.append(self.item())
-        self.expect("punct", ".")
-        return (head, items, t.line, t.col)
+    def error(message, i):
+        return ParseError(message, *_token_position(text, i))
 
-    def atom(self):
-        name = self.expect("ident").text
-        args = []
-        if self.at("punct", "("):
-            self.next()
-            args.append(self.linexpr())
-            while self.at("punct", ","):
-                self.next()
-                args.append(self.linexpr())
-            self.expect("punct", ")")
-        return ("atom", name, args)
+    def expected(kind, i):
+        return error(f"expected {_EXPECTED[kind]!r}, found {texts[i]!r}", i)
 
-    def item(self):
-        t = self.peek()
-        if t.kind == "ident" and t.text in ("read", "write"):
-            save = self.i
-            self.next()
-            if self.at("punct", "("):
-                self.next()
-                args = [self.expect("var").text]
-                while self.at("punct", ","):
-                    self.next()
-                    args.append(self.expect("var").text)
-                self.expect("punct", ")")
-                want = 3 if t.text == "read" else 4
-                if len(args) != want:
-                    raise ParseError(f"{t.text} takes {want} variables", t.line, t.col)
-                return (t.text, args)
-            self.i = save
-        if t.kind == "ident":
-            return self.atom()
-        # otherwise a linear constraint atom
-        lhs = self.linexpr()
-        rel = self.expect("rel").text
-        rhs = self.linexpr()
-        return ("lin", lhs, rel, rhs)
-
-    def linexpr(self):
-        coeffs: dict[str, int] = {}
+    def linexpr(i, names):
+        k = kinds[i]
+        if k == _VAR and kinds[i + 1] not in (_STAR, _PLUS, _MINUS):
+            v = names.get(texts[i])
+            if v is None:
+                v = names[texts[i]] = len(names)
+            return v, i + 1
+        coeffs: dict[int, int] = {}
         const = 0
         sign = 1
-        if self.at("punct", "-"):
-            self.next()
+        if k == _MINUS:
             sign = -1
-        c, k = self.term()
-        for n, v in c.items():
-            coeffs[n] = coeffs.get(n, 0) + sign * v
-        const += sign * k
-        while self.at("punct", "+") or self.at("punct", "-"):
-            sign = 1 if self.next().text == "+" else -1
-            c, k = self.term()
-            for n, v in c.items():
-                coeffs[n] = coeffs.get(n, 0) + sign * v
-            const += sign * k
-        return (coeffs, const)
+            i += 1
+        while True:
+            k = kinds[i]
+            if k == _INT:
+                c = int(texts[i])
+                if kinds[i + 1] == _STAR:
+                    if kinds[i + 2] != _VAR:
+                        raise expected(_VAR, i + 2)
+                    name = texts[i + 2]
+                    i += 3
+                else:
+                    const += sign * c
+                    i += 1
+                    name = None
+            elif k == _VAR:
+                name = texts[i]
+                if kinds[i + 1] == _STAR:
+                    if kinds[i + 2] != _INT:
+                        raise expected(_INT, i + 2)
+                    c = int(texts[i + 2])
+                    i += 3
+                else:
+                    c = 1
+                    i += 1
+            else:
+                raise error(f"expected term, found {texts[i]!r}", i)
+            if name is not None:
+                v = names.get(name)
+                if v is None:
+                    v = names[name] = len(names)
+                coeffs[v] = coeffs.get(v, 0) + sign * c
+            k = kinds[i]
+            if k == _PLUS:
+                sign = 1
+            elif k == _MINUS:
+                sign = -1
+            else:
+                break
+            i += 1
+        if const == 0 and len(coeffs) == 1:
+            ((v, c),) = coeffs.items()
+            if c == 1:
+                return v, i
+        return (coeffs, const), i
 
-    def term(self):
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            k = int(t.text)
-            if self.at("punct", "*"):
-                self.next()
-                v = self.expect("var").text
-                return ({v: k}, 0)
-            return ({}, k)
-        if t.kind == "var":
-            self.next()
-            if self.at("punct", "*"):
-                self.next()
-                k = int(self.expect("int").text)
-                return ({t.text: k}, 0)
-            return ({t.text: 1}, 0)
-        raise ParseError(f"expected term, found {t.text!r}", t.line, t.col)
+    def atom(i, names):
+        if kinds[i] != _IDENT:
+            raise expected(_IDENT, i)
+        pred = texts[i]
+        args = []
+        i += 1
+        if kinds[i] == _LPAR:
+            e, i = linexpr(i + 1, names)
+            args.append(e)
+            while kinds[i] == _COMMA:
+                e, i = linexpr(i + 1, names)
+                args.append(e)
+            if kinds[i] != _RPAR:
+                raise expected(_RPAR, i)
+            i += 1
+        return (pred, args), i
 
-
-def _infer_sorts(sort_decls, raw_clauses):
-    """Assign a sort to every (clause, var) and a signature to every pred."""
-    signatures: dict[str, list[Optional[str]]] = {
-        p: list(s) for p, s in sort_decls.items()
-    }
-
-    def sig_for(name, nargs, line, col):
-        if name not in signatures:
-            signatures[name] = [None] * nargs
-        elif len(signatures[name]) != nargs:
-            raise ArityClash(
-                f"predicate {name!r} used with arity {nargs} and {len(signatures[name])} "
-                f"(line {line})"
-            )
-        return signatures[name]
-
-    # per-clause var sort tables, fixpoint over signature propagation
-    clause_sorts: list[dict[str, str]] = [dict() for _ in raw_clauses]
-
-    def set_sort(tbl, v, s, line, col):
-        old = tbl.get(v)
-        if old is None:
-            tbl[v] = s
-            return True
-        if old != s:
-            raise SortMismatch(f"variable {v} used as {old} and {s} (line {line})")
-        return False
-
-    changed = True
-    while changed:
-        changed = False
-        for idx, (head, items, line, col) in enumerate(raw_clauses):
-            tbl = clause_sorts[idx]
-            atoms = ([("atom",) + head[1:]] if head is not None else []) + [
-                it for it in items if it[0] == "atom"
-            ]
-            for it in items:
-                if it[0] == "lin":
-                    _kind, (lc, lconst), rel, (rc, rconst) = it
-                    lv = _bare_var(lc, lconst)
-                    rv = _bare_var(rc, rconst)
-                    if rel == "=" and lv is not None and rv is not None:
-                        # equality between two bare variables may be an array
-                        # equality; propagate sorts instead of forcing int
-                        a, b = lv, rv
-                        sa, sb = tbl.get(a), tbl.get(b)
-                        if sa and set_sort(tbl, b, sa, line, col):
-                            changed = True
-                        elif sb and set_sort(tbl, a, sb, line, col):
-                            changed = True
-                        continue
-                    for v in list(lc) + list(rc):
-                        if set_sort(tbl, v, "int", line, col):
-                            changed = True
-                elif it[0] == "read":
-                    a, i, u = it[1]
-                    for v, s in ((a, "array"), (i, "int"), (u, "int")):
-                        if set_sort(tbl, v, s, line, col):
-                            changed = True
-                elif it[0] == "write":
-                    a, i, u, b = it[1]
-                    for v, s in ((a, "array"), (i, "int"), (u, "int"), (b, "array")):
-                        if set_sort(tbl, v, s, line, col):
-                            changed = True
-            for at in atoms:
-                _, name, args = at
-                sig = sig_for(name, len(args), line, col)
-                for pos, (coeffs, const) in enumerate(args):
-                    v = _bare_var(coeffs, const)
-                    if v is not None:
-                        if sig[pos] is not None and set_sort(tbl, v, sig[pos], line, col):
-                            changed = True
-                        if sig[pos] is None and v in tbl:
-                            sig[pos] = tbl[v]
-                            changed = True
+    decls = []
+    clauses = []
+    i = 0
+    while kinds[i] != _EOF:
+        if kinds[i] == _NECK:
+            t = i + 1
+            if kinds[t] != _IDENT:
+                raise expected(_IDENT, t)
+            if texts[t] != "sorts":
+                raise error(f"unknown directive {texts[t]!r}", t)
+            i = t + 1
+            if kinds[i] != _IDENT:
+                raise expected(_IDENT, i)
+            pred = texts[i]
+            if kinds[i + 1] != _LPAR:
+                raise expected(_LPAR, i + 1)
+            i += 2
+            sorts = []
+            while True:
+                if kinds[i] != _IDENT:
+                    raise expected(_IDENT, i)
+                sorts.append(texts[i])
+                i += 1
+                if kinds[i] != _COMMA:
+                    break
+                i += 1
+            if kinds[i] != _RPAR:
+                raise expected(_RPAR, i)
+            if kinds[i + 1] != _DOT:
+                raise expected(_DOT, i + 1)
+            i += 2
+            for s in sorts:
+                if s not in _SORTS:
+                    raise error(f"unknown sort {s!r}", t)
+            decls.append((pred, tuple(_SORTS[s] for s in sorts), t))
+            continue
+        start = i
+        names: dict[str, int] = {}
+        if kinds[i] == _IDENT and texts[i] == "false":
+            head = None
+            i += 1
+        else:
+            head, i = atom(i, names)
+        cons = []
+        body = []
+        if kinds[i] == _NECK:
+            while True:
+                i += 1
+                k = kinds[i]
+                if k == _IDENT:
+                    word = texts[i]
+                    if (word == "read" or word == "write") and kinds[i + 1] == _LPAR:
+                        at = i
+                        args = []
+                        i += 2
+                        while True:
+                            if kinds[i] != _VAR:
+                                raise expected(_VAR, i)
+                            v = names.get(texts[i])
+                            if v is None:
+                                v = names[texts[i]] = len(names)
+                            args.append(v)
+                            i += 1
+                            if kinds[i] != _COMMA:
+                                break
+                            i += 1
+                        if kinds[i] != _RPAR:
+                            raise expected(_RPAR, i)
+                        i += 1
+                        want = 3 if word == "read" else 4
+                        if len(args) != want:
+                            raise error(f"{word} takes {want} variables", at)
+                        cons.append((word, tuple(args)))
                     else:
-                        # a proper linear term: int slot, int vars
-                        if sig[pos] is None:
-                            sig[pos] = "int"
-                            changed = True
-                        elif sig[pos] != "int":
-                            raise SortMismatch(
-                                f"array argument of {name!r} must be a variable (line {line})"
-                            )
-                        for v2 in coeffs:
-                            if set_sort(tbl, v2, "int", line, col):
-                                changed = True
-    # defaults
-    final_sigs = {
-        p: tuple(Sort.ARRAY if s == "array" else Sort.INT for s in sig)
-        for p, sig in signatures.items()
+                        a, i = atom(i, names)
+                        body.append(a)
+                else:
+                    lhs, i = linexpr(i, names)
+                    if kinds[i] != _REL:
+                        raise expected(_REL, i)
+                    rel = texts[i]
+                    rhs, i = linexpr(i + 1, names)
+                    cons.append(("lin", lhs, rel, rhs))
+                if kinds[i] != _COMMA:
+                    break
+        if kinds[i] != _DOT:
+            raise expected(_DOT, i)
+        i += 1
+        clauses.append((head, cons, body, start, names))
+    return decls, clauses
+
+
+def _infer_sorts(text: str, decls, clauses):
+    """Give every predicate a signature and every clause variable a sort.
+
+    One pass of union-find over the nodes (clause, variable) and (predicate,
+    position): a bare variable as an atom argument, and an equality between
+    two bare variables, join two nodes' classes; every other use fixes the
+    class to int or array. A class that gets both sorts is a SortMismatch,
+    and one that gets neither is int. Clauses are visited in order, and in
+    each its constraints before its head and then its body atoms.
+
+    Returns the signatures and, for each clause, the sort of each variable
+    by number, None where nothing fixed it.
+    """
+    INT, ARRAY = Sort.INT, Sort.ARRAY
+    parent: list[int] = []  # union-find forest; a root is its own parent
+    sort: list[Optional[Sort]] = []  # the sort of each root's class
+    preds: dict[str, tuple[int, int]] = {}  # pred -> (first node, arity)
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def line(i):
+        return _token_position(text, i)[0]
+
+    def new_nodes(sorts):
+        first = len(parent)
+        parent.extend(range(first, first + len(sorts)))
+        sort.extend(sorts)
+        return first
+
+    declared: dict[str, tuple[Sort, ...]] = {}
+    for pred, sorts, t in decls:
+        old = declared.setdefault(pred, sorts)
+        if len(old) != len(sorts):
+            raise ArityClash(
+                f"predicate {pred!r} declared with arity {len(sorts)} and {len(old)} "
+                f"(line {line(t)})"
+            )
+        if old != sorts:
+            raise SortMismatch(
+                f"predicate {pred!r} declared with sorts ({', '.join(s.value for s in sorts)}) "
+                f"and ({', '.join(s.value for s in old)}) (line {line(t)})"
+            )
+    for pred, sorts in declared.items():
+        preds[pred] = (new_nodes(sorts), len(sorts))
+
+    bases = []
+    for head, cons, body, start, names in clauses:
+        base = new_nodes([None] * len(names))
+        bases.append(base)
+        names_of = list(names)
+
+        def fix(v, s):
+            r = find(base + v)
+            old = sort[r]
+            if old is None:
+                sort[r] = s
+            elif old is not s:
+                raise SortMismatch(
+                    f"variable {names_of[v]} used as {old.value} and {s.value} (line {line(start)})"
+                )
+
+        def join(v, node):
+            # join v's class into node's; a conflict names v
+            rv, rn = find(base + v), find(node)
+            if rv == rn:
+                return
+            sv, sn = sort[rv], sort[rn]
+            if sn is None:
+                sort[rn] = sv
+            elif sv is not None and sv is not sn:
+                raise SortMismatch(
+                    f"variable {names_of[v]} used as {sv.value} and {sn.value} (line {line(start)})"
+                )
+            parent[rv] = rn
+
+        for c in cons:
+            tag = c[0]
+            if tag == "lin":
+                _, lhs, rel, rhs = c
+                if rel == "=" and type(lhs) is int and type(rhs) is int:
+                    join(rhs, base + lhs)
+                    continue
+                for e in (lhs, rhs):
+                    if type(e) is int:
+                        fix(e, INT)
+                    else:
+                        for v in e[0]:
+                            fix(v, INT)
+            elif tag == "read":
+                a, i, u = c[1]
+                fix(a, ARRAY)
+                fix(i, INT)
+                fix(u, INT)
+            else:
+                a, i, u, b = c[1]
+                fix(a, ARRAY)
+                fix(i, INT)
+                fix(u, INT)
+                fix(b, ARRAY)
+        for pred, args in ([head] if head is not None else []) + body:
+            node = preds.get(pred)
+            if node is None:
+                node = preds[pred] = (new_nodes([None] * len(args)), len(args))
+            elif node[1] != len(args):
+                raise ArityClash(
+                    f"predicate {pred!r} used with arity {len(args)} and {node[1]} "
+                    f"(line {line(start)})"
+                )
+            for position, e in enumerate(args, node[0]):
+                if type(e) is int:
+                    join(e, position)
+                    continue
+                r = find(position)
+                if sort[r] is None:
+                    sort[r] = INT
+                elif sort[r] is not INT:
+                    raise SortMismatch(
+                        f"array argument of {pred!r} must be a variable (line {line(start)})"
+                    )
+                for v in e[0]:
+                    fix(v, INT)
+    var_sorts = [
+        [sort[find(v)] for v in range(base, base + len(c[4]))] for base, c in zip(bases, clauses)
+    ]
+    signatures = {
+        pred: tuple(sort[find(first + k)] or INT for k in range(arity))
+        for pred, (first, arity) in preds.items()
     }
-    return final_sigs, clause_sorts
+    return signatures, var_sorts
 
 
-def _bare_var(coeffs, const) -> Optional[str]:
-    if const == 0 and len(coeffs) == 1:
-        name, k = next(iter(coeffs.items()))
-        if k == 1:
-            return name
-    return None
+def _by_name(term):
+    return term[0].name
+
+
+def _build(clauses, signatures, var_sorts) -> list[Clause]:
+    """Normalized Clauses, numbered from 1, with one Var per variable name."""
+    INT, ARRAY, EQ = Sort.INT, Sort.ARRAY, Rel.EQ
+    out = []
+    for cid, ((head, cons, body, _, names), sorts) in enumerate(zip(clauses, var_sorts), 1):
+        vs = [Var(name, s or INT) for name, s in zip(names, sorts)]
+        names_of = list(names)
+        used: Optional[set[str]] = None
+        norm_eqs: list[ConstraintAtom] = []
+
+        def expr(e):
+            if type(e) is int:
+                return LinExpr(((vs[e], 1),), 0)
+            coeffs, const = e
+            terms = [(vs[v], c) for v, c in coeffs.items() if c]
+            if len(terms) > 1:
+                terms.sort(key=_by_name)
+            return LinExpr(tuple(terms), const)
+
+        def normalize(pred, args, is_head):
+            # a non-variable argument, or a repeated head variable, becomes a
+            # fresh variable and an equality
+            nonlocal used
+            sig = signatures[pred]
+            out_args = []
+            seen = set()
+            for pos, e in enumerate(args):
+                if type(e) is int and not (is_head and e in seen):
+                    out_args.append(vs[e])
+                    seen.add(e)
+                    continue
+                if used is None:
+                    used = set(names)
+                nn = fresh_name(names_of[e] if type(e) is int else "V", used)
+                used.add(nn)
+                fv = Var(nn, sig[pos])
+                if type(e) is int:
+                    norm_eqs.append(eq_atom(fv, vs[e]))
+                else:
+                    norm_eqs.append(LinAtom(LinExpr.of(fv), EQ, expr(e)))
+                out_args.append(fv)
+            return Atom(pred, tuple(out_args))
+
+        h = None if head is None else normalize(head[0], head[1], True)
+        atoms = tuple(normalize(pred, args, False) for pred, args in body)
+        catoms: list[ConstraintAtom] = []
+        for c in cons:
+            tag = c[0]
+            if tag == "lin":
+                _, lhs, rel, rhs = c
+                if type(lhs) is int and vs[lhs].sort is ARRAY:
+                    # an array variable is only ever bare, in `A = B` with B
+                    # an array too: every other use would have fixed it int
+                    catoms.append(ArrEqAtom(vs[lhs], vs[rhs]))
+                else:
+                    catoms.append(LinAtom(expr(lhs), _RELS[rel], expr(rhs)))
+            elif tag == "read":
+                catoms.append(ReadAtom(*(vs[v] for v in c[1])))
+            else:
+                catoms.append(WriteAtom(*(vs[v] for v in c[1])))
+        out.append(Clause(cid, h, ConstraintConj(tuple(norm_eqs) + tuple(catoms)), atoms))
+    return out
 
 
 def parse_program(text: str) -> Program:
     """Parse the textual clause syntax into a normalized Program."""
-    sort_decls, raw_clauses = _Parser(text).program()
-    signatures, clause_sorts = _infer_sorts(sort_decls, raw_clauses)
-
-    clauses = []
-    for idx, (head, items, line, col) in enumerate(raw_clauses):
-        tbl = clause_sorts[idx]
-
-        def mkvar(name: str) -> Var:
-            return Var(name, Sort.ARRAY if tbl.get(name) == "array" else Sort.INT)
-
-        def mkexpr(raw) -> LinExpr:
-            coeffs, const = raw
-            return LinExpr.build({mkvar(n): c for n, c in coeffs.items()}, const)
-
-        used = {n for n in tbl}
-        for it in items:
-            if it[0] == "lin":
-                used |= set(it[1][0]) | set(it[3][0])
-            elif it[0] in ("read", "write"):
-                used |= set(it[1])
-            else:
-                for coeffs, _ in it[2]:
-                    used |= set(coeffs)
-        if head is not None:
-            for coeffs, _ in head[2]:
-                used |= set(coeffs)
-
-        norm_eqs: list[ConstraintAtom] = []
-
-        def normalize_atom(name, raw_args, is_head):
-            sig = signatures[name]
-            args: list[Var] = []
-            seen: set[str] = set()
-            for pos, raw_arg in enumerate(raw_args):
-                v = _bare_var(*raw_arg)
-                if v is not None and not (is_head and v in seen):
-                    if sig[pos] is Sort.ARRAY and tbl.get(v) != "array":
-                        tbl[v] = "array"
-                    args.append(mkvar(v))
-                    seen.add(v)
-                    continue
-                # non-variable argument, or repeated head variable
-                base = v if v is not None else "V"
-                nn = fresh_name(base, used)
-                used.add(nn)
-                fv = Var(nn, sig[pos])
-                if v is not None:
-                    norm_eqs.append(eq_atom(fv, mkvar(v)))
-                else:
-                    norm_eqs.append(LinAtom(LinExpr.of(fv), Rel.EQ, mkexpr(raw_arg)))
-                args.append(fv)
-                seen.add(nn)
-            return Atom(name, tuple(args))
-
-        h = None if head is None else normalize_atom(head[1], head[2], True)
-        body: list[Atom] = []
-        catoms: list[ConstraintAtom] = []
-        for it in items:
-            if it[0] == "atom":
-                body.append(normalize_atom(it[1], it[2], False))
-            elif it[0] == "lin":
-                lhs, rel, rhs = mkexpr(it[1]), it[2], mkexpr(it[3])
-                lv, rv = lhs.as_var(), rhs.as_var()
-                if lv is not None and rv is not None and (
-                    lv.sort is Sort.ARRAY or rv.sort is Sort.ARRAY
-                ):
-                    if rel != "=":
-                        raise ParseError("array variables admit only equality", line, col)
-                    catoms.append(eq_atom(lv, rv))
-                else:
-                    for e in (lhs, rhs):
-                        for v in e.vars():
-                            if v.sort is Sort.ARRAY:
-                                raise SortMismatch(
-                                    f"array variable {v.name} in arithmetic (line {line})"
-                                )
-                    catoms.append(LinAtom(lhs, Rel(rel), rhs))
-            elif it[0] == "read":
-                a, i, u = (mkvar(n) for n in it[1])
-                catoms.append(ReadAtom(a, i, u))
-            else:
-                a, i, u, b = (mkvar(n) for n in it[1])
-                catoms.append(WriteAtom(a, i, u, b))
-        clauses.append(
-            Clause(idx + 1, h, ConstraintConj(tuple(norm_eqs) + tuple(catoms)), tuple(body))
-        )
-    return Program(clauses, signatures)
+    tokens = _scan(text)
+    decls, clauses = _grammar(text, tokens)
+    signatures, var_sorts = _infer_sorts(text, decls, clauses)
+    return Program(_build(clauses, signatures, var_sorts), signatures)
 
 
 # ---------------------------------------------------------------------------

@@ -303,3 +303,48 @@ def test_row_lowers_every_relation_to_le_eq_or_ne():
         atom = conj(text).atoms[0]
         assert atom.row() == row, text
         assert atom.row() is atom.row()  # memoised
+
+
+# --- sort declarations and shared variables ---------------------------------
+
+def test_conflicting_sorts_redeclaration_is_refused():
+    # a bug fix: the later declaration used to overwrite the earlier one
+    with pytest.raises(SortMismatch) as e:
+        parse_program(":- sorts p(array).\n:- sorts p(int).\np(X).")
+    assert str(e.value) == "predicate 'p' declared with sorts (int) and (array) (line 2)"
+    with pytest.raises(ArityClash) as e:
+        parse_program(":- sorts p(array).\n:- sorts p(array, int).\n")
+    assert str(e.value) == "predicate 'p' declared with arity 2 and 1 (line 2)"
+    p = parse_program(":- sorts p(array).\n:- sorts p(array).\np(X) :- q(X).")
+    assert p.signatures == {"p": (Sort.ARRAY,), "q": (Sort.ARRAY,)}
+
+
+def _occurrences(c):
+    """Every Var occurrence in a clause, constraint atoms included."""
+    for a in ([c.head] if c.head is not None else []) + list(c.body):
+        yield from a.args
+    for a in c.constraint:
+        if isinstance(a, LinAtom):
+            yield from (v for v, _ in a.lhs.coeffs + a.rhs.coeffs)
+        else:
+            yield from a.vars()
+
+
+def test_a_parsed_clause_has_one_var_per_name():
+    text = (":- sorts p(array, int).\n"
+            "p(A, X) :- X = Y + 1, Y > 0, read(A, Y, Z), B = A, q(X, Y, Z), q(Y, X, 2*Z).\n"
+            "q(X, X, Y) :- X =< Y + X.\n")
+    programs = [parse_program(text), parse_program((FROZEN[0].parent / "hl1.chc").read_text())]
+    for p in programs:
+        for c in p.clauses:
+            first = {}
+            for v in _occurrences(c):
+                assert first.setdefault(v.name, v) is v, (c, v)
+    p = programs[0]
+    assert p.signatures["p"] == (Sort.ARRAY, Sort.INT)
+    for clone in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert clone == p and clone.signatures == p.signatures
+        assert print_program(clone) == print_program(p)
+    for c in p.clauses:
+        for clone in (copy.copy(c), pickle.loads(pickle.dumps(c))):
+            assert clone == c and hash(clone) == hash(c)
