@@ -649,6 +649,20 @@ def _grammar(text: str, tokens):
                 return v, i
         return (coeffs, const), i
 
+    def listed(i, kind):
+        # one or more tokens of a kind, comma-separated, then ")"
+        out = []
+        while True:
+            if kinds[i] != kind:
+                raise expected(kind, i)
+            out.append(texts[i])
+            if kinds[i + 1] != _COMMA:
+                break
+            i += 2
+        if kinds[i + 1] != _RPAR:
+            raise expected(_RPAR, i + 1)
+        return out, i + 2
+
     def atom(i, names):
         if kinds[i] != _IDENT:
             raise expected(_IDENT, i)
@@ -682,21 +696,10 @@ def _grammar(text: str, tokens):
             pred = texts[i]
             if kinds[i + 1] != _LPAR:
                 raise expected(_LPAR, i + 1)
-            i += 2
-            sorts = []
-            while True:
-                if kinds[i] != _IDENT:
-                    raise expected(_IDENT, i)
-                sorts.append(texts[i])
-                i += 1
-                if kinds[i] != _COMMA:
-                    break
-                i += 1
-            if kinds[i] != _RPAR:
-                raise expected(_RPAR, i)
-            if kinds[i + 1] != _DOT:
-                raise expected(_DOT, i + 1)
-            i += 2
+            sorts, i = listed(i + 2, _IDENT)
+            if kinds[i] != _DOT:
+                raise expected(_DOT, i)
+            i += 1
             for s in sorts:
                 if s not in _SORTS:
                     raise error(f"unknown sort {s!r}", t)
@@ -718,27 +721,14 @@ def _grammar(text: str, tokens):
                 if k == _IDENT:
                     word = texts[i]
                     if (word == "read" or word == "write") and kinds[i + 1] == _LPAR:
-                        at = i
-                        args = []
-                        i += 2
-                        while True:
-                            if kinds[i] != _VAR:
-                                raise expected(_VAR, i)
-                            v = names.get(texts[i])
-                            if v is None:
-                                v = names[texts[i]] = len(names)
-                            args.append(v)
-                            i += 1
-                            if kinds[i] != _COMMA:
-                                break
-                            i += 1
-                        if kinds[i] != _RPAR:
-                            raise expected(_RPAR, i)
-                        i += 1
+                        args, end = listed(i + 2, _VAR)
                         want = 3 if word == "read" else 4
                         if len(args) != want:
-                            raise error(f"{word} takes {want} variables", at)
-                        cons.append((word, tuple(args)))
+                            raise error(f"{word} takes {want} variables", i)
+                        for name in args:
+                            names.setdefault(name, len(names))
+                        cons.append((word, tuple(names[name] for name in args)))
+                        i = end
                     else:
                         a, i = atom(i, names)
                         body.append(a)

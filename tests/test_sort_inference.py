@@ -141,15 +141,16 @@ def _expr(rng, names):
 
 
 def _render_expr(e):
-    # every coefficient is printed, 0 and 1 too, so the parser reads back
-    # the same coefficients, and so the same bare variables
+    # every term is printed, 0*V too, so the parser reads back the same
+    # coefficients, and so the same bare variables
     coeffs, const = e
     out = ""
     for v, c in coeffs.items():
+        term = v if c == 1 else f"{abs(c)}*{v}"
         if not out:
-            out = f"{c}*{v}" if c >= 0 else f"-{-c}*{v}"
+            out = term if c >= 0 else f"-{term}"
         else:
-            out += f" + {c}*{v}" if c >= 0 else f" - {-c}*{v}"
+            out += f" + {term}" if c >= 0 else f" - {term}"
     if not out:
         return str(const) if const >= 0 else f"-{-const}"
     if const:

@@ -66,6 +66,10 @@ def test_parse_linear_term_argument():
     (arg,) = c.body[0].args
     (eq,) = c.constraint.lin_atoms()
     assert eq.lhs.as_var() == arg
+    # terms come in name order, without zero coefficients, as LinExpr.build makes them
+    (eq,) = parse_program("p(X) :- Z = 2*Y + X - 0*W + 1.").clauses[0].constraint
+    x, y = Var("X"), Var("Y")
+    assert eq.rhs.coeffs == ((x, 1), (y, 2)) and eq.rhs == LinExpr.build({y: 2, x: 1}, 1)
 
 
 PARSE_ERRORS = [
