@@ -518,7 +518,7 @@ def predicate_partition(p: Program, q: str, r: str) -> tuple[Program, Program]:
 
 _TOKEN_RE = re.compile(
     r"""
-    (?:\s+|%[^\n]*)*+               # whitespace and comments belong to no token
+    (?:\s+|%[^\n]*)*                # whitespace and comments belong to no token
     (   :- | =\\= | =< | >= | = | < | >
       | \d+ | [A-Z_][A-Za-z0-9_]* | [a-z][A-Za-z0-9_]*
       | [(),.*+\-]
@@ -593,16 +593,10 @@ def _grammar(text: str, tokens):
         return error(f"expected {_EXPECTED[kind]!r}, found {texts[i]!r}", i)
 
     def linexpr(i, names):
-        k = kinds[i]
-        if k == _VAR and kinds[i + 1] not in (_STAR, _PLUS, _MINUS):
-            v = names.get(texts[i])
-            if v is None:
-                v = names[texts[i]] = len(names)
-            return v, i + 1
         coeffs: dict[int, int] = {}
         const = 0
         sign = 1
-        if k == _MINUS:
+        if kinds[i] == _MINUS:
             sign = -1
             i += 1
         while True:
@@ -882,10 +876,6 @@ def _infer_sorts(text: str, decls, clauses):
     return signatures, var_sorts
 
 
-def _by_name(term):
-    return term[0].name
-
-
 def _build(clauses, signatures, var_sorts) -> list[Clause]:
     """Normalized Clauses, numbered from 1, with one Var per variable name."""
     INT, ARRAY, EQ = Sort.INT, Sort.ARRAY, Rel.EQ
@@ -898,12 +888,9 @@ def _build(clauses, signatures, var_sorts) -> list[Clause]:
 
         def expr(e):
             if type(e) is int:
-                return LinExpr(((vs[e], 1),), 0)
+                return LinExpr.of(vs[e])
             coeffs, const = e
-            terms = [(vs[v], c) for v, c in coeffs.items() if c]
-            if len(terms) > 1:
-                terms.sort(key=_by_name)
-            return LinExpr(tuple(terms), const)
+            return LinExpr.build({vs[v]: c for v, c in coeffs.items()}, const)
 
         def normalize(pred, args, is_head):
             # a non-variable argument, or a repeated head variable, becomes a
