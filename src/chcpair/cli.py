@@ -66,9 +66,7 @@ def _cmd_transform(args) -> int:
     work = Program(
         [c for c in definite] + [goal],
     )
-    res = iterate_pairing(
-        work, [], cfg, max_rounds=None if args.iterate else 1
-    )
+    res = iterate_pairing(work, [], cfg)
     out_clauses = list(res.transf) + other_goals
     out = Program(
         [Clause(i + 1, c.head, c.constraint, c.body) for i, c in enumerate(out_clauses)]

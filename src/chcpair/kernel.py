@@ -401,23 +401,19 @@ class TransformationState:
         idxs = [self._index_of(cid) for cid in group]
         ref = self.clauses[idxs[0]]
         ref_skel_vars = _skeleton_vars(ref)
-        disjuncts: list[ConstraintConj] = []
+        disjuncts: list[ConstraintConj] = [ref.constraint]
         taken = {v.name for v in ref.vars()}
-        for cid, ix in zip(group, idxs):
+        for ix in idxs[1:]:
             cl = self.clauses[ix]
-            theta = _match_skeleton(cl, ref)
-            mapped = cl.constraint
-            # rename constraint-local variables apart from the reference
-            local = [v for v in mapped.vars() if v not in theta]
-            ren: dict[Var, Var] = dict(theta)
-            for v in local:
-                if cl is ref:
-                    taken.add(v.name)
-                    continue
-                nn = fresh_name(v.name, taken)
-                taken.add(nn)
-                ren[v] = Var(nn, v.sort)
-            disjuncts.append(mapped.subst(ren))
+            # map the skeleton onto the reference's and rename
+            # constraint-local variables apart from it
+            ren = _match_skeleton(cl, ref)
+            for v in cl.constraint.vars():
+                if v not in ren:
+                    nn = fresh_name(v.name, taken)
+                    taken.add(nn)
+                    ren[v] = Var(nn, v.sort)
+            disjuncts.append(cl.constraint.subst(ren))
         if not new_constraints:
             # deletion: every constraint in the group must be unsatisfiable
             for cid, dj in zip(group, disjuncts):

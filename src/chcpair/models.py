@@ -163,19 +163,12 @@ def transport_definition(sigma: SymbolicInterpretation, d: Clause) -> SymbolicIn
         raise TransportError("body formula exceeds the disjunct cap")
     params = d.head.args
     extra = tuple(v for v in body.free_vars() if v not in set(params))
+    formula = body
     if extra or body.exists:
-        projected: list[ConstraintConj] = []
-        exact = True
-        for disj in body.disjuncts:
-            pd = lia.project(disj, [v for v in disj.vars() if v not in set(extra) and v not in set(body.exists)])
-            exact = exact and pd.exact
-            projected.extend(pd.disjuncts)
+        formula = QuantDisj(body.exists + extra, body.disjuncts)
+        projected, exact = lia._flatten_exists(formula)
         if exact:
             formula = QuantDisj((), tuple(projected))
-        else:
-            formula = QuantDisj(body.exists + extra, body.disjuncts)
-    else:
-        formula = body
     out = sigma.with_entry(d.head.pred, params, formula)
     single = Program([d])
     chk = check_model(single, out)

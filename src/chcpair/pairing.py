@@ -11,7 +11,7 @@ atoms of the same predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import lia
 from .errors import (
@@ -20,13 +20,11 @@ from .errors import (
     NoMixedPair,
     OverlapError,
     PartitionOverlap,
-    RuleError,
 )
 from .kernel import (
     SequenceReport,
     TraceStep,
     TransformationState,
-    check_all_defs_unfolded,
     classify_sequence,
 )
 from .syntax import (
@@ -38,7 +36,6 @@ from .syntax import (
     Program,
     Rel,
     Var,
-    fresh_name,
     predicate_partition,
     print_atom,
     reachable_preds,
@@ -48,15 +45,12 @@ from .syntax import (
 @dataclass(frozen=True)
 class PairingConfig:
     max_defs: int = 64
-    tie_break: str = "leftmost"  # or "lexicographic"
     iterate: bool = False
     a_classifier: str = "lia"
 
     def __post_init__(self):
         if self.max_defs < 1:
             raise ValueError("max_defs must be positive")
-        if self.tie_break not in ("leftmost", "lexicographic"):
-            raise ValueError(f"unknown tie_break {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -85,12 +79,12 @@ class PairingResult:
     defs: Program
     state: TransformationState
     report: SequenceReport
+    steps: list[TraceStep]
     pair_log: list[PairChoice] = field(default_factory=list)
     overlaps: list[PartitionOverlap] = field(default_factory=list)
-    steps: Optional[list[TraceStep]] = None
 
     def all_steps(self) -> list[TraceStep]:
-        return self.steps if self.steps is not None else list(self.state.trace)
+        return self.steps
 
     def trace_text(self) -> str:
         """Kernel trace interleaved with the strategy's PAIR lines."""
@@ -112,26 +106,22 @@ def select_pair(
     e: Clause,
     q_preds: set[str],
     r_preds: set[str],
-    tie_break: str = "leftmost",
 ) -> tuple[int, int, tuple[tuple[Var, Var], ...]]:
-    """Pick the (Q-atom, R-atom) body pair with the most entailed equalities."""
+    """Pick the (Q-atom, R-atom) body pair with the most entailed equalities.
+
+    Ties go to the leftmost Q-atom, then the leftmost R-atom.
+    """
     q_pos = [i for i, a in enumerate(e.body) if a.pred in q_preds]
     r_pos = [i for i, a in enumerate(e.body) if a.pred in r_preds]
     if not q_pos or not r_pos:
         raise NoMixedPair(f"clause {e.cid} has no Q/R atom pair")
-    scored = []
+    best = None
     for i in q_pos:
         for j in r_pos:
             eqs = lia.eq_set(e.constraint, e.body[i], e.body[j])
-            scored.append((len(eqs), i, j, eqs))
-    best = max(s[0] for s in scored)
-    top = [s for s in scored if s[0] == best]
-    if tie_break == "lexicographic":
-        top.sort(key=lambda s: (print_atom(e.body[s[1]]), print_atom(e.body[s[2]])))
-    else:
-        top.sort(key=lambda s: (s[1], s[2]))
-    _, i, j, eqs = top[0]
-    return i, j, eqs
+            if best is None or len(eqs) > len(best[2]):
+                best = (i, j, eqs)
+    return best
 
 
 def find_matching_def(
@@ -222,82 +212,65 @@ def predicate_pairing(
         nid += 1
     state = TransformationState(Program(renum), a_classifier=cfg.a_classifier)
     state.seen_preds |= set(reserved_preds)
-    base_ids = [c.cid for c in renum[:-1]]
-    goal_id = renum[-1].cid
-
-    in_cls: list[int] = [goal_id]
+    in_cls: list[Clause] = [renum[-1]]
     pair_log: list[PairChoice] = []
-    transf_ids: list[int] = list(base_ids)
+    transf_ids: list[int] = [c.cid for c in renum[:-1]]
+
+    def mixed(c: Clause) -> bool:
+        return any(a.pred in q_preds for a in c.body) and any(
+            a.pred in r_preds for a in c.body
+        )
 
     while in_cls:
-        cid = in_cls.pop(0)
-        clause = state.clause(cid)
+        clause = in_cls.pop(0)
         pos_q = next(i for i, a in enumerate(clause.body) if a.pred in q_preds)
-        after_q = state.apply_unfold(cid, pos_q)
-        unfolded: list[int] = []
-        for c in after_q:
+        unfolded: list[Clause] = []
+        for c in state.apply_unfold(clause.cid, pos_q):
             pos_r = next(i for i, a in enumerate(c.body) if a.pred in r_preds)
-            unfolded.extend(cl.cid for cl in state.apply_unfold(c.cid, pos_r))
+            unfolded.extend(state.apply_unfold(c.cid, pos_r))
         # silently remove clauses with unsatisfiable constraints (rule R4)
-        folded: list[int] = []
-        for ucid in unfolded:
-            c = state.clause(ucid)
+        kept: list[Clause] = []
+        for c in unfolded:
             if lia.is_satisfiable(c.constraint) is lia.Verdict.DISPROVED:
-                state.apply_replace([ucid], [])
+                state.apply_replace([c.cid], [])
             else:
-                folded.append(ucid)
-        # inner definition & folding loop
-        progress = True
-        while progress:
-            progress = False
-            for k, ecid in enumerate(folded):
-                e = state.clause(ecid)
-                has_q = any(a.pred in q_preds for a in e.body)
-                has_r = any(a.pred in r_preds for a in e.body)
-                if not (has_q and has_r):
-                    continue
-                pos_a, pos_b, eqs = select_pair(e, q_preds, r_preds, cfg.tie_break)
+                kept.append(c)
+        # definition & folding: fold each clause until it no longer mixes Q/R
+        for e in kept:
+            while mixed(e):
+                pos_a, pos_b, eqs = select_pair(e, q_preds, r_preds)
+                a, b = e.body[pos_a], e.body[pos_b]
                 pair_log.append(
                     PairChoice(
-                        ecid, e, pos_a, pos_b, e.body[pos_a], e.body[pos_b], eqs,
-                        trace_index=len(state.trace),
+                        e.cid, e, pos_a, pos_b, a, b, eqs, trace_index=len(state.trace)
                     )
                 )
-                hit = find_matching_def(
-                    state.defs, e.body[pos_a], e.body[pos_b], e.constraint
-                )
+                hit = find_matching_def(state.defs, a, b, e.constraint)
                 if hit is not None:
                     def_id, theta = hit
-                    new = state.apply_fold(ecid, [pos_a, pos_b], def_id, theta)
                 else:
                     if len(state.defs) >= cfg.max_defs:
-                        raise CapExceeded(
-                            f"definition cap {cfg.max_defs} reached"
-                        )
-                    name = _fresh_pred(state)
-                    dcl = _pair_def_clause(e.body[pos_a], e.body[pos_b], eqs, name)
-                    intro = state.apply_definition(dcl)
-                    theta = {v: v for v in intro.vars()}
-                    new = state.apply_fold(ecid, [pos_a, pos_b], intro.cid, theta)
-                    in_cls.append(intro.cid)
-                folded[k] = new.cid
-                progress = True
-                break
-        transf_ids.extend(folded)
+                        raise CapExceeded(f"definition cap {cfg.max_defs} reached")
+                    intro = state.apply_definition(
+                        _pair_def_clause(a, b, eqs, _fresh_pred(state))
+                    )
+                    def_id, theta = intro.cid, {v: v for v in intro.vars()}
+                    in_cls.append(intro)
+                e = state.apply_fold(e.cid, [pos_a, pos_b], def_id, theta)
+            transf_ids.append(e.cid)
 
     current_ids = {c.cid for c in state.clauses}
     assert current_ids == set(transf_ids), "strategy state out of sync"
     transf = state.current
     # output contract: no mixed Q/R bodies remain
     for c in transf:
-        has_q = any(a.pred in q_preds for a in c.body)
-        has_r = any(a.pred in r_preds for a in c.body)
-        assert not (has_q and has_r), f"clause {c.cid} still mixes partitions"
+        assert not mixed(c), f"clause {c.cid} still mixes partitions"
     return PairingResult(
         transf=transf,
         defs=state.defs_program,
         state=state,
         report=classify_sequence(state.trace),
+        steps=list(state.trace),
         pair_log=pair_log,
     )
 
@@ -349,18 +322,15 @@ def iterate_pairing(
     p: Program,
     goals: Sequence[Clause],
     cfg: PairingConfig,
-    max_rounds: Optional[int] = None,
 ) -> PairingResult:
-    """Iterate the pairing strategy until no goal mixes two disjoint cones.
+    """Run one pairing round, or with cfg.iterate, rounds until no goal
+    mixes two disjoint cones.
 
     Two atoms of the same predicate are paired by duplicating that
     predicate's cone under renamed predicates. A chosen pair whose cones
     overlap (for distinct predicates) is reported as a PartitionOverlap
-    and its goal left untransformed. max_rounds bounds the number of
-    pairing rounds (None = run to quiescence).
+    and its goal left untransformed.
     """
-    if not cfg.iterate and (max_rounds is None or max_rounds > 1):
-        raise InputShapeError("multi-round iterate_pairing requires cfg.iterate")
     definite = [c for c in p if not c.is_goal]
     work_goals = [c for c in p if c.is_goal] + [g for g in goals if g not in p.clauses]
     all_steps: list[TraceStep] = []
@@ -369,12 +339,11 @@ def iterate_pairing(
     all_defs: list[Clause] = []
     last_state: Optional[TransformationState] = None
     skipped: set[int] = set()
-    rounds = 0
 
     def renumber(cs: Iterable[Clause]) -> list[Clause]:
         return [Clause(i + 1, c.head, c.constraint, c.body) for i, c in enumerate(cs)]
 
-    while max_rounds is None or rounds < max_rounds:
+    while True:
         prog = Program(renumber(definite + work_goals))
         definite = [c for c in prog if not c.is_goal]
         work_goals = [c for c in prog if c.is_goal]
@@ -388,7 +357,6 @@ def iterate_pairing(
             break
         gi, goal = target
         dprog = Program(definite)
-        transformed = False
         for i, j in _rank_goal_pairs(goal):
             pa, pb = goal.body[i].pred, goal.body[j].pred
             if pa == pb:
@@ -403,8 +371,9 @@ def iterate_pairing(
                         for k, a in enumerate(goal.body)
                     ),
                 )
-                dprog2 = Program(renumber(definite2))
-                q_prog, r_prog = predicate_partition(dprog2, pa, mapping[pb])
+                q_prog, r_prog = predicate_partition(
+                    Program(renumber(definite2)), pa, mapping[pb]
+                )
             else:
                 try:
                     q_prog, r_prog = predicate_partition(dprog, pa, pb)
@@ -414,17 +383,13 @@ def iterate_pairing(
                 definite2 = definite
                 goal2 = goal
             qr_preds = q_prog.preds() | r_prog.preds()
-            rest = [
-                c
-                for c in Program(renumber(definite2))
-                if c.head is not None and c.head.pred not in qr_preds
-            ]
+            rest = [c for c in definite2 if c.head.pred not in qr_preds]
             reserved = {a.pred for c in definite2 + work_goals for a in c.body} | {
-                c.head.pred for c in definite2 if c.head is not None
-            } | {d.head.pred for d in all_defs}
+                c.head.pred for c in definite2 + all_defs
+            }
             res = predicate_pairing(goal2, q_prog, r_prog, cfg, reserved_preds=reserved)
             base = len(all_steps)
-            all_steps.extend(res.state.trace)
+            all_steps.extend(res.steps)
             for pc in res.pair_log:
                 all_pairs.append(
                     PairChoice(
@@ -441,11 +406,12 @@ def iterate_pairing(
                 + work_goals[gi + 1 :]
             )
             skipped = set()
-            transformed = True
-            rounds += 1
             break
-        if not transformed:
+        else:  # no pair of this goal could be transformed
             skipped.add(gi)
+            continue
+        if not cfg.iterate:
+            break
 
     final = Program(renumber(definite + work_goals))
     state = last_state if last_state is not None else TransformationState(final)
@@ -454,7 +420,7 @@ def iterate_pairing(
         defs=Program(renumber(all_defs)),
         state=state,
         report=classify_sequence(all_steps),
+        steps=all_steps,
         pair_log=all_pairs,
         overlaps=overlaps,
-        steps=all_steps,
     )

@@ -17,7 +17,14 @@ import re
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ModelError, ParseError, SortMismatch
-from .lia import QuantDisj, negate_linatom, qd_conjoin, qd_false, qd_true
+from .lia import (
+    QuantDisj,
+    negate_linatom,
+    qd_conjoin,
+    qd_false,
+    qd_rename_exists_fresh,
+    qd_true,
+)
 from .models import SymbolicInterpretation
 from .syntax import (
     ArrEqAtom,
@@ -303,7 +310,7 @@ def _parse_formula(node, env: dict[str, Var], taken: set[str]) -> QuantDisj:
         exists: list[Var] = []
         disjuncts: list[ConstraintConj] = []
         for q in parts:
-            q = _rename_apart_qd(q, taken)
+            q = qd_rename_exists_fresh(q, taken)
             exists.extend(q.exists)
             disjuncts.extend(q.disjuncts)
         return QuantDisj(tuple(exists), tuple(disjuncts))
@@ -333,12 +340,6 @@ def _parse_formula(node, env: dict[str, Var], taken: set[str]) -> QuantDisj:
     if op in ("let", "ite", "forall", "select", "store"):
         raise ParseError(f"unsupported construct {op!r} in model formula", *pos)
     raise ParseError(f"unsupported formula operator {op!r}", *pos)
-
-
-def _rename_apart_qd(q: QuantDisj, taken: set[str]) -> QuantDisj:
-    from .lia import qd_rename_exists_fresh
-
-    return qd_rename_exists_fresh(q, taken)
 
 
 def parse_model(text: str) -> SymbolicInterpretation:

@@ -690,13 +690,15 @@ def _grammar(text: str, tokens):
             pred = texts[i]
             if kinds[i + 1] != _LPAR:
                 raise expected(_LPAR, i + 1)
-            sorts, i = listed(i + 2, _IDENT)
+            first = i + 2
+            sorts, i = listed(first, _IDENT)
             if kinds[i] != _DOT:
                 raise expected(_DOT, i)
             i += 1
-            for s in sorts:
+            for k, s in enumerate(sorts):
                 if s not in _SORTS:
-                    raise error(f"unknown sort {s!r}", t)
+                    # the k-th sort token follows k commas
+                    raise error(f"unknown sort {s!r}", first + 2 * k)
             decls.append((pred, tuple(_SORTS[s] for s in sorts), t))
             continue
         start = i

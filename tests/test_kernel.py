@@ -242,6 +242,17 @@ def test_replace_groups_variants():
     assert len(out) == 1 and print_clause(out[0]) == "p(X) :- X > 0, q(X)."
 
 
+def test_replace_renames_member_locals_apart_from_reference():
+    # the second clause's local X must not be captured by the reference's
+    # head variable X, which would read X = X + 2 and lose the disjunct X > 2
+    p = parse_program(
+        "p(X) :- X = Z + 5, Z > 0, q(X).\np(Y) :- Y = X + 2, X > 0, q(Y)."
+    )
+    st = TransformationState(p)
+    (out,) = st.apply_replace([1, 2], [conj("X > 2")])
+    assert print_clause(out) == "p(X) :- X > 2, q(X)."
+
+
 def test_replace_identity(st):
     before = st.clause(2)
     (after,) = st.apply_replace([2], [before.constraint])

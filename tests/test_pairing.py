@@ -293,12 +293,20 @@ def test_corpus_integer_runs_terminate_within_cap():
         assert ok, name
 
 
-def test_select_pair_lexicographic_tie_break():
+def test_select_pair_breaks_ties_leftmost():
     c = _clause("false :- p(B), p(A), q(C).")
-    i, j, _ = select_pair(c, {"p"}, {"q"}, tie_break="leftmost")
+    i, j, _ = select_pair(c, {"p"}, {"q"})
     assert c.body[i].args[0].name == "B"
-    i, j, _ = select_pair(c, {"p"}, {"q"}, tie_break="lexicographic")
-    assert c.body[i].args[0].name == "A"
+
+
+def test_iterate_pairing_runs_one_round_without_iterate():
+    from chcpair import corpus
+
+    p = corpus.load("fib_fundep")
+    one = iterate_pairing(p, [], PairingConfig()).all_steps()
+    full = iterate_pairing(p, [], PairingConfig(iterate=True)).all_steps()
+    assert (len(one), len(full)) == (27, 73)
+    assert full[: len(one)] == one
 
 
 def test_pairing_accepts_swapped_goal_atoms(ackermann, ackermann_golden):

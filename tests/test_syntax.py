@@ -87,7 +87,8 @@ PARSE_ERRORS = [
     ("p(X) :- X Y.", "expected 'rel', found 'Y'", 1, 11),
     ("p(X :- q(X).", "expected ')', found ':-'", 1, 5),
     (":- foo p(int).", "unknown directive 'foo'", 1, 4),
-    (":- sorts p(real).", "unknown sort 'real'", 1, 4),
+    (":- sorts p(real).", "unknown sort 'real'", 1, 12),
+    (":- sorts p(int,\n  bool).", "unknown sort 'bool'", 2, 3),
     ("p(A) :-\n read(A, I).", "read takes 3 variables", 2, 2),
 ]
 
