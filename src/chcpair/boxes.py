@@ -13,7 +13,9 @@ densely; `lower_conj` does both, and `lia` lowers its queries through
 `index_rows` as well. `eval_atom` evaluates the same rows.
 
 Enumeration runs a plan, prepared once per system, box and set of pinned
-(fixed) variables and cached on the system:
+(fixed) variables and cached on the system (`prepare`). `run` takes the
+values as a list in variable order and returns tuples; `solutions` wraps it
+for values keyed by variable. Per plan:
 
 - the pinned columns fold into the row constants; only free variables are
   enumerated, in variable order;
@@ -104,25 +106,39 @@ def lower_conj(conj: ConstraintConj, var_order: Optional[Sequence[Var]] = None) 
 
 
 @dataclass(frozen=True)
-class _Plan:
+class Plan:
     """How to enumerate one system in one box with a fixed set of pinned vars.
 
-    `pins[j]` lists the (row, coeff) pairs of the j-th pinned variable.
-    `start` holds (row, op, min, max) of every row whose free part can rule
-    out the whole box: the bounds of its free columns' sum. `levels[k]`
-    belongs to the k-th free variable: its position in `vars`, the
-    (row, coeff) pairs it shifts, and the checks (row, coeff, op, min, max)
-    that bound it, with min and max the bounds of the row's free columns
-    after it (both 0 when it is the row's last free variable).
+    `consts` are the system's row constants and [lo, hi] the box. `pins[j]`
+    lists the (row, coeff) pairs of the j-th pinned variable. `start` holds
+    (row, op, min, max) of every row whose free part can rule out the whole
+    box: the bounds of its free columns' sum. `levels[k]` belongs to the
+    k-th free variable: its position in `vars`, the (row, coeff) pairs it
+    shifts, and the checks (row, coeff, op, min, max) that bound it, with
+    min and max the bounds of the row's free columns after it (both 0 when
+    it is the row's last free variable).
     """
 
+    consts: tuple[int, ...]
+    lo: int
+    hi: int
     pinned: tuple[int, ...]
     pins: tuple[tuple[tuple[int, int], ...], ...]
     start: tuple[tuple[int, int, int, int], ...]
     levels: tuple[tuple[int, tuple, tuple], ...]
 
 
-def _prepare(sys_: BoxSystem, lo: int, hi: int, pinned: tuple[int, ...]) -> _Plan:
+def prepare(sys_: BoxSystem, lo: int, hi: int, pinned: tuple[int, ...]) -> Plan:
+    """The plan of `sys_` in [lo, hi] with the variables at positions
+    `pinned` (ascending) fixed; made once and cached on the system."""
+    key = (lo, hi, pinned)
+    plan = sys_.plans.get(key)
+    if plan is None:
+        plan = sys_.plans[key] = _plan(sys_, lo, hi, pinned)
+    return plan
+
+
+def _plan(sys_: BoxSystem, lo: int, hi: int, pinned: tuple[int, ...]) -> Plan:
     n = len(sys_.vars)
     m, ops = sys_.matrix, sys_.ops
     cols = [tuple((r, m[r * n + v]) for r in range(len(ops)) if m[r * n + v]) for v in range(n)]
@@ -151,13 +167,18 @@ def _prepare(sys_: BoxSystem, lo: int, hi: int, pinned: tuple[int, ...]) -> _Pla
             if ops[r] != OP_NE or last[r] == v:
                 checks.append((r, c, ops[r], rem[r][0], rem[r][1]))
         levels.append((v, cols[v], tuple(checks)))
-    return _Plan(pinned, tuple(cols[v] for v in pinned), start, tuple(levels))
+    return Plan(
+        tuple(sys_.consts), lo, hi, pinned, tuple(cols[v] for v in pinned), start, tuple(levels)
+    )
 
 
-def _run(plan: _Plan, consts, lo: int, hi: int, vals: list, limit: int) -> list[tuple]:
-    """Enumerate the plan from constants `consts`; `vals` holds the pinned
-    values in place and receives the free ones."""
-    s = list(consts)
+def run(plan: Plan, vals: list, limit: int = 2**62) -> list[tuple]:
+    """The first `limit` solutions of the plan, as tuples in variable order.
+
+    `vals` has one slot per variable and holds the pinned values in place;
+    the free slots are overwritten."""
+    lo, hi = plan.lo, plan.hi
+    s = list(plan.consts)
     for pos, touched in zip(plan.pinned, plan.pins):
         x = vals[pos]
         for r, c in touched:
@@ -246,12 +267,8 @@ def solutions(
     """
     vs = sys_.vars
     vals = [fixed.get(v) for v in vs] if fixed else [None] * len(vs)
-    pinned = tuple([i for i, x in enumerate(vals) if x is not None])
-    key = (lo, hi, pinned)
-    plan = sys_.plans.get(key)
-    if plan is None:
-        plan = sys_.plans[key] = _prepare(sys_, lo, hi, pinned)
-    return [dict(zip(vs, tup)) for tup in _run(plan, sys_.consts, lo, hi, vals, limit)]
+    plan = prepare(sys_, lo, hi, tuple([i for i, x in enumerate(vals) if x is not None]))
+    return [dict(zip(vs, tup)) for tup in run(plan, vals, limit)]
 
 
 def find_solution(

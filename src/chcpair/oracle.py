@@ -9,16 +9,29 @@ result under-approximates the true least model by design.
 Each level joins a clause body against the facts known so far only where
 it uses a fact new at the last level (`delta`): for each pivot atom i, the
 atoms before i take the older facts, atom i a delta fact and the atoms
-after i any fact. Every body binding is thus made once over the whole run.
-Atoms join left to right through facts hashed on the argument positions
-that earlier atoms bind; a binding then pins the body variables of the
-clause's box system, whose solutions give the head atoms.
+after i any fact. Every body binding is thus made once over the whole run
+(Bancilhon & Ramakrishnan, SIGMOD 1986).
+
+A program is compiled once per value box into a join plan per clause, in
+the manner of Souffle (Jordan, Scholz & Subotic, CAV 2016). A clause's
+values live in one list, a slot per variable of its box system; the plan
+gives, per body atom, the slots that make its index key and the slots it
+binds, and the box enumeration plan for the slots left free. Atoms join
+left to right through facts hashed on their key, filling the list in
+place; the box plan then fills the free slots, and the head atom is read
+off each solution by position. No variable is hashed in the loop.
+
+The evaluation can be resumed. `equisat_probe` runs each side to the
+budget's depth, searches the goals, and carries the same evaluation on to
+the doubled depth; only when that finds a new fact is the goal search
+repeated, on the larger model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Union
+from operator import itemgetter
+from typing import Callable, Collection, Iterable, Mapping, Optional, Union
 
 from . import boxes
 from .errors import ArrayUnsupported
@@ -70,163 +83,249 @@ def _reject_arrays(p: Program):
                 raise ArrayUnsupported(f"clause {c.cid} has array variables")
 
 
-def _clause_system(c: Clause) -> boxes.BoxSystem:
-    return boxes.lower_conj(
-        ConstraintConj(c.constraint.lin_atoms()), var_order=c.vars()
-    )
+@dataclass(frozen=True)
+class _Atom:
+    """How one body atom joins the atoms before it.
 
-
-def _shapes(body, sys_: boxes.BoxSystem) -> tuple:
-    """How each body atom joins the atoms before it.
-
-    Per atom: its predicate; the argument positions, and their variables,
-    that earlier atoms bind (the index key); the position pairs a fact must
-    agree on because a variable repeats within the atom; and the
-    (position, variable) pairs the atom binds first. Variables are the
-    system's own objects, so that its lookups find them by identity.
+    `spec` names the index its facts are looked up in: the predicate, the
+    argument positions that earlier atoms bind (the key) and the argument
+    position pairs a fact must agree on because a variable repeats within
+    the atom. `key` reads the same key off the clause's value list, and
+    `new` lists the (argument position, slot) pairs the atom binds first.
     """
-    canon = {v: v for v in sys_.vars}
-    bound: set[Var] = set()
-    out = []
-    for atom in body:
-        key_pos, key_vars, eqs, new = [], [], [], []
-        first: dict[Var, int] = {}
-        for pos, v in enumerate(atom.args):
-            v = canon[v]
-            if v in bound:
-                key_pos.append(pos)
-                key_vars.append(v)
-            elif v in first:
-                eqs.append((first[v], pos))
+
+    spec: tuple
+    key: Callable
+    new: tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """A clause compiled for one value box.
+
+    Values live in one list per clause, a slot per variable of its box
+    system `sys`; `plan` enumerates the slots that no body atom binds.
+    `head` reads the head atom off a solution; a goal has none.
+    """
+
+    cid: int
+    pred: Optional[str]
+    head: Optional[Callable]
+    atoms: tuple[_Atom, ...]
+    sys: boxes.BoxSystem
+    plan: boxes.Plan
+
+
+def _getter(positions: tuple[int, ...]) -> Callable:
+    """A key function giving the items at `positions`; the same positions
+    give the same key whatever the sequence."""
+    return itemgetter(*positions) if positions else _no_key
+
+
+def _no_key(_seq) -> tuple:
+    return ()
+
+
+def _compile(c: Clause, lo: int, hi: int) -> _Rule:
+    sys_ = boxes.lower_conj(ConstraintConj(c.constraint.lin_atoms()), var_order=c.vars())
+    pos = {v: i for i, v in enumerate(sys_.vars)}
+    bound: set[int] = set()
+    atoms = []
+    for atom in c.body:
+        key_pos, key_vals, eqs, new = [], [], [], []
+        first: dict[int, int] = {}
+        for arg, v in enumerate(atom.args):
+            i = pos[v]
+            if i in bound:
+                key_pos.append(arg)
+                key_vals.append(i)
+            elif i in first:
+                eqs.append((first[i], arg))
             else:
-                first[v] = pos
-                new.append((pos, v))
+                first[i] = arg
+                new.append((arg, i))
         bound.update(first)
-        out.append((atom.pred, tuple(key_pos), tuple(key_vars), tuple(eqs), tuple(new)))
-    return tuple(out)
+        spec = (atom.pred, tuple(key_pos), tuple(eqs))
+        atoms.append(_Atom(spec, _getter(tuple(key_vals)), tuple(new)))
+    pred = head = None
+    if c.head is not None:
+        # Head variables come first in the clause's variable order, so a
+        # head of distinct variables is the front of a solution; one that
+        # repeats a variable has at least two arguments.
+        pred = c.head.pred
+        hpos = tuple([pos[v] for v in c.head.args])
+        whole = hpos == tuple(range(len(hpos)))
+        head = itemgetter(slice(0, len(hpos))) if whole else itemgetter(*hpos)
+    plan = boxes.prepare(sys_, lo, hi, tuple(sorted(bound)))
+    return _Rule(c.cid, pred, head, tuple(atoms), sys_, plan)
 
 
-class _Indexes:
-    """Facts hashed on the argument positions a join looks them up by.
-
-    Three pools: `delta` (the facts new at the last level), `old`
-    (`total` minus `delta`) and `total`. An index keeps each bucket in the
-    pool's iteration order and drops facts that break a repeated variable.
-    """
-
-    def __init__(self, total: Mapping[str, Collection], delta: Mapping[str, set]):
-        self.total = total
-        self.delta = delta
-        self.cache: dict = {}
-
-    def get(self, pool: str, pred: str, key_pos: tuple, eqs: tuple) -> dict:
-        k = (pool, pred, key_pos, eqs)
-        idx = self.cache.get(k)
-        if idx is None:
-            facts = (self.delta if pool == "delta" else self.total).get(pred, ())
-            skip = self.delta.get(pred, ()) if pool == "old" else ()
-            idx = self.cache[k] = {}
-            for t in facts:
-                if t in skip or any(t[i] != t[j] for i, j in eqs):
-                    continue
-                key = tuple([t[i] for i in key_pos])
-                bucket = idx.get(key)
-                if bucket is None:
-                    idx[key] = [t]
-                else:
-                    bucket.append(t)
-        return idx
+def _index(facts: Iterable[tuple], spec: tuple, skip: Collection = ()) -> dict:
+    """The facts hashed on the key of `spec`, each bucket in the facts'
+    order, without those in `skip` or that break a repeated variable."""
+    _, key_pos, eqs = spec
+    key = _getter(key_pos)
+    idx: dict = {}
+    for t in facts:
+        if t in skip or any(t[i] != t[j] for i, j in eqs):
+            continue
+        k = key(t)
+        bucket = idx.get(k)
+        if bucket is None:
+            idx[k] = [t]
+        else:
+            bucket.append(t)
+    return idx
 
 
-def _join(shapes: tuple, pools: Iterable[str], indexes: _Indexes):
-    """Yield every env that binds body atom i to a fact of pool `pools[i]`.
+def _join(atoms: tuple[_Atom, ...], idx: list[dict], vals: list):
+    """Yield `vals` once per way of binding body atom i to a fact of idx[i].
 
     Atoms join left to right through hashed lookups, each binding once. The
-    same env object comes back every time: read it before the next one.
+    same list comes back every time, its body slots filled in: read it
+    before the next one.
     """
-    idx = [
-        indexes.get(pool, pred, key_pos, eqs)
-        for pool, (pred, key_pos, _, eqs, _) in zip(pools, shapes)
-    ]
-    n = len(shapes)
-    env: dict[Var, int] = {}
+    n = len(atoms)
 
     def rec(k: int):
         if k == n:
-            yield env
+            yield vals
             return
-        key_vars, new = shapes[k][2], shapes[k][4]
-        for vals in idx[k].get(tuple([env[v] for v in key_vars]), ()):
-            for pos, v in new:
-                env[v] = vals[pos]
+        atom = atoms[k]
+        new = atom.new
+        for t in idx[k].get(atom.key(vals), ()):
+            for arg, i in new:
+                vals[i] = t[arg]
             yield from rec(k + 1)
 
     return rec(0)
 
 
-def _bindings(shapes: tuple, indexes: _Indexes, need_delta: bool):
-    """Yield the envs binding the body to known facts, each exactly once;
-    with `need_delta`, only those that use at least one fact of `delta`.
+class _Evaluator:
+    """The bounded least model of one program in one value box, resumable.
 
-    Semi-naive: the pivot i is the first atom bound to a delta fact, so the
-    atoms before it take `old` facts and the atoms after it any fact.
+    `total` holds the facts found so far per predicate, `delta` those new
+    at the last level, and `level` the number of levels evaluated; once a
+    level finds nothing new, `fixpoint` is set and no later level can. The
+    clauses are compiled once, when the evaluator is made.
     """
-    if not need_delta:
-        yield from _join(shapes, ["total"] * len(shapes), indexes)
-        return
-    for i, shape in enumerate(shapes):
-        if indexes.delta.get(shape[0]):
-            pools = ["old"] * i + ["delta"] + ["total"] * (len(shapes) - i - 1)
-            yield from _join(shapes, pools, indexes)
+
+    def __init__(self, p: Program, lo: int, hi: int):
+        _reject_arrays(p)
+        self.lo, self.hi = lo, hi
+        rules = [_compile(c, lo, hi) for c in p.clauses]
+        self.rules = [r for r in rules if r.head is not None]
+        self.goals = [r for r in rules if r.head is None]
+        self.total: dict[str, set[tuple[int, ...]]] = {}
+        self.delta: dict[str, set[tuple[int, ...]]] = {}
+        self.level = 0
+        self.fixpoint = False
+
+    def run_to(self, depth: int) -> bool:
+        """Evaluate the levels up to `depth`; whether any fact was new."""
+        grew = False
+        while self.level < depth and not self.fixpoint:
+            new = self._step()
+            self.level += 1
+            if not new:
+                self.fixpoint = True
+                break
+            grew = True
+            self.delta = new
+            for pred, facts in new.items():
+                self.total.setdefault(pred, set()).update(facts)
+        return grew
+
+    def _step(self) -> dict[str, set[tuple[int, ...]]]:
+        """The facts of the next level that are not known yet.
+
+        Semi-naive: past level 0 a binding must use a fact of `delta`. For
+        each pivot i, the first atom bound to a delta fact, the atoms before
+        i take `old` facts (`total` minus `delta`), atom i a delta fact and
+        the atoms after it any fact; so every binding is made once over the
+        whole run.
+        """
+        total, delta = self.total, self.delta
+        cache: dict = {}
+
+        def index(pool: str, spec: tuple) -> dict:
+            idx = cache.get((pool, spec))
+            if idx is None:
+                facts = (delta if pool == "delta" else total).get(spec[0], ())
+                skip = delta.get(spec[0], ()) if pool == "old" else ()
+                idx = cache[pool, spec] = _index(facts, spec, skip)
+            return idx
+
+        found: dict[str, set[tuple[int, ...]]] = {}
+        for r in self.rules:
+            atoms, n = r.atoms, len(r.atoms)
+            if self.level == 0:
+                pools = [["total"] * n]
+            else:
+                pools = [
+                    ["old"] * i + ["delta"] + ["total"] * (n - i - 1)
+                    for i in range(n)
+                    if delta.get(atoms[i].spec[0])
+                ]
+            add = found.setdefault(r.pred, set()).add
+            head, plan, vals = r.head, r.plan, [None] * len(r.sys.vars)
+            for ps in pools:
+                idx = [index(pool, a.spec) for pool, a in zip(ps, atoms)]
+                for _ in _join(atoms, idx, vals):
+                    for t in boxes.run(plan, vals):
+                        add(head(t))
+        new = {}
+        for pred, facts in found.items():
+            facts -= total.get(pred, set())
+            if facts:
+                new[pred] = facts
+        return new
+
+    def violation(self) -> Union[Found, NotWithinBudget]:
+        """The first goal violated by the facts found so far, if any."""
+        cache: dict = {}
+        for g in self.goals:
+            idx = []
+            for a in g.atoms:
+                if a.spec not in cache:
+                    # Sorted, so that which violation comes first does not
+                    # hang on set order.
+                    facts = sorted(self.total.get(a.spec[0], ()))
+                    cache[a.spec] = _index(facts, a.spec)
+                idx.append(cache[a.spec])
+            for vals in _join(g.atoms, idx, [None] * len(g.sys.vars)):
+                if boxes.run(g.plan, vals, limit=1):
+                    # Slots map back to variables in boxes.solutions; for
+                    # the binding that hit it gives the same first solution.
+                    fixed = {g.sys.vars[i]: vals[i] for i in g.plan.pinned}
+                    hit = boxes.solutions(g.sys, self.lo, self.hi, fixed, limit=1)
+                    return Found(g.cid, hit[0])
+        return NotWithinBudget()
 
 
 def bounded_lm(p: Program, b: OracleBudget) -> set[GroundAtom]:
     """Ground atoms derivable within the budget's height and value box."""
     if p.goals():
         raise ValueError("bounded_lm takes a definite program (no goals)")
-    _reject_arrays(p)
-    clauses = []
-    for c in p.clauses:
-        sys_ = _clause_system(c)
-        clauses.append((c, sys_, _shapes(c.body, sys_)))
-    total: dict[str, set[tuple[int, ...]]] = {}
-    delta: dict[str, set[tuple[int, ...]]] = {}
-    for level in range(b.depth):
-        new: dict[str, set[tuple[int, ...]]] = {}
-        indexes = _Indexes(total, delta)
-        for c, sys_, shapes in clauses:
-            head = c.head.args
-            known = total.get(c.head.pred, set())
-            for env in _bindings(shapes, indexes, need_delta=level > 0):
-                for full in boxes.solutions(sys_, b.lo, b.hi, fixed=env):
-                    vals = tuple([full[v] for v in head])
-                    if all(b.lo <= x <= b.hi for x in vals):
-                        if vals not in known:
-                            new.setdefault(c.head.pred, set()).add(vals)
-        if not any(new.values()):
-            break
-        delta = new
-        for pred, tuples in new.items():
-            total.setdefault(pred, set()).update(tuples)
-    return {GroundAtom(pred, vals) for pred, s in total.items() for vals in s}
+    ev = _Evaluator(p, b.lo, b.hi)
+    ev.run_to(b.depth)
+    return {GroundAtom(pred, vals) for pred, s in ev.total.items() for vals in s}
 
 
-def false_derivable(p: Program, b: OracleBudget) -> Union[Found, NotWithinBudget]:
-    """Search for a goal violated by the bounded least model."""
-    _reject_arrays(p)
-    lm = bounded_lm(p.definite(), b)
-    facts: dict[str, set[tuple[int, ...]]] = {}
-    for ga in lm:
-        facts.setdefault(ga.pred, set()).add(ga.args)
-    # Sorted, so that which violation comes first does not hang on set order.
-    indexes = _Indexes({pred: sorted(ts) for pred, ts in facts.items()}, {})
-    for goal in p.goals():
-        sys_ = _clause_system(goal)
-        for env in _bindings(_shapes(goal.body, sys_), indexes, need_delta=False):
-            hit = boxes.solutions(sys_, b.lo, b.hi, fixed=env, limit=1)
-            if hit:
-                return Found(goal.cid, hit[0])
-    return NotWithinBudget()
+def false_derivable(
+    p: Program, b: OracleBudget, *, model: Optional[_Evaluator] = None
+) -> Union[Found, NotWithinBudget]:
+    """Search for a goal violated by the bounded least model.
+
+    `model`, an evaluation of `p` in b's value box no deeper than b, is
+    carried on to b's depth instead of evaluating from level 0.
+    """
+    if model is None:
+        model = _Evaluator(p, b.lo, b.hi)
+    elif (model.lo, model.hi) != (b.lo, b.hi) or model.level > b.depth:
+        raise ValueError("the model to resume is not within the budget")
+    model.run_to(b.depth)
+    return model.violation()
 
 
 @dataclass(frozen=True)
@@ -261,9 +360,20 @@ class ProbeReport:
 
 def equisat_probe(p0: Program, pn: Program, b: OracleBudget) -> ProbeReport:
     """Compare goal violations before/after a transformation at desk scale."""
-    return ProbeReport(
-        p0_budget=false_derivable(p0, b),
-        pn_budget=false_derivable(pn, b),
-        p0_doubled=false_derivable(p0, b.doubled()),
-        pn_doubled=false_derivable(pn, b.doubled()),
-    )
+    p0_budget, p0_doubled = _budget_and_doubled(p0, b)
+    pn_budget, pn_doubled = _budget_and_doubled(pn, b)
+    return ProbeReport(p0_budget, pn_budget, p0_doubled, pn_doubled)
+
+
+def _budget_and_doubled(p: Program, b: OracleBudget):
+    """`false_derivable` at b and at b doubled, from one evaluation of p.
+
+    The doubled search resumes the evaluation where the first stopped; when
+    the further levels find no new fact, the model and so the answer are the
+    same.
+    """
+    model = _Evaluator(p, b.lo, b.hi)
+    first = false_derivable(p, b, model=model)
+    if not model.run_to(2 * b.depth):
+        return first, first
+    return first, false_derivable(p, b.doubled(), model=model)

@@ -331,8 +331,14 @@ def iterate_pairing(
     overlap (for distinct predicates) is reported as a PartitionOverlap
     and its goal left untransformed.
     """
+    def renumber(cs: Iterable[Clause]) -> list[Clause]:
+        return [Clause(i + 1, c.head, c.constraint, c.body) for i, c in enumerate(cs)]
+
+    extra = [g for g in goals if g not in p.clauses]
+    if extra:
+        Program(renumber(extra), p.signatures)  # they must agree with p
     definite = [c for c in p if not c.is_goal]
-    work_goals = [c for c in p if c.is_goal] + [g for g in goals if g not in p.clauses]
+    work_goals = [c for c in p if c.is_goal] + extra
     all_steps: list[TraceStep] = []
     all_pairs: list[PairChoice] = []
     overlaps: list[PartitionOverlap] = []
@@ -340,13 +346,10 @@ def iterate_pairing(
     last_state: Optional[TransformationState] = None
     skipped: set[int] = set()
 
-    def renumber(cs: Iterable[Clause]) -> list[Clause]:
-        return [Clause(i + 1, c.head, c.constraint, c.body) for i, c in enumerate(cs)]
-
     while True:
-        prog = Program(renumber(definite + work_goals))
-        definite = [c for c in prog if not c.is_goal]
-        work_goals = [c for c in prog if c.is_goal]
+        clauses = renumber(definite + work_goals)
+        definite = [c for c in clauses if not c.is_goal]
+        work_goals = [c for c in clauses if c.is_goal]
         target = None
         for gi, g in enumerate(work_goals):
             if gi in skipped or len(g.body) < 2:

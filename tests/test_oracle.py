@@ -248,3 +248,57 @@ def test_oracle_matches_full_enumeration_on_random_programs():
 @pytest.mark.parametrize("name", [n for n in corpus.NAMES if n not in ARRAY_ENTRIES])
 def test_oracle_matches_full_enumeration_on_corpus(name):
     _assert_oracle_matches_reference(corpus.load(name), OracleBudget(5, 0, 3))
+
+
+# --- the resumed evaluation of equisat_probe ------------------------------------
+#
+# equisat_probe evaluates each side once: to the budget's depth, then on to
+# the doubled depth. Its four answers must be those of four independent
+# false_derivable calls, each evaluating from level 0.
+
+
+def test_doubled_probe_resumes_past_the_budget():
+    p = parse_program("p(0).\np(X1) :- p(X), X1 = X + 1.\nfalse :- p(X), X >= 8.")
+    rep = equisat_probe(p, p, OracleBudget(6, 0, 10))
+    assert rep.p0_budget == rep.pn_budget == NotWithinBudget()
+    (x,) = p.goals()[0].body[0].args
+    assert rep.p0_doubled == rep.pn_doubled == Found(p.goals()[0].cid, {x: 8})
+    assert rep.p0_doubled == false_derivable(p, OracleBudget(12, 0, 10))
+
+
+def test_resumed_model_must_be_within_the_budget():
+    from chcpair.oracle import _Evaluator
+
+    p = parse_program("p(0).\np(X1) :- p(X), X1 = X + 1.\nfalse :- p(X), X >= 8.")
+    model = _Evaluator(p, 0, 10)
+    model.run_to(9)
+    with pytest.raises(ValueError):
+        false_derivable(p, OracleBudget(6, 0, 10), model=model)
+    with pytest.raises(ValueError):
+        false_derivable(p, OracleBudget(9, 0, 9), model=model)
+    assert isinstance(false_derivable(p, OracleBudget(9, 0, 10), model=model), Found)
+
+
+def test_probe_matches_independent_calls_on_random_programs():
+    rng = random.Random(29)
+    deadline = time.monotonic() + 4.0
+    cases = grew = found = 0
+    while cases < 80 and time.monotonic() < deadline:
+        p0, pn = (
+            _with_random_goals(random_definite_program(rng) if k % 2 else _random_joins(rng), rng)
+            for k in range(cases, cases + 2)
+        )
+        b = OracleBudget(rng.randint(1, 3), rng.randint(-2, 0), rng.randint(1, 3))
+        rep = equisat_probe(p0, pn, b)
+        want = [false_derivable(p, bb) for bb in (b, b.doubled()) for p in (p0, pn)]
+        assert [rep.p0_budget, rep.pn_budget, rep.p0_doubled, rep.pn_doubled] == want
+        assert [isinstance(r, Found) for r in want] == [
+            _reference_violated(p, bb) for bb in (b, b.doubled()) for p in (p0, pn)
+        ]
+        for p in (p0, pn):
+            grew += bounded_lm(p.definite(), b) != bounded_lm(p.definite(), b.doubled())
+        found += sum(isinstance(r, Found) for r in want)
+        cases += 1
+    # depths that stop before the fixpoint, and after it
+    assert cases >= 20 and 0 < grew < 2 * cases
+    assert 0 < found < 4 * cases

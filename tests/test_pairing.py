@@ -9,7 +9,7 @@ from chcpair import (
     predicate_partition,
     print_program,
 )
-from chcpair.errors import CapExceeded, InputShapeError, NoMixedPair
+from chcpair.errors import ArityClash, CapExceeded, InputShapeError, NoMixedPair
 from chcpair.pairing import (
     PairingConfig,
     duplicate_cone,
@@ -307,6 +307,15 @@ def test_iterate_pairing_runs_one_round_without_iterate():
     full = iterate_pairing(p, [], PairingConfig(iterate=True)).all_steps()
     assert (len(one), len(full)) == (27, 73)
     assert full[: len(one)] == one
+
+
+def test_iterate_pairing_checks_extra_goals_against_the_program(sum_upto):
+    bad = _clause("false :- su(X, Y).")
+    with pytest.raises(ArityClash):
+        iterate_pairing(sum_upto, [bad], PairingConfig())
+    extra = _clause("false :- su(X, R, S), su(X, R, T), S =\\= T.")
+    res = iterate_pairing(sum_upto, [extra], PairingConfig())
+    assert len(res.transf.goals()) == len(sum_upto.goals()) + 1
 
 
 def test_pairing_accepts_swapped_goal_atoms(ackermann, ackermann_golden):
