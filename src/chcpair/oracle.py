@@ -74,15 +74,6 @@ class NotWithinBudget:
     pass
 
 
-def _reject_arrays(p: Program):
-    for c in p.clauses:
-        if c.constraint.array_atoms():
-            raise ArrayUnsupported(f"clause {c.cid} uses array constraints")
-        for v in c.vars():
-            if v.sort is Sort.ARRAY:
-                raise ArrayUnsupported(f"clause {c.cid} has array variables")
-
-
 @dataclass(frozen=True)
 class _Atom:
     """How one body atom joins the atoms before it.
@@ -127,7 +118,12 @@ def _no_key(_seq) -> tuple:
 
 
 def _compile(c: Clause, lo: int, hi: int) -> _Rule:
-    sys_ = boxes.lower_conj(ConstraintConj(c.constraint.lin_atoms()), var_order=c.vars())
+    if c.constraint.array_atoms():
+        raise ArrayUnsupported(f"clause {c.cid} uses array constraints")
+    vars_ = c.vars()
+    if any(v.sort is Sort.ARRAY for v in vars_):
+        raise ArrayUnsupported(f"clause {c.cid} has array variables")
+    sys_ = boxes.lower_conj(ConstraintConj(c.constraint.lin_atoms()), var_order=vars_)
     pos = {v: i for i, v in enumerate(sys_.vars)}
     bound: set[int] = set()
     atoms = []
@@ -207,11 +203,11 @@ class _Evaluator:
     `total` holds the facts found so far per predicate, `delta` those new
     at the last level, and `level` the number of levels evaluated; once a
     level finds nothing new, `fixpoint` is set and no later level can. The
-    clauses are compiled once, when the evaluator is made.
+    clauses are compiled once, when the evaluator is made; a clause with
+    arrays raises ArrayUnsupported there.
     """
 
     def __init__(self, p: Program, lo: int, hi: int):
-        _reject_arrays(p)
         self.lo, self.hi = lo, hi
         rules = [_compile(c, lo, hi) for c in p.clauses]
         self.rules = [r for r in rules if r.head is not None]
