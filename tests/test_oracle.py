@@ -256,9 +256,12 @@ def test_oracle_matches_full_enumeration_on_corpus(name):
 # the doubled depth. Its four answers must be those of four independent
 # false_derivable calls, each evaluating from level 0.
 
+# Violated only from height 9 on: past a budget of depth 6, within its double.
+_COUNTER = "p(0).\np(X1) :- p(X), X1 = X + 1.\nfalse :- p(X), X >= 8."
+
 
 def test_doubled_probe_resumes_past_the_budget():
-    p = parse_program("p(0).\np(X1) :- p(X), X1 = X + 1.\nfalse :- p(X), X >= 8.")
+    p = parse_program(_COUNTER)
     rep = equisat_probe(p, p, OracleBudget(6, 0, 10))
     assert rep.p0_budget == rep.pn_budget == NotWithinBudget()
     (x,) = p.goals()[0].body[0].args
@@ -269,7 +272,7 @@ def test_doubled_probe_resumes_past_the_budget():
 def test_resumed_model_must_be_within_the_budget():
     from chcpair.oracle import _Evaluator
 
-    p = parse_program("p(0).\np(X1) :- p(X), X1 = X + 1.\nfalse :- p(X), X >= 8.")
+    p = parse_program(_COUNTER)
     model = _Evaluator(p, 0, 10)
     model.run_to(9)
     with pytest.raises(ValueError):
