@@ -217,6 +217,14 @@ class TransformationState:
     # -- rule R2: unfolding --
 
     def apply_unfold(self, cid: int, atom_index: int) -> list[Clause]:
+        """Unfold body atom `atom_index` of clause cid against every clause
+        whose head has its predicate; returns the new clauses in order.
+
+        Each new constraint is c's constraint followed by the matching
+        clause's, renamed: its first len(c.constraint) atoms are c's own
+        atom objects. Callers rely on this prefix to decide a new clause by
+        extending the reduction of c's constraint (`lia.reduction`).
+        """
         at = self._index_of(cid)
         c = self.clauses[at]
         if not (0 <= atom_index < len(c.body)):
@@ -227,9 +235,10 @@ class TransformationState:
         new_clauses: list[Clause] = []
         for dj in matching:
             head_vars = set(dj.head.args)
-            taken = c_var_names | {v.name for v in dj.vars()}
+            dj_vars = dj.vars()
+            taken = c_var_names | {v.name for v in dj_vars}
             ren: dict[Var, Var] = {}
-            for v in dj.vars():
+            for v in dj_vars:
                 if v not in head_vars and v.name in c_var_names:
                     nn = fresh_name(v.name, taken)
                     taken.add(nn)
@@ -402,7 +411,9 @@ class TransformationState:
         ref = self.clauses[idxs[0]]
         ref_skel_vars = _skeleton_vars(ref)
         disjuncts: list[ConstraintConj] = [ref.constraint]
-        taken = {v.name for v in ref.vars()}
+        # a one-clause group, as every deletion of rule R4 in the strategy,
+        # renames nothing
+        taken = {v.name for v in ref.vars()} if len(idxs) > 1 else set()
         for ix in idxs[1:]:
             cl = self.clauses[ix]
             # map the skeleton onto the reference's and rename

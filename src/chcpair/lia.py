@@ -10,25 +10,32 @@ hand. Disequalities are handled by bounded case splitting; array atoms are
 dropped before any query, which weakens antecedents and therefore keeps
 every Proved entailment sound.
 
-A query is decided in two steps. `_reduce` lowers a conjunction c once,
-through `boxes.index_rows`, into the rows of `LinAtom.row()` (sum(a*v) + k
-rel 0 with rel LE, EQ or NE), sorts them into LE, EQ and NE rows and
-Gauss-reduces them: every EQ row with a unit coefficient defines a variable
-that is substituted away. `_extend` then decides c and a few extra atoms
-without touching c's rows again. It numbers the extra rows after c's
-variables and runs the box probe on all rows as lowered when there are at
-most `_PROBE_MAX_VARS` variables. Otherwise it substitutes c's Gauss
-definitions into the extra rows, resumes Gauss on the extra EQ rows, and
-runs Fourier-Motzkin with witness back-substitution on each disequality
-branch. Since c's rows come first and Gauss always pivots on the first EQ
-row with a unit coefficient, the answer and the witness are those of a
-reduction from scratch. Plain satisfiability extends the empty conjunction.
+A query is decided in two steps. `_grow` reduces a conjunction: it lowers
+the atoms through `boxes.index_rows` into the rows of `LinAtom.row()`
+(sum(a*v) + k rel 0 with rel LE, EQ or NE), sorts them into LE, EQ and NE
+rows and Gauss-reduces them: every EQ row with a unit coefficient defines a
+variable that is substituted away. It grows an existing reduction the way
+an incremental SMT solver pushes a scope (de Moura & Bjorner, "Z3: An
+Efficient SMT Solver", TACAS 2008): the new rows are numbered after its
+variables, its Gauss definitions are substituted into them, and Gauss
+resumes, without touching the old rows. `_reduce` grows the empty
+reduction. `_decide` then runs the box probe on all rows as lowered when
+there are at most `_PROBE_MAX_VARS` variables, and otherwise Fourier-Motzkin
+with witness back-substitution on each disequality branch. Since the old
+rows come first and Gauss always pivots on the first EQ row with a unit
+coefficient, a grown reduction, its answer and its witness are those of a
+reduction from scratch, however long the chain of prefixes it grew from.
+The pairing strategy relies on this: an unfolded clause's constraint
+starts with its parent's, so it reduces the clause it unfolds once, grows
+each child's reduction from it, and decides each grandchild
+(`satisfiable_with_witness(c, reduced=...)`) by growing its child's.
 An entailment c -> a asks for each negation n of a whether c and n is
 satisfiable, and `implies_quant_disj` asks one query per choice of negated
 atoms for each disjunct of its antecedent: all these queries extend one
 reduction of c, built on the first query that misses the cache and dropped
-when the call returns. Answers are cached, and Unknowns handed to the
-installed resolver, under the whole conjunction.
+when the call returns. Answers are cached under c, or under (c, extra) for
+these queries, and Unknowns are handed to the installed resolver as the
+whole conjunction.
 
 Degenerate input note: on an unsatisfiable d, eq_set returns every pair,
 since d entails anything; strategy code removes unsatisfiable clauses
@@ -438,10 +445,11 @@ def _apply_gauss_defs(defs, env: dict[int, int]):
 class _Reduced:
     """A conjunction of linear atoms, lowered and Gauss-reduced once.
 
-    `sys` holds the rows left after Gauss (its `rows`, every row as
-    lowered), `defs` the Gauss definitions in elimination order, and `unsat`
-    whether a ground row is false before or after Gauss. `_extend` reads it
-    and never changes it, so one reduction serves any number of queries.
+    `sys` holds the rows left after Gauss (its `vars` and `rows`, every
+    variable and every row as lowered), `defs` the Gauss definitions in
+    elimination order, and `unsat` whether a ground row is false before or
+    after Gauss. Nothing changes it once built, so one reduction serves any
+    number of queries and grows into any number of longer conjunctions.
     """
 
     atoms: tuple[LinAtom, ...]
@@ -450,43 +458,79 @@ class _Reduced:
     unsat: bool
 
 
-def _reduce(atoms: Sequence[LinAtom]) -> _Reduced:
-    sys_ = _lower(atoms)
-    defs, unsat = ([], True) if sys_.ground_false else _gauss_reduce(sys_)
-    return _Reduced(tuple(atoms), sys_, defs, unsat)
+_EMPTY = _Reduced((), _System((), {}, [], [], [], [], False), [], False)
 
 
-def _extend(base: _Reduced, extra: Sequence[LinAtom]) -> tuple[Verdict, Optional[dict[Var, int]]]:
-    """Decide base and extra, as if the atoms were lowered and reduced afresh.
+def _grow(base: _Reduced, extra: Sequence[LinAtom]) -> _Reduced:
+    """The reduction of base and extra, as if the atoms were reduced afresh.
 
-    The extra rows are numbered after the base's variables. The box probe
-    runs on all rows as lowered. Otherwise the base's Gauss definitions are
-    substituted into the extra rows in elimination order and Gauss resumes:
-    the base's rows come first, so a reduction from scratch would take the
-    same pivots, in the same order, and end with the same rows.
+    The extra rows are numbered after the base's variables. The base's Gauss
+    definitions are substituted into them in elimination order and Gauss
+    resumes: the base's rows come first, so a reduction from scratch would
+    take the same pivots, in the same order, and end with the same rows.
+    Past an unsatisfiable base or a false ground row Gauss does not run.
     """
-    if base.unsat:  # no probe point either: Gauss keeps every integer point
-        return Verdict.DISPROVED, None
     ext = _lower(extra, base.sys.vars)
-    if ext.ground_false:
-        return Verdict.DISPROVED, None
     rows = base.sys.rows + ext.rows
-    if len(ext.vars) <= _PROBE_MAX_VARS:
-        w = boxes.find_solution(boxes.box_system(ext.vars, rows), -_PROBE_BOX, _PROBE_BOX)
-        if w is not None:
-            return Verdict.PROVED, w
+    atoms = base.atoms + tuple(extra)
+    if base.unsat or ext.ground_false:
+        sys_ = _System(ext.vars, ext.index, rows, [], [], [], True)
+        return _Reduced(atoms, sys_, base.defs, True)
     le, eq, ne = (_subst_defs(r, base.defs) for r in (ext.le, ext.eq, ext.ne))
     sys_ = _System(
         ext.vars, ext.index, rows, base.sys.le + le, base.sys.eq + eq, base.sys.ne + ne, False
     )
     defs, unsat = _gauss_reduce(sys_)
-    if unsat:
+    return _Reduced(atoms, sys_, base.defs + defs, unsat)
+
+
+def _reduce(atoms: Sequence[LinAtom]) -> _Reduced:
+    return _grow(_EMPTY, atoms)
+
+
+def _decide(r: _Reduced) -> tuple[Verdict, Optional[dict[Var, int]]]:
+    """Satisfiability of a reduction's atoms, with a witness when Proved.
+
+    The box probe runs on the rows as lowered when there are at most
+    `_PROBE_MAX_VARS` variables, then Fourier-Motzkin on each disequality
+    branch of the rows left after Gauss.
+    """
+    if r.unsat:  # no probe point either: Gauss keeps every integer point
         return Verdict.DISPROVED, None
-    return _branch_witness(base.atoms + tuple(extra), sys_, base.defs + defs)
+    if len(r.sys.vars) <= _PROBE_MAX_VARS:
+        w = boxes.find_solution(boxes.box_system(r.sys.vars, r.sys.rows), -_PROBE_BOX, _PROBE_BOX)
+        if w is not None:
+            return Verdict.PROVED, w
+    return _branch_witness(r.atoms, r.sys, r.defs)
+
+
+def _extend(base: _Reduced, extra: Sequence[LinAtom]) -> tuple[Verdict, Optional[dict[Var, int]]]:
+    """Decide base and extra without touching the base's rows again."""
+    return _decide(_grow(base, extra))
 
 
 def _satisfiable_uncached(c: ConstraintConj) -> tuple[Verdict, Optional[dict[Var, int]]]:
-    return _extend(_reduce(()), c.lin_atoms())
+    return _decide(_reduce(c.lin_atoms()))
+
+
+def _rest(c: ConstraintConj, reduced: _Reduced) -> tuple[LinAtom, ...]:
+    """c's linear atoms after the prefix whose reduction is `reduced`."""
+    lin = c.lin_atoms()
+    n = len(reduced.atoms)
+    if lin[:n] != reduced.atoms:
+        raise ValueError("the reduction is not of a prefix of the conjunction's linear atoms")
+    return lin[n:]
+
+
+def reduction(c: ConstraintConj, *, base: Optional[_Reduced] = None) -> _Reduced:
+    """The reduction of c's linear atoms, for `reduced=` arguments.
+
+    With `base`, the reduction of a prefix of c's linear atoms, it grows
+    from base and reduces only the atoms after that prefix. Raises
+    ValueError when base holds no such prefix.
+    """
+    base = _EMPTY if base is None else base
+    return _grow(base, _rest(c, base))
 
 
 def _branch_witness(
@@ -524,7 +568,8 @@ def _branch_witness(
     return Verdict.UNKNOWN, None
 
 
-_SAT_CACHE: dict[ConstraintConj, tuple[Verdict, Optional[dict[Var, int]]]] = {}
+# keyed on a conjunction c, or on (c, extra) for c and the atoms extra
+_SAT_CACHE: dict[object, tuple[Verdict, Optional[dict[Var, int]]]] = {}
 _SAT_CACHE_MAX = 65536
 # generic witnesses of eq_set antecedents, bounded and cleared like _SAT_CACHE
 _WITNESS_CACHE: dict[ConstraintConj, Optional[dict[Var, int]]] = {}
@@ -546,39 +591,40 @@ def install_unknown_resolver(fn) -> None:
     _WITNESS_CACHE.clear()
 
 
-def _settle(c: ConstraintConj, hit):
-    """Hand an internal Unknown on c to the resolver, and cache the answer under c."""
+def _settle(key, hit, c: ConstraintConj, extra: tuple[LinAtom, ...] = ()):
+    """Hand an internal Unknown on c and extra to the resolver, as one
+    conjunction, and cache the answer under key."""
     if hit[0] is Verdict.UNKNOWN and _UNKNOWN_RESOLVER is not None:
-        resolved = _UNKNOWN_RESOLVER(c)
+        resolved = _UNKNOWN_RESOLVER(ConstraintConj(c.atoms + extra) if extra else c)
         if resolved in (Verdict.PROVED, Verdict.DISPROVED):
             hit = (resolved, None)
     if len(_SAT_CACHE) >= _SAT_CACHE_MAX:
         _SAT_CACHE.clear()
-    _SAT_CACHE[c] = hit
+    _SAT_CACHE[key] = hit
     return hit
 
 
 def satisfiable_with_witness(
-    c: ConstraintConj,
+    c: ConstraintConj, *, reduced: Optional[_Reduced] = None
 ) -> tuple[Verdict, Optional[dict[Var, int]]]:
     """Integer satisfiability of the linear part of c, with witness if Proved.
 
-    The witness can be None for a Proved verdict that came from an
-    installed external resolver.
+    `reduced` is the reduction of a prefix of c's linear atoms when the
+    caller has one (see `reduction`): a cache miss then reduces only the
+    atoms after it. The answer does not depend on it. The witness can be
+    None for a Proved verdict that came from an installed external resolver.
     """
+    reduced = _EMPTY if reduced is None else reduced
+    rest = _rest(c, reduced)
     hit = _SAT_CACHE.get(c)
     if hit is None:
-        hit = _settle(c, _satisfiable_uncached(c))
+        hit = _settle(c, _extend(reduced, rest), c)
     verdict, env = hit
     return verdict, dict(env) if env is not None else None
 
 
-def is_satisfiable(c: ConstraintConj) -> Verdict:
-    return satisfiable_with_witness(c)[0]
-
-
-def _conj_with(c: ConstraintConj, extra: Sequence[LinAtom]) -> ConstraintConj:
-    return ConstraintConj(c.atoms + tuple(extra))
+def is_satisfiable(c: ConstraintConj, *, reduced: Optional[_Reduced] = None) -> Verdict:
+    return satisfiable_with_witness(c, reduced=reduced)[0]
 
 
 def _refute_each(
@@ -587,18 +633,20 @@ def _refute_each(
     """Whether c and e is unsatisfiable for every atom list e of extras.
 
     Disproved at the first satisfiable one, Proved when all are refuted,
-    Unknown otherwise. Each query is cached and resolved under the whole
-    conjunction, as satisfiable_with_witness does; c is reduced once, on the
-    first cache miss, unless the caller passes its reduction.
+    Unknown otherwise. Each answer is cached under (c, e), whose hash costs
+    only e's atoms since c memoises its own, and an Unknown goes to the
+    resolver as the whole conjunction; c is reduced once, on the first cache
+    miss, unless the caller passes its reduction.
     """
     verdict = Verdict.PROVED
     for extra in extras:
-        full = _conj_with(c, extra)
-        hit = _SAT_CACHE.get(full)
+        extra = tuple(extra)
+        key = (c, extra)
+        hit = _SAT_CACHE.get(key)
         if hit is None:
             if reduced is None:
                 reduced = _reduce(c.lin_atoms())
-            hit = _settle(full, _extend(reduced, extra))
+            hit = _settle(key, _extend(reduced, extra), c, extra)
         if hit[0] is Verdict.PROVED:
             return Verdict.DISPROVED
         if hit[0] is Verdict.UNKNOWN:

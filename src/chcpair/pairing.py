@@ -224,14 +224,19 @@ def predicate_pairing(
     while in_cls:
         clause = in_cls.pop(0)
         pos_q = next(i for i, a in enumerate(clause.body) if a.pred in q_preds)
-        unfolded: list[Clause] = []
+        # an unfolded constraint extends its parent's (see apply_unfold), so
+        # each grandchild is decided from its Q-child's reduction, grown from
+        # the clause's own
+        reduced = lia.reduction(clause.constraint)
+        unfolded: list[tuple[Clause, lia._Reduced]] = []
         for c in state.apply_unfold(clause.cid, pos_q):
+            c_reduced = lia.reduction(c.constraint, base=reduced)
             pos_r = next(i for i, a in enumerate(c.body) if a.pred in r_preds)
-            unfolded.extend(state.apply_unfold(c.cid, pos_r))
+            unfolded.extend((g, c_reduced) for g in state.apply_unfold(c.cid, pos_r))
         # silently remove clauses with unsatisfiable constraints (rule R4)
         kept: list[Clause] = []
-        for c in unfolded:
-            if lia.is_satisfiable(c.constraint) is lia.Verdict.DISPROVED:
+        for c, c_reduced in unfolded:
+            if lia.is_satisfiable(c.constraint, reduced=c_reduced) is lia.Verdict.DISPROVED:
                 state.apply_replace([c.cid], [])
             else:
                 kept.append(c)

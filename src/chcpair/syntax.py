@@ -254,6 +254,7 @@ class ConstraintConj:
 
     atoms: tuple[ConstraintAtom, ...] = ()
     _hash: int = field(init=False, compare=False, repr=False)
+    _vars: tuple = field(init=False, compare=False, repr=False)
 
     def __iter__(self) -> Iterator[ConstraintAtom]:
         return iter(self.atoms)
@@ -265,11 +266,19 @@ class ConstraintConj:
         return not self.atoms
 
     def vars(self) -> tuple[Var, ...]:
+        """The atoms' variables by first occurrence, memoised in `_vars`,
+        which, like `_hash`, never travels through pickle or copy."""
+        try:
+            return self._vars
+        except AttributeError:
+            pass
         seen: dict[Var, None] = {}
         for a in self.atoms:
             for v in a.vars():
                 seen.setdefault(v)
-        return tuple(seen)
+        out = tuple(seen)
+        object.__setattr__(self, "_vars", out)
+        return out
 
     def lin_atoms(self) -> tuple[LinAtom, ...]:
         return tuple(a for a in self.atoms if isinstance(a, LinAtom))

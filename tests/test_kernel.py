@@ -27,7 +27,9 @@ from chcpair.errors import (
     ShapeMismatch,
     VarConditionViolation,
 )
+from chcpair import corpus
 from chcpair.kernel import RuleKind, parse_trace
+from chcpair.pairing import PairingConfig, iterate_pairing
 from chcpair.oracle import OracleBudget, bounded_lm
 
 from helpers import (
@@ -133,6 +135,30 @@ def test_unfold_renames_clashing_vars():
     (out,) = st.apply_unfold(1, 0)
     names = [v.name for v in out.vars()]
     assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("name", ["sum_square", "fib_fundep", "hl", "loop_pipelining"])
+def test_unfolded_constraints_extend_their_parent(name, monkeypatch):
+    """Every clause apply_unfold returns, in a pairing run, starts its
+    constraint with its parent's atoms, the same objects: the strategy
+    decides it by extending the parent's reduction."""
+    unfold = TransformationState.apply_unfold
+    checked = []
+
+    def checking_unfold(self, cid, atom_index):
+        parent = self.clauses[self._index_of(cid)].constraint.atoms
+        out = unfold(self, cid, atom_index)
+        for new in out:
+            head = new.constraint.atoms[: len(parent)]
+            assert head == parent
+            assert all(a is b for a, b in zip(head, parent))
+        checked.extend(out)
+        return out
+
+    monkeypatch.setattr(TransformationState, "apply_unfold", checking_unfold)
+    iterate_pairing(corpus.load(name), [], PairingConfig(iterate=True))
+    assert len(checked) >= 4
+    assert any(len(c.constraint) > 0 for c in checked)
 
 
 # --- R3 ---------------------------------------------------------------------

@@ -28,7 +28,7 @@ from chcpair import (
 )
 from chcpair import lia
 from chcpair.lia import Verdict, qd_of, satisfiable_with_witness
-from chcpair.syntax import false_atom, print_constraint_atom
+from chcpair.syntax import ReadAtom, false_atom, print_constraint_atom
 
 from helpers import conj
 
@@ -622,6 +622,7 @@ def test_unknown_extension_goes_to_the_resolver_as_the_whole_conjunction():
     atom = LinAtom(LinExpr.of(V("A")), Rel.LE, LinExpr.number(100))
     (na,) = negate_linatom(atom)
     full = ConstraintConj(c.atoms + (na,))
+    key = (c, (na,))
     asked = []
 
     def resolver(q):
@@ -630,15 +631,106 @@ def test_unknown_extension_goes_to_the_resolver_as_the_whole_conjunction():
 
     install_unknown_resolver(None)
     assert lia.entails_atom(c, atom) is Verdict.UNKNOWN
-    assert lia._SAT_CACHE[full] == (Verdict.UNKNOWN, None)
+    assert lia._SAT_CACHE[key] == (Verdict.UNKNOWN, None)
     install_unknown_resolver(resolver)
     try:
         assert lia.entails_atom(c, atom) is Verdict.PROVED
         assert asked == [full]
-        assert lia._SAT_CACHE[full] == (Verdict.DISPROVED, None)
+        assert lia._SAT_CACHE[key] == (Verdict.DISPROVED, None)
         assert c not in lia._SAT_CACHE
-        # cached under the whole conjunction: asked once
+        # cached under (c, extra): asked once
         assert lia.implies_quant_disj(qd_of(c), qd_of(ConstraintConj((atom,)))) is Verdict.PROVED
         assert asked == [full]
     finally:
         install_unknown_resolver(None)
+
+
+_ARRAYS = [Var("A", Sort.ARRAY), Var("B", Sort.ARRAY)]
+
+
+def _chain_case(rng):
+    """(kind, atoms, i, j): a random conjunction with array atoms mixed in,
+    cut into a prefix atoms[:i], a middle atoms[i:j] and a suffix atoms[j:]."""
+    kind = rng.choice(["plain", "plain", "ground_false_prefix", "refuted_middle", "probe",
+                       "many_ne"])
+    pool = _POOL[:3] if kind == "probe" else _POOL[: rng.choice([3, 4, 6, 8])]
+    parts = []
+    for _ in range(3):
+        part = [_random_atom(rng, pool) for _ in range(rng.randint(0, 3))]
+        for _ in range(rng.randint(0, 2)):  # Gauss pivots
+            u, w = rng.sample(pool, 2)
+            rhs = LinExpr.build({w: rng.choice([1, 2])}, rng.randint(-2, 2))
+            part.append(LinAtom(LinExpr.of(u), Rel.EQ, rhs))
+        parts.append(part)
+    prefix, middle, suffix = parts
+    if kind == "ground_false_prefix":
+        prefix.append(false_atom())
+    elif kind == "refuted_middle":  # u = w and u = w + 1: Gauss finds 0 = 1
+        u, w = rng.sample(pool, 2)
+        middle += [LinAtom(LinExpr.of(u), Rel.EQ, LinExpr.of(w)),
+                   LinAtom(LinExpr.of(u), Rel.EQ, LinExpr.build({w: 1}, 1))]
+    elif kind == "many_ne":
+        ring = _POOL[: lia._PROBE_MAX_VARS + 2]
+        suffix += [LinAtom(LinExpr.of(a), Rel.NE, LinExpr.of(b)) for a, b in zip(ring, ring[1:])]
+    for part in parts:
+        rng.shuffle(part)
+        for _ in range(rng.randint(0, 1)):
+            arr = ReadAtom(rng.choice(_ARRAYS), rng.choice(pool), rng.choice(pool))
+            part.insert(rng.randint(0, len(part)), arr)
+    atoms = tuple(prefix + middle + suffix)
+    return kind, atoms, len(prefix), len(prefix) + len(middle)
+
+
+def test_growing_a_chain_of_prefixes_matches_a_query_from_scratch():
+    """Reduce a prefix, grow it by a middle, decide the suffix: the verdict
+    and the witness are those of the whole conjunction decided from scratch,
+    with or without the cache, and no reduction on the way changes."""
+    rng = random.Random(90)
+    seen = collections.Counter()
+    deadline = time.monotonic() + 6.0
+    cases = 0
+    try:
+        while cases < 500 and time.monotonic() < deadline:
+            kind, atoms, i, j = _chain_case(rng)
+            c = ConstraintConj(atoms)
+            want = lia._satisfiable_uncached(c)
+            assert want == _reference_sat(c.lin_atoms()), atoms
+            head, mid = ConstraintConj(atoms[:i]), ConstraintConj(atoms[:j])
+            r_head = lia._reduce(head.lin_atoms())
+            before_head = _snapshot(r_head)
+            r_mid = lia._grow(r_head, mid.lin_atoms()[len(r_head.atoms):])
+            before_mid = _snapshot(r_mid)
+            assert _snapshot(lia.reduction(mid, base=r_head)) == before_mid
+            scratch = lia._reduce(mid.lin_atoms())
+            assert r_mid.unsat == scratch.unsat
+            if not r_mid.unsat:
+                assert before_mid == _snapshot(scratch), atoms
+            assert lia._extend(r_mid, c.lin_atoms()[len(r_mid.atoms):]) == want, atoms
+            for r in (r_head, r_mid, lia.reduction(c)):
+                install_unknown_resolver(None)  # a cache miss
+                assert satisfiable_with_witness(c, reduced=r) == want, atoms
+                assert satisfiable_with_witness(c, reduced=r) == want  # a hit
+            assert _snapshot(r_head) == before_head and _snapshot(r_mid) == before_mid
+            seen.update((kind, want[0].value))
+            seen["array"] += len(c.lin_atoms()) < len(atoms)
+            seen["probed"] += len(r_mid.sys.vars) <= lia._PROBE_MAX_VARS and not r_mid.unsat
+            cases += 1
+    finally:
+        install_unknown_resolver(None)
+    assert cases >= 100
+    for key in ("plain", "ground_false_prefix", "refuted_middle", "probe", "many_ne",
+                "proved", "disproved", "unknown", "array", "probed"):
+        assert seen[key] >= 5, (key, seen)
+
+
+def test_a_reduction_of_no_prefix_is_refused():
+    c = conj("X >= 0, Y >= X, X =< 3")
+    for other in (conj("Y >= X"), conj("X >= 0, Y >= X, X =< 3, Y =< 9"), conj("X >= 1")):
+        r = lia.reduction(other)
+        with pytest.raises(ValueError):
+            satisfiable_with_witness(c, reduced=r)
+        with pytest.raises(ValueError):
+            is_satisfiable(c, reduced=r)
+        with pytest.raises(ValueError):
+            lia.reduction(c, base=r)
+    assert is_satisfiable(c, reduced=lia.reduction(conj("X >= 0"))) is Verdict.PROVED

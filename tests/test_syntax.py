@@ -290,6 +290,21 @@ def test_copy_and_pickle_rebuild_equal_values():
                 assert clone.row() == value.row()
 
 
+def test_conjunction_vars_are_memoised_apart_from_equality():
+    c = conj("X =< Y + 1, Z = 2*X, read(A, Y, V)")
+    fresh = ConstraintConj(c.atoms)
+    walk = tuple(dict.fromkeys(v for a in c.atoms for v in a.vars()))
+    assert c.vars() == walk and c.vars() is c.vars()  # memoised on the first call
+    assert not hasattr(fresh, "_vars")
+    assert fresh == c and hash(fresh) == hash(c)  # the memo takes no part
+    for clone in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert not hasattr(clone, "_vars")  # rebuilt, not carried over
+        assert clone == c and hash(clone) == hash(c)
+        assert clone.vars() == walk
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c._vars = ()
+
+
 def test_row_lowers_every_relation_to_le_eq_or_ne():
     x, y = Var("X"), Var("Y")
     xy = ((x, 1), (y, -1))
