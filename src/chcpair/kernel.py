@@ -243,7 +243,7 @@ class TransformationState:
                     nn = fresh_name(v.name, taken)
                     taken.add(nn)
                     ren[v] = Var(nn, v.sort)
-            djr = dj.subst(ren) if ren else dj
+            djr = dj.subst(ren)
             sigma = dict(zip(djr.head.args, target.args))
             new_constraint = c.constraint.conjoin(djr.constraint.subst(sigma))
             new_body = (
@@ -280,7 +280,8 @@ class TransformationState:
         the remainder together with the instantiated definition constraint.
         """
         positions = list(body_positions)
-        if len(set(positions)) != len(positions) or any(
+        selected = set(positions)
+        if len(selected) != len(positions) or any(
             not 0 <= i < len(clause.body) for i in positions
         ):
             raise BadPosition(f"invalid body positions {positions}")
@@ -351,7 +352,7 @@ class TransformationState:
                     break
         e = ConstraintConj(tuple(e_atoms))
         # condition (iii.1): images must not occur in head, e, or unfolded rest
-        rest_atoms = [a for i, a in enumerate(clause.body) if i not in set(positions)]
+        rest_atoms = [a for i, a in enumerate(clause.body) if i not in selected]
         outside: set[Var] = set()
         if clause.head is not None:
             outside |= set(clause.head.args)
@@ -378,11 +379,12 @@ class TransformationState:
         e = self.check_fold(c, body_positions, d, theta)
         folded_atom = d.head.subst(theta)
         first = min(body_positions)
+        selected = set(body_positions)
         new_body = []
         for i, a in enumerate(c.body):
             if i == first:
                 new_body.append(folded_atom)
-            elif i in set(body_positions):
+            elif i in selected:
                 continue
             else:
                 new_body.append(a)

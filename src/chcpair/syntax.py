@@ -3,7 +3,8 @@
 Clauses are kept in a normalized form: every atom argument is a variable,
 head argument variables are distinct, and non-variable arguments from the
 surface syntax are replaced by fresh variables plus equality constraints.
-All values are immutable and hashable.
+All values are immutable and hashable. Variables are interned, and a
+substitution that changes nothing returns its receiver, memos included.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import enum
 import itertools
 import re
 import string
-from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from dataclasses import FrozenInstanceError, dataclass, field, fields
+from operator import attrgetter, is_
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import ArityClash, OverlapError, ParseError, SortMismatch
@@ -22,6 +23,10 @@ from .errors import ArityClash, OverlapError, ParseError, SortMismatch
 class Sort(enum.Enum):
     INT = "int"
     ARRAY = "array"
+
+    # members are singletons compared by identity; object's hash runs in C,
+    # where Enum.__hash__ hashes the member's name in Python
+    __hash__ = object.__hash__
 
     def __repr__(self):
         return self.value
@@ -35,6 +40,8 @@ class Rel(enum.Enum):
     GT = ">"
     NE = "=\\="
 
+    __hash__ = object.__hash__
+
     def __repr__(self):
         return self.value
 
@@ -45,8 +52,9 @@ def _memo_hash(cls):
     The field is declared with init=False, compare=False and repr=False, and
     stays unset until the first hash(). A slot, unlike an instance __dict__,
     adds no memory to these small and numerous values. Pickling and copying
-    rebuild the value from its compared fields, so a hash computed under one
-    hash seed never travels to another process.
+    rebuild the value from its compared fields, so a hash, which depends on
+    the hash seed and on the variables' addresses, never travels to another
+    process.
     """
     names = tuple(f.name for f in fields(cls) if f.compare)
     key = attrgetter(*names)
@@ -67,15 +75,51 @@ def _memo_hash(cls):
     return cls
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
-    sort: Sort = Sort.INT
+_INT_VARS: dict[str, "Var"] = {}
+_ARRAY_VARS: dict[str, "Var"] = {}
 
-    def __hash__(self):
-        # the name alone: equal variables share it, and a str caches its
-        # hash, where hashing the Sort member runs Enum.__hash__ in Python
-        return hash(self.name)
+
+class Var:
+    """A variable: one shared object per (name, sort), so that equality is
+    identity and the hash is object's, both computed in C.
+
+    `Var(name, sort)` returns the interned object; a name of both sorts gives
+    two distinct variables. The tables keep every variable ever made, which
+    is few: the names of the programs read and the fresh names derived from
+    them. Copying and pickling re-intern. Like the dataclasses below, a
+    variable is frozen.
+    """
+
+    __slots__ = ("name", "sort")
+
+    name: str
+    sort: Sort
+
+    def __new__(cls, name: str, sort: Sort = Sort.INT) -> "Var":
+        if sort is Sort.INT:
+            table = _INT_VARS
+        elif sort is Sort.ARRAY:
+            table = _ARRAY_VARS
+        else:
+            raise TypeError(f"not a sort: {sort!r}")
+        v = table.get(name)
+        if v is None:
+            v = object.__new__(cls)
+            object.__setattr__(v, "name", name)
+            object.__setattr__(v, "sort", sort)
+            # setdefault: of two threads interning one name, both get the
+            # object stored first
+            v = table.setdefault(name, v)
+        return v
+
+    def __setattr__(self, attr, value):
+        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise FrozenInstanceError(f"cannot delete field {attr!r}")
+
+    def __reduce__(self):
+        return Var, (self.name, self.sort)
 
     def __repr__(self):
         return self.name if self.sort is Sort.INT else f"{self.name}:arr"
@@ -139,6 +183,11 @@ class LinExpr:
         return LinExpr.build({v: c * k for v, c in self.coeffs}, self.const * k)
 
     def subst(self, theta: Mapping[Var, Var]) -> "LinExpr":
+        for v, _ in self.coeffs:
+            if theta.get(v, v) is not v:
+                break
+        else:
+            return self  # shared, with its memoised hash
         m: dict[Var, int] = {}
         for v, c in self.coeffs:
             w = theta.get(v, v)
@@ -185,7 +234,18 @@ class LinAtom:
         return tuple(seen)
 
     def subst(self, theta: Mapping[Var, Var]) -> "LinAtom":
-        return LinAtom(self.lhs.subst(theta), self.rel, self.rhs.subst(theta))
+        lhs, rhs = self.lhs.subst(theta), self.rhs.subst(theta)
+        if lhs is self.lhs and rhs is self.rhs:
+            return self  # shared, with its memoised hash and row
+        return LinAtom(lhs, self.rel, rhs)
+
+
+def _subst_fields(atom, theta):
+    """An array atom, whose fields are its vars() in order, with theta
+    applied; the atom itself when theta changes none of them."""
+    old = atom.vars()
+    new = tuple(theta.get(v, v) for v in old)
+    return atom if new == old else type(atom)(*new)
 
 
 @dataclass(frozen=True)
@@ -198,8 +258,7 @@ class ReadAtom:
         return (self.arr, self.idx, self.val)
 
     def subst(self, theta: Mapping[Var, Var]) -> "ReadAtom":
-        g = lambda v: theta.get(v, v)
-        return ReadAtom(g(self.arr), g(self.idx), g(self.val))
+        return _subst_fields(self, theta)
 
 
 @dataclass(frozen=True)
@@ -213,8 +272,7 @@ class WriteAtom:
         return (self.arr, self.idx, self.val, self.out)
 
     def subst(self, theta: Mapping[Var, Var]) -> "WriteAtom":
-        g = lambda v: theta.get(v, v)
-        return WriteAtom(g(self.arr), g(self.idx), g(self.val), g(self.out))
+        return _subst_fields(self, theta)
 
 
 @dataclass(frozen=True)
@@ -228,7 +286,7 @@ class ArrEqAtom:
         return (self.lhs, self.rhs)
 
     def subst(self, theta: Mapping[Var, Var]) -> "ArrEqAtom":
-        return ArrEqAtom(theta.get(self.lhs, self.lhs), theta.get(self.rhs, self.rhs))
+        return _subst_fields(self, theta)
 
 
 ConstraintAtom = Union[LinAtom, ReadAtom, WriteAtom, ArrEqAtom]
@@ -290,7 +348,11 @@ class ConstraintConj:
         return ConstraintConj(self.atoms + other.atoms)
 
     def subst(self, theta: Mapping[Var, Var]) -> "ConstraintConj":
-        return ConstraintConj(tuple(a.subst(theta) for a in self.atoms))
+        atoms = tuple(a.subst(theta) for a in self.atoms)
+        # each atom returns itself when theta changes none of its variables
+        if all(map(is_, atoms, self.atoms)):
+            return self  # shared, with its memoised hash and variables
+        return ConstraintConj(atoms)
 
 
 @dataclass(frozen=True)
@@ -305,7 +367,8 @@ class Atom:
         return tuple(seen)
 
     def subst(self, theta: Mapping[Var, Var]) -> "Atom":
-        return Atom(self.pred, tuple(theta.get(v, v) for v in self.args))
+        args = tuple(theta.get(v, v) for v in self.args)
+        return self if args == self.args else Atom(self.pred, args)
 
     def __repr__(self):
         return f"{self.pred}({','.join(v.name for v in self.args)})"
@@ -342,12 +405,14 @@ class Clause:
         return tuple(seen)
 
     def subst(self, theta: Mapping[Var, Var]) -> "Clause":
-        return Clause(
-            self.cid,
-            None if self.head is None else self.head.subst(theta),
-            self.constraint.subst(theta),
-            tuple(a.subst(theta) for a in self.body),
-        )
+        """The clause with theta applied; the clause itself when theta maps
+        each of its variables to itself."""
+        head = None if self.head is None else self.head.subst(theta)
+        constraint = self.constraint.subst(theta)
+        body = tuple(a.subst(theta) for a in self.body)
+        if head is self.head and constraint is self.constraint and all(map(is_, body, self.body)):
+            return self
+        return Clause(self.cid, head, constraint, body)
 
     def preds(self) -> set[str]:
         s = {a.pred for a in self.body}
@@ -470,7 +535,7 @@ def rename_apart(c: Clause, avoid: Iterable[Var]) -> Clause:
             nn = fresh_name(v.name, taken)
             taken.add(nn)
             theta[v] = Var(nn, v.sort)
-    return c.subst(theta) if theta else c
+    return c.subst(theta)
 
 
 # ---------------------------------------------------------------------------

@@ -252,13 +252,13 @@ def test_comments_ignored():
 # --- hashing of the frozen values --------------------------------------------
 
 def test_equal_values_built_differently_hash_equal():
-    x = Var("X")
+    x, w = Var("X"), Var("W")
     assert LinExpr.of(x) == LinExpr.build({x: 1})
     assert hash(LinExpr.of(x)) == hash(LinExpr.build({x: 1}))
     c = conj("X + 2*Y >= 3, X =\\= Z")
     for value in (c, c.atoms[0], c.atoms[0].lhs):
         before = hash(value)  # memoised on the original only
-        same = value.subst({x: x})
+        same = value.subst({x: w}).subst({w: x})  # there and back: rebuilt
         assert same == value and same is not value
         assert hash(same) == before == hash(value)
     assert {LinExpr.build({x: 1}): 1}[LinExpr.of(x)] == 1
@@ -267,6 +267,23 @@ def test_equal_values_built_differently_hash_equal():
 def test_var_sort_still_distinguishes():
     assert Var("X", Sort.INT) != Var("X", Sort.ARRAY)
     assert len({Var("X", Sort.INT), Var("X", Sort.ARRAY)}) == 2
+
+
+def test_variables_are_interned_per_name_and_sort():
+    name = "".join(["Interned", "Name"])  # a str object of its own
+    x = Var(name)
+    assert x is Var("InternedName") is Var(name, Sort.INT)
+    assert (x.name, x.sort) == ("InternedName", Sort.INT)
+    a = Var(name, Sort.ARRAY)
+    assert a is Var("InternedName", Sort.ARRAY) and a is not x
+    assert a.sort is Sort.ARRAY and repr(a) == "InternedName:arr"
+    # two parses of one text share their variables (equality is identity)
+    text = ":- sorts p(array, int).\np(A, X) :- read(A, X, Y), q(Y)."
+    assert parse_program(text).clauses[0].vars() == parse_program(text).clauses[0].vars()
+    with pytest.raises(TypeError):
+        Var("X", "int")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del x.sort
 
 
 def test_values_stay_frozen():
@@ -282,9 +299,11 @@ def test_copy_and_pickle_rebuild_equal_values():
     c = conj("X =< Y + 1, Z = 2*X")
     hash(c.atoms[0])  # one memoised, the rest not
     c.atoms[0].row()
-    for value in (c, c.atoms[0], c.atoms[1], c.atoms[0].lhs, Var("X")):
-        for clone in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+    for value in (c, c.atoms[0], c.atoms[1], c.atoms[0].lhs, Var("X"), Var("X", Sort.ARRAY)):
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert clone == value and hash(clone) == hash(value)
+            if isinstance(value, Var):
+                assert clone is value  # re-interned
             if isinstance(value, LinAtom):
                 assert not hasattr(clone, "_row")  # rebuilt, not carried over
                 assert clone.row() == value.row()
@@ -303,6 +322,49 @@ def test_conjunction_vars_are_memoised_apart_from_equality():
         assert clone.vars() == walk
     with pytest.raises(dataclasses.FrozenInstanceError):
         c._vars = ()
+
+
+SUBST_TEXT = (":- sorts p(array, int).\n"
+              "p(A, X) :- X = Y + 1, 2*Y - Z > 0, read(A, Y, Z), write(A, X, Z, B), C = B, "
+              "q(X, Y, Z), r(B).")
+
+
+def test_subst_that_changes_nothing_returns_the_receiver():
+    c = parse_program(SUBST_TEXT).clauses[0]
+    lin = c.constraint.lin_atoms()
+    for a in lin:
+        a.row()
+        hash(a), hash(a.lhs), hash(a.rhs)
+    hash(c.constraint), c.constraint.vars()
+    identity = {v: v for v in c.vars()}
+    unrelated = {Var("W"): Var("W2"), Var("X", Sort.ARRAY): Var("Y", Sort.ARRAY)}
+    for theta in ({}, identity, unrelated):
+        assert c.subst(theta) is c and apply_subst(c, theta) is c
+        assert c.constraint.subst(theta) is c.constraint
+        assert all(a.subst(theta) is a for a in c.constraint.atoms + c.body + (c.head,))
+        assert all(e.subst(theta) is e for a in lin for e in (a.lhs, a.rhs))
+    assert rename_apart(c, [Var("W"), Var("W2", Sort.ARRAY)]) is c
+    # the memos survive, on the very objects the substitution returned
+    assert hasattr(c.constraint, "_hash") and hasattr(c.constraint, "_vars")
+    assert all(hasattr(a, "_row") and hasattr(a, "_hash") for a in lin)
+    assert all(hasattr(e, "_hash") for a in lin for e in (a.lhs, a.rhs))
+
+
+def test_subst_that_maps_one_variable_rebuilds_only_what_mentions_it():
+    x, y, z, w = (Var(n) for n in "XYZW")
+    lhs = conj("X + 2*Y - Z >= 3").atoms[0].lhs
+    for theta, coeffs in (({y: w}, {w: 2, x: 1, z: -1}),  # W sorts first
+                          ({y: x}, {x: 3, z: -1}),  # merges two terms
+                          ({z: x}, {y: 2})):  # cancels one
+        out = lhs.subst(theta)
+        assert out == LinExpr.build(coeffs) and out.coeffs == LinExpr.build(coeffs).coeffs
+        assert hash(out) == hash(LinExpr.build(coeffs))
+    c = parse_program(SUBST_TEXT).clauses[0]
+    renamed = c.subst({y: w})
+    assert renamed == parse_program(SUBST_TEXT.replace("Y", "W")).clauses[0]
+    for old, new in zip(c.constraint.atoms + c.body, renamed.constraint.atoms + renamed.body):
+        assert (new is old) == (y not in old.vars())
+    assert renamed.head is c.head
 
 
 def test_row_lowers_every_relation_to_le_eq_or_ne():

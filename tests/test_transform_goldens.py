@@ -53,6 +53,37 @@ def test_transform_text_is_independent_of_the_hash_seed():
     assert "PAIR" in outs[0]
 
 
+def test_transform_text_is_independent_of_object_addresses():
+    # A Var, Sort or Rel hashes by its address, so a set or dict keyed on
+    # them iterates in an order set by where the objects were allocated, not
+    # by the hash seed. Before each transform, each process keeps a seeded
+    # number of small lists of mixed sizes alive, which moves the objects
+    # that the transform allocates; the outputs must still be the goldens.
+    names = ("hl", "fib_fundep", "loop_unswitching")
+    script = (
+        "import random, sys\n"
+        "from chcpair import PairingConfig, corpus, iterate_pairing, print_program\n"
+        "rng = random.Random(int(sys.argv[1]))\n"
+        "keep = []\n"
+        "for name in sys.argv[2:]:\n"
+        "    keep.append([[None] * rng.randrange(1, 9) for _ in range(rng.randrange(1, 4000))])\n"
+        "    res = iterate_pairing(corpus.load(name), [], PairingConfig(iterate=True))\n"
+        "    sys.stdout.write(print_program(res.transf) + '\\0' + res.trace_text() + '\\0')\n"
+    )
+    src = str(Path(chcpair.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
+    expected = [
+        (GOLDEN / f"{name}{ext}").read_text() for name in names for ext in (".chc", ".trace")
+    ]
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, seed, *names],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\0")[:-1] == expected, f"allocation seed {seed}"
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: test_transform_goldens.py --write")
