@@ -2,7 +2,7 @@
 
 For each array-free entry that `bench_e2e` probes, P0 from the corpus is
 probed against its frozen pairing output `bench_e2e/inputs/pn/<name>.chc`
-at two budgets. The golden records the four `ProbeReport` verdicts with
+at two budgets (hl1's, whose Pn is the largest, at one). The golden records the four `ProbeReport` verdicts with
 their goal ids and valuations (in the valuation's own order) and the size
 of each side's bounded least model. A faster oracle must leave them as
 they are.
@@ -22,19 +22,23 @@ from chcpair import Found, OracleBudget, bounded_lm, corpus, equisat_probe, pars
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden" / "oracle"
 PN = ROOT / "bench_e2e" / "inputs" / "pn"
-NAMES = (
-    "sum_upto",
-    "sum_square",
-    "sum_square_p4",
-    "ackermann",
-    "ackermann_transf",
-    "hl",
-    "loop_unswitching",
-    "fib_fundep",
-)
-# The first reaches every least model's fixpoint; the second stops before
-# some, so that the doubled probe has to evaluate further levels.
-BUDGETS = (OracleBudget(6, 0, 3), OracleBudget(3, 0, 3))
+# The first budget reaches every least model's fixpoint; the second stops
+# before some, so that the doubled probe has to evaluate further levels.
+TWO_BUDGETS = (OracleBudget(6, 0, 3), OracleBudget(3, 0, 3))
+BUDGETS = {
+    "sum_upto": TWO_BUDGETS,
+    "sum_square": TWO_BUDGETS,
+    "sum_square_p4": TWO_BUDGETS,
+    "ackermann": TWO_BUDGETS,
+    "ackermann_transf": TWO_BUDGETS,
+    "hl": TWO_BUDGETS,
+    "loop_unswitching": TWO_BUDGETS,
+    "fib_fundep": TWO_BUDGETS,
+    "fib_monotonicity": TWO_BUDGETS,
+    "fib_injectivity": TWO_BUDGETS,
+    "hl1": (OracleBudget(4, 0, 3),),
+}
+NAMES = tuple(BUDGETS)
 
 
 def _result(r) -> dict:
@@ -51,7 +55,7 @@ def oracle_record(name: str) -> dict:
     p0 = corpus.load(name)
     pn = parse_program((PN / f"{name}.chc").read_text())
     out = {}
-    for b in BUDGETS:
+    for b in BUDGETS[name]:
         rep = equisat_probe(p0, pn, b)
         out[f"{b.depth},{b.lo},{b.hi}"] = {
             "p0_budget": _result(rep.p0_budget),
