@@ -10,16 +10,24 @@ Each level joins a clause body against the facts known so far only where
 it uses a fact new at the last level (`delta`): for each pivot atom i, the
 atoms before i take the older facts, atom i a delta fact and the atoms
 after i any fact. Every body binding is thus made once over the whole run
-(Bancilhon & Ramakrishnan, SIGMOD 1986).
+(Bancilhon & Ramakrishnan, SIGMOD 1986). The indexes of the older facts
+are kept from level to level, each level adding the facts of the last.
 
 A program is compiled once per value box into a join plan per clause, in
 the manner of Souffle (Jordan, Scholz & Subotic, CAV 2016). A clause's
-values live in one list, a slot per variable of its box system; the plan
-gives, per body atom, the slots that make its index key and the slots it
-binds, and the box enumeration plan for the slots left free. Atoms join
-left to right through facts hashed on their key, filling the list in
-place; the box plan then fills the free slots, and the head atom is read
-off each solution by position. No variable is hashed in the loop.
+values live in one list, a slot per variable. Its constraint is pushed
+into the join: eliminating the free slots (those no body atom binds)
+through unit-coefficient equalities, with their box bounds, leaves rows
+over the bound slots that the constraint implies. Each such row is checked
+as soon as its last slot is bound: in the index of the one atom that binds
+all its slots, as a computed key of the atom's index when it is an
+equality that fixes one of that atom's slots, or else in the join. So a
+binding that the constraint rejects is dropped before the atoms after it
+are joined, and the bindings that survive come in the same order. When the
+equalities fix every free slot, the survivors are exactly the solutions
+and the free slots are computed; otherwise a box plan enumerates them. The
+head atom is read off each solution by position. No variable is hashed in
+the loop.
 
 The evaluation can be resumed. `equisat_probe` runs each side to the
 budget's depth, searches the goals, and carries the same evaluation on to
@@ -31,11 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from . import boxes
 from .errors import ArrayUnsupported
-from .syntax import Clause, ConstraintConj, Program, Sort, Var
+from .syntax import Clause, Program, Rel, Sort, Var
 
 
 @dataclass(frozen=True)
@@ -79,32 +87,57 @@ class _Atom:
     """How one body atom joins the atoms before it.
 
     `spec` names the index its facts are looked up in: the predicate, the
-    argument positions that earlier atoms bind (the key) and the argument
-    position pairs a fact must agree on because a variable repeats within
-    the atom. `key` reads the same key off the clause's value list, and
-    `new` lists the (argument position, slot) pairs the atom binds first.
+    argument positions of the key, and the checks a fact's own arguments
+    must pass (a variable repeated within the atom, and the constraint's
+    rows over the slots that only this atom binds). `key` reads the same key
+    off the clause's value list: a slot that an earlier atom binds, or a
+    value that the constraint computes from such slots. `new` lists the
+    (argument position, slot) pairs the atom binds first, and `test` checks
+    the other rows whose last slot the atom binds, or is None.
     """
 
     spec: tuple
     key: Callable
     new: tuple[tuple[int, int], ...]
+    test: Optional[Callable]
 
 
 @dataclass(frozen=True)
 class _Rule:
     """A clause compiled for one value box.
 
-    Values live in one list per clause, a slot per variable of its box
-    system `sys`; `plan` enumerates the slots that no body atom binds.
-    `head` reads the head atom off a solution; a goal has none.
+    Values live in one list per clause, a slot per variable of `vars`. The
+    join checks every row that the constraint implies over the slots that
+    body atoms bind. The slots left free are then either computed in turn
+    by `defs`, when the constraint fixes each of them, or enumerated by the
+    box `plan`; the other is None. `head` reads the head atom off a
+    solution; a goal has none.
     """
 
     cid: int
     pred: Optional[str]
     head: Optional[Callable]
     atoms: tuple[_Atom, ...]
-    sys: boxes.BoxSystem
-    plan: boxes.Plan
+    vars: tuple[Var, ...]
+    defs: Optional[tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]]
+    plan: Optional[boxes.Plan]
+
+    def solutions(self, vals: list, limit: int = 2**62) -> list[tuple]:
+        """The first `limit` solutions with the body slots of `vals` fixed,
+        as tuples in slot order; the free slots of `vals` are overwritten."""
+        if self.plan is not None:
+            return boxes.run(self.plan, vals, limit)
+        for i, k, terms in self.defs:
+            for j, c in terms:
+                k += c * vals[j]
+            vals[i] = k
+        return [tuple(vals)]
+
+
+# A row is (coeffs by position, k, rel), for sum(c * x[i]) + k rel 0; a
+# check is the same row as (k, ((i, c), ...), rel), hashable.
+Row = tuple[dict[int, int], int, Rel]
+Check = tuple[int, tuple[tuple[int, int], ...], Rel]
 
 
 def _getter(positions: tuple[int, ...]) -> Callable:
@@ -117,32 +150,184 @@ def _no_key(_seq) -> tuple:
     return ()
 
 
+def _computer(parts: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]) -> Callable:
+    """A key function giving k + sum(c * x[i] for i, c in terms) for each
+    (k, terms) of `parts`, shaped like the keys of `_getter`."""
+
+    def key(x):
+        out = []
+        for k, terms in parts:
+            for i, c in terms:
+                k += c * x[i]
+            out.append(k)
+        return out[0] if len(out) == 1 else tuple(out)
+
+    return key
+
+
+def _checks(checks: list[Check]) -> tuple[Check, ...]:
+    """The checks without repeats, equalities first and then by length, so
+    that the likeliest to fail and the cheapest come first."""
+    return tuple(sorted(dict.fromkeys(checks), key=lambda ch: (ch[2] is not Rel.EQ, len(ch[1]))))
+
+
+def _tester(checks: tuple[Check, ...]) -> Optional[Callable]:
+    """A function telling whether a sequence x passes every check, or None
+    when there are none."""
+    if not checks:
+        return None
+    le, eq = Rel.LE, Rel.EQ
+
+    def test(x) -> bool:
+        for k, terms, rel in checks:
+            for i, c in terms:
+                k += c * x[i]
+            if (k > 0) if rel is le else (k != 0) if rel is eq else (k == 0):
+                return False
+        return True
+
+    return test
+
+
+def _add(row: Row, piv: Row, m: int) -> Row:
+    """row + m * piv, where piv is an equality."""
+    coeffs = dict(row[0])
+    for i, c in piv[0].items():
+        c = coeffs.pop(i, 0) + m * c
+        if c:
+            coeffs[i] = c
+    return coeffs, row[1] + m * piv[1], row[2]
+
+
+def _eliminate(rows: list[Row], free: list[int], lo: int, hi: int):
+    """(box, implied, defs) for the rows of a clause whose slots in `free`
+    no body atom binds.
+
+    Each free slot that has a coefficient of 1 or -1 in an equality is
+    eliminated through it, its box bounds [lo, hi] joining the rows first.
+    `implied` holds the rows left over the bound slots alone: the constraint
+    and the box imply them. The bound slots take values in the box too, so
+    a row that every value of the box satisfies is left out. When every free
+    slot is eliminated and no row is left false, `implied` is equivalent to
+    the constraint with its free slots in the box, and `defs` computes the
+    one solution: (slot, k, terms) to set in turn, each to k + sum(c * x[j]
+    for j, c in terms). Otherwise `defs` is None, and `box` holds the rows
+    that a box plan has to check: those of `rows` with a free slot or with
+    no slot at all.
+    """
+    free_set = set(free)
+    box: list[Row] = []
+    work: list[Row] = []
+    for r in rows:
+        (box if not r[0] or not free_set.isdisjoint(r[0]) else work).append(r)
+    work += box
+    pivots = []
+    for x in free:
+        for j, piv in enumerate(work):
+            if piv[2] is Rel.EQ and piv[0].get(x) in (1, -1):
+                break
+        else:
+            continue
+        del work[j]
+        s = piv[0][x]
+        pivots.append((x, s, piv))
+        work += [({x: -1}, lo, Rel.LE), ({x: 1}, -hi, Rel.LE)]
+        work = [_add(r, piv, -r[0][x] * s) if x in r[0] else r for r in work]
+    implied = []
+    exact = len(pivots) == len(free)
+    for r in work:
+        coeffs, k, rel = r
+        if not free_set.isdisjoint(coeffs):
+            continue
+        mn = mx = k
+        for c in coeffs.values():
+            mn += c * (lo if c > 0 else hi)
+            mx += c * (hi if c > 0 else lo)
+        if rel is Rel.LE:
+            holds = mx <= 0
+        elif rel is Rel.EQ:
+            holds = mn == mx == 0
+        else:
+            holds = mn > 0 or mx < 0
+        if holds:
+            continue
+        if coeffs:
+            implied.append(r)
+        else:
+            exact = False  # a false row: let the box plan find no solution
+    if not exact:
+        return box, implied, None
+    # x = -s * (k + the other terms), in the reverse order of elimination,
+    # so that a later pivot's slot is set before an earlier one reads it.
+    defs = tuple(
+        (x, -s * piv[1], tuple([(j, -s * c) for j, c in piv[0].items() if j != x]))
+        for x, s, piv in reversed(pivots)
+    )
+    return box, implied, defs
+
+
 def _compile(c: Clause, lo: int, hi: int) -> _Rule:
+    """The join plan of `c` in the box [lo, hi]; the constraint is lowered
+    once, for the elimination and for the box plan alike."""
     if c.constraint.array_atoms():
         raise ArrayUnsupported(f"clause {c.cid} uses array constraints")
     vars_ = c.vars()
     if any(v.sort is Sort.ARRAY for v in vars_):
         raise ArrayUnsupported(f"clause {c.cid} has array variables")
-    sys_ = boxes.lower_conj(ConstraintConj(c.constraint.lin_atoms()), var_order=vars_)
-    pos = {v: i for i, v in enumerate(sys_.vars)}
-    bound: set[int] = set()
-    atoms = []
-    for atom in c.body:
-        key_pos, key_vals, eqs, new = [], [], [], []
-        first: dict[int, int] = {}
+    vars_, pos, rows = boxes.index_rows(c.constraint.lin_atoms(), vars_)
+    # binder[slot] is the body atom that binds the slot first, and where.
+    # Per atom: its key, argument position to a slot or to the (k, terms)
+    # of a computed value; the slots it binds; its index's checks, over
+    # argument positions; and the checks it makes in the join.
+    binder: dict[int, tuple[int, int]] = {}
+    keys: list[dict[int, Union[int, tuple]]] = []
+    news: list[list[tuple[int, int]]] = []
+    owns: list[list[Check]] = []
+    for n, atom in enumerate(c.body):
+        key: dict[int, Union[int, tuple]] = {}
+        new, own = [], []
         for arg, v in enumerate(atom.args):
             i = pos[v]
-            if i in bound:
-                key_pos.append(arg)
-                key_vals.append(i)
-            elif i in first:
-                eqs.append((first[i], arg))
-            else:
-                first[i] = arg
+            b = binder.get(i)
+            if b is None:
+                binder[i] = (n, arg)
                 new.append((arg, i))
-        bound.update(first)
-        spec = (atom.pred, tuple(key_pos), tuple(eqs))
-        atoms.append(_Atom(spec, _getter(tuple(key_vals)), tuple(new)))
+            elif b[0] < n:
+                key[arg] = i
+            else:  # a variable repeated within the atom
+                own.append((0, ((b[1], 1), (arg, -1)), Rel.EQ))
+        keys.append(key)
+        news.append(new)
+        owns.append(own)
+    joins: list[list[Check]] = [[] for _ in c.body]
+    free = [i for i in range(len(vars_)) if i not in binder]
+    box, implied, defs = _eliminate(rows, free, lo, hi)
+    # Each implied row is checked as soon as its last slot is bound: by the
+    # index when one atom binds all its slots; as a lookup when it is an
+    # equality that computes, with a coefficient of 1 or -1, the one slot
+    # that its last atom binds; and otherwise in the join.
+    for coeffs, k, rel in implied:
+        n = max([binder[i][0] for i in coeffs])
+        mine = [i for i in coeffs if binder[i][0] == n]
+        if len(mine) == len(coeffs):
+            owns[n].append((k, tuple(sorted([(binder[i][1], a) for i, a in coeffs.items()])), rel))
+            continue
+        s = mine[0]
+        arg, cs = binder[s][1], coeffs[s]
+        if rel is Rel.EQ and len(mine) == 1 and cs in (1, -1) and arg not in keys[n]:
+            keys[n][arg] = (-cs * k, tuple([(i, -cs * a) for i, a in coeffs.items() if i != s]))
+        else:
+            joins[n].append((k, tuple(sorted(coeffs.items())), rel))
+    atoms = []
+    for atom, key, new, own, join in zip(c.body, keys, news, owns, joins):
+        args = tuple(sorted(key))
+        parts = [key[a] for a in args]
+        if all(isinstance(x, int) for x in parts):
+            getter = _getter(tuple(parts))
+        else:
+            getter = _computer(tuple((0, ((x, 1),)) if isinstance(x, int) else x for x in parts))
+        spec = (atom.pred, args, _checks(own))
+        atoms.append(_Atom(spec, getter, tuple(new), _tester(_checks(join))))
     pred = head = None
     if c.head is not None:
         # Head variables come first in the clause's variable order, so a
@@ -152,18 +337,20 @@ def _compile(c: Clause, lo: int, hi: int) -> _Rule:
         hpos = tuple([pos[v] for v in c.head.args])
         whole = hpos == tuple(range(len(hpos)))
         head = itemgetter(slice(0, len(hpos))) if whole else itemgetter(*hpos)
-    plan = boxes.prepare(sys_, lo, hi, tuple(sorted(bound)))
-    return _Rule(c.cid, pred, head, tuple(atoms), sys_, plan)
+    plan = None
+    if defs is None:
+        plan = boxes.prepare(boxes.box_system(vars_, box), lo, hi, tuple(sorted(binder)))
+    return _Rule(c.cid, pred, head, tuple(atoms), tuple(vars_), defs, plan)
 
 
-def _index(facts: Iterable[tuple], spec: tuple, skip: Collection = ()) -> dict:
+def _index(facts: Iterable[tuple], spec: tuple) -> dict:
     """The facts hashed on the key of `spec`, each bucket in the facts'
-    order, without those in `skip` or that break a repeated variable."""
-    _, key_pos, eqs = spec
-    key = _getter(key_pos)
+    order, without those that fail the checks of `spec`."""
+    _, key_pos, checks = spec
+    key, test = _getter(key_pos), _tester(checks)
     idx: dict = {}
     for t in facts:
-        if t in skip or any(t[i] != t[j] for i, j in eqs):
+        if test is not None and not test(t):
             continue
         k = key(t)
         bucket = idx.get(k)
@@ -174,8 +361,9 @@ def _index(facts: Iterable[tuple], spec: tuple, skip: Collection = ()) -> dict:
     return idx
 
 
-def _join(atoms: tuple[_Atom, ...], idx: list[dict], vals: list):
-    """Yield `vals` once per way of binding body atom i to a fact of idx[i].
+def _join(atoms: tuple[_Atom, ...], idx: list[tuple[dict, ...]], vals: list):
+    """Yield `vals` once per way of binding body atom i to a fact of one of
+    the indexes idx[i] that passes the atom's test.
 
     Atoms join left to right through hashed lookups, each binding once. The
     same list comes back every time, its body slots filled in: read it
@@ -188,11 +376,14 @@ def _join(atoms: tuple[_Atom, ...], idx: list[dict], vals: list):
             yield vals
             return
         atom = atoms[k]
-        new = atom.new
-        for t in idx[k].get(atom.key(vals), ()):
-            for arg, i in new:
-                vals[i] = t[arg]
-            yield from rec(k + 1)
+        new, test = atom.new, atom.test
+        key = atom.key(vals)
+        for part in idx[k]:
+            for t in part.get(key, ()):
+                for arg, i in new:
+                    vals[i] = t[arg]
+                if test is None or test(vals):
+                    yield from rec(k + 1)
 
     return rec(0)
 
@@ -202,9 +393,12 @@ class _Evaluator:
 
     `total` holds the facts found so far per predicate, `delta` those new
     at the last level, and `level` the number of levels evaluated; once a
-    level finds nothing new, `fixpoint` is set and no later level can. The
-    clauses are compiled once, when the evaluator is made; a clause with
-    arrays raises ArrayUnsupported there.
+    level finds nothing new, `fixpoint` is set and no later level can.
+    `old` holds, per index spec of a body atom, the index of the facts
+    found before the last level; each level adds the last level's facts to
+    it, so each fact is checked and hashed once per spec. The clauses are
+    compiled once, when the evaluator is made; a clause with arrays raises
+    ArrayUnsupported there.
     """
 
     def __init__(self, p: Program, lo: int, hi: int):
@@ -212,6 +406,7 @@ class _Evaluator:
         rules = [_compile(c, lo, hi) for c in p.clauses]
         self.rules = [r for r in rules if r.head is not None]
         self.goals = [r for r in rules if r.head is None]
+        self.old: dict[tuple, dict] = {a.spec: {} for r in self.rules for a in r.atoms}
         self.total: dict[str, set[tuple[int, ...]]] = {}
         self.delta: dict[str, set[tuple[int, ...]]] = {}
         self.level = 0
@@ -239,37 +434,37 @@ class _Evaluator:
         each pivot i, the first atom bound to a delta fact, the atoms before
         i take `old` facts (`total` minus `delta`), atom i a delta fact and
         the atoms after it any fact; so every binding is made once over the
-        whole run.
+        whole run. The delta facts join `old` at the end of the step.
         """
-        total, delta = self.total, self.delta
-        cache: dict = {}
-
-        def index(pool: str, spec: tuple) -> dict:
-            idx = cache.get((pool, spec))
-            if idx is None:
-                facts = (delta if pool == "delta" else total).get(spec[0], ())
-                skip = delta.get(spec[0], ()) if pool == "old" else ()
-                idx = cache[pool, spec] = _index(facts, spec, skip)
-            return idx
-
+        total, delta, old = self.total, self.delta, self.old
+        fresh = {spec: _index(delta[spec[0]], spec) for spec in old if spec[0] in delta}
         found: dict[str, set[tuple[int, ...]]] = {}
         for r in self.rules:
-            atoms, n = r.atoms, len(r.atoms)
+            atoms = r.atoms
             if self.level == 0:
-                pools = [["total"] * n]
+                pools = [] if atoms else [[]]
             else:
                 pools = [
-                    ["old"] * i + ["delta"] + ["total"] * (n - i - 1)
-                    for i in range(n)
-                    if delta.get(atoms[i].spec[0])
+                    [(old[a.spec],) for a in atoms[:i]]
+                    + [(fresh[atoms[i].spec],)]
+                    + [(old[a.spec], fresh[a.spec]) if a.spec in fresh else (old[a.spec],)
+                       for a in atoms[i + 1 :]]
+                    for i in range(len(atoms))
+                    if atoms[i].spec in fresh
                 ]
             add = found.setdefault(r.pred, set()).add
-            head, plan, vals = r.head, r.plan, [None] * len(r.sys.vars)
-            for ps in pools:
-                idx = [index(pool, a.spec) for pool, a in zip(ps, atoms)]
+            head, solutions, vals = r.head, r.solutions, [None] * len(r.vars)
+            for idx in pools:
                 for _ in _join(atoms, idx, vals):
-                    for t in boxes.run(plan, vals):
+                    for t in solutions(vals):
                         add(head(t))
+        for spec, idx in fresh.items():
+            known = old[spec]
+            for k, bucket in idx.items():
+                if k in known:
+                    known[k] += bucket
+                else:
+                    known[k] = bucket
         new = {}
         for pred, facts in found.items():
             facts -= total.get(pred, set())
@@ -288,14 +483,11 @@ class _Evaluator:
                     # hang on set order.
                     facts = sorted(self.total.get(a.spec[0], ()))
                     cache[a.spec] = _index(facts, a.spec)
-                idx.append(cache[a.spec])
-            for vals in _join(g.atoms, idx, [None] * len(g.sys.vars)):
-                if boxes.run(g.plan, vals, limit=1):
-                    # Slots map back to variables in boxes.solutions; for
-                    # the binding that hit it gives the same first solution.
-                    fixed = {g.sys.vars[i]: vals[i] for i in g.plan.pinned}
-                    hit = boxes.solutions(g.sys, self.lo, self.hi, fixed, limit=1)
-                    return Found(g.cid, hit[0])
+                idx.append((cache[a.spec],))
+            for vals in _join(g.atoms, idx, [None] * len(g.vars)):
+                hit = g.solutions(vals, limit=1)
+                if hit:
+                    return Found(g.cid, dict(zip(g.vars, hit[0])))
         return NotWithinBudget()
 
 
