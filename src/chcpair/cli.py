@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", help="bounded ground evaluation")
     orc.add_argument("program")
     orc.add_argument("--depth", type=int, required=True)
-    orc.add_argument("--box", required=True, help="value box, e.g. 0..3")
+    orc.add_argument("--box", required=True, help="value box LO..HI, e.g. 0..3 or -1..1")
     orc.set_defaults(fn=_cmd_oracle)
 
     em = sub.add_parser("emit", help="print the program in another format")
@@ -231,9 +231,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _glue_box(argv: list[str]) -> list[str]:
+    """argv with `--box LO..HI` written as `--box=LO..HI`.
+
+    argparse reads a separate value that starts with '-' and is not a plain
+    number, such as -1..1, as an option, and then finds `--box` without
+    its value.
+    """
+    out: list[str] = []
+    for a in argv:
+        if out and out[-1] == "--box" and a.startswith("-"):
+            out[-1] = f"--box={a}"
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_glue_box(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
     except ChcError as exc:

@@ -52,6 +52,14 @@ def test_oracle_witness_is_independent_of_the_hash_seed():
     assert outs[0].startswith("found: goal 1 violated with ")
 
 
+def test_oracle_takes_a_box_with_a_negative_bound(tmp_path, capsys):
+    f = tmp_path / "p.chc"
+    f.write_text("p(X) :- X = -1.\np(X) :- X = Y + 1, p(Y).\n")
+    for box in (["--box", "-1..1"], ["--box=-1..1"]):
+        assert run("oracle", f, "--depth", "3", *box) == 0
+        assert capsys.readouterr().out.splitlines() == ["p(-1)", "p(0)", "p(1)"]
+
+
 def test_oracle_lists_atoms_for_definite_programs(tmp_path, capsys):
     f = tmp_path / "p.chc"
     f.write_text("p(X) :- X = 0.\np(X) :- X = Y + 1, p(Y).\n")
