@@ -82,13 +82,6 @@ class SequenceReport:
     no_self_unfolding: bool
     all_foldings_reversible: bool
 
-    @property
-    def a_complete_conditions(self) -> dict[str, bool]:
-        return {
-            "no_self_unfolding": self.no_self_unfolding,
-            "all_foldings_reversible": self.all_foldings_reversible,
-        }
-
 
 # --- constraint-class classifiers for rule R1 condition (ii) ---------------
 

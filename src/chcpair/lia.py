@@ -127,10 +127,6 @@ def qd_of(conj: ConstraintConj, exists: Iterable[Var] = ()) -> QuantDisj:
     return QuantDisj(tuple(exists), (conj,))
 
 
-def qd_is_true(q: QuantDisj) -> bool:
-    return any(d.is_true() for d in q.disjuncts)
-
-
 def qd_subst(q: QuantDisj, theta: Mapping[Var, Var]) -> QuantDisj:
     """Substitute free variables, renaming existentials to avoid capture."""
     image = set(theta.values())

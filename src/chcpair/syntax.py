@@ -387,10 +387,6 @@ class Clause:
     def is_goal(self) -> bool:
         return self.head is None
 
-    @property
-    def is_linear(self) -> bool:
-        return len(self.body) <= 1
-
     def vars(self) -> tuple[Var, ...]:
         """Variables in head, constraint, body order (first occurrence)."""
         seen: dict[Var, None] = {}
@@ -458,9 +454,6 @@ class Program:
 
     def clause(self, cid: int) -> Clause:
         return self._by_id[cid]
-
-    def has_clause(self, cid: int) -> bool:
-        return cid in self._by_id
 
     def preds(self) -> set[str]:
         return set(self.signatures)
