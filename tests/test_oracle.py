@@ -1,5 +1,6 @@
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ from chcpair.pairing import PairingConfig, iterate_pairing
 from helpers import random_definite_program
 
 ARRAY_ENTRIES = ("array_loop", "loop_pipelining")
+PN = Path(__file__).resolve().parents[1] / "bench_e2e" / "inputs" / "pn"
 
 
 def test_budget_validation():
@@ -243,6 +245,62 @@ def test_oracle_matches_full_enumeration_on_random_programs():
         found += isinstance(false_derivable(p, b), Found)
         cases += 1
     assert cases >= 30 and 0 < found < cases
+
+
+def _random_links(rng):
+    """Clauses whose constraints link body atoms through an intermediate
+    variable T: with unit and non-unit coefficients, with T forced outside
+    any box of the test (A >= -2, so T >= 4), and with a disequality across
+    the atoms."""
+    lines = [
+        "p(X,Y) :- X = 0, Y = 1.",
+        "p(X,Y) :- X = 1, Y = 0.",
+        f"q(X) :- X >= {rng.randint(-2, 0)}, X =< {rng.randint(0, 2)}.",
+    ]
+    for _ in range(rng.randint(2, 4)):
+        head = rng.choice(["p(C,D)", "q(C)", "r(A,C)", "r(C,D)"])
+        body = rng.choice(
+            ["p(A,B), q(C)", "q(A), p(B,C)", "p(A,B), p(C,D)", "r(A,B), q(C)", "q(A), r(C,D)"]
+        )
+        k = rng.randint(-2, 2)
+        plus_k = f"+ {k}" if k >= 0 else f"- {-k}"
+        link = rng.choice(
+            [
+                f"T = A {plus_k}, C = T + B",
+                f"T = 2*A {plus_k}, 2*C = T - B",
+                f"T = A + 6, C = T - 6 {plus_k}",
+                f"T = A - B, A =\\= C, D = T {plus_k}",
+                f"C - A =\\= {k}, T = C + D",
+            ]
+        )
+        lines.append(f"{head} :- {body}, {link}.")
+    return parse_program("\n".join(lines))
+
+
+def test_oracle_matches_full_enumeration_on_linked_programs():
+    rng = random.Random(41)
+    deadline = time.monotonic() + 4.0
+    cases = found = 0
+    while cases < 120 and time.monotonic() < deadline:
+        p = _with_random_goals(_random_links(rng), rng)
+        b = OracleBudget(rng.randint(1, 4), rng.randint(-2, 0), rng.randint(1, 3))
+        _assert_oracle_matches_reference(p, b)
+        found += isinstance(false_derivable(p, b), Found)
+        cases += 1
+    assert cases >= 30 and 0 < found < cases
+
+
+def test_fib_monotonicity_probe_runs_few_box_plans(monkeypatch):
+    # The constraint of each clause rejects most bindings of its body: they
+    # must be dropped in the join, before a box plan runs (208,524 runs when
+    # they were not).
+    calls = []
+    run = boxes.run
+    monkeypatch.setattr(boxes, "run", lambda *a, **k: calls.append(1) or run(*a, **k))
+    pn = parse_program((PN / "fib_monotonicity.chc").read_text())
+    rep = equisat_probe(corpus.load("fib_monotonicity"), pn, OracleBudget(6, 0, 3))
+    assert rep.pn_budget == rep.pn_doubled == NotWithinBudget()
+    assert len(calls) <= 2000
 
 
 @pytest.mark.parametrize("name", [n for n in corpus.NAMES if n not in ARRAY_ENTRIES])
