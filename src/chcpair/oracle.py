@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 
 from . import boxes
 from .errors import ArrayUnsupported
-from .syntax import Clause, Program, Rel, Sort, Var
+from .syntax import Clause, ConstraintConj, Program, Rel, Sort, Var
 
 
 @dataclass(frozen=True)
@@ -349,9 +349,7 @@ def _index(facts: Iterable[tuple], spec: tuple) -> dict:
     _, key_pos, checks = spec
     key, test = _getter(key_pos), _tester(checks)
     idx: dict = {}
-    for t in facts:
-        if test is not None and not test(t):
-            continue
+    for t in facts if test is None else filter(test, facts):
         k = key(t)
         bucket = idx.get(k)
         if bucket is None:
@@ -402,7 +400,7 @@ class _Evaluator:
     """
 
     def __init__(self, p: Program, lo: int, hi: int):
-        self.lo, self.hi = lo, hi
+        self.program, self.lo, self.hi = p, lo, hi
         rules = [_compile(c, lo, hi) for c in p.clauses]
         self.rules = [r for r in rules if r.head is not None]
         self.goals = [r for r in rules if r.head is None]
@@ -487,7 +485,14 @@ class _Evaluator:
             for vals in _join(g.atoms, idx, [None] * len(g.vars)):
                 hit = g.solutions(vals, limit=1)
                 if hit:
-                    return Found(g.cid, dict(zip(g.vars, hit[0])))
+                    # The witness comes from the compiled join; check it
+                    # against the goal's own constraint, in the box, as
+                    # it is reported.
+                    lin = self.program.clause(g.cid).constraint.lin_atoms()
+                    sys_ = boxes.lower_conj(ConstraintConj(lin), var_order=g.vars)
+                    fixed = dict(zip(g.vars, hit[0]))
+                    (valuation,) = boxes.solutions(sys_, self.lo, self.hi, fixed, limit=1)
+                    return Found(g.cid, valuation)
         return NotWithinBudget()
 
 
