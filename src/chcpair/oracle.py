@@ -204,8 +204,8 @@ def _eliminate(rows: list[Row], free: list[int], lo: int, hi: int):
     no body atom binds.
 
     Each free slot that has a coefficient of 1 or -1 in an equality is
-    eliminated through it, its box bounds [lo, hi] joining the rows first.
-    `implied` holds the rows left over the bound slots alone: the constraint
+    eliminated through it: its definition replaces it in every row, and the
+    definition's box bounds [lo, hi] join the rows. `implied` holds the rows left over the bound slots alone: the constraint
     and the box imply them. The bound slots take values in the box too, so
     a row that every value of the box satisfies is left out. When every free
     slot is eliminated and no row is left false, `implied` is equivalent to
@@ -216,12 +216,8 @@ def _eliminate(rows: list[Row], free: list[int], lo: int, hi: int):
     no slot at all.
     """
     free_set = set(free)
-    box: list[Row] = []
-    work: list[Row] = []
-    for r in rows:
-        (box if not r[0] or not free_set.isdisjoint(r[0]) else work).append(r)
-    work += box
-    pivots = []
+    work = list(rows)
+    defs = []
     for x in free:
         for j, piv in enumerate(work):
             if piv[2] is Rel.EQ and piv[0].get(x) in (1, -1):
@@ -230,11 +226,14 @@ def _eliminate(rows: list[Row], free: list[int], lo: int, hi: int):
             continue
         del work[j]
         s = piv[0][x]
-        pivots.append((x, s, piv))
-        work += [({x: -1}, lo, Rel.LE), ({x: 1}, -hi, Rel.LE)]
         work = [_add(r, piv, -r[0][x] * s) if x in r[0] else r for r in work]
+        # x = k + sum(c * x[i] for i, c in terms): add lo <= x <= hi.
+        k, terms = -s * piv[1], [(i, -s * c) for i, c in piv[0].items() if i != x]
+        work.append(({i: -c for i, c in terms}, lo - k, Rel.LE))
+        work.append((dict(terms), k - hi, Rel.LE))
+        defs.append((x, k, tuple(terms)))
     implied = []
-    exact = len(pivots) == len(free)
+    exact = len(defs) == len(free)
     for r in work:
         coeffs, k, rel = r
         if not free_set.isdisjoint(coeffs):
@@ -256,14 +255,10 @@ def _eliminate(rows: list[Row], free: list[int], lo: int, hi: int):
         else:
             exact = False  # a false row: let the box plan find no solution
     if not exact:
+        box = [r for r in rows if not r[0] or not free_set.isdisjoint(r[0])]
         return box, implied, None
-    # x = -s * (k + the other terms), in the reverse order of elimination,
-    # so that a later pivot's slot is set before an earlier one reads it.
-    defs = tuple(
-        (x, -s * piv[1], tuple([(j, -s * c) for j, c in piv[0].items() if j != x]))
-        for x, s, piv in reversed(pivots)
-    )
-    return box, implied, defs
+    # A later slot's definition is set before an earlier one reads it.
+    return [], implied, tuple(reversed(defs))
 
 
 def _compile(c: Clause, lo: int, hi: int) -> _Rule:
