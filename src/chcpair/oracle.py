@@ -200,20 +200,19 @@ def _add(row: Row, piv: Row, m: int) -> Row:
 
 
 def _eliminate(rows: list[Row], free: list[int], lo: int, hi: int):
-    """(box, implied, defs) for the rows of a clause whose slots in `free`
-    no body atom binds.
+    """(implied, defs) for the rows of a clause whose slots in `free` no
+    body atom binds.
 
     Each free slot that has a coefficient of 1 or -1 in an equality is
     eliminated through it: its definition replaces it in every row, and the
-    definition's box bounds [lo, hi] join the rows. `implied` holds the rows left over the bound slots alone: the constraint
-    and the box imply them. The bound slots take values in the box too, so
-    a row that every value of the box satisfies is left out. When every free
-    slot is eliminated and no row is left false, `implied` is equivalent to
-    the constraint with its free slots in the box, and `defs` computes the
-    one solution: (slot, k, terms) to set in turn, each to k + sum(c * x[j]
-    for j, c in terms). Otherwise `defs` is None, and `box` holds the rows
-    that a box plan has to check: those of `rows` with a free slot or with
-    no slot at all.
+    definition's box bounds [lo, hi] join the rows. `implied` holds the rows
+    left over the bound slots alone: the constraint and the box imply them.
+    The bound slots take values in the box too, so a row that every value of
+    the box satisfies is left out. When every free slot is eliminated and no
+    row is left false, `implied` is equivalent to the constraint with its
+    free slots in the box, and `defs` computes the one solution: (slot, k,
+    terms) to set in turn, each to k + sum(c * x[j] for j, c in terms).
+    Otherwise `defs` is None.
     """
     free_set = set(free)
     work = list(rows)
@@ -254,11 +253,8 @@ def _eliminate(rows: list[Row], free: list[int], lo: int, hi: int):
             implied.append(r)
         else:
             exact = False  # a false row: let the box plan find no solution
-    if not exact:
-        box = [r for r in rows if not r[0] or not free_set.isdisjoint(r[0])]
-        return box, implied, None
     # A later slot's definition is set before an earlier one reads it.
-    return [], implied, tuple(reversed(defs))
+    return implied, tuple(reversed(defs)) if exact else None
 
 
 def _compile(c: Clause, lo: int, hi: int) -> _Rule:
@@ -296,7 +292,7 @@ def _compile(c: Clause, lo: int, hi: int) -> _Rule:
         owns.append(own)
     joins: list[list[Check]] = [[] for _ in c.body]
     free = [i for i in range(len(vars_)) if i not in binder]
-    box, implied, defs = _eliminate(rows, free, lo, hi)
+    implied, defs = _eliminate(rows, free, lo, hi)
     # Each implied row is checked as soon as its last slot is bound: by the
     # index when one atom binds all its slots; as a lookup when it is an
     # equality that computes, with a coefficient of 1 or -1, the one slot
@@ -334,6 +330,8 @@ def _compile(c: Clause, lo: int, hi: int) -> _Rule:
         head = itemgetter(slice(0, len(hpos))) if whole else itemgetter(*hpos)
     plan = None
     if defs is None:
+        # The join checks the rows over bound slots alone.
+        box = [r for r in rows if not r[0] or any(i not in binder for i in r[0])]
         plan = boxes.prepare(boxes.box_system(vars_, box), lo, hi, tuple(sorted(binder)))
     return _Rule(c.cid, pred, head, tuple(atoms), tuple(vars_), defs, plan)
 
