@@ -292,8 +292,7 @@ def test_oracle_matches_full_enumeration_on_linked_programs():
 
 def test_fib_monotonicity_probe_runs_few_box_plans(monkeypatch):
     # The constraint of each clause rejects most bindings of its body: they
-    # must be dropped in the join, before a box plan runs (208,524 runs when
-    # they were not).
+    # must be dropped in the join, before any box plan runs.
     calls = []
     run = boxes.run
     monkeypatch.setattr(boxes, "run", lambda *a, **k: calls.append(1) or run(*a, **k))

@@ -1,11 +1,11 @@
 """Goldens of the bounded oracle on the benchmark's probe entries.
 
-For each array-free entry that `bench_e2e` probes, P0 from the corpus is
-probed against its frozen pairing output `bench_e2e/inputs/pn/<name>.chc`
-at two budgets (hl1's, whose Pn is the largest, at one). The golden records the four `ProbeReport` verdicts with
-their goal ids and valuations (in the valuation's own order) and the size
-of each side's bounded least model. A faster oracle must leave them as
-they are.
+For each array-free entry with a frozen pairing output
+`bench_e2e/inputs/pn/<name>.chc`, P0 from the corpus is probed against it
+at two budgets (hl1, whose output is the largest, at one). The golden
+records the four `ProbeReport` verdicts with their goal ids and valuations
+(in the valuation's own order) and the size of each side's bounded least
+model. A faster oracle must leave them as they are.
 
 To record the goldens again after an intended change of output, run
 `PYTHONPATH=src python tests/test_oracle_goldens.py --write`.
