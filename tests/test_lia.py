@@ -327,18 +327,33 @@ def test_probe_witness_is_the_first_point_of_the_box():
 
 def test_project_prints_rows_without_negative_terms():
     cases = [
-        ("X = Y + 2, Y =< 3, Z >= X, W =\\= X + 1", "XZW", [["Z >= X", "W =\\= X + 1", "X =< 5"]]),
-        ("Y =< X, Y >= 1, Y + Z =< 3", "XZ", [["X >= 1", "Z =< 2"]]),
-        ("2*Y = 2*Z, X =< Y, Y =< X, Z >= 0 - 4", "XZ", [["Z >= -4", "Z = X"]]),
+        ("X = Y + 2, Y =< 3, Z >= X, W =\\= X + 1", "XZW",
+         [["Z >= X", "W =\\= X + 1", "X =< 5"]], True),
+        ("Y =< X, Y >= 1, Y + Z =< 3", "XZ", [["X >= 1", "Z =< 2"]], True),
+        ("2*Y = 2*Z, X =< Y, Y =< X, Z >= 0 - 4", "XZ", [["Z >= -4", "Z = X"]], True),
         ("Y =\\= X + 2, Y >= 0, Y =< 5, X =\\= 3", "X",
-         [["X =\\= 3", "X >= -1"], ["X =\\= 3", "X =< 2"]]),
-        ("3*Y >= X + 1, 2*Y =< 7 - Z", "XZ", [["2*X + 3*Z =< 19"]]),
-        ("Y = X + 2, Y =\\= W, Z =\\= Y - 4", "XWZ", [["X + 2 =\\= W", "Z + 2 =\\= X"]]),
-        ("2*Y = 2*Z + 2, X =< Y, Y =< X", "XZ", [["Z + 1 = X"]]),
+         [["X =\\= 3", "X >= -1"], ["X =\\= 3", "X =< 2"]], True),
+        ("3*Y >= X + 1, 2*Y =< 7 - Z", "XZ", [["2*X + 3*Z =< 19"]], False),
+        ("Y = X + 2, Y =\\= W, Z =\\= Y - 4", "XWZ", [["X + 2 =\\= W", "Z + 2 =\\= X"]], True),
+        ("2*Y = 2*Z + 2, X =< Y, Y =< X", "XZ", [["Z + 1 = X"]], True),
+        # B's definition puts D after E in the second row; the pivot is D, first by name
+        ("B = D + X, B + E = 0, D - E = 0 - X, 2*Y = 2*E + Y + 3", "XY", [["Y = 3"]], False),
+        # A's definition turns 2*D into D, which becomes a pivot
+        ("A = D + X, 2*D - A = Y, D =< 3*Y", "XY", [["X =< 2*Y"]], True),
+        # X cancels out of B + X =< X + 1
+        ("B + X =< X + 1, B >= 0", "B", [["B >= 0", "B =< 1"]], True),
+        ("B + X =< X + 1, X = Y + 2, Y >= B", "BY", [["Y >= B", "B =< 1"]], True),
+        # after A's definition, Fourier-Motzkin takes Y, B, X, by first occurrence
+        ("B = 0 - A + Z, 1 = 2*Y + 3, A + X + 3 =< 2*Y", "Z", [[]], False),
+        # the array atom on an eliminated variable is dropped
+        ("read(M, I, U), U = X + 1, I >= U", "X", [[]], False),
+        ("read(M, I, U), U = X + 1, I >= U", "XIM", [["X + 1 =< I"]], False),
     ]
-    for text, keep, want in cases:
-        q = project(conj(text), [V(k) for k in keep])
+    for text, keep, want, exact in cases:
+        c = conj(text)
+        q = project(c, [v for v in c.vars() if v.name in keep])
         assert [[print_constraint_atom(a) for a in d] for d in q.disjuncts] == want, text
+        assert q.exact is exact, text
 
 
 def test_project_overapproximates_integer_points():
