@@ -37,6 +37,12 @@ when the call returns. Answers are cached under c, or under (c, extra) for
 these queries, and Unknowns are handed to the installed resolver as the
 whole conjunction.
 
+`project` shares the Gauss pass. It lowers the atoms that mention an
+eliminated variable once, and `_gauss_reduce` pivots on eliminated
+variables alone, on the first by name within a row; Fourier-Motzkin then
+eliminates the others on each branch of the disequalities that mention
+one.
+
 Degenerate input note: on an unsatisfiable d, eq_set returns every pair,
 since d entails anything; strategy code removes unsatisfiable clauses
 before asking.
@@ -391,33 +397,51 @@ def _subst_defs(rows, defs):
     return rows
 
 
-def _gauss_reduce(sys_: _System):
+def _first_unit(eq) -> Optional[tuple[int, int]]:
+    """(row, variable) of the first unit coefficient of the first EQ row
+    that has one, in the row's own order."""
+    for idx, (coeffs, _) in enumerate(eq):
+        for i, c in coeffs.items():
+            if c == 1 or c == -1:
+                return idx, i
+    return None
+
+
+def _first_unit_among(sys_: _System, only: set[int]) -> Optional[tuple[int, int]]:
+    """(row, variable) of the first EQ row with a unit coefficient on a
+    variable of `only`, and of the first such variable by name."""
+    for idx, (coeffs, _) in enumerate(sys_.eq):
+        units = [i for i, c in coeffs.items() if (c == 1 or c == -1) and i in only]
+        if units:
+            return idx, min(units, key=lambda i: sys_.vars[i].name)
+    return None
+
+
+def _gauss_reduce(sys_: _System, only: Optional[set[int]] = None):
     """Substitute away variables defined by unit-coefficient equalities.
 
-    Each step pivots on the first EQ row with a unit coefficient. Returns
-    (defs, unsat) where defs is the substitution chain as
+    Each step pivots on the first EQ row with a unit coefficient, on the
+    first such variable in the row. With `only`, a set of variable indices,
+    it pivots on those variables alone, and on the first by name in a row.
+    Returns (defs, unsat) where defs is the substitution chain as
     (var_index, coeffs, const) meaning var = sum(coeffs) + const, recorded
     in elimination order. Rewrites the system's le, eq and ne lists.
     """
     defs: list[tuple[int, dict[int, int], int]] = []
-    progress = True
-    while progress:
-        progress = False
-        for idx, (coeffs, k) in enumerate(sys_.eq):
-            unit = next((i for i, c in coeffs.items() if abs(c) == 1), None)
-            if unit is None:
-                continue
-            a = coeffs[unit]
-            # a*v + rest + k == 0  =>  v = -a*(rest + k)
-            dcoeffs = {i: -a * c for i, c in coeffs.items() if i != unit}
-            dconst = -a * k
-            sys_.eq.pop(idx)
-            sys_.le = _subst_rows(sys_.le, unit, dcoeffs, dconst)
-            sys_.eq = _subst_rows(sys_.eq, unit, dcoeffs, dconst)
-            sys_.ne = _subst_rows(sys_.ne, unit, dcoeffs, dconst)
-            defs.append((unit, dcoeffs, dconst))
-            progress = True
+    while True:
+        pivot = _first_unit(sys_.eq) if only is None else _first_unit_among(sys_, only)
+        if pivot is None:
             break
+        idx, unit = pivot
+        coeffs, k = sys_.eq.pop(idx)
+        a = coeffs[unit]
+        # a*v + rest + k == 0  =>  v = -a*(rest + k)
+        dcoeffs = {i: -a * c for i, c in coeffs.items() if i != unit}
+        dconst = -a * k
+        sys_.le = _subst_rows(sys_.le, unit, dcoeffs, dconst)
+        sys_.eq = _subst_rows(sys_.eq, unit, dcoeffs, dconst)
+        sys_.ne = _subst_rows(sys_.ne, unit, dcoeffs, dconst)
+        defs.append((unit, dcoeffs, dconst))
     # ground rows may have appeared
     unsat = False
     for bucket, rel in ((sys_.le, Rel.LE), (sys_.eq, Rel.EQ), (sys_.ne, Rel.NE)):
@@ -785,10 +809,14 @@ def _rows_to_atoms(rows) -> list[LinAtom]:
 def project(c: ConstraintConj, keep: Iterable[Var]) -> QuantDisj:
     """Eliminate the variables of c outside `keep`.
 
-    Exact over the rationals; over the integers the result can be an
-    over-approximation, in which case the returned QuantDisj carries
-    exact=False. Array atoms touching eliminated variables are dropped
-    (over-approximation, also flagged).
+    The linear atoms that mention an eliminated variable are lowered once;
+    Gauss substitutes away the eliminated variables that unit-coefficient
+    equalities define, and Fourier-Motzkin the others, on each branch of
+    the disequalities that still mention one. Exact over the rationals;
+    over the integers the result can be an over-approximation, in which
+    case the returned QuantDisj carries exact=False. Array atoms touching
+    eliminated variables are dropped (over-approximation, also flagged), as
+    are the disequalities on eliminated variables past the split cap.
     """
     keepset = set(keep)
     exact = True
@@ -796,108 +824,54 @@ def project(c: ConstraintConj, keep: Iterable[Var]) -> QuantDisj:
     touched: list[LinAtom] = []
     elim_set = {v for v in c.vars() if v not in keepset}
     for a in c.atoms:
-        if isinstance(a, LinAtom):
-            if elim_set & set(a.vars()):
-                touched.append(a)
-            else:
-                passthrough.append(a)
+        if elim_set.isdisjoint(a.vars()):
+            passthrough.append(a)
+        elif isinstance(a, LinAtom):
+            touched.append(a)
         else:
-            if elim_set & set(a.vars()):
-                exact = False  # dropped array atom
-            else:
-                passthrough.append(a)
-    elim_int = [v for v in elim_set if v.sort is Sort.INT]
-    # array variables cannot be eliminated; any remaining occurrences were
-    # only in dropped atoms
+            exact = False  # dropped array atom
     if not touched:
         return QuantDisj((), (ConstraintConj(tuple(passthrough)),), exact)
-
-    # substitution pass: unit-coefficient equalities define eliminated vars
-    atoms = list(touched)
-    elim_left = set(elim_int)
-    changed = True
-    while changed:
-        changed = False
-        for i, a in enumerate(atoms):
-            terms, k, rel = a.row()
-            if rel is not Rel.EQ:
-                continue
-            for v, coef in terms:
-                if v in elim_left and abs(coef) == 1:
-                    # v = -(row - coef*v)/coef
-                    rest = LinExpr.build(
-                        {w: cc for w, cc in terms if w != v}, k
-                    ).scale(-1 if coef == 1 else 1)
-                    atoms.pop(i)
-                    atoms = [_subst_var_expr(b, v, rest) for b in atoms]
-                    elim_left.discard(v)
-                    changed = True
-                    break
-            if changed:
-                break
-    # split remaining disequalities mentioning eliminated vars
-    sys_ = _lower(atoms)
-    if sys_.ground_false:
-        return QuantDisj((), (ConstraintConj((false_atom(),)),), True)
-    elim_idx = [sys_.index[v] for v in sys_.vars if v in elim_left]
-    ne_touching = [row for row in sys_.ne if any(i in row[0] for i in elim_idx)]
-    if 2 ** len(ne_touching) > NEQ_SPLIT_CAP:
+    sys_ = _lower(touched)
+    elim = {i for i, v in enumerate(sys_.vars) if v in elim_set}
+    defs, unsat = _gauss_reduce(sys_, elim)
+    if sys_.ground_false or unsat:
+        return qd_false()
+    ne_split = [row for row in sys_.ne if not elim.isdisjoint(row[0])]
+    ne_plain = [row for row in sys_.ne if elim.isdisjoint(row[0])]
+    if 2 ** len(ne_split) > NEQ_SPLIT_CAP:
         # drop those disequalities instead of splitting
-        atoms = [
-            a
-            for a in atoms
-            if not (a.rel is Rel.NE and elim_left & set(a.vars()))
-        ]
+        ne_split = []
         exact = False
-        sys_ = _lower(atoms)
-        elim_idx = [sys_.index[v] for v in sys_.vars if v in elim_left]
-        ne_touching = []
-
-    branches = _project_branches(sys_, set(elim_idx))
-    disjuncts = []
-    for rows, ne_rows, feasible, br_exact in branches:
-        if not feasible:
+    # Fourier-Motzkin takes the variables left in order of first occurrence
+    # in the substituted rows, atoms in order and names in a row, without
+    # the dropped disequalities. Gauss has popped its pivot rows and split
+    # the others by relation, so the rows as lowered are substituted again.
+    order: dict[int, None] = {}
+    subst = _subst_defs([(coeffs, k) for coeffs, k, _ in sys_.rows], defs)
+    for (coeffs, _), (_, _, rel) in zip(subst, sys_.rows):
+        if rel is Rel.NE and not ne_split:
             continue
-        exact = exact and br_exact
-        var_rows = [({sys_.vars[i]: cc for i, cc in row.items()}, k) for row, k in rows]
-        datoms = list(passthrough) + _rows_to_atoms(var_rows)
-        for row, k in ne_rows:
-            datoms.append(_row_atom({sys_.vars[i]: cc for i, cc in row.items()}, k, Rel.NE))
-        disjuncts.append(ConstraintConj(tuple(datoms)))
-    if not disjuncts:
-        return QuantDisj((), (ConstraintConj((false_atom(),)),), True)
-    return QuantDisj((), tuple(disjuncts), exact)
-
-
-def _subst_var_expr(a: LinAtom, v: Var, repl: LinExpr) -> LinAtom:
-    def go(e: LinExpr) -> LinExpr:
-        m = e.coeff_map()
-        c = m.pop(v, 0)
-        out = LinExpr.build(m, e.const)
-        if c:
-            out = out.add(repl.scale(c))
-        return out
-
-    return LinAtom(go(a.lhs), a.rel, go(a.rhs))
-
-
-def _project_branches(sys_: _System, elim_idx: set[int]):
-    """FM-project each disequality branch; yields (rows, ne_rows, feasible, exact)."""
-    ne_plain = [row for row in sys_.ne if not any(i in row[0] for i in elim_idx)]
-    ne_split = [row for row in sys_.ne if any(i in row[0] for i in elim_idx)]
-    out = []
+        for i in sorted(elim.intersection(coeffs), key=lambda i: sys_.vars[i].name):
+            order.setdefault(i)
+    disjuncts = []
     for rows in _le_branches(sys_, ne_split):
         try:
-            rem, _, ex = _fm_eliminate(rows, sorted(elim_idx))
+            rem, _, br_exact = _fm_eliminate(rows, list(order))
         except _Unsat:
-            out.append(([], [], False, True))
             continue
         except _Overflow:
             # give up on this branch precisely: keep no constraint at all
-            out.append(([], ne_plain, True, False))
-            continue
-        out.append((rem, ne_plain, True, ex))
-    return out
+            rem, br_exact = [], False
+        exact = exact and br_exact
+        var_rows = [({sys_.vars[i]: cc for i, cc in row.items()}, k) for row, k in rem]
+        datoms = list(passthrough) + _rows_to_atoms(var_rows)
+        for row, k in ne_plain:
+            datoms.append(_row_atom({sys_.vars[i]: cc for i, cc in row.items()}, k, Rel.NE))
+        disjuncts.append(ConstraintConj(tuple(datoms)))
+    if not disjuncts:
+        return qd_false()
+    return QuantDisj((), tuple(disjuncts), exact)
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,10 @@ def test_project_prints_rows_without_negative_terms():
         # the array atom on an eliminated variable is dropped
         ("read(M, I, U), U = X + 1, I >= U", "X", [[]], False),
         ("read(M, I, U), U = X + 1, I >= U", "XIM", [["X + 1 =< I"]], False),
+        # past the split cap the disequalities on X are dropped, but X
+        # cancels out of 2*B + X =\= X, which stays
+        ("2*B + X =\\= X, " + ", ".join(f"B =\\= X + {k}" for k in range(7)), "B",
+         [["2*B =\\= 0"]], False),
     ]
     for text, keep, want, exact in cases:
         c = conj(text)
