@@ -556,38 +556,80 @@ def classify_sequence(trace: Sequence[TraceStep]) -> SequenceReport:
     return SequenceReport(a_sound=True, no_self_unfolding=no_self, all_foldings_reversible=all_rev)
 
 
+# per rule: the field its trace line has besides in, out and flags, its
+# flag, and the fewest and most inputs and outputs it has (None: no most)
+_TRACE_SHAPES = {
+    RuleKind.DEFINITION: (None, None, (0, 0), (1, 1)),
+    RuleKind.UNFOLDING: ("pos", "self_unfolding", (1, 1), (0, None)),
+    RuleKind.FOLDING: ("def", "reversible_folding", (1, 1), (1, 1)),
+    RuleKind.CONSTRAINT_REPLACEMENT: (None, None, (1, None), (0, None)),
+}
+
+
+def _trace_number(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a number")
+    return int(text)
+
+
+def _trace_ids(text: str) -> tuple[int, ...]:
+    return tuple(_trace_number(x) for x in text.split(",")) if text else ()
+
+
+def _parse_step(line: str) -> TraceStep:
+    parts = line.split()
+    if len(parts) < 3 or parts[0] != "STEP":
+        raise ValueError("expected STEP <number> <rule> <field>=<value>...")
+    _trace_number(parts[1])
+    rule = RuleKind(parts[2])
+    extra, flag, (in_lo, in_hi), (out_lo, out_hi) = _TRACE_SHAPES[rule]
+    fields: dict[str, str] = {}
+    for tok in parts[3:]:
+        k, eq, v = tok.partition("=")
+        if not eq or k in fields:
+            raise ValueError(f"bad or repeated field {tok!r}")
+        fields[k] = v
+    keys = {"in", "out", "flags"} | ({extra} if extra else set())
+    if fields.keys() != keys:
+        raise ValueError(f"{rule.value} takes the fields {', '.join(sorted(keys))}")
+    ins, outs = _trace_ids(fields["in"]), _trace_ids(fields["out"])
+    for what, ids, lo, hi in (("inputs", ins, in_lo, in_hi), ("outputs", outs, out_lo, out_hi)):
+        if len(ids) < lo or (hi is not None and len(ids) > hi):
+            raise ValueError(f"{rule.value} cannot have {len(ids)} {what}")
+    flagged = None
+    if flag is not None:
+        name, _, bit = fields["flags"].partition(":")
+        if name != flag or bit not in ("0", "1"):
+            raise ValueError(f"{rule.value} takes flags={flag}:0 or flags={flag}:1")
+        flagged = bit == "1"
+    elif fields["flags"]:
+        raise ValueError(f"{rule.value} takes no flags")
+    return TraceStep(
+        rule,
+        ins,
+        outs,
+        position=_trace_number(fields["pos"]) if extra == "pos" else None,
+        def_id=_trace_number(fields["def"]) if extra == "def" else None,
+        self_unfolding=flagged if rule is RuleKind.UNFOLDING else None,
+        reversible_folding=flagged if rule is RuleKind.FOLDING else None,
+    )
+
+
 def parse_trace(text: str) -> list[TraceStep]:
-    """Parse the line-oriented trace log back into steps."""
+    """Parse the line-oriented trace log back into steps.
+
+    Raises ValueError, with the line number, on a STEP line that
+    `TraceStep.line` cannot have written: a missing, unknown or repeated
+    field, a value that is not a number, or a count of inputs or outputs
+    that its rule cannot have.
+    """
     steps = []
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         raw = raw.strip()
         if not raw or raw.startswith("#") or raw.startswith("PAIR"):
             continue
-        parts = raw.split()
-        if parts[0] != "STEP":
-            raise ValueError(f"bad trace line: {raw!r}")
-        rule = RuleKind(parts[2])
-        fields = {"in": "", "out": "", "pos": None, "def": None, "flags": ""}
-        for tok in parts[3:]:
-            k, _, v = tok.partition("=")
-            fields[k] = v
-        ids = lambda s: tuple(int(x) for x in s.split(",") if x)
-        flags = dict(
-            f.split(":") for f in fields["flags"].split(",") if f
-        )
-        steps.append(
-            TraceStep(
-                rule,
-                ids(fields["in"]),
-                ids(fields["out"]),
-                position=int(fields["pos"]) if fields["pos"] else None,
-                def_id=int(fields["def"]) if fields["def"] else None,
-                self_unfolding=bool(int(flags["self_unfolding"]))
-                if "self_unfolding" in flags
-                else None,
-                reversible_folding=bool(int(flags["reversible_folding"]))
-                if "reversible_folding" in flags
-                else None,
-            )
-        )
+        try:
+            steps.append(_parse_step(raw))
+        except ValueError as exc:
+            raise ValueError(f"trace line {n}: {exc}: {raw!r}") from None
     return steps

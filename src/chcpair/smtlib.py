@@ -224,6 +224,42 @@ class _SExprReader:
         return out
 
 
+def _symbol(node, what: str) -> str:
+    """The text of a symbol node; ParseError at a list node."""
+    val, pos = node
+    if not isinstance(val, str):
+        raise ParseError(f"expected {what}", *pos)
+    return val
+
+
+def _form(node, what: str) -> tuple[str, list]:
+    """The operator and the arguments of the list node (op args...) that
+    `what` names; ParseError at the node for any other shape."""
+    val, pos = node
+    if not isinstance(val, list) or not val or not isinstance(val[0][0], str):
+        raise ParseError(f"expected {what}", *pos)
+    return val[0][0], val[1:]
+
+
+def _arity(op: str, args: list, pos, least: int, most: Optional[int] = None) -> None:
+    """ParseError at pos unless op has between least and most arguments."""
+    if least <= len(args) and (most is None or len(args) <= most):
+        return
+    if most is None:
+        want = f"at least {least}"
+    else:
+        want = str(least) if least == most else f"{least} to {most}"
+    raise ParseError(f"{op!r} takes {want} arguments, not {len(args)}", *pos)
+
+
+def _binder(node) -> tuple[str, Sort]:
+    """The name and the sort of a binder (name sort)."""
+    name, args = _form(node, "a binder (name sort)")
+    if len(args) != 1:
+        raise ParseError("expected a binder (name sort)", *node[1])
+    return name, _parse_sort(args[0])
+
+
 def _parse_sort(node) -> Sort:
     val, pos = node
     if val == "Int":
@@ -244,14 +280,14 @@ def _parse_expr(node, env: Mapping[str, Var]) -> LinExpr:
                 raise SortMismatch(f"array variable {val} in arithmetic")
             return LinExpr.of(v)
         raise ParseError(f"unbound symbol {val!r}", *pos)
-    op = val[0][0]
-    args = val[1:]
+    op, args = _form(node, "a term")
     if op == "+":
         out = LinExpr.number(0)
         for a in args:
             out = out.add(_parse_expr(a, env))
         return out
     if op == "-":
+        _arity(op, args, pos, 1)
         if len(args) == 1:
             return _parse_expr(args[0], env).scale(-1)
         out = _parse_expr(args[0], env)
@@ -280,11 +316,9 @@ def _parse_formula(node, env: dict[str, Var], taken: set[str]) -> QuantDisj:
         return qd_true()
     if val == "false":
         return qd_false()
-    if not isinstance(val, list) or not val:
-        raise ParseError(f"unsupported formula {val!r}", *pos)
-    op = val[0][0]
-    args = val[1:]
+    op, args = _form(node, "a formula")
     if op in _REL_FROM_SMT:
+        _arity(op, args, pos, 2)
         lhs = _parse_expr(args[0], env)
         rhs = _parse_expr(args[1], env)
         atoms = [LinAtom(lhs, _REL_FROM_SMT[op], rhs)]
@@ -315,21 +349,24 @@ def _parse_formula(node, env: dict[str, Var], taken: set[str]) -> QuantDisj:
             disjuncts.extend(q.disjuncts)
         return QuantDisj(tuple(exists), tuple(disjuncts))
     if op == "not":
-        inner, ipos = args[0]
-        if not isinstance(inner, list) or inner[0][0] not in _REL_FROM_SMT:
-            raise ParseError("negation is only supported on atoms", *ipos)
-        lhs = _parse_expr(inner[1], env)
-        rhs = _parse_expr(inner[2], env)
-        neg = negate_linatom(LinAtom(lhs, _REL_FROM_SMT[inner[0][0]], rhs))
+        _arity(op, args, pos, 1, 1)
+        rel, operands = _form(args[0], "an atom to negate")
+        if rel not in _REL_FROM_SMT:
+            raise ParseError("negation is only supported on atoms", *args[0][1])
+        _arity(rel, operands, args[0][1], 2, 2)
+        lhs = _parse_expr(operands[0], env)
+        rhs = _parse_expr(operands[1], env)
+        neg = negate_linatom(LinAtom(lhs, _REL_FROM_SMT[rel], rhs))
         return QuantDisj((), tuple(ConstraintConj((a,)) for a in neg))
     if op == "exists":
+        _arity(op, args, pos, 2, 2)
         binders, bpos = args[0]
+        if not isinstance(binders, list):
+            raise ParseError("expected a list of binders", *bpos)
         inner_env = dict(env)
         bound: list[Var] = []
         for b in binders:
-            (bval, bp) = b
-            name = bval[0][0]
-            sort = _parse_sort(bval[1])
+            name, sort = _binder(b)
             nn = fresh_name(name, taken)
             taken.add(nn)
             v = Var(nn, sort)
@@ -343,7 +380,12 @@ def _parse_formula(node, env: dict[str, Var], taken: set[str]) -> QuantDisj:
 
 
 def parse_model(text: str) -> SymbolicInterpretation:
-    """Parse a sequence of define-fun forms into an interpretation."""
+    """Parse a sequence of define-fun forms into an interpretation.
+
+    Raises ParseError, with the line and column, on any form that is not
+    (declare-fun name (sorts) sort) or (define-fun name ((param sort)...)
+    Bool formula), optionally wrapped in one (model ...) form.
+    """
     forms = _SExprReader(text).read_all()
     # tolerate a (model ...) wrapper
     flat = []
@@ -353,34 +395,34 @@ def parse_model(text: str) -> SymbolicInterpretation:
         else:
             flat.append((val, pos))
     entries: dict[str, tuple[tuple[Var, ...], QuantDisj]] = {}
-    for val, pos in flat:
-        if not isinstance(val, list) or not val:
-            raise ParseError("expected a define-fun form", *pos)
-        head = val[0][0]
+    for node in flat:
+        head, args = _form(node, "a define-fun form")
+        pos = node[1]
         if head == "declare-fun":
+            _arity(head, args, pos, 3, 3)
+            _symbol(args[0], "a predicate name")
             continue
         if head != "define-fun":
             raise ParseError(f"unsupported construct {head!r}", *pos)
-        name = val[1][0]
-        if not isinstance(name, str):
-            raise ParseError("bad predicate name", *pos)
-        ret, rpos = val[3]
+        _arity(head, args, pos, 4, 4)
+        name = _symbol(args[0], "a predicate name")
+        ret, rpos = args[2]
         if ret != "Bool":
             raise ParseError(f"predicate {name} must return Bool", *rpos)
         params: list[Var] = []
         env: dict[str, Var] = {}
         taken: set[str] = set()
-        binders, _ = val[2]
+        binders, bpos = args[1]
+        if not isinstance(binders, list):
+            raise ParseError("expected a list of parameters", *bpos)
         for b in binders:
-            bval, bp = b
-            pname = bval[0][0]
-            sort = _parse_sort(bval[1])
-            v = Var(pname, sort)
+            pname, sort = _binder(b)
             if pname in env:
-                raise ParseError(f"duplicate parameter {pname}", *bp)
+                raise ParseError(f"duplicate parameter {pname}", *b[1])
+            v = Var(pname, sort)
             env[pname] = v
             taken.add(pname)
             params.append(v)
-        formula = _parse_formula(val[4], env, taken)
+        formula = _parse_formula(args[3], env, taken)
         entries[name] = (tuple(params), formula)
     return SymbolicInterpretation(entries)

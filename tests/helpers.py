@@ -2,6 +2,8 @@
 body-atom order and constraint equivalence; scripted derivations."""
 
 import random
+import re
+import time
 from itertools import permutations
 
 from chcpair import (
@@ -225,3 +227,62 @@ def random_definite_program(rng: random.Random) -> Program:
             parts.append(f"{cv} >= {rng.randint(-1, 0)}")
         lines.append(f"{h} :- {', '.join(parts)}, {callee}({','.join(cvs)}).")
     return parse_program("\n".join(lines))
+
+
+_MUTANT_TOKEN = re.compile(r"\s+|[()]|[^\s()]+")
+
+
+def one_edit_mutants(text: str, rng: random.Random):
+    """Endless copies of text with one seeded edit each: a character
+    deleted, inserted or replaced, or a token deleted, duplicated or
+    replaced by another token of the text. Inserted characters come from
+    the text itself and from '() -0'."""
+    chars = sorted(set(text) | set("() -0"))
+    tokens = _MUTANT_TOKEN.findall(text)
+    words = sorted({t for t in tokens if not t.isspace()})
+    while True:
+        kind = rng.randrange(6)
+        if kind < 3:
+            i = rng.randrange(len(text))
+            if kind == 0:
+                yield text[:i] + text[i + 1:]
+            else:
+                keep = i + 1 if kind == 2 else i
+                yield text[:i] + rng.choice(chars) + text[keep:]
+        else:
+            i = rng.randrange(len(tokens))
+            new = (
+                [] if kind == 3
+                else [tokens[i], tokens[i]] if kind == 4
+                else [rng.choice(words)]
+            )
+            yield "".join(tokens[:i] + new + tokens[i + 1:])
+
+
+def line_chunks(paths, size=8):
+    """The files' texts cut into pieces of `size` lines, for mutants that
+    parse fast and still reach every line."""
+    for path in paths:
+        rows = path.read_text().splitlines()
+        for i in range(0, len(rows), size):
+            yield "\n".join(rows[i:i + size]) + "\n"
+
+
+def mutant_failures(parse, texts, seed: int, seconds: float, most: int):
+    """Parse seeded one-edit mutants of the texts in turn, until `most`
+    mutants or `seconds` have passed. Returns the number parsed and the
+    (mutant, exception) of every mutant that parse refused."""
+    rng = random.Random(seed)
+    gens = [one_edit_mutants(t, rng) for t in texts]
+    failures = []
+    deadline = time.monotonic() + seconds
+    n = 0
+    while n < most and time.monotonic() < deadline:
+        text = next(gens[n % len(gens)])
+        n += 1
+        try:
+            parse(text)
+        except Exception as exc:
+            failures.append((text, exc))
+    return n, failures
+

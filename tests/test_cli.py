@@ -175,6 +175,37 @@ def test_check_tight(tmp_path):
     assert run("check-tight", defs, bad) == 1
 
 
+MALFORMED_MODELS = [
+    "(define-fun su ((M Int)(R Int)(S Int)) Bool)\n",
+    "(define-fun su ((M Int)(R Int)(S Int)) Bool ((= M R) (>= S 0)))\n",
+    "(define-fun su ((M Int)(R Int)(S Int)) Bool (>= S 0) extra)\n",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_MODELS)
+def test_malformed_model_is_usage_error(tmp_path, capsys, text):
+    model = tmp_path / "su.model"
+    model.write_text(text)
+    defs = tmp_path / "defs.chc"
+    defs.write_text("su(M,R,S) :- M = R, S = 0.\n")
+    assert run("check-model", CORPUS_DIR / "sum_upto.chc", model) == 3
+    assert "(line 1, column " in capsys.readouterr().err
+    assert run("check-tight", defs, model) == 3
+    assert "(line 1, column " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "STEP 1\n",
+    "STEP 1 UNFOLDING in= out=2\n",
+    "STEP 1 DEFINITION in= out=2 flags=\nSTEP 2 UNFOLDING 4 out=3 pos=0 flags=self_unfolding:0\n",
+])
+def test_malformed_trace_is_usage_error(tmp_path, capsys, text):
+    tr = tmp_path / "bad.trace"
+    tr.write_text(text)
+    assert run("validate-trace", tr) == 3
+    assert "error: trace line " in capsys.readouterr().err
+
+
 def test_solve_with_fake_solver(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(
         "CHCPAIR_SOLVER", f"{sys.executable} -c \"print('unsat')\""

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,8 @@ from helpers import (
     clauses_equivalent,
     conj,
     goal_of,
+    line_chunks,
+    mutant_failures,
     random_definite_program,
     run_sum_square_script,
 )
@@ -346,6 +349,42 @@ def test_trace_round_trip():
     assert [s.rule for s in steps] == [s.rule for s in st.trace]
     assert [s.inputs for s in steps] == [s.inputs for s in st.trace]
     assert [s.self_unfolding for s in steps] == [s.self_unfolding for s in st.trace]
+
+
+@pytest.mark.parametrize("text, line", [
+    ("STEP 1\n", 1),
+    ("STEP 1 UNFOLDING in= out=2 pos=0 flags=self_unfolding:0\n", 1),
+    ("STEP 1 UNFOLDING in=1 out=2\n", 1),
+    ("PAIR clause=1\nSTEP 1 UNFOLDING in=1 out=2 pos=0 flags=self_unfolding:0\n"
+     "STEP 2 UNFOLDING 4 in=2 out=3 pos=0 flags=self_unfolding:0\n", 3),
+    ("STEP 1 DEFINITION in= out=5,6 flags=\n", 1),
+    ("STEP 1 FOLDING in=1 out=2 def=x flags=reversible_folding:1\n", 1),
+    ("STEP 1 FOLDING in=1 out=2 def=3 flags=reversible_folding:2\n", 1),
+    ("STEP 1 CONSTRAINT_REPLACEMENT in= out= flags=\n", 1),
+    ("STEP 1 CONSTRAINT_REPLACEMENT in=1 out= pos=0 flags=\n", 1),
+    ("STEP 1 CONSTRAINT_REPLACEMENT in=1 in=2 out= flags=\n", 1),
+])
+def test_parse_trace_refuses_malformed_steps_with_their_line(text, line):
+    with pytest.raises(ValueError, match=f"^trace line {line}: "):
+        parse_trace(text)
+
+
+def _validate_trace(text):
+    steps = parse_trace(text)
+    check_all_defs_unfolded(steps)
+    classify_sequence(steps)
+
+
+def test_mutated_traces_raise_only_value_errors_with_their_line():
+    golden = Path(__file__).parent / "golden" / "transform"
+    texts = list(line_chunks(sorted(golden.glob("*.trace"))))
+    n, failures = mutant_failures(_validate_trace, texts, seed=14, seconds=2, most=3000)
+    assert n >= 300 and failures
+    bad = [
+        (t, e) for t, e in failures
+        if not isinstance(e, ValueError) or not str(e).startswith("trace line ")
+    ]
+    assert not bad, bad[:3]
 
 
 def test_determinism_of_rule_application(sum_square):

@@ -11,14 +11,16 @@ from chcpair import (
     parse_program,
     print_model,
 )
-from chcpair.errors import ParseError
+from chcpair.errors import ChcError, ParseError
 from chcpair.lia import Verdict, equiv_quant_disj, qd_of, qd_true
 from chcpair.models import SymbolicInterpretation
 from chcpair import corpus
 
-from helpers import conj
+from helpers import conj, line_chunks, mutant_failures
 
 GOLDEN = Path(__file__).parent / "golden"
+BENCH_MODELS = Path(__file__).resolve().parents[1] / "bench_e2e" / "inputs" / "models"
+CORPUS_DIR = Path(corpus.__file__).parent
 
 
 def test_emit_clause_two_of_the_loop():
@@ -129,6 +131,54 @@ def test_parse_model_unsupported_construct():
         parse_model("(define-fun p ((X Int)) Bool (let ((y 1)) (= X y)))")
     assert "let" in str(e.value)
     assert e.value.line is not None
+
+
+@pytest.mark.parametrize("text, line, col", [
+    ("(define-fun sum_upto ((X Int)) Bool)", 1, 1),
+    ("(define-fun p ((X Int)) Bool (>= X 0) extra)", 1, 1),
+    ("(define-fun p ((X Int)) Bool\n  ((= X 0) (>= X 1)))", 2, 3),
+    ("(define-fun p ((X Int)) Bool ())", 1, 30),
+    ("(define-fun p (X Int) Bool true)", 1, 16),
+    ("(define-fun p ((X)) Bool true)", 1, 16),
+    ("(define-fun p ((X Int)) Bool (>= X))", 1, 30),
+    ("(define-fun p ((X Int)) Bool (= (-) X))", 1, 33),
+    ("(define-fun p ((X Int)) Bool (not (= X 0 1)))", 1, 35),
+    ("(define-fun p ((X Int)) Bool (not))", 1, 30),
+    ("(define-fun p ((X Int)) Bool (exists ((Y Int))))", 1, 30),
+    ("(define-fun p ((X Int)) Bool (exists (Y) (= X Y)))", 1, 39),
+    ("(declare-fun)", 1, 1),
+])
+def test_parse_model_refuses_malformed_forms_at_their_position(text, line, col):
+    with pytest.raises(ParseError) as e:
+        parse_model(text)
+    assert (e.value.line, e.value.col) == (line, col)
+
+
+EVERY_CONSTRUCT = (
+    "(model (declare-fun q (Int) Bool)\n"
+    "(define-fun su ((M Int)(R Int)(S Int)) Bool\n"
+    " (exists ((D Int)) (and (>= D 0) (or (and (= S (+ M D)) (>= S R R))\n"
+    "  (not (< R (- 1))) (<= (* 2 R) (- S M)) false true))))\n"
+    "(define-fun a ((A (Array Int Int))(X Int)) Bool (= X 0)))\n"
+)
+
+
+def test_mutated_models_and_programs_raise_only_chc_errors():
+    """One-edit mutants of the frozen models and of the corpus programs
+    parse or raise a ChcError, and a model's ParseError has a position."""
+    texts = [*line_chunks(sorted(BENCH_MODELS.glob("*.smt2"))), EVERY_CONSTRUCT]
+    n, failures = mutant_failures(parse_model, texts, seed=12, seconds=2, most=3000)
+    assert n >= 300 and failures
+    bad = [
+        (t, e) for t, e in failures
+        if not isinstance(e, ChcError) or isinstance(e, ParseError) and e.line is None
+    ]
+    assert not bad, bad[:3]
+    texts = [p.read_text() for p in sorted(CORPUS_DIR.glob("*.chc"))]
+    n, failures = mutant_failures(parse_program, texts, seed=13, seconds=1, most=1000)
+    assert n >= 100 and failures
+    bad = [(t, e) for t, e in failures if not isinstance(e, ChcError)]
+    assert not bad, bad[:3]
 
 
 def test_parse_model_negated_atom():
