@@ -241,32 +241,34 @@ def _form(node, what: str) -> tuple[str, list]:
     return val[0][0], val[1:]
 
 
-def _arity(op: str, args: list, pos, least: int, most: Optional[int] = None) -> None:
-    """ParseError at pos unless op has between least and most arguments."""
-    if least <= len(args) and (most is None or len(args) <= most):
-        return
-    if most is None:
-        want = f"at least {least}"
-    else:
-        want = str(least) if least == most else f"{least} to {most}"
-    raise ParseError(f"{op!r} takes {want} arguments, not {len(args)}", *pos)
+def _arity(op: str, args: list, pos, n: int, or_more: bool = False) -> None:
+    """ParseError at pos unless op has n arguments, or more with or_more."""
+    if len(args) < n or (len(args) > n and not or_more):
+        want = f"at least {n}" if or_more else str(n)
+        raise ParseError(f"{op!r} takes {want} arguments, not {len(args)}", *pos)
 
 
-def _binder(node) -> tuple[str, Sort]:
-    """The name and the sort of a binder (name sort)."""
-    name, args = _form(node, "a binder (name sort)")
-    if len(args) != 1:
-        raise ParseError("expected a binder (name sort)", *node[1])
-    return name, _parse_sort(args[0])
+def _binders(node) -> list[tuple[str, Sort, tuple[int, int]]]:
+    """The name, sort and position of each binder of ((name sort)...)."""
+    val, pos = node
+    if not isinstance(val, list):
+        raise ParseError("expected a list of binders (name sort)", *pos)
+    out = []
+    for b in val:
+        name, args = _form(b, "a binder (name sort)")
+        if len(args) != 1:
+            raise ParseError("expected a binder (name sort)", *b[1])
+        out.append((name, _parse_sort(args[0]), b[1]))
+    return out
 
 
 def _parse_sort(node) -> Sort:
     val, pos = node
     if val == "Int":
         return Sort.INT
-    if isinstance(val, list) and len(val) == 3 and val[0][0] == "Array":
+    if isinstance(val, list) and [v for v, _ in val] == ["Array", "Int", "Int"]:
         return Sort.ARRAY
-    raise ParseError(f"unsupported sort {val!r}", *pos)
+    raise ParseError("unsupported sort, expected Int or (Array Int Int)", *pos)
 
 
 def _parse_expr(node, env: Mapping[str, Var]) -> LinExpr:
@@ -287,7 +289,7 @@ def _parse_expr(node, env: Mapping[str, Var]) -> LinExpr:
             out = out.add(_parse_expr(a, env))
         return out
     if op == "-":
-        _arity(op, args, pos, 1)
+        _arity(op, args, pos, 1, or_more=True)
         if len(args) == 1:
             return _parse_expr(args[0], env).scale(-1)
         out = _parse_expr(args[0], env)
@@ -318,7 +320,7 @@ def _parse_formula(node, env: dict[str, Var], taken: set[str]) -> QuantDisj:
         return qd_false()
     op, args = _form(node, "a formula")
     if op in _REL_FROM_SMT:
-        _arity(op, args, pos, 2)
+        _arity(op, args, pos, 2, or_more=True)
         lhs = _parse_expr(args[0], env)
         rhs = _parse_expr(args[1], env)
         atoms = [LinAtom(lhs, _REL_FROM_SMT[op], rhs)]
@@ -349,24 +351,20 @@ def _parse_formula(node, env: dict[str, Var], taken: set[str]) -> QuantDisj:
             disjuncts.extend(q.disjuncts)
         return QuantDisj(tuple(exists), tuple(disjuncts))
     if op == "not":
-        _arity(op, args, pos, 1, 1)
+        _arity(op, args, pos, 1)
         rel, operands = _form(args[0], "an atom to negate")
         if rel not in _REL_FROM_SMT:
             raise ParseError("negation is only supported on atoms", *args[0][1])
-        _arity(rel, operands, args[0][1], 2, 2)
+        _arity(rel, operands, args[0][1], 2)
         lhs = _parse_expr(operands[0], env)
         rhs = _parse_expr(operands[1], env)
         neg = negate_linatom(LinAtom(lhs, _REL_FROM_SMT[rel], rhs))
         return QuantDisj((), tuple(ConstraintConj((a,)) for a in neg))
     if op == "exists":
-        _arity(op, args, pos, 2, 2)
-        binders, bpos = args[0]
-        if not isinstance(binders, list):
-            raise ParseError("expected a list of binders", *bpos)
+        _arity(op, args, pos, 2)
         inner_env = dict(env)
         bound: list[Var] = []
-        for b in binders:
-            name, sort = _binder(b)
+        for name, sort, _ in _binders(args[0]):
             nn = fresh_name(name, taken)
             taken.add(nn)
             v = Var(nn, sort)
@@ -399,26 +397,24 @@ def parse_model(text: str) -> SymbolicInterpretation:
         head, args = _form(node, "a define-fun form")
         pos = node[1]
         if head == "declare-fun":
-            _arity(head, args, pos, 3, 3)
+            _arity(head, args, pos, 3)
             _symbol(args[0], "a predicate name")
             continue
         if head != "define-fun":
             raise ParseError(f"unsupported construct {head!r}", *pos)
-        _arity(head, args, pos, 4, 4)
+        _arity(head, args, pos, 4)
         name = _symbol(args[0], "a predicate name")
+        if name in entries:
+            raise ParseError(f"predicate {name} is defined twice", *pos)
         ret, rpos = args[2]
         if ret != "Bool":
             raise ParseError(f"predicate {name} must return Bool", *rpos)
         params: list[Var] = []
         env: dict[str, Var] = {}
         taken: set[str] = set()
-        binders, bpos = args[1]
-        if not isinstance(binders, list):
-            raise ParseError("expected a list of parameters", *bpos)
-        for b in binders:
-            pname, sort = _binder(b)
+        for pname, sort, bpos in _binders(args[1]):
             if pname in env:
-                raise ParseError(f"duplicate parameter {pname}", *b[1])
+                raise ParseError(f"duplicate parameter {pname}", *bpos)
             v = Var(pname, sort)
             env[pname] = v
             taken.add(pname)

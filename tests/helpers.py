@@ -285,4 +285,3 @@ def mutant_failures(parse, texts, seed: int, seconds: float, most: int):
         except Exception as exc:
             failures.append((text, exc))
     return n, failures
-

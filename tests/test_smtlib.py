@@ -147,6 +147,8 @@ def test_parse_model_unsupported_construct():
     ("(define-fun p ((X Int)) Bool (exists ((Y Int))))", 1, 30),
     ("(define-fun p ((X Int)) Bool (exists (Y) (= X Y)))", 1, 39),
     ("(declare-fun)", 1, 1),
+    ("(define-fun p ((A (Array Bool Int))) Bool true)", 1, 19),
+    ("(define-fun p ((X Int)) Bool true)\n(define-fun p ((X Int)) Bool false)", 2, 1),
 ])
 def test_parse_model_refuses_malformed_forms_at_their_position(text, line, col):
     with pytest.raises(ParseError) as e:
