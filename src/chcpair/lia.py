@@ -892,8 +892,41 @@ def _flatten_exists(q: QuantDisj) -> tuple[list[ConstraintConj], bool]:
     return out, exact
 
 
+def _entailed_atoms(reduced: _Reduced, atoms: Iterable[LinAtom]) -> set[LinAtom]:
+    """The atoms whose rows are ground and true once the reduction's Gauss
+    definitions are substituted into them, in elimination order as `_grow`
+    does. The reduced atoms entail each of them, and any negation of one,
+    added to the reduced atoms, leaves a false ground row. An atom with a
+    variable outside the reduction is never ground."""
+    index = reduced.sys.index
+    candidates = []
+    rows = []
+    for atom in atoms:
+        terms, k, _ = atom.row()
+        if all(v in index for v, _ in terms):
+            candidates.append(atom)
+            rows.append(({index[v]: c for v, c in terms}, k))
+    return {
+        atom
+        for atom, (coeffs, k) in zip(candidates, _subst_defs(rows, reduced.defs))
+        if not coeffs and boxes.row_holds(k, atom.row()[2])
+    }
+
+
 def _implies(lhs: QuantDisj, rhs: QuantDisj) -> Verdict:
-    """Validity of for-all(lhs -> rhs)."""
+    """Validity of for-all(lhs -> rhs).
+
+    lhs -> rhs holds when, for each disjunct phi of lhs, phi and not(psi1 or
+    ... or psim) is unsatisfiable for the disjuncts psi of rhs, that is, phi
+    and one negation of an atom of each psi, for every choice of them. The
+    choices are counted first, without building any atom (an EQ atom has two
+    negations, any other atom one); past `DNF_CAP` the answer is Unknown.
+    Then phi is reduced once, and an atom whose row is ground and true under
+    phi's Gauss definitions is entailed: each of its negations would be
+    refuted, so it gets none (`_entailed_atoms`). A psi whose every atom is
+    entailed proves phi -> rhs; the negations of the other atoms go to
+    `_refute_each`, which asks one query per choice.
+    """
     taken = {v.name for v in lhs.free_vars()} | {v.name for v in rhs.free_vars()}
     lhs = qd_rename_exists_fresh(lhs, taken)
     rdisj, r_exact = _flatten_exists(rhs)
@@ -901,31 +934,33 @@ def _implies(lhs: QuantDisj, rhs: QuantDisj) -> Verdict:
         not isinstance(a, LinAtom) for d in lhs.disjuncts for a in d.atoms
     ):
         return Verdict.UNKNOWN  # array atoms: no internal theory
+    if any(psi.is_true() for psi in rdisj):
+        # not(true) = false: the implication holds
+        return Verdict.PROVED if r_exact else Verdict.UNKNOWN
+    psi_atoms = [psi.lin_atoms() for psi in rdisj]
+    total = 1
+    for atoms in psi_atoms:
+        total *= sum(2 if a.rel is Rel.EQ else 1 for a in atoms)
+    if total > DNF_CAP:
+        return Verdict.UNKNOWN
     saw_unknown = not r_exact
     for phi in lhs.disjuncts:
-        # check phi and not(psi1 or ... or psim) unsatisfiable
+        reduced = _reduce(phi.lin_atoms())
+        if reduced.unsat:
+            continue  # every choice is refuted
+        entailed = _entailed_atoms(reduced, dict.fromkeys(a for atoms in psi_atoms for a in atoms))
         neg_choices: list[list[LinAtom]] = []
-        for psi in rdisj:
-            if psi.is_true():
-                neg_choices = None  # not(true) = false: implication holds
-                break
-            alts: list[LinAtom] = []
-            for a in psi.lin_atoms():
-                alts.extend(negate_linatom(a))
+        for atoms in psi_atoms:
+            alts = [n for a in atoms if a not in entailed for n in negate_linatom(a)]
+            if not alts:
+                break  # phi entails psi
             neg_choices.append(alts)
-        if neg_choices is None:
-            continue
-        total = 1
-        for alts in neg_choices:
-            total *= len(alts)
-        if total > DNF_CAP:
-            saw_unknown = True
-            continue
-        v = _refute_each(phi, product(*neg_choices))
-        if v is Verdict.DISPROVED:
-            return Verdict.DISPROVED
-        if v is Verdict.UNKNOWN:
-            saw_unknown = True
+        else:
+            v = _refute_each(phi, product(*neg_choices), reduced)
+            if v is Verdict.DISPROVED:
+                return Verdict.DISPROVED
+            if v is Verdict.UNKNOWN:
+                saw_unknown = True
     if saw_unknown:
         return Verdict.UNKNOWN
     return Verdict.PROVED

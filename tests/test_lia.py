@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import operator
 import random
 import time
@@ -753,3 +754,143 @@ def test_a_reduction_of_no_prefix_is_refused():
         with pytest.raises(ValueError):
             lia.reduction(c, base=r)
     assert is_satisfiable(c, reduced=lia.reduction(conj("X >= 0"))) is Verdict.PROVED
+
+
+# --- implications between quantified disjunctions ---------------------------
+
+def _implies_reference(lhs, rhs):
+    """for-all(lhs -> rhs) with one `_extend` of the antecedent disjunct's
+    reduction per choice of a negated atom from each consequent disjunct,
+    the cap applied to the choices of each antecedent disjunct, and no
+    cache."""
+    taken = {v.name for v in lhs.free_vars()} | {v.name for v in rhs.free_vars()}
+    lhs = lia.qd_rename_exists_fresh(lhs, taken)
+    rdisj, r_exact = lia._flatten_exists(rhs)
+    saw_unknown = not r_exact
+    for phi in lhs.disjuncts:
+        if any(psi.is_true() for psi in rdisj):
+            continue
+        choices = [[n for a in psi.lin_atoms() for n in negate_linatom(a)] for psi in rdisj]
+        if math.prod(len(alts) for alts in choices) > lia.DNF_CAP:
+            saw_unknown = True
+            continue
+        base = lia._reduce(phi.lin_atoms())
+        for extra in itertools.product(*choices):
+            verdict, _ = lia._extend(base, extra)
+            if verdict is Verdict.PROVED:
+                return Verdict.DISPROVED
+            saw_unknown = saw_unknown or verdict is Verdict.UNKNOWN
+    return Verdict.UNKNOWN if saw_unknown else Verdict.PROVED
+
+
+def _equiv_reference(lhs, rhs):
+    a = _implies_reference(lhs, rhs)
+    if a is Verdict.DISPROVED:
+        return a
+    b = _implies_reference(rhs, lhs)
+    if b is not Verdict.PROVED:
+        return b
+    return a
+
+
+def _unit_equality(rng, pool):
+    """u = a*w + k with a unit u, or u = k: a Gauss pivot."""
+    u = rng.choice(pool)
+    others = [v for v in pool if v != u]
+    coeffs = {rng.choice(others): rng.choice([1, 2, -1])} if rng.random() < 0.8 else {}
+    return LinAtom(LinExpr.of(u), Rel.EQ, LinExpr.build(coeffs, rng.randint(-2, 2)))
+
+
+_OUTSIDE = [V("N1"), V("N2")]
+_BOUND = V("E")
+
+
+def _implication_case(rng):
+    """(tags, lhs, rhs): an antecedent whose disjuncts have unit equalities,
+    some unsatisfiable, and a consequent whose atoms are the antecedent's,
+    ground and mostly false, over variables outside it, random, or under an
+    existential prefix; some have more negation choices than the cap."""
+    pool = _POOL[: rng.randint(2, 7)]
+    tags = set()
+    phis = []
+    for _ in range(rng.randint(1, 3)):
+        atoms = [_unit_equality(rng, pool) for _ in range(rng.randint(1, 3))]
+        atoms += [_random_atom(rng, pool) for _ in range(rng.randint(0, 2))]
+        if rng.random() < 0.15:  # u = w and u = w + 1: Gauss finds 0 = 1
+            tags.add("unsat_phi")
+            u, w = rng.sample(pool, 2)
+            atoms += [LinAtom(LinExpr.of(u), Rel.EQ, LinExpr.of(w)),
+                      LinAtom(LinExpr.of(u), Rel.EQ, LinExpr.build({w: 1}, 1))]
+        rng.shuffle(atoms)
+        phis.append(ConstraintConj(tuple(atoms)))
+    if rng.random() < 0.05:
+        tags.add("cap")
+        psis = [
+            ConstraintConj(tuple(_unit_equality(rng, pool) for _ in range(2))) for _ in range(6)
+        ]
+        return tags, QuantDisj((), tuple(phis)), QuantDisj((), tuple(psis))
+    psis = []
+    exists = ()
+    for _ in range(rng.randint(1, 3)):
+        atoms = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.choice(["reuse", "reuse", "relaxed", "ground", "outside", "random",
+                               "exists"])
+            tags.add(kind)
+            if kind == "reuse":
+                atoms.append(rng.choice(rng.choice(phis).atoms))
+            elif kind == "relaxed":  # an EQ atom of phi as LE or GE: entailed by it
+                a = rng.choice(rng.choice(phis).atoms)
+                atoms.append(LinAtom(a.lhs, rng.choice([Rel.LE, Rel.GE, a.rel]), a.rhs))
+            elif kind == "ground":
+                atoms.append(LinAtom(LinExpr.number(rng.randint(0, 3)),
+                                     rng.choice([Rel.EQ, Rel.LT, Rel.NE]), LinExpr.number(0)))
+            elif kind == "outside":
+                atoms.append(_random_atom(rng, rng.sample(pool, 1) + _OUTSIDE))
+            elif kind == "random":
+                atoms.append(_random_atom(rng, pool))
+            else:
+                exists = (_BOUND,)
+                rhs = LinExpr.build({rng.choice(pool): 1}, rng.randint(-1, 1))
+                atoms.append(LinAtom(LinExpr.build({_BOUND: rng.choice([1, 2])}), Rel.EQ, rhs))
+        psis.append(ConstraintConj(tuple(atoms)))
+    return tags, QuantDisj((), tuple(phis)), QuantDisj(exists, tuple(psis))
+
+
+# an unsatisfiable antecedent and more than DNF_CAP choices: Unknown,
+# although every choice would be refuted
+_UNSAT_PAST_THE_CAP = (
+    {"cap", "unsat_phi", "fixed"},
+    qd_of(conj("X = Y, X = Y + 1")),
+    QuantDisj((), tuple(conj(f"X = {k}, Y = {k}") for k in range(6))),
+)
+
+
+def test_implications_match_one_query_per_negation_choice():
+    """implies_quant_disj and equiv_quant_disj give the verdicts of asking
+    every choice of negated consequent atoms, under the cap, through
+    `_extend`."""
+    rng = random.Random(113)
+    seen = collections.Counter()
+    deadline = time.monotonic() + 1.5
+    cases = 0
+    install_unknown_resolver(None)
+    for tags, lhs, rhs in itertools.chain(
+        [_UNSAT_PAST_THE_CAP], iter(lambda: _implication_case(rng), None)
+    ):
+        if cases >= 3000 or time.monotonic() > deadline:
+            break
+        got = lia.implies_quant_disj(lhs, rhs)
+        assert got is _implies_reference(lhs, rhs), (lhs, rhs)
+        assert lia.equiv_quant_disj(lhs, rhs) is _equiv_reference(lhs, rhs), (lhs, rhs)
+        seen.update(tags)
+        seen[got.value] += 1
+        if tags >= {"cap", "unsat_phi"}:
+            assert got is Verdict.UNKNOWN
+            seen["unsat_past_the_cap"] += 1
+        cases += 1
+    assert cases >= 200
+    for key in ("unsat_phi", "cap", "reuse", "relaxed", "ground", "outside", "random", "exists",
+                "proved", "disproved", "unknown"):
+        assert seen[key] >= 5, (key, seen)
+    assert seen["unsat_past_the_cap"] >= 1 and seen["fixed"] == 1

@@ -20,9 +20,10 @@ from chcpair.errors import ModelError, TransportError
 from chcpair.lia import Verdict, equiv_quant_disj, qd_of, qd_true
 from chcpair.models import SymbolicInterpretation
 from chcpair.oracle import OracleBudget
-from chcpair import boxes
+from chcpair import boxes, lia
 
 from helpers import all_true_interpretation, conj, random_definite_program
+from test_model_goldens import load_case
 
 V = Var
 
@@ -101,6 +102,26 @@ def test_tightness_fixtures():
     assert check_tight(s, sig1) is Verdict.PROVED
     assert check_tight(s, sig2) is Verdict.DISPROVED
     assert check_tight(Program([]), sig1) is Verdict.PROVED
+
+
+def test_entailed_atoms_of_a_transported_model_ask_no_query(monkeypatch):
+    """On hl1's transported model, nearly every consequent atom is ground and
+    true under the Gauss definitions of the antecedent disjunct, so the
+    checks ask few satisfiability queries of the rest (3,456 when every
+    choice of negated atoms was asked)."""
+    prog, sigma, defs = load_case("hl1.transported")
+    calls = []
+    extend = lia._extend
+
+    def counted(base, extra):
+        calls.append(extra)
+        return extend(base, extra)
+
+    monkeypatch.setattr(lia, "_extend", counted)
+    lia.install_unknown_resolver(None)
+    assert check_model(prog, sigma).overall is Verdict.PROVED
+    assert check_tight(defs, sigma) is Verdict.PROVED
+    assert len(calls) <= 20
 
 
 def test_tightness_rejects_goals(sum_upto):
