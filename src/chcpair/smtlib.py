@@ -199,29 +199,26 @@ class _SExprReader:
         yield None, (self.line, self.col)
 
     def read_all(self):
-        toks = self.tokens()
-        self.cur = next(toks)
+        """The top-level forms as nodes (value, (line, col)), where a value
+        is a token's text or the list of the nodes inside a parenthesis. The
+        lists still open wait on a stack, so no nesting depth recurses."""
         out = []
-
-        def rd():
-            tok, pos = self.cur
+        items = out
+        stack = []  # (enclosing items, position) of each open list
+        for tok, pos in self.tokens():
             if tok is None:
-                raise ParseError("unexpected end of model file", *pos)
+                if stack:
+                    raise ParseError("unbalanced parenthesis", *stack[-1][1])
+                return out
             if tok == "(":
+                stack.append((items, pos))
                 items = []
-                self.cur = next(toks)
-                while self.cur[0] != ")":
-                    if self.cur[0] is None:
-                        raise ParseError("unbalanced parenthesis", *pos)
-                    items.append(rd())
-                self.cur = next(toks)
-                return (items, pos)
-            self.cur = next(toks)
-            return (tok, pos)
-
-        while self.cur[0] is not None:
-            out.append(rd())
-        return out
+            elif tok == ")" and stack:
+                enclosing, start = stack.pop()
+                enclosing.append((items, start))
+                items = enclosing
+            else:
+                items.append((tok, pos))
 
 
 def _symbol(node, what: str) -> str:
@@ -271,7 +268,21 @@ def _parse_sort(node) -> Sort:
     raise ParseError("unsupported sort, expected Int or (Array Int Int)", *pos)
 
 
-def _parse_expr(node, env: Mapping[str, Var]) -> LinExpr:
+# Deepest nesting of a formula's lists, counted from the define-fun body: the
+# formula and term parsers recurse once or twice per level, and the bound
+# keeps them well inside Python's default recursion limit of 1000 frames.
+_MAX_DEPTH = 400
+
+
+def _nest(pos, depth: int) -> int:
+    """depth + 1, the depth of a list node's arguments; ParseError at the
+    node past `_MAX_DEPTH`."""
+    if depth >= _MAX_DEPTH:
+        raise ParseError(f"formula nested deeper than {_MAX_DEPTH} levels", *pos)
+    return depth + 1
+
+
+def _parse_expr(node, env: Mapping[str, Var], depth: int) -> LinExpr:
     val, pos = node
     if isinstance(val, str):
         if re.fullmatch(r"-?\d+", val):
@@ -283,21 +294,22 @@ def _parse_expr(node, env: Mapping[str, Var]) -> LinExpr:
             return LinExpr.of(v)
         raise ParseError(f"unbound symbol {val!r}", *pos)
     op, args = _form(node, "a term")
+    depth = _nest(pos, depth)
     if op == "+":
         out = LinExpr.number(0)
         for a in args:
-            out = out.add(_parse_expr(a, env))
+            out = out.add(_parse_expr(a, env, depth))
         return out
     if op == "-":
         _arity(op, args, pos, 1, or_more=True)
         if len(args) == 1:
-            return _parse_expr(args[0], env).scale(-1)
-        out = _parse_expr(args[0], env)
+            return _parse_expr(args[0], env, depth).scale(-1)
+        out = _parse_expr(args[0], env, depth)
         for a in args[1:]:
-            out = out.sub(_parse_expr(a, env))
+            out = out.sub(_parse_expr(a, env, depth))
         return out
     if op == "*":
-        exprs = [_parse_expr(a, env) for a in args]
+        exprs = [_parse_expr(a, env, depth) for a in args]
         consts = [e for e in exprs if e.is_const()]
         others = [e for e in exprs if not e.is_const()]
         if len(others) > 1:
@@ -312,20 +324,21 @@ def _parse_expr(node, env: Mapping[str, Var]) -> LinExpr:
 _REL_FROM_SMT = {"=": Rel.EQ, "<=": Rel.LE, "<": Rel.LT, ">=": Rel.GE, ">": Rel.GT}
 
 
-def _parse_formula(node, env: dict[str, Var], taken: set[str]) -> QuantDisj:
+def _parse_formula(node, env: dict[str, Var], taken: set[str], depth: int) -> QuantDisj:
     val, pos = node
     if val == "true":
         return qd_true()
     if val == "false":
         return qd_false()
     op, args = _form(node, "a formula")
+    depth = _nest(pos, depth)
     if op in _REL_FROM_SMT:
         _arity(op, args, pos, 2, or_more=True)
-        lhs = _parse_expr(args[0], env)
-        rhs = _parse_expr(args[1], env)
+        lhs = _parse_expr(args[0], env, depth)
+        rhs = _parse_expr(args[1], env, depth)
         atoms = [LinAtom(lhs, _REL_FROM_SMT[op], rhs)]
         for extra in args[2:]:  # chained relations
-            nxt = _parse_expr(extra, env)
+            nxt = _parse_expr(extra, env, depth)
             atoms.append(LinAtom(rhs, _REL_FROM_SMT[op], nxt))
             rhs = nxt
         parts = [QuantDisj((), (ConstraintConj((a,)),)) for a in atoms]
@@ -334,7 +347,7 @@ def _parse_formula(node, env: dict[str, Var], taken: set[str]) -> QuantDisj:
             raise ParseError("formula too large", *pos)
         return out
     if op == "and":
-        parts = [_parse_formula(a, env, taken) for a in args]
+        parts = [_parse_formula(a, env, taken, depth) for a in args]
         out = qd_conjoin(parts) if parts else qd_true()
         if out is None:
             raise ParseError("conjunction exceeds the disjunct cap", *pos)
@@ -342,7 +355,7 @@ def _parse_formula(node, env: dict[str, Var], taken: set[str]) -> QuantDisj:
     if op == "or":
         if not args:
             return qd_false()
-        parts = [_parse_formula(a, env, taken) for a in args]
+        parts = [_parse_formula(a, env, taken, depth) for a in args]
         exists: list[Var] = []
         disjuncts: list[ConstraintConj] = []
         for q in parts:
@@ -356,8 +369,9 @@ def _parse_formula(node, env: dict[str, Var], taken: set[str]) -> QuantDisj:
         if rel not in _REL_FROM_SMT:
             raise ParseError("negation is only supported on atoms", *args[0][1])
         _arity(rel, operands, args[0][1], 2)
-        lhs = _parse_expr(operands[0], env)
-        rhs = _parse_expr(operands[1], env)
+        depth = _nest(args[0][1], depth)
+        lhs = _parse_expr(operands[0], env, depth)
+        rhs = _parse_expr(operands[1], env, depth)
         neg = negate_linatom(LinAtom(lhs, _REL_FROM_SMT[rel], rhs))
         return QuantDisj((), tuple(ConstraintConj((a,)) for a in neg))
     if op == "exists":
@@ -370,7 +384,7 @@ def _parse_formula(node, env: dict[str, Var], taken: set[str]) -> QuantDisj:
             v = Var(nn, sort)
             inner_env[name] = v
             bound.append(v)
-        sub = _parse_formula(args[1], inner_env, taken)
+        sub = _parse_formula(args[1], inner_env, taken, depth)
         return QuantDisj(tuple(bound) + sub.exists, sub.disjuncts, sub.exact)
     if op in ("let", "ite", "forall", "select", "store"):
         raise ParseError(f"unsupported construct {op!r} in model formula", *pos)
@@ -419,6 +433,6 @@ def parse_model(text: str) -> SymbolicInterpretation:
             env[pname] = v
             taken.add(pname)
             params.append(v)
-        formula = _parse_formula(args[3], env, taken)
+        formula = _parse_formula(args[3], env, taken, 0)
         entries[name] = (tuple(params), formula)
     return SymbolicInterpretation(entries)

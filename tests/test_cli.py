@@ -179,6 +179,8 @@ MALFORMED_MODELS = [
     "(define-fun su ((M Int)(R Int)(S Int)) Bool)\n",
     "(define-fun su ((M Int)(R Int)(S Int)) Bool ((= M R) (>= S 0)))\n",
     "(define-fun su ((M Int)(R Int)(S Int)) Bool (>= S 0) extra)\n",
+    "(define-fun su ((M Int)(R Int)(S Int)) Bool " + "(and (>= S 0) " * 3000 + "true"
+    + ")" * 3001 + "\n",
 ]
 
 

@@ -14,7 +14,7 @@ from chcpair import (
 from chcpair.errors import ChcError, ParseError
 from chcpair.lia import Verdict, equiv_quant_disj, qd_of, qd_true
 from chcpair.models import SymbolicInterpretation
-from chcpair import corpus
+from chcpair import corpus, smtlib
 
 from helpers import conj, line_chunks, mutant_failures
 
@@ -154,6 +154,51 @@ def test_parse_model_refuses_malformed_forms_at_their_position(text, line, col):
     with pytest.raises(ParseError) as e:
         parse_model(text)
     assert (e.value.line, e.value.col) == (line, col)
+
+
+def _nested(kind: str, n: int) -> str:
+    """A model whose formula nests n lists deep through `kind`."""
+    if kind == "not":
+        body = "(and " * (n - 2) + "(not (= X 0))" + ")" * (n - 2)
+    elif kind == "exists":
+        body = "(exists ((Y Int)) " * (n - 1) + "(= X Y)" + ")" * (n - 1)
+    elif kind in ("-", "+"):
+        term = f"({kind} 1 " if kind == "+" else "(- "
+        body = "(>= " + term * (n - 1) + "X" + ")" * (n - 1) + " 0)"
+    else:
+        body = f"({kind} (>= X 0) " * (n - 1) + "(>= X 0)" + ")" * (n - 1)
+    return f"(define-fun p ((X Int)) Bool {body})"
+
+
+NESTING_KINDS = ("and", "or", "not", "exists", "-", "+")
+
+
+@pytest.mark.parametrize("kind", NESTING_KINDS)
+def test_deep_nesting_is_refused_at_the_first_list_past_the_bound(kind):
+    text = _nested(kind, 3000)
+    with pytest.raises(ParseError) as e:
+        parse_model(text)
+    assert "nested deeper" in str(e.value) and e.value.line == 1
+    before = text[: e.value.col - 1]
+    # the define-fun's own list is open, and the lists around the form
+    assert text[e.value.col - 1] == "("
+    assert before.count("(") - before.count(")") == smtlib._MAX_DEPTH + 1
+
+
+@pytest.mark.parametrize("kind", NESTING_KINDS)
+def test_nesting_up_to_the_bound_parses(kind):
+    for n in (300, smtlib._MAX_DEPTH):
+        (params, formula), = [parse_model(_nested(kind, n)).entry("p")]
+        assert params == (Var("X"),) and formula.disjuncts
+
+
+def test_the_reader_takes_any_depth():
+    deep = "(" * 3000 + ")" * 3000
+    assert parse_model(f"(declare-fun q ({deep}) Bool)").preds() == ()
+    # the lists at columns 3016 and 3015 close: the one at 3014 is unbalanced
+    with pytest.raises(ParseError) as e:
+        parse_model("(declare-fun q (" + "(" * 3000 + ") Bool)")
+    assert "unbalanced" in str(e.value) and (e.value.line, e.value.col) == (1, 3014)
 
 
 EVERY_CONSTRUCT = (
