@@ -30,12 +30,17 @@ starts with its parent's, so it reduces the clause it unfolds once, grows
 each child's reduction from it, and decides each grandchild
 (`satisfiable_with_witness(c, reduced=...)`) by growing its child's.
 An entailment c -> a asks for each negation n of a whether c and n is
-satisfiable, and `implies_quant_disj` asks one query per choice of negated
-atoms for each disjunct of its antecedent: all these queries extend one
-reduction of c, built on the first query that misses the cache and dropped
-when the call returns. Answers are cached under c, or under (c, extra) for
-these queries, and Unknowns are handed to the installed resolver as the
-whole conjunction.
+satisfiable; these queries extend one reduction of c, built on the first
+query that misses the cache and dropped when the call returns.
+`implies_quant_disj` settles first what Gauss alone settles. It reduces
+each disjunct c of its antecedent once and substitutes c's Gauss
+definitions into the rows of the consequent's atoms: an atom whose row
+becomes ground and true is entailed by c and is asked nothing, and a
+consequent disjunct whose atoms are all entailed proves c's case. Only the
+negations of the other atoms are asked, one query per choice of them, each
+extending c's reduction. Answers are cached under c, or under (c, extra)
+for these queries, and Unknowns are handed to the installed resolver as
+the whole conjunction.
 
 `project` shares the Gauss pass. It lowers the atoms that mention an
 eliminated variable once, and `_gauss_reduce` pivots on eliminated
@@ -924,8 +929,8 @@ def _implies(lhs: QuantDisj, rhs: QuantDisj) -> Verdict:
     Then phi is reduced once, and an atom whose row is ground and true under
     phi's Gauss definitions is entailed: each of its negations would be
     refuted, so it gets none (`_entailed_atoms`). A psi whose every atom is
-    entailed proves phi -> rhs; the negations of the other atoms go to
-    `_refute_each`, which asks one query per choice.
+    entailed, or an unsatisfiable phi, proves phi -> rhs; the negations of
+    the other atoms go to `_refute_each`, which asks one query per choice.
     """
     taken = {v.name for v in lhs.free_vars()} | {v.name for v in rhs.free_vars()}
     lhs = qd_rename_exists_fresh(lhs, taken)

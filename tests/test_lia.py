@@ -816,7 +816,10 @@ def _implication_case(rng):
     for _ in range(rng.randint(1, 3)):
         atoms = [_unit_equality(rng, pool) for _ in range(rng.randint(1, 3))]
         atoms += [_random_atom(rng, pool) for _ in range(rng.randint(0, 2))]
-        if rng.random() < 0.15:  # u = w and u = w + 1: Gauss finds 0 = 1
+        if rng.random() < 0.05:
+            tags.add("unsat_phi")
+            atoms.append(false_atom())
+        elif rng.random() < 0.15:  # u = w and u = w + 1: Gauss finds 0 = 1
             tags.add("unsat_phi")
             u, w = rng.sample(pool, 2)
             atoms += [LinAtom(LinExpr.of(u), Rel.EQ, LinExpr.of(w)),
@@ -839,7 +842,7 @@ def _implication_case(rng):
             tags.add(kind)
             if kind == "reuse":
                 atoms.append(rng.choice(rng.choice(phis).atoms))
-            elif kind == "relaxed":  # an EQ atom of phi as LE or GE: entailed by it
+            elif kind == "relaxed":  # entailed when phi's atom is an equality
                 a = rng.choice(rng.choice(phis).atoms)
                 atoms.append(LinAtom(a.lhs, rng.choice([Rel.LE, Rel.GE, a.rel]), a.rhs))
             elif kind == "ground":

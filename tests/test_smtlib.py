@@ -188,7 +188,7 @@ def test_deep_nesting_is_refused_at_the_first_list_past_the_bound(kind):
 @pytest.mark.parametrize("kind", NESTING_KINDS)
 def test_nesting_up_to_the_bound_parses(kind):
     for n in (300, smtlib._MAX_DEPTH):
-        (params, formula), = [parse_model(_nested(kind, n)).entry("p")]
+        params, formula = parse_model(_nested(kind, n)).entry("p")
         assert params == (Var("X"),) and formula.disjuncts
 
 
