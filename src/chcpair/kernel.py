@@ -236,12 +236,14 @@ class TransformationState:
                     nn = fresh_name(v.name, taken)
                     taken.add(nn)
                     ren[v] = Var(nn, v.sort)
-            djr = dj.subst(ren)
-            sigma = dict(zip(djr.head.args, target.args))
-            new_constraint = c.constraint.conjoin(djr.constraint.subst(sigma))
+            # the renaming and the head match in one substitution: ren maps
+            # no head variable, and only to names outside c and dj
+            sigma = dict(ren)
+            sigma.update(zip(dj.head.args, target.args))
+            new_constraint = c.constraint.conjoin(dj.constraint.subst(sigma))
             new_body = (
                 c.body[:atom_index]
-                + tuple(a.subst(sigma) for a in djr.body)
+                + tuple(a.subst(sigma) for a in dj.body)
                 + c.body[atom_index + 1 :]
             )
             new_clauses.append(Clause(self.mint_id(), c.head, new_constraint, new_body))
@@ -328,22 +330,25 @@ class TransformationState:
                         f"existential variable image {xi.name} collides with {y.name}"
                     )
         # residual constraint: drop conjuncts that mention existential images
-        # while they stay entailed by the rest plus d(theta)
-        e_atoms = list(clause.constraint.atoms)
-        changed = True
-        while changed:
-            changed = False
-            for i, atom in enumerate(e_atoms):
-                if not images & set(atom.vars()):
-                    continue
-                rest = ConstraintConj(
-                    tuple(e_atoms[:i] + e_atoms[i + 1 :]) + d_inst.atoms
-                )
-                if entailed(rest, atom) is Verdict.PROVED:
-                    e_atoms.pop(i)
-                    changed = True
-                    break
-        e = ConstraintConj(tuple(e_atoms))
+        # while they stay entailed by the rest plus d(theta); without images
+        # it is the clause constraint itself
+        e = clause.constraint
+        if images:
+            e_atoms = list(e.atoms)
+            changed = True
+            while changed:
+                changed = False
+                for i, atom in enumerate(e_atoms):
+                    if not images & set(atom.vars()):
+                        continue
+                    rest = ConstraintConj(
+                        tuple(e_atoms[:i] + e_atoms[i + 1 :]) + d_inst.atoms
+                    )
+                    if entailed(rest, atom) is Verdict.PROVED:
+                        e_atoms.pop(i)
+                        changed = True
+                        break
+            e = ConstraintConj(tuple(e_atoms))
         # condition (iii.1): images must not occur in head, e, or unfolded rest
         rest_atoms = [a for i, a in enumerate(clause.body) if i not in selected]
         outside: set[Var] = set()

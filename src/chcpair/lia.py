@@ -139,7 +139,13 @@ def qd_of(conj: ConstraintConj, exists: Iterable[Var] = ()) -> QuantDisj:
 
 
 def qd_subst(q: QuantDisj, theta: Mapping[Var, Var]) -> QuantDisj:
-    """Substitute free variables, renaming existentials to avoid capture."""
+    """Substitute free variables, renaming existentials to avoid capture.
+
+    Without an existential prefix there is nothing to capture: the disjuncts
+    are substituted as they are, and no variable is collected.
+    """
+    if not q.exists:
+        return QuantDisj((), tuple(d.subst(theta) for d in q.disjuncts), q.exact)
     image = set(theta.values())
     ren: dict[Var, Var] = {}
     taken = {v.name for v in image} | {v.name for d in q.disjuncts for v in d.vars()}
@@ -178,13 +184,16 @@ def qd_rename_exists_fresh(q: QuantDisj, taken: set[str]) -> QuantDisj:
 def qd_conjoin(parts: Sequence[QuantDisj], cap: int = DNF_CAP) -> Optional[QuantDisj]:
     """Conjoin quantified disjunctions, distributing to DNF.
 
-    Existential prefixes are renamed apart and merged. Returns None if the
-    disjunct count would exceed the cap.
+    Existential prefixes are renamed apart and merged; the parts' variables
+    are collected for that only when some part has a prefix. Returns None if
+    the disjunct count would exceed the cap.
     """
-    taken: set[str] = set()
-    for q in parts:
-        taken |= {v.name for v in q.free_vars()}
-    renamed = [qd_rename_exists_fresh(q, taken) for q in parts]
+    renamed = parts
+    if any(q.exists for q in parts):
+        taken: set[str] = set()
+        for q in parts:
+            taken |= {v.name for v in q.free_vars()}
+        renamed = [qd_rename_exists_fresh(q, taken) for q in parts]
     total = 1
     for q in renamed:
         total *= len(q.disjuncts)
@@ -931,9 +940,12 @@ def _implies(lhs: QuantDisj, rhs: QuantDisj) -> Verdict:
     refuted, so it gets none (`_entailed_atoms`). A psi whose every atom is
     entailed, or an unsatisfiable phi, proves phi -> rhs; the negations of
     the other atoms go to `_refute_each`, which asks one query per choice.
+    An existential prefix of lhs is first renamed apart from the free
+    variables of both sides; without one, no variable is collected.
     """
-    taken = {v.name for v in lhs.free_vars()} | {v.name for v in rhs.free_vars()}
-    lhs = qd_rename_exists_fresh(lhs, taken)
+    if lhs.exists:
+        taken = {v.name for v in lhs.free_vars()} | {v.name for v in rhs.free_vars()}
+        lhs = qd_rename_exists_fresh(lhs, taken)
     rdisj, r_exact = _flatten_exists(rhs)
     if any(not isinstance(a, LinAtom) for d in rdisj for a in d.atoms) or any(
         not isinstance(a, LinAtom) for d in lhs.disjuncts for a in d.atoms

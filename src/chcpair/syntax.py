@@ -581,7 +581,11 @@ def predicate_partition(p: Program, q: str, r: str) -> tuple[Program, Program]:
 # variable and predicate position a sort, and _build makes the normalized
 # Clauses. A raw clause numbers its variables in order of first occurrence;
 # a raw linear expression is that number for a bare variable (coefficient 1,
-# constant 0) and a pair (coefficients by number, constant) otherwise.
+# constant 0) and a pair (coefficients by number, constant) otherwise. Most
+# terms of a printed program are bare variables: the grammar returns a
+# variable's number at once when no `*`, `+` or `-` follows it, without a
+# coefficient dict, and _build gives each clause variable one LinExpr that
+# all of the clause's atoms share.
 
 _TOKEN_RE = re.compile(
     r"""
@@ -603,6 +607,7 @@ _FIXED_KINDS = {
 }
 _UPPER = frozenset(string.ascii_uppercase + "_")
 _LOWER = frozenset(string.ascii_lowercase)
+_TERM_OPS = (_STAR, _PLUS, _MINUS)
 _EXPECTED = {_REL: "rel", _INT: "int", _VAR: "var", _IDENT: "ident", _LPAR: "(", _RPAR: ")", _DOT: "."}
 _RELS = {r.value: r for r in Rel}
 _SORTS = {"int": Sort.INT, "array": Sort.ARRAY}
@@ -660,6 +665,9 @@ def _grammar(text: str, tokens):
         return error(f"expected {_EXPECTED[kind]!r}, found {texts[i]!r}", i)
 
     def linexpr(i, names):
+        if kinds[i] == _VAR and kinds[i + 1] not in _TERM_OPS:
+            # a bare variable, most terms of a printed program
+            return names.setdefault(texts[i], len(names)), i + 1
         coeffs: dict[int, int] = {}
         const = 0
         sign = 1
@@ -951,13 +959,16 @@ def _build(clauses, signatures, var_sorts) -> list[Clause]:
     out = []
     for cid, ((head, cons, body, _, names), sorts) in enumerate(zip(clauses, var_sorts), 1):
         vs = [Var(name, s or INT) for name, s in zip(names, sorts)]
+        # one term per variable, shared by every atom of the clause that
+        # has the variable bare
+        terms = [LinExpr.of(v) for v in vs]
         names_of = list(names)
         used: Optional[set[str]] = None
         norm_eqs: list[ConstraintAtom] = []
 
         def expr(e):
             if type(e) is int:
-                return LinExpr.of(vs[e])
+                return terms[e]
             coeffs, const = e
             return LinExpr.build({vs[v]: c for v, c in coeffs.items()}, const)
 

@@ -29,7 +29,7 @@ from chcpair import (
 )
 from chcpair import lia
 from chcpair.lia import Verdict, qd_of, satisfiable_with_witness
-from chcpair.syntax import ReadAtom, false_atom, print_constraint_atom
+from chcpair.syntax import ReadAtom, false_atom, fresh_name, print_constraint_atom
 
 from helpers import conj
 
@@ -897,3 +897,100 @@ def test_implications_match_one_query_per_negation_choice():
                 "proved", "disproved", "unknown"):
         assert seen[key] >= 5, (key, seen)
     assert seen["unsat_past_the_cap"] >= 1 and seen["fixed"] == 1
+
+
+# --- renaming existential prefixes apart -------------------------------------
+
+def _qd_subst_reference(q, theta):
+    """qd_subst collecting the free names and theta's images on every call,
+    with or without a prefix, and renaming the prefix variables that theta
+    maps or that are among its images."""
+    image = set(theta.values())
+    taken = {v.name for v in image} | {v.name for d in q.disjuncts for v in d.vars()}
+    full = dict(theta)
+    for ev in q.exists:
+        full[ev] = ev
+        if ev in image or ev in theta:
+            nn = fresh_name(ev.name, taken | {ev.name})
+            taken.add(nn)
+            full[ev] = Var(nn, ev.sort)
+    return QuantDisj(
+        tuple(full[ev] for ev in q.exists), tuple(d.subst(full) for d in q.disjuncts), q.exact
+    )
+
+
+def _qd_conjoin_reference(parts, cap=lia.DNF_CAP):
+    """qd_conjoin renaming every part's prefix apart from all parts' free
+    names, with or without a prefix."""
+    taken = {v.name for q in parts for v in q.free_vars()}
+    renamed = [lia.qd_rename_exists_fresh(q, taken) for q in parts]
+    if math.prod(len(q.disjuncts) for q in renamed) > cap:
+        return None
+    disjuncts = tuple(
+        ConstraintConj(tuple(a for d in combo for a in d.atoms))
+        for combo in itertools.product(*(q.disjuncts for q in renamed))
+    )
+    return QuantDisj(
+        tuple(v for q in renamed for v in q.exists), disjuncts, all(q.exact for q in renamed)
+    )
+
+
+# E and E_1 are both prefix and free names: fresh names must step past both
+_PREFIX_POOL = [V(n) for n in ("X", "Y", "Z", "E", "E_1")]
+
+
+def _prefixed_qd(rng, tags):
+    """A quantified disjunction over _PREFIX_POOL, with no prefix half the
+    time; a prefix variable may be missing from the disjuncts, and its name
+    may be free in another formula of the case."""
+    exists = ()
+    if rng.random() < 0.5:
+        exists = tuple(rng.sample(_PREFIX_POOL, rng.randint(1, 2)))
+        tags.add("prefix")
+    disjuncts = tuple(
+        ConstraintConj(
+            tuple(_random_atom(rng, rng.sample(_PREFIX_POOL, 2)) for _ in range(rng.randint(1, 2)))
+        )
+        for _ in range(rng.randint(1, 2))
+    )
+    return QuantDisj(exists, disjuncts, rng.random() < 0.9)
+
+
+def _same(got, want):
+    return got == want and (got is None or got.exact == want.exact)
+
+
+def test_renaming_only_with_a_prefix_matches_renaming_always():
+    """qd_subst, qd_conjoin, implies_quant_disj and equiv_quant_disj give
+    what they give when every call collects names and renames the prefixes
+    apart, on formulas with and without prefixes whose names clash with
+    free names and with theta's images."""
+    rng = random.Random(14)
+    seen = collections.Counter()
+    deadline = time.monotonic() + 1.5
+    install_unknown_resolver(None)
+    cases = 0
+    while cases < 2000 and time.monotonic() < deadline:
+        tags = set()
+        q = _prefixed_qd(rng, tags)
+        domain = rng.sample(_PREFIX_POOL, rng.randint(0, 3))
+        theta = {v: rng.choice(_PREFIX_POOL) for v in domain}
+        if set(q.exists) & (set(domain) | set(theta.values())):
+            tags.add("captured")
+        assert _same(lia.qd_subst(q, theta), _qd_subst_reference(q, theta)), (q, theta)
+        parts = [q] + [_prefixed_qd(rng, tags) for _ in range(rng.randint(0, 2))]
+        cap = rng.choice([2, lia.DNF_CAP])
+        got = lia.qd_conjoin(parts, cap)
+        assert _same(got, _qd_conjoin_reference(parts, cap)), parts
+        if got is None:
+            tags.add("cap")
+        rhs = rng.choice([_prefixed_qd(rng, tags), q, lia.qd_subst(q, theta)])
+        verdict = lia.implies_quant_disj(q, rhs)
+        assert verdict is _implies_reference(q, rhs), (q, rhs)
+        assert equiv_quant_disj(q, rhs) is _equiv_reference(q, rhs), (q, rhs)
+        seen.update(tags)
+        seen[verdict.value] += 1
+        cases += 1
+    assert cases >= 200
+    for key in ("prefix", "captured", "cap", "proved", "disproved"):
+        assert seen[key] >= 5, (key, seen)

@@ -124,6 +124,25 @@ def test_entailed_atoms_of_a_transported_model_ask_no_query(monkeypatch):
     assert len(calls) <= 20
 
 
+def test_formulas_without_a_prefix_collect_no_variables(monkeypatch):
+    """hl1's transported model has no existential prefix, so substituting,
+    conjoining and implying its formulas renames nothing and collects few
+    free variables (2,171 calls when every step collected them)."""
+    prog, sigma, defs = load_case("hl1.transported")
+    calls = []
+    free_vars = QuantDisj.free_vars
+
+    def counted(q):
+        calls.append(q)
+        return free_vars(q)
+
+    monkeypatch.setattr(QuantDisj, "free_vars", counted)
+    lia.install_unknown_resolver(None)
+    assert check_model(prog, sigma).overall is Verdict.PROVED
+    assert check_tight(defs, sigma) is Verdict.PROVED
+    assert len(calls) <= 150
+
+
 def test_tightness_rejects_goals(sum_upto):
     with pytest.raises(ModelError):
         check_tight(sum_upto, sigma_su())

@@ -85,6 +85,11 @@ PARSE_ERRORS = [
     ("p(X) :-\n  X > 0,\n  X = 2 * .\n", "expected 'var', found '.'", 3, 11),
     ("p(X) :- X = Y * Z.", "expected 'int', found 'Z'", 1, 17),
     ("p(X) :- X Y.", "expected 'rel', found 'Y'", 1, 11),
+    # a bare variable, then an operator and something that cannot follow it
+    ("p(X) :- q(X *).", "expected 'int', found ')'", 1, 14),
+    ("p(X) :- X + .", "expected term, found '.'", 1, 13),
+    ("p(X) :- q(X -).", "expected term, found ')'", 1, 14),
+    ("p(X) :- X * Y = 1.", "expected 'int', found 'Y'", 1, 13),
     ("p(X :- q(X).", "expected ')', found ':-'", 1, 5),
     (":- foo p(int).", "unknown directive 'foo'", 1, 4),
     (":- sorts p(real).", "unknown sort 'real'", 1, 12),
