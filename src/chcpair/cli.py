@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import lia, oracle, smtlib, solver
 from .errors import ChcError
-from .kernel import check_all_defs_unfolded, classify_sequence, parse_trace
+from .kernel import A_CLASSIFIERS, check_all_defs_unfolded, classify_sequence, parse_trace
 from .models import check_model, check_tight
 from .pairing import PairingConfig, iterate_pairing
 from .syntax import Clause, Program, parse_program, print_clause, print_program
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--query", default="auto", help="goal clause id, or 'auto'")
     t.add_argument("--iterate", action="store_true", help="iterate over all pairs")
     t.add_argument("--max-defs", type=int, default=64)
-    t.add_argument("--a-classifier", choices=["lia", "2var"], default="lia")
+    t.add_argument("--a-classifier", choices=list(A_CLASSIFIERS), default="lia")
     t.add_argument("--trace", help="write the transformation trace to a file")
     t.add_argument("-o", "--output", help="write the transformed program here")
     t.set_defaults(fn=_cmd_transform)

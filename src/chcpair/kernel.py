@@ -108,10 +108,19 @@ A_CLASSIFIERS: dict[str, Callable[[ConstraintConj], bool]] = {
 }
 
 
+def check_a_classifier(name: str) -> None:
+    """Refuse a name that is not a key of A_CLASSIFIERS, listing the known ones."""
+    if name not in A_CLASSIFIERS:
+        raise ValueError(
+            f"unknown A-classifier {name!r}; known: {', '.join(A_CLASSIFIERS)}"
+        )
+
+
 class TransformationState:
     """P_i, Defs_i and the application trace of one transformation sequence."""
 
     def __init__(self, p0: Program, a_classifier: str = "lia"):
+        check_a_classifier(a_classifier)
         self.clauses: list[Clause] = list(p0.clauses)
         self.defs: list[Clause] = []
         self.trace: list[TraceStep] = []
@@ -267,12 +276,15 @@ class TransformationState:
         body_positions: Sequence[int],
         d: Clause,
         theta: Mapping[Var, Var],
+        reduced: Optional[lia._Reduced] = None,
     ) -> ConstraintConj:
         """Validate the folding side conditions; returns the residual constraint e.
 
         e starts as the clause constraint; conjuncts mentioning images of the
         definition's existential variables are dropped when still entailed by
         the remainder together with the instantiated definition constraint.
+        `reduced`, the reduction of the clause constraint's linear atoms
+        (`lia.reduction`), serves the entailments of condition (ii).
         """
         positions = list(body_positions)
         selected = set(positions)
@@ -292,16 +304,16 @@ class TransformationState:
             )
         d_inst = d.constraint.subst(theta)
 
-        def entailed(conj: ConstraintConj, atom) -> Verdict:
+        def entailed(conj: ConstraintConj, atom, reduced=None) -> Verdict:
             if atom in conj.atoms:
                 return Verdict.PROVED
             if isinstance(atom, LinAtom):
-                return lia.entails_atom(conj, atom)
+                return lia.entails_atom(conj, atom, reduced=reduced)
             return Verdict.UNKNOWN  # array atom not syntactically present
 
         # condition (ii) with e := c: c must entail every conjunct of d(theta)
         for atom in d_inst:
-            v = entailed(clause.constraint, atom)
+            v = entailed(clause.constraint, atom, reduced)
             if v is not Verdict.PROVED:
                 raise EntailmentFailure(
                     f"clause constraint does not entail {atom!r} ({v.value})",
@@ -370,11 +382,14 @@ class TransformationState:
         body_positions: Sequence[int],
         def_id: int,
         theta: Mapping[Var, Var],
+        reduced: Optional[lia._Reduced] = None,
     ) -> Clause:
+        """Fold the atoms at body_positions of clause cid with definition
+        def_id under theta; `reduced` is as in `check_fold`."""
         d = self.def_clause(def_id)
         at = self._index_of(cid)
         c = self.clauses[at]
-        e = self.check_fold(c, body_positions, d, theta)
+        e = self.check_fold(c, body_positions, d, theta, reduced)
         folded_atom = d.head.subst(theta)
         first = min(body_positions)
         selected = set(body_positions)

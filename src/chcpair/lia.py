@@ -27,11 +27,15 @@ coefficient, a grown reduction, its answer and its witness are those of a
 reduction from scratch, however long the chain of prefixes it grew from.
 The pairing strategy relies on this: an unfolded clause's constraint
 starts with its parent's, so it reduces the clause it unfolds once, grows
-each child's reduction from it, and decides each grandchild
-(`satisfiable_with_witness(c, reduced=...)`) by growing its child's.
+each child's reduction from it, and grows each grandchild's from its
+child's (`reduction(c, base=...)`).
 An entailment c -> a asks for each negation n of a whether c and n is
 satisfiable; these queries extend one reduction of c, built on the first
-query that misses the cache and dropped when the call returns.
+query that misses the cache and dropped when the call returns. A caller
+that holds c's reduction passes it (`reduced=`), and `entails_atom` then
+first settles what Gauss alone settles: an unsatisfiable reduction, or an
+atom whose row is ground and true under its Gauss definitions, is Proved
+without a query.
 `implies_quant_disj` settles first what Gauss alone settles. It reduces
 each disjunct c of its antecedent once and substitutes c's Gauss
 definitions into the rows of the consequent's atoms: an atom whose row
@@ -53,19 +57,29 @@ since d entails anything; strategy code removes unsatisfiable clauses
 before asking.
 
 Witness filtering in eq_set (implied-equality detection as in Simplify,
-Detlefs, Nelson & Saxe, JACM 2005): for each d, eq_set first computes one
-integer solution w of d's linear atoms, back-substituting every variable
-towards its own distant target value and keeping w only if it evaluates
-true on every atom. A candidate pair (x, y) with w[x] != w[y], or with x or
-y absent from d's linear atoms (w can then give it any value), is dropped
-without a query. This cannot change the answer: w satisfies d and one of
-the two negations x < y, x > y, so that negation query cannot be Disproved
-(a Disproved answer is sound over the integers), entails_equality cannot
-return Proved, and eq_set counts anything but Proved as "not equal". Only
-the pairs that w leaves equal are sent to entails_equality, and their
-queries extend the reduction of d that w came from. Witnesses are
-cached per d next to the satisfiability cache, since pair selection asks
-eq_set about every atom pair of one clause constraint.
+Detlefs, Nelson & Saxe, JACM 2005): for each d, eq_set first computes up to
+two integer solutions of d's linear atoms. One Fourier-Motzkin run per
+disequality branch, up to the first branch that yields the first solution,
+back-substitutes every variable towards its own distant target value, the
+i-th towards 1000*(i+1) and then towards -1000*(i+1), and a solution is
+kept only if it evaluates true on every atom. A candidate pair (x, y) that
+a kept solution w separates, with w[x] != w[y] or with x or y absent from
+d's linear atoms (w can then give it any value), is dropped without a
+query. This cannot change the answer: w satisfies d and one of the two
+negations x < y, x > y, so that negation query cannot be Disproved (a
+Disproved answer is sound over the integers), entails_equality cannot
+return Proved, and eq_set counts anything but Proved as "not equal". A pair
+that every kept solution leaves equal is settled by Gauss when it can be:
+on an unsatisfiable reduction of d, or when x - y is ground 0 under d's
+Gauss definitions, it is Proved, as its two negation queries would be
+refuted. Only the rest are sent to entails_equality, and their queries
+extend that reduction of d. The solutions are cached per d next to the
+satisfiability cache, since pair selection asks eq_set about every atom
+pair of one clause constraint. The pairing strategy's R4 check fills the
+cache: `satisfiable_generic` decides each unfolded clause that goes on to
+pair selection with the same Fourier-Motzkin runs that give its solutions,
+whose Disproved is exactly `is_satisfiable`'s, and the clause that survives
+keeps its reduction for eq_set and the folding checks.
 """
 
 from __future__ import annotations
@@ -535,7 +549,8 @@ def _decide(r: _Reduced) -> tuple[Verdict, Optional[dict[Var, int]]]:
         w = boxes.find_solution(boxes.box_system(r.sys.vars, r.sys.rows), -_PROBE_BOX, _PROBE_BOX)
         if w is not None:
             return Verdict.PROVED, w
-    return _branch_witness(r.atoms, r.sys, r.defs)
+    verdict, (w,) = _branch_witness(r.atoms, r.sys, r.defs)
+    return verdict, w
 
 
 def _extend(base: _Reduced, extra: Sequence[LinAtom]) -> tuple[Verdict, Optional[dict[Var, int]]]:
@@ -568,45 +583,59 @@ def reduction(c: ConstraintConj, *, base: Optional[_Reduced] = None) -> _Reduced
 
 
 def _branch_witness(
-    atoms: Sequence[LinAtom], sys_: _System, gdefs, target: Optional[Sequence[int]] = None
-) -> tuple[Verdict, Optional[dict[Var, int]]]:
+    atoms: Sequence[LinAtom],
+    sys_: _System,
+    gdefs,
+    targets: Sequence[Optional[Sequence[int]]] = (None,),
+) -> tuple[Verdict, list[Optional[dict[Var, int]]]]:
     """Fourier-Motzkin on each disequality branch of a Gauss-reduced system.
 
-    Proved comes with the first back-substituted point (aimed at `target`,
-    indexed like sys_.vars) that satisfies `atoms`; Disproved means every
-    branch is infeasible over the rationals.
+    Each feasible branch back-substitutes, from its one elimination, every
+    target (indexed like sys_.vars; None aims at 0) that has no point yet,
+    and keeps a point that satisfies `atoms`. The branches stop at the first
+    point for targets[0]. Returns the verdict and one point or None per
+    target: Proved when some target has a point, Disproved when every branch
+    is infeasible over the rationals, Unknown otherwise.
     """
+    points: list[Optional[dict[Var, int]]] = [None] * len(targets)
     if 2 ** len(sys_.ne) > NEQ_SPLIT_CAP:
-        return Verdict.UNKNOWN, None
+        return Verdict.UNKNOWN, points
     branches = _le_branches(sys_, sys_.ne)
     residual = sorted(
         {i for rows in branches for coeffs, _ in rows for i in coeffs}
     )
-    saw_feasible = False
+    undecided = False
     for rows in branches:
         try:
             _, stages, _ = _fm_eliminate(rows, residual)
         except _Unsat:
             continue
         except _Overflow:
-            return Verdict.UNKNOWN, None
-        saw_feasible = True
-        envi = _backsubst_witness(stages, range(len(sys_.vars)), target)
-        if envi is not None:
-            _apply_gauss_defs(gdefs, envi)
-            env = {v: envi[i] for i, v in enumerate(sys_.vars)}
-            if _verify_env(atoms, env):
-                return Verdict.PROVED, env
-    if not saw_feasible:
-        return Verdict.DISPROVED, None
-    return Verdict.UNKNOWN, None
+            undecided = True
+            break
+        undecided = True
+        for t, target in enumerate(targets):
+            if points[t] is not None:
+                continue
+            envi = _backsubst_witness(stages, range(len(sys_.vars)), target)
+            if envi is not None:
+                _apply_gauss_defs(gdefs, envi)
+                env = {v: envi[i] for i, v in enumerate(sys_.vars)}
+                if _verify_env(atoms, env):
+                    points[t] = env
+        if points[0] is not None:
+            break
+    if any(p is not None for p in points):
+        return Verdict.PROVED, points
+    return (Verdict.UNKNOWN if undecided else Verdict.DISPROVED), points
 
 
 # keyed on a conjunction c, or on (c, extra) for c and the atoms extra
 _SAT_CACHE: dict[object, tuple[Verdict, Optional[dict[Var, int]]]] = {}
 _SAT_CACHE_MAX = 65536
-# generic witnesses of eq_set antecedents, bounded and cleared like _SAT_CACHE
-_WITNESS_CACHE: dict[ConstraintConj, Optional[dict[Var, int]]] = {}
+# the verified generic witnesses of eq_set antecedents, none to two per
+# conjunction, bounded and cleared like _SAT_CACHE
+_WITNESS_CACHE: dict[ConstraintConj, tuple[dict[Var, int], ...]] = {}
 
 # optional hook consulted on Unknown verdicts, e.g. an external SMT solver
 _UNKNOWN_RESOLVER = None
@@ -652,13 +681,46 @@ def satisfiable_with_witness(
     rest = _rest(c, reduced)
     hit = _SAT_CACHE.get(c)
     if hit is None:
-        hit = _settle(c, _extend(reduced, rest), c)
+        # growing a whole reduction by nothing would leave it as it is
+        hit = _settle(c, _decide(_grow(reduced, rest) if rest else reduced), c)
     verdict, env = hit
     return verdict, dict(env) if env is not None else None
 
 
 def is_satisfiable(c: ConstraintConj, *, reduced: Optional[_Reduced] = None) -> Verdict:
     return satisfiable_with_witness(c, reduced=reduced)[0]
+
+
+def _check_full(c: ConstraintConj, reduced: _Reduced) -> None:
+    if _rest(c, reduced):
+        raise ValueError("the reduction is not of all of the conjunction's linear atoms")
+
+
+def satisfiable_generic(c: ConstraintConj, reduced: _Reduced) -> Verdict:
+    """Whether c is satisfiable, decided by the run that gives eq_set its
+    witnesses; `reduced` is the reduction of all of c's linear atoms.
+
+    On a cache miss Fourier-Motzkin runs once on each disequality branch of
+    `reduced`, and the generic targets are back-substituted from it; the
+    verified points go to the witness cache under c, so eq_set asks for
+    none. Disproved, every branch infeasible, is exactly is_satisfiable's
+    Disproved: `_decide` runs the same eliminations on the same branches,
+    and its box probe cannot find an integer point where they find no
+    rational one. It is cached under c as is_satisfiable caches it. Proved
+    is not cached: is_satisfiable's witness can differ. An Unknown is
+    decided again by satisfiable_with_witness, resolver included.
+    """
+    _check_full(c, reduced)
+    hit = _SAT_CACHE.get(c)
+    if hit is not None:
+        return hit[0]
+    verdict, witnesses = _generic_witnesses(reduced)
+    if verdict is Verdict.DISPROVED:
+        return _settle(c, (Verdict.DISPROVED, None), c)[0]
+    _remember_witnesses(c, witnesses)
+    if verdict is Verdict.UNKNOWN:
+        return satisfiable_with_witness(c, reduced=reduced)[0]
+    return verdict
 
 
 def _refute_each(
@@ -693,8 +755,18 @@ def entails_atom(
 ) -> Verdict:
     """Validity of for-all(c -> atom) over the integers.
 
-    `reduced` is c's reduction when the caller already has it (eq_set's).
+    `reduced` is the reduction of all of c's linear atoms when the caller
+    already has it (see `reduction`). It settles first what Gauss alone
+    settles: with an unsatisfiable reduction, or with an atom whose row is
+    ground and true under the reduction's Gauss definitions
+    (`_entailed_atoms`), the answer is Proved without a query, since each
+    negation query would end at a false ground row. Otherwise, and always
+    without `reduced`, the negations of the atom are asked.
     """
+    if reduced is not None:
+        _check_full(c, reduced)
+        if reduced.unsat or _entailed_atoms(reduced, (atom,)):
+            return Verdict.PROVED
     return _refute_each(c, ([na] for na in negate_linatom(atom)), reduced)
 
 
@@ -709,38 +781,53 @@ def entails_equality(
     return entails_atom(d, LinAtom(LinExpr.of(x), Rel.EQ, LinExpr.of(y)), reduced=reduced)
 
 
-def _generic_witness(reduced: _Reduced) -> Optional[dict[Var, int]]:
-    """An integer solution of the reduced atoms with few coincidental equalities.
+def _generic_witnesses(reduced: _Reduced) -> tuple[Verdict, tuple[dict[Var, int], ...]]:
+    """Integer solutions of the reduced atoms with few coincidental equalities.
 
-    Back-substitution aims every variable at its own target value, so two
-    variables share a value mostly where the atoms force it. None when no
-    verified solution is found (unsatisfiable, or beyond the engine's caps).
+    Back-substitution aims every variable at its own target value, the
+    i-th at _WITNESS_SPREAD*(i+1) and then at -_WITNESS_SPREAD*(i+1), from
+    the same eliminations, so two variables share a value in both mostly
+    where the atoms force it. Returns the verdict of those eliminations and
+    the verified solutions: none when the atoms are unsatisfiable or beyond
+    the engine's caps.
     """
     if reduced.unsat:
-        return None
-    target = [_WITNESS_SPREAD * (i + 1) for i in range(len(reduced.sys.vars))]
-    return _branch_witness(reduced.atoms, reduced.sys, reduced.defs, target)[1]
+        return Verdict.DISPROVED, ()
+    n = len(reduced.sys.vars)
+    targets = [[sign * _WITNESS_SPREAD * (i + 1) for i in range(n)] for sign in (1, -1)]
+    verdict, points = _branch_witness(reduced.atoms, reduced.sys, reduced.defs, targets)
+    return verdict, tuple(w for w in points if w is not None)
 
 
-def eq_set(d: ConstraintConj, a: Atom, b: Atom) -> tuple[tuple[Var, Var], ...]:
+def _remember_witnesses(d: ConstraintConj, witnesses: tuple[dict[Var, int], ...]) -> None:
+    if len(_WITNESS_CACHE) >= _SAT_CACHE_MAX:
+        _WITNESS_CACHE.clear()
+    _WITNESS_CACHE[d] = witnesses
+
+
+def eq_set(
+    d: ConstraintConj, a: Atom, b: Atom, *, reduced: Optional[_Reduced] = None
+) -> tuple[tuple[Var, Var], ...]:
     """Equalities X=Y with X in vars(a), Y in vars(b) entailed by d.
 
     Pairs are deduplicated semantically (X=Y and Y=X count once, as do
     shared-variable pairs) and returned in lexicographic name order so
-    strategy runs are deterministic. A pair that a witness of d separates
-    is not entailed and is never queried (see the module docstring). When
-    the witness is computed here, the pairs' queries extend the same
-    reduction of d.
+    strategy runs are deterministic. `reduced` is the reduction of all of
+    d's linear atoms when the caller has it; otherwise d is reduced on the
+    first pair that needs it. A pair is settled before it is asked: a pair
+    that a cached witness of d separates is not entailed and is skipped (see
+    the module docstring); on an unsatisfiable reduction, or when x - y is
+    ground 0 under its Gauss definitions, the pair is entailed
+    (`entails_atom`). Only the others are asked, extending the reduction.
     """
-    reduced = None
-    if d in _WITNESS_CACHE:
-        w = _WITNESS_CACHE[d]
-    else:
-        reduced = _reduce(d.lin_atoms())
-        w = _generic_witness(reduced)
-        if len(_WITNESS_CACHE) >= _SAT_CACHE_MAX:
-            _WITNESS_CACHE.clear()
-        _WITNESS_CACHE[d] = w
+    witnesses = _WITNESS_CACHE.get(d)
+    if witnesses is None:
+        if reduced is None:
+            reduced = _reduce(d.lin_atoms())
+        else:
+            _check_full(d, reduced)
+        witnesses = _generic_witnesses(reduced)[1]
+        _remember_witnesses(d, witnesses)
     out = []
     seen: set[frozenset[str]] = set()
     for x in a.vars():
@@ -752,8 +839,10 @@ def eq_set(d: ConstraintConj, a: Atom, b: Atom) -> tuple[tuple[Var, Var], ...]:
                 key = frozenset((x.name, y.name))
                 if key in seen:
                     continue
-                if w is not None and (x not in w or y not in w or w[x] != w[y]):
+                if any(x not in w or y not in w or w[x] != w[y] for w in witnesses):
                     continue
+                if reduced is None:
+                    reduced = _reduce(d.lin_atoms())
                 ok = entails_equality(d, x, y, reduced=reduced) is Verdict.PROVED
             else:
                 continue

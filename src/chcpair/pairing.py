@@ -25,6 +25,7 @@ from .kernel import (
     SequenceReport,
     TraceStep,
     TransformationState,
+    check_a_classifier,
     classify_sequence,
 )
 from .syntax import (
@@ -51,6 +52,7 @@ class PairingConfig:
     def __post_init__(self):
         if self.max_defs < 1:
             raise ValueError("max_defs must be positive")
+        check_a_classifier(self.a_classifier)
 
 
 @dataclass(frozen=True)
@@ -106,10 +108,12 @@ def select_pair(
     e: Clause,
     q_preds: set[str],
     r_preds: set[str],
+    reduced: Optional[lia._Reduced] = None,
 ) -> tuple[int, int, tuple[tuple[Var, Var], ...]]:
     """Pick the (Q-atom, R-atom) body pair with the most entailed equalities.
 
-    Ties go to the leftmost Q-atom, then the leftmost R-atom.
+    Ties go to the leftmost Q-atom, then the leftmost R-atom. `reduced` is
+    the reduction of e's constraint when the caller has it (`lia.eq_set`).
     """
     q_pos = [i for i, a in enumerate(e.body) if a.pred in q_preds]
     r_pos = [i for i, a in enumerate(e.body) if a.pred in r_preds]
@@ -118,7 +122,7 @@ def select_pair(
     best = None
     for i in q_pos:
         for j in r_pos:
-            eqs = lia.eq_set(e.constraint, e.body[i], e.body[j])
+            eqs = lia.eq_set(e.constraint, e.body[i], e.body[j], reduced=reduced)
             if best is None or len(eqs) > len(best[2]):
                 best = (i, j, eqs)
     return best
@@ -129,12 +133,15 @@ def find_matching_def(
     a: Atom,
     b: Atom,
     d: ConstraintConj,
+    reduced: Optional[lia._Reduced] = None,
 ) -> Optional[tuple[int, dict[Var, Var]]]:
     """First definition (newest first) whose body folds the pair (a, b).
 
     Matching builds the substitution from the definition's body onto (a, b)
     and requires d to entail the instantiated definition constraint; the
     full folding side conditions are re-checked by the kernel at apply time.
+    `reduced` is the reduction of d when the caller has it
+    (`lia.entails_atom`).
     """
     for defc in reversed(list(defs)):
         if len(defc.body) != 2:
@@ -154,7 +161,7 @@ def find_matching_def(
             if not isinstance(atom, LinAtom):
                 ok = False
                 break
-            if lia.entails_atom(d, atom) is not lia.Verdict.PROVED:
+            if lia.entails_atom(d, atom, reduced=reduced) is not lia.Verdict.PROVED:
                 ok = False
                 break
         if ok:
@@ -189,7 +196,16 @@ def predicate_pairing(
     cfg: PairingConfig = PairingConfig(),
     reserved_preds: Iterable[str] = (),
 ) -> PairingResult:
-    """Run the pairing strategy on one goal over two disjoint programs."""
+    """Run the pairing strategy on one goal over two disjoint programs.
+
+    Each round unfolds a clause on its Q-atom and then on its R-atom, and
+    decides each unfolded clause once, on a reduction grown from its
+    parent's; an unsatisfiable one is deleted (rule R4). A clause that
+    still mixes Q and R atoms is decided by `lia.satisfiable_generic`,
+    which leaves its generic witnesses in the cache of `lia.eq_set`, and
+    its reduction then serves pair selection, definition matching and the
+    fold's entailment checks, until a fold changes its constraint.
+    """
     q_preds = set(q_prog.preds())
     r_preds = set(r_prog.preds())
     shared = q_preds & r_preds
@@ -233,24 +249,33 @@ def predicate_pairing(
             c_reduced = lia.reduction(c.constraint, base=reduced)
             pos_r = next(i for i, a in enumerate(c.body) if a.pred in r_preds)
             unfolded.extend((g, c_reduced) for g in state.apply_unfold(c.cid, pos_r))
-        # silently remove clauses with unsatisfiable constraints (rule R4)
-        kept: list[Clause] = []
+        # silently remove clauses with unsatisfiable constraints (rule R4);
+        # the run that decides a clause that goes on to pair selection caches
+        # the witnesses of its eq_set
+        kept: list[tuple[Clause, lia._Reduced]] = []
         for c, c_reduced in unfolded:
-            if lia.is_satisfiable(c.constraint, reduced=c_reduced) is lia.Verdict.DISPROVED:
+            r = lia.reduction(c.constraint, base=c_reduced)
+            if mixed(c):
+                verdict = lia.satisfiable_generic(c.constraint, r)
+            else:
+                verdict = lia.is_satisfiable(c.constraint, reduced=r)
+            if verdict is lia.Verdict.DISPROVED:
                 state.apply_replace([c.cid], [])
             else:
-                kept.append(c)
-        # definition & folding: fold each clause until it no longer mixes Q/R
-        for e in kept:
+                kept.append((c, r))
+        # definition & folding: fold each clause until it no longer mixes Q/R;
+        # its reduction serves every query on its constraint until a fold
+        # changes the constraint
+        for e, r in kept:
             while mixed(e):
-                pos_a, pos_b, eqs = select_pair(e, q_preds, r_preds)
+                pos_a, pos_b, eqs = select_pair(e, q_preds, r_preds, r)
                 a, b = e.body[pos_a], e.body[pos_b]
                 pair_log.append(
                     PairChoice(
                         e.cid, e, pos_a, pos_b, a, b, eqs, trace_index=len(state.trace)
                     )
                 )
-                hit = find_matching_def(state.defs, a, b, e.constraint)
+                hit = find_matching_def(state.defs, a, b, e.constraint, r)
                 if hit is not None:
                     def_id, theta = hit
                 else:
@@ -261,7 +286,10 @@ def predicate_pairing(
                     )
                     def_id, theta = intro.cid, {v: v for v in intro.vars()}
                     in_cls.append(intro)
-                e = state.apply_fold(e.cid, [pos_a, pos_b], def_id, theta)
+                folded = state.apply_fold(e.cid, [pos_a, pos_b], def_id, theta, r)
+                if folded.constraint != e.constraint:
+                    r = None
+                e = folded
             transf_ids.append(e.cid)
 
     current_ids = {c.cid for c in state.clauses}

@@ -28,7 +28,7 @@ from chcpair.errors import (
     ShapeMismatch,
     VarConditionViolation,
 )
-from chcpair import corpus
+from chcpair import corpus, lia
 from chcpair.kernel import RuleKind, parse_trace
 from chcpair.pairing import PairingConfig, iterate_pairing
 from chcpair.oracle import OracleBudget, bounded_lm
@@ -232,6 +232,31 @@ def test_fold_drops_linking_conjunct():
     d = st.apply_definition(_def("n(X) :- Y = X + 1, p(X), q(Y)."))
     folded = st.apply_fold(1, [0, 1], d.cid, {V("X"): V("A"), V("Y"): V("B")})
     assert clauses_equivalent(folded, _def("h(A) :- A > 0, n(A)."))
+
+
+def test_fold_with_the_clause_reduction():
+    """A fold given the reduction of the clause's constraint gives the fold
+    without it; a reduction of another constraint is refused."""
+    text = "h(A) :- B = A + 1, A > 0, p(A), q(B).\np(X) :- X = 0.\nq(X) :- X = 1."
+    theta = {V("X"): V("A"), V("Y"): V("B")}
+    folds = []
+    for reduce in (False, True):
+        st = TransformationState(parse_program(text))
+        d = st.apply_definition(_def("n(X) :- X = Y - 1, p(X), q(Y)."))
+        reduced = lia.reduction(st.clause(1).constraint) if reduce else None
+        folds.append(st.apply_fold(1, [0, 1], d.cid, theta, reduced))
+    assert folds[0] == folds[1]
+    assert clauses_equivalent(folds[0], _def("h(A) :- A > 0, n(A)."))
+    st = TransformationState(parse_program(text))
+    d = st.apply_definition(_def("n(X) :- X = Y - 1, p(X), q(Y)."))
+    with pytest.raises(ValueError):
+        st.apply_fold(1, [0, 1], d.cid, theta, lia.reduction(conj("B = A + 1")))
+
+
+def test_unknown_a_classifier_is_refused():
+    p = parse_program("p(X) :- X = 0.")
+    with pytest.raises(ValueError, match="unknown A-classifier 'nope'; known: lia, 2var"):
+        TransformationState(p, a_classifier="nope")
 
 
 # --- R4 ---------------------------------------------------------------------

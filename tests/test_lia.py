@@ -431,10 +431,13 @@ def test_eq_set_matches_pairwise_reference():
         a = Atom("p", tuple(rng.sample(pool, rng.randint(1, 3))))
         b = Atom("q", tuple(rng.sample(pool, rng.randint(1, 3))))
         got = eq_set(d, a, b)
-        assert got == _eq_set_reference(d, a, b), f"eq_set differs on {d}, {a}, {b}"
-        witness = lia._WITNESS_CACHE[d]
-        if witness is not None:
+        want = _eq_set_reference(d, a, b)
+        assert got == want, f"eq_set differs on {d}, {a}, {b}"
+        for witness in lia._WITNESS_CACHE[d]:
             assert all(boxes.eval_atom(at, witness) for at in d.lin_atoms())
+        # from a cold cache, with the caller's reduction
+        install_unknown_resolver(None)
+        assert eq_set(d, a, b, reduced=lia.reduction(d)) == want, f"{d}, {a}, {b}"
         entailed += any(x != y for x, y in got)
         cases += 1
     assert cases >= 50 and entailed > 0
@@ -533,7 +536,8 @@ def _reference_sat(atoms):
     gdefs, unsat = _reference_gauss(sys_)
     if unsat:
         return Verdict.DISPROVED, None
-    return lia._branch_witness(atoms, sys_, gdefs)
+    verdict, (w,) = lia._branch_witness(atoms, sys_, gdefs)
+    return verdict, w
 
 
 _POOL = [V(n) for n in ("X", "Y", "Z", "W", "U", "T", "S", "R")]
@@ -754,6 +758,89 @@ def test_a_reduction_of_no_prefix_is_refused():
         with pytest.raises(ValueError):
             lia.reduction(c, base=r)
     assert is_satisfiable(c, reduced=lia.reduction(conj("X >= 0"))) is Verdict.PROVED
+
+
+def test_generic_decision_disproves_exactly_what_is_satisfiable_disproves():
+    """satisfiable_generic, the R4 decision of the pairing strategy, decides
+    a conjunction from a reduction grown from a prefix's, as the strategy
+    does. It answers Disproved exactly when is_satisfiable does, over Gauss
+    refutations, more than _PROBE_MAX_VARS variables, disequalities past
+    NEQ_SPLIT_CAP and array atoms. It caches a Disproved answer under the
+    conjunction as is_satisfiable would, and every witness it caches
+    satisfies the conjunction."""
+    rng = random.Random(91)
+    seen = collections.Counter()
+    deadline = time.monotonic() + 2.0
+    cases = 0
+    try:
+        while cases < 400 and time.monotonic() < deadline:
+            kind, atoms, _, j = _chain_case(rng)
+            c = ConstraintConj(atoms)
+            install_unknown_resolver(None)
+            want = is_satisfiable(c)
+            install_unknown_resolver(None)
+            r = lia.reduction(c, base=lia.reduction(ConstraintConj(atoms[:j])))
+            got = lia.satisfiable_generic(c, r)
+            assert (got is Verdict.DISPROVED) == (want is Verdict.DISPROVED), atoms
+            if got is Verdict.DISPROVED:
+                assert lia._SAT_CACHE[c] == (Verdict.DISPROVED, None)
+                assert is_satisfiable(c) is Verdict.DISPROVED  # a hit
+            for w in lia._WITNESS_CACHE.get(c, ()):
+                assert all(boxes.eval_atom(a, w) for a in c.lin_atoms()), atoms
+            seen.update((kind, want.value))
+            seen["array"] += len(c.lin_atoms()) < len(atoms)
+            seen["wide"] += len(r.sys.vars) > lia._PROBE_MAX_VARS
+            seen["two witnesses"] += len(lia._WITNESS_CACHE.get(c, ())) == 2
+            cases += 1
+    finally:
+        install_unknown_resolver(None)
+    assert cases >= 100
+    for key in ("plain", "ground_false_prefix", "refuted_middle", "probe", "many_ne",
+                "proved", "disproved", "unknown", "array", "wide", "two witnesses"):
+        assert seen[key] >= 5, (key, seen)
+
+
+def test_entails_atom_with_a_reduction_matches_the_queries():
+    """entails_atom settles an unsatisfiable reduction and Gauss-ground atoms
+    without a query, and otherwise asks its queries on the given reduction:
+    it answers as entails_atom without one, which asks every query."""
+    rng = random.Random(92)
+    seen = collections.Counter()
+    deadline = time.monotonic() + 2.0
+    cases = 0
+    try:
+        while cases < 400 and time.monotonic() < deadline:
+            kind, atoms, _, _ = _chain_case(rng)
+            pool = sorted({v for a in atoms for v in a.vars() if v.sort is Sort.INT},
+                          key=lambda v: v.name)
+            if len(pool) < 2:
+                continue
+            x, y = rng.sample(pool, 2)
+            shifted = LinExpr.build({y: 1}, rng.randint(-1, 1))
+            atom = rng.choice([
+                LinAtom(LinExpr.of(x), Rel.EQ, LinExpr.of(y)),
+                LinAtom(LinExpr.of(x), rng.choice([Rel.EQ, Rel.LE, Rel.GE]), shifted),
+                _random_atom(rng, pool),
+            ])
+            if rng.random() < 0.3:  # a Gauss pivot that can make the atom's row ground
+                atoms += (LinAtom(LinExpr.of(x), Rel.EQ, shifted),)
+            c = ConstraintConj(atoms)
+            install_unknown_resolver(None)
+            want = lia.entails_atom(c, atom)
+            install_unknown_resolver(None)
+            r = lia.reduction(c)
+            assert lia.entails_atom(c, atom, reduced=r) is want, (atoms, atom)
+            seen.update((kind, want.value))
+            seen["ground"] += not r.unsat and bool(lia._entailed_atoms(r, (atom,)))
+            cases += 1
+    finally:
+        install_unknown_resolver(None)
+    assert cases >= 100
+    for key in ("plain", "refuted_middle", "many_ne", "proved", "disproved", "ground"):
+        assert seen[key] >= 5, (key, seen)
+    with pytest.raises(ValueError):
+        lia.entails_atom(conj("X = Y"), LinAtom(LinExpr.of(V("X")), Rel.EQ, LinExpr.of(V("Y"))),
+                         reduced=lia.reduction(conj("X = Y, Y = 0")))
 
 
 # --- implications between quantified disjunctions ---------------------------

@@ -2,6 +2,7 @@ import pytest
 
 from chcpair import (
     Atom,
+    install_unknown_resolver,
     Clause,
     Program,
     Var,
@@ -18,6 +19,7 @@ from chcpair.pairing import (
     predicate_pairing,
     select_pair,
 )
+from chcpair import lia
 from chcpair.kernel import check_all_defs_unfolded
 
 from helpers import assert_programs_equal, clauses_equivalent, conj, goal_of
@@ -50,24 +52,33 @@ new2(M1,N1,A1,M2,N2,A2) :- M1 = M2, M1 > 0, N1 = 0, N2 =\\= 0,
 """
 
 
+def _with_and_without_reduction(c):
+    """None, then c's constraint reduction, each from cold caches."""
+    for reduced in (None, lia.reduction(c.constraint)):
+        install_unknown_resolver(None)
+        yield reduced
+
+
 def test_select_pair_prefers_two_shared_equalities():
     c = _clause(U4_TEXT)
-    i, j, eqs = select_pair(c, {"ack1"}, {"ack2"})
-    assert (c.body[i], c.body[j]) == (
-        Atom("ack1", (V("M1"), V("Y1"), V("Z1"))),
-        Atom("ack2", (V("M2"), V("Y2"), V("Z2"))),
-    )
-    assert len(eqs) == 2
+    for reduced in _with_and_without_reduction(c):
+        i, j, eqs = select_pair(c, {"ack1"}, {"ack2"}, reduced)
+        assert (c.body[i], c.body[j]) == (
+            Atom("ack1", (V("M1"), V("Y1"), V("Z1"))),
+            Atom("ack2", (V("M2"), V("Y2"), V("Z2"))),
+        )
+        assert len(eqs) == 2
 
 
 def test_select_pair_one_beats_zero():
     c = _clause(U7_TEXT)
-    i, j, eqs = select_pair(c, {"ack1"}, {"ack2"})
-    assert (c.body[i], c.body[j]) == (
-        Atom("ack1", (V("X1"), V("Y1"), V("A1"))),
-        Atom("ack2", (V("X2"), V("Z3"), V("A2"))),
-    )
-    assert len(eqs) == 1
+    for reduced in _with_and_without_reduction(c):
+        i, j, eqs = select_pair(c, {"ack1"}, {"ack2"}, reduced)
+        assert (c.body[i], c.body[j]) == (
+            Atom("ack1", (V("X1"), V("Y1"), V("A1"))),
+            Atom("ack2", (V("X2"), V("Z3"), V("A2"))),
+        )
+        assert len(eqs) == 1
 
 
 def test_select_pair_single_candidates():
@@ -92,7 +103,8 @@ def test_find_matching_def_rejects_unentailed_equalities():
     c = _clause(U4_TEXT)
     a = Atom("ack1", (V("X1"), V("Z1"), V("A1")))
     b = Atom("ack2", (V("X2"), V("Z3"), V("A2")))
-    assert find_matching_def([D1], a, b, c.constraint) is None
+    for reduced in _with_and_without_reduction(c):
+        assert find_matching_def([D1], a, b, c.constraint, reduced) is None
 
 
 def test_find_matching_def_newest_first():
@@ -104,13 +116,15 @@ def test_find_matching_def_newest_first():
     """
     )
     a, b = c.body
-    hit = find_matching_def([D1, D2], a, b, c.constraint)
-    assert hit is not None
-    def_id, theta = hit
-    # both definitions qualify here; the newest one wins, reproducing the
-    # published derivation
-    assert def_id == D2.cid
-    assert theta[V("M1")] == V("X1")
+    for reduced in _with_and_without_reduction(c):
+        hit = find_matching_def([D1, D2], a, b, c.constraint, reduced)
+        assert hit is not None
+        def_id, theta = hit
+        # both definitions qualify here; the newest one wins, reproducing the
+        # published derivation
+        assert def_id == D2.cid
+        assert theta[V("M1")] == V("X1")
+        assert find_matching_def([D1], a, b, c.constraint, reduced)[0] == D1.cid
 
 
 def test_find_matching_def_empty():
@@ -324,3 +338,28 @@ def test_pairing_accepts_swapped_goal_atoms(ackermann, ackermann_golden):
     q, r = predicate_partition(ackermann, "ackermann1", "ackermann2")
     res = predicate_pairing(swapped, q, r, PairingConfig())
     assert_programs_equal(res.transf, ackermann_golden)
+
+
+def test_unknown_a_classifier_is_refused():
+    with pytest.raises(ValueError, match="unknown A-classifier 'nope'; known: lia, 2var"):
+        PairingConfig(a_classifier="nope")
+
+
+def test_fib_injectivity_settles_pair_selection_without_queries(monkeypatch):
+    """R4 caches the generic witnesses of each kept clause, and eq_set and
+    the fold checks settle by Gauss what they can on the clause's own
+    reduction: iterating on fib_injectivity asks few negation queries (607
+    when each proved equality paid two)."""
+    from chcpair import corpus
+
+    calls = []
+    extend = lia._extend
+
+    def counted(base, extra):
+        calls.append(extra)
+        return extend(base, extra)
+
+    monkeypatch.setattr(lia, "_extend", counted)
+    install_unknown_resolver(None)
+    iterate_pairing(corpus.load("fib_injectivity"), [], PairingConfig(iterate=True))
+    assert len(calls) <= 60
