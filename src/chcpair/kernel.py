@@ -276,7 +276,7 @@ class TransformationState:
         body_positions: Sequence[int],
         d: Clause,
         theta: Mapping[Var, Var],
-        reduced: Optional[lia._Reduced] = None,
+        reduced: Optional[lia.Reduction] = None,
     ) -> ConstraintConj:
         """Validate the folding side conditions; returns the residual constraint e.
 
@@ -382,7 +382,7 @@ class TransformationState:
         body_positions: Sequence[int],
         def_id: int,
         theta: Mapping[Var, Var],
-        reduced: Optional[lia._Reduced] = None,
+        reduced: Optional[lia.Reduction] = None,
     ) -> Clause:
         """Fold the atoms at body_positions of clause cid with definition
         def_id under theta; `reduced` is as in `check_fold`."""
@@ -418,8 +418,14 @@ class TransformationState:
     # -- rule R4: constraint replacement --
 
     def apply_replace(
-        self, group: Sequence[int], new_constraints: Sequence[ConstraintConj]
+        self,
+        group: Sequence[int],
+        new_constraints: Sequence[ConstraintConj],
+        reduced: Optional[lia.Reduction] = None,
     ) -> list[Clause]:
+        """Replace the group's constraints by new_constraints, or delete the
+        group when there are none. `reduced`, the reduction of the first
+        clause's constraint (`lia.reduction`), serves a deletion's check."""
         if not group:
             raise ShapeMismatch("empty clause group")
         idxs = [self._index_of(cid) for cid in group]
@@ -443,7 +449,7 @@ class TransformationState:
         if not new_constraints:
             # deletion: every constraint in the group must be unsatisfiable
             for cid, dj in zip(group, disjuncts):
-                v = lia.is_satisfiable(dj)
+                v = lia.is_satisfiable(dj, reduced=reduced if cid == group[0] else None)
                 if v is not Verdict.DISPROVED:
                     raise EquivalenceNotProved(
                         f"clause {cid} constraint not shown unsatisfiable ({v.value})",

@@ -18,10 +18,11 @@ variable that is substituted away. It grows an existing reduction the way
 an incremental SMT solver pushes a scope (de Moura & Bjorner, "Z3: An
 Efficient SMT Solver", TACAS 2008): the new rows are numbered after its
 variables, its Gauss definitions are substituted into them, and Gauss
-resumes, without touching the old rows. `_reduce` grows the empty
-reduction. `_decide` then runs the box probe on all rows as lowered when
-there are at most `_PROBE_MAX_VARS` variables, and otherwise Fourier-Motzkin
-with witness back-substitution on each disequality branch. Since the old
+resumes, without touching the old rows. `reduction(c)` grows the empty
+reduction by c's linear atoms and records c. `_decide` then runs the box
+probe on all rows as lowered when there are at most `_PROBE_MAX_VARS`
+variables, and otherwise Fourier-Motzkin with witness back-substitution on
+each disequality branch. Since the old
 rows come first and Gauss always pivots on the first EQ row with a unit
 coefficient, a grown reduction, its answer and its witness are those of a
 reduction from scratch, however long the chain of prefixes it grew from.
@@ -29,22 +30,24 @@ The pairing strategy relies on this: an unfolded clause's constraint
 starts with its parent's, so it reduces the clause it unfolds once, grows
 each child's reduction from it, and grows each grandchild's from its
 child's (`reduction(c, base=...)`).
+A reduction owns the answers asked of it, the way an incremental solver
+scopes its state to a context: its decision and its generic witnesses are
+memoised on it when first asked, and freed with it. A caller that holds
+c's reduction passes it (`reduced=`) to the queries on c, which check only
+that it records c; the module keeps no answer between calls.
 An entailment c -> a asks for each negation n of a whether c and n is
-satisfiable; these queries extend one reduction of c, built on the first
-query that misses the cache and dropped when the call returns. A caller
-that holds c's reduction passes it (`reduced=`), and `entails_atom` then
-first settles what Gauss alone settles: an unsatisfiable reduction, or an
-atom whose row is ground and true under its Gauss definitions, is Proved
-without a query.
+satisfiable; these queries extend c's reduction, the caller's or one built
+for the call. `entails_atom` first settles what the reduction alone
+settles: an unsatisfiable reduction, or an atom whose row is ground and
+true under its Gauss definitions, is Proved without a query.
 `implies_quant_disj` settles first what Gauss alone settles. It reduces
 each disjunct c of its antecedent once and substitutes c's Gauss
 definitions into the rows of the consequent's atoms: an atom whose row
 becomes ground and true is entailed by c and is asked nothing, and a
 consequent disjunct whose atoms are all entailed proves c's case. Only the
 negations of the other atoms are asked, one query per choice of them, each
-extending c's reduction. Answers are cached under c, or under (c, extra)
-for these queries, and Unknowns are handed to the installed resolver as
-the whole conjunction.
+extending c's reduction. Unknowns are handed to the installed resolver
+as the whole conjunction.
 
 `project` shares the Gauss pass. It lowers the atoms that mention an
 eliminated variable once, and `_gauss_reduce` pivots on eliminated
@@ -73,13 +76,13 @@ that every kept solution leaves equal is settled by Gauss when it can be:
 on an unsatisfiable reduction of d, or when x - y is ground 0 under d's
 Gauss definitions, it is Proved, as its two negation queries would be
 refuted. Only the rest are sent to entails_equality, and their queries
-extend that reduction of d. The solutions are cached per d next to the
-satisfiability cache, since pair selection asks eq_set about every atom
-pair of one clause constraint. The pairing strategy's R4 check fills the
-cache: `satisfiable_generic` decides each unfolded clause that goes on to
-pair selection with the same Fourier-Motzkin runs that give its solutions,
-whose Disproved is exactly `is_satisfiable`'s, and the clause that survives
-keeps its reduction for eq_set and the folding checks.
+extend that reduction of d. The solutions are memoised on the reduction,
+since pair selection asks eq_set about every atom pair of one clause
+constraint. The pairing strategy's R4 check fills the memo:
+`satisfiable_generic` decides each unfolded clause that goes on to pair
+selection with the same Fourier-Motzkin runs that give its solutions, whose
+Disproved is exactly `is_satisfiable`'s, and the clause that survives keeps
+its reduction for eq_set and the folding checks.
 """
 
 from __future__ import annotations
@@ -489,28 +492,40 @@ def _apply_gauss_defs(defs, env: dict[int, int]):
         env[v] = dconst + sum(c * env.get(i, 0) for i, c in dcoeffs.items())
 
 
-@dataclass(frozen=True)
-class _Reduced:
-    """A conjunction of linear atoms, lowered and Gauss-reduced once.
+@dataclass(eq=False)
+class Reduction:
+    """A conjunction's linear atoms, lowered and Gauss-reduced once, and the
+    answers asked of them.
 
-    `sys` holds the rows left after Gauss (its `vars` and `rows`, every
-    variable and every row as lowered), `defs` the Gauss definitions in
-    elimination order, and `unsat` whether a ground row is false before or
-    after Gauss. Nothing changes it once built, so one reduction serves any
-    number of queries and grows into any number of longer conjunctions.
+    `conj` is the conjunction it reduces (`reduction`; None for the
+    extensions that `_extend` decides once), `atoms` its linear atoms, `sys`
+    the rows left after Gauss (its `vars` and `rows`, every variable and
+    every row as lowered), `defs` the Gauss definitions in elimination
+    order, and `unsat` whether a ground row is false before or after Gauss.
+    None of these changes once built, so one reduction serves any number of
+    queries and grows into any number of longer conjunctions. Two memos are
+    filled when first asked, and freed with the reduction: `decision`, the
+    verdict and witness of `satisfiable_with_witness`, and `generic`, the
+    verdict and points of `_generic_witnesses`.
     """
 
+    conj: Optional[ConstraintConj]
     atoms: tuple[LinAtom, ...]
     sys: _System
     defs: list[tuple[int, dict[int, int], int]]
     unsat: bool
+    decision: Optional[tuple[Verdict, Optional[dict[Var, int]]]] = None
+    generic: Optional[tuple[Verdict, tuple[dict[Var, int], ...]]] = None
 
 
-_EMPTY = _Reduced((), _System((), {}, [], [], [], [], False), [], False)
+_EMPTY = Reduction(ConstraintConj(), (), _System((), {}, [], [], [], [], False), [], False)
 
 
-def _grow(base: _Reduced, extra: Sequence[LinAtom]) -> _Reduced:
-    """The reduction of base and extra, as if the atoms were reduced afresh.
+def _grow(
+    base: Reduction, extra: Sequence[LinAtom], conj: Optional[ConstraintConj] = None
+) -> Reduction:
+    """The reduction of base and extra, as if the atoms were reduced afresh;
+    it records `conj` as the conjunction it reduces.
 
     The extra rows are numbered after the base's variables. The base's Gauss
     definitions are substituted into them in elimination order and Gauss
@@ -523,20 +538,16 @@ def _grow(base: _Reduced, extra: Sequence[LinAtom]) -> _Reduced:
     atoms = base.atoms + tuple(extra)
     if base.unsat or ext.ground_false:
         sys_ = _System(ext.vars, ext.index, rows, [], [], [], True)
-        return _Reduced(atoms, sys_, base.defs, True)
+        return Reduction(conj, atoms, sys_, base.defs, True)
     le, eq, ne = (_subst_defs(r, base.defs) for r in (ext.le, ext.eq, ext.ne))
     sys_ = _System(
         ext.vars, ext.index, rows, base.sys.le + le, base.sys.eq + eq, base.sys.ne + ne, False
     )
     defs, unsat = _gauss_reduce(sys_)
-    return _Reduced(atoms, sys_, base.defs + defs, unsat)
+    return Reduction(conj, atoms, sys_, base.defs + defs, unsat)
 
 
-def _reduce(atoms: Sequence[LinAtom]) -> _Reduced:
-    return _grow(_EMPTY, atoms)
-
-
-def _decide(r: _Reduced) -> tuple[Verdict, Optional[dict[Var, int]]]:
+def _decide(r: Reduction) -> tuple[Verdict, Optional[dict[Var, int]]]:
     """Satisfiability of a reduction's atoms, with a witness when Proved.
 
     The box probe runs on the rows as lowered when there are at most
@@ -553,16 +564,12 @@ def _decide(r: _Reduced) -> tuple[Verdict, Optional[dict[Var, int]]]:
     return verdict, w
 
 
-def _extend(base: _Reduced, extra: Sequence[LinAtom]) -> tuple[Verdict, Optional[dict[Var, int]]]:
+def _extend(base: Reduction, extra: Sequence[LinAtom]) -> tuple[Verdict, Optional[dict[Var, int]]]:
     """Decide base and extra without touching the base's rows again."""
     return _decide(_grow(base, extra))
 
 
-def _satisfiable_uncached(c: ConstraintConj) -> tuple[Verdict, Optional[dict[Var, int]]]:
-    return _decide(_reduce(c.lin_atoms()))
-
-
-def _rest(c: ConstraintConj, reduced: _Reduced) -> tuple[LinAtom, ...]:
+def _rest(c: ConstraintConj, reduced: Reduction) -> tuple[LinAtom, ...]:
     """c's linear atoms after the prefix whose reduction is `reduced`."""
     lin = c.lin_atoms()
     n = len(reduced.atoms)
@@ -571,15 +578,26 @@ def _rest(c: ConstraintConj, reduced: _Reduced) -> tuple[LinAtom, ...]:
     return lin[n:]
 
 
-def reduction(c: ConstraintConj, *, base: Optional[_Reduced] = None) -> _Reduced:
-    """The reduction of c's linear atoms, for `reduced=` arguments.
+def reduction(c: ConstraintConj, *, base: Optional[Reduction] = None) -> Reduction:
+    """The reduction of c's linear atoms, which records c, for `reduced=`
+    arguments.
 
     With `base`, the reduction of a prefix of c's linear atoms, it grows
     from base and reduces only the atoms after that prefix. Raises
     ValueError when base holds no such prefix.
     """
     base = _EMPTY if base is None else base
-    return _grow(base, _rest(c, base))
+    return _grow(base, _rest(c, base), c)
+
+
+def _own(c: ConstraintConj, reduced: Optional[Reduction]) -> Reduction:
+    """c's reduction: `reduced` when it records c, a new one when it is
+    None. Raises ValueError for a reduction of another conjunction."""
+    if reduced is None:
+        return reduction(c)
+    if reduced.conj != c:
+        raise ValueError("the reduction is not of the conjunction")
+    return reduced
 
 
 def _branch_witness(
@@ -630,13 +648,6 @@ def _branch_witness(
     return (Verdict.UNKNOWN if undecided else Verdict.DISPROVED), points
 
 
-# keyed on a conjunction c, or on (c, extra) for c and the atoms extra
-_SAT_CACHE: dict[object, tuple[Verdict, Optional[dict[Var, int]]]] = {}
-_SAT_CACHE_MAX = 65536
-# the verified generic witnesses of eq_set antecedents, none to two per
-# conjunction, bounded and cleared like _SAT_CACHE
-_WITNESS_CACHE: dict[ConstraintConj, tuple[dict[Var, int], ...]] = {}
-
 # optional hook consulted on Unknown verdicts, e.g. an external SMT solver
 _UNKNOWN_RESOLVER = None
 
@@ -646,103 +657,86 @@ def install_unknown_resolver(fn) -> None:
 
     fn takes a ConstraintConj and returns a Verdict (Unknown to decline).
     Pass None to uninstall. Externally resolved Proved answers carry no
-    witness.
+    witness. A decision already memoised on a reduction keeps the answer it
+    got, so install the resolver before building the reductions it serves.
     """
     global _UNKNOWN_RESOLVER
     _UNKNOWN_RESOLVER = fn
-    _SAT_CACHE.clear()
-    _WITNESS_CACHE.clear()
 
 
-def _settle(key, hit, c: ConstraintConj, extra: tuple[LinAtom, ...] = ()):
+def _settle(hit, c: ConstraintConj, extra: tuple[LinAtom, ...] = ()):
     """Hand an internal Unknown on c and extra to the resolver, as one
-    conjunction, and cache the answer under key."""
+    conjunction."""
     if hit[0] is Verdict.UNKNOWN and _UNKNOWN_RESOLVER is not None:
         resolved = _UNKNOWN_RESOLVER(ConstraintConj(c.atoms + extra) if extra else c)
         if resolved in (Verdict.PROVED, Verdict.DISPROVED):
             hit = (resolved, None)
-    if len(_SAT_CACHE) >= _SAT_CACHE_MAX:
-        _SAT_CACHE.clear()
-    _SAT_CACHE[key] = hit
     return hit
 
 
 def satisfiable_with_witness(
-    c: ConstraintConj, *, reduced: Optional[_Reduced] = None
+    c: ConstraintConj, *, reduced: Optional[Reduction] = None
 ) -> tuple[Verdict, Optional[dict[Var, int]]]:
     """Integer satisfiability of the linear part of c, with witness if Proved.
 
-    `reduced` is the reduction of a prefix of c's linear atoms when the
-    caller has one (see `reduction`): a cache miss then reduces only the
-    atoms after it. The answer does not depend on it. The witness can be
-    None for a Proved verdict that came from an installed external resolver.
+    `reduced` is c's reduction, or the reduction of a prefix of c's linear
+    atoms, when the caller has one (see `reduction`): only the atoms after
+    that prefix are then reduced. The answer does not depend on it. The
+    decision is memoised on c's reduction, so asking again with it decides
+    nothing; the witness returned is a copy. The witness can be None for a
+    Proved verdict that came from an installed external resolver.
     """
-    reduced = _EMPTY if reduced is None else reduced
-    rest = _rest(c, reduced)
-    hit = _SAT_CACHE.get(c)
-    if hit is None:
-        # growing a whole reduction by nothing would leave it as it is
-        hit = _settle(c, _decide(_grow(reduced, rest) if rest else reduced), c)
-    verdict, env = hit
+    if reduced is None or reduced.conj != c:
+        reduced = reduction(c, base=reduced)
+    if reduced.decision is None:
+        reduced.decision = _settle(_decide(reduced), c)
+    verdict, env = reduced.decision
     return verdict, dict(env) if env is not None else None
 
 
-def is_satisfiable(c: ConstraintConj, *, reduced: Optional[_Reduced] = None) -> Verdict:
+def is_satisfiable(c: ConstraintConj, *, reduced: Optional[Reduction] = None) -> Verdict:
     return satisfiable_with_witness(c, reduced=reduced)[0]
 
 
-def _check_full(c: ConstraintConj, reduced: _Reduced) -> None:
-    if _rest(c, reduced):
-        raise ValueError("the reduction is not of all of the conjunction's linear atoms")
-
-
-def satisfiable_generic(c: ConstraintConj, reduced: _Reduced) -> Verdict:
+def satisfiable_generic(c: ConstraintConj, reduced: Reduction) -> Verdict:
     """Whether c is satisfiable, decided by the run that gives eq_set its
-    witnesses; `reduced` is the reduction of all of c's linear atoms.
+    witnesses; `reduced` is c's reduction (`reduction`).
 
-    On a cache miss Fourier-Motzkin runs once on each disequality branch of
-    `reduced`, and the generic targets are back-substituted from it; the
-    verified points go to the witness cache under c, so eq_set asks for
-    none. Disproved, every branch infeasible, is exactly is_satisfiable's
-    Disproved: `_decide` runs the same eliminations on the same branches,
-    and its box probe cannot find an integer point where they find no
-    rational one. It is cached under c as is_satisfiable caches it. Proved
-    is not cached: is_satisfiable's witness can differ. An Unknown is
-    decided again by satisfiable_with_witness, resolver included.
+    Fourier-Motzkin runs once on each disequality branch of `reduced`, and
+    the generic targets are back-substituted from it; the run is memoised
+    on the reduction, so eq_set asks for none. Disproved, every branch
+    infeasible, is exactly is_satisfiable's Disproved: `_decide` runs the
+    same eliminations on the same branches, and its box probe cannot find
+    an integer point where they find no rational one. It fills the
+    reduction's decision, so is_satisfiable on it decides nothing. Proved
+    does not: is_satisfiable's witness can differ. An Unknown is decided
+    by is_satisfiable, resolver included.
     """
-    _check_full(c, reduced)
-    hit = _SAT_CACHE.get(c)
-    if hit is not None:
-        return hit[0]
-    verdict, witnesses = _generic_witnesses(reduced)
+    reduced = _own(c, reduced)
+    if reduced.generic is None:
+        reduced.generic = _generic_witnesses(reduced)
+    verdict = reduced.generic[0]
     if verdict is Verdict.DISPROVED:
-        return _settle(c, (Verdict.DISPROVED, None), c)[0]
-    _remember_witnesses(c, witnesses)
-    if verdict is Verdict.UNKNOWN:
-        return satisfiable_with_witness(c, reduced=reduced)[0]
+        reduced.decision = (Verdict.DISPROVED, None)
+    elif verdict is Verdict.UNKNOWN:
+        return is_satisfiable(c, reduced=reduced)
     return verdict
 
 
 def _refute_each(
-    c: ConstraintConj, extras: Iterable[Sequence[LinAtom]], reduced: Optional[_Reduced] = None
+    c: ConstraintConj, extras: Iterable[Sequence[LinAtom]], reduced: Reduction
 ) -> Verdict:
-    """Whether c and e is unsatisfiable for every atom list e of extras.
+    """Whether c and e is unsatisfiable for every atom list e of extras,
+    each decided by extending c's reduction.
 
     Disproved at the first satisfiable one, Proved when all are refuted,
-    Unknown otherwise. Each answer is cached under (c, e), whose hash costs
-    only e's atoms since c memoises its own, and an Unknown goes to the
-    resolver as the whole conjunction; c is reduced once, on the first cache
-    miss, unless the caller passes its reduction.
+    Unknown otherwise. An Unknown goes to the resolver as the whole
+    conjunction.
     """
     verdict = Verdict.PROVED
     for extra in extras:
         extra = tuple(extra)
-        key = (c, extra)
-        hit = _SAT_CACHE.get(key)
-        if hit is None:
-            if reduced is None:
-                reduced = _reduce(c.lin_atoms())
-            hit = _settle(key, _extend(reduced, extra), c, extra)
+        hit = _settle(_extend(reduced, extra), c, extra)
         if hit[0] is Verdict.PROVED:
             return Verdict.DISPROVED
         if hit[0] is Verdict.UNKNOWN:
@@ -751,27 +745,32 @@ def _refute_each(
 
 
 def entails_atom(
-    c: ConstraintConj, atom: LinAtom, *, reduced: Optional[_Reduced] = None
+    c: ConstraintConj, atom: LinAtom, *, reduced: Optional[Reduction] = None
 ) -> Verdict:
     """Validity of for-all(c -> atom) over the integers.
 
-    `reduced` is the reduction of all of c's linear atoms when the caller
-    already has it (see `reduction`). It settles first what Gauss alone
-    settles: with an unsatisfiable reduction, or with an atom whose row is
-    ground and true under the reduction's Gauss definitions
-    (`_entailed_atoms`), the answer is Proved without a query, since each
-    negation query would end at a false ground row. Otherwise, and always
-    without `reduced`, the negations of the atom are asked.
+    `reduced` is c's reduction when the caller already has it (see
+    `reduction`); otherwise c is reduced here. What the reduction alone
+    settles is settled first: with an unsatisfiable reduction or a Disproved
+    decision memoised on it, or with an atom whose row is ground and true
+    under the reduction's Gauss definitions (`_entailed_atoms`), the answer
+    is Proved without a query: c, or c with each negation of the atom, is
+    unsatisfiable.
+    Otherwise the negations of the atom are asked, each extending the
+    reduction.
     """
-    if reduced is not None:
-        _check_full(c, reduced)
-        if reduced.unsat or _entailed_atoms(reduced, (atom,)):
-            return Verdict.PROVED
+    reduced = _own(c, reduced)
+    if (
+        reduced.unsat
+        or (reduced.decision is not None and reduced.decision[0] is Verdict.DISPROVED)
+        or _entailed_atoms(reduced, (atom,))
+    ):
+        return Verdict.PROVED
     return _refute_each(c, ([na] for na in negate_linatom(atom)), reduced)
 
 
 def entails_equality(
-    d: ConstraintConj, x: Var, y: Var, *, reduced: Optional[_Reduced] = None
+    d: ConstraintConj, x: Var, y: Var, *, reduced: Optional[Reduction] = None
 ) -> Verdict:
     """Does every integer solution of d satisfy x = y?"""
     if x.sort is not Sort.INT or y.sort is not Sort.INT:
@@ -781,7 +780,7 @@ def entails_equality(
     return entails_atom(d, LinAtom(LinExpr.of(x), Rel.EQ, LinExpr.of(y)), reduced=reduced)
 
 
-def _generic_witnesses(reduced: _Reduced) -> tuple[Verdict, tuple[dict[Var, int], ...]]:
+def _generic_witnesses(reduced: Reduction) -> tuple[Verdict, tuple[dict[Var, int], ...]]:
     """Integer solutions of the reduced atoms with few coincidental equalities.
 
     Back-substitution aims every variable at its own target value, the
@@ -799,35 +798,25 @@ def _generic_witnesses(reduced: _Reduced) -> tuple[Verdict, tuple[dict[Var, int]
     return verdict, tuple(w for w in points if w is not None)
 
 
-def _remember_witnesses(d: ConstraintConj, witnesses: tuple[dict[Var, int], ...]) -> None:
-    if len(_WITNESS_CACHE) >= _SAT_CACHE_MAX:
-        _WITNESS_CACHE.clear()
-    _WITNESS_CACHE[d] = witnesses
-
-
 def eq_set(
-    d: ConstraintConj, a: Atom, b: Atom, *, reduced: Optional[_Reduced] = None
+    d: ConstraintConj, a: Atom, b: Atom, *, reduced: Optional[Reduction] = None
 ) -> tuple[tuple[Var, Var], ...]:
     """Equalities X=Y with X in vars(a), Y in vars(b) entailed by d.
 
     Pairs are deduplicated semantically (X=Y and Y=X count once, as do
     shared-variable pairs) and returned in lexicographic name order so
-    strategy runs are deterministic. `reduced` is the reduction of all of
-    d's linear atoms when the caller has it; otherwise d is reduced on the
-    first pair that needs it. A pair is settled before it is asked: a pair
-    that a cached witness of d separates is not entailed and is skipped (see
-    the module docstring); on an unsatisfiable reduction, or when x - y is
-    ground 0 under its Gauss definitions, the pair is entailed
-    (`entails_atom`). Only the others are asked, extending the reduction.
+    strategy runs are deterministic. `reduced` is d's reduction when the
+    caller has it; otherwise d is reduced here. A pair is settled before it
+    is asked: a pair that a generic witness of d, memoised on the
+    reduction, separates is not entailed and is skipped (see the module
+    docstring); on an unsatisfiable reduction, or when x - y is ground 0
+    under its Gauss definitions, the pair is entailed (`entails_atom`). Only
+    the others are asked, extending the reduction.
     """
-    witnesses = _WITNESS_CACHE.get(d)
-    if witnesses is None:
-        if reduced is None:
-            reduced = _reduce(d.lin_atoms())
-        else:
-            _check_full(d, reduced)
-        witnesses = _generic_witnesses(reduced)[1]
-        _remember_witnesses(d, witnesses)
+    reduced = _own(d, reduced)
+    if reduced.generic is None:
+        reduced.generic = _generic_witnesses(reduced)
+    witnesses = reduced.generic[1]
     out = []
     seen: set[frozenset[str]] = set()
     for x in a.vars():
@@ -841,8 +830,6 @@ def eq_set(
                     continue
                 if any(x not in w or y not in w or w[x] != w[y] for w in witnesses):
                     continue
-                if reduced is None:
-                    reduced = _reduce(d.lin_atoms())
                 ok = entails_equality(d, x, y, reduced=reduced) is Verdict.PROVED
             else:
                 continue
@@ -995,7 +982,7 @@ def _flatten_exists(q: QuantDisj) -> tuple[list[ConstraintConj], bool]:
     return out, exact
 
 
-def _entailed_atoms(reduced: _Reduced, atoms: Iterable[LinAtom]) -> set[LinAtom]:
+def _entailed_atoms(reduced: Reduction, atoms: Iterable[LinAtom]) -> set[LinAtom]:
     """The atoms whose rows are ground and true once the reduction's Gauss
     definitions are substituted into them, in elimination order as `_grow`
     does. The reduced atoms entail each of them, and any negation of one,
@@ -1051,7 +1038,7 @@ def _implies(lhs: QuantDisj, rhs: QuantDisj) -> Verdict:
         return Verdict.UNKNOWN
     saw_unknown = not r_exact
     for phi in lhs.disjuncts:
-        reduced = _reduce(phi.lin_atoms())
+        reduced = reduction(phi)
         if reduced.unsat:
             continue  # every choice is refuted
         entailed = _entailed_atoms(reduced, dict.fromkeys(a for atoms in psi_atoms for a in atoms))

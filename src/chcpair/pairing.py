@@ -108,7 +108,7 @@ def select_pair(
     e: Clause,
     q_preds: set[str],
     r_preds: set[str],
-    reduced: Optional[lia._Reduced] = None,
+    reduced: Optional[lia.Reduction] = None,
 ) -> tuple[int, int, tuple[tuple[Var, Var], ...]]:
     """Pick the (Q-atom, R-atom) body pair with the most entailed equalities.
 
@@ -133,7 +133,7 @@ def find_matching_def(
     a: Atom,
     b: Atom,
     d: ConstraintConj,
-    reduced: Optional[lia._Reduced] = None,
+    reduced: Optional[lia.Reduction] = None,
 ) -> Optional[tuple[int, dict[Var, Var]]]:
     """First definition (newest first) whose body folds the pair (a, b).
 
@@ -202,9 +202,10 @@ def predicate_pairing(
     decides each unfolded clause once, on a reduction grown from its
     parent's; an unsatisfiable one is deleted (rule R4). A clause that
     still mixes Q and R atoms is decided by `lia.satisfiable_generic`,
-    which leaves its generic witnesses in the cache of `lia.eq_set`, and
-    its reduction then serves pair selection, definition matching and the
-    fold's entailment checks, until a fold changes its constraint.
+    which leaves the generic witnesses of `lia.eq_set` on its reduction.
+    That reduction then serves pair selection, definition matching and the
+    fold's entailment checks, until a fold changes its constraint; the
+    kernel rechecks a deletion from the decision memoised on it.
     """
     q_preds = set(q_prog.preds())
     r_preds = set(r_prog.preds())
@@ -244,15 +245,15 @@ def predicate_pairing(
         # each grandchild is decided from its Q-child's reduction, grown from
         # the clause's own
         reduced = lia.reduction(clause.constraint)
-        unfolded: list[tuple[Clause, lia._Reduced]] = []
+        unfolded: list[tuple[Clause, lia.Reduction]] = []
         for c in state.apply_unfold(clause.cid, pos_q):
             c_reduced = lia.reduction(c.constraint, base=reduced)
             pos_r = next(i for i, a in enumerate(c.body) if a.pred in r_preds)
             unfolded.extend((g, c_reduced) for g in state.apply_unfold(c.cid, pos_r))
         # silently remove clauses with unsatisfiable constraints (rule R4);
-        # the run that decides a clause that goes on to pair selection caches
-        # the witnesses of its eq_set
-        kept: list[tuple[Clause, lia._Reduced]] = []
+        # the run that decides a clause that goes on to pair selection leaves
+        # the witnesses of its eq_set on its reduction
+        kept: list[tuple[Clause, lia.Reduction]] = []
         for c, c_reduced in unfolded:
             r = lia.reduction(c.constraint, base=c_reduced)
             if mixed(c):
@@ -260,7 +261,7 @@ def predicate_pairing(
             else:
                 verdict = lia.is_satisfiable(c.constraint, reduced=r)
             if verdict is lia.Verdict.DISPROVED:
-                state.apply_replace([c.cid], [])
+                state.apply_replace([c.cid], [], r)
             else:
                 kept.append((c, r))
         # definition & folding: fold each clause until it no longer mixes Q/R;
@@ -268,6 +269,8 @@ def predicate_pairing(
         # changes the constraint
         for e, r in kept:
             while mixed(e):
+                if r.conj != e.constraint:
+                    r = lia.reduction(e.constraint)
                 pos_a, pos_b, eqs = select_pair(e, q_preds, r_preds, r)
                 a, b = e.body[pos_a], e.body[pos_b]
                 pair_log.append(
@@ -286,10 +289,7 @@ def predicate_pairing(
                     )
                     def_id, theta = intro.cid, {v: v for v in intro.vars()}
                     in_cls.append(intro)
-                folded = state.apply_fold(e.cid, [pos_a, pos_b], def_id, theta, r)
-                if folded.constraint != e.constraint:
-                    r = None
-                e = folded
+                e = state.apply_fold(e.cid, [pos_a, pos_b], def_id, theta, r)
             transf_ids.append(e.cid)
 
     current_ids = {c.cid for c in state.clauses}
@@ -340,12 +340,14 @@ def duplicate_cone(program: Program, pred: str, taken: Iterable[str]) -> tuple[l
 
 
 def _rank_goal_pairs(goal: Clause) -> list[tuple[int, int]]:
-    """Atom index pairs of a goal body, by descending |Eq| then position."""
+    """Atom index pairs of a goal body, by descending |Eq| then position;
+    one reduction of the goal's constraint serves every pair."""
     n = len(goal.body)
+    reduced = lia.reduction(goal.constraint)
     scored = []
     for i in range(n):
         for j in range(i + 1, n):
-            eqs = lia.eq_set(goal.constraint, goal.body[i], goal.body[j])
+            eqs = lia.eq_set(goal.constraint, goal.body[i], goal.body[j], reduced=reduced)
             scored.append((-len(eqs), i, j))
     scored.sort()
     return [(i, j) for _, i, j in scored]

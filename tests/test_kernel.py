@@ -1,3 +1,4 @@
+import collections
 import random
 from pathlib import Path
 
@@ -268,9 +269,64 @@ def test_replace_deletes_unsatisfiable(st):
     out = st.apply_unfold(goal.cid, 0)
     bad = [c for c in out if "X1" in {v.name for v in c.vars()}]
     st2 = st.clone()
-    # removing a satisfiable clause must fail
-    with pytest.raises(EquivalenceNotProved):
-        st2.apply_replace([out[0].cid], [])
+    # removing a satisfiable clause must fail, also on its reduction, fresh
+    # or holding its decision
+    c = out[0].constraint
+    decided = lia.reduction(c)
+    assert lia.is_satisfiable(c, reduced=decided) is lia.Verdict.PROVED
+    for reduced in (None, lia.reduction(c), decided):
+        with pytest.raises(EquivalenceNotProved):
+            st2.apply_replace([out[0].cid], [], reduced)
+    assert out[0] in st2.clauses
+
+
+def _r4_atoms(rng):
+    """Random atoms over X, Y and Z: bounds, which often clash, and
+    equalities and disequalities between two variables, which Gauss or a
+    case split can refute."""
+    atoms = []
+    for _ in range(rng.randint(1, 4)):
+        x, y = rng.sample(("X", "Y", "Z"), 2)
+        k = rng.randint(-3, 3)
+        shifted = f"{y} + {k}" if k >= 0 else f"{y} - {-k}"
+        atoms.append(rng.choice([
+            f"{x} >= {k}",
+            f"{x} =< {k}",
+            f"{x} = {shifted}",
+            f"{x} =\\= {shifted}",
+            f"{rng.choice([1, 2, 3])}*{x} < {shifted}",
+        ]))
+    return atoms
+
+
+def test_replace_deletion_with_a_reduction_matches_the_recheck_without():
+    """Over seeded random constraints, a deletion checked on the clause's
+    reduction, fresh or decided first as the strategy decides it, deletes
+    the clause or refuses with the verdict that the check without a
+    reduction gives."""
+    rng = random.Random(16)
+    seen = collections.Counter()
+    for _ in range(300):
+        text = "p(X,Y,Z) :- " + ", ".join(_r4_atoms(rng)) + "."
+        outcomes = []
+        for how in ("none", "fresh", "decided", "generic"):
+            st = TransformationState(parse_program(text))
+            c = st.clause(1).constraint
+            reduced = None if how == "none" else lia.reduction(c)
+            if how == "decided":
+                lia.is_satisfiable(c, reduced=reduced)
+            elif how == "generic":
+                lia.satisfiable_generic(c, reduced)
+            try:
+                st.apply_replace([1], [], reduced)
+            except EquivalenceNotProved as e:
+                outcomes.append(e.verdict)
+            else:
+                assert not st.clauses
+                outcomes.append("deleted")
+        assert len(set(outcomes)) == 1, (text, outcomes)
+        seen[outcomes[0]] += 1
+    assert seen["deleted"] >= 20 and seen[lia.Verdict.PROVED] >= 20, seen
 
 
 def test_replace_swaps_equivalent_constraint(st):

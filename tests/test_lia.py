@@ -13,16 +13,21 @@ from chcpair import (
     ConstraintConj,
     LinAtom,
     LinExpr,
+    PairingConfig,
     QuantDisj,
     Rel,
     Sort,
+    TransformationState,
     Var,
     boxes,
+    check_model,
+    corpus,
     entails_equality,
     eq_set,
     equiv_quant_disj,
     install_unknown_resolver,
     is_satisfiable,
+    iterate_pairing,
     negate_linatom,
     parse_program,
     project,
@@ -32,6 +37,7 @@ from chcpair.lia import Verdict, qd_of, satisfiable_with_witness
 from chcpair.syntax import ReadAtom, false_atom, fresh_name, print_constraint_atom
 
 from helpers import conj
+from test_model_goldens import load_case
 
 V = lambda n: Var(n)
 
@@ -433,23 +439,14 @@ def test_eq_set_matches_pairwise_reference():
         got = eq_set(d, a, b)
         want = _eq_set_reference(d, a, b)
         assert got == want, f"eq_set differs on {d}, {a}, {b}"
-        for witness in lia._WITNESS_CACHE[d]:
+        # with the caller's reduction, which keeps the witnesses
+        r = lia.reduction(d)
+        assert eq_set(d, a, b, reduced=r) == want, f"{d}, {a}, {b}"
+        for witness in r.generic[1]:
             assert all(boxes.eval_atom(at, witness) for at in d.lin_atoms())
-        # from a cold cache, with the caller's reduction
-        install_unknown_resolver(None)
-        assert eq_set(d, a, b, reduced=lia.reduction(d)) == want, f"{d}, {a}, {b}"
         entailed += any(x != y for x, y in got)
         cases += 1
     assert cases >= 50 and entailed > 0
-
-
-def test_unknown_resolver_install_clears_witness_cache():
-    a = Atom("ack1", (V("M1"), V("Y1"), V("Z1")))
-    b = Atom("ack2", (V("M2"), V("Y2"), V("Z2")))
-    eq_set(D15, a, b)
-    assert D15 in lia._WITNESS_CACHE
-    install_unknown_resolver(None)
-    assert not lia._WITNESS_CACHE
 
 
 @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 5))
@@ -621,7 +618,7 @@ def test_extending_a_reduced_base_matches_a_query_from_scratch():
     ):
         if cases >= 600 or time.monotonic() > deadline:
             break
-        reduced = lia._reduce(base)
+        reduced = lia.reduction(ConstraintConj(base))
         before = _snapshot(reduced)
         forward = [lia._extend(reduced, e) for e in extras]
         backward = [lia._extend(reduced, e) for e in reversed(extras)][::-1]
@@ -629,7 +626,7 @@ def test_extending_a_reduced_base_matches_a_query_from_scratch():
         for extra, got, again in zip(extras, forward, backward):
             want = _reference_sat(base + extra)
             assert got == want == again, (base, extra)
-            assert lia._satisfiable_uncached(ConstraintConj(base + extra)) == want
+            assert satisfiable_with_witness(ConstraintConj(base + extra)) == want
             seen.update((base_kind, kind, want[0].value))
             seen["probed"] += len(lia._lower(base + extra).vars) <= lia._PROBE_MAX_VARS
         cases += 1
@@ -646,7 +643,6 @@ def test_unknown_extension_goes_to_the_resolver_as_the_whole_conjunction():
     atom = LinAtom(LinExpr.of(V("A")), Rel.LE, LinExpr.number(100))
     (na,) = negate_linatom(atom)
     full = ConstraintConj(c.atoms + (na,))
-    key = (c, (na,))
     asked = []
 
     def resolver(q):
@@ -654,17 +650,21 @@ def test_unknown_extension_goes_to_the_resolver_as_the_whole_conjunction():
         return Verdict.DISPROVED
 
     install_unknown_resolver(None)
-    assert lia.entails_atom(c, atom) is Verdict.UNKNOWN
-    assert lia._SAT_CACHE[key] == (Verdict.UNKNOWN, None)
+    r = lia.reduction(c)
+    assert lia.entails_atom(c, atom, reduced=r) is Verdict.UNKNOWN
     install_unknown_resolver(resolver)
     try:
-        assert lia.entails_atom(c, atom) is Verdict.PROVED
+        assert lia.entails_atom(c, atom, reduced=r) is Verdict.PROVED
         assert asked == [full]
-        assert lia._SAT_CACHE[key] == (Verdict.DISPROVED, None)
-        assert c not in lia._SAT_CACHE
-        # cached under (c, extra): asked once
+        # the extension's answer stays with the query: c's reduction holds no decision
+        assert r.decision is None
         assert lia.implies_quant_disj(qd_of(c), qd_of(ConstraintConj((atom,)))) is Verdict.PROVED
-        assert asked == [full]
+        assert asked == [full, full]
+        # c itself is Unknown too; the resolver's answer is memoised on c's reduction
+        assert is_satisfiable(c, reduced=r) is Verdict.DISPROVED
+        assert asked == [full, full, c] and r.decision == (Verdict.DISPROVED, None)
+        assert is_satisfiable(c, reduced=r) is Verdict.DISPROVED
+        assert asked == [full, full, c]
     finally:
         install_unknown_resolver(None)
 
@@ -708,39 +708,41 @@ def _chain_case(rng):
 def test_growing_a_chain_of_prefixes_matches_a_query_from_scratch():
     """Reduce a prefix, grow it by a middle, decide the suffix: the verdict
     and the witness are those of the whole conjunction decided from scratch,
-    with or without the cache, and no reduction on the way changes."""
+    decided again or read from the memo of its reduction, and no reduction
+    on the way changes."""
     rng = random.Random(90)
     seen = collections.Counter()
     deadline = time.monotonic() + 6.0
     cases = 0
-    try:
-        while cases < 500 and time.monotonic() < deadline:
-            kind, atoms, i, j = _chain_case(rng)
-            c = ConstraintConj(atoms)
-            want = lia._satisfiable_uncached(c)
-            assert want == _reference_sat(c.lin_atoms()), atoms
-            head, mid = ConstraintConj(atoms[:i]), ConstraintConj(atoms[:j])
-            r_head = lia._reduce(head.lin_atoms())
-            before_head = _snapshot(r_head)
-            r_mid = lia._grow(r_head, mid.lin_atoms()[len(r_head.atoms):])
-            before_mid = _snapshot(r_mid)
-            assert _snapshot(lia.reduction(mid, base=r_head)) == before_mid
-            scratch = lia._reduce(mid.lin_atoms())
-            assert r_mid.unsat == scratch.unsat
-            if not r_mid.unsat:
-                assert before_mid == _snapshot(scratch), atoms
-            assert lia._extend(r_mid, c.lin_atoms()[len(r_mid.atoms):]) == want, atoms
-            for r in (r_head, r_mid, lia.reduction(c)):
-                install_unknown_resolver(None)  # a cache miss
-                assert satisfiable_with_witness(c, reduced=r) == want, atoms
-                assert satisfiable_with_witness(c, reduced=r) == want  # a hit
-            assert _snapshot(r_head) == before_head and _snapshot(r_mid) == before_mid
-            seen.update((kind, want[0].value))
-            seen["array"] += len(c.lin_atoms()) < len(atoms)
-            seen["probed"] += len(r_mid.sys.vars) <= lia._PROBE_MAX_VARS and not r_mid.unsat
-            cases += 1
-    finally:
-        install_unknown_resolver(None)
+    while cases < 500 and time.monotonic() < deadline:
+        kind, atoms, i, j = _chain_case(rng)
+        c = ConstraintConj(atoms)
+        want = satisfiable_with_witness(c)
+        assert want == _reference_sat(c.lin_atoms()), atoms
+        head, mid = ConstraintConj(atoms[:i]), ConstraintConj(atoms[:j])
+        r_head = lia.reduction(head)
+        before_head = _snapshot(r_head)
+        r_mid = lia._grow(r_head, mid.lin_atoms()[len(r_head.atoms):])
+        before_mid = _snapshot(r_mid)
+        assert _snapshot(lia.reduction(mid, base=r_head)) == before_mid
+        scratch = lia.reduction(mid)
+        assert r_mid.unsat == scratch.unsat
+        if not r_mid.unsat:
+            assert before_mid == _snapshot(scratch), atoms
+        assert lia._extend(r_mid, c.lin_atoms()[len(r_mid.atoms):]) == want, atoms
+        for r in (r_head, r_mid, lia.reduction(c)):
+            got = satisfiable_with_witness(c, reduced=r)
+            assert got == want, atoms
+            if got[1] is not None:
+                got[1].clear()  # the caller's copy, not the memo
+            assert satisfiable_with_witness(c, reduced=r) == want  # c's own: from the memo
+        assert r.decision == want, atoms
+        assert r_head.decision is None and r_mid.decision is None
+        assert _snapshot(r_head) == before_head and _snapshot(r_mid) == before_mid
+        seen.update((kind, want[0].value))
+        seen["array"] += len(c.lin_atoms()) < len(atoms)
+        seen["probed"] += len(r_mid.sys.vars) <= lia._PROBE_MAX_VARS and not r_mid.unsat
+        cases += 1
     assert cases >= 100
     for key in ("plain", "ground_false_prefix", "refuted_middle", "probe", "many_ne",
                 "proved", "disproved", "unknown", "array", "probed"):
@@ -757,6 +759,10 @@ def test_a_reduction_of_no_prefix_is_refused():
             is_satisfiable(c, reduced=r)
         with pytest.raises(ValueError):
             lia.reduction(c, base=r)
+        # the kernel's recheck of a deletion, on the clause with constraint c
+        st = TransformationState(parse_program("p(X,Y) :- X >= 0, Y >= X, X =< 3."))
+        with pytest.raises(ValueError):
+            st.apply_replace([1], [], r)
     assert is_satisfiable(c, reduced=lia.reduction(conj("X >= 0"))) is Verdict.PROVED
 
 
@@ -765,82 +771,107 @@ def test_generic_decision_disproves_exactly_what_is_satisfiable_disproves():
     a conjunction from a reduction grown from a prefix's, as the strategy
     does. It answers Disproved exactly when is_satisfiable does, over Gauss
     refutations, more than _PROBE_MAX_VARS variables, disequalities past
-    NEQ_SPLIT_CAP and array atoms. It caches a Disproved answer under the
-    conjunction as is_satisfiable would, and every witness it caches
-    satisfies the conjunction."""
+    NEQ_SPLIT_CAP and array atoms. A Disproved answer becomes the
+    reduction's decision, as is_satisfiable would make it, and a Proved one
+    does not; every witness it keeps on the reduction satisfies the
+    conjunction."""
     rng = random.Random(91)
     seen = collections.Counter()
     deadline = time.monotonic() + 2.0
     cases = 0
-    try:
-        while cases < 400 and time.monotonic() < deadline:
-            kind, atoms, _, j = _chain_case(rng)
-            c = ConstraintConj(atoms)
-            install_unknown_resolver(None)
-            want = is_satisfiable(c)
-            install_unknown_resolver(None)
-            r = lia.reduction(c, base=lia.reduction(ConstraintConj(atoms[:j])))
-            got = lia.satisfiable_generic(c, r)
-            assert (got is Verdict.DISPROVED) == (want is Verdict.DISPROVED), atoms
-            if got is Verdict.DISPROVED:
-                assert lia._SAT_CACHE[c] == (Verdict.DISPROVED, None)
-                assert is_satisfiable(c) is Verdict.DISPROVED  # a hit
-            for w in lia._WITNESS_CACHE.get(c, ()):
-                assert all(boxes.eval_atom(a, w) for a in c.lin_atoms()), atoms
-            seen.update((kind, want.value))
-            seen["array"] += len(c.lin_atoms()) < len(atoms)
-            seen["wide"] += len(r.sys.vars) > lia._PROBE_MAX_VARS
-            seen["two witnesses"] += len(lia._WITNESS_CACHE.get(c, ())) == 2
-            cases += 1
-    finally:
-        install_unknown_resolver(None)
+    while cases < 400 and time.monotonic() < deadline:
+        kind, atoms, _, j = _chain_case(rng)
+        c = ConstraintConj(atoms)
+        want = is_satisfiable(c)
+        r = lia.reduction(c, base=lia.reduction(ConstraintConj(atoms[:j])))
+        got = lia.satisfiable_generic(c, r)
+        assert (got is Verdict.DISPROVED) == (want is Verdict.DISPROVED), atoms
+        if got is Verdict.DISPROVED:
+            assert r.decision == (Verdict.DISPROVED, None)
+            assert is_satisfiable(c, reduced=r) is Verdict.DISPROVED  # from the memo
+        elif r.generic[0] is Verdict.PROVED:
+            assert r.decision is None  # is_satisfiable's witness can differ
+        for w in r.generic[1]:
+            assert all(boxes.eval_atom(a, w) for a in c.lin_atoms()), atoms
+        seen.update((kind, want.value))
+        seen["array"] += len(c.lin_atoms()) < len(atoms)
+        seen["wide"] += len(r.sys.vars) > lia._PROBE_MAX_VARS
+        seen["two witnesses"] += len(r.generic[1]) == 2
+        cases += 1
     assert cases >= 100
     for key in ("plain", "ground_false_prefix", "refuted_middle", "probe", "many_ne",
                 "proved", "disproved", "unknown", "array", "wide", "two witnesses"):
         assert seen[key] >= 5, (key, seen)
 
 
+def _refute_negations(c, atom):
+    """for-all(c -> atom) with one `_extend` of c's reduction per negation
+    of the atom, and nothing settled before."""
+    base = lia.reduction(c)
+    verdict = Verdict.PROVED
+    for na in negate_linatom(atom):
+        got, _ = lia._extend(base, [na])
+        if got is Verdict.PROVED:
+            return Verdict.DISPROVED
+        if got is Verdict.UNKNOWN:
+            verdict = Verdict.UNKNOWN
+    return verdict
+
+
 def test_entails_atom_with_a_reduction_matches_the_queries():
-    """entails_atom settles an unsatisfiable reduction and Gauss-ground atoms
-    without a query, and otherwise asks its queries on the given reduction:
-    it answers as entails_atom without one, which asks every query."""
+    """entails_atom settles an unsatisfiable reduction, a Disproved decision
+    memoised on it and Gauss-ground atoms without a query, and otherwise asks
+    its queries on the reduction, the caller's or its own: it answers as
+    asking every negation query does."""
     rng = random.Random(92)
     seen = collections.Counter()
     deadline = time.monotonic() + 2.0
     cases = 0
-    try:
-        while cases < 400 and time.monotonic() < deadline:
-            kind, atoms, _, _ = _chain_case(rng)
-            pool = sorted({v for a in atoms for v in a.vars() if v.sort is Sort.INT},
-                          key=lambda v: v.name)
-            if len(pool) < 2:
-                continue
-            x, y = rng.sample(pool, 2)
-            shifted = LinExpr.build({y: 1}, rng.randint(-1, 1))
-            atom = rng.choice([
-                LinAtom(LinExpr.of(x), Rel.EQ, LinExpr.of(y)),
-                LinAtom(LinExpr.of(x), rng.choice([Rel.EQ, Rel.LE, Rel.GE]), shifted),
-                _random_atom(rng, pool),
-            ])
-            if rng.random() < 0.3:  # a Gauss pivot that can make the atom's row ground
-                atoms += (LinAtom(LinExpr.of(x), Rel.EQ, shifted),)
-            c = ConstraintConj(atoms)
-            install_unknown_resolver(None)
-            want = lia.entails_atom(c, atom)
-            install_unknown_resolver(None)
-            r = lia.reduction(c)
-            assert lia.entails_atom(c, atom, reduced=r) is want, (atoms, atom)
-            seen.update((kind, want.value))
-            seen["ground"] += not r.unsat and bool(lia._entailed_atoms(r, (atom,)))
-            cases += 1
-    finally:
-        install_unknown_resolver(None)
+    while cases < 400 and time.monotonic() < deadline:
+        kind, atoms, _, _ = _chain_case(rng)
+        pool = sorted({v for a in atoms for v in a.vars() if v.sort is Sort.INT},
+                      key=lambda v: v.name)
+        if len(pool) < 2:
+            continue
+        x, y = rng.sample(pool, 2)
+        shifted = LinExpr.build({y: 1}, rng.randint(-1, 1))
+        atom = rng.choice([
+            LinAtom(LinExpr.of(x), Rel.EQ, LinExpr.of(y)),
+            LinAtom(LinExpr.of(x), rng.choice([Rel.EQ, Rel.LE, Rel.GE]), shifted),
+            _random_atom(rng, pool),
+        ])
+        if rng.random() < 0.3:  # a Gauss pivot that can make the atom's row ground
+            atoms += (LinAtom(LinExpr.of(x), Rel.EQ, shifted),)
+        c = ConstraintConj(atoms)
+        want = _refute_negations(c, atom)
+        r = lia.reduction(c)
+        if cases % 2:  # decided first, as the strategy decides a clause
+            seen["decided"] += is_satisfiable(c, reduced=r) is Verdict.DISPROVED
+        assert lia.entails_atom(c, atom) is want, (atoms, atom)
+        assert lia.entails_atom(c, atom, reduced=r) is want, (atoms, atom)
+        seen.update((kind, want.value))
+        seen["ground"] += not r.unsat and bool(lia._entailed_atoms(r, (atom,)))
+        cases += 1
     assert cases >= 100
-    for key in ("plain", "refuted_middle", "many_ne", "proved", "disproved", "ground"):
+    for key in ("plain", "refuted_middle", "many_ne", "proved", "disproved", "ground",
+                "decided"):
         assert seen[key] >= 5, (key, seen)
     with pytest.raises(ValueError):
         lia.entails_atom(conj("X = Y"), LinAtom(LinExpr.of(V("X")), Rel.EQ, LinExpr.of(V("Y"))),
                          reduced=lia.reduction(conj("X = Y, Y = 0")))
+
+
+def test_lia_keeps_no_answer_between_operations():
+    """After an hl1 transform and an hl1 model check, lia holds no mutable
+    container at module level, and its shared empty reduction no memo: the
+    answers lived on the reductions of each operation and went with them."""
+    iterate_pairing(corpus.load("hl1"), [], PairingConfig(iterate=True))
+    prog, sigma, _ = load_case("hl1.transported")
+    assert check_model(prog, sigma).overall is Verdict.PROVED
+    held = [name for name, value in vars(lia).items()
+            if not name.startswith("__") and isinstance(value, (dict, list, set))]
+    assert held == []
+    assert lia._EMPTY.decision is None and lia._EMPTY.generic is None
 
 
 # --- implications between quantified disjunctions ---------------------------
@@ -848,8 +879,7 @@ def test_entails_atom_with_a_reduction_matches_the_queries():
 def _implies_reference(lhs, rhs):
     """for-all(lhs -> rhs) with one `_extend` of the antecedent disjunct's
     reduction per choice of a negated atom from each consequent disjunct,
-    the cap applied to the choices of each antecedent disjunct, and no
-    cache."""
+    the cap applied to the choices of each antecedent disjunct."""
     taken = {v.name for v in lhs.free_vars()} | {v.name for v in rhs.free_vars()}
     lhs = lia.qd_rename_exists_fresh(lhs, taken)
     rdisj, r_exact = lia._flatten_exists(rhs)
@@ -861,7 +891,7 @@ def _implies_reference(lhs, rhs):
         if math.prod(len(alts) for alts in choices) > lia.DNF_CAP:
             saw_unknown = True
             continue
-        base = lia._reduce(phi.lin_atoms())
+        base = lia.reduction(phi)
         for extra in itertools.product(*choices):
             verdict, _ = lia._extend(base, extra)
             if verdict is Verdict.PROVED:
