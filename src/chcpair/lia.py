@@ -262,7 +262,8 @@ def _fm_eliminate(rows: list[tuple[dict[int, int], int]], elim: Sequence[int]):
 
     stages records, per eliminated variable, the rows that mentioned it at
     elimination time (for witness back-substitution). Raises _Unsat when a
-    ground row becomes positive, _Overflow past the row cap.
+    ground row becomes positive, and _Overflow, before it builds them,
+    when one step would make more rows than _FM_ROW_CAP.
     """
     rows = [_tighten(dict(c), k) for c, k in rows]
     stages: list[tuple[int, list[tuple[dict[int, int], int]]]] = []
@@ -287,6 +288,8 @@ def _fm_eliminate(rows: list[tuple[dict[int, int], int]], elim: Sequence[int]):
         pos = [(c, k) for c, k in rows if c.get(v, 0) > 0]
         neg = [(c, k) for c, k in rows if c.get(v, 0) < 0]
         rest = [(c, k) for c, k in rows if v not in c or c[v] == 0]
+        if len(rest) + len(pos) * len(neg) > _FM_ROW_CAP:
+            raise _Overflow()
         stages.append((v, pos + neg))
         if any(abs(c[v]) != 1 for c, _ in pos + neg):
             exact = False
@@ -305,8 +308,6 @@ def _fm_eliminate(rows: list[tuple[dict[int, int], int]], elim: Sequence[int]):
                 comb = {i: c for i, c in comb.items() if c != 0}
                 k = b * kp + a * kn
                 new_rows.append(_tighten(comb, k))
-        if len(new_rows) > _FM_ROW_CAP:
-            raise _Overflow()
         rows = check_ground(new_rows)
     return rows, stages, exact
 

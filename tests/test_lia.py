@@ -67,6 +67,31 @@ def test_sat_array_atoms_dropped():
     assert is_satisfiable(p.clauses[0].constraint) is Verdict.DISPROVED
 
 
+def test_fm_step_past_the_row_cap_is_refused_before_it_is_built(monkeypatch):
+    """With `Y >= S` added, one Fourier-Motzkin step of this 8-variable
+    conjunction would combine 232 x 12,511 rows; the step is refused by its
+    count, so the answer is Unknown after far fewer than a cap's worth of
+    tightened rows (2,916,299 when the cap was checked after the step)."""
+    c = conj(
+        "-2*S - W - X - Y + 3*Z - 3 =< -U + Z - 5, -2*U + 4 =\\= 2*S + X - 1, "
+        "-2*R - 3*T + 3*W - 3*Z + 3 > -2*Y - 2, "
+        "-R - W - 2 = -3*S + T + 2*U + 2*W + 2*X - Y + 3*Z + 3, "
+        "R - 3*S - 2*Y - 1 = 2*S + 2*T - 2*X - Y + 1, -S + 2*W + X + 2*Y > R - S + 3*Y - 3, "
+        "-2*R - 3*T - U - W + X + Y + 3*Z + 5 < -1, Y >= S"
+    )
+    calls = []
+    tighten = lia._tighten
+
+    def counted(coeffs, const):
+        calls.append(None)
+        return tighten(coeffs, const)
+
+    monkeypatch.setattr(lia, "_tighten", counted)
+    install_unknown_resolver(None)
+    assert is_satisfiable(c) is Verdict.UNKNOWN
+    assert len(calls) < 2 * lia._FM_ROW_CAP
+
+
 # --- entails_equality / eq_set ---------------------------------------------
 
 def test_entails_equality_examples():
