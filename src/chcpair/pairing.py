@@ -10,7 +10,7 @@ atoms of the same predicate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 from . import lia
@@ -312,18 +312,18 @@ def predicate_pairing(
 # Iterated driver
 
 
-def duplicate_cone(program: Program, pred: str, taken: Iterable[str]) -> tuple[list[Clause], dict[str, str]]:
+def duplicate_cone(program: Program, pred: str) -> tuple[list[Clause], dict[str, str]]:
     """Copy the clause cone of pred with renamed predicates."""
     cone = reachable_preds(program, pred)
-    taken_set = set(taken) | set(program.preds())
+    taken = program.preds()
     mapping: dict[str, str] = {}
     for p in sorted(cone):
         k = 2
         name = f"{p}_{k}"
-        while name in taken_set:
+        while name in taken:
             k += 1
             name = f"{p}_{k}"
-        taken_set.add(name)
+        taken.add(name)
         mapping[p] = name
     copies = []
     for c in program:
@@ -361,10 +361,13 @@ def iterate_pairing(
     """Run one pairing round, or with cfg.iterate, rounds until no goal
     mixes two disjoint cones.
 
-    Two atoms of the same predicate are paired by duplicating that
-    predicate's cone under renamed predicates. A chosen pair whose cones
-    overlap (for distinct predicates) is reported as a PartitionOverlap
-    and its goal left untransformed.
+    The goals are scanned in order. A goal is left when none of its pairs
+    can be transformed; after a round, the clauses are renumbered and the
+    scan starts again from the first goal. Two atoms of the same predicate
+    are paired by duplicating that predicate's cone under renamed
+    predicates. A pair whose cones overlap (for distinct predicates) is
+    reported as a PartitionOverlap of the goal it leaves, by that goal's id
+    in the output.
     """
     def renumber(cs: Iterable[Clause]) -> list[Clause]:
         return [Clause(i + 1, c.head, c.constraint, c.body) for i, c in enumerate(cs)]
@@ -374,31 +377,22 @@ def iterate_pairing(
         Program(renumber(extra), p.signatures)  # they must agree with p
     definite = [c for c in p if not c.is_goal]
     work_goals = [c for c in p if c.is_goal] + extra
+    dprog = Program(definite)
     all_steps: list[TraceStep] = []
     all_pairs: list[PairChoice] = []
-    overlaps: list[PartitionOverlap] = []
     all_defs: list[Clause] = []
     last_state: Optional[TransformationState] = None
-    skipped: set[int] = set()
+    left: list[tuple[str, int]] = []  # (overlap predicate, goal index) of the goals left
+    gi = 0
 
-    while True:
-        clauses = renumber(definite + work_goals)
-        definite = [c for c in clauses if not c.is_goal]
-        work_goals = [c for c in clauses if c.is_goal]
-        target = None
-        for gi, g in enumerate(work_goals):
-            if gi in skipped or len(g.body) < 2:
-                continue
-            target = (gi, g)
-            break
-        if target is None:
-            break
-        gi, goal = target
-        dprog = Program(definite)
-        for i, j in _rank_goal_pairs(goal):
+    while gi < len(work_goals):
+        goal = work_goals[gi]
+        overlap_preds: list[str] = []
+        pairs = _rank_goal_pairs(goal) if len(goal.body) >= 2 else []
+        for i, j in pairs:
             pa, pb = goal.body[i].pred, goal.body[j].pred
             if pa == pb:
-                copies, mapping = duplicate_cone(dprog, pb, [])
+                copies, mapping = duplicate_cone(dprog, pb)
                 definite2 = definite + copies
                 goal2 = Clause(
                     goal.cid,
@@ -416,7 +410,7 @@ def iterate_pairing(
                 try:
                     q_prog, r_prog = predicate_partition(dprog, pa, pb)
                 except OverlapError as ov:
-                    overlaps.append(PartitionOverlap(ov.pred, goal.cid))
+                    overlap_preds.append(ov.pred)
                     continue
                 definite2 = definite
                 goal2 = goal
@@ -428,30 +422,30 @@ def iterate_pairing(
             res = predicate_pairing(goal2, q_prog, r_prog, cfg, reserved_preds=reserved)
             base = len(all_steps)
             all_steps.extend(res.steps)
-            for pc in res.pair_log:
-                all_pairs.append(
-                    PairChoice(
-                        pc.clause_id, pc.clause, pc.pos_a, pc.pos_b,
-                        pc.atom_a, pc.atom_b, pc.eq, pc.trace_index + base,
-                    )
-                )
+            all_pairs.extend(
+                replace(pc, trace_index=pc.trace_index + base) for pc in res.pair_log
+            )
             all_defs.extend(res.defs)
             last_state = res.state
-            definite = rest + [c for c in res.transf if not c.is_goal]
+            definite = renumber(rest + [c for c in res.transf if not c.is_goal])
             work_goals = (
                 work_goals[:gi]
                 + [c for c in res.transf if c.is_goal]
                 + work_goals[gi + 1 :]
             )
-            skipped = set()
             break
         else:  # no pair of this goal could be transformed
-            skipped.add(gi)
+            left.extend((pred, gi) for pred in overlap_preds)
+            gi += 1
             continue
         if not cfg.iterate:
             break
+        dprog = Program(definite)
+        left = []  # the next scan examines these goals again
+        gi = 0
 
     final = Program(renumber(definite + work_goals))
+    out_goals = final.goals()
     state = last_state if last_state is not None else TransformationState(final)
     return PairingResult(
         transf=final,
@@ -460,5 +454,5 @@ def iterate_pairing(
         report=classify_sequence(all_steps),
         steps=all_steps,
         pair_log=all_pairs,
-        overlaps=overlaps,
+        overlaps=[PartitionOverlap(pred, out_goals[k].cid) for pred, k in left],
     )

@@ -263,23 +263,43 @@ def test_iterate_self_pair_duplicates(hl):
         assert not ({"p"} & body_preds and {"p_2"} & body_preds)
 
 
-def test_iterate_reports_partition_overlap():
-    p = parse_program(
-        """
+OVERLAP = """
 p(X) :- X = 0.
 q(X) :- p(X).
-false :- X1 = X2, p(X1), q(X2).
+r(X,Y) :- X =< 0, Y = 0.
+r(X,Y) :- X > 0, X1 = X - 1, Y = Y1 + 1, r(X1,Y1).
+s(X,Y) :- X =< 0, Y = 0.
+s(X,Y) :- X > 0, X1 = X - 1, Y = Y1 + 1, s(X1,Y1).
 """
+
+
+@pytest.mark.parametrize("iterate", [False, True])
+def test_iterate_reports_partition_overlap(iterate):
+    p = parse_program(
+        OVERLAP
+        + "false :- X1 = X2, p(X1), q(X2).\n"
+        + "false :- X1 = X2, Y1 =\\= Y2, r(X1,Y1), s(X2,Y2).\n"
     )
-    res = iterate_pairing(p, [], PairingConfig(iterate=True))
-    assert res.overlaps and res.overlaps[0].pred == "p"
-    # the goal is left untransformed
-    assert any(len(g.body) == 2 for g in res.transf.goals())
+    res = iterate_pairing(p, [], PairingConfig(iterate=iterate))
+    # the first goal is left untransformed and reported once, by its id in
+    # the output; the second is paired
+    left = [g for g in res.transf.goals() if len(g.body) == 2]
+    assert [g.body[0].pred for g in left] == ["p"]
+    assert [(ov.pred, ov.goal_id) for ov in res.overlaps] == [("p", left[0].cid)]
+    assert len(res.transf.goals()) == 2 and res.defs
+
+
+@pytest.mark.parametrize("iterate", [False, True])
+def test_a_goal_paired_after_an_overlapping_pair_is_not_reported(iterate):
+    p = parse_program(OVERLAP + "false :- X1 = X2, Y3 > 0, p(X1), q(X2), r(X3,Y3).\n")
+    res = iterate_pairing(p, [], PairingConfig(iterate=iterate))
+    # (p, q) ranks first and overlaps; (p, r) is then paired
+    assert res.steps and res.overlaps == []
 
 
 def test_duplicate_cone_renames_recursion():
     p = parse_program("p(X) :- X = 0.\np(X) :- X = Y + 1, p(Y).")
-    copies, mapping = duplicate_cone(p, "p", [])
+    copies, mapping = duplicate_cone(p, "p")
     assert mapping == {"p": "p_2"}
     assert all(c.head.pred == "p_2" for c in copies)
     assert copies[1].body[0].pred == "p_2"
@@ -361,3 +381,21 @@ def test_fib_injectivity_settles_pair_selection_without_queries(monkeypatch):
     install_unknown_resolver(None)
     iterate_pairing(corpus.load("fib_injectivity"), [], PairingConfig(iterate=True))
     assert len(calls) <= 60
+
+
+def test_fib_injectivity_builds_a_program_per_round(monkeypatch):
+    """The driver validates its definite clauses as a Program once at the
+    start and once after each of the 12 rounds, not for every goal it
+    examines (121 constructions when it did, 46 goals ranked)."""
+    from chcpair import corpus, syntax
+
+    calls = []
+    init = syntax.Program.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(syntax.Program, "__init__", counted)
+    iterate_pairing(corpus.load("fib_injectivity"), [], PairingConfig(iterate=True))
+    assert len(calls) <= 90

@@ -33,6 +33,15 @@ def test_transform_matches_golden(name):
         assert text.encode() == (GOLDEN / fname).read_bytes(), f"{fname} differs from its golden"
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_overlaps_name_the_goals_left_in_the_output(name):
+    # every goal left with two or more atoms is reported once, by its id
+    # in the output, and no other id is
+    res = iterate_pairing(corpus.load(name), [], PairingConfig(iterate=True))
+    left = [g.cid for g in res.transf.goals() if len(g.body) >= 2]
+    assert sorted(ov.goal_id for ov in res.overlaps) == left
+
+
 def test_transform_text_is_independent_of_the_hash_seed():
     script = (
         "from chcpair import PairingConfig, corpus, iterate_pairing, print_program\n"
