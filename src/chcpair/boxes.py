@@ -12,10 +12,10 @@ first occurrence and indexes their rows, and `box_system` lays them out
 densely; `lower_conj` does both, and `lia` lowers its queries through
 `index_rows` as well. `eval_atom` evaluates the same rows.
 
-Enumeration runs a plan, prepared once per system, box and set of pinned
-(fixed) variables and cached on the system (`prepare`). `run` takes the
-values as a list in variable order and returns tuples; `solutions` wraps it
-for values keyed by variable. Per plan:
+Enumeration runs a plan, made by `plan` for one system, box and set of
+pinned (fixed) variables. `run` takes the values as a list in variable
+order and returns tuples; `solutions` plans and runs for values keyed by
+variable. Per plan:
 
 - the pinned columns fold into the row constants; only free variables are
   enumerated, in variable order;
@@ -34,7 +34,7 @@ rather than the size of the box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .syntax import ConstraintConj, LinAtom, Rel, Var
@@ -49,17 +49,12 @@ KERNEL = "pure"
 
 @dataclass
 class BoxSystem:
-    """A conjunction of linear atoms lowered to dense integer rows.
-
-    `plans` caches one enumeration plan per (lo, hi, pinned variables); the
-    rows must not change once the system has been queried.
-    """
+    """A conjunction of linear atoms lowered to dense integer rows."""
 
     vars: tuple[Var, ...]
     matrix: list[int]
     consts: list[int]
     ops: list[int]
-    plans: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def index_rows(
@@ -128,17 +123,9 @@ class Plan:
     levels: tuple[tuple[int, tuple, tuple], ...]
 
 
-def prepare(sys_: BoxSystem, lo: int, hi: int, pinned: tuple[int, ...]) -> Plan:
+def plan(sys_: BoxSystem, lo: int, hi: int, pinned: tuple[int, ...]) -> Plan:
     """The plan of `sys_` in [lo, hi] with the variables at positions
-    `pinned` (ascending) fixed; made once and cached on the system."""
-    key = (lo, hi, pinned)
-    plan = sys_.plans.get(key)
-    if plan is None:
-        plan = sys_.plans[key] = _plan(sys_, lo, hi, pinned)
-    return plan
-
-
-def _plan(sys_: BoxSystem, lo: int, hi: int, pinned: tuple[int, ...]) -> Plan:
+    `pinned` (ascending) fixed."""
     n = len(sys_.vars)
     m, ops = sys_.matrix, sys_.ops
     cols = [tuple((r, m[r * n + v]) for r in range(len(ops)) if m[r * n + v]) for v in range(n)]
@@ -267,8 +254,8 @@ def solutions(
     """
     vs = sys_.vars
     vals = [fixed.get(v) for v in vs] if fixed else [None] * len(vs)
-    plan = prepare(sys_, lo, hi, tuple([i for i, x in enumerate(vals) if x is not None]))
-    return [dict(zip(vs, tup)) for tup in run(plan, vals, limit)]
+    pinned = tuple([i for i, x in enumerate(vals) if x is not None])
+    return [dict(zip(vs, tup)) for tup in run(plan(sys_, lo, hi, pinned), vals, limit)]
 
 
 def find_solution(

@@ -86,7 +86,10 @@ def _cmd_transform(args) -> int:
         file=sys.stderr,
     )
     for ov in res.overlaps:
-        print(f"; partition overlap at {ov.pred!r}: goal left untransformed", file=sys.stderr)
+        print(
+            f"; partition overlap at {ov.pred!r}: goal {ov.goal_id} left untransformed",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

@@ -116,6 +116,20 @@ def check_a_classifier(name: str) -> None:
         )
 
 
+def entailed(
+    conj: ConstraintConj, atom, reduced: Optional[lia.Reduction] = None
+) -> Verdict:
+    """Whether conj entails atom, as folding asks it: an atom of conj is
+    Proved, a linear atom is asked of `lia.entails_atom` (`reduced` is
+    conj's reduction when the caller has it), and any other atom is
+    Unknown."""
+    if atom in conj.atoms:
+        return Verdict.PROVED
+    if isinstance(atom, LinAtom):
+        return lia.entails_atom(conj, atom, reduced=reduced)
+    return Verdict.UNKNOWN  # array atom not syntactically present
+
+
 class TransformationState:
     """P_i, Defs_i and the application trace of one transformation sequence."""
 
@@ -303,13 +317,6 @@ class TransformationState:
                 f"selected atoms {q} do not match the instantiated definition body {b_inst}"
             )
         d_inst = d.constraint.subst(theta)
-
-        def entailed(conj: ConstraintConj, atom, reduced=None) -> Verdict:
-            if atom in conj.atoms:
-                return Verdict.PROVED
-            if isinstance(atom, LinAtom):
-                return lia.entails_atom(conj, atom, reduced=reduced)
-            return Verdict.UNKNOWN  # array atom not syntactically present
 
         # condition (ii) with e := c: c must entail every conjunct of d(theta)
         for atom in d_inst:

@@ -680,15 +680,13 @@ def satisfiable_with_witness(
 ) -> tuple[Verdict, Optional[dict[Var, int]]]:
     """Integer satisfiability of the linear part of c, with witness if Proved.
 
-    `reduced` is c's reduction, or the reduction of a prefix of c's linear
-    atoms, when the caller has one (see `reduction`): only the atoms after
-    that prefix are then reduced. The answer does not depend on it. The
-    decision is memoised on c's reduction, so asking again with it decides
-    nothing; the witness returned is a copy. The witness can be None for a
-    Proved verdict that came from an installed external resolver.
+    `reduced` is c's reduction when the caller has it (see `reduction`);
+    otherwise c is reduced here. The decision is memoised on the reduction,
+    so asking again with it decides nothing; the witness returned is a copy.
+    The witness can be None for a Proved verdict that came from an installed
+    external resolver.
     """
-    if reduced is None or reduced.conj != c:
-        reduced = reduction(c, base=reduced)
+    reduced = _own(c, reduced)
     if reduced.decision is None:
         reduced.decision = _settle(_decide(reduced), c)
     verdict, env = reduced.decision
@@ -714,9 +712,7 @@ def satisfiable_generic(c: ConstraintConj, reduced: Reduction) -> Verdict:
     by is_satisfiable, resolver included.
     """
     reduced = _own(c, reduced)
-    if reduced.generic is None:
-        reduced.generic = _generic_witnesses(reduced)
-    verdict = reduced.generic[0]
+    verdict = _generic(reduced)[0]
     if verdict is Verdict.DISPROVED:
         reduced.decision = (Verdict.DISPROVED, None)
     elif verdict is Verdict.UNKNOWN:
@@ -799,6 +795,13 @@ def _generic_witnesses(reduced: Reduction) -> tuple[Verdict, tuple[dict[Var, int
     return verdict, tuple(w for w in points if w is not None)
 
 
+def _generic(reduced: Reduction) -> tuple[Verdict, tuple[dict[Var, int], ...]]:
+    """The generic witnesses of a reduction, memoised on it."""
+    if reduced.generic is None:
+        reduced.generic = _generic_witnesses(reduced)
+    return reduced.generic
+
+
 def eq_set(
     d: ConstraintConj, a: Atom, b: Atom, *, reduced: Optional[Reduction] = None
 ) -> tuple[tuple[Var, Var], ...]:
@@ -815,9 +818,7 @@ def eq_set(
     the others are asked, extending the reduction.
     """
     reduced = _own(d, reduced)
-    if reduced.generic is None:
-        reduced.generic = _generic_witnesses(reduced)
-    witnesses = reduced.generic[1]
+    witnesses = _generic(reduced)[1]
     out = []
     seen: set[frozenset[str]] = set()
     for x in a.vars():

@@ -27,6 +27,7 @@ from .kernel import (
     TransformationState,
     check_a_classifier,
     classify_sequence,
+    entailed,
 )
 from .syntax import (
     Atom,
@@ -104,6 +105,20 @@ class PairingResult:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _ranked_pairs(
+    c: Clause, pairs: Iterable[tuple[int, int]], reduced: Optional[lia.Reduction]
+) -> list[tuple[int, int, tuple[tuple[Var, Var], ...]]]:
+    """The body position pairs (i, j) of c, each with the equalities that
+    c's constraint entails between its atoms (`lia.eq_set`, on `reduced`),
+    by descending |Eq|; equal ones keep the order of `pairs`."""
+    scored = [
+        (i, j, lia.eq_set(c.constraint, c.body[i], c.body[j], reduced=reduced))
+        for i, j in pairs
+    ]
+    scored.sort(key=lambda s: -len(s[2]))
+    return scored
+
+
 def select_pair(
     e: Clause,
     q_preds: set[str],
@@ -119,13 +134,7 @@ def select_pair(
     r_pos = [i for i, a in enumerate(e.body) if a.pred in r_preds]
     if not q_pos or not r_pos:
         raise NoMixedPair(f"clause {e.cid} has no Q/R atom pair")
-    best = None
-    for i in q_pos:
-        for j in r_pos:
-            eqs = lia.eq_set(e.constraint, e.body[i], e.body[j], reduced=reduced)
-            if best is None or len(eqs) > len(best[2]):
-                best = (i, j, eqs)
-    return best
+    return _ranked_pairs(e, [(i, j) for i in q_pos for j in r_pos], reduced)[0]
 
 
 def find_matching_def(
@@ -138,10 +147,10 @@ def find_matching_def(
     """First definition (newest first) whose body folds the pair (a, b).
 
     Matching builds the substitution from the definition's body onto (a, b)
-    and requires d to entail the instantiated definition constraint; the
-    full folding side conditions are re-checked by the kernel at apply time.
-    `reduced` is the reduction of d when the caller has it
-    (`lia.entails_atom`).
+    and requires d to entail each atom of the instantiated definition
+    constraint, by the fold's own test (`kernel.entailed`); the full folding
+    side conditions are re-checked by the kernel at apply time. `reduced`
+    is the reduction of d when the caller has it.
     """
     for defc in reversed(list(defs)):
         if len(defc.body) != 2:
@@ -155,16 +164,10 @@ def find_matching_def(
             if theta.setdefault(dv, tv) != tv:
                 ok = False
                 break
-        if not ok:
-            continue
-        for atom in defc.constraint.subst(theta):
-            if not isinstance(atom, LinAtom):
-                ok = False
-                break
-            if lia.entails_atom(d, atom, reduced=reduced) is not lia.Verdict.PROVED:
-                ok = False
-                break
-        if ok:
+        if ok and all(
+            entailed(d, atom, reduced) is lia.Verdict.PROVED
+            for atom in defc.constraint.subst(theta)
+        ):
             return defc.cid, theta
     return None
 
@@ -343,14 +346,8 @@ def _rank_goal_pairs(goal: Clause) -> list[tuple[int, int]]:
     """Atom index pairs of a goal body, by descending |Eq| then position;
     one reduction of the goal's constraint serves every pair."""
     n = len(goal.body)
-    reduced = lia.reduction(goal.constraint)
-    scored = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            eqs = lia.eq_set(goal.constraint, goal.body[i], goal.body[j], reduced=reduced)
-            scored.append((-len(eqs), i, j))
-    scored.sort()
-    return [(i, j) for _, i, j in scored]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return [(i, j) for i, j, _ in _ranked_pairs(goal, pairs, lia.reduction(goal.constraint))]
 
 
 def iterate_pairing(
@@ -368,6 +365,11 @@ def iterate_pairing(
     predicates. A pair whose cones overlap (for distinct predicates) is
     reported as a PartitionOverlap of the goal it leaves, by that goal's id
     in the output.
+
+    Each round's trace numbers its clauses afresh, from 1, and the steps of
+    all rounds are concatenated without a mark between rounds. The result's
+    trace therefore replays one round at a time against that round's own
+    input, not as one run from p.
     """
     def renumber(cs: Iterable[Clause]) -> list[Clause]:
         return [Clause(i + 1, c.head, c.constraint, c.body) for i, c in enumerate(cs)]

@@ -6,13 +6,11 @@ import enum
 import shlex
 import subprocess
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from .lia import Verdict
 from .smtlib import emit_lia_query, emit_smtlib
 from .syntax import ConstraintConj, Program
-
-_GRACE_SECONDS = 2
 
 
 @dataclass(frozen=True)
@@ -45,6 +43,37 @@ class SolveResult:
     detail: str = ""
 
 
+def _run(payload: str, cfg: SolverConfig) -> SolveResult:
+    """Write payload on the solver's stdin and parse the first
+    sat/unsat/unknown line of its output; the lines after a sat answer are
+    its model. A process that outlives the timeout is killed and reaped."""
+    try:
+        done = subprocess.run(
+            list(cfg.command),
+            input=payload,
+            capture_output=True,
+            text=True,
+            timeout=cfg.timeout_seconds,
+        )
+    except subprocess.TimeoutExpired:
+        return SolveResult(SolveStatus.TIMEOUT)
+    except OSError as exc:
+        return SolveResult(SolveStatus.PROCESS_ERROR, detail=str(exc))
+    lines = done.stdout.splitlines()
+    for i, line in enumerate(lines):
+        word = line.strip()
+        if word == "sat":
+            return SolveResult(SolveStatus.SAT, model_text="\n".join(lines[i + 1 :]))
+        if word == "unsat":
+            return SolveResult(SolveStatus.UNSAT)
+        if word == "unknown":
+            return SolveResult(SolveStatus.UNKNOWN)
+    return SolveResult(
+        SolveStatus.PROCESS_ERROR,
+        detail=f"no answer in solver output (exit {done.returncode}): {done.stderr[:500]}",
+    )
+
+
 def external_solve(p: Program, cfg: SolverConfig) -> SolveResult:
     """Feed the emitted clauses to the configured solver process.
 
@@ -54,62 +83,7 @@ def external_solve(p: Program, cfg: SolverConfig) -> SolveResult:
     """
     if not cfg.enabled:
         raise ValueError("external solver is disabled in this configuration")
-    payload = emit_smtlib(p) + "(check-sat)\n(get-model)\n"
-    try:
-        proc = subprocess.Popen(
-            list(cfg.command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-    except OSError as exc:
-        return SolveResult(SolveStatus.PROCESS_ERROR, detail=str(exc))
-    try:
-        out, err = proc.communicate(payload, timeout=cfg.timeout_seconds)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        try:
-            proc.communicate(timeout=_GRACE_SECONDS)
-        except subprocess.TimeoutExpired:
-            pass
-        return SolveResult(SolveStatus.TIMEOUT)
-    lines = out.splitlines()
-    answer = None
-    rest_at = 0
-    for i, line in enumerate(lines):
-        word = line.strip()
-        if word in ("sat", "unsat", "unknown"):
-            answer = word
-            rest_at = i + 1
-            break
-    if answer == "sat":
-        return SolveResult(SolveStatus.SAT, model_text="\n".join(lines[rest_at:]))
-    if answer == "unsat":
-        return SolveResult(SolveStatus.UNSAT)
-    if answer == "unknown":
-        return SolveResult(SolveStatus.UNKNOWN)
-    return SolveResult(
-        SolveStatus.PROCESS_ERROR,
-        detail=f"no answer in solver output (exit {proc.returncode}): {err[:500]}",
-    )
-
-
-def _run_text_query(payload: str, cfg: SolverConfig) -> Optional[str]:
-    try:
-        out = subprocess.run(
-            list(cfg.command),
-            input=payload,
-            capture_output=True,
-            text=True,
-            timeout=cfg.timeout_seconds,
-        ).stdout
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    for line in out.splitlines():
-        if line.strip() in ("sat", "unsat", "unknown"):
-            return line.strip()
-    return None
+    return _run(emit_smtlib(p) + "(check-sat)\n(get-model)\n", cfg)
 
 
 def make_unknown_resolver(cfg: SolverConfig):
@@ -118,13 +92,9 @@ def make_unknown_resolver(cfg: SolverConfig):
     Each query ships the conjunction's linear part as QF_LIA; sat/unsat
     answers become Proved/Disproved, anything else declines.
     """
+    verdicts = {SolveStatus.SAT: Verdict.PROVED, SolveStatus.UNSAT: Verdict.DISPROVED}
 
     def resolve(c: ConstraintConj) -> Verdict:
-        answer = _run_text_query(emit_lia_query(c), cfg)
-        if answer == "sat":
-            return Verdict.PROVED
-        if answer == "unsat":
-            return Verdict.DISPROVED
-        return Verdict.UNKNOWN
+        return verdicts.get(_run(emit_lia_query(c), cfg).status, Verdict.UNKNOWN)
 
     return resolve

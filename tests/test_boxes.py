@@ -48,12 +48,12 @@ def test_solutions_match_brute_force():
     rng = random.Random(11)
     deadline = time.monotonic() + 4.0
     systems = queries = found = 0
-    seen = {"ne": False, "no_vars": False, "outside": False, "reused": False}
+    seen = {"ne": False, "no_vars": False, "outside": False}
     while systems < 400 and time.monotonic() < deadline:
         sys_ = _random_system(rng)
         seen["ne"] |= boxes.OP_NE in sys_.ops
         seen["no_vars"] |= not sys_.vars
-        # one system, several boxes and pinned sets, all through its plan cache
+        # one system, several boxes and pinned sets
         for _ in range(3):
             lo = rng.randint(-3, 1)
             hi = lo + rng.randint(-1, 4)
@@ -66,7 +66,6 @@ def test_solutions_match_brute_force():
                 assert [list(d) for d in got] == [list(sys_.vars)] * len(got)
                 queries += 1
                 found += bool(got)
-        seen["reused"] |= len(sys_.plans) > 1
         systems += 1
     assert systems >= 50 and found > queries // 10
     assert all(seen.values()), seen

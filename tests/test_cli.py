@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,6 +109,15 @@ def test_transform_iterate_two_atom_goal(tmp_path):
     out = tmp_path / "out.chc"
     assert run("transform", f, "--iterate", "-o", out) == 0
     assert parse_program(out.read_text()).goals()
+
+
+def test_transform_iterate_names_the_goal_of_each_overlap(tmp_path, capsys):
+    out = tmp_path / "out.chc"
+    assert run("transform", CORPUS_DIR / "fib_injectivity.chc", "--iterate", "-o", out) == 0
+    lines = [ln for ln in capsys.readouterr().err.splitlines() if "partition overlap" in ln]
+    ids = [int(re.search(r": goal (\d+) left untransformed$", ln).group(1)) for ln in lines]
+    assert sorted(ids) == [367, 369, 370, 372, 373, 374, 375, 376, 377]
+    assert set(ids) <= {g.cid for g in parse_program(out.read_text()).goals()}
 
 
 @pytest.mark.xfail(

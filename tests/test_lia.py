@@ -755,13 +755,14 @@ def test_growing_a_chain_of_prefixes_matches_a_query_from_scratch():
         if not r_mid.unsat:
             assert before_mid == _snapshot(scratch), atoms
         assert lia._extend(r_mid, c.lin_atoms()[len(r_mid.atoms):]) == want, atoms
-        for r in (r_head, r_mid, lia.reduction(c)):
+        for base in (r_head, r_mid, None):
+            r = lia.reduction(c, base=base)
             got = satisfiable_with_witness(c, reduced=r)
             assert got == want, atoms
             if got[1] is not None:
                 got[1].clear()  # the caller's copy, not the memo
-            assert satisfiable_with_witness(c, reduced=r) == want  # c's own: from the memo
-        assert r.decision == want, atoms
+            assert satisfiable_with_witness(c, reduced=r) == want  # from the memo
+            assert r.decision == want, atoms
         assert r_head.decision is None and r_mid.decision is None
         assert _snapshot(r_head) == before_head and _snapshot(r_mid) == before_mid
         seen.update((kind, want[0].value))
@@ -788,7 +789,11 @@ def test_a_reduction_of_no_prefix_is_refused():
         st = TransformationState(parse_program("p(X,Y) :- X >= 0, Y >= X, X =< 3."))
         with pytest.raises(ValueError):
             st.apply_replace([1], [], r)
-    assert is_satisfiable(c, reduced=lia.reduction(conj("X >= 0"))) is Verdict.PROVED
+    # a query takes c's own reduction; one of a prefix grows into it
+    prefix = lia.reduction(conj("X >= 0"))
+    with pytest.raises(ValueError):
+        is_satisfiable(c, reduced=prefix)
+    assert is_satisfiable(c, reduced=lia.reduction(c, base=prefix)) is Verdict.PROVED
 
 
 def test_generic_decision_disproves_exactly_what_is_satisfiable_disproves():

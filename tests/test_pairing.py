@@ -13,6 +13,7 @@ from chcpair import (
 from chcpair.errors import ArityClash, CapExceeded, InputShapeError, NoMixedPair
 from chcpair.pairing import (
     PairingConfig,
+    _rank_goal_pairs,
     duplicate_cone,
     find_matching_def,
     iterate_pairing,
@@ -329,6 +330,14 @@ def test_select_pair_breaks_ties_leftmost():
     c = _clause("false :- p(B), p(A), q(C).")
     i, j, _ = select_pair(c, {"p"}, {"q"})
     assert c.body[i].args[0].name == "B"
+
+
+def test_rank_goal_pairs_orders_by_equalities_then_position():
+    # q-r share two entailed equalities (C=E, D=F), p-q and p-r one each
+    goal = _clause("false :- A = C, C = E, D = F, p(A,B), q(C,D), r(E,F).")
+    assert [len(lia.eq_set(goal.constraint, goal.body[i], goal.body[j]))
+            for i, j in ((0, 1), (0, 2), (1, 2))] == [1, 1, 2]
+    assert _rank_goal_pairs(goal) == [(1, 2), (0, 1), (0, 2)]
 
 
 def test_iterate_pairing_runs_one_round_without_iterate():

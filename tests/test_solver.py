@@ -1,9 +1,16 @@
+import importlib.util
+import os
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import chcpair
 from chcpair import SolveStatus, SolverConfig, external_solve, parse_program
+from chcpair.lia import Verdict, install_unknown_resolver, is_satisfiable
+from chcpair.solver import make_unknown_resolver
+from helpers import conj
 
 PROG = parse_program("false :- X > 0, p(X).\np(X) :- X = 1.")
 
@@ -77,11 +84,6 @@ def test_solver_config_from_command_line():
 
 
 def test_unknown_resolver_roundtrip():
-    from chcpair import ConstraintConj, Var
-    from chcpair.lia import Verdict, install_unknown_resolver, is_satisfiable
-    from chcpair.solver import make_unknown_resolver
-    from helpers import conj
-
     # seven disequalities exceed the case-split cap, forcing unknown
     hard = conj(
         "A =\\= B, B =\\= C, C =\\= D, D =\\= E, E =\\= F, F =\\= G, G =\\= A"
@@ -102,10 +104,6 @@ def test_unknown_resolver_roundtrip():
 
 
 def test_unknown_resolver_declines_on_garbage():
-    from chcpair.lia import Verdict, install_unknown_resolver, is_satisfiable
-    from chcpair.solver import make_unknown_resolver
-    from helpers import conj
-
     hard = conj(
         "A =\\= B, B =\\= C, C =\\= D, D =\\= E, E =\\= F, F =\\= G, G =\\= A"
     )
@@ -114,3 +112,23 @@ def test_unknown_resolver_declines_on_garbage():
         assert is_satisfiable(hard) is Verdict.UNKNOWN
     finally:
         install_unknown_resolver(None)
+
+
+def test_unknown_resolver_declines_on_a_timeout():
+    hung = SolverConfig((sys.executable, "-c", "import time; time.sleep(30)"), timeout_seconds=1)
+    t0 = time.monotonic()
+    assert make_unknown_resolver(hung)(conj("X >= 0")) is Verdict.UNKNOWN
+    assert time.monotonic() - t0 < 1 + 1
+
+
+def test_unknown_resolver_declines_on_a_missing_binary():
+    cfg = SolverConfig(("/nonexistent/solver-binary",), timeout_seconds=5)
+    assert make_unknown_resolver(cfg)(conj("X >= 0")) is Verdict.UNKNOWN
+
+
+@pytest.mark.skipif(importlib.util.find_spec("z3") is not None, reason="z3 bindings installed")
+def test_z3shim_without_bindings_answers_unknown(monkeypatch):
+    src = str(Path(chcpair.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = SolverConfig((sys.executable, "-m", "chcpair.z3shim"), timeout_seconds=30)
+    assert external_solve(PROG, cfg).status is SolveStatus.UNKNOWN
