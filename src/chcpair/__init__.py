@@ -36,10 +36,6 @@ from .kernel import (
     SequenceReport,
     TraceStep,
     TransformationState,
-    apply_definition,
-    apply_fold,
-    apply_replace,
-    apply_unfold,
     check_all_defs_unfolded,
     classify_sequence,
 )

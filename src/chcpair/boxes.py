@@ -1,16 +1,17 @@
 """Finite-box enumeration of integer solutions for linear constraint systems.
 
 This is the kernel behind the bounded oracle and every brute-force check in
-the test suite. A system is a list of rows sum(coeff*var) + const OP 0, with
-OP one of <= (OP_LE), == (OP_EQ) and != (OP_NE). `solutions` lists the
-assignments inside a box that satisfy every row, lexicographically in
-variable order with ascending values.
+the test suite. A system is a list of rows sum(coeff*var) + k REL 0, with
+REL one of Rel.LE, Rel.EQ and Rel.NE. `solutions` lists the assignments
+inside a box that satisfy every row, lexicographically in variable order
+with ascending values.
 
 Rows come from `LinAtom.row()`, the one place that turns a relation into
 LE, EQ or NE. `index_rows` numbers the variables of a list of atoms by
-first occurrence and indexes their rows, and `box_system` lays them out
-densely; `lower_conj` does both, and `lia` lowers its queries through
-`index_rows` as well. `eval_atom` evaluates the same rows.
+first occurrence and indexes their rows as (coeffs by position, k, rel);
+a `BoxSystem` holds those rows as they are. `lower_conj` does both, and
+`lia` lowers its queries through `index_rows` as well. `eval_atom`
+evaluates the same rows.
 
 Enumeration runs a plan, made by `plan` for one system, box and set of
 pinned (fixed) variables. `run` takes the values as a list in variable
@@ -39,27 +40,29 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .syntax import ConstraintConj, LinAtom, Rel, Var
 
-OP_LE = 0
-OP_EQ = 1
-OP_NE = 2
-
 # The only enumerator there is, kept as a constant for tools that report it.
 KERNEL = "pure"
 
 
+Row = tuple[dict[int, int], int, Rel]
+
+# Plans and runs compare relations with `is` against these module names: a
+# global read, where `Rel.LE` would pay an attribute lookup on the enum.
+_LE, _EQ, _NE = Rel.LE, Rel.EQ, Rel.NE
+
+
 @dataclass
 class BoxSystem:
-    """A conjunction of linear atoms lowered to dense integer rows."""
+    """A conjunction of linear atoms lowered to rows over `vars`: each row
+    is (coeffs by position, k, rel), as `index_rows` makes it."""
 
     vars: tuple[Var, ...]
-    matrix: list[int]
-    consts: list[int]
-    ops: list[int]
+    rows: Sequence[Row]
 
 
 def index_rows(
     atoms: Iterable[LinAtom], var_order: Sequence[Var] = ()
-) -> tuple[list[Var], dict[Var, int], list[tuple[dict[int, int], int, Rel]]]:
+) -> tuple[list[Var], dict[Var, int], list[Row]]:
     """(vars, index, rows): `vars` is `var_order` followed by the other
     variables by first occurrence, `index` their positions, and rows[i] is
     atoms[i].row() as (coeffs by position, k, rel)."""
@@ -79,16 +82,6 @@ def index_rows(
     return vars_, index, rows
 
 
-_OPS = {Rel.LE: OP_LE, Rel.EQ: OP_EQ, Rel.NE: OP_NE}
-
-
-def box_system(vars_: Sequence[Var], rows: Sequence[tuple[dict[int, int], int, Rel]]) -> BoxSystem:
-    """The dense system of rows indexed by `index_rows` over `vars_`."""
-    matrix = [coeffs.get(i, 0) for coeffs, _, _ in rows for i in range(len(vars_))]
-    consts = [k for _, k, _ in rows]
-    return BoxSystem(tuple(vars_), matrix, consts, [_OPS[rel] for _, _, rel in rows])
-
-
 def lower_conj(conj: ConstraintConj, var_order: Optional[Sequence[Var]] = None) -> BoxSystem:
     """Lower the linear part of a conjunction for box evaluation.
 
@@ -97,7 +90,7 @@ def lower_conj(conj: ConstraintConj, var_order: Optional[Sequence[Var]] = None) 
     if not all(isinstance(atom, LinAtom) for atom in conj):
         raise ValueError("box systems handle linear atoms only")
     vars_, _, rows = index_rows(conj, var_order or ())
-    return box_system(vars_, rows)
+    return BoxSystem(tuple(vars_), rows)
 
 
 @dataclass(frozen=True)
@@ -106,10 +99,10 @@ class Plan:
 
     `consts` are the system's row constants and [lo, hi] the box. `pins[j]`
     lists the (row, coeff) pairs of the j-th pinned variable. `start` holds
-    (row, op, min, max) of every row whose free part can rule out the whole
+    (row, rel, min, max) of every row whose free part can rule out the whole
     box: the bounds of its free columns' sum. `levels[k]` belongs to the
     k-th free variable: its position in `vars`, the (row, coeff) pairs it
-    shifts, and the checks (row, coeff, op, min, max) that bound it, with
+    shifts, and the checks (row, coeff, rel, min, max) that bound it, with
     min and max the bounds of the row's free columns after it (both 0 when
     it is the row's last free variable).
     """
@@ -119,7 +112,7 @@ class Plan:
     hi: int
     pinned: tuple[int, ...]
     pins: tuple[tuple[tuple[int, int], ...], ...]
-    start: tuple[tuple[int, int, int, int], ...]
+    start: tuple[tuple[int, Rel, int, int], ...]
     levels: tuple[tuple[int, tuple, tuple], ...]
 
 
@@ -127,23 +120,28 @@ def plan(sys_: BoxSystem, lo: int, hi: int, pinned: tuple[int, ...]) -> Plan:
     """The plan of `sys_` in [lo, hi] with the variables at positions
     `pinned` (ascending) fixed."""
     n = len(sys_.vars)
-    m, ops = sys_.matrix, sys_.ops
-    cols = [tuple((r, m[r * n + v]) for r in range(len(ops)) if m[r * n + v]) for v in range(n)]
+    rels = [rel for _, _, rel in sys_.rows]
+    # cols[v]: the (row, coeff) pairs of v's nonzero coefficients, in row order
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for r, (coeffs, _, _) in enumerate(sys_.rows):
+        for v, c in coeffs.items():
+            if c:
+                cols[v].append((r, c))
     pinned_set = set(pinned)
     free = [v for v in range(n) if v not in pinned_set]
     # rem[r] runs from the bounds of all free columns of row r down to 0 as
     # the levels below walk past them; last[r] is the row's last free var.
-    rem = [[0, 0] for _ in ops]
-    last = [-1] * len(ops)
+    rem = [[0, 0] for _ in rels]
+    last = [-1] * len(rels)
     for v in free:
         for r, c in cols[v]:
             rem[r][0] += min(c * lo, c * hi)
             rem[r][1] += max(c * lo, c * hi)
             last[r] = v
     start = tuple(
-        (r, op, rem[r][0], rem[r][1])
-        for r, op in enumerate(ops)
-        if op != OP_NE or last[r] < 0
+        (r, rel, rem[r][0], rem[r][1])
+        for r, rel in enumerate(rels)
+        if rel is not _NE or last[r] < 0
     )
     levels = []
     for v in free:
@@ -151,12 +149,12 @@ def plan(sys_: BoxSystem, lo: int, hi: int, pinned: tuple[int, ...]) -> Plan:
         for r, c in cols[v]:
             rem[r][0] -= min(c * lo, c * hi)
             rem[r][1] -= max(c * lo, c * hi)
-            if ops[r] != OP_NE or last[r] == v:
-                checks.append((r, c, ops[r], rem[r][0], rem[r][1]))
-        levels.append((v, cols[v], tuple(checks)))
-    return Plan(
-        tuple(sys_.consts), lo, hi, pinned, tuple(cols[v] for v in pinned), start, tuple(levels)
-    )
+            if rels[r] is not _NE or last[r] == v:
+                checks.append((r, c, rels[r], rem[r][0], rem[r][1]))
+        levels.append((v, tuple(cols[v]), tuple(checks)))
+    consts = tuple([k for _, k, _ in sys_.rows])
+    pins = tuple(tuple(cols[v]) for v in pinned)
+    return Plan(consts, lo, hi, pinned, pins, start, tuple(levels))
 
 
 def run(plan: Plan, vals: list, limit: int = 2**62) -> list[tuple]:
@@ -170,12 +168,12 @@ def run(plan: Plan, vals: list, limit: int = 2**62) -> list[tuple]:
         x = vals[pos]
         for r, c in touched:
             s[r] += c * x
-    for r, op, mn, mx in plan.start:
+    for r, rel, mn, mx in plan.start:
         t = s[r]
-        if op == OP_LE:
+        if rel is _LE:
             if t + mn > 0:
                 return []
-        elif op == OP_EQ:
+        elif rel is _EQ:
             if t + mn > 0 or t + mx < 0:
                 return []
         elif t == 0:  # a ground NE row
@@ -191,9 +189,9 @@ def run(plan: Plan, vals: list, limit: int = 2**62) -> list[tuple]:
         pos, touched, checks = levels[k]
         xlo, xhi = lo, hi
         skip = None
-        for r, c, op, mn, mx in checks:
+        for r, c, rel, mn, mx in checks:
             t = s[r]
-            if op == OP_NE:
+            if rel is _NE:
                 if t % c == 0:
                     skip = (-t // c,) if skip is None else skip + (-t // c,)
                 continue
@@ -203,7 +201,7 @@ def run(plan: Plan, vals: list, limit: int = 2**62) -> list[tuple]:
                 b = a // c
                 if b < xhi:
                     xhi = b
-                if op == OP_EQ:
+                if rel is _EQ:
                     b = -((t + mx) // c)
                     if b > xlo:
                         xlo = b
@@ -211,7 +209,7 @@ def run(plan: Plan, vals: list, limit: int = 2**62) -> list[tuple]:
                 b = -(a // -c)
                 if b > xlo:
                     xlo = b
-                if op == OP_EQ:
+                if rel is _EQ:
                     b = (t + mx) // -c
                     if b < xhi:
                         xhi = b

@@ -539,35 +539,7 @@ def _match_skeleton(c: Clause, ref: Clause) -> dict[Var, Var]:
 
 
 # ---------------------------------------------------------------------------
-# Spec-level operation wrappers and trace validators
-
-
-def apply_definition(s: TransformationState, d: Clause) -> TransformationState:
-    s.apply_definition(d)
-    return s
-
-
-def apply_unfold(s: TransformationState, clause: int, atom_index: int) -> TransformationState:
-    s.apply_unfold(clause, atom_index)
-    return s
-
-
-def apply_fold(
-    s: TransformationState,
-    clause: int,
-    body_positions: Sequence[int],
-    def_id: int,
-    theta: Mapping[Var, Var],
-) -> TransformationState:
-    s.apply_fold(clause, body_positions, def_id, theta)
-    return s
-
-
-def apply_replace(
-    s: TransformationState, group: Sequence[int], new_constraints: Sequence[ConstraintConj]
-) -> TransformationState:
-    s.apply_replace(group, new_constraints)
-    return s
+# Trace validators
 
 
 def check_all_defs_unfolded(trace: Sequence[TraceStep]) -> tuple[bool, list[int]]:

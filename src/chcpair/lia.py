@@ -558,7 +558,7 @@ def _decide(r: Reduction) -> tuple[Verdict, Optional[dict[Var, int]]]:
     if r.unsat:  # no probe point either: Gauss keeps every integer point
         return Verdict.DISPROVED, None
     if len(r.sys.vars) <= _PROBE_MAX_VARS:
-        w = boxes.find_solution(boxes.box_system(r.sys.vars, r.sys.rows), -_PROBE_BOX, _PROBE_BOX)
+        w = boxes.find_solution(boxes.BoxSystem(r.sys.vars, r.sys.rows), -_PROBE_BOX, _PROBE_BOX)
         if w is not None:
             return Verdict.PROVED, w
     verdict, (w,) = _branch_witness(r.atoms, r.sys, r.defs)

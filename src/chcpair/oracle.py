@@ -332,7 +332,7 @@ def _compile(c: Clause, lo: int, hi: int) -> _Rule:
     if defs is None:
         # The join checks the rows over bound slots alone.
         box = [r for r in rows if not r[0] or any(i not in binder for i in r[0])]
-        plan = boxes.plan(boxes.box_system(vars_, box), lo, hi, tuple(sorted(binder)))
+        plan = boxes.plan(boxes.BoxSystem(tuple(vars_), box), lo, hi, tuple(sorted(binder)))
     return _Rule(c.cid, pred, head, tuple(atoms), tuple(vars_), defs, plan)
 
 

@@ -60,10 +60,7 @@ class PairingConfig:
 class PairChoice:
     """One inner-loop pair selection, for the PAIR trace lines."""
 
-    clause_id: int
     clause: Clause
-    pos_a: int
-    pos_b: int
     atom_a: Atom
     atom_b: Atom
     eq: tuple[tuple[Var, Var], ...]
@@ -71,13 +68,20 @@ class PairChoice:
 
     def line(self) -> str:
         return (
-            f"PAIR clause={self.clause_id} "
+            f"PAIR clause={self.clause.cid} "
             f"chosen=({print_atom(self.atom_a)},{print_atom(self.atom_b)}) eq={len(self.eq)}"
         )
 
 
 @dataclass
 class PairingResult:
+    """The output program and definitions of a pairing run, with its trace.
+
+    Each pair choice is logged at the index of the trace step that it leads
+    to. Under `iterate_pairing`, `state` is the last round's, and `steps`
+    and `pair_log` cover every round.
+    """
+
     transf: Program
     defs: Program
     state: TransformationState
@@ -100,8 +104,6 @@ class PairingResult:
             for pc in by_index.get(i, ()):
                 lines.append(pc.line())
             lines.append(step.line(i + 1))
-        for pc in by_index.get(len(steps), ()):
-            lines.append(pc.line())
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -207,8 +209,10 @@ def predicate_pairing(
     still mixes Q and R atoms is decided by `lia.satisfiable_generic`,
     which leaves the generic witnesses of `lia.eq_set` on its reduction.
     That reduction then serves pair selection, definition matching and the
-    fold's entailment checks, until a fold changes its constraint; the
-    kernel rechecks a deletion from the decision memoised on it.
+    fold's entailment checks. A fold keeps the clause's constraint object:
+    a definition's head holds every variable of its two atoms, so the
+    definition has no existential variable to project. The kernel rechecks
+    a deletion from the decision memoised on the reduction.
     """
     q_preds = set(q_prog.preds())
     r_preds = set(r_prog.preds())
@@ -268,19 +272,12 @@ def predicate_pairing(
             else:
                 kept.append((c, r))
         # definition & folding: fold each clause until it no longer mixes Q/R;
-        # its reduction serves every query on its constraint until a fold
-        # changes the constraint
+        # a fold keeps the constraint, so its reduction serves every query
         for e, r in kept:
             while mixed(e):
-                if r.conj != e.constraint:
-                    r = lia.reduction(e.constraint)
                 pos_a, pos_b, eqs = select_pair(e, q_preds, r_preds, r)
                 a, b = e.body[pos_a], e.body[pos_b]
-                pair_log.append(
-                    PairChoice(
-                        e.cid, e, pos_a, pos_b, a, b, eqs, trace_index=len(state.trace)
-                    )
-                )
+                pair_log.append(PairChoice(e, a, b, eqs, trace_index=len(state.trace)))
                 hit = find_matching_def(state.defs, a, b, e.constraint, r)
                 if hit is not None:
                     def_id, theta = hit

@@ -4,7 +4,9 @@ Emission targets the HORN logic: one declare-fun per predicate and one
 universally quantified implication per clause, with goals implying false.
 Array reads and writes map to select/store equalities, which carries the
 array congruence and read-over-write axioms via the standard theory.
-Output is byte-deterministic for a given program.
+Output is byte-deterministic for a given program. A predicate or variable
+named by a symbol that SMT-LIB reserves (`and`, `assert`, `_`, ...) is
+refused with ValueError rather than written.
 
 Model files are sequences of define-fun forms over and/or/exists/not and
 linear atoms, as produced by common Horn solvers; they are normalized
@@ -43,6 +45,33 @@ from .syntax import (
 )
 
 _SORT_SMT = {Sort.INT: "Int", Sort.ARRAY: "(Array Int Int)"}
+
+# Symbols that no declared predicate or variable may be (SMT-LIB 2.6): the
+# reserved words, the command names, and the function symbols of the Core,
+# Ints and ArraysEx theories. Quoting does not help, since |and| and `and`
+# are the same symbol.
+_RESERVED = frozenset(
+    """
+    ! _ as BINARY DECIMAL exists HEXADECIMAL forall let match NUMERAL par STRING
+    assert check-sat check-sat-assuming declare-const declare-datatype
+    declare-datatypes declare-fun declare-sort define-fun define-fun-rec
+    define-funs-rec define-sort echo exit get-assertions get-assignment get-info
+    get-model get-option get-proof get-unsat-assumptions get-unsat-core
+    get-value pop push reset reset-assertions set-info set-logic set-option
+    true false not => and or xor = distinct ite
+    - + * div mod abs <= < >= >
+    select store
+    """.split()
+)
+
+
+def _check_symbols(names: Iterable[str]) -> None:
+    """ValueError naming the first of `names` that SMT-LIB reserves."""
+    for name in names:
+        if name in _RESERVED:
+            raise ValueError(
+                f"{name!r} is reserved in SMT-LIB and cannot name a predicate or variable"
+            )
 
 
 def _smt_int(n: int) -> str:
@@ -103,6 +132,7 @@ def emit_smtlib(p: Program) -> str:
         for a in ([c.head] if c.head is not None else []) + list(c.body):
             if a.pred not in seen:
                 seen.append(a.pred)
+    _check_symbols(seen)
     for pred in seen:
         sig = p.signatures[pred]
         args = " ".join(_SORT_SMT[s] for s in sig)
@@ -112,6 +142,7 @@ def emit_smtlib(p: Program) -> str:
         head = "false" if c.head is None else _smt_atom(c.head)
         impl = f"(=> {_smt_and(body)} {head})"
         vs = c.vars()
+        _check_symbols([v.name for v in vs])
         if vs:
             binder = "".join(f"({v.name} {_SORT_SMT[v.sort]})" for v in vs)
             lines.append(f"(assert (forall ({binder}) {impl}))")
@@ -129,6 +160,7 @@ def emit_lia_query(c: ConstraintConj) -> str:
         for v in a.vars():
             if v not in seen:
                 seen.append(v)
+    _check_symbols([v.name for v in seen])
     for v in seen:
         lines.append(f"(declare-const {v.name} Int)")
     for a in atoms:
@@ -150,6 +182,7 @@ def _qd_smt(q: QuantDisj) -> str:
     else:
         body = f"(or {' '.join(conj_smt(d) for d in q.disjuncts)})"
     if q.exists:
+        _check_symbols([v.name for v in q.exists])
         binder = "".join(f"({v.name} {_SORT_SMT[v.sort]})" for v in q.exists)
         body = f"(exists ({binder}) {body})"
     return body
@@ -160,6 +193,7 @@ def print_model(sigma: SymbolicInterpretation) -> str:
     lines = []
     for pred in sigma.preds():
         params, formula = sigma.entry(pred)
+        _check_symbols([pred] + [v.name for v in params])
         binder = "".join(f"({v.name} {_SORT_SMT[v.sort]})" for v in params)
         lines.append(f"(define-fun {pred} ({binder}) Bool {_qd_smt(formula)})")
     return "\n".join(lines) + ("\n" if lines else "")

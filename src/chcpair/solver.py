@@ -17,7 +17,6 @@ from .syntax import ConstraintConj, Program
 class SolverConfig:
     command: tuple[str, ...]
     timeout_seconds: float = 60
-    enabled: bool = True
 
     def __post_init__(self):
         if self.timeout_seconds < 1:
@@ -81,8 +80,6 @@ def external_solve(p: Program, cfg: SolverConfig) -> SolveResult:
     stdin, parses the first sat/unsat/unknown answer, and kills the
     process if it outlives the timeout.
     """
-    if not cfg.enabled:
-        raise ValueError("external solver is disabled in this configuration")
     return _run(emit_smtlib(p) + "(check-sat)\n(get-model)\n", cfg)
 
 
@@ -90,11 +87,17 @@ def make_unknown_resolver(cfg: SolverConfig):
     """Build a lia.install_unknown_resolver hook backed by this solver.
 
     Each query ships the conjunction's linear part as QF_LIA; sat/unsat
-    answers become Proved/Disproved, anything else declines.
+    answers become Proved/Disproved, anything else declines. A conjunction
+    that SMT-LIB cannot write (a variable named by a reserved symbol) is
+    declined without running the solver.
     """
     verdicts = {SolveStatus.SAT: Verdict.PROVED, SolveStatus.UNSAT: Verdict.DISPROVED}
 
     def resolve(c: ConstraintConj) -> Verdict:
-        return verdicts.get(_run(emit_lia_query(c), cfg).status, Verdict.UNKNOWN)
+        try:
+            query = emit_lia_query(c)
+        except ValueError:
+            return Verdict.UNKNOWN
+        return verdicts.get(_run(query, cfg).status, Verdict.UNKNOWN)
 
     return resolve

@@ -10,23 +10,15 @@ from helpers import conj
 
 def _brute_force(sys_, lo, hi, fixed, limit):
     """Every point of the box, pinned variables held, in lexicographic order."""
-    n = len(sys_.vars)
     ranges = [
         [fixed[v]] if v in fixed else range(lo, hi + 1) for v in sys_.vars
     ]
     out = []
     for point in itertools.product(*ranges):
-        ok = True
-        for r, op in enumerate(sys_.ops):
-            s = sys_.consts[r] + sum(
-                sys_.matrix[r * n + i] * x for i, x in enumerate(point)
-            )
-            if (op == boxes.OP_LE and s > 0) or (op == boxes.OP_EQ and s != 0) or (
-                op == boxes.OP_NE and s == 0
-            ):
-                ok = False
-                break
-        if ok:
+        if all(
+            _REL_OPS[rel](k + sum(c * point[i] for i, c in coeffs.items()), 0)
+            for coeffs, k, rel in sys_.rows
+        ):
             out.append(dict(zip(sys_.vars, point)))
             if len(out) >= limit:
                 break
@@ -34,25 +26,34 @@ def _brute_force(sys_, lo, hi, fixed, limit):
 
 
 def _random_system(rng):
+    """Sparse rows (coeffs by position, k, rel); some zero coefficients are
+    kept in the row, and a row may have no nonzero coefficient at all."""
     nvars = rng.randint(0, 4)
-    nrows = rng.randint(0, 5)
-    # mostly unit coefficients and zeros, as in clause constraints
-    matrix = [rng.choice([0, 0, 0, 1, -1, 1, -1, 2, -3]) for _ in range(nrows * nvars)]
-    consts = [rng.randint(-6, 6) for _ in range(nrows)]
-    ops = [rng.choice([boxes.OP_LE, boxes.OP_LE, boxes.OP_EQ, boxes.OP_NE]) for _ in range(nrows)]
+    rows = []
+    for _ in range(rng.randint(0, 5)):
+        # mostly unit coefficients and zeros, as in clause constraints
+        coeffs = {}
+        for i in range(nvars):
+            c = rng.choice([0, 0, 0, 1, -1, 1, -1, 2, -3])
+            if c or rng.random() < 0.3:
+                coeffs[i] = c
+        rel = rng.choice([Rel.LE, Rel.LE, Rel.EQ, Rel.NE])
+        rows.append((coeffs, rng.randint(-6, 6), rel))
     vs = tuple(Var(f"V{i}") for i in range(nvars))
-    return boxes.BoxSystem(vs, matrix, consts, ops)
+    return boxes.BoxSystem(vs, rows)
 
 
 def test_solutions_match_brute_force():
     rng = random.Random(11)
     deadline = time.monotonic() + 4.0
     systems = queries = found = 0
-    seen = {"ne": False, "no_vars": False, "outside": False}
+    seen = {"ne": False, "no_vars": False, "outside": False, "zero": False, "ground": False}
     while systems < 400 and time.monotonic() < deadline:
         sys_ = _random_system(rng)
-        seen["ne"] |= boxes.OP_NE in sys_.ops
+        seen["ne"] |= any(rel is Rel.NE for _, _, rel in sys_.rows)
         seen["no_vars"] |= not sys_.vars
+        seen["zero"] |= any(0 in coeffs.values() for coeffs, _, _ in sys_.rows)
+        seen["ground"] |= any(not any(coeffs.values()) for coeffs, _, _ in sys_.rows)
         # one system, several boxes and pinned sets
         for _ in range(3):
             lo = rng.randint(-3, 1)

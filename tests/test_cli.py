@@ -23,6 +23,17 @@ def test_emit_smtlib(capsys):
     assert out.startswith("(set-logic HORN)")
 
 
+def test_emit_refuses_reserved_smtlib_symbols(tmp_path, capsys):
+    f = tmp_path / "reserved.chc"
+    f.write_text("and(_, STRING) :- _ = 0, STRING = 1.\n")
+    assert run("emit", f) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'and' is reserved in SMT-LIB" in captured.err
+    # the CHC text itself is fine
+    assert run("emit", f, "--format", "chc") == 0
+
+
 def test_emit_chc_round_trips(capsys):
     assert run("emit", CORPUS_DIR / "ackermann.chc", "--format", "chc") == 0
     out = capsys.readouterr().out

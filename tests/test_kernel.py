@@ -165,6 +165,36 @@ def test_unfolded_constraints_extend_their_parent(name, monkeypatch):
     assert any(len(c.constraint) > 0 for c in checked)
 
 
+@pytest.mark.parametrize(
+    "name, folds",
+    [
+        ("sum_square", 3),
+        ("fib_fundep", 10),
+        ("hl", 2),
+        ("loop_pipelining", 3),
+        ("fib_injectivity", 162),
+    ],
+)
+def test_strategy_folds_keep_the_clause_constraint(name, folds, monkeypatch):
+    """Every fold of a pairing run returns a clause whose constraint is the
+    folded clause's own object: a strategy definition's head holds every
+    variable of its two atoms, so it has no existential variable, and the
+    clause's reduction stays valid across its folds."""
+    fold = TransformationState.apply_fold
+    kept = []
+
+    def checking_fold(self, cid, *args, **kwargs):
+        before = self.clauses[self._index_of(cid)].constraint
+        out = fold(self, cid, *args, **kwargs)
+        assert out.constraint is before
+        kept.append(out)
+        return out
+
+    monkeypatch.setattr(TransformationState, "apply_fold", checking_fold)
+    iterate_pairing(corpus.load(name), [], PairingConfig(iterate=True))
+    assert len(kept) == folds
+
+
 # --- R3 ---------------------------------------------------------------------
 
 def test_fold_example3_goal(st):

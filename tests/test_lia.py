@@ -293,24 +293,21 @@ def test_entails_equality_agrees_with_enumeration():
 
 def test_lower_and_lower_conj_share_variables_and_rows():
     rng = random.Random(46)
-    ops = {boxes.OP_LE: Rel.LE, boxes.OP_EQ: Rel.EQ, boxes.OP_NE: Rel.NE}
     for _ in range(300):
         c = _random_conj(rng)
         sys_ = lia._lower(c.lin_atoms())
         bsys = boxes.lower_conj(c)
         assert sys_.vars == bsys.vars
-        n = len(bsys.vars)
-        dense = {Rel.LE: [], Rel.EQ: [], Rel.NE: []}
+        assert sys_.rows == bsys.rows
+        split = {Rel.LE: [], Rel.EQ: [], Rel.NE: []}
         ground_false = False
-        for r, op in enumerate(bsys.ops):
-            coeffs, k = bsys.matrix[r * n : (r + 1) * n], bsys.consts[r]
-            if any(coeffs):
-                dense[ops[op]].append((coeffs, k))
+        for coeffs, k, rel in bsys.rows:
+            if coeffs:
+                split[rel].append((coeffs, k))
             else:
-                ground_false |= not boxes.row_holds(k, ops[op])
-        for rel, rows in ((Rel.LE, sys_.le), (Rel.EQ, sys_.eq), (Rel.NE, sys_.ne)):
-            assert [([row.get(i, 0) for i in range(n)], k) for row, k in rows] == dense[rel]
-            assert all(0 not in row.values() for row, _ in rows)
+                ground_false |= not boxes.row_holds(k, rel)
+        assert (sys_.le, sys_.eq, sys_.ne) == (split[Rel.LE], split[Rel.EQ], split[Rel.NE])
+        assert all(0 not in row.values() for row, _ in sys_.le + sys_.eq + sys_.ne)
         assert sys_.ground_false == ground_false
 
 
@@ -552,7 +549,7 @@ def _reference_sat(atoms):
     if not sys_.le and not sys_.eq and not sys_.ne:
         return Verdict.PROVED, {v: 0 for v in sys_.vars}
     if len(sys_.vars) <= lia._PROBE_MAX_VARS:
-        w = boxes.find_solution(boxes.box_system(sys_.vars, sys_.rows), -2, 2)
+        w = boxes.find_solution(boxes.BoxSystem(sys_.vars, sys_.rows), -2, 2)
         if w is not None:
             return Verdict.PROVED, w
     gdefs, unsat = _reference_gauss(sys_)

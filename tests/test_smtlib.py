@@ -50,6 +50,33 @@ def test_emit_array_select_store():
     assert "(= A_1 A)" in out  # normalized repeated head array variable
 
 
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ("and(_, STRING) :- _ = 0, STRING = 1.", "and"),
+        ("p(X) :- X = 0.\nassert(X) :- p(X).", "assert"),
+        ("p(X, STRING) :- X = STRING.", "STRING"),
+        ("false :- _ > 0, p(_).\np(X) :- X = 1.", "_"),
+    ],
+)
+def test_emit_refuses_reserved_symbols(text, name):
+    with pytest.raises(ValueError, match=f"'{name}' is reserved"):
+        emit_smtlib(parse_program(text))
+
+
+def test_print_model_and_lia_query_refuse_reserved_symbols():
+    for text, name in [
+        ("(define-fun push ((X Int)) Bool (= X 0))", "push"),
+        ("(define-fun p ((_ Int)) Bool (= _ 0))", "_"),
+        ("(define-fun p ((X Int)) Bool (exists ((NUMERAL Int)) (= X NUMERAL)))", "NUMERAL"),
+    ]:
+        with pytest.raises(ValueError, match=f"'{name}' is reserved"):
+            print_model(parse_model(text))
+    with pytest.raises(ValueError, match="'STRING' is reserved"):
+        smtlib.emit_lia_query(conj("X = STRING + 1"))
+    assert "(declare-const X Int)" in smtlib.emit_lia_query(conj("X = Y + 1"))
+
+
 def test_emit_deterministic_and_golden():
     for name in corpus.NAMES:
         p = corpus.load(name)

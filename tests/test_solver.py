@@ -67,12 +67,6 @@ def test_solver_missing_binary():
     assert res.status is SolveStatus.PROCESS_ERROR
 
 
-def test_solver_disabled_is_a_contract_violation():
-    cfg = SolverConfig(("true",), timeout_seconds=5, enabled=False)
-    with pytest.raises(ValueError):
-        external_solve(PROG, cfg)
-
-
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(("z3",), timeout_seconds=0)
@@ -124,6 +118,12 @@ def test_unknown_resolver_declines_on_a_timeout():
 def test_unknown_resolver_declines_on_a_missing_binary():
     cfg = SolverConfig(("/nonexistent/solver-binary",), timeout_seconds=5)
     assert make_unknown_resolver(cfg)(conj("X >= 0")) is Verdict.UNKNOWN
+
+
+def test_unknown_resolver_declines_a_reserved_symbol_without_asking():
+    cfg = _py_solver("print('unsat')")
+    assert make_unknown_resolver(cfg)(conj("STRING >= 0")) is Verdict.UNKNOWN
+    assert make_unknown_resolver(cfg)(conj("X >= 0")) is Verdict.DISPROVED
 
 
 @pytest.mark.skipif(importlib.util.find_spec("z3") is not None, reason="z3 bindings installed")
