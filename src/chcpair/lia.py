@@ -403,30 +403,44 @@ def _verify_env(atoms: Sequence[LinAtom], env: Mapping[Var, int]) -> bool:
     return all(boxes.eval_atom(a, env) for a in atoms)
 
 
+def _subst_row(
+    coeffs: dict[int, int], k: int, v: int, a: int, dcoeffs: dict[int, int], dconst: int
+):
+    """The row with its coefficient a on v replaced by a * (sum(dcoeffs) +
+    dconst); a new dict, never changing the given one."""
+    merged = {i: c for i, c in coeffs.items() if i != v}
+    for i, c in dcoeffs.items():
+        merged[i] = merged.get(i, 0) + a * c
+    return {i: c for i, c in merged.items() if c != 0}, k + a * dconst
+
+
 def _subst_rows(rows, v: int, dcoeffs: dict[int, int], dconst: int):
     """The rows with v replaced by sum(dcoeffs) + dconst; new dicts, never
     changing the given ones."""
     out = []
     for coeffs, k in rows:
         a = coeffs.get(v)
-        if not a:
-            out.append((coeffs, k))
-            continue
-        merged = {i: c for i, c in coeffs.items() if i != v}
-        for i, c in dcoeffs.items():
-            merged[i] = merged.get(i, 0) + a * c
-        merged = {i: c for i, c in merged.items() if c != 0}
-        out.append((merged, k + a * dconst))
+        out.append(_subst_row(coeffs, k, v, a, dcoeffs, dconst) if a else (coeffs, k))
     return out
 
 
 def _subst_defs(rows, defs):
-    """The rows with each Gauss definition of defs substituted in turn."""
-    if not rows:
+    """The rows with each Gauss definition of defs substituted in turn.
+
+    Row by row: each row takes, in elimination order, the definitions whose
+    variable it still mentions, and ends with the dict that substituting
+    one definition at a time into every row would give.
+    """
+    if not rows or not defs:
         return rows
-    for v, dcoeffs, dconst in defs:
-        rows = _subst_rows(rows, v, dcoeffs, dconst)
-    return rows
+    out = []
+    for coeffs, k in rows:
+        for v, dcoeffs, dconst in defs:
+            a = coeffs.get(v)
+            if a:
+                coeffs, k = _subst_row(coeffs, k, v, a, dcoeffs, dconst)
+        out.append((coeffs, k))
+    return out
 
 
 def _first_unit(eq) -> Optional[tuple[int, int]]:

@@ -355,13 +355,15 @@ def iterate_pairing(
     """Run one pairing round, or with cfg.iterate, rounds until no goal
     mixes two disjoint cones.
 
-    The goals are scanned in order. A goal is left when none of its pairs
-    can be transformed; after a round, the clauses are renumbered and the
-    scan starts again from the first goal. Two atoms of the same predicate
-    are paired by duplicating that predicate's cone under renamed
-    predicates. A pair whose cones overlap (for distinct predicates) is
-    reported as a PartitionOverlap of the goal it leaves, by that goal's id
-    in the output.
+    The goals are scanned once, in order. A goal is left when none of its
+    pairs can be transformed. After a round, the clauses are renumbered and
+    the scan resumes at the goals the round produced: a round adds clauses
+    only for new predicates and keeps those of the old ones, so a goal left
+    earlier would be left again with the same overlaps. Two atoms of the
+    same predicate are paired by duplicating that predicate's cone under
+    renamed predicates. A pair whose cones overlap (for distinct
+    predicates) is reported as a PartitionOverlap of the goal it leaves, by
+    that goal's id in the output.
 
     Each round's trace numbers its clauses afresh, from 1, and the steps of
     all rounds are concatenated without a mark between rounds. The result's
@@ -439,9 +441,12 @@ def iterate_pairing(
             continue
         if not cfg.iterate:
             break
+        # The scan resumes at gi. A round adds clauses only for new
+        # predicates (definitions, cone copies) and keeps every clause of the
+        # existing ones, so reachable_preds of each old predicate is
+        # unchanged: a goal left before gi would be left again, with the
+        # same overlaps.
         dprog = Program(definite)
-        left = []  # the next scan examines these goals again
-        gi = 0
 
     final = Program(renumber(definite + work_goals))
     out_goals = final.goals()

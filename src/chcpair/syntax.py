@@ -183,6 +183,10 @@ class LinExpr:
         return LinExpr.build({v: c * k for v, c in self.coeffs}, self.const * k)
 
     def subst(self, theta: Mapping[Var, Var]) -> "LinExpr":
+        if len(self.coeffs) == 1:  # most renamed terms: X, X - 1
+            (v, c), = self.coeffs
+            w = theta.get(v, v)
+            return self if w is v else LinExpr(((w, c),), self.const)
         for v, _ in self.coeffs:
             if theta.get(v, v) is not v:
                 break
@@ -193,6 +197,41 @@ class LinExpr:
             w = theta.get(v, v)
             m[w] = m.get(w, 0) + c
         return LinExpr.build(m, self.const)
+
+
+def _sub_terms(a, b):
+    """The terms of a - b, for two term tuples in LinExpr's name order, in
+    the order that LinExpr.sub gives them, merged without a dict or a sort.
+
+    None when a and b hold distinct variables of one name: the stable sort
+    of LinExpr.build settles their order, and LinExpr.sub is the reference.
+    """
+    if not b:
+        return a
+    if not a:
+        return tuple([(w, -d) for w, d in b])
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        v, c = a[i]
+        w, d = b[j]
+        if v is w:
+            if c != d:
+                out.append((v, c - d))
+            i += 1
+            j += 1
+        elif v.name < w.name:
+            out.append((v, c))
+            i += 1
+        elif w.name < v.name:
+            out.append((w, -d))
+            j += 1
+        else:
+            return None
+    out.extend(a[i:])
+    out.extend([(w, -d) for w, d in b[j:]])
+    return tuple(out)
 
 
 @_memo_hash
@@ -219,7 +258,9 @@ class LinAtom:
         lhs, rhs, rel = self.lhs, self.rhs, self.rel
         if rel is Rel.GE or rel is Rel.GT:
             lhs, rhs = rhs, lhs
-        terms = lhs.sub(rhs).coeffs
+        terms = _sub_terms(lhs.coeffs, rhs.coeffs)
+        if terms is None:
+            terms = lhs.sub(rhs).coeffs
         k = lhs.const - rhs.const
         if rel is Rel.LT or rel is Rel.GT:
             k += 1

@@ -491,26 +491,29 @@ def test_interval_sat_matches_arithmetic(lo, hi, k):
 # --- reduce once, then extend ----------------------------------------------
 
 
+def _reference_subst_rows(rows, v, dcoeffs, dconst):
+    """The rows with v replaced by sum(dcoeffs) + dconst, one definition
+    into every row."""
+    out = []
+    for coeffs, k in rows:
+        a = coeffs.get(v)
+        if not a:
+            out.append((coeffs, k))
+            continue
+        merged = {i: c for i, c in coeffs.items() if i != v}
+        for i, c in dcoeffs.items():
+            merged[i] = merged.get(i, 0) + a * c
+        merged = {i: c for i, c in merged.items() if c != 0}
+        out.append((merged, k + a * dconst))
+    return out
+
+
 def _reference_gauss(sys_):
     """Gauss elimination on a whole lowered system, as a from-scratch query
     ran it: pivot on the first EQ row with a unit coefficient, substitute it
     everywhere, start over; then drop ground rows."""
     defs = []
-
-    def subst_rows(rows, v, dcoeffs, dconst):
-        out = []
-        for coeffs, k in rows:
-            a = coeffs.get(v)
-            if not a:
-                out.append((coeffs, k))
-                continue
-            merged = {i: c for i, c in coeffs.items() if i != v}
-            for i, c in dcoeffs.items():
-                merged[i] = merged.get(i, 0) + a * c
-            merged = {i: c for i, c in merged.items() if c != 0}
-            out.append((merged, k + a * dconst))
-        return out
-
+    subst_rows = _reference_subst_rows
     progress = True
     while progress:
         progress = False
@@ -538,6 +541,52 @@ def _reference_gauss(sys_):
                 unsat = True
         bucket[:] = keep
     return defs, unsat
+
+
+def test_subst_defs_matches_one_definition_at_a_time():
+    """_subst_defs, row by row, gives each row the dict, in the same key
+    order, that substituting the definitions one at a time into every row
+    gives, on seeded random rows and definition chains; a definition's right
+    side may mention a variable that a later definition eliminates, or that
+    an earlier one did."""
+    rng = random.Random(20)
+    seen = collections.Counter()
+    for _ in range(2000):
+        nvars = rng.randint(1, 8)
+        order = rng.sample(range(nvars), rng.randint(0, nvars))
+        defs = []
+        for v in order:
+            others = [i for i in range(nvars) if i != v]
+            dcoeffs = {i: rng.choice([-2, -1, 1, 2])
+                       for i in rng.sample(others, rng.randint(0, min(3, len(others))))}
+            defs.append((v, dcoeffs, rng.randint(-3, 3)))
+        elim = [v for v, _, _ in defs]
+        seen["forward"] += any(i in elim[n + 1:] for n, (_, dc, _) in enumerate(defs) for i in dc)
+        seen["backward"] += any(i in elim[:n] for n, (_, dc, _) in enumerate(defs) for i in dc)
+        rows = []
+        for _ in range(rng.randint(0, 5)):
+            keys = rng.sample(range(nvars), rng.randint(0, nvars))
+            rows.append(({i: rng.choice([-3, -1, 1, 2]) for i in keys}, rng.randint(-3, 3)))
+        before = [(list(c.items()), k) for c, k in rows]
+        want = rows
+        for v, dcoeffs, dconst in defs:
+            want = _reference_subst_rows(want, v, dcoeffs, dconst)
+        got = lia._subst_defs(rows, defs)
+        assert [(list(c.items()), k) for c, k in got] == [
+            (list(c.items()), k) for c, k in want
+        ], (rows, defs)
+        # an untouched row keeps its dict, and no given dict changes
+        assert [g is w for (g, _), (w, _) in zip(got, want)] == [
+            g is c for (g, _), (c, _) in zip(got, rows)
+        ]
+        assert [(list(c.items()), k) for c, k in rows] == before
+        seen["untouched"] += any(g is c for (g, _), (c, _) in zip(got, rows))
+        seen["changed"] += any(g is not c for (g, _), (c, _) in zip(got, rows))
+        seen["cancel"] += any(len(g) < len(c) - 1 for (g, _), (c, _) in zip(got, rows))
+        seen["no_rows"] += not rows
+        seen["no_defs"] += not defs
+    for key in ("forward", "backward", "untouched", "changed", "cancel", "no_rows", "no_defs"):
+        assert seen[key] >= 20, (key, seen)
 
 
 def _reference_sat(atoms):
@@ -1025,7 +1074,8 @@ def test_implications_match_one_query_per_negation_choice():
     for tags, lhs, rhs in itertools.chain(
         [_UNSAT_PAST_THE_CAP], iter(lambda: _implication_case(rng), None)
     ):
-        if cases >= 3000 or time.monotonic() > deadline:
+        # the deadline ends the draw only past the floor of 200 cases
+        if cases >= 3000 or (cases >= 200 and time.monotonic() > deadline):
             break
         got = lia.implies_quant_disj(lhs, rhs)
         assert got is _implies_reference(lhs, rhs), (lhs, rhs)
@@ -1114,7 +1164,8 @@ def test_renaming_only_with_a_prefix_matches_renaming_always():
     deadline = time.monotonic() + 1.5
     install_unknown_resolver(None)
     cases = 0
-    while cases < 2000 and time.monotonic() < deadline:
+    # the deadline ends the draw only past the floor of 200 cases
+    while cases < 2000 and (cases < 200 or time.monotonic() < deadline):
         tags = set()
         q = _prefixed_qd(rng, tags)
         domain = rng.sample(_PREFIX_POOL, rng.randint(0, 3))

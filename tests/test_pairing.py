@@ -264,6 +264,21 @@ def test_iterate_self_pair_duplicates(hl):
         assert not ({"p"} & body_preds and {"p_2"} & body_preds)
 
 
+def _count_rankings(monkeypatch):
+    """The goals that iterate_pairing ranks, one entry per call."""
+    from chcpair import pairing
+
+    ranked = []
+    rank = pairing._rank_goal_pairs
+
+    def counted(goal):
+        ranked.append(goal)
+        return rank(goal)
+
+    monkeypatch.setattr(pairing, "_rank_goal_pairs", counted)
+    return ranked
+
+
 OVERLAP = """
 p(X) :- X = 0.
 q(X) :- p(X).
@@ -275,15 +290,18 @@ s(X,Y) :- X > 0, X1 = X - 1, Y = Y1 + 1, s(X1,Y1).
 
 
 @pytest.mark.parametrize("iterate", [False, True])
-def test_iterate_reports_partition_overlap(iterate):
+def test_iterate_reports_partition_overlap(monkeypatch, iterate):
+    ranked = _count_rankings(monkeypatch)
     p = parse_program(
         OVERLAP
         + "false :- X1 = X2, p(X1), q(X2).\n"
         + "false :- X1 = X2, Y1 =\\= Y2, r(X1,Y1), s(X2,Y2).\n"
     )
     res = iterate_pairing(p, [], PairingConfig(iterate=iterate))
-    # the first goal is left untransformed and reported once, by its id in
+    # the first goal is left untransformed, ranked once (the scan resumes
+    # after the round that pairs the second) and reported once, by its id in
     # the output; the second is paired
+    assert [[a.pred for a in g.body] for g in ranked].count(["p", "q"]) == 1
     left = [g for g in res.transf.goals() if len(g.body) == 2]
     assert [g.body[0].pred for g in left] == ["p"]
     assert [(ov.pred, ov.goal_id) for ov in res.overlaps] == [("p", left[0].cid)]
@@ -296,6 +314,17 @@ def test_a_goal_paired_after_an_overlapping_pair_is_not_reported(iterate):
     res = iterate_pairing(p, [], PairingConfig(iterate=iterate))
     # (p, q) ranks first and overlaps; (p, r) is then paired
     assert res.steps and res.overlaps == []
+
+
+@pytest.mark.parametrize("name, most", [("fib_injectivity", 21), ("fib_monotonicity", 13)])
+def test_iterate_ranks_each_goal_once(monkeypatch, name, most):
+    """A goal left before a round is not ranked again after it (46 and 22
+    rankings when every round restarted the scan at the first goal)."""
+    from chcpair import corpus
+
+    ranked = _count_rankings(monkeypatch)
+    iterate_pairing(corpus.load(name), [], PairingConfig(iterate=True))
+    assert len(ranked) <= most
 
 
 def test_duplicate_cone_renames_recursion():
@@ -395,7 +424,7 @@ def test_fib_injectivity_settles_pair_selection_without_queries(monkeypatch):
 def test_fib_injectivity_builds_a_program_per_round(monkeypatch):
     """The driver validates its definite clauses as a Program once at the
     start and once after each of the 12 rounds, not for every goal it
-    examines (121 constructions when it did, 46 goals ranked)."""
+    examines (121 constructions when it did)."""
     from chcpair import corpus, syntax
 
     calls = []

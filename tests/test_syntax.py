@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import random
 from pathlib import Path
 
 import pytest
@@ -390,6 +391,57 @@ def test_row_lowers_every_relation_to_le_eq_or_ne():
         atom = conj(text).atoms[0]
         assert atom.row() == row, text
         assert atom.row() is atom.row()  # memoised
+
+
+def _reference_row(atom):
+    """LinAtom.row as it was built before the merge: through LinExpr.sub."""
+    lhs, rhs, rel = atom.lhs, atom.rhs, atom.rel
+    if rel is Rel.GE or rel is Rel.GT:
+        lhs, rhs = rhs, lhs
+    k = lhs.const - rhs.const + (1 if rel is Rel.LT or rel is Rel.GT else 0)
+    return lhs.sub(rhs).coeffs, k, rel if rel is Rel.EQ or rel is Rel.NE else Rel.LE
+
+
+def test_row_matches_the_difference_of_its_sides():
+    """row() merges the two sides' terms in LinExpr.sub's order, which Gauss
+    pivots depend on, on seeded random atoms: every relation, terms that
+    cancel, constant-only and single-term sides, shared variables, and
+    distinct variables of one name."""
+    rng = random.Random(20)
+    pool = [Var(n) for n in ("A", "B", "X", "X1", "Y", "Z")] + [Var("X", Sort.ARRAY)]
+    seen = {rel: 0 for rel in Rel}
+    shapes = dict.fromkeys(("cancel", "const", "single", "shared", "one_name"), 0)
+
+    def side():
+        n = rng.choice([0, 1, 1, 2, 3])
+        return LinExpr.build({v: rng.choice([-2, -1, 1, 3]) for v in rng.sample(pool, n)},
+                             rng.randint(-3, 3))
+
+    for _ in range(3000):
+        lhs = side()
+        # the right side often repeats left terms, with the same coefficient
+        # (they cancel) or another
+        terms = dict(side().coeffs)
+        for v, c in lhs.coeffs:
+            if rng.random() < 0.5:
+                terms[v] = c if rng.random() < 0.5 else c + 1
+        rhs = LinExpr.build(terms, rng.randint(-3, 3))
+        atom = LinAtom(lhs, rng.choice(list(Rel)), rhs)
+        want = _reference_row(atom)
+        assert atom.row() == want, atom  # tuples: the term order counts
+        seen[atom.rel] += 1
+        shared = {v for v, _ in lhs.coeffs} & {v for v, _ in rhs.coeffs}
+        shapes["cancel"] += any(v not in dict(want[0]) for v in shared)
+        shapes["const"] += not lhs.coeffs or not rhs.coeffs
+        shapes["single"] += len(lhs.coeffs) == 1 or len(rhs.coeffs) == 1
+        shapes["shared"] += bool(shared)
+        names = [v.name for v, _ in lhs.coeffs + rhs.coeffs]
+        shapes["one_name"] += len(set(names)) < len(set(v for v, _ in lhs.coeffs + rhs.coeffs))
+    assert min(seen.values()) >= 100, seen
+    assert min(shapes.values()) >= 50, shapes
+    x, y = Var("X"), Var("Y")
+    assert conj("X + Y = X + 2").atoms[0].row() == (((y, 1),), -2, Rel.EQ)
+    assert conj("X + Y > Y").atoms[0].row() == (((x, -1),), 1, Rel.LE)
 
 
 # --- sort declarations and shared variables ---------------------------------
