@@ -1,10 +1,13 @@
 """The four transformation rules as checked transitions over a state.
 
-A TransformationState owns the current clause set P_i, the accumulated
-definition set Defs_i and a trace of every rule application. Rule methods
-validate their side conditions and mutate the state; states are cloneable
-for branching searches. Clause ids are minted monotonically and never
-recycled, so trace lines stay stable references.
+A TransformationState owns the current clause set P_i, keyed by clause
+id, the accumulated definition set Defs_i and a trace of every rule
+application. Rule methods validate their side conditions and mutate the
+state: each removes its input clauses and adds its output clauses. Clause
+ids are minted monotonically and never recycled, so trace lines stay
+stable references. `current` lists P_i in the order its clauses were made
+(P_0's first, in P_0's order); a strategy that wants another order keeps
+its own list of ids.
 """
 
 from __future__ import annotations
@@ -135,7 +138,7 @@ class TransformationState:
 
     def __init__(self, p0: Program, a_classifier: str = "lia"):
         check_a_classifier(a_classifier)
-        self.clauses: list[Clause] = list(p0.clauses)
+        self.clauses: dict[int, Clause] = {c.cid: c for c in p0.clauses}
         self.defs: list[Clause] = []
         self.trace: list[TraceStep] = []
         self.a_classifier = a_classifier
@@ -145,17 +148,6 @@ class TransformationState:
 
     # -- bookkeeping --
 
-    def clone(self) -> "TransformationState":
-        s = object.__new__(TransformationState)
-        s.clauses = list(self.clauses)
-        s.defs = list(self.defs)
-        s.trace = list(self.trace)
-        s.a_classifier = self.a_classifier
-        s.p0_preds = set(self.p0_preds)
-        s.seen_preds = set(self.seen_preds)
-        s._next_cid = self._next_cid
-        return s
-
     def mint_id(self) -> int:
         cid = self._next_cid
         self._next_cid += 1
@@ -163,29 +155,24 @@ class TransformationState:
 
     @property
     def current(self) -> Program:
-        return Program(self.clauses)
+        """P_i, its clauses in the order they were made."""
+        return Program(self.clauses.values())
 
     @property
     def defs_program(self) -> Program:
         return Program(self.defs)
 
     def clause(self, cid: int) -> Clause:
-        for c in self.clauses:
-            if c.cid == cid:
-                return c
-        raise NoSuchClause(f"clause {cid} is not in the current program")
+        try:
+            return self.clauses[cid]
+        except KeyError:
+            raise NoSuchClause(f"clause {cid} is not in the current program") from None
 
     def def_clause(self, cid: int) -> Clause:
         for c in self.defs:
             if c.cid == cid:
                 return c
         raise NotADefinition(f"clause {cid} is not a definition")
-
-    def _index_of(self, cid: int) -> int:
-        for i, c in enumerate(self.clauses):
-            if c.cid == cid:
-                return i
-        raise NoSuchClause(f"clause {cid} is not in the current program")
 
     def trace_text(self) -> str:
         return "\n".join(step.line(i + 1) for i, step in enumerate(self.trace)) + (
@@ -222,7 +209,7 @@ class TransformationState:
                     f"head variable {v.name} does not occur free in the body"
                 )
         new = Clause(self.mint_id(), d.head, d.constraint, d.body)
-        self.clauses.append(new)
+        self.clauses[new.cid] = new
         self.defs.append(new)
         self.seen_preds.add(new.head.pred)
         self.trace.append(
@@ -234,19 +221,19 @@ class TransformationState:
 
     def apply_unfold(self, cid: int, atom_index: int) -> list[Clause]:
         """Unfold body atom `atom_index` of clause cid against every clause
-        whose head has its predicate; returns the new clauses in order.
+        whose head has its predicate, taken in the order of `current`;
+        returns the new clauses in that order.
 
         Each new constraint is c's constraint followed by the matching
         clause's, renamed: its first len(c.constraint) atoms are c's own
         atom objects. Callers rely on this prefix to decide a new clause by
         extending the reduction of c's constraint (`lia.reduction`).
         """
-        at = self._index_of(cid)
-        c = self.clauses[at]
+        c = self.clause(cid)
         if not (0 <= atom_index < len(c.body)):
             raise BadPosition(f"clause {cid} has no body atom {atom_index}")
         target = c.body[atom_index]
-        matching = [cl for cl in self.clauses if cl.head is not None and cl.head.pred == target.pred]
+        matching = [cl for cl in self.clauses.values() if cl.head is not None and cl.head.pred == target.pred]
         c_var_names = {v.name for v in c.vars()}
         new_clauses: list[Clause] = []
         for dj in matching:
@@ -270,7 +257,8 @@ class TransformationState:
                 + c.body[atom_index + 1 :]
             )
             new_clauses.append(Clause(self.mint_id(), c.head, new_constraint, new_body))
-        self.clauses[at : at + 1] = new_clauses
+        del self.clauses[cid]
+        self.clauses.update((cl.cid, cl) for cl in new_clauses)
         self.trace.append(
             TraceStep(
                 RuleKind.UNFOLDING,
@@ -394,8 +382,7 @@ class TransformationState:
         """Fold the atoms at body_positions of clause cid with definition
         def_id under theta; `reduced` is as in `check_fold`."""
         d = self.def_clause(def_id)
-        at = self._index_of(cid)
-        c = self.clauses[at]
+        c = self.clause(cid)
         e = self.check_fold(c, body_positions, d, theta, reduced)
         folded_atom = d.head.subst(theta)
         first = min(body_positions)
@@ -408,9 +395,10 @@ class TransformationState:
                 continue
             else:
                 new_body.append(a)
-        reversible = def_id != cid and any(cl.cid == def_id for cl in self.clauses)
+        reversible = def_id != cid and def_id in self.clauses
         new = Clause(self.mint_id(), c.head, e, tuple(new_body))
-        self.clauses[at] = new
+        del self.clauses[cid]
+        self.clauses[new.cid] = new
         self.trace.append(
             TraceStep(
                 RuleKind.FOLDING,
@@ -435,15 +423,15 @@ class TransformationState:
         clause's constraint (`lia.reduction`), serves a deletion's check."""
         if not group:
             raise ShapeMismatch("empty clause group")
-        idxs = [self._index_of(cid) for cid in group]
-        ref = self.clauses[idxs[0]]
+        if len(set(group)) != len(group):
+            raise ShapeMismatch(f"clause group {list(group)} repeats a clause")
+        ref, *others = [self.clause(cid) for cid in group]
         ref_skel_vars = _skeleton_vars(ref)
         disjuncts: list[ConstraintConj] = [ref.constraint]
         # a one-clause group, as every deletion of rule R4 in the strategy,
         # renames nothing
-        taken = {v.name for v in ref.vars()} if len(idxs) > 1 else set()
-        for ix in idxs[1:]:
-            cl = self.clauses[ix]
+        taken = {v.name for v in ref.vars()} if others else set()
+        for cl in others:
             # map the skeleton onto the reference's and rename
             # constraint-local variables apart from it
             ren = _match_skeleton(cl, ref)
@@ -482,15 +470,9 @@ class TransformationState:
         new_clauses = [
             Clause(self.mint_id(), ref.head, nc, ref.body) for nc in new_constraints
         ]
-        group_set = set(group)
-        insert_at = min(idxs)
-        rebuilt: list[Clause] = []
-        for i, c in enumerate(self.clauses):
-            if i == insert_at:
-                rebuilt.extend(new_clauses)
-            if c.cid not in group_set:
-                rebuilt.append(c)
-        self.clauses = rebuilt
+        for cid in group:
+            del self.clauses[cid]
+        self.clauses.update((c.cid, c) for c in new_clauses)
         self.trace.append(
             TraceStep(
                 RuleKind.CONSTRAINT_REPLACEMENT,

@@ -533,16 +533,6 @@ class ProbeReport:
             return False
         return True
 
-    def summary(self) -> str:
-        def s(r):
-            return "Found" if isinstance(r, Found) else "NotWithinBudget"
-
-        return (
-            f"P0: {s(self.p0_budget)} (doubled: {s(self.p0_doubled)}), "
-            f"Pn: {s(self.pn_budget)} (doubled: {s(self.pn_doubled)}), "
-            f"agreement: {self.agreement}"
-        )
-
 
 def equisat_probe(p0: Program, pn: Program, b: OracleBudget) -> ProbeReport:
     """Compare goal violations before/after a transformation at desk scale."""

@@ -46,6 +46,8 @@ from .syntax import (
 
 @dataclass(frozen=True)
 class PairingConfig:
+    """max_defs bounds the definitions of a whole run, over all its rounds."""
+
     max_defs: int = 64
     iterate: bool = False
     a_classifier: str = "lia"
@@ -78,8 +80,10 @@ class PairingResult:
     """The output program and definitions of a pairing run, with its trace.
 
     Each pair choice is logged at the index of the trace step that it leads
-    to. Under `iterate_pairing`, `state` is the last round's, and `steps`
-    and `pair_log` cover every round.
+    to. `transf` lists its clauses in the strategy's order, while
+    `state.current` lists the same clauses in the order they were made.
+    Under `iterate_pairing`, `state` is the last round's, and `steps` and
+    `pair_log` cover every round.
     """
 
     transf: Program
@@ -213,6 +217,10 @@ def predicate_pairing(
     a definition's head holds every variable of its two atoms, so the
     definition has no existential variable to project. The kernel rechecks
     a deletion from the decision memoised on the reduction.
+
+    `transf` lists the clauses in the strategy's order: Q's, R's, then each
+    clause of the goal's unfolding as its fold loop ends. `state.current`
+    lists the same clauses in the order they were made.
     """
     q_preds = set(q_prog.preds())
     r_preds = set(r_prog.preds())
@@ -292,9 +300,8 @@ def predicate_pairing(
                 e = state.apply_fold(e.cid, [pos_a, pos_b], def_id, theta, r)
             transf_ids.append(e.cid)
 
-    current_ids = {c.cid for c in state.clauses}
-    assert current_ids == set(transf_ids), "strategy state out of sync"
-    transf = state.current
+    assert state.clauses.keys() == set(transf_ids), "strategy state out of sync"
+    transf = Program([state.clauses[i] for i in transf_ids])
     # output contract: no mixed Q/R bodies remain
     for c in transf:
         assert not mixed(c), f"clause {c.cid} still mixes partitions"
@@ -312,10 +319,14 @@ def predicate_pairing(
 # Iterated driver
 
 
-def duplicate_cone(program: Program, pred: str) -> tuple[list[Clause], dict[str, str]]:
-    """Copy the clause cone of pred with renamed predicates."""
-    cone = reachable_preds(program, pred)
-    taken = program.preds()
+def duplicate_cone(
+    clauses: Iterable[Clause], pred: str
+) -> tuple[list[Clause], dict[str, str]]:
+    """Copy the clause cone of pred with predicates renamed apart from every
+    predicate of the clauses."""
+    clauses = tuple(clauses)
+    cone = reachable_preds(clauses, pred)
+    taken = {p for c in clauses for p in c.preds()}
     mapping: dict[str, str] = {}
     for p in sorted(cone):
         k = 2
@@ -326,7 +337,7 @@ def duplicate_cone(program: Program, pred: str) -> tuple[list[Clause], dict[str,
         taken.add(name)
         mapping[p] = name
     copies = []
-    for c in program:
+    for c in clauses:
         if c.head is not None and c.head.pred in cone:
             copies.append(
                 Clause(
@@ -378,7 +389,6 @@ def iterate_pairing(
         Program(renumber(extra), p.signatures)  # they must agree with p
     definite = [c for c in p if not c.is_goal]
     work_goals = [c for c in p if c.is_goal] + extra
-    dprog = Program(definite)
     all_steps: list[TraceStep] = []
     all_pairs: list[PairChoice] = []
     all_defs: list[Clause] = []
@@ -393,7 +403,7 @@ def iterate_pairing(
         for i, j in pairs:
             pa, pb = goal.body[i].pred, goal.body[j].pred
             if pa == pb:
-                copies, mapping = duplicate_cone(dprog, pb)
+                copies, mapping = duplicate_cone(definite, pb)
                 definite2 = definite + copies
                 goal2 = Clause(
                     goal.cid,
@@ -404,12 +414,13 @@ def iterate_pairing(
                         for k, a in enumerate(goal.body)
                     ),
                 )
+                # the copies' ids are all 0 until renumbered
                 q_prog, r_prog = predicate_partition(
-                    Program(renumber(definite2)), pa, mapping[pb]
+                    renumber(definite2), pa, mapping[pb]
                 )
             else:
                 try:
-                    q_prog, r_prog = predicate_partition(dprog, pa, pb)
+                    q_prog, r_prog = predicate_partition(definite, pa, pb)
                 except OverlapError as ov:
                     overlap_preds.append(ov.pred)
                     continue
@@ -427,6 +438,8 @@ def iterate_pairing(
                 replace(pc, trace_index=pc.trace_index + base) for pc in res.pair_log
             )
             all_defs.extend(res.defs)
+            if len(all_defs) > cfg.max_defs:
+                raise CapExceeded(f"definition cap {cfg.max_defs} reached")
             last_state = res.state
             definite = renumber(rest + [c for c in res.transf if not c.is_goal])
             work_goals = (
@@ -446,7 +459,6 @@ def iterate_pairing(
         # existing ones, so reachable_preds of each old predicate is
         # unchanged: a goal left before gi would be left again, with the
         # same overlaps.
-        dprog = Program(definite)
 
     final = Program(renumber(definite + work_goals))
     out_goals = final.goals()

@@ -499,17 +499,11 @@ class Program:
     def preds(self) -> set[str]:
         return set(self.signatures)
 
-    def head_preds(self) -> set[str]:
-        return {c.head.pred for c in self.clauses if c.head is not None}
-
     def goals(self) -> tuple[Clause, ...]:
         return tuple(c for c in self.clauses if c.is_goal)
 
     def definite(self) -> "Program":
         return Program([c for c in self.clauses if not c.is_goal], self.signatures)
-
-    def clauses_for(self, pred: str) -> tuple[Clause, ...]:
-        return tuple(c for c in self.clauses if c.head is not None and c.head.pred == pred)
 
     def max_id(self) -> int:
         return max((c.cid for c in self.clauses), default=0)
@@ -576,10 +570,11 @@ def rename_apart(c: Clause, avoid: Iterable[Var]) -> Clause:
 # Dependency partition
 
 
-def reachable_preds(p: Program, root: str) -> set[str]:
-    """Predicates reachable from root in the head->body dependency graph."""
+def reachable_preds(p: Iterable[Clause], root: str) -> set[str]:
+    """Predicates reachable from root in the head->body dependency graph of
+    the clauses p."""
     deps: dict[str, set[str]] = {}
-    for c in p.clauses:
+    for c in p:
         if c.head is None:
             continue
         deps.setdefault(c.head.pred, set()).update(a.pred for a in c.body)
@@ -594,23 +589,26 @@ def reachable_preds(p: Program, root: str) -> set[str]:
     return seen
 
 
-def predicate_partition(p: Program, q: str, r: str) -> tuple[Program, Program]:
-    """Split p into the clause cones reachable from q and from r.
+def predicate_partition(p: Iterable[Clause], q: str, r: str) -> tuple[Program, Program]:
+    """Split the clauses p into the clause cones reachable from q and from r.
 
-    The two cones must be predicate-disjoint; otherwise OverlapError names
-    a shared predicate.
+    A predicate that no clause of p names is refused with ArityClash. The
+    two cones must be predicate-disjoint; otherwise OverlapError names a
+    shared predicate.
     """
-    if q not in p.preds():
+    p = tuple(p)
+    known = {pred for c in p for pred in c.preds()}
+    if q not in known:
         raise OverlapError(q) if q == r else ArityClash(f"unknown predicate {q!r}")
-    if r not in p.preds():
+    if r not in known:
         raise ArityClash(f"unknown predicate {r!r}")
     qs = reachable_preds(p, q)
     rs = reachable_preds(p, r)
     shared = qs & rs
     if shared:
         raise OverlapError(sorted(shared)[0])
-    qcl = [c for c in p.clauses if c.head is not None and c.head.pred in qs]
-    rcl = [c for c in p.clauses if c.head is not None and c.head.pred in rs]
+    qcl = [c for c in p if c.head is not None and c.head.pred in qs]
+    rcl = [c for c in p if c.head is not None and c.head.pred in rs]
     return Program(qcl), Program(rcl)
 
 

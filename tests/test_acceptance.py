@@ -225,7 +225,7 @@ def test_criterion_8b_unfold_bounded_lm_cross_check():
         p = random_definite_program(rng)
         st = TransformationState(p)
         candidates = [
-            (c.cid, i) for c in st.clauses for i in range(len(c.body))
+            (c.cid, i) for c in st.clauses.values() for i in range(len(c.body))
         ]
         if not candidates:
             continue
@@ -243,7 +243,7 @@ def test_criterion_8b_unfold_bounded_lm_cross_check():
     st = run_sum_square_script()
     p0 = corpus.load("sum_square").definite()
     defs = Program(list(p0) + [c for c in st.defs])
-    orig_preds = p0.head_preds()
+    orig_preds = {c.head.pred for c in p0}
     b = OracleBudget(4, 0, 3)
     lm_defs = {a for a in bounded_lm(defs, b) if a.pred in orig_preds}
     lm_final = {

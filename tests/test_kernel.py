@@ -62,7 +62,7 @@ def test_definition_introduces_clause(st):
     d = st.apply_definition(
         _def("su_sq(M,R0,Sum,N,S0,Sqr) :- M = Y, su(M,R0,Sum), sq(N,Y,S0,Sqr).")
     )
-    assert any(c.cid == d.cid for c in st.clauses)
+    assert st.clause(d.cid) is d
     assert st.defs[-1].cid == d.cid
     assert st.trace[-1].rule is RuleKind.DEFINITION
 
@@ -116,7 +116,7 @@ def test_unfold_no_matching_clauses_deletes(sum_upto):
     st = TransformationState(p)
     out = st.apply_unfold(1, 0)
     assert out == []
-    assert all(c.cid != 1 for c in st.clauses)
+    assert 1 not in st.clauses
 
 
 def test_unfold_errors(st):
@@ -150,7 +150,7 @@ def test_unfolded_constraints_extend_their_parent(name, monkeypatch):
     checked = []
 
     def checking_unfold(self, cid, atom_index):
-        parent = self.clauses[self._index_of(cid)].constraint.atoms
+        parent = self.clause(cid).constraint.atoms
         out = unfold(self, cid, atom_index)
         for new in out:
             head = new.constraint.atoms[: len(parent)]
@@ -184,7 +184,7 @@ def test_strategy_folds_keep_the_clause_constraint(name, folds, monkeypatch):
     kept = []
 
     def checking_fold(self, cid, *args, **kwargs):
-        before = self.clauses[self._index_of(cid)].constraint
+        before = self.clause(cid).constraint
         out = fold(self, cid, *args, **kwargs)
         assert out.constraint is before
         kept.append(out)
@@ -297,17 +297,16 @@ def test_replace_deletes_unsatisfiable(st):
     # contradiction via the base clause of sq
     goal = goal_of(st.current)
     out = st.apply_unfold(goal.cid, 0)
-    bad = [c for c in out if "X1" in {v.name for v in c.vars()}]
-    st2 = st.clone()
     # removing a satisfiable clause must fail, also on its reduction, fresh
-    # or holding its decision
+    # or holding its decision, and leave the state as it was
+    current, trace = st.current, list(st.trace)
     c = out[0].constraint
     decided = lia.reduction(c)
     assert lia.is_satisfiable(c, reduced=decided) is lia.Verdict.PROVED
     for reduced in (None, lia.reduction(c), decided):
         with pytest.raises(EquivalenceNotProved):
-            st2.apply_replace([out[0].cid], [], reduced)
-    assert out[0] in st2.clauses
+            st.apply_replace([out[0].cid], [], reduced)
+    assert st.current == current and st.trace == trace
 
 
 def _r4_atoms(rng):
@@ -373,6 +372,16 @@ def test_replace_rejects_nonequivalent(st):
 def test_replace_shape_mismatch(st):
     with pytest.raises(ShapeMismatch):
         st.apply_replace([2, 3], [conj("X = 0")])
+
+
+def test_replace_refuses_a_repeated_clause(st):
+    """A group names each clause once: [1, 1] would count clause 1 as two
+    disjuncts. It is refused before the state changes."""
+    current, trace = st.current, list(st.trace)
+    for new in ([conj("X =< 0, R = Sum")], []):
+        with pytest.raises(ShapeMismatch):
+            st.apply_replace([1, 1], new)
+    assert st.current == current and st.trace == trace
 
 
 def test_replace_groups_variants():
@@ -501,16 +510,8 @@ def test_mutated_traces_raise_only_value_errors_with_their_line():
 def test_determinism_of_rule_application(sum_square):
     st1 = run_sum_square_script()
     st2 = run_sum_square_script()
-    assert [print_clause(c) for c in st1.clauses] == [print_clause(c) for c in st2.clauses]
+    assert [print_clause(c) for c in st1.current] == [print_clause(c) for c in st2.current]
     assert st1.trace == st2.trace
-
-
-def test_clone_isolates_state(sum_square):
-    st = TransformationState(sum_square)
-    snap = st.clone()
-    st.apply_unfold(goal_of(st.current).cid, 0)
-    assert len(snap.clauses) == len(sum_square)
-    assert snap.trace == []
 
 
 # --- bounded-model preservation across single unfold steps ------------------
@@ -525,7 +526,7 @@ def test_unfold_preserves_bounded_model():
         st = TransformationState(p)
         candidates = [
             (c.cid, i)
-            for c in st.clauses
+            for c in st.clauses.values()
             for i in range(len(c.body))
         ]
         if not candidates:

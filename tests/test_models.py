@@ -235,7 +235,7 @@ q(Y) :- Y = 2.
 """
     p = parse_program(text)
     sigma_after = SymbolicInterpretation({"q": ((V("Y"),), qd_of(conj("Y = 2")))})
-    out = transport_unfold_inverse(sigma_after, "p", list(p.clauses_for("p")))
+    out = transport_unfold_inverse(sigma_after, "p", [c for c in p if c.head.pred == "p"])
     _, formula = out.entry("p")
     params = out.entry("p")[0]
     lm = bounded_lm(p, OracleBudget(4, 0, 3))

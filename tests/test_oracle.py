@@ -107,7 +107,6 @@ def test_equisat_probe_hl_after_pairing(hl):
     rep = equisat_probe(hl, res.transf, OracleBudget(6, 0, 3))
     assert rep.agreement
     assert isinstance(rep.p0_budget, Found) and isinstance(rep.pn_budget, Found)
-    assert "Found" in rep.summary()
 
 
 def test_equisat_probe_ackermann(ackermann, ackermann_golden):

@@ -165,6 +165,18 @@ def test_ackermann_cap(ackermann):
         run_ackermann(ackermann, max_defs=1)
 
 
+def test_max_defs_bounds_the_whole_run():
+    """fib_injectivity makes 23 definitions over its rounds, at most 14 in
+    one round: the cap counts those of every round."""
+    from chcpair import corpus
+
+    p = corpus.load("fib_injectivity")
+    with pytest.raises(CapExceeded):
+        iterate_pairing(p, [], PairingConfig(max_defs=20, iterate=True))
+    res = iterate_pairing(p, [], PairingConfig(max_defs=23, iterate=True))
+    assert len(res.defs) == 23
+
+
 def test_pair_log_records_choices(ackermann):
     res = run_ackermann(ackermann)
     four_atom = [pc for pc in res.pair_log if len(pc.clause.body) == 4]
@@ -327,6 +339,23 @@ def test_iterate_ranks_each_goal_once(monkeypatch, name, most):
     assert len(ranked) <= most
 
 
+@pytest.mark.parametrize("name", ["ackermann", "sum_square", "fib_injectivity"])
+def test_cone_functions_read_any_clauses(name):
+    """reachable_preds, predicate_partition and duplicate_cone read the
+    predicates from the clauses themselves: a list of a program's definite
+    clauses gives what the program gives."""
+    from chcpair import corpus
+    from chcpair.syntax import reachable_preds
+
+    p = corpus.load(name).definite()
+    a, b = (x.pred for x in goal_of(corpus.load(name)).body[:2])
+    for pred in (a, b):
+        assert reachable_preds(list(p), pred) == reachable_preds(p, pred)
+        assert duplicate_cone(list(p), pred) == duplicate_cone(p, pred)
+    if a != b:
+        assert predicate_partition(list(p), a, b) == predicate_partition(p, a, b)
+
+
 def test_duplicate_cone_renames_recursion():
     p = parse_program("p(X) :- X = 0.\np(X) :- X = Y + 1, p(Y).")
     copies, mapping = duplicate_cone(p, "p")
@@ -422,11 +451,14 @@ def test_fib_injectivity_settles_pair_selection_without_queries(monkeypatch):
 
 
 def test_fib_injectivity_builds_a_program_per_round(monkeypatch):
-    """The driver validates its definite clauses as a Program once at the
-    start and once after each of the 12 rounds, not for every goal it
-    examines (121 constructions when it did)."""
+    """The driver keeps its definite clauses as a list: each of the 12
+    rounds builds the Programs of its two cones, its P_0, its output and its
+    definitions, and the run builds its output and definitions once (87
+    constructions when the driver also built a Program of its definite
+    clauses at the start and after each round)."""
     from chcpair import corpus, syntax
 
+    p = corpus.load("fib_injectivity")
     calls = []
     init = syntax.Program.__init__
 
@@ -435,5 +467,5 @@ def test_fib_injectivity_builds_a_program_per_round(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(syntax.Program, "__init__", counted)
-    iterate_pairing(corpus.load("fib_injectivity"), [], PairingConfig(iterate=True))
-    assert len(calls) <= 90
+    iterate_pairing(p, [], PairingConfig(iterate=True))
+    assert len(calls) <= 62
