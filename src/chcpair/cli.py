@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import lia, oracle, smtlib, solver
 from .errors import ChcError
-from .kernel import A_CLASSIFIERS, check_all_defs_unfolded, classify_sequence, parse_trace
+from .kernel import check_all_defs_unfolded, classify_sequence, parse_trace
 from .models import check_model, check_tight
 from .pairing import PairingConfig, iterate_pairing
 from .syntax import Clause, Program, parse_program, print_clause, print_program
@@ -60,9 +60,7 @@ def _cmd_transform(args) -> int:
             return EXIT_USAGE
     other_goals = [g for g in goals if g.cid != goal.cid]
     definite = [c for c in prog if not c.is_goal]
-    cfg = PairingConfig(
-        max_defs=args.max_defs, iterate=args.iterate, a_classifier=args.a_classifier
-    )
+    cfg = PairingConfig(max_defs=args.max_defs, iterate=args.iterate)
     work = Program(
         [c for c in definite] + [goal],
     )
@@ -82,7 +80,7 @@ def _cmd_transform(args) -> int:
     print(
         f"; defs introduced: {len(res.defs)}; clauses: {len(out)}; "
         f"all defs unfolded: {ok}; foldings reversible: "
-        f"{res.report.all_foldings_reversible}",
+        f"{classify_sequence(res.all_steps()).all_foldings_reversible}",
         file=sys.stderr,
     )
     for ov in res.overlaps:
@@ -183,8 +181,17 @@ def _cmd_validate_trace(args) -> int:
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit EXIT_USAGE, not argparse's
+    2, which means Unknown here; its subparsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="chcpair",
         description="Transform constrained Horn clauses by predicate pairing",
     )
@@ -195,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--query", default="auto", help="goal clause id, or 'auto'")
     t.add_argument("--iterate", action="store_true", help="iterate over all pairs")
     t.add_argument("--max-defs", type=int, default=64)
-    t.add_argument("--a-classifier", choices=list(A_CLASSIFIERS), default="lia")
     t.add_argument("--trace", help="write the transformation trace to a file")
     t.add_argument("-o", "--output", help="write the transformed program here")
     t.set_defaults(fn=_cmd_transform)

@@ -2,22 +2,25 @@
 
 A TransformationState owns the current clause set P_i, keyed by clause
 id, the accumulated definition set Defs_i and a trace of every rule
-application. Rule methods validate their side conditions and mutate the
-state: each removes its input clauses and adds its output clauses. Clause
-ids are minted monotonically and never recycled, so trace lines stay
-stable references. `current` lists P_i in the order its clauses were made
-(P_0's first, in P_0's order); a strategy that wants another order keeps
-its own list of ids.
+application; P_0 is any iterable of clauses. Rule methods validate their
+side conditions and mutate the state: each removes its input clauses and
+adds its output clauses. A definition's constraint (rule R1, condition
+(ii)) must be a conjunction of linear atoms. Clause ids are minted
+monotonically and never recycled, so trace lines stay stable references.
+`current` lists P_i in the order its clauses were made (P_0's first, in
+P_0's order); a strategy that wants another order keeps its own list of
+ids.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import lia
 from .errors import (
+    ArityClash,
     BadPosition,
     ConstraintClassViolation,
     EntailmentFailure,
@@ -31,19 +34,8 @@ from .errors import (
     ShapeMismatch,
     VarConditionViolation,
 )
-from .lia import QuantDisj, Verdict, qd_of
-from .syntax import (
-    Atom,
-    Clause,
-    ConstraintConj,
-    LinAtom,
-    LinExpr,
-    Program,
-    Rel,
-    Sort,
-    Var,
-    fresh_name,
-)
+from .lia import QuantDisj, Verdict
+from .syntax import Clause, ConstraintConj, LinAtom, Program, Var, fresh_name, infer_signatures
 
 
 class RuleKind(enum.Enum):
@@ -81,42 +73,8 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class SequenceReport:
-    a_sound: bool
     no_self_unfolding: bool
     all_foldings_reversible: bool
-
-
-# --- constraint-class classifiers for rule R1 condition (ii) ---------------
-
-def _is_lia_conj(c: ConstraintConj) -> bool:
-    return all(isinstance(a, LinAtom) for a in c)
-
-
-def _is_2var_atom(a: LinAtom) -> bool:
-    lv, rv = a.lhs.as_var(), a.rhs.as_var()
-    zero = LinExpr.number(0)
-    if a.rel in (Rel.GT, Rel.EQ):
-        if lv is not None and (a.rhs == zero or rv is not None):
-            return True
-    return False
-
-
-def _is_2var_conj(c: ConstraintConj) -> bool:
-    return all(isinstance(a, LinAtom) and _is_2var_atom(a) for a in c)
-
-
-A_CLASSIFIERS: dict[str, Callable[[ConstraintConj], bool]] = {
-    "lia": _is_lia_conj,
-    "2var": _is_2var_conj,
-}
-
-
-def check_a_classifier(name: str) -> None:
-    """Refuse a name that is not a key of A_CLASSIFIERS, listing the known ones."""
-    if name not in A_CLASSIFIERS:
-        raise ValueError(
-            f"unknown A-classifier {name!r}; known: {', '.join(A_CLASSIFIERS)}"
-        )
 
 
 def entailed(
@@ -134,17 +92,25 @@ def entailed(
 
 
 class TransformationState:
-    """P_i, Defs_i and the application trace of one transformation sequence."""
+    """P_i, Defs_i and the application trace of one transformation sequence.
 
-    def __init__(self, p0: Program, a_classifier: str = "lia"):
-        check_a_classifier(a_classifier)
-        self.clauses: dict[int, Clause] = {c.cid: c for c in p0.clauses}
+    P_0 is any iterable of clauses, a Program among them, with distinct ids
+    and one arity and sorts per predicate (ArityClash or SortMismatch
+    otherwise); its predicates are those that its clauses name.
+    """
+
+    def __init__(self, p0: Iterable[Clause]):
+        self.clauses: dict[int, Clause] = {}
+        for c in p0:
+            if c.cid in self.clauses:
+                raise ArityClash(f"duplicate clause id {c.cid}")
+            self.clauses[c.cid] = c
+        # unfolding matches a head to a body atom argument by argument
+        self.p0_preds: set[str] = set(infer_signatures(self.clauses.values()))
         self.defs: list[Clause] = []
         self.trace: list[TraceStep] = []
-        self.a_classifier = a_classifier
-        self.p0_preds: set[str] = set(p0.preds())
-        self.seen_preds: set[str] = set(p0.preds())
-        self._next_cid = p0.max_id() + 1
+        self.seen_preds: set[str] = set(self.p0_preds)
+        self._next_cid = max(self.clauses, default=0) + 1
 
     # -- bookkeeping --
 
@@ -157,10 +123,6 @@ class TransformationState:
     def current(self) -> Program:
         """P_i, its clauses in the order they were made."""
         return Program(self.clauses.values())
-
-    @property
-    def defs_program(self) -> Program:
-        return Program(self.defs)
 
     def clause(self, cid: int) -> Clause:
         try:
@@ -188,11 +150,8 @@ class TransformationState:
             raise FreshnessViolation(
                 f"predicate {d.head.pred!r} already occurs in the sequence"
             )
-        classify = A_CLASSIFIERS[self.a_classifier]
-        if not classify(d.constraint):
-            raise ConstraintClassViolation(
-                f"definition constraint is outside the {self.a_classifier!r} class"
-            )
+        if not all(isinstance(a, LinAtom) for a in d.constraint):
+            raise ConstraintClassViolation("definition constraint is outside the 'lia' class")
         if not d.body:
             raise NonP0Predicate("a definition body must be a non-empty conjunction")
         for a in d.body:
@@ -540,7 +499,7 @@ def classify_sequence(trace: Sequence[TraceStep]) -> SequenceReport:
     all_rev = all(
         s.reversible_folding for s in trace if s.rule is RuleKind.FOLDING
     )
-    return SequenceReport(a_sound=True, no_self_unfolding=no_self, all_foldings_reversible=all_rev)
+    return SequenceReport(no_self_unfolding=no_self, all_foldings_reversible=all_rev)
 
 
 # per rule: the field its trace line has besides in, out and flags, its

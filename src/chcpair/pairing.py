@@ -21,14 +21,7 @@ from .errors import (
     OverlapError,
     PartitionOverlap,
 )
-from .kernel import (
-    SequenceReport,
-    TraceStep,
-    TransformationState,
-    check_a_classifier,
-    classify_sequence,
-    entailed,
-)
+from .kernel import TraceStep, TransformationState, entailed
 from .syntax import (
     Atom,
     Clause,
@@ -50,12 +43,10 @@ class PairingConfig:
 
     max_defs: int = 64
     iterate: bool = False
-    a_classifier: str = "lia"
 
     def __post_init__(self):
         if self.max_defs < 1:
             raise ValueError("max_defs must be positive")
-        check_a_classifier(self.a_classifier)
 
 
 @dataclass(frozen=True)
@@ -80,16 +71,12 @@ class PairingResult:
     """The output program and definitions of a pairing run, with its trace.
 
     Each pair choice is logged at the index of the trace step that it leads
-    to. `transf` lists its clauses in the strategy's order, while
-    `state.current` lists the same clauses in the order they were made.
-    Under `iterate_pairing`, `state` is the last round's, and `steps` and
-    `pair_log` cover every round.
+    to. `transf` lists its clauses in the strategy's order. Under
+    `iterate_pairing`, `defs`, `steps` and `pair_log` cover every round.
     """
 
     transf: Program
     defs: Program
-    state: TransformationState
-    report: SequenceReport
     steps: list[TraceStep]
     pair_log: list[PairChoice] = field(default_factory=list)
     overlaps: list[PartitionOverlap] = field(default_factory=list)
@@ -200,12 +187,14 @@ def _pair_def_clause(a: Atom, b: Atom, eqs, name: str) -> Clause:
 
 def predicate_pairing(
     c_init: Clause,
-    q_prog: Program,
-    r_prog: Program,
+    q_prog: Iterable[Clause],
+    r_prog: Iterable[Clause],
     cfg: PairingConfig = PairingConfig(),
     reserved_preds: Iterable[str] = (),
 ) -> PairingResult:
-    """Run the pairing strategy on one goal over two disjoint programs.
+    """Run the pairing strategy on one goal over two disjoint programs, each
+    any iterable of definite clauses (a Program among them); the predicates
+    of Q and R are those that their clauses name.
 
     Each round unfolds a clause on its Q-atom and then on its R-atom, and
     decides each unfolded clause once, on a reduction grown from its
@@ -219,15 +208,16 @@ def predicate_pairing(
     a deletion from the decision memoised on the reduction.
 
     `transf` lists the clauses in the strategy's order: Q's, R's, then each
-    clause of the goal's unfolding as its fold loop ends. `state.current`
-    lists the same clauses in the order they were made.
+    clause of the goal's unfolding as its fold loop ends. It is the one
+    Program that the run builds besides `defs`.
     """
-    q_preds = set(q_prog.preds())
-    r_preds = set(r_prog.preds())
+    q_prog, r_prog = tuple(q_prog), tuple(r_prog)
+    q_preds = {p for c in q_prog for p in c.preds()}
+    r_preds = {p for c in r_prog for p in c.preds()}
     shared = q_preds & r_preds
     if shared:
         raise InputShapeError(f"input programs share predicate {sorted(shared)[0]!r}")
-    if q_prog.goals() or r_prog.goals():
+    if any(c.is_goal for c in q_prog + r_prog):
         raise InputShapeError("input programs must be definite")
     qa = [i for i, a in enumerate(c_init.body) if a.pred in q_preds]
     ra = [i for i, a in enumerate(c_init.body) if a.pred in r_preds]
@@ -237,12 +227,11 @@ def predicate_pairing(
         )
 
     # assemble P_0 with fresh sequential ids: Q, R, then the goal
-    renum: list[Clause] = []
-    nid = 1
-    for c in tuple(q_prog) + tuple(r_prog) + (c_init,):
-        renum.append(Clause(nid, c.head, c.constraint, c.body))
-        nid += 1
-    state = TransformationState(Program(renum), a_classifier=cfg.a_classifier)
+    renum = [
+        Clause(i + 1, c.head, c.constraint, c.body)
+        for i, c in enumerate(q_prog + r_prog + (c_init,))
+    ]
+    state = TransformationState(renum)
     state.seen_preds |= set(reserved_preds)
     in_cls: list[Clause] = [renum[-1]]
     pair_log: list[PairChoice] = []
@@ -306,12 +295,7 @@ def predicate_pairing(
     for c in transf:
         assert not mixed(c), f"clause {c.cid} still mixes partitions"
     return PairingResult(
-        transf=transf,
-        defs=state.defs_program,
-        state=state,
-        report=classify_sequence(state.trace),
-        steps=list(state.trace),
-        pair_log=pair_log,
+        transf=transf, defs=Program(state.defs), steps=state.trace, pair_log=pair_log
     )
 
 
@@ -366,15 +350,23 @@ def iterate_pairing(
     """Run one pairing round, or with cfg.iterate, rounds until no goal
     mixes two disjoint cones.
 
+    The goals are p's own, then those of `goals` that p does not hold.
+    Every clause of `goals` must be a goal (InputShapeError otherwise) and
+    agree with p's predicate signatures (ArityClash or SortMismatch
+    otherwise).
+
     The goals are scanned once, in order. A goal is left when none of its
-    pairs can be transformed. After a round, the clauses are renumbered and
-    the scan resumes at the goals the round produced: a round adds clauses
-    only for new predicates and keeps those of the old ones, so a goal left
-    earlier would be left again with the same overlaps. Two atoms of the
-    same predicate are paired by duplicating that predicate's cone under
-    renamed predicates. A pair whose cones overlap (for distinct
-    predicates) is reported as a PartitionOverlap of the goal it leaves, by
-    that goal's id in the output.
+    pairs can be transformed. After a round, the scan resumes at the goals
+    the round produced: a round adds clauses only for new predicates and
+    keeps those of the old ones, so a goal left earlier would be left again
+    with the same overlaps. Two atoms of the same predicate are paired by
+    duplicating that predicate's cone under renamed predicates. A pair
+    whose cones overlap (for distinct predicates) is reported as a
+    PartitionOverlap of the goal it leaves, by that goal's id in the output.
+
+    Between rounds the driver keeps plain lists of clauses, whose ids may
+    repeat; it numbers the output and the definitions from 1, and builds a
+    Program of each only at the end.
 
     Each round's trace numbers its clauses afresh, from 1, and the steps of
     all rounds are concatenated without a mark between rounds. The result's
@@ -384,6 +376,9 @@ def iterate_pairing(
     def renumber(cs: Iterable[Clause]) -> list[Clause]:
         return [Clause(i + 1, c.head, c.constraint, c.body) for i, c in enumerate(cs)]
 
+    for g in goals:
+        if not g.is_goal:
+            raise InputShapeError(f"clause {g.cid} of goals is not a goal")
     extra = [g for g in goals if g not in p.clauses]
     if extra:
         Program(renumber(extra), p.signatures)  # they must agree with p
@@ -392,7 +387,6 @@ def iterate_pairing(
     all_steps: list[TraceStep] = []
     all_pairs: list[PairChoice] = []
     all_defs: list[Clause] = []
-    last_state: Optional[TransformationState] = None
     left: list[tuple[str, int]] = []  # (overlap predicate, goal index) of the goals left
     gi = 0
 
@@ -414,24 +408,21 @@ def iterate_pairing(
                         for k, a in enumerate(goal.body)
                     ),
                 )
-                # the copies' ids are all 0 until renumbered
-                q_prog, r_prog = predicate_partition(
-                    renumber(definite2), pa, mapping[pb]
-                )
+                q_cl, r_cl = predicate_partition(definite2, pa, mapping[pb])
             else:
                 try:
-                    q_prog, r_prog = predicate_partition(definite, pa, pb)
+                    q_cl, r_cl = predicate_partition(definite, pa, pb)
                 except OverlapError as ov:
                     overlap_preds.append(ov.pred)
                     continue
                 definite2 = definite
                 goal2 = goal
-            qr_preds = q_prog.preds() | r_prog.preds()
+            qr_preds = {c.head.pred for c in q_cl + r_cl}
             rest = [c for c in definite2 if c.head.pred not in qr_preds]
             reserved = {a.pred for c in definite2 + work_goals for a in c.body} | {
                 c.head.pred for c in definite2 + all_defs
             }
-            res = predicate_pairing(goal2, q_prog, r_prog, cfg, reserved_preds=reserved)
+            res = predicate_pairing(goal2, q_cl, r_cl, cfg, reserved_preds=reserved)
             base = len(all_steps)
             all_steps.extend(res.steps)
             all_pairs.extend(
@@ -440,8 +431,7 @@ def iterate_pairing(
             all_defs.extend(res.defs)
             if len(all_defs) > cfg.max_defs:
                 raise CapExceeded(f"definition cap {cfg.max_defs} reached")
-            last_state = res.state
-            definite = renumber(rest + [c for c in res.transf if not c.is_goal])
+            definite = rest + [c for c in res.transf if not c.is_goal]
             work_goals = (
                 work_goals[:gi]
                 + [c for c in res.transf if c.is_goal]
@@ -462,12 +452,9 @@ def iterate_pairing(
 
     final = Program(renumber(definite + work_goals))
     out_goals = final.goals()
-    state = last_state if last_state is not None else TransformationState(final)
     return PairingResult(
         transf=final,
         defs=Program(renumber(all_defs)),
-        state=state,
-        report=classify_sequence(all_steps),
         steps=all_steps,
         pair_log=all_pairs,
         overlaps=[PartitionOverlap(pred, out_goals[k].cid) for pred, k in left],

@@ -458,6 +458,28 @@ class Clause:
         return s
 
 
+def infer_signatures(
+    clauses: Iterable[Clause], signatures: Optional[Mapping[str, tuple[Sort, ...]]] = None
+) -> dict[str, tuple[Sort, ...]]:
+    """The argument sorts of every predicate of the clauses, extending
+    `signatures`; ArityClash or SortMismatch when two uses disagree."""
+    out: dict[str, tuple[Sort, ...]] = dict(signatures or {})
+    for c in clauses:
+        atoms = list(c.body) + ([c.head] if c.head is not None else [])
+        for a in atoms:
+            sig = tuple(v.sort for v in a.args)
+            old = out.get(a.pred)
+            if old is None:
+                out[a.pred] = sig
+            elif old != sig:
+                if len(old) != len(sig):
+                    raise ArityClash(
+                        f"predicate {a.pred!r} used with arity {len(sig)} and {len(old)}"
+                    )
+                raise SortMismatch(f"predicate {a.pred!r} used with conflicting sorts")
+    return out
+
+
 class Program:
     """An ordered set of clauses with inferred predicate signatures."""
 
@@ -468,20 +490,7 @@ class Program:
             if c.cid in seen_ids:
                 raise ArityClash(f"duplicate clause id {c.cid}")
             seen_ids.add(c.cid)
-        self.signatures: dict[str, tuple[Sort, ...]] = dict(signatures or {})
-        for c in self.clauses:
-            atoms = list(c.body) + ([c.head] if c.head is not None else [])
-            for a in atoms:
-                sig = tuple(v.sort for v in a.args)
-                old = self.signatures.get(a.pred)
-                if old is None:
-                    self.signatures[a.pred] = sig
-                elif old != sig:
-                    if len(old) != len(sig):
-                        raise ArityClash(
-                            f"predicate {a.pred!r} used with arity {len(sig)} and {len(old)}"
-                        )
-                    raise SortMismatch(f"predicate {a.pred!r} used with conflicting sorts")
+        self.signatures = infer_signatures(self.clauses, signatures)
         self._by_id = {c.cid: c for c in self.clauses}
 
     def __iter__(self) -> Iterator[Clause]:
@@ -589,8 +598,11 @@ def reachable_preds(p: Iterable[Clause], root: str) -> set[str]:
     return seen
 
 
-def predicate_partition(p: Iterable[Clause], q: str, r: str) -> tuple[Program, Program]:
-    """Split the clauses p into the clause cones reachable from q and from r.
+def predicate_partition(
+    p: Iterable[Clause], q: str, r: str
+) -> tuple[tuple[Clause, ...], tuple[Clause, ...]]:
+    """Split the clauses p into the clauses of the cones reachable from q and
+    from r, each in p's order.
 
     A predicate that no clause of p names is refused with ArityClash. The
     two cones must be predicate-disjoint; otherwise OverlapError names a
@@ -607,9 +619,9 @@ def predicate_partition(p: Iterable[Clause], q: str, r: str) -> tuple[Program, P
     shared = qs & rs
     if shared:
         raise OverlapError(sorted(shared)[0])
-    qcl = [c for c in p if c.head is not None and c.head.pred in qs]
-    rcl = [c for c in p if c.head is not None and c.head.pred in rs]
-    return Program(qcl), Program(rcl)
+    qcl = tuple(c for c in p if c.head is not None and c.head.pred in qs)
+    rcl = tuple(c for c in p if c.head is not None and c.head.pred in rs)
+    return qcl, rcl
 
 
 # ---------------------------------------------------------------------------

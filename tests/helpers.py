@@ -9,6 +9,7 @@ from itertools import permutations
 from chcpair import (
     Clause,
     ConstraintConj,
+    PairingResult,
     Program,
     QuantDisj,
     TransformationState,
@@ -186,10 +187,11 @@ def all_true_interpretation(p: Program) -> SymbolicInterpretation:
     return SymbolicInterpretation(entries)
 
 
-def transport_along_trace(state: TransformationState, sigma: SymbolicInterpretation):
-    """Apply the definition-transport across every R1 step of a trace."""
-    by_id = {c.cid: c for c in state.defs}
-    for step in state.trace:
+def transport_along_trace(res: PairingResult, sigma: SymbolicInterpretation):
+    """Apply the definition-transport across every R1 step of a pairing
+    run's trace."""
+    by_id = {c.cid: c for c in res.defs}
+    for step in res.steps:
         if step.rule is RuleKind.DEFINITION:
             sigma = transport_definition(sigma, by_id[step.outputs[0]])
     return sigma

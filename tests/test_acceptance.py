@@ -268,7 +268,7 @@ def test_criterion_8c_transport_on_corpus_traces():
         new_preds = {d.head.pred for d in res.defs}
         base = Program([c for c in res.transf.definite() if c.head.pred not in new_preds])
         sigma = all_true_interpretation(base)
-        sigma = transport_along_trace(res.state, sigma)
+        sigma = transport_along_trace(res, sigma)
         n_steps += len(res.defs)
         assert check_model(res.transf.definite(), sigma).overall is Verdict.PROVED
         assert check_tight(res.defs, sigma) is not Verdict.DISPROVED

@@ -251,3 +251,29 @@ def test_parse_error_is_usage_error(tmp_path, capsys):
     f = tmp_path / "bad.chc"
     f.write_text("p(X :- q.\n")
     assert run("emit", f) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--bogus", "p.chc"],
+        ["transform", "p.chc", "--a-classifier", "lia"],
+        ["transform", "p.chc", "--max-defs", "x"],
+        ["oracle", "p.chc", "--box", "0..3"],
+        ["frobnicate"],
+    ],
+)
+def test_argument_errors_exit_with_the_usage_code(argv, capsys):
+    """argparse's own errors exit 3, like every other usage error, not 2,
+    which means Unknown."""
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("transform", "--help")
+    assert exc.value.code == 0
+    assert "--iterate" in capsys.readouterr().out

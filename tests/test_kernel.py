@@ -16,6 +16,7 @@ from chcpair import (
     print_clause,
 )
 from chcpair.errors import (
+    ArityClash,
     BadPosition,
     ConstraintClassViolation,
     EntailmentFailure,
@@ -87,12 +88,28 @@ def test_definition_head_vars_must_be_free_in_body(st):
         st.apply_definition(_def("n(A,B) :- A = 0, su(A,C,D)."))
 
 
-def test_definition_2var_classifier():
-    p = parse_program("p(X) :- X = 0.")
-    st = TransformationState(p, a_classifier="2var")
-    st.apply_definition(_def("n1(A,B) :- A = B, p(A), p(B)."))
-    with pytest.raises(ConstraintClassViolation):
-        st.apply_definition(_def("n2(A,B) :- A = B + 1, p(A), p(B)."))
+def test_state_takes_any_iterable_of_well_formed_clauses():
+    """P_0 is any iterable of clauses with distinct ids and one arity per
+    predicate; its predicates are those that its clauses name, not those
+    that a sorts declaration names."""
+    p = parse_program(":- sorts s(int).\np(X) :- X = 0.")
+    st = TransformationState(list(p))
+    assert st.current == p and st.p0_preds == {"p"}
+    with pytest.raises(NonP0Predicate):
+        st.apply_definition(_def("n(A) :- s(A)."))
+    with pytest.raises(ArityClash, match="duplicate clause id 1"):
+        TransformationState([p.clauses[0], p.clauses[0]])
+    goal = parse_program("false :- p(X,Y).").clauses[0]
+    with pytest.raises(ArityClash, match="'p' used with arity"):
+        TransformationState([p.clauses[0], Clause(2, None, goal.constraint, goal.body)])
+
+
+def test_definition_constraint_must_be_linear():
+    p = parse_program("p(X) :- X = 0.\na(A,I) :- read(A,I,V), V = 0.")
+    st = TransformationState(p)
+    st.apply_definition(_def("n1(A,B) :- A = B + 1, p(A), p(B)."))
+    with pytest.raises(ConstraintClassViolation, match="outside the 'lia' class"):
+        st.apply_definition(_def("n2(A,I,V) :- read(A,I,V), a(A,I)."))
 
 
 # --- R2 ---------------------------------------------------------------------
@@ -284,12 +301,6 @@ def test_fold_with_the_clause_reduction():
         st.apply_fold(1, [0, 1], d.cid, theta, lia.reduction(conj("B = A + 1")))
 
 
-def test_unknown_a_classifier_is_refused():
-    p = parse_program("p(X) :- X = 0.")
-    with pytest.raises(ValueError, match="unknown A-classifier 'nope'; known: lia, 2var"):
-        TransformationState(p, a_classifier="nope")
-
-
 # --- R4 ---------------------------------------------------------------------
 
 def test_replace_deletes_unsatisfiable(st):
@@ -415,7 +426,6 @@ def test_sum_square_script_classification(sum_square):
     ok, offenders = check_all_defs_unfolded(st.trace)
     assert ok and not offenders
     rep = classify_sequence(st.trace)
-    assert rep.a_sound is True
     assert rep.no_self_unfolding is True
     assert rep.all_foldings_reversible is False  # the definition left P before folding
 

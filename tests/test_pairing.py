@@ -21,7 +21,7 @@ from chcpair.pairing import (
     select_pair,
 )
 from chcpair import lia
-from chcpair.kernel import check_all_defs_unfolded
+from chcpair.kernel import check_all_defs_unfolded, classify_sequence
 
 from helpers import assert_programs_equal, clauses_equivalent, conj, goal_of
 
@@ -147,10 +147,9 @@ def test_ackermann_matches_golden_transf(ackermann, ackermann_golden):
 
 def test_ackermann_defs_all_unfolded(ackermann):
     res = run_ackermann(ackermann)
-    ok, offenders = check_all_defs_unfolded(res.state.trace)
+    ok, offenders = check_all_defs_unfolded(res.steps)
     assert ok and not offenders
-    assert res.report.a_sound
-    assert not res.report.all_foldings_reversible
+    assert not classify_sequence(res.steps).all_foldings_reversible
 
 
 def test_ackermann_deterministic(ackermann):
@@ -356,6 +355,30 @@ def test_cone_functions_read_any_clauses(name):
         assert predicate_partition(list(p), a, b) == predicate_partition(p, a, b)
 
 
+@pytest.mark.parametrize("name, q, r", [("ackermann", "ackermann1", "ackermann2"),
+                                        ("sum_square", "su", "sq")])
+def test_pairing_reads_clause_tuples_as_programs(name, q, r):
+    """predicate_pairing reads its two sides' predicates from their clauses:
+    the tuples that predicate_partition returns give the output and trace
+    that Programs of the same clauses give."""
+    from chcpair import corpus
+
+    p = corpus.load(name)
+    q_cl, r_cl = predicate_partition(p, q, r)
+    assert isinstance(q_cl, tuple) and isinstance(r_cl, tuple)
+    a = predicate_pairing(goal_of(p), q_cl, r_cl)
+    b = predicate_pairing(goal_of(p), Program(q_cl), Program(r_cl))
+    assert print_program(a.transf) == print_program(b.transf)
+    assert a.trace_text() == b.trace_text()
+
+
+def test_pairing_refuses_a_goal_that_disagrees_with_its_cones(sum_square):
+    q, r = predicate_partition(sum_square, "su", "sq")
+    goal = _clause("false :- X = Y, su(X,R,S), sq(Y,Z).")
+    with pytest.raises(ArityClash, match="'sq' used with arity 2 and 4"):
+        predicate_pairing(goal, q, r)
+
+
 def test_duplicate_cone_renames_recursion():
     p = parse_program("p(X) :- X = 0.\np(X) :- X = Y + 1, p(Y).")
     copies, mapping = duplicate_cone(p, "p")
@@ -415,6 +438,10 @@ def test_iterate_pairing_checks_extra_goals_against_the_program(sum_upto):
     extra = _clause("false :- su(X, R, S), su(X, R, T), S =\\= T.")
     res = iterate_pairing(sum_upto, [extra], PairingConfig())
     assert len(res.transf.goals()) == len(sum_upto.goals()) + 1
+    # a definite clause is not a goal: pairing its body would drop its head
+    definite = _clause("r(X, S, T) :- su(X, R, S), su(X, R, T).")
+    with pytest.raises(InputShapeError, match="not a goal"):
+        iterate_pairing(sum_upto, [definite], PairingConfig())
 
 
 def test_pairing_accepts_swapped_goal_atoms(ackermann, ackermann_golden):
@@ -423,11 +450,6 @@ def test_pairing_accepts_swapped_goal_atoms(ackermann, ackermann_golden):
     q, r = predicate_partition(ackermann, "ackermann1", "ackermann2")
     res = predicate_pairing(swapped, q, r, PairingConfig())
     assert_programs_equal(res.transf, ackermann_golden)
-
-
-def test_unknown_a_classifier_is_refused():
-    with pytest.raises(ValueError, match="unknown A-classifier 'nope'; known: lia, 2var"):
-        PairingConfig(a_classifier="nope")
 
 
 def test_fib_injectivity_settles_pair_selection_without_queries(monkeypatch):
@@ -451,11 +473,10 @@ def test_fib_injectivity_settles_pair_selection_without_queries(monkeypatch):
 
 
 def test_fib_injectivity_builds_a_program_per_round(monkeypatch):
-    """The driver keeps its definite clauses as a list: each of the 12
-    rounds builds the Programs of its two cones, its P_0, its output and its
-    definitions, and the run builds its output and definitions once (87
-    constructions when the driver also built a Program of its definite
-    clauses at the start and after each round)."""
+    """The driver hands each round clause lists: each of the 12 rounds
+    builds a Program of its output and of its definitions, and the run
+    builds its output and definitions once (62 constructions when each
+    round also built Programs of its two cones and of its P_0)."""
     from chcpair import corpus, syntax
 
     p = corpus.load("fib_injectivity")
@@ -468,4 +489,4 @@ def test_fib_injectivity_builds_a_program_per_round(monkeypatch):
 
     monkeypatch.setattr(syntax.Program, "__init__", counted)
     iterate_pairing(p, [], PairingConfig(iterate=True))
-    assert len(calls) <= 62
+    assert len(calls) <= 26
