@@ -69,13 +69,15 @@ def _cmd_transform(args) -> int:
     out = Program(
         [Clause(i + 1, c.head, c.constraint, c.body) for i, c in enumerate(out_clauses)]
     )
+    # both files before stdout, so that a command that fails to write one
+    # leaves stdout empty
     text = print_program(out)
+    if args.trace:
+        Path(args.trace).write_text(res.trace_text())
     if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
-    if args.trace:
-        Path(args.trace).write_text(res.trace_text())
     ok, offenders = check_all_defs_unfolded(res.all_steps())
     print(
         f"; defs introduced: {len(res.defs)}; clauses: {len(out)}; "

@@ -35,7 +35,7 @@ from .errors import (
     VarConditionViolation,
 )
 from .lia import QuantDisj, Verdict
-from .syntax import Clause, ConstraintConj, LinAtom, Program, Var, fresh_name, infer_signatures
+from .syntax import Atom, Clause, ConstraintConj, LinAtom, Program, Var, fresh_name, infer_signatures
 
 
 class RuleKind(enum.Enum):
@@ -97,6 +97,11 @@ class TransformationState:
     P_0 is any iterable of clauses, a Program among them, with distinct ids
     and one arity and sorts per predicate (ArityClash or SortMismatch
     otherwise); its predicates are those that its clauses name.
+
+    The state also keeps what unfolding has renamed (see `apply_unfold`):
+    each matching clause's renaming skeleton, and each renamed copy of a
+    clause's constraint and body. Both are keyed by clause id and go with
+    the state.
     """
 
     def __init__(self, p0: Iterable[Clause]):
@@ -111,6 +116,11 @@ class TransformationState:
         self.trace: list[TraceStep] = []
         self.seen_preds: set[str] = set(self.p0_preds)
         self._next_cid = max(self.clauses, default=0) + 1
+        # clause id -> (its non-head variables, the names of all its variables)
+        self._skeletons: dict[int, tuple[tuple[Var, ...], frozenset[str]]] = {}
+        # (clause id, target atom's args, renaming items) -> the clause's
+        # renamed (constraint, body)
+        self._renamed: dict[tuple, tuple[ConstraintConj, tuple[Atom, ...]]] = {}
 
     # -- bookkeeping --
 
@@ -187,6 +197,15 @@ class TransformationState:
         clause's, renamed: its first len(c.constraint) atoms are c's own
         atom objects. Callers rely on this prefix to decide a new clause by
         extending the reduction of c's constraint (`lia.reduction`).
+
+        A matching clause's variables outside its head that clash with c's
+        names are renamed apart, and its head is matched to the target
+        atom's arguments. The renamed constraint and body depend only on
+        the matching clause, the target's arguments and that renaming, so
+        the state renames each such triple once: a later unfolding with the
+        same triple shares the renamed atom objects, with their memoised
+        hashes, rows and variables. The new constraint's variables are
+        merged from its two parts' (`ConstraintConj.extended`).
         """
         c = self.clause(cid)
         if not (0 <= atom_index < len(c.body)):
@@ -196,26 +215,42 @@ class TransformationState:
         c_var_names = {v.name for v in c.vars()}
         new_clauses: list[Clause] = []
         for dj in matching:
-            head_vars = set(dj.head.args)
-            dj_vars = dj.vars()
-            taken = c_var_names | {v.name for v in dj_vars}
+            skeleton = self._skeletons.get(dj.cid)
+            if skeleton is None:
+                head_vars = set(dj.head.args)
+                dj_vars = dj.vars()
+                skeleton = self._skeletons[dj.cid] = (
+                    tuple(v for v in dj_vars if v not in head_vars),
+                    frozenset(v.name for v in dj_vars),
+                )
+            local_vars, dj_names = skeleton
+            taken = c_var_names | dj_names
             ren: dict[Var, Var] = {}
-            for v in dj_vars:
-                if v not in head_vars and v.name in c_var_names:
+            for v in local_vars:
+                if v.name in c_var_names:
                     nn = fresh_name(v.name, taken)
                     taken.add(nn)
                     ren[v] = Var(nn, v.sort)
-            # the renaming and the head match in one substitution: ren maps
-            # no head variable, and only to names outside c and dj
-            sigma = dict(ren)
-            sigma.update(zip(dj.head.args, target.args))
-            new_constraint = c.constraint.conjoin(dj.constraint.subst(sigma))
-            new_body = (
-                c.body[:atom_index]
-                + tuple(a.subst(sigma) for a in dj.body)
-                + c.body[atom_index + 1 :]
+            key = (dj.cid, target.args, tuple(ren.items()))
+            renamed = self._renamed.get(key)
+            if renamed is None:
+                # the renaming and the head match in one substitution: ren
+                # maps no head variable, and only to names outside c and dj
+                sigma = dict(ren)
+                sigma.update(zip(dj.head.args, target.args))
+                renamed = self._renamed[key] = (
+                    dj.constraint.subst(sigma),
+                    tuple(a.subst(sigma) for a in dj.body),
+                )
+            part, body = renamed
+            new_clauses.append(
+                Clause(
+                    self.mint_id(),
+                    c.head,
+                    c.constraint.extended(part),
+                    c.body[:atom_index] + body + c.body[atom_index + 1 :],
+                )
             )
-            new_clauses.append(Clause(self.mint_id(), c.head, new_constraint, new_body))
         del self.clauses[cid]
         self.clauses.update((cl.cid, cl) for cl in new_clauses)
         self.trace.append(

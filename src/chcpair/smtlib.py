@@ -125,7 +125,12 @@ def _smt_and(parts: Sequence[str]) -> str:
 
 
 def emit_smtlib(p: Program) -> str:
-    """Render the program as HORN-logic SMT-LIB text."""
+    """Render the program as HORN-logic SMT-LIB text.
+
+    Each constraint-atom object is rendered once per call, as in
+    `syntax.print_program`: a dict local to the call, keyed by id(atom),
+    serves the atoms that clauses share.
+    """
     lines = ["(set-logic HORN)"]
     seen: list[str] = []
     for c in p.clauses:
@@ -137,8 +142,15 @@ def emit_smtlib(p: Program) -> str:
         sig = p.signatures[pred]
         args = " ".join(_SORT_SMT[s] for s in sig)
         lines.append(f"(declare-fun {pred} ({args}) Bool)")
+    rendered: dict[int, str] = {}
     for c in p.clauses:
-        body = [_smt_constraint(a) for a in c.constraint] + [_smt_atom(a) for a in c.body]
+        body = []
+        for a in c.constraint.atoms:
+            text = rendered.get(id(a))
+            if text is None:
+                text = rendered[id(a)] = _smt_constraint(a)
+            body.append(text)
+        body += [_smt_atom(a) for a in c.body]
         head = "false" if c.head is None else _smt_atom(c.head)
         impl = f"(=> {_smt_and(body)} {head})"
         vs = c.vars()

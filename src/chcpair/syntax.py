@@ -386,7 +386,20 @@ class ConstraintConj:
         return tuple(a for a in self.atoms if not isinstance(a, LinAtom))
 
     def conjoin(self, other: "ConstraintConj") -> "ConstraintConj":
+        """self's atoms followed by other's; the result memoises nothing, so
+        a caller that never asks for its variables pays nothing for them."""
         return ConstraintConj(self.atoms + other.atoms)
+
+    def extended(self, other: "ConstraintConj") -> "ConstraintConj":
+        """self.conjoin(other), with its variables memoised: merged from the
+        two parts' own (memoised on them too), in the order of a fresh
+        first-occurrence walk. For a caller that extends one constraint by
+        many others whose variables are asked for, as unfolding does."""
+        out = ConstraintConj(self.atoms + other.atoms)
+        seen = dict.fromkeys(self.vars())
+        seen.update(dict.fromkeys(other.vars()))
+        object.__setattr__(out, "_vars", tuple(seen))
+        return out
 
     def subst(self, theta: Mapping[Var, Var]) -> "ConstraintConj":
         atoms = tuple(a.subst(theta) for a in self.atoms)
@@ -1119,18 +1132,38 @@ def print_atom(a: Atom) -> str:
 
 
 def print_clause(c: Clause) -> str:
+    return _clause_text(c, [print_constraint_atom(a) for a in c.constraint])
+
+
+def _clause_text(c: Clause, constraint_texts: list[str]) -> str:
     head = "false" if c.head is None else print_atom(c.head)
-    items = [print_constraint_atom(a) for a in c.constraint] + [print_atom(a) for a in c.body]
+    items = constraint_texts + [print_atom(a) for a in c.body]
     if not items:
         return f"{head}."
     return f"{head} :- {', '.join(items)}."
 
 
 def print_program(p: Program) -> str:
+    """The program as text: its array sorts, then one clause a line.
+
+    Clauses share constraint-atom objects (unfolding's renamed copies, the
+    parent prefix of every unfolded constraint), so each object is printed
+    once per call, from a dict local to the call keyed by id(atom): p holds
+    every atom for the whole call. Hashing equal but distinct atoms by
+    value would cost more than printing them.
+    """
     lines = []
     for pred in sorted(p.signatures):
         sig = p.signatures[pred]
         if any(s is Sort.ARRAY for s in sig):
             lines.append(f":- sorts {pred}({', '.join(s.value for s in sig)}).")
-    lines.extend(print_clause(c) for c in p.clauses)
+    printed: dict[int, str] = {}
+    for c in p.clauses:
+        texts = []
+        for a in c.constraint.atoms:
+            text = printed.get(id(a))
+            if text is None:
+                text = printed[id(a)] = print_constraint_atom(a)
+            texts.append(text)
+        lines.append(_clause_text(c, texts))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -95,6 +95,20 @@ def test_transform_writes_program_and_trace(tmp_path, capsys):
     assert "defs introduced: 2" in err
 
 
+def test_transform_that_cannot_write_its_trace_prints_no_program(tmp_path, capsys):
+    """The trace is written before the program, so a transform that fails
+    to write it exits 3 with nothing on stdout and no -o file."""
+    bad = tmp_path / "missing" / "run.trace"
+    assert run("transform", CORPUS_DIR / "ackermann.chc", "--trace", bad) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    out = tmp_path / "out.chc"
+    assert run("transform", CORPUS_DIR / "ackermann.chc", "--trace", bad, "-o", out) == 3
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
 def test_transform_then_validate_trace(tmp_path, capsys):
     out = tmp_path / "out.chc"
     tr = tmp_path / "run.trace"

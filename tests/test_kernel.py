@@ -1,5 +1,7 @@
-import collections
+import collections.abc
+import gc
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -30,10 +32,11 @@ from chcpair.errors import (
     ShapeMismatch,
     VarConditionViolation,
 )
-from chcpair import corpus, lia
+from chcpair import corpus, kernel, lia, pairing
 from chcpair.kernel import RuleKind, parse_trace
 from chcpair.pairing import PairingConfig, iterate_pairing
 from chcpair.oracle import OracleBudget, bounded_lm
+from chcpair.syntax import fresh_name
 
 from helpers import (
     clauses_equivalent,
@@ -180,6 +183,107 @@ def test_unfolded_constraints_extend_their_parent(name, monkeypatch):
     iterate_pairing(corpus.load(name), [], PairingConfig(iterate=True))
     assert len(checked) >= 4
     assert any(len(c.constraint) > 0 for c in checked)
+
+
+def _unfold_reference(state, cid, atom_index):
+    """(head, constraint, body) of each clause that unfolding cid at
+    atom_index gives, each matching clause renamed afresh."""
+    c = state.clause(cid)
+    target = c.body[atom_index]
+    c_names = {v.name for v in c.vars()}
+    out = []
+    for dj in state.clauses.values():
+        if dj.head is None or dj.head.pred != target.pred:
+            continue
+        head_vars = set(dj.head.args)
+        taken = c_names | {v.name for v in dj.vars()}
+        sigma = {}
+        for v in dj.vars():
+            if v not in head_vars and v.name in c_names:
+                nn = fresh_name(v.name, taken)
+                taken.add(nn)
+                sigma[v] = Var(nn, v.sort)
+        sigma.update(zip(dj.head.args, target.args))
+        constraint = ConstraintConj(c.constraint.atoms + dj.constraint.subst(sigma).atoms)
+        body = c.body[:atom_index] + tuple(a.subst(sigma) for a in dj.body) + c.body[atom_index + 1 :]
+        out.append((c.head, constraint, body))
+    return out
+
+
+@pytest.mark.parametrize("name", corpus.NAMES)
+def test_unfolding_shares_renamed_copies_without_changing_them(name, monkeypatch):
+    """Every clause that apply_unfold returns in a pairing run, shared
+    renamed copies or not, equals the one that renaming the matching clause
+    afresh gives, and its constraint's variables are those of a fresh walk."""
+    unfold = TransformationState.apply_unfold
+    checked = []
+
+    def checking_unfold(self, cid, atom_index):
+        want = _unfold_reference(self, cid, atom_index)
+        out = unfold(self, cid, atom_index)
+        assert [(c.head, c.constraint, c.body) for c in out] == want
+        for c in out:
+            assert c.constraint.vars() == ConstraintConj(c.constraint.atoms).vars()
+        checked.extend(out)
+        return out
+
+    monkeypatch.setattr(TransformationState, "apply_unfold", checking_unfold)
+    iterate_pairing(corpus.load(name), [], PairingConfig(iterate=True))
+    if name not in ("sum_upto", "ackermann_transf", "sum_square_p4", "array_loop"):
+        assert checked
+
+
+def test_unfoldings_with_one_renaming_share_the_renamed_atoms():
+    p = parse_program(
+        "p(X) :- X = Y + 1, Y >= 0, q(Y).\n"
+        "false :- Z >= 5, p(Z).\n"
+        "false :- Z =< 2, p(Z).\n"
+        "false :- Y = 1, p(Z).\n"
+    )
+    st = TransformationState(p)
+    (a,) = st.apply_unfold(2, 0)
+    (b,) = st.apply_unfold(3, 0)
+    (c,) = st.apply_unfold(4, 0)
+    # 2 and 3 match p's head to Z and rename nothing: one renamed copy
+    assert len(a.constraint) == len(b.constraint) == 3
+    assert all(x is y for x, y in zip(a.constraint.atoms[1:], b.constraint.atoms[1:]))
+    assert a.body[0] is b.body[0]
+    # 4 names Y itself, so p's Y is renamed: a copy of its own
+    assert print_clause(c) == "false :- Y = 1, Z = Y_1 + 1, Y_1 >= 0, q(Y_1)."
+    assert not any(x is y for x in a.constraint.atoms[1:] for y in c.constraint.atoms[1:])
+
+
+def test_pairing_leaves_no_transformation_state_behind(monkeypatch):
+    """The states of a run, and the renamed copies that they keep, are gone
+    when iterate_pairing returns."""
+    init = TransformationState.__init__
+    states = []
+
+    def recording_init(self, p0):
+        init(self, p0)
+        states.append(weakref.ref(self))
+
+    monkeypatch.setattr(TransformationState, "__init__", recording_init)
+    res = iterate_pairing(corpus.load("fib_injectivity"), [], PairingConfig(iterate=True))
+    gc.collect()
+    assert len(states) > 1
+    assert [ref() for ref in states] == [None] * len(states)
+    assert res.defs
+
+
+def test_kernel_and_pairing_keep_no_container_between_operations():
+    """After an hl1 transform, kernel and pairing hold no mutable container
+    at module level: the renamed copies and skeletons lived on each round's
+    state. The one exception is kernel's constant table of trace line
+    shapes, which the transform leaves as it was."""
+    shapes = dict(kernel._TRACE_SHAPES)
+    iterate_pairing(corpus.load("hl1"), [], PairingConfig(iterate=True))
+    mutable = (collections.abc.MutableMapping, collections.abc.MutableSequence,
+               collections.abc.MutableSet)
+    held = [f"{m.__name__}.{name}" for m in (kernel, pairing) for name, value in vars(m).items()
+            if not name.startswith("__") and isinstance(value, mutable)]
+    assert held == ["chcpair.kernel._TRACE_SHAPES"]
+    assert kernel._TRACE_SHAPES == shapes and shapes.keys() == set(RuleKind)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chcpair import (
     Atom,
@@ -13,6 +14,7 @@ from chcpair import (
     LinAtom,
     LinExpr,
     Program,
+    ReadAtom,
     Rel,
     Sort,
     Var,
@@ -328,6 +330,38 @@ def test_conjunction_vars_are_memoised_apart_from_equality():
         assert clone.vars() == walk
     with pytest.raises(dataclasses.FrozenInstanceError):
         c._vars = ()
+
+
+_INTS = [Var(n) for n in "UVWXYZ"]
+_ARRAY = Var("A", Sort.ARRAY)
+_LIN_ATOMS = st.builds(
+    LinAtom,
+    st.builds(LinExpr.build, st.dictionaries(st.sampled_from(_INTS), st.integers(-2, 2), max_size=3),
+              st.integers(-1, 1)),
+    st.sampled_from(list(Rel)),
+    st.builds(LinExpr.build, st.dictionaries(st.sampled_from(_INTS), st.integers(-2, 2), max_size=2)),
+)
+_READ_ATOMS = st.builds(ReadAtom, st.just(_ARRAY), st.sampled_from(_INTS), st.sampled_from(_INTS))
+_ATOM_LISTS = st.lists(st.one_of(_LIN_ATOMS, _READ_ATOMS), max_size=5)
+
+
+@given(_ATOM_LISTS, _ATOM_LISTS, st.booleans(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_extended_inherits_the_variables_of_a_fresh_walk(left, right, memo_left, memo_right):
+    """extended is conjoin with the result's variables memoised, merged from
+    its parts' whether or not they had memoised theirs, and equal to a
+    first-occurrence walk over the concatenated atoms; conjoin memoises
+    nothing."""
+    a, b = ConstraintConj(tuple(left)), ConstraintConj(tuple(right))
+    if memo_left:
+        a.vars()
+    if memo_right:
+        b.vars()
+    out, plain = a.extended(b), a.conjoin(b)
+    assert out == plain == ConstraintConj(tuple(left + right))
+    assert hasattr(out, "_vars") and not hasattr(plain, "_vars")
+    walk = tuple(dict.fromkeys(v for x in left + right for v in x.vars()))
+    assert out.vars() == walk == plain.vars()
 
 
 SUBST_TEXT = (":- sorts p(array, int).\n"
