@@ -1,3 +1,4 @@
+import collections.abc
 import copy
 import dataclasses
 import pickle
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chcpair import (
+    ArrEqAtom,
     Atom,
     Clause,
     ConstraintConj,
@@ -26,7 +28,7 @@ from chcpair import (
     rename_apart,
 )
 from chcpair.errors import ArityClash, OverlapError, ParseError, SortMismatch
-from chcpair import corpus
+from chcpair import corpus, syntax
 
 from helpers import conj
 
@@ -521,3 +523,52 @@ def test_a_parsed_clause_has_one_var_per_name():
     for c in p.clauses:
         for clone in (copy.copy(c), pickle.loads(pickle.dumps(c))):
             assert clone == c and hash(clone) == hash(c)
+
+
+# --- one atom object per constraint text within a parse ---------------------
+
+HL1_PN = BENCH_INPUTS / "pn" / "hl1.chc"
+
+
+def _lin_atoms(p):
+    return [a for c in p.clauses for a in c.constraint if isinstance(a, LinAtom)]
+
+
+def test_equal_linear_atoms_of_one_parse_are_one_object():
+    # a printed Pn repeats each clause's parent prefix in every child
+    atoms = _lin_atoms(parse_program(HL1_PN.read_text()))
+    assert len({id(a) for a in atoms}) == len(set(atoms)) < len(atoms)
+
+
+def test_two_parses_of_one_text_share_no_atom_object():
+    text = HL1_PN.read_text()
+    first, second = parse_program(text), parse_program(text)
+    assert first == second
+    assert not {id(a) for a in _lin_atoms(first)} & {id(a) for a in _lin_atoms(second)}
+
+
+@pytest.mark.parametrize("array_first", [True, False])
+def test_an_array_equality_shares_nothing_with_an_int_one(array_first):
+    lines = ["p(A,B) :- read(A,I,V), A = B.", "q(A,B) :- A = B, A >= 0."]
+    if not array_first:
+        lines.reverse()
+    p = parse_program("\n".join(lines) + "\n")
+    by_head = {c.head.pred: c.constraint.atoms for c in p.clauses}
+    assert by_head["p"][1] == ArrEqAtom(Var("A", Sort.ARRAY), Var("B", Sort.ARRAY))
+    int_eq = by_head["q"][0]
+    assert isinstance(int_eq, LinAtom) and int_eq.vars() == (Var("A"), Var("B"))
+    assert p.signatures == {"p": (Sort.ARRAY, Sort.ARRAY), "q": (Sort.INT, Sort.INT)}
+
+
+def test_parsing_keeps_no_container_at_module_level():
+    """After parsing hl1's Pn, syntax holds no mutable container at module
+    level but the Var intern tables and its constant parser tables, which
+    the parse leaves as they were: the atom table lived on the call."""
+    constants = {name: dict(getattr(syntax, name)) for name in ("_FIXED_KINDS", "_EXPECTED", "_RELS", "_SORTS")}
+    parse_program(HL1_PN.read_text())
+    mutable = (collections.abc.MutableMapping, collections.abc.MutableSequence,
+               collections.abc.MutableSet)
+    held = sorted(name for name, value in vars(syntax).items()
+                  if not name.startswith("__") and isinstance(value, mutable))
+    assert held == sorted(["_INT_VARS", "_ARRAY_VARS", *constants])
+    assert {name: getattr(syntax, name) for name in constants} == constants
