@@ -1,8 +1,11 @@
-"""Byte-for-byte goldens of the iterated pairing transform.
+"""Byte-for-byte goldens of the pairing transform in both of its modes.
 
-The printed program and the trace text of `iterate_pairing(p, [],
-PairingConfig(iterate=True))` are the behavioural contract of the transform:
-a speed-up of pair selection or of the LIA engine must leave them unchanged.
+The printed program and the trace text of `iterate_pairing(p, [], cfg)` are
+the behavioural contract of the transform: a speed-up of pair selection or of
+the LIA engine must leave them unchanged. `{name}.chc`/`.trace` pin the
+iterated transform (`PairingConfig(iterate=True)`, `chcpair transform
+--iterate`), and `{name}.round.chc`/`.round.trace` pin one round
+(`PairingConfig()`, `chcpair transform` without `--iterate`).
 
 To record the goldens again after an intended change of output, run
 `PYTHONPATH=src python tests/test_transform_goldens.py --write`.
@@ -20,11 +23,17 @@ from chcpair import PairingConfig, corpus, iterate_pairing, print_program
 
 GOLDEN = Path(__file__).parent / "golden" / "transform"
 NAMES = corpus.NAMES
+# golden file infix -> the configuration of the transform that it pins
+MODES = {"": PairingConfig(iterate=True), ".round": PairingConfig()}
 
 
 def transform_texts(name: str) -> dict[str, str]:
-    res = iterate_pairing(corpus.load(name), [], PairingConfig(iterate=True))
-    return {f"{name}.chc": print_program(res.transf), f"{name}.trace": res.trace_text()}
+    texts = {}
+    for infix, cfg in MODES.items():
+        res = iterate_pairing(corpus.load(name), [], cfg)
+        texts[f"{name}{infix}.chc"] = print_program(res.transf)
+        texts[f"{name}{infix}.trace"] = res.trace_text()
+    return texts
 
 
 @pytest.mark.parametrize("name", NAMES)
