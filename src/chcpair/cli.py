@@ -16,7 +16,7 @@ from .errors import ChcError
 from .kernel import check_all_defs_unfolded, classify_sequence, parse_trace
 from .models import check_model, check_tight
 from .pairing import PairingConfig, iterate_pairing
-from .syntax import Clause, Program, parse_program, print_clause, print_program
+from .syntax import Program, parse_program, print_program, renumbered
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -66,9 +66,7 @@ def _cmd_transform(args) -> int:
     )
     res = iterate_pairing(work, [], cfg)
     out_clauses = list(res.transf) + other_goals
-    out = Program(
-        [Clause(i + 1, c.head, c.constraint, c.body) for i, c in enumerate(out_clauses)]
-    )
+    out = Program(renumbered(out_clauses))
     # both files before stdout, so that a command that fails to write one
     # leaves stdout empty
     text = print_program(out)

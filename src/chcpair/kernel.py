@@ -2,14 +2,15 @@
 
 A TransformationState owns the current clause set P_i, keyed by clause
 id, the accumulated definition set Defs_i and a trace of every rule
-application; P_0 is any iterable of clauses. Rule methods validate their
-side conditions and mutate the state: each removes its input clauses and
-adds its output clauses. A definition's constraint (rule R1, condition
-(ii)) must be a conjunction of linear atoms. Clause ids are minted
-monotonically and never recycled, so trace lines stay stable references.
-`current` lists P_i in the order its clauses were made (P_0's first, in
-P_0's order); a strategy that wants another order keeps its own list of
-ids.
+application; P_0 is any iterable of clauses. Each rule method checks its
+side conditions and builds its output clauses; one method, `_step`, then
+changes the state for every rule: it removes the rule's input clauses,
+adds its outputs in order and appends the rule's trace step. A
+definition's constraint (rule R1, condition (ii)) must be a conjunction
+of linear atoms. Clause ids are minted monotonically and never recycled,
+so trace lines stay stable references. `current` lists P_i in the order
+its clauses were made (P_0's first, in P_0's order); a strategy that
+wants another order keeps its own list of ids.
 """
 
 from __future__ import annotations
@@ -146,6 +147,17 @@ class TransformationState:
                 return c
         raise NotADefinition(f"clause {cid} is not a definition")
 
+    def _step(
+        self, rule: RuleKind, inputs: Sequence[int], outputs: Sequence[Clause], **flags
+    ) -> None:
+        """Apply one rule to P_i: remove its input clauses, add its outputs
+        in order and append its trace step, with `flags` as the step's
+        extra fields."""
+        for cid in inputs:
+            del self.clauses[cid]
+        self.clauses.update((c.cid, c) for c in outputs)
+        self.trace.append(TraceStep(rule, tuple(inputs), tuple(c.cid for c in outputs), **flags))
+
     def trace_text(self) -> str:
         return "\n".join(step.line(i + 1) for i, step in enumerate(self.trace)) + (
             "\n" if self.trace else ""
@@ -178,12 +190,9 @@ class TransformationState:
                     f"head variable {v.name} does not occur free in the body"
                 )
         new = Clause(self.mint_id(), d.head, d.constraint, d.body)
-        self.clauses[new.cid] = new
+        self._step(RuleKind.DEFINITION, (), [new])
         self.defs.append(new)
         self.seen_preds.add(new.head.pred)
-        self.trace.append(
-            TraceStep(RuleKind.DEFINITION, (), (new.cid,))
-        )
         return new
 
     # -- rule R2: unfolding --
@@ -251,16 +260,12 @@ class TransformationState:
                     c.body[:atom_index] + body + c.body[atom_index + 1 :],
                 )
             )
-        del self.clauses[cid]
-        self.clauses.update((cl.cid, cl) for cl in new_clauses)
-        self.trace.append(
-            TraceStep(
-                RuleKind.UNFOLDING,
-                (cid,),
-                tuple(cl.cid for cl in new_clauses),
-                position=atom_index,
-                self_unfolding=(c.head is not None and c.head.pred == target.pred),
-            )
+        self._step(
+            RuleKind.UNFOLDING,
+            (cid,),
+            new_clauses,
+            position=atom_index,
+            self_unfolding=(c.head is not None and c.head.pred == target.pred),
         )
         return new_clauses
 
@@ -391,17 +396,7 @@ class TransformationState:
                 new_body.append(a)
         reversible = def_id != cid and def_id in self.clauses
         new = Clause(self.mint_id(), c.head, e, tuple(new_body))
-        del self.clauses[cid]
-        self.clauses[new.cid] = new
-        self.trace.append(
-            TraceStep(
-                RuleKind.FOLDING,
-                (cid,),
-                (new.cid,),
-                def_id=def_id,
-                reversible_folding=reversible,
-            )
-        )
+        self._step(RuleKind.FOLDING, (cid,), [new], def_id=def_id, reversible_folding=reversible)
         return new
 
     # -- rule R4: constraint replacement --
@@ -464,16 +459,7 @@ class TransformationState:
         new_clauses = [
             Clause(self.mint_id(), ref.head, nc, ref.body) for nc in new_constraints
         ]
-        for cid in group:
-            del self.clauses[cid]
-        self.clauses.update((c.cid, c) for c in new_clauses)
-        self.trace.append(
-            TraceStep(
-                RuleKind.CONSTRAINT_REPLACEMENT,
-                tuple(group),
-                tuple(c.cid for c in new_clauses),
-            )
-        )
+        self._step(RuleKind.CONSTRAINT_REPLACEMENT, group, new_clauses)
         return new_clauses
 
 

@@ -198,12 +198,12 @@ def qd_rename_exists_fresh(q: QuantDisj, taken: set[str]) -> QuantDisj:
     )
 
 
-def qd_conjoin(parts: Sequence[QuantDisj], cap: int = DNF_CAP) -> Optional[QuantDisj]:
+def qd_conjoin(parts: Sequence[QuantDisj]) -> Optional[QuantDisj]:
     """Conjoin quantified disjunctions, distributing to DNF.
 
     Existential prefixes are renamed apart and merged; the parts' variables
     are collected for that only when some part has a prefix. Returns None if
-    the disjunct count would exceed the cap.
+    the disjunct count would exceed `DNF_CAP`.
     """
     renamed = parts
     if any(q.exists for q in parts):
@@ -214,17 +214,15 @@ def qd_conjoin(parts: Sequence[QuantDisj], cap: int = DNF_CAP) -> Optional[Quant
     total = 1
     for q in renamed:
         total *= len(q.disjuncts)
-        if total > cap:
+        if total > DNF_CAP:
             return None
     exists: list[Var] = []
     for q in renamed:
         exists.extend(q.exists)
-    disjuncts = []
-    for combo in product(*(q.disjuncts for q in renamed)):
-        acc = ConstraintConj()
-        for c in combo:
-            acc = acc.conjoin(c)
-        disjuncts.append(acc)
+    disjuncts = [
+        ConstraintConj(tuple(a for c in combo for a in c.atoms))
+        for combo in product(*(q.disjuncts for q in renamed))
+    ]
     exact = all(q.exact for q in renamed)
     return QuantDisj(tuple(exists), tuple(disjuncts) or (ConstraintConj(),), exact)
 

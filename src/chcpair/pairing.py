@@ -31,9 +31,11 @@ from .syntax import (
     Program,
     Rel,
     Var,
+    infer_signatures,
     predicate_partition,
     print_atom,
     reachable_preds,
+    renumbered,
 )
 
 
@@ -165,12 +167,12 @@ def find_matching_def(
     return None
 
 
-def _fresh_pred(state: TransformationState, base: str = "new") -> str:
+def _fresh_pred(state: TransformationState) -> str:
     k = len(state.defs) + 1
-    name = f"{base}{k}"
+    name = f"new{k}"
     while name in state.seen_preds:
         k += 1
-        name = f"{base}{k}"
+        name = f"new{k}"
     return name
 
 
@@ -227,10 +229,7 @@ def predicate_pairing(
         )
 
     # assemble P_0 with fresh sequential ids: Q, R, then the goal
-    renum = [
-        Clause(i + 1, c.head, c.constraint, c.body)
-        for i, c in enumerate(q_prog + r_prog + (c_init,))
-    ]
+    renum = renumbered(q_prog + r_prog + (c_init,))
     state = TransformationState(renum)
     state.seen_preds |= set(reserved_preds)
     in_cls: list[Clause] = [renum[-1]]
@@ -373,15 +372,11 @@ def iterate_pairing(
     trace therefore replays one round at a time against that round's own
     input, not as one run from p.
     """
-    def renumber(cs: Iterable[Clause]) -> list[Clause]:
-        return [Clause(i + 1, c.head, c.constraint, c.body) for i, c in enumerate(cs)]
-
     for g in goals:
         if not g.is_goal:
             raise InputShapeError(f"clause {g.cid} of goals is not a goal")
     extra = [g for g in goals if g not in p.clauses]
-    if extra:
-        Program(renumber(extra), p.signatures)  # they must agree with p
+    infer_signatures(extra, p.signatures)  # they must agree with p
     definite = [c for c in p if not c.is_goal]
     work_goals = [c for c in p if c.is_goal] + extra
     all_steps: list[TraceStep] = []
@@ -450,11 +445,11 @@ def iterate_pairing(
         # unchanged: a goal left before gi would be left again, with the
         # same overlaps.
 
-    final = Program(renumber(definite + work_goals))
+    final = Program(renumbered(definite + work_goals))
     out_goals = final.goals()
     return PairingResult(
         transf=final,
-        defs=Program(renumber(all_defs)),
+        defs=Program(renumbered(all_defs)),
         steps=all_steps,
         pair_log=all_pairs,
         overlaps=[PartitionOverlap(pred, out_goals[k].cid) for pred, k in left],

@@ -385,16 +385,12 @@ class ConstraintConj:
     def array_atoms(self) -> tuple[ConstraintAtom, ...]:
         return tuple(a for a in self.atoms if not isinstance(a, LinAtom))
 
-    def conjoin(self, other: "ConstraintConj") -> "ConstraintConj":
-        """self's atoms followed by other's; the result memoises nothing, so
-        a caller that never asks for its variables pays nothing for them."""
-        return ConstraintConj(self.atoms + other.atoms)
-
     def extended(self, other: "ConstraintConj") -> "ConstraintConj":
-        """self.conjoin(other), with its variables memoised: merged from the
-        two parts' own (memoised on them too), in the order of a fresh
-        first-occurrence walk. For a caller that extends one constraint by
-        many others whose variables are asked for, as unfolding does."""
+        """self's atoms followed by other's, with the result's variables
+        memoised: merged from the two parts' own (memoised on them too), in
+        the order of a fresh first-occurrence walk. For a caller that extends
+        one constraint by many others whose variables are asked for, as
+        unfolding does."""
         out = ConstraintConj(self.atoms + other.atoms)
         seen = dict.fromkeys(self.vars())
         seen.update(dict.fromkeys(other.vars()))
@@ -471,6 +467,11 @@ class Clause:
         return s
 
 
+def renumbered(clauses: Iterable[Clause]) -> list[Clause]:
+    """The clauses in order, their ids renumbered 1..n."""
+    return [Clause(i + 1, c.head, c.constraint, c.body) for i, c in enumerate(clauses)]
+
+
 def infer_signatures(
     clauses: Iterable[Clause], signatures: Optional[Mapping[str, tuple[Sort, ...]]] = None
 ) -> dict[str, tuple[Sort, ...]]:
@@ -527,15 +528,9 @@ class Program:
     def definite(self) -> "Program":
         return Program([c for c in self.clauses if not c.is_goal], self.signatures)
 
-    def max_id(self) -> int:
-        return max((c.cid for c in self.clauses), default=0)
-
 
 # ---------------------------------------------------------------------------
 # Substitution and renaming
-
-
-Substitutable = Union[Clause, Atom, ConstraintConj, LinExpr, list, tuple]
 
 
 def apply_subst(target, theta: Mapping[Var, Var]):

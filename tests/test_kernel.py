@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from chcpair import (
+    Atom,
     Clause,
     ConstraintConj,
     Program,
@@ -60,6 +61,11 @@ def st(sum_square):
     return TransformationState(sum_square)
 
 
+def _snapshot(st):
+    """What a refused rule leaves as it was: P_i, Defs_i and the trace."""
+    return dict(st.clauses), list(st.defs), list(st.trace)
+
+
 # --- R1 ---------------------------------------------------------------------
 
 def test_definition_introduces_clause(st):
@@ -89,6 +95,22 @@ def test_definition_requires_nonempty_body(st):
 def test_definition_head_vars_must_be_free_in_body(st):
     with pytest.raises(HeadVarViolation):
         st.apply_definition(_def("n(A,B) :- A = 0, su(A,C,D)."))
+
+
+@pytest.mark.parametrize(
+    "head, message",
+    [
+        (None, "must have a head atom"),
+        # built directly: the parser makes repeated head variables distinct
+        (Atom("n", (V("A"), V("A"))), "must be distinct"),
+    ],
+)
+def test_definition_head_refusals_leave_the_state(st, head, message):
+    body = _def("false :- su(A,B,C).").body
+    before = _snapshot(st)
+    with pytest.raises(HeadVarViolation, match=message):
+        st.apply_definition(Clause(0, head, ConstraintConj(), body))
+    assert _snapshot(st) == before
 
 
 def test_state_takes_any_iterable_of_well_formed_clauses():
@@ -351,6 +373,27 @@ def test_fold_match_failure(st):
         st.apply_fold(goal.cid, [1, 0], d.cid, theta)  # atoms swapped
 
 
+@pytest.mark.parametrize(
+    "positions, error, message",
+    [
+        ([0, 0], BadPosition, "invalid body positions"),
+        ([0, 2], BadPosition, "invalid body positions"),
+        ([-1, 1], BadPosition, "invalid body positions"),
+        ([0], MatchFailure, "definition body has 2 atoms, 1 selected"),
+    ],
+)
+def test_fold_position_refusals_leave_the_state(st, positions, error, message):
+    d = st.apply_definition(
+        _def("su_sq(M,R0,Sum,N,S0,Sqr) :- M = Y, su(M,R0,Sum), sq(N,Y,S0,Sqr).")
+    )
+    goal = goal_of(st.current)
+    theta = {V(n): V(n) for n in ["M", "R0", "Sum", "N", "Y", "S0", "Sqr"]}
+    before = _snapshot(st)
+    with pytest.raises(error, match=message):
+        st.apply_fold(goal.cid, positions, d.cid, theta)
+    assert _snapshot(st) == before
+
+
 def test_fold_entailment_failure():
     p = parse_program("h(A) :- p(A).\np(X) :- X = 0.")
     st = TransformationState(p)
@@ -497,6 +540,24 @@ def test_replace_refuses_a_repeated_clause(st):
         with pytest.raises(ShapeMismatch):
             st.apply_replace([1, 1], new)
     assert st.current == current and st.trace == trace
+
+
+@pytest.mark.parametrize(
+    "text, group, message",
+    [
+        (None, [], "empty clause group"),
+        (None, [1, 4], "head predicates differ"),
+        ("p(X) :- X > 0, q(X).\np(Y) :- Y > 2, r(Y).", [1, 2], "body predicates differ"),
+        ("p(X,Y) :- X > 0, q(X,Y).\np(X,X) :- X > 2, q(X,X).", [1, 2], "not renamings"),
+    ],
+)
+def test_replace_group_refusals_leave_the_state(sum_square, text, group, message):
+    st = TransformationState(sum_square if text is None else parse_program(text))
+    before = _snapshot(st)
+    for new in ([conj("X > 0")], []):
+        with pytest.raises(ShapeMismatch, match=message):
+            st.apply_replace(group, new)
+        assert _snapshot(st) == before
 
 
 def test_replace_groups_variants():

@@ -1154,11 +1154,12 @@ def _same(got, want):
     return got == want and (got is None or got.exact == want.exact)
 
 
-def test_renaming_only_with_a_prefix_matches_renaming_always():
+def test_renaming_only_with_a_prefix_matches_renaming_always(monkeypatch):
     """qd_subst, qd_conjoin, implies_quant_disj and equiv_quant_disj give
     what they give when every call collects names and renames the prefixes
     apart, on formulas with and without prefixes whose names clash with
-    free names and with theta's images."""
+    free names and with theta's images. qd_conjoin runs under a cap of 2
+    as well as under DNF_CAP, so that small cases reach the cap."""
     rng = random.Random(14)
     seen = collections.Counter()
     deadline = time.monotonic() + 1.5
@@ -1175,7 +1176,9 @@ def test_renaming_only_with_a_prefix_matches_renaming_always():
         assert _same(lia.qd_subst(q, theta), _qd_subst_reference(q, theta)), (q, theta)
         parts = [q] + [_prefixed_qd(rng, tags) for _ in range(rng.randint(0, 2))]
         cap = rng.choice([2, lia.DNF_CAP])
-        got = lia.qd_conjoin(parts, cap)
+        with monkeypatch.context() as m:
+            m.setattr(lia, "DNF_CAP", cap)
+            got = lia.qd_conjoin(parts)
         assert _same(got, _qd_conjoin_reference(parts, cap)), parts
         if got is None:
             tags.add("cap")

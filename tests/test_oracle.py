@@ -20,6 +20,7 @@ from chcpair import (
 )
 from chcpair import boxes
 from chcpair.errors import ArrayUnsupported
+from chcpair.oracle import ProbeReport
 from chcpair.pairing import PairingConfig, iterate_pairing
 
 from helpers import random_definite_program
@@ -114,6 +115,21 @@ def test_equisat_probe_ackermann(ackermann, ackermann_golden):
     assert rep.agreement
     assert isinstance(rep.p0_budget, NotWithinBudget)
     assert isinstance(rep.pn_budget, NotWithinBudget)
+
+
+_F, _N = Found(1, {}), NotWithinBudget()
+
+
+@pytest.mark.parametrize(
+    "p0_budget, pn_budget, p0_doubled, pn_doubled, agree",
+    [
+        (_F, _N, _F, _N, False),  # P0's violation is not found in Pn at the doubled budget
+        (_N, _F, _N, _F, False),  # Pn's violation is not found in P0 at the doubled budget
+        (_F, _F, _F, _F, True),
+    ],
+)
+def test_probe_agreement_table(p0_budget, pn_budget, p0_doubled, pn_doubled, agree):
+    assert ProbeReport(p0_budget, pn_budget, p0_doubled, pn_doubled).agreement is agree
 
 
 # --- differential checks against full enumeration ------------------------------

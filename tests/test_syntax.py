@@ -75,6 +75,10 @@ def test_parse_linear_term_argument():
     (eq,) = parse_program("p(X) :- Z = 2*Y + X - 0*W + 1.").clauses[0].constraint
     x, y = Var("X"), Var("Y")
     assert eq.rhs.coeffs == ((x, 1), (y, 2)) and eq.rhs == LinExpr.build({y: 2, x: 1}, 1)
+    # a coefficient may follow its variable
+    (post,) = parse_program("p(X,Y) :- Y = X*2.").clauses[0].constraint
+    (pre,) = parse_program("p(X,Y) :- Y = 2*X.").clauses[0].constraint
+    assert post == pre
 
 
 PARSE_ERRORS = [
@@ -95,6 +99,7 @@ PARSE_ERRORS = [
     ("p(X) :- X + .", "expected term, found '.'", 1, 13),
     ("p(X) :- q(X -).", "expected term, found ')'", 1, 14),
     ("p(X) :- X * Y = 1.", "expected 'int', found 'Y'", 1, 13),
+    ("p(X,Y) :- Y = X*Y.", "expected 'int', found 'Y'", 1, 17),
     ("p(X :- q(X).", "expected ')', found ':-'", 1, 5),
     (":- foo p(int).", "unknown directive 'foo'", 1, 4),
     (":- sorts p(real).", "unknown sort 'real'", 1, 12),
@@ -350,16 +355,16 @@ _ATOM_LISTS = st.lists(st.one_of(_LIN_ATOMS, _READ_ATOMS), max_size=5)
 @given(_ATOM_LISTS, _ATOM_LISTS, st.booleans(), st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_extended_inherits_the_variables_of_a_fresh_walk(left, right, memo_left, memo_right):
-    """extended is conjoin with the result's variables memoised, merged from
-    its parts' whether or not they had memoised theirs, and equal to a
-    first-occurrence walk over the concatenated atoms; conjoin memoises
-    nothing."""
+    """extended is the plain conjunction of the two parts' atoms with the
+    result's variables memoised, merged from its parts' whether or not they
+    had memoised theirs, and equal to a first-occurrence walk over the
+    concatenated atoms; a plain ConstraintConj memoises nothing."""
     a, b = ConstraintConj(tuple(left)), ConstraintConj(tuple(right))
     if memo_left:
         a.vars()
     if memo_right:
         b.vars()
-    out, plain = a.extended(b), a.conjoin(b)
+    out, plain = a.extended(b), ConstraintConj(a.atoms + b.atoms)
     assert out == plain == ConstraintConj(tuple(left + right))
     assert hasattr(out, "_vars") and not hasattr(plain, "_vars")
     walk = tuple(dict.fromkeys(v for x in left + right for v in x.vars()))
