@@ -112,10 +112,11 @@ def _cmd_check_tight(args) -> int:
 
 
 def _parse_box(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise ValueError(f"bad box {text!r}, expected LO..HI")
-    return int(lo), int(hi)
+    lo, _, hi = text.partition("..")
+    try:
+        return int(lo), int(hi)  # without "..", hi is "" and int raises
+    except ValueError:
+        raise ValueError(f"bad box {text!r}, expected LO..HI") from None
 
 
 def _cmd_oracle(args) -> int:

@@ -29,6 +29,14 @@ and the free slots are computed; otherwise a box plan enumerates them. The
 head atom is read off each solution by position. No variable is hashed in
 the loop.
 
+Each clause shape is compiled once: the head's arguments (None for a
+goal), the constraint and the body atoms' arguments, leaving out the
+clause id and every predicate name. A clause of a shape compiled before
+takes that plan, bound to its own id and predicates. `equisat_probe`
+shares one table of shapes between P0 and Pn, so the clauses that Pn
+keeps from P0, and its renamed cone copies, are compiled once; the table
+lives as long as the probe.
+
 The evaluation can be resumed. `equisat_probe` runs each side to the
 budget's depth, searches the goals, and carries the same evaluation on to
 the doubled depth; only when that finds a new fact is the goal search
@@ -37,13 +45,15 @@ repeated, on the larger model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from . import boxes
 from .errors import ArrayUnsupported
 from .syntax import Clause, ConstraintConj, Program, Rel, Sort, Var
+
+_LE, _EQ = Rel.LE, Rel.EQ
 
 
 @dataclass(frozen=True)
@@ -168,7 +178,9 @@ def _computer(parts: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]) -> Cal
 def _checks(checks: list[Check]) -> tuple[Check, ...]:
     """The checks without repeats, equalities first and then by length, so
     that the likeliest to fail and the cheapest come first."""
-    return tuple(sorted(dict.fromkeys(checks), key=lambda ch: (ch[2] is not Rel.EQ, len(ch[1]))))
+    if not checks:
+        return ()
+    return tuple(sorted(dict.fromkeys(checks), key=lambda ch: (ch[2] is not _EQ, len(ch[1]))))
 
 
 def _tester(checks: tuple[Check, ...]) -> Optional[Callable]:
@@ -176,13 +188,12 @@ def _tester(checks: tuple[Check, ...]) -> Optional[Callable]:
     when there are none."""
     if not checks:
         return None
-    le, eq = Rel.LE, Rel.EQ
 
     def test(x) -> bool:
         for k, terms, rel in checks:
             for i, c in terms:
                 k += c * x[i]
-            if (k > 0) if rel is le else (k != 0) if rel is eq else (k == 0):
+            if (k > 0) if rel is _LE else (k != 0) if rel is _EQ else (k == 0):
                 return False
         return True
 
@@ -219,7 +230,7 @@ def _eliminate(rows: list[Row], free: list[int], lo: int, hi: int):
     defs = []
     for x in free:
         for j, piv in enumerate(work):
-            if piv[2] is Rel.EQ and piv[0].get(x) in (1, -1):
+            if piv[2] is _EQ and piv[0].get(x) in (1, -1):
                 break
         else:
             continue
@@ -228,8 +239,8 @@ def _eliminate(rows: list[Row], free: list[int], lo: int, hi: int):
         work = [_add(r, piv, -r[0][x] * s) if x in r[0] else r for r in work]
         # x = k + sum(c * x[i] for i, c in terms): add lo <= x <= hi.
         k, terms = -s * piv[1], [(i, -s * c) for i, c in piv[0].items() if i != x]
-        work.append(({i: -c for i, c in terms}, lo - k, Rel.LE))
-        work.append((dict(terms), k - hi, Rel.LE))
+        work.append(({i: -c for i, c in terms}, lo - k, _LE))
+        work.append((dict(terms), k - hi, _LE))
         defs.append((x, k, tuple(terms)))
     implied = []
     exact = len(defs) == len(free)
@@ -241,9 +252,9 @@ def _eliminate(rows: list[Row], free: list[int], lo: int, hi: int):
         for c in coeffs.values():
             mn += c * (lo if c > 0 else hi)
             mx += c * (hi if c > 0 else lo)
-        if rel is Rel.LE:
+        if rel is _LE:
             holds = mx <= 0
-        elif rel is Rel.EQ:
+        elif rel is _EQ:
             holds = mn == mx == 0
         else:
             holds = mn > 0 or mx < 0
@@ -286,7 +297,7 @@ def _compile(c: Clause, lo: int, hi: int) -> _Rule:
             elif b[0] < n:
                 key[arg] = i
             else:  # a variable repeated within the atom
-                own.append((0, ((b[1], 1), (arg, -1)), Rel.EQ))
+                own.append((0, ((b[1], 1), (arg, -1)), _EQ))
         keys.append(key)
         news.append(new)
         owns.append(own)
@@ -305,7 +316,7 @@ def _compile(c: Clause, lo: int, hi: int) -> _Rule:
             continue
         s = mine[0]
         arg, cs = binder[s][1], coeffs[s]
-        if rel is Rel.EQ and len(mine) == 1 and cs in (1, -1) and arg not in keys[n]:
+        if rel is _EQ and len(mine) == 1 and cs in (1, -1) and arg not in keys[n]:
             keys[n][arg] = (-cs * k, tuple([(i, -cs * a) for i, a in coeffs.items() if i != s]))
         else:
             joins[n].append((k, tuple(sorted(coeffs.items())), rel))
@@ -334,6 +345,29 @@ def _compile(c: Clause, lo: int, hi: int) -> _Rule:
         box = [r for r in rows if not r[0] or any(i not in binder for i in r[0])]
         plan = boxes.plan(boxes.BoxSystem(tuple(vars_), box), lo, hi, tuple(sorted(binder)))
     return _Rule(c.cid, pred, head, tuple(atoms), tuple(vars_), defs, plan)
+
+
+def _rules(clauses: Iterable[Clause], lo: int, hi: int, shapes: dict) -> list[_Rule]:
+    """The join plans of `clauses` in the box [lo, hi], one compile per shape.
+
+    A clause's shape is all that its plan depends on: its head's arguments
+    (None for a goal), its constraint and its body atoms' arguments, leaving
+    out its id and every predicate name. `shapes` maps each shape compiled
+    in this box to its rule. A clause of a shape met before gets that rule
+    bound to its own id, head predicate and body predicates.
+    """
+    out = []
+    for c in clauses:
+        head, body = c.head, c.body
+        shape = (None if head is None else head.args, c.constraint, tuple([a.args for a in body]))
+        r = shapes.get(shape)
+        if r is None:
+            r = shapes[shape] = _compile(c, lo, hi)
+        else:
+            atoms = tuple([replace(a, spec=(b.pred,) + a.spec[1:]) for a, b in zip(r.atoms, body)])
+            r = replace(r, cid=c.cid, pred=None if head is None else head.pred, atoms=atoms)
+        out.append(r)
+    return out
 
 
 def _index(facts: Iterable[tuple], spec: tuple) -> dict:
@@ -388,13 +422,15 @@ class _Evaluator:
     `old` holds, per index spec of a body atom, the index of the facts
     found before the last level; each level adds the last level's facts to
     it, so each fact is checked and hashed once per spec. The clauses are
-    compiled once, when the evaluator is made; a clause with arrays raises
-    ArrayUnsupported there.
+    compiled when the evaluator is made, each shape once (`_rules`); a
+    clause with arrays raises ArrayUnsupported there. `shapes`, the table of
+    rules by shape in this box, is the evaluator's own unless the caller
+    shares one between evaluators of the same box.
     """
 
-    def __init__(self, p: Program, lo: int, hi: int):
+    def __init__(self, p: Program, lo: int, hi: int, shapes: Optional[dict] = None):
         self.program, self.lo, self.hi = p, lo, hi
-        rules = [_compile(c, lo, hi) for c in p.clauses]
+        rules = _rules(p.clauses, lo, hi, {} if shapes is None else shapes)
         self.rules = [r for r in rules if r.head is not None]
         self.goals = [r for r in rules if r.head is None]
         self.old: dict[tuple, dict] = {a.spec: {} for r in self.rules for a in r.atoms}
@@ -503,11 +539,13 @@ def false_derivable(
 ) -> Union[Found, NotWithinBudget]:
     """Search for a goal violated by the bounded least model.
 
-    `model`, an evaluation of `p` in b's value box no deeper than b, is
-    carried on to b's depth instead of evaluating from level 0.
+    `model`, an evaluation of `p` itself in b's value box no deeper than b,
+    is carried on to b's depth instead of evaluating from level 0.
     """
     if model is None:
         model = _Evaluator(p, b.lo, b.hi)
+    elif model.program is not p:
+        raise ValueError("the model to resume is an evaluation of another program")
     elif (model.lo, model.hi) != (b.lo, b.hi) or model.level > b.depth:
         raise ValueError("the model to resume is not within the budget")
     model.run_to(b.depth)
@@ -535,20 +573,23 @@ class ProbeReport:
 
 
 def equisat_probe(p0: Program, pn: Program, b: OracleBudget) -> ProbeReport:
-    """Compare goal violations before/after a transformation at desk scale."""
-    p0_budget, p0_doubled = _budget_and_doubled(p0, b)
-    pn_budget, pn_doubled = _budget_and_doubled(pn, b)
+    """Compare goal violations before/after a transformation at desk scale.
+    Both sides share one table of rules by shape, dropped with the probe."""
+    shapes: dict = {}
+    p0_budget, p0_doubled = _budget_and_doubled(p0, b, shapes)
+    pn_budget, pn_doubled = _budget_and_doubled(pn, b, shapes)
     return ProbeReport(p0_budget, pn_budget, p0_doubled, pn_doubled)
 
 
-def _budget_and_doubled(p: Program, b: OracleBudget):
-    """`false_derivable` at b and at b doubled, from one evaluation of p.
+def _budget_and_doubled(p: Program, b: OracleBudget, shapes: dict):
+    """`false_derivable` at b and at b doubled, from one evaluation of p,
+    compiled with the rules of `shapes`, a table for b's box.
 
     The doubled search resumes the evaluation where the first stopped; when
     the further levels find no new fact, the model and so the answer are the
     same.
     """
-    model = _Evaluator(p, b.lo, b.hi)
+    model = _Evaluator(p, b.lo, b.hi, shapes)
     first = false_derivable(p, b, model=model)
     if not model.run_to(2 * b.depth):
         return first, first

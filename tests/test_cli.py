@@ -72,6 +72,12 @@ def test_oracle_takes_a_box_with_a_negative_bound(tmp_path, capsys):
         assert capsys.readouterr().out.splitlines() == ["p(-1)", "p(0)", "p(1)"]
 
 
+@pytest.mark.parametrize("box", ["a..3", "0..", "0-3", "1.5..3", "3"])
+def test_oracle_refuses_a_bad_box_with_its_own_message(box, capsys):
+    assert run("oracle", CORPUS_DIR / "sum_upto.chc", "--depth", "2", "--box", box) == 3
+    assert capsys.readouterr().err.strip() == f"error: bad box {box!r}, expected LO..HI"
+
+
 def test_oracle_lists_atoms_for_definite_programs(tmp_path, capsys):
     f = tmp_path / "p.chc"
     f.write_text("p(X) :- X = 0.\np(X) :- X = Y + 1, p(Y).\n")

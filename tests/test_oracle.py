@@ -1,5 +1,7 @@
+import gc
 import random
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -18,10 +20,11 @@ from chcpair import (
     parse_program,
     print_program,
 )
-from chcpair import boxes
+from chcpair import boxes, oracle
 from chcpair.errors import ArrayUnsupported
 from chcpair.oracle import ProbeReport
-from chcpair.pairing import PairingConfig, iterate_pairing
+from chcpair.pairing import PairingConfig, duplicate_cone, iterate_pairing
+from chcpair.syntax import Atom, Clause, renumbered
 
 from helpers import random_definite_program
 
@@ -352,6 +355,12 @@ def test_resumed_model_must_be_within_the_budget():
     with pytest.raises(ValueError):
         false_derivable(p, OracleBudget(9, 0, 9), model=model)
     assert isinstance(false_derivable(p, OracleBudget(9, 0, 10), model=model), Found)
+    # an evaluation of another program, in the right box and not too deep
+    p = parse_program("p(0).\nfalse :- p(X), X >= 0.")
+    q = parse_program("q(1).\nfalse :- q(X), X >= 5.")
+    with pytest.raises(ValueError):
+        false_derivable(q, OracleBudget(2, 0, 3), model=_Evaluator(p, 0, 3))
+    assert false_derivable(q, OracleBudget(2, 0, 3)) == NotWithinBudget()
 
 
 def test_probe_matches_independent_calls_on_random_programs():
@@ -377,3 +386,105 @@ def test_probe_matches_independent_calls_on_random_programs():
     # depths that stop before the fixpoint, and after it
     assert cases >= 20 and 0 < grew < 2 * cases
     assert 0 < found < 4 * cases
+
+
+# --- one compile per clause shape ---------------------------------------------
+#
+# An evaluation compiles each clause shape once (head arguments, constraint,
+# body arguments) and binds the rule to each clause's id and predicates;
+# equisat_probe shares one table between its two sides.
+
+_SHIFTED = "p(0).\np(X1) :- p(X), X1 = X + 1.\nfalse :- p(X), X >= 3."
+
+
+def test_shared_goal_reports_its_own_id():
+    p0 = parse_program(_SHIFTED)
+    pn = parse_program("r(5).\n" + _SHIFTED)
+    assert p0.goals()[0].cid != pn.goals()[0].cid
+    b = OracleBudget(6, 0, 10)
+    rep = equisat_probe(p0, pn, b)
+    assert rep.pn_budget == Found(pn.goals()[0].cid, {pn.goals()[0].body[0].args[0]: 3})
+    want = [false_derivable(p, bb) for bb in (b, b.doubled()) for p in (p0, pn)]
+    assert [rep.p0_budget, rep.pn_budget, rep.p0_doubled, rep.pn_doubled] == want
+
+
+def _with_cone_copy(p, pred, extra=""):
+    """p's definite clauses, a copy of pred's cone renamed apart, `extra`
+    clauses, then p's goals and their copies over the renamed predicates."""
+    copies, mapping = duplicate_cone(p.definite().clauses, pred)
+
+    def rename(a):
+        return Atom(mapping.get(a.pred, a.pred), a.args)
+
+    goals = [Clause(0, None, g.constraint, tuple(map(rename, g.body))) for g in p.goals()]
+    more = list(parse_program(extra).clauses) if extra else []
+    return Program(renumbered([*p.definite().clauses, *copies, *more, *p.goals(), *goals])), mapping
+
+
+def test_cone_copies_derive_the_same_facts_under_their_own_names():
+    p = parse_program("p(0).\np(X1) :- p(X), X1 = X + 2.\nq(Y) :- p(X), r(X), Y = X + 1.\nr(2).")
+    # r(4) is a fact of the original r alone: q differs from its copy q_2
+    pn, mapping = _with_cone_copy(p, "q", extra="r(4).")
+    assert mapping == {"p": "p_2", "q": "q_2", "r": "r_2"}
+    b = OracleBudget(4, 0, 9)
+    lm = bounded_lm(pn, b)
+    back = {v: k for k, v in mapping.items()}
+    copied = {GroundAtom(back[a.pred], a.args) for a in lm if a.pred in back}
+    assert copied == bounded_lm(p, b) == _reference_lm(p, b)
+    extended = Program(renumbered([*p.clauses, *parse_program("r(4).").clauses]))
+    assert {a for a in lm if a.pred not in back} == bounded_lm(extended, b)
+    assert lm == _reference_lm(pn, b)
+
+
+def test_fib_fundep_probe_compiles_each_shape_once(monkeypatch):
+    calls = []
+    compile_ = oracle._compile
+    monkeypatch.setattr(oracle, "_compile", lambda *a: calls.append(a[0]) or compile_(*a))
+    p0 = corpus.load("fib_fundep")
+    pn = parse_program((PN / "fib_fundep.chc").read_text())
+    assert len(p0) + len(pn) == 32
+    equisat_probe(p0, pn, OracleBudget(6, 0, 3))
+    assert len(calls) == 20
+
+
+def test_probe_rules_do_not_outlive_the_probe(monkeypatch):
+    refs = []
+    compile_ = oracle._compile
+
+    def tracked(c, lo, hi):
+        r = compile_(c, lo, hi)
+        refs.append(weakref.ref(r))
+        return r
+
+    monkeypatch.setattr(oracle, "_compile", tracked)
+    pn = parse_program((PN / "hl.chc").read_text())
+    rep = equisat_probe(corpus.load("hl"), pn, OracleBudget(6, 0, 3))
+    assert isinstance(rep.pn_budget, Found)
+    gc.collect()
+    assert refs and all(r() is None for r in refs)
+
+
+def test_probe_with_renamed_cones_matches_independent_calls_on_random_programs():
+    rng = random.Random(53)
+    deadline = time.monotonic() + 4.0
+    cases = found = 0
+    while cases < 80 and time.monotonic() < deadline:
+        p0 = random_definite_program(rng) if cases % 2 else _random_joins(rng)
+        p0 = _with_random_goals(p0, rng)
+        arity = {c.head.pred: len(c.head.args) for c in p0.definite()}
+        pred = rng.choice(sorted(arity))
+        # one more fact for pred, so that the original and its copy differ
+        args = ",".join(f"X{i}" for i in range(arity[pred]))
+        eqs = ", ".join(f"X{i} = {rng.randint(-1, 2)}" for i in range(arity[pred]))
+        pn, _ = _with_cone_copy(p0, pred, extra=f"{pred}({args}) :- {eqs}.")
+        b = OracleBudget(rng.randint(1, 3), rng.randint(-2, 0), rng.randint(1, 3))
+        rep = equisat_probe(p0, pn, b)
+        want = [false_derivable(p, bb) for bb in (b, b.doubled()) for p in (p0, pn)]
+        assert [rep.p0_budget, rep.pn_budget, rep.p0_doubled, rep.pn_doubled] == want
+        assert [isinstance(r, Found) for r in want] == [
+            _reference_violated(p, bb) for bb in (b, b.doubled()) for p in (p0, pn)
+        ]
+        assert bounded_lm(pn.definite(), b) == _reference_lm(pn.definite(), b)
+        found += sum(isinstance(r, Found) for r in want)
+        cases += 1
+    assert cases >= 20 and 0 < found < 4 * cases
