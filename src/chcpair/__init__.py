@@ -13,7 +13,6 @@ from .syntax import (
     Sort,
     Var,
     WriteAtom,
-    apply_subst,
     parse_program,
     predicate_partition,
     print_clause,
@@ -52,8 +51,6 @@ from .models import (
     check_model,
     check_tight,
     transport_definition,
-    transport_fold,
-    transport_replace,
     transport_unfold_inverse,
 )
 from .oracle import (

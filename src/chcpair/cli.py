@@ -262,10 +262,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(_glue_box(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.fn(args)
-    except ChcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as exc:
+    except (ChcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

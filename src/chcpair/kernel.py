@@ -36,7 +36,7 @@ from .errors import (
     VarConditionViolation,
 )
 from .lia import QuantDisj, Verdict
-from .syntax import Atom, Clause, ConstraintConj, LinAtom, Program, Var, fresh_name, infer_signatures
+from .syntax import Atom, Clause, ConstraintConj, LinAtom, Program, Var, fresh_renaming, infer_signatures
 
 
 class RuleKind(enum.Enum):
@@ -158,11 +158,6 @@ class TransformationState:
         self.clauses.update((c.cid, c) for c in outputs)
         self.trace.append(TraceStep(rule, tuple(inputs), tuple(c.cid for c in outputs), **flags))
 
-    def trace_text(self) -> str:
-        return "\n".join(step.line(i + 1) for i, step in enumerate(self.trace)) + (
-            "\n" if self.trace else ""
-        )
-
     # -- rule R1: definition introduction --
 
     def apply_definition(self, d: Clause) -> Clause:
@@ -233,13 +228,7 @@ class TransformationState:
                     frozenset(v.name for v in dj_vars),
                 )
             local_vars, dj_names = skeleton
-            taken = c_var_names | dj_names
-            ren: dict[Var, Var] = {}
-            for v in local_vars:
-                if v.name in c_var_names:
-                    nn = fresh_name(v.name, taken)
-                    taken.add(nn)
-                    ren[v] = Var(nn, v.sort)
+            ren = fresh_renaming(local_vars, c_var_names, c_var_names | dj_names)
             key = (dj.cid, target.args, tuple(ren.items()))
             renamed = self._renamed.get(key)
             if renamed is None:
@@ -424,11 +413,8 @@ class TransformationState:
             # map the skeleton onto the reference's and rename
             # constraint-local variables apart from it
             ren = _match_skeleton(cl, ref)
-            for v in cl.constraint.vars():
-                if v not in ren:
-                    nn = fresh_name(v.name, taken)
-                    taken.add(nn)
-                    ren[v] = Var(nn, v.sort)
+            local = [v for v in cl.constraint.vars() if v not in ren]
+            ren.update(fresh_renaming(local, taken, taken))
             disjuncts.append(cl.constraint.subst(ren))
         if not new_constraints:
             # deletion: every constraint in the group must be unsatisfiable

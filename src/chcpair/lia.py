@@ -104,6 +104,7 @@ from .syntax import (
     Var,
     false_atom,
     fresh_name,
+    fresh_renaming,
 )
 from .errors import SortMismatch
 
@@ -184,11 +185,7 @@ def qd_subst(q: QuantDisj, theta: Mapping[Var, Var]) -> QuantDisj:
 
 def qd_rename_exists_fresh(q: QuantDisj, taken: set[str]) -> QuantDisj:
     """Give the existential prefix names outside `taken` (grows taken)."""
-    theta: dict[Var, Var] = {}
-    for ev in q.exists:
-        if ev.name in taken:
-            theta[ev] = Var(fresh_name(ev.name, taken), ev.sort)
-        taken.add(theta.get(ev, ev).name)
+    theta = fresh_renaming(q.exists, taken, taken)
     if not theta:
         return q
     return QuantDisj(
@@ -724,7 +721,7 @@ def satisfiable_generic(c: ConstraintConj, reduced: Reduction) -> Verdict:
     by is_satisfiable, resolver included.
     """
     reduced = _own(c, reduced)
-    verdict = _generic(reduced)[0]
+    verdict = _generic_witnesses(reduced)[0]
     if verdict is Verdict.DISPROVED:
         reduced.decision = (Verdict.DISPROVED, None)
     elif verdict is Verdict.UNKNOWN:
@@ -790,7 +787,8 @@ def entails_equality(
 
 
 def _generic_witnesses(reduced: Reduction) -> tuple[Verdict, tuple[dict[Var, int], ...]]:
-    """Integer solutions of the reduced atoms with few coincidental equalities.
+    """Integer solutions of the reduced atoms with few coincidental
+    equalities, memoised on the reduction (its `generic`).
 
     Back-substitution aims every variable at its own target value, the
     i-th at _WITNESS_SPREAD*(i+1) and then at -_WITNESS_SPREAD*(i+1), from
@@ -799,18 +797,14 @@ def _generic_witnesses(reduced: Reduction) -> tuple[Verdict, tuple[dict[Var, int
     the verified solutions: none when the atoms are unsatisfiable or beyond
     the engine's caps.
     """
-    if reduced.unsat:
-        return Verdict.DISPROVED, ()
-    n = len(reduced.sys.vars)
-    targets = [[sign * _WITNESS_SPREAD * (i + 1) for i in range(n)] for sign in (1, -1)]
-    verdict, points = _branch_witness(reduced.atoms, reduced.sys, reduced.defs, targets)
-    return verdict, tuple(w for w in points if w is not None)
-
-
-def _generic(reduced: Reduction) -> tuple[Verdict, tuple[dict[Var, int], ...]]:
-    """The generic witnesses of a reduction, memoised on it."""
     if reduced.generic is None:
-        reduced.generic = _generic_witnesses(reduced)
+        if reduced.unsat:
+            reduced.generic = Verdict.DISPROVED, ()
+        else:
+            n = len(reduced.sys.vars)
+            targets = [[sign * _WITNESS_SPREAD * (i + 1) for i in range(n)] for sign in (1, -1)]
+            verdict, points = _branch_witness(reduced.atoms, reduced.sys, reduced.defs, targets)
+            reduced.generic = verdict, tuple(w for w in points if w is not None)
     return reduced.generic
 
 
@@ -830,7 +824,7 @@ def eq_set(
     the others are asked, extending the reduction.
     """
     reduced = _own(d, reduced)
-    witnesses = _generic(reduced)[1]
+    witnesses = _generic_witnesses(reduced)[1]
     out = []
     seen: set[frozenset[str]] = set()
     for x in a.vars():

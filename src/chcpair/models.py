@@ -6,7 +6,7 @@ parameters. Instantiation substitutes actual argument variables, so
 renaming-equivariance holds by construction. The transport operations
 rebuild interpretations across definition-introduction and unfolding
 steps using their constructive characterizations; folding and constraint
-replacement transport models unchanged (exposed as identity).
+replacement transport models unchanged.
 """
 
 from __future__ import annotations
@@ -226,13 +226,3 @@ def transport_unfold_inverse(
         disjuncts.extend(body.disjuncts)
     formula = QuantDisj(tuple(exists), tuple(disjuncts))
     return sigma_after.with_entry(pred, params, formula)
-
-
-def transport_fold(sigma: SymbolicInterpretation) -> SymbolicInterpretation:
-    """Folding preserves the model unchanged."""
-    return sigma
-
-
-def transport_replace(sigma: SymbolicInterpretation) -> SymbolicInterpretation:
-    """Constraint replacement preserves the model unchanged."""
-    return sigma

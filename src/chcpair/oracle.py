@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Mapping, Optional, Union
 
 from . import boxes
 from .errors import ArrayUnsupported
-from .syntax import Clause, ConstraintConj, Program, Rel, Sort, Var
+from .syntax import Clause, Program, Rel, Sort, Var
 
 _LE, _EQ = Rel.LE, Rel.EQ
 
@@ -515,12 +515,12 @@ class _Evaluator:
                 hit = g.solutions(vals, limit=1)
                 if hit:
                     # The witness comes from the compiled join; check it
-                    # against the goal's own constraint, in the box, as
-                    # it is reported.
-                    lin = self.program.clause(g.cid).constraint.lin_atoms()
-                    sys_ = boxes.lower_conj(ConstraintConj(lin), var_order=g.vars)
-                    fixed = dict(zip(g.vars, hit[0]))
-                    (valuation,) = boxes.solutions(sys_, self.lo, self.hi, fixed, limit=1)
+                    # against the goal's own constraint, as it is reported.
+                    valuation = dict(zip(g.vars, hit[0]))
+                    if not boxes.eval_conj(self.program.clause(g.cid).constraint, valuation):
+                        raise RuntimeError(
+                            f"goal {g.cid}: the join's witness {valuation} violates its constraint"
+                        )
                     return Found(g.cid, valuation)
         return NotWithinBudget()
 

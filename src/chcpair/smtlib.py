@@ -116,6 +116,11 @@ def _smt_atom(a: Atom) -> str:
     return f"({a.pred} {' '.join(v.name for v in a.args)})"
 
 
+def _binder_text(vs: Iterable[Var]) -> str:
+    """Each variable as (name sort), the binder of a forall, exists or define-fun."""
+    return "".join(f"({v.name} {_SORT_SMT[v.sort]})" for v in vs)
+
+
 def _smt_and(parts: Sequence[str]) -> str:
     if not parts:
         return "true"
@@ -156,8 +161,7 @@ def emit_smtlib(p: Program) -> str:
         vs = c.vars()
         _check_symbols([v.name for v in vs])
         if vs:
-            binder = "".join(f"({v.name} {_SORT_SMT[v.sort]})" for v in vs)
-            lines.append(f"(assert (forall ({binder}) {impl}))")
+            lines.append(f"(assert (forall ({_binder_text(vs)}) {impl}))")
         else:
             lines.append(f"(assert {impl})")
     return "\n".join(lines) + "\n"
@@ -195,8 +199,7 @@ def _qd_smt(q: QuantDisj) -> str:
         body = f"(or {' '.join(conj_smt(d) for d in q.disjuncts)})"
     if q.exists:
         _check_symbols([v.name for v in q.exists])
-        binder = "".join(f"({v.name} {_SORT_SMT[v.sort]})" for v in q.exists)
-        body = f"(exists ({binder}) {body})"
+        body = f"(exists ({_binder_text(q.exists)}) {body})"
     return body
 
 
@@ -206,8 +209,7 @@ def print_model(sigma: SymbolicInterpretation) -> str:
     for pred in sigma.preds():
         params, formula = sigma.entry(pred)
         _check_symbols([pred] + [v.name for v in params])
-        binder = "".join(f"({v.name} {_SORT_SMT[v.sort]})" for v in params)
-        lines.append(f"(define-fun {pred} ({binder}) Bool {_qd_smt(formula)})")
+        lines.append(f"(define-fun {pred} ({_binder_text(params)}) Bool {_qd_smt(formula)})")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -216,55 +218,34 @@ def print_model(sigma: SymbolicInterpretation) -> str:
 _SX_TOKEN = re.compile(r"\s+|;[^\n]*|[()]|[^\s();]+")
 
 
-class _SExprReader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _advance(self, raw: str):
-        nl = raw.count("\n")
-        if nl:
-            self.line += nl
-            self.col = len(raw) - raw.rfind("\n")
-        else:
-            self.col += len(raw)
-        self.pos += len(raw)
-
-    def tokens(self):
-        while self.pos < len(self.text):
-            m = _SX_TOKEN.match(self.text, self.pos)
-            if m is None:
-                raise ParseError("bad character in model file", self.line, self.col)
-            raw = m.group()
-            pos = (self.line, self.col)
-            self._advance(raw)
-            if raw.strip() and not raw.startswith(";"):
-                yield raw, pos
-        yield None, (self.line, self.col)
-
-    def read_all(self):
-        """The top-level forms as nodes (value, (line, col)), where a value
-        is a token's text or the list of the nodes inside a parenthesis. The
-        lists still open wait on a stack, so no nesting depth recurses."""
-        out = []
-        items = out
-        stack = []  # (enclosing items, position) of each open list
-        for tok, pos in self.tokens():
-            if tok is None:
-                if stack:
-                    raise ParseError("unbalanced parenthesis", *stack[-1][1])
-                return out
-            if tok == "(":
-                stack.append((items, pos))
-                items = []
-            elif tok == ")" and stack:
-                enclosing, start = stack.pop()
-                enclosing.append((items, start))
-                items = enclosing
-            else:
-                items.append((tok, pos))
+def _read_forms(text: str) -> list:
+    """The top-level forms as nodes (value, (line, col)), where a value is a
+    token's text or the list of the nodes inside a parenthesis. The lists
+    still open wait on a stack, so no nesting depth recurses. Every
+    character matches one of _SX_TOKEN's alternatives, and only whitespace
+    holds a newline."""
+    out = items = []
+    stack = []  # (enclosing items, position) of each open list
+    line, bol = 1, 0  # the current line and the offset where it begins
+    for m in _SX_TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "(":
+            stack.append((items, (line, m.start() - bol + 1)))
+            items = []
+        elif tok == ")" and stack:
+            enclosing, start = stack.pop()
+            enclosing.append((items, start))
+            items = enclosing
+        elif tok.isspace():
+            nl = tok.count("\n")
+            if nl:
+                line += nl
+                bol = m.start() + tok.rfind("\n") + 1
+        elif tok[0] != ";":
+            items.append((tok, (line, m.start() - bol + 1)))
+    if stack:
+        raise ParseError("unbalanced parenthesis", *stack[-1][1])
+    return out
 
 
 def _symbol(node, what: str) -> str:
@@ -331,7 +312,7 @@ def _nest(pos, depth: int) -> int:
 def _parse_expr(node, env: Mapping[str, Var], depth: int) -> LinExpr:
     val, pos = node
     if isinstance(val, str):
-        if re.fullmatch(r"-?\d+", val):
+        if re.fullmatch(r"-?[0-9]+", val):
             return LinExpr.number(int(val))
         if val in env:
             v = env[val]
@@ -444,7 +425,7 @@ def parse_model(text: str) -> SymbolicInterpretation:
     (declare-fun name (sorts) sort) or (define-fun name ((param sort)...)
     Bool formula), optionally wrapped in one (model ...) form.
     """
-    forms = _SExprReader(text).read_all()
+    forms = _read_forms(text)
     # tolerate a (model ...) wrapper
     flat = []
     for val, pos in forms:

@@ -162,11 +162,6 @@ class LinExpr:
     def is_const(self) -> bool:
         return not self.coeffs
 
-    def as_var(self) -> Optional[Var]:
-        if len(self.coeffs) == 1 and self.const == 0 and self.coeffs[0][1] == 1:
-            return self.coeffs[0][0]
-        return None
-
     def add(self, other: "LinExpr") -> "LinExpr":
         m = self.coeff_map()
         for v, c in other.coeffs:
@@ -533,29 +528,6 @@ class Program:
 # Substitution and renaming
 
 
-def apply_subst(target, theta: Mapping[Var, Var]):
-    """Apply a simultaneous variable-for-variable substitution.
-
-    Accepts clauses, atoms, constraint conjunctions, linear expressions and
-    (possibly nested) lists/tuples of these. Raises SortMismatch if theta
-    maps across sorts.
-    """
-    for v, w in theta.items():
-        if v.sort is not w.sort:
-            raise SortMismatch(f"substitution maps {v!r} to {w!r} of different sort")
-    return _subst(target, theta)
-
-
-def _subst(target, theta):
-    if isinstance(target, (Clause, Atom, ConstraintConj, LinExpr, LinAtom, ReadAtom, WriteAtom, ArrEqAtom)):
-        return target.subst(theta)
-    if isinstance(target, list):
-        return [_subst(t, theta) for t in target]
-    if isinstance(target, tuple):
-        return tuple(_subst(t, theta) for t in target)
-    raise TypeError(f"cannot substitute into {type(target).__name__}")
-
-
 def fresh_name(base: str, taken: set[str]) -> str:
     if base not in taken:
         return base
@@ -563,6 +535,23 @@ def fresh_name(base: str, taken: set[str]) -> str:
     while f"{base}_{k}" in taken:
         k += 1
     return f"{base}_{k}"
+
+
+def fresh_renaming(vs: Iterable[Var], clash, taken: set[str]) -> dict[Var, Var]:
+    """Map each variable of vs whose name is in `clash` to the smallest
+    fresh name outside `taken` (X -> X_1, X_2, ...), of the same sort.
+
+    `taken` grows by every name a variable keeps or gets, and may be `clash`
+    itself; `clash` holds only names of `taken`.
+    """
+    theta: dict[Var, Var] = {}
+    for v in vs:
+        name = v.name
+        if name in clash:
+            name = fresh_name(name, taken)
+            theta[v] = Var(name, v.sort)
+        taken.add(name)
+    return theta
 
 
 def rename_apart(c: Clause, avoid: Iterable[Var]) -> Clause:
@@ -573,14 +562,7 @@ def rename_apart(c: Clause, avoid: Iterable[Var]) -> Clause:
     """
     avoid_names = {v.name for v in avoid}
     own = c.vars()
-    taken = avoid_names | {v.name for v in own}
-    theta: dict[Var, Var] = {}
-    for v in own:
-        if v.name in avoid_names:
-            nn = fresh_name(v.name, taken)
-            taken.add(nn)
-            theta[v] = Var(nn, v.sort)
-    return c.subst(theta)
+    return c.subst(fresh_renaming(own, avoid_names, avoid_names | {v.name for v in own}))
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +637,7 @@ _TOKEN_RE = re.compile(
     r"""
     (?:\s+|%[^\n]*)*                # whitespace and comments belong to no token
     (   :- | =\\= | =< | >= | = | < | >
-      | \d+ | [A-Z_][A-Za-z0-9_]* | [a-z][A-Za-z0-9_]*
+      | [0-9]+ | [A-Z_][A-Za-z0-9_]* | [a-z][A-Za-z0-9_]*
       | [(),.*+\-]
       | \Z                          # the end of the text, an empty token
       | .                           # any other character, an error
@@ -685,7 +667,7 @@ class _KindOf(dict):
     def __missing__(self, text):
         c = text[0]
         kind = self[text] = (
-            _VAR if c in _UPPER else _IDENT if c in _LOWER else _INT if c.isdecimal() else _BAD
+            _VAR if c in _UPPER else _IDENT if c in _LOWER else _INT if "0" <= c <= "9" else _BAD
         )
         return kind
 

@@ -11,6 +11,7 @@ from chcpair import corpus, parse_program
 from chcpair.cli import main
 
 CORPUS_DIR = Path(corpus.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(*argv):
@@ -297,3 +298,35 @@ def test_help_exits_zero(capsys):
         run("transform", "--help")
     assert exc.value.code == 0
     assert "--iterate" in capsys.readouterr().out
+
+
+def _readme_session():
+    """(argv, shown lines) of each `$ chcpair` command of the README's
+    example session, the shown lines being the ones up to the next command."""
+    after = (ROOT / "README.md").read_text().split("Example session", 1)[1]
+    block = after.split("```\n")[1]
+    session = []
+    for line in block.splitlines():
+        if line.startswith("$ chcpair "):
+            session.append((line.split()[2:], []))
+        else:
+            session[-1][1].append(line)
+    return session
+
+
+def test_readme_session_prints_what_it_shows(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    session = _readme_session()
+    assert [argv[0] for argv, _ in session] == ["transform", "validate-trace", "oracle", "emit"]
+    for argv, shown in session:
+        argv = [str(tmp_path / a[len("/tmp/"):]) if a.startswith("/tmp/") else a for a in argv]
+        target = None
+        if ">" in argv:
+            argv, target = argv[: argv.index(">")], argv[-1]
+        main(argv)
+        out, err = capsys.readouterr()
+        if target is not None:
+            Path(target).write_text(out)
+            out = ""
+        assert out.splitlines() + err.splitlines() == shown, argv
+    assert (tmp_path / "ack_pp.smt2").read_text().startswith("(set-logic HORN)")

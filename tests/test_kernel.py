@@ -639,7 +639,7 @@ def test_reversible_flag_positive():
 
 def test_trace_round_trip():
     st = run_sum_square_script()
-    text = st.trace_text()
+    text = "".join(step.line(i + 1) + "\n" for i, step in enumerate(st.trace))
     steps = parse_trace(text)
     assert [s.rule for s in steps] == [s.rule for s in st.trace]
     assert [s.inputs for s in steps] == [s.inputs for s in st.trace]

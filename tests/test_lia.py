@@ -166,6 +166,16 @@ def test_project_disequality_split():
     assert equiv_quant_disj(q, qd_of(conj("Z =\\= Y"))) is Verdict.PROVED
 
 
+def test_project_gives_up_on_a_fourier_motzkin_overflow(monkeypatch):
+    c = conj("X =< A, X =< B, X >= C, X >= D")
+    keep = {V("A"), V("B"), V("C"), V("D")}
+    assert len(project(c, keep).disjuncts[0]) == 4  # C =< A, C =< B, D =< A, D =< B
+    # eliminating X pairs 2 upper with 2 lower bounds: 4 rows, past a cap of 1
+    monkeypatch.setattr(lia, "_FM_ROW_CAP", 1)
+    q = project(c, keep)
+    assert q.disjuncts == (ConstraintConj(),) and q.exact is False
+
+
 # --- equiv ------------------------------------------------------------------
 
 def test_equiv_examples():

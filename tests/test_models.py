@@ -12,8 +12,6 @@ from chcpair import (
     check_tight,
     parse_program,
     transport_definition,
-    transport_fold,
-    transport_replace,
     transport_unfold_inverse,
 )
 from chcpair.errors import ModelError, TransportError
@@ -143,6 +141,32 @@ def test_formulas_without_a_prefix_collect_no_variables(monkeypatch):
     assert len(calls) <= 150
 
 
+def test_checks_past_the_disjunct_cap_are_unknown(monkeypatch):
+    # p has two disjuncts, so a body that instantiates it has two as well
+    two = QuantDisj((), (conj("X = 0"), conj("X = 1")))
+    prog = parse_program("r(X) :- X = 0.\nq(X) :- p(X).")
+    (r, q) = prog.clauses
+    sigma = SymbolicInterpretation({"p": ((V("X"),), two)})
+    defs = parse_program("q(X) :- p(X).")
+    tight = sigma.with_entry("q", (V("X"),), two)
+    assert check_model(prog, sigma).overall is Verdict.PROVED
+    assert check_tight(defs, tight) is Verdict.PROVED
+
+    monkeypatch.setattr(lia, "DNF_CAP", 1)
+    asked = []
+    for name in ("implies_quant_disj", "equiv_quant_disj"):
+        real = getattr(lia, name)
+        monkeypatch.setattr(
+            lia, name, lambda lhs, rhs, real=real: asked.append(lhs) or real(lhs, rhs)
+        )
+    res = check_model(prog, sigma)
+    assert res.per_clause == ((r.cid, Verdict.PROVED), (q.cid, Verdict.UNKNOWN))
+    assert res.overall is Verdict.UNKNOWN
+    assert check_tight(defs, tight) is Verdict.UNKNOWN
+    # the clause with two body disjuncts is settled before any implication
+    assert [len(lhs.disjuncts) for lhs in asked] == [1]
+
+
 def test_tightness_rejects_goals(sum_upto):
     with pytest.raises(ModelError):
         check_tight(sum_upto, sigma_su())
@@ -261,12 +285,6 @@ q(Y) :- Y = 2.
                 for d in formula.disjuncts
             )
         assert holds == (x in derivable), f"x={x}"
-
-
-def test_identity_transports():
-    sigma = sigma_su()
-    assert transport_fold(sigma) is sigma
-    assert transport_replace(sigma) is sigma
 
 
 # --- model soundness against the ground oracle ---------------------------------

@@ -488,3 +488,15 @@ def test_probe_with_renamed_cones_matches_independent_calls_on_random_programs()
         found += sum(isinstance(r, Found) for r in want)
         cases += 1
     assert cases >= 20 and 0 < found < 4 * cases
+
+
+def test_a_goal_witness_that_violates_its_constraint_is_refused(monkeypatch):
+    p = parse_program("p(X) :- X = 1.\nfalse :- X >= 0, p(X).")
+    goal = p.goals()[0]
+    ev = oracle._Evaluator(p, 0, 3)
+    ev.run_to(2)
+    assert ev.violation() == Found(goal.cid, {goal.body[0].args[0]: 1})
+    # a join that hands over a point outside the constraint is a fault
+    monkeypatch.setattr(oracle._Rule, "solutions", lambda self, vals, limit: [(-1,) * len(vals)])
+    with pytest.raises(RuntimeError, match=f"^goal {goal.cid}: .* violates its constraint$"):
+        ev.violation()

@@ -12,7 +12,7 @@ from chcpair import (
     print_model,
 )
 from chcpair.errors import ChcError, ParseError
-from chcpair.lia import Verdict, equiv_quant_disj, qd_of, qd_true
+from chcpair.lia import QuantDisj, Verdict, equiv_quant_disj, qd_false, qd_of, qd_true
 from chcpair.models import SymbolicInterpretation
 from chcpair import corpus, smtlib
 
@@ -134,14 +134,24 @@ def test_parse_model_round_trip():
             qd_of(conj("S >= M, S >= R")),
         ),
         "p": ((Var("X"),), qd_true()),
+        # two disjuncts, the first with an existential of its own
+        "r": (
+            (Var("X"),),
+            QuantDisj((Var("Y"),), (conj("X = Y + 1, Y >= 0"), conj("X =< -5"))),
+        ),
     }
     sigma = SymbolicInterpretation(entries)
-    again = parse_model(print_model(sigma))
+    text = print_model(sigma)
+    assert "(define-fun r ((X Int)) Bool (exists ((Y Int)) (or (and " in text
+    again = parse_model(text)
     for pred in sigma.preds():
         p1, f1 = sigma.entry(pred)
         p2, f2 = again.entry(pred)
         assert p1 == p2
         assert equiv_quant_disj(f1, f2) is Verdict.PROVED
+    # the empty disjunction reads back as false
+    _, f = parse_model("(define-fun r ((X Int)) Bool (or))").entry("r")
+    assert equiv_quant_disj(f, qd_false()) is Verdict.PROVED
 
 
 def test_parse_model_round_trip_with_exists():
@@ -176,6 +186,8 @@ def test_parse_model_unsupported_construct():
     ("(declare-fun)", 1, 1),
     ("(define-fun p ((A (Array Bool Int))) Bool true)", 1, 19),
     ("(define-fun p ((X Int)) Bool true)\n(define-fun p ((X Int)) Bool false)", 2, 1),
+    # a numeral is ASCII digits: ARABIC-INDIC DIGIT THREE is an unbound symbol
+    ("(define-fun p ((X Int)) Bool\n  (= X \u0663))", 2, 8),
 ])
 def test_parse_model_refuses_malformed_forms_at_their_position(text, line, col):
     with pytest.raises(ParseError) as e:

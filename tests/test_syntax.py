@@ -20,7 +20,6 @@ from chcpair import (
     Rel,
     Sort,
     Var,
-    apply_subst,
     parse_program,
     predicate_partition,
     print_clause,
@@ -54,7 +53,7 @@ def test_parse_normalizes_literal_argument():
     assert not c.is_goal and len(c.body) == 0
     (v,) = c.head.args
     (eq,) = c.constraint.lin_atoms()
-    assert eq.rel is Rel.EQ and eq.lhs.as_var() == v and eq.rhs.const == 0
+    assert eq.rel is Rel.EQ and eq.lhs == LinExpr.of(v) and eq.rhs.const == 0
 
 
 def test_parse_normalizes_repeated_head_vars():
@@ -70,7 +69,7 @@ def test_parse_linear_term_argument():
     (c,) = p.clauses
     (arg,) = c.body[0].args
     (eq,) = c.constraint.lin_atoms()
-    assert eq.lhs.as_var() == arg
+    assert eq.lhs == LinExpr.of(arg)
     # terms come in name order, without zero coefficients, as LinExpr.build makes them
     (eq,) = parse_program("p(X) :- Z = 2*Y + X - 0*W + 1.").clauses[0].constraint
     x, y = Var("X"), Var("Y")
@@ -86,6 +85,8 @@ PARSE_ERRORS = [
     ("% c1\n% c2\n% c3\nq(Y) :- Y @ 1.\n", "unexpected character '@'", 4, 11),
     # a bad character anywhere wins over an earlier grammar error
     ("p(X) :- q(X)\nq(Y) :- Y = 1 $ 2.\n", "unexpected character '$'", 2, 15),
+    # an integer is ASCII digits: ARABIC-INDIC DIGIT THREE starts no token
+    ("p(X) :- X = \u0663.", "unexpected character '\u0663'", 1, 13),
     # a missing final dot, at the end of the text
     ("p(X) :- q(X)", "expected '.', found ''", 1, 13),
     ("p(X) :- X > 0.\nq(X) :- p(X)\n", "expected '.', found ''", 3, 1),
@@ -207,29 +208,33 @@ def test_rename_apart_keeps_relation_multiset():
     )
 
 
-def test_apply_subst_identity():
-    c = parse_program("p(X) :- X > 0, q(X).").clauses[0]
-    assert apply_subst(c, {}) == c
+def test_fresh_renaming_takes_the_smallest_free_name_and_grows_taken():
+    x, y, z, a = Var("X"), Var("Y"), Var("Z"), Var("A", Sort.ARRAY)
+    taken = {"X", "X_1", "Y", "A"}
+    assert syntax.fresh_renaming([x, y, z, a], {"X", "A"}, taken) == {
+        x: Var("X_2"), a: Var("A_1", Sort.ARRAY)
+    }
+    assert taken == {"X", "X_1", "X_2", "Y", "Z", "A", "A_1"}
+    # with clash and taken one set, a name kept by one variable clashes for the next
+    taken = {"X"}
+    assert syntax.fresh_renaming([x, z, Var("Z", Sort.ARRAY)], taken, taken) == {
+        x: Var("X_1"), Var("Z", Sort.ARRAY): Var("Z_1", Sort.ARRAY)
+    }
 
 
-def test_apply_subst_on_atom():
+def test_subst_on_atom():
     a = Atom("ack1", (Var("M1"), Var("N1"), Var("A1")))
-    out = apply_subst(a, {Var("N1"): Var("Y1")})
+    out = a.subst({Var("N1"): Var("Y1")})
     assert out == Atom("ack1", (Var("M1"), Var("Y1"), Var("A1")))
 
 
-def test_apply_subst_union_equals_composition():
+def test_subst_union_equals_composition():
     # for disjoint substitutions, applying their union simultaneously
     # equals applying one then the other
     c = parse_program("p(A,B,C) :- A = B + C.").clauses[0]
     t1 = {Var("A"): Var("X")}
     t2 = {Var("B"): Var("Y")}
-    assert apply_subst(apply_subst(c, t1), t2) == apply_subst(c, {**t1, **t2})
-
-
-def test_apply_subst_sort_check():
-    with pytest.raises(SortMismatch):
-        apply_subst(Atom("p", (Var("A"),)), {Var("A"): Var("B", Sort.ARRAY)})
+    assert c.subst(t1).subst(t2) == c.subst({**t1, **t2})
 
 
 def test_partition_ackermann(ackermann):
@@ -386,7 +391,7 @@ def test_subst_that_changes_nothing_returns_the_receiver():
     identity = {v: v for v in c.vars()}
     unrelated = {Var("W"): Var("W2"), Var("X", Sort.ARRAY): Var("Y", Sort.ARRAY)}
     for theta in ({}, identity, unrelated):
-        assert c.subst(theta) is c and apply_subst(c, theta) is c
+        assert c.subst(theta) is c
         assert c.constraint.subst(theta) is c.constraint
         assert all(a.subst(theta) is a for a in c.constraint.atoms + c.body + (c.head,))
         assert all(e.subst(theta) is e for a in lin for e in (a.lhs, a.rhs))
