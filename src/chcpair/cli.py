@@ -27,7 +27,7 @@ SOLVER_ENV = "CHCPAIR_SOLVER"
 
 
 def _read_program(path: str) -> Program:
-    return parse_program(Path(path).read_text())
+    return parse_program(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _verdict_exit(v: lia.Verdict) -> int:
@@ -71,9 +71,9 @@ def _cmd_transform(args) -> int:
     # leaves stdout empty
     text = print_program(out)
     if args.trace:
-        Path(args.trace).write_text(res.trace_text())
+        Path(args.trace).write_text(res.trace_text(), encoding="utf-8")
     if args.output:
-        Path(args.output).write_text(text)
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     ok, offenders = check_all_defs_unfolded(res.all_steps())
@@ -93,7 +93,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_check_model(args) -> int:
     prog = _read_program(args.program)
-    sigma = smtlib.parse_model(Path(args.model).read_text())
+    sigma = smtlib.parse_model(Path(args.model).read_text(encoding="utf-8-sig"))
     res = check_model(prog, sigma)
     for cid, v in res.per_clause:
         print(f"clause {cid}: {v.value}")
@@ -105,7 +105,7 @@ def _cmd_check_model(args) -> int:
 
 def _cmd_check_tight(args) -> int:
     prog = _read_program(args.defs)
-    sigma = smtlib.parse_model(Path(args.model).read_text())
+    sigma = smtlib.parse_model(Path(args.model).read_text(encoding="utf-8-sig"))
     v = check_tight(prog, sigma)
     print(f"tight: {v.value}")
     return _verdict_exit(v)
@@ -159,7 +159,7 @@ def _cmd_solve(args) -> int:
     res = solver.external_solve(prog, cfg)
     print(res.status.value)
     if res.status is solver.SolveStatus.SAT and res.model_text and args.model:
-        Path(args.model).write_text(res.model_text + "\n")
+        Path(args.model).write_text(res.model_text + "\n", encoding="utf-8")
     if res.detail:
         print(res.detail, file=sys.stderr)
     return {
@@ -172,7 +172,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_validate_trace(args) -> int:
-    steps = parse_trace(Path(args.trace).read_text())
+    steps = parse_trace(Path(args.trace).read_text(encoding="utf-8-sig"))
     ok, offenders = check_all_defs_unfolded(steps)
     rep = classify_sequence(steps)
     print(f"steps: {len(steps)}")

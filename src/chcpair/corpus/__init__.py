@@ -24,7 +24,7 @@ NAMES = (
 def text(name: str) -> str:
     if name not in NAMES:
         raise KeyError(f"unknown corpus entry {name!r}; have {', '.join(NAMES)}")
-    return resources.files(__package__).joinpath(f"{name}.chc").read_text()
+    return resources.files(__package__).joinpath(f"{name}.chc").read_text(encoding="utf-8-sig")
 
 
 def load(name: str) -> Program:

@@ -620,31 +620,29 @@ def predicate_partition(
 # parse_program runs four stages over the text: _scan cuts it into tokens,
 # _grammar reads the tokens into raw clauses, _infer_sorts gives every
 # variable and predicate position a sort, and _build makes the normalized
-# Clauses. A raw clause numbers its variables in order of first occurrence;
-# a raw linear expression is that number for a bare variable (coefficient 1,
-# constant 0) and a pair (coefficients by number, constant) otherwise. Most
-# terms of a printed program are bare variables: the grammar returns a
-# variable's number at once when no `*`, `+` or `-` follows it, without a
-# coefficient dict. Most linear constraints of a printed program repeat: a
-# printed Pn repeats each clause's parent prefix in every child. _build
+# Clauses. _scan runs one flat regular expression with findall, whose
+# matches are the tokens themselves; comments are tokens too, and are
+# filtered out only from a text that has a `%`. A raw clause numbers its
+# variables in order of first occurrence; a raw linear expression is that
+# number for a bare variable (coefficient 1, constant 0) and a pair
+# (coefficients by number, constant) otherwise. Most terms of a printed
+# program are bare variables: the grammar returns a variable's number at
+# once when no `*`, `+` or `-` follows it, without a coefficient dict. Only
+# arrays need the union-find of _infer_sorts: a text with no `:- sorts`
+# declaration and no read or write constraint is all int, and only its
+# arities are checked. Most linear constraints of a printed program repeat:
+# a printed Pn repeats each clause's parent prefix in every child. _build
 # keeps a table for the one call, of one LinAtom per distinct constraint
 # text, so every clause that holds a constraint shares one atom object,
 # whose hash and row are then computed once (hl1's Pn: 246 atom objects
-# for 4,234 occurrences). Nothing outlives the call but the Vars, which
-# are interned anyway.
+# for 4,234 occurrences). It reads an int variable from the intern table
+# directly. Nothing outlives the call but the Vars, which are interned
+# anyway.
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?:\s+|%[^\n]*)*                # whitespace and comments belong to no token
-    (   :- | =\\= | =< | >= | = | < | >
-      | [0-9]+ | [A-Z_][A-Za-z0-9_]* | [a-z][A-Za-z0-9_]*
-      | [(),.*+\-]
-      | \Z                          # the end of the text, an empty token
-      | .                           # any other character, an error
-    )
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+# One flat alternation, the most frequent tokens first. Whitespace matches
+# nothing and findall steps over it; a comment is a token that _scan drops;
+# \S takes any other character, which _scan refuses.
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[(),.]|:-|=\\=|=<|>=|[=<>*+\-]|%[^\n]*|\S")
 
 _NECK, _REL, _INT, _VAR, _IDENT, _LPAR, _RPAR, _COMMA, _DOT, _STAR, _PLUS, _MINUS, _EOF, _BAD = range(14)
 _FIXED_KINDS = {
@@ -673,20 +671,25 @@ class _KindOf(dict):
 
 
 def _token_position(text: str, i: int) -> tuple[int, int]:
-    """Line and column, both from 1, of the i-th token; for error messages."""
-    offset = next(itertools.islice(_TOKEN_RE.finditer(text), i, None)).start(1)
+    """Line and column, both from 1, of the i-th token as _scan counts them,
+    comments left out; the _EOF token is at the end of the text."""
+    starts = (m.start() for m in _TOKEN_RE.finditer(text) if text[m.start()] != "%")
+    offset = next(itertools.islice(starts, i, None), len(text))
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _scan(text: str) -> tuple[list[int], list[str]]:
-    """The kinds and texts of the tokens; the last token is _EOF.
+    """The kinds and texts of the tokens; the last token is _EOF, whose text
+    is "". Comments are dropped, and only a text with a `%` looks for them.
 
     A character that starts no token raises ParseError, wherever it is,
     before any grammar error.
     """
     texts = _TOKEN_RE.findall(text)
-    kind_of = _KindOf(_FIXED_KINDS)
-    kinds = [kind_of[t] for t in texts]
+    if "%" in text:
+        texts = [t for t in texts if t[0] != "%"]
+    texts.append("")
+    kinds = list(map(_KindOf(_FIXED_KINDS).__getitem__, texts))
     if _BAD in kinds:
         i = kinds.index(_BAD)
         raise ParseError(f"unexpected character {texts[i]!r}", *_token_position(text, i))
@@ -877,10 +880,27 @@ def _infer_sorts(text: str, decls, clauses):
     and one that gets neither is int. Clauses are visited in order, and in
     each its constraints before its head and then its body atoms.
 
+    A text with no `:- sorts` declaration and no read or write constraint
+    has no array source, so no class can become array and no SortMismatch
+    can arise: every sort is int, and only the arities are checked, with the
+    same ArityClash in the same clause order.
+
     Returns the signatures and, for each clause, the sort of each variable
-    by number, None where nothing fixed it.
+    by number.
     """
     INT, ARRAY = Sort.INT, Sort.ARRAY
+    if not decls and all(c[0] == "lin" for clause in clauses for c in clause[1]):
+        arities: dict[str, int] = {}
+        for head, _, body, start, _ in clauses:
+            for pred, args in ([head] if head is not None else []) + body:
+                arity = arities.setdefault(pred, len(args))
+                if arity != len(args):
+                    raise ArityClash(
+                        f"predicate {pred!r} used with arity {len(args)} and {arity} "
+                        f"(line {_token_position(text, start)[0]})"
+                    )
+        signatures = {pred: (INT,) * arity for pred, arity in arities.items()}
+        return signatures, [[INT] * len(c[4]) for c in clauses]
     parent: list[int] = []  # union-find forest; a root is its own parent
     sort: list[Optional[Sort]] = []  # the sort of each root's class
     preds: dict[str, tuple[int, int]] = {}  # pred -> (first node, arity)
@@ -992,7 +1012,8 @@ def _infer_sorts(text: str, decls, clauses):
                 for v in e[0]:
                     fix(v, INT)
     var_sorts = [
-        [sort[find(v)] for v in range(base, base + len(c[4]))] for base, c in zip(bases, clauses)
+        [sort[find(v)] or INT for v in range(base, base + len(c[4]))]
+        for base, c in zip(bases, clauses)
     ]
     signatures = {
         pred: tuple(sort[find(first + k)] or INT for k in range(arity))
@@ -1007,16 +1028,18 @@ def _build(clauses, signatures, var_sorts) -> list[Clause]:
     `shared`, a table of this call alone like print_program's, holds one
     LinAtom per distinct linear constraint text, and every clause that holds
     the constraint gets that object, with its memoised hash and row.
-    Variables are interned by name and sort, and a LinAtom's are all int, so
-    one text is one atom; two texts of one atom (`X + Y`, `Y + X`) only
-    build it twice. A bare `A = B` over arrays is an ArrEqAtom and never
-    enters the table, so it shares nothing with an int `A = B`.
+    Variables are interned by name and sort, an int one read from its table
+    directly, and a LinAtom's are all int, so one text is one atom; two
+    texts of one atom (`X + Y`, `Y + X`) only build it twice. A bare `A = B`
+    over arrays is an ArrEqAtom and never enters the table, so it shares
+    nothing with an int `A = B`.
     """
     INT, ARRAY, EQ = Sort.INT, Sort.ARRAY, Rel.EQ
+    get_int = _INT_VARS.get
     shared: dict[tuple[str, ...], LinAtom] = {}
     out = []
     for cid, ((head, cons, body, _, names), sorts) in enumerate(zip(clauses, var_sorts), 1):
-        vs = [Var(name, s or INT) for name, s in zip(names, sorts)]
+        vs = [(s is INT and get_int(name)) or Var(name, s) for name, s in zip(names, sorts)]
         names_of = list(names)
         used: Optional[set[str]] = None
         norm_eqs: list[ConstraintAtom] = []

@@ -217,6 +217,47 @@ def test_check_tight(tmp_path):
     assert run("check-tight", defs, bad) == 1
 
 
+def test_a_byte_order_mark_changes_no_emit(tmp_path, capsys):
+    plain = CORPUS_DIR / "sum_upto.chc"
+    bom = tmp_path / "bom.chc"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for fmt in ("smtlib", "chc"):
+        assert run("emit", plain, "--format", fmt) == 0
+        want = capsys.readouterr().out
+        assert run("emit", bom, "--format", fmt) == 0
+        assert capsys.readouterr().out == want
+
+
+def test_a_byte_order_mark_changes_no_model_check(tmp_path, capsys):
+    plain = ROOT / "bench_e2e" / "inputs" / "handwritten" / "sum_upto.smt2"
+    bom = tmp_path / "bom.smt2"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert run("check-model", CORPUS_DIR / "sum_upto.chc", plain) == 0
+    want = capsys.readouterr().out
+    assert run("check-model", CORPUS_DIR / "sum_upto.chc", bom) == 0
+    assert capsys.readouterr().out == want and "overall: proved" in want
+
+
+def test_files_are_read_and_written_without_the_locale(tmp_path):
+    """Every file the CLI opens names its encoding, so a run that turns
+    EncodingWarning into an error still succeeds."""
+    src = str(Path(chcpair.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    strict = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+              "-m", "chcpair.cli"]
+    out, trace = tmp_path / "out.chc", tmp_path / "run.trace"
+    for argv, code in [
+        (["transform", CORPUS_DIR / "sum_square.chc", "-o", out, "--trace", trace], 0),
+        (["emit", out], 0),
+        (["validate-trace", trace], 0),
+        (["check-model", CORPUS_DIR / "sum_upto.chc",
+          ROOT / "bench_e2e" / "inputs" / "handwritten" / "sum_upto.smt2"], 0),
+    ]:
+        proc = subprocess.run(strict + [str(a) for a in argv], env=env, capture_output=True,
+                              text=True, encoding="utf-8", timeout=120)
+        assert proc.returncode == code, proc.stderr
+
+
 MALFORMED_MODELS = [
     "(define-fun su ((M Int)(R Int)(S Int)) Bool)\n",
     "(define-fun su ((M Int)(R Int)(S Int)) Bool ((= M R) (>= S 0)))\n",

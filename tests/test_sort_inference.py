@@ -5,6 +5,8 @@ below is the whole-program fixpoint the parser used before, kept verbatim:
 it re-walks every clause until no sort changes. Random programs go through
 both, and they must agree on the signatures and on each clause's table of
 variable sorts, or both refuse the program with the same exception type.
+The fixpoint leaves out a variable that nothing fixed, which the parser
+makes int; the tables are compared after that default.
 
 Each predicate keeps one arity within a program. A program with both an
 arity clash and a sort conflict may be refused with either error: the
@@ -14,11 +16,14 @@ met the clash, while union-find finds them where they arise.
 
 import random
 import time
+from pathlib import Path
 from typing import Optional
 
-from chcpair import syntax
+import pytest
+
+from chcpair import corpus, syntax
 from chcpair.errors import ArityClash, SortMismatch
-from chcpair.syntax import Sort
+from chcpair.syntax import LinAtom, ReadAtom, Sort, WriteAtom
 
 
 # --- the reference: the fixpoint, as it was ---------------------------------
@@ -116,6 +121,22 @@ def _infer_sorts(sort_decls, raw_clauses):
         for p, sig in signatures.items()
     }
     return final_sigs, clause_sorts
+
+
+def _int_default(table, head, items):
+    """A reference table with every variable of its clause, int where the
+    fixpoint fixed nothing."""
+    names = set()
+    for it in ([head] if head is not None else []) + items:
+        if it[0] == "atom":
+            for coeffs, _ in it[2]:
+                names.update(coeffs)
+        elif it[0] == "lin":
+            names.update(it[1][0])
+            names.update(it[3][0])
+        else:
+            names.update(it[1])
+    return {v: table.get(v, "int") for v in names}
 
 
 def _bare_var(coeffs, const) -> Optional[str]:
@@ -231,7 +252,7 @@ def _new_inference(text):
     decls, clauses = syntax._grammar(text, syntax._scan(text))
     signatures, var_sorts = syntax._infer_sorts(text, decls, clauses)
     tables = [
-        {name: s.value for name, s in zip(names, sorts) if s is not None}
+        {name: s.value for name, s in zip(names, sorts)}
         for (*_, names), sorts in zip(clauses, var_sorts)
     ]
     return signatures, tables
@@ -255,7 +276,10 @@ def test_union_find_matches_the_fixpoint():
         want = _outcome(_infer_sorts, decls, raw)
         got = _outcome(_new_inference, text)
         if isinstance(want, tuple):
-            want = (list(want[0].items()), want[1])
+            want = (
+                list(want[0].items()),
+                [_int_default(t, head, items) for t, (head, items, _, _) in zip(want[1], raw)],
+            )
             got = (list(got[0].items()), got[1]) if isinstance(got, tuple) else got
         assert got == want, text
         seen["agree"] += 1
@@ -264,3 +288,38 @@ def test_union_find_matches_the_fixpoint():
         else:
             seen[want] += 1
     assert seen["agree"] >= 300 and seen["array"] >= 30 and seen[SortMismatch] >= 30, seen
+
+
+# --- the array-free return against the union-find ----------------------------
+
+BENCH_INPUTS = Path(__file__).resolve().parents[1] / "bench_e2e" / "inputs"
+TEXTS = {name: corpus.text(name) for name in corpus.NAMES} | {
+    f"{path.parent.name}/{path.stem}": path.read_text(encoding="utf-8")
+    for kind in ("pn", "defs")
+    for path in sorted((BENCH_INPUTS / kind).glob("*.chc"))
+}
+
+
+def _distinct_lin_atoms(p):
+    return len({id(a) for c in p.clauses for a in c.constraint if isinstance(a, LinAtom)})
+
+
+@pytest.mark.parametrize("name", TEXTS)
+def test_a_sorts_declaration_changes_no_parse(name):
+    """A leading `:- sorts` declaration of the first predicate, with the
+    sorts it has anyway, sends the text through the union-find; without
+    one, a text with no read or write constraint returns all int at once.
+    Both give the same clauses, signatures in the same order, and as many
+    shared atom objects. The declaration is all int but for the array
+    entries, which take the union-find either way."""
+    text = TEXTS[name]
+    plain = syntax.parse_program(text)
+    pred, sorts = next(iter(plain.signatures.items()))
+    arrays = any(isinstance(a, (ReadAtom, WriteAtom)) for c in plain.clauses for a in c.constraint)
+    assert arrays or all(s is Sort.INT for s in sorts)
+    declared = syntax.parse_program(
+        f":- sorts {pred}({', '.join(s.value for s in sorts)}).\n" + text
+    )
+    assert list(declared.clauses) == list(plain.clauses)
+    assert list(declared.signatures.items()) == list(plain.signatures.items())
+    assert _distinct_lin_atoms(declared) == _distinct_lin_atoms(plain)
