@@ -11,11 +11,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import lia, oracle, smtlib, solver
+# each command imports the modules it needs in its handler, so that a run
+# loads only those
 from .errors import ChcError
-from .kernel import check_all_defs_unfolded, classify_sequence, parse_trace
-from .models import check_model, check_tight
-from .pairing import PairingConfig, iterate_pairing
 from .syntax import Program, parse_program, print_program, renumbered
 
 EXIT_OK = 0
@@ -30,15 +28,20 @@ def _read_program(path: str) -> Program:
     return parse_program(Path(path).read_text(encoding="utf-8-sig"))
 
 
-def _verdict_exit(v: lia.Verdict) -> int:
-    if v is lia.Verdict.PROVED:
+def _verdict_exit(v) -> int:
+    from .lia import Verdict
+
+    if v is Verdict.PROVED:
         return EXIT_OK
-    if v is lia.Verdict.DISPROVED:
+    if v is Verdict.DISPROVED:
         return EXIT_NEGATIVE
     return EXIT_UNKNOWN
 
 
 def _cmd_transform(args) -> int:
+    from .kernel import check_all_defs_unfolded, classify_sequence
+    from .pairing import PairingConfig, iterate_pairing
+
     prog = _read_program(args.input)
     goals = prog.goals()
     if args.query == "auto":
@@ -92,8 +95,11 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_check_model(args) -> int:
+    from .models import check_model
+    from .smtlib import parse_model
+
     prog = _read_program(args.program)
-    sigma = smtlib.parse_model(Path(args.model).read_text(encoding="utf-8-sig"))
+    sigma = parse_model(Path(args.model).read_text(encoding="utf-8-sig"))
     res = check_model(prog, sigma)
     for cid, v in res.per_clause:
         print(f"clause {cid}: {v.value}")
@@ -104,8 +110,11 @@ def _cmd_check_model(args) -> int:
 
 
 def _cmd_check_tight(args) -> int:
+    from .models import check_tight
+    from .smtlib import parse_model
+
     prog = _read_program(args.defs)
-    sigma = smtlib.parse_model(Path(args.model).read_text(encoding="utf-8-sig"))
+    sigma = parse_model(Path(args.model).read_text(encoding="utf-8-sig"))
     v = check_tight(prog, sigma)
     print(f"tight: {v.value}")
     return _verdict_exit(v)
@@ -120,6 +129,8 @@ def _parse_box(text: str) -> tuple[int, int]:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
+
     prog = _read_program(args.program)
     lo, hi = _parse_box(args.box)
     budget = oracle.OracleBudget(args.depth, lo, hi)
@@ -140,13 +151,17 @@ def _cmd_oracle(args) -> int:
 def _cmd_emit(args) -> int:
     prog = _read_program(args.program)
     if args.format == "smtlib":
-        sys.stdout.write(smtlib.emit_smtlib(prog))
+        from .smtlib import emit_smtlib
+
+        sys.stdout.write(emit_smtlib(prog))
     else:
         sys.stdout.write(print_program(prog))
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
+    from . import solver
+
     prog = _read_program(args.program)
     cmd = args.solver or os.environ.get(SOLVER_ENV)
     if not cmd:
@@ -172,6 +187,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_validate_trace(args) -> int:
+    from .kernel import check_all_defs_unfolded, classify_sequence, parse_trace
+
     steps = parse_trace(Path(args.trace).read_text(encoding="utf-8-sig"))
     ok, offenders = check_all_defs_unfolded(steps)
     rep = classify_sequence(steps)

@@ -11,7 +11,6 @@ replacement transport models unchanged.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -19,8 +18,6 @@ from . import lia
 from .errors import ModelError, TransportError
 from .lia import QuantDisj, Verdict, qd_conjoin, qd_false, qd_of, qd_subst, qd_true
 from .syntax import Atom, Clause, ConstraintConj, Program, Sort, Var, rename_apart
-
-log = logging.getLogger(__name__)
 
 
 class SymbolicInterpretation:
@@ -196,7 +193,9 @@ def transport_unfold_inverse(
     if unfolded_head is not None and unfolded_head == pred:
         raise TransportError("the inverse construction requires a non-self-unfolding")
     if not matching:
-        log.debug("unfold-inverse of %s with no clauses: using false", pred)
+        import logging
+
+        logging.getLogger(__name__).debug("unfold-inverse of %s with no clauses: using false", pred)
         params_guess: tuple[Var, ...] = ()
         if sigma_after.defines(pred):
             params_guess = sigma_after.entry(pred)[0]

@@ -16,7 +16,7 @@ into quantified disjunctions.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .errors import ModelError, ParseError, SortMismatch
 from .lia import (
@@ -27,7 +27,6 @@ from .lia import (
     qd_rename_exists_fresh,
     qd_true,
 )
-from .models import SymbolicInterpretation
 from .syntax import (
     ArrEqAtom,
     Atom,
@@ -43,6 +42,10 @@ from .syntax import (
     WriteAtom,
     fresh_name,
 )
+
+# at run time only parse_model imports models: emitting needs none of it
+if TYPE_CHECKING:
+    from .models import SymbolicInterpretation
 
 _SORT_SMT = {Sort.INT: "Int", Sort.ARRAY: "(Array Int Int)"}
 
@@ -425,6 +428,8 @@ def parse_model(text: str) -> SymbolicInterpretation:
     (declare-fun name (sorts) sort) or (define-fun name ((param sort)...)
     Bool formula), optionally wrapped in one (model ...) form.
     """
+    from .models import SymbolicInterpretation
+
     forms = _read_forms(text)
     # tolerate a (model ...) wrapper
     flat = []

@@ -52,6 +52,7 @@ def _run(payload: str, cfg: SolverConfig) -> SolveResult:
             input=payload,
             capture_output=True,
             text=True,
+            encoding="utf-8",
             timeout=cfg.timeout_seconds,
         )
     except subprocess.TimeoutExpired:

@@ -1,5 +1,6 @@
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -238,24 +239,42 @@ def test_a_byte_order_mark_changes_no_model_check(tmp_path, capsys):
     assert capsys.readouterr().out == want and "overall: proved" in want
 
 
-def test_files_are_read_and_written_without_the_locale(tmp_path):
-    """Every file the CLI opens names its encoding, so a run that turns
-    EncodingWarning into an error still succeeds."""
+def _run_strict(*argv) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter that turns EncodingWarning into an error."""
     src = str(Path(chcpair.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     strict = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
               "-m", "chcpair.cli"]
+    return subprocess.run(strict + [str(a) for a in argv], env=env, capture_output=True,
+                          text=True, encoding="utf-8", timeout=120)
+
+
+def test_files_are_read_and_written_without_the_locale(tmp_path):
+    """Every file the CLI opens names its encoding, so a run that turns
+    EncodingWarning into an error still succeeds."""
     out, trace = tmp_path / "out.chc", tmp_path / "run.trace"
-    for argv, code in [
-        (["transform", CORPUS_DIR / "sum_square.chc", "-o", out, "--trace", trace], 0),
-        (["emit", out], 0),
-        (["validate-trace", trace], 0),
-        (["check-model", CORPUS_DIR / "sum_upto.chc",
-          ROOT / "bench_e2e" / "inputs" / "handwritten" / "sum_upto.smt2"], 0),
+    for argv in [
+        ["transform", CORPUS_DIR / "sum_square.chc", "-o", out, "--trace", trace],
+        ["emit", out],
+        ["validate-trace", trace],
+        ["check-model", CORPUS_DIR / "sum_upto.chc",
+         ROOT / "bench_e2e" / "inputs" / "handwritten" / "sum_upto.smt2"],
+        ["check-tight", ROOT / "bench_e2e" / "inputs" / "defs" / "sum_square.chc",
+         ROOT / "bench_e2e" / "inputs" / "models" / "sum_square.smt2"],
+        ["oracle", CORPUS_DIR / "sum_upto.chc", "--depth", "3", "--box", "0..3"],
     ]:
-        proc = subprocess.run(strict + [str(a) for a in argv], env=env, capture_output=True,
-                              text=True, encoding="utf-8", timeout=120)
-        assert proc.returncode == code, proc.stderr
+        proc = _run_strict(*argv)
+        assert proc.returncode == 0, proc.stderr
+
+
+def test_solver_pipes_are_decoded_without_the_locale():
+    """The solver's stdin and stdout are UTF-8 whatever the locale, so a
+    strict run reads the sat answer; an EncodingWarning there would exit 1,
+    which means Unsat."""
+    solver = f"{shlex.quote(sys.executable)} -c \"print('sat')\""
+    proc = _run_strict("solve", CORPUS_DIR / "hl.chc", "--solver", solver)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "sat\n"
 
 
 MALFORMED_MODELS = [
