@@ -31,10 +31,11 @@ starts with its parent's, so it reduces the clause it unfolds once, grows
 each child's reduction from it, and grows each grandchild's from its
 child's (`reduction(c, base=...)`).
 A reduction owns the answers asked of it, the way an incremental solver
-scopes its state to a context: its decision and its generic witnesses are
-memoised on it when first asked, and freed with it. A caller that holds
-c's reduction passes it (`reduced=`) to the queries on c, which check only
-that it records c; the module keeps no answer between calls.
+scopes its state to a context: its decision, its generic witnesses and its
+Proved or Disproved atom entailments are memoised on it when first asked,
+and freed with it. A caller that holds c's reduction passes it
+(`reduced=`) to the queries on c, which check only that it records c; the
+module keeps no answer between calls.
 An entailment c -> a asks for each negation n of a whether c and n is
 satisfiable; these queries extend c's reduction, the caller's or one built
 for the call. `entails_atom` first settles what the reduction alone
@@ -65,13 +66,18 @@ two integer solutions of d's linear atoms. One Fourier-Motzkin run per
 disequality branch, up to the first branch that yields the first solution,
 back-substitutes every variable towards its own distant target value, the
 i-th towards 1000*(i+1) and then towards -1000*(i+1), and a solution is
-kept only if it evaluates true on every atom. A candidate pair (x, y) that
-a kept solution w separates, with w[x] != w[y] or with x or y absent from
-d's linear atoms (w can then give it any value), is dropped without a
-query. This cannot change the answer: w satisfies d and one of the two
-negations x < y, x > y, so that negation query cannot be Disproved (a
-Disproved answer is sound over the integers), entails_equality cannot
-return Proved, and eq_set counts anything but Proved as "not equal". A pair
+kept only if it holds on every row of d's atoms as lowered, read by
+variable position, as is every Fourier-Motzkin point: the way a simplex
+solver checks an assignment on its own tableau rows (Dutertre & de Moura,
+"A Fast Linear-Arithmetic Solver for DPLL(T)", CAV 2006). A candidate pair
+(x, y) that a kept solution w separates, with w[x] != w[y] or with x or y
+absent from d's linear atoms (w can then give it any value), is dropped
+without a query: eq_set groups b's variables by their values, and x meets
+only its own group. This cannot change the answer: w satisfies d and one
+of the two negations x < y, x > y, so that negation query cannot be
+Disproved (a Disproved answer is sound over the integers),
+entails_equality cannot return Proved, and eq_set counts anything but
+Proved as "not equal". A pair
 that every kept solution leaves equal is settled by Gauss when it can be:
 on an unsatisfiable reduction of d, or when x - y is ground 0 under d's
 Gauss definitions, it is Proved, as its two negation queries would be
@@ -325,7 +331,10 @@ def _backsubst_witness(
         hi = None
         for c, k in vrows:
             a = c[v]
-            s = k + sum(cc * env[i] for i, cc in c.items() if i != v)
+            s = k
+            for i, cc in c.items():
+                if i != v:
+                    s += cc * env[i]
             # a*v + s <= 0
             if a > 0:
                 bound = (-s) // a  # v <= floor(-s/a)
@@ -394,29 +403,31 @@ def _le_branches(sys_: _System, ne_rows) -> list[list[tuple[dict[int, int], int]
     return branches
 
 
-def _verify_env(atoms: Sequence[LinAtom], env: Mapping[Var, int]) -> bool:
-    return all(boxes.eval_atom(a, env) for a in atoms)
+def _rows_hold(rows, env) -> bool:
+    """Whether every row (coeffs by position, k, rel) holds at the point
+    env, indexed by position."""
+    for coeffs, k, rel in rows:
+        for i, c in coeffs.items():
+            k += c * env[i]
+        if not boxes.row_holds(k, rel):
+            return False
+    return True
 
 
 def _subst_row(
     coeffs: dict[int, int], k: int, v: int, a: int, dcoeffs: dict[int, int], dconst: int
 ):
     """The row with its coefficient a on v replaced by a * (sum(dcoeffs) +
-    dconst); a new dict, never changing the given one."""
-    merged = {i: c for i, c in coeffs.items() if i != v}
+    dconst); a new dict, never changing the given one. Its keys keep their
+    order, and new ones follow in dcoeffs' order."""
+    merged = dict(coeffs)
+    del merged[v]
     for i, c in dcoeffs.items():
         merged[i] = merged.get(i, 0) + a * c
-    return {i: c for i, c in merged.items() if c != 0}, k + a * dconst
-
-
-def _subst_rows(rows, v: int, dcoeffs: dict[int, int], dconst: int):
-    """The rows with v replaced by sum(dcoeffs) + dconst; new dicts, never
-    changing the given ones."""
-    out = []
-    for coeffs, k in rows:
-        a = coeffs.get(v)
-        out.append(_subst_row(coeffs, k, v, a, dcoeffs, dconst) if a else (coeffs, k))
-    return out
+    for i in dcoeffs:
+        if not merged[i]:
+            del merged[i]
+    return merged, k + a * dconst
 
 
 def _subst_defs(rows, defs):
@@ -466,7 +477,8 @@ def _gauss_reduce(sys_: _System, only: Optional[set[int]] = None):
     it pivots on those variables alone, and on the first by name in a row.
     Returns (defs, unsat) where defs is the substitution chain as
     (var_index, coeffs, const) meaning var = sum(coeffs) + const, recorded
-    in elimination order. Rewrites the system's le, eq and ne lists.
+    in elimination order. Rewrites, in the system's le, eq and ne lists,
+    only the rows that hold a pivot, each into a new dict.
     """
     defs: list[tuple[int, dict[int, int], int]] = []
     while True:
@@ -479,9 +491,11 @@ def _gauss_reduce(sys_: _System, only: Optional[set[int]] = None):
         # a*v + rest + k == 0  =>  v = -a*(rest + k)
         dcoeffs = {i: -a * c for i, c in coeffs.items() if i != unit}
         dconst = -a * k
-        sys_.le = _subst_rows(sys_.le, unit, dcoeffs, dconst)
-        sys_.eq = _subst_rows(sys_.eq, unit, dcoeffs, dconst)
-        sys_.ne = _subst_rows(sys_.ne, unit, dcoeffs, dconst)
+        for rows in (sys_.le, sys_.eq, sys_.ne):
+            for n, (coeffs, k) in enumerate(rows):
+                a = coeffs.get(unit)
+                if a:
+                    rows[n] = _subst_row(coeffs, k, unit, a, dcoeffs, dconst)
         defs.append((unit, dcoeffs, dconst))
     # ground rows may have appeared
     unsat = False
@@ -499,7 +513,10 @@ def _gauss_reduce(sys_: _System, only: Optional[set[int]] = None):
 def _apply_gauss_defs(defs, env: dict[int, int]):
     """Fill substituted variables back into a residual-variable assignment."""
     for v, dcoeffs, dconst in reversed(defs):
-        env[v] = dconst + sum(c * env.get(i, 0) for i, c in dcoeffs.items())
+        s = dconst
+        for i, c in dcoeffs.items():
+            s += c * env.get(i, 0)
+        env[v] = s
 
 
 @dataclass(eq=False)
@@ -513,10 +530,13 @@ class Reduction:
     every row as lowered), `defs` the Gauss definitions in elimination
     order, and `unsat` whether a ground row is false before or after Gauss.
     None of these changes once built, so one reduction serves any number of
-    queries and grows into any number of longer conjunctions. Two memos are
-    filled when first asked, and freed with the reduction: `decision`, the
-    verdict and witness of `satisfiable_with_witness`, and `generic`, the
-    verdict and points of `_generic_witnesses`.
+    queries and grows into any number of longer conjunctions. Three memos
+    are filled when first asked, and freed with the reduction: `decision`,
+    the verdict and witness of `satisfiable_with_witness`, `generic`, the
+    verdict and points of `_generic_witnesses`, and `entailed`, the Proved
+    or Disproved verdict of `entails_atom` per atom (an Unknown is asked
+    again). Every point is checked on `sys.rows`, the atoms' rows as
+    lowered, before it is kept.
     """
 
     conj: Optional[ConstraintConj]
@@ -526,6 +546,7 @@ class Reduction:
     unsat: bool
     decision: Optional[tuple[Verdict, Optional[dict[Var, int]]]] = None
     generic: Optional[tuple[Verdict, tuple[dict[Var, int], ...]]] = None
+    entailed: dict[LinAtom, Verdict] = field(default_factory=dict)
 
 
 _EMPTY = Reduction(ConstraintConj(), (), _System((), {}, [], [], [], [], False), [], False)
@@ -570,7 +591,7 @@ def _decide(r: Reduction) -> tuple[Verdict, Optional[dict[Var, int]]]:
         w = boxes.find_solution(boxes.BoxSystem(r.sys.vars, r.sys.rows), -_PROBE_BOX, _PROBE_BOX)
         if w is not None:
             return Verdict.PROVED, w
-    verdict, (w,) = _branch_witness(r.atoms, r.sys, r.defs)
+    verdict, (w,) = _branch_witness(r.sys, r.defs)
     return verdict, w
 
 
@@ -611,7 +632,6 @@ def _own(c: ConstraintConj, reduced: Optional[Reduction]) -> Reduction:
 
 
 def _branch_witness(
-    atoms: Sequence[LinAtom],
     sys_: _System,
     gdefs,
     targets: Sequence[Optional[Sequence[int]]] = (None,),
@@ -620,10 +640,12 @@ def _branch_witness(
 
     Each feasible branch back-substitutes, from its one elimination, every
     target (indexed like sys_.vars; None aims at 0) that has no point yet,
-    and keeps a point that satisfies `atoms`. The branches stop at the first
-    point for targets[0]. Returns the verdict and one point or None per
-    target: Proved when some target has a point, Disproved when every branch
-    is infeasible over the rationals, Unknown otherwise.
+    and keeps a point that satisfies every row of sys_.rows, the atoms'
+    rows as lowered, read by position. The branches stop at the first
+    point for targets[0]. Returns the verdict and one point, keyed by
+    variable, or None per target: Proved when some target has a point,
+    Disproved when every branch is infeasible over the rationals, Unknown
+    otherwise.
     """
     points: list[Optional[dict[Var, int]]] = [None] * len(targets)
     if 2 ** len(sys_.ne) > NEQ_SPLIT_CAP:
@@ -648,9 +670,8 @@ def _branch_witness(
             envi = _backsubst_witness(stages, range(len(sys_.vars)), target)
             if envi is not None:
                 _apply_gauss_defs(gdefs, envi)
-                env = {v: envi[i] for i, v in enumerate(sys_.vars)}
-                if _verify_env(atoms, env):
-                    points[t] = env
+                if _rows_hold(sys_.rows, envi):
+                    points[t] = {v: envi[i] for i, v in enumerate(sys_.vars)}
         if points[0] is not None:
             break
     if any(p is not None for p in points):
@@ -763,16 +784,25 @@ def entails_atom(
     is Proved without a query: c, or c with each negation of the atom, is
     unsatisfiable.
     Otherwise the negations of the atom are asked, each extending the
-    reduction.
+    reduction. A Proved or Disproved answer is memoised on the reduction
+    (its `entailed`), so asking again with it decides nothing; an Unknown
+    is asked again, resolver included.
     """
     reduced = _own(c, reduced)
+    verdict = reduced.entailed.get(atom)
+    if verdict is not None:
+        return verdict
     if (
         reduced.unsat
         or (reduced.decision is not None and reduced.decision[0] is Verdict.DISPROVED)
         or _entailed_atoms(reduced, (atom,))
     ):
-        return Verdict.PROVED
-    return _refute_each(c, ([na] for na in negate_linatom(atom)), reduced)
+        verdict = Verdict.PROVED
+    else:
+        verdict = _refute_each(c, ([na] for na in negate_linatom(atom)), reduced)
+    if verdict is not Verdict.UNKNOWN:
+        reduced.entailed[atom] = verdict
+    return verdict
 
 
 def entails_equality(
@@ -803,7 +833,7 @@ def _generic_witnesses(reduced: Reduction) -> tuple[Verdict, tuple[dict[Var, int
         else:
             n = len(reduced.sys.vars)
             targets = [[sign * _WITNESS_SPREAD * (i + 1) for i in range(n)] for sign in (1, -1)]
-            verdict, points = _branch_witness(reduced.atoms, reduced.sys, reduced.defs, targets)
+            verdict, points = _branch_witness(reduced.sys, reduced.defs, targets)
             reduced.generic = verdict, tuple(w for w in points if w is not None)
     return reduced.generic
 
@@ -819,31 +849,38 @@ def eq_set(
     caller has it; otherwise d is reduced here. A pair is settled before it
     is asked: a pair that a generic witness of d, memoised on the
     reduction, separates is not entailed and is skipped (see the module
-    docstring); on an unsatisfiable reduction, or when x - y is ground 0
-    under its Gauss definitions, the pair is entailed (`entails_atom`). Only
-    the others are asked, extending the reduction.
+    docstring), so each x of a meets only the variables of b that share its
+    values under every witness, in b's order; on an unsatisfiable
+    reduction, or when x - y is ground 0 under its Gauss definitions, the
+    pair is entailed (`entails_atom`). Only the others are asked, extending
+    the reduction.
     """
     reduced = _own(d, reduced)
     witnesses = _generic_witnesses(reduced)[1]
-    out = []
+
+    def values(v: Var) -> Optional[tuple[int, ...]]:
+        # None for a variable that no witness leaves equal to another one
+        try:
+            return tuple([w[v] for w in witnesses]) if v.sort is Sort.INT else None
+        except KeyError:  # absent from d's linear atoms
+            return None
+
+    avars, bvars = a.vars(), b.vars()
+    # x's candidates: the variables of b that every witness leaves equal to x
+    group: dict[tuple[int, ...], list[Var]] = {}
+    for y in bvars:
+        key = values(y)
+        if key is not None:
+            group.setdefault(key, []).append(y)
+    out = [(x, x) for x in avars if x in bvars]
     seen: set[frozenset[str]] = set()
-    for x in a.vars():
-        for y in b.vars():
-            if x == y:
-                key = frozenset((x.name,))
-                ok = True
-            elif x.sort is Sort.INT and y.sort is Sort.INT:
-                key = frozenset((x.name, y.name))
-                if key in seen:
-                    continue
-                if any(x not in w or y not in w or w[x] != w[y] for w in witnesses):
-                    continue
-                ok = entails_equality(d, x, y, reduced=reduced) is Verdict.PROVED
-            else:
-                continue
-            if ok and key not in seen:
-                seen.add(key)
-                out.append((x, y))
+    for x in avars:
+        for y in group.get(values(x), ()):
+            pair = frozenset((x.name, y.name))
+            if x != y and pair not in seen:
+                if entails_equality(d, x, y, reduced=reduced) is Verdict.PROVED:
+                    seen.add(pair)
+                    out.append((x, y))
     return tuple(sorted(out, key=lambda p: (p[0].name, p[1].name)))
 
 

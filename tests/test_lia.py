@@ -454,11 +454,50 @@ def _eq_set_reference(d, a, b):
     return tuple(sorted(out, key=lambda p: (p[0].name, p[1].name)))
 
 
-def test_eq_set_matches_pairwise_reference():
+def _eq_set_pair_loop(d, a, b, reduced):
+    """eq_set as a loop over every pair of a's and b's variables, in order,
+    that skips a pair a generic witness separates and asks the others."""
+    witnesses = lia._generic_witnesses(reduced)[1]
+    out = []
+    seen = set()
+    for x in a.vars():
+        for y in b.vars():
+            if x == y:
+                key = frozenset((x.name,))
+                ok = True
+            elif x.sort is Sort.INT and y.sort is Sort.INT:
+                key = frozenset((x.name, y.name))
+                if key in seen:
+                    continue
+                if any(x not in w or y not in w or w[x] != w[y] for w in witnesses):
+                    continue
+                ok = lia.entails_equality(d, x, y, reduced=reduced) is Verdict.PROVED
+            else:
+                continue
+            if ok and key not in seen:
+                seen.add(key)
+                out.append((x, y))
+    return tuple(sorted(out, key=lambda p: (p[0].name, p[1].name)))
+
+
+def test_eq_set_matches_pairwise_reference(monkeypatch):
+    """eq_set answers as one query per pair does, and asks entails_equality
+    the same pairs in the same order as the pair loop, also with an array
+    variable that a and b share and with a variable of a that d lacks."""
     rng = random.Random(46)
     pool = [V(n) for n in ["X", "Y", "Z", "W", "U"]]
+    array, absent = Var("A", Sort.ARRAY), V("Q")
+    asked = []
+    ask = lia.entails_equality
+
+    def recording(d, x, y, *, reduced=None):
+        asked.append((x, y))
+        return ask(d, x, y, reduced=reduced)
+
+    monkeypatch.setattr(lia, "entails_equality", recording)
     deadline = time.monotonic() + 5.0
-    cases = entailed = 0
+    seen = collections.Counter()
+    cases = 0
     while cases < 400 and time.monotonic() < deadline:
         d = _random_conj(rng)
         # chained equalities make some pairs entailed, not only disproved
@@ -466,19 +505,35 @@ def test_eq_set_matches_pairwise_reference():
             u, w = rng.sample(pool, 2)
             shift = LinExpr.build({w: 1}, rng.choice([0, 0, 1]))
             d = ConstraintConj(d.atoms + (LinAtom(LinExpr.of(u), Rel.EQ, shift),))
-        a = Atom("p", tuple(rng.sample(pool, rng.randint(1, 3))))
-        b = Atom("q", tuple(rng.sample(pool, rng.randint(1, 3))))
+        a_args = rng.sample(pool, rng.randint(1, 3))
+        b_args = rng.sample(pool, rng.randint(1, 3))
+        if rng.random() < 0.2:
+            a_args.insert(rng.randint(0, len(a_args)), array)
+            b_args.insert(rng.randint(0, len(b_args)), array)
+            seen["shared array"] += 1
+        if rng.random() < 0.2:
+            a_args.insert(rng.randint(0, len(a_args)), absent)
+            seen["absent from d"] += 1
+        a, b = Atom("p", tuple(a_args)), Atom("q", tuple(b_args))
         got = eq_set(d, a, b)
         want = _eq_set_reference(d, a, b)
         assert got == want, f"eq_set differs on {d}, {a}, {b}"
         # with the caller's reduction, which keeps the witnesses
         r = lia.reduction(d)
+        asked.clear()
         assert eq_set(d, a, b, reduced=r) == want, f"{d}, {a}, {b}"
+        got_asked = list(asked)
+        asked.clear()
+        assert _eq_set_pair_loop(d, a, b, lia.reduction(d)) == want
+        assert got_asked == asked, f"{d}, {a}, {b}"
         for witness in r.generic[1]:
             assert all(boxes.eval_atom(at, witness) for at in d.lin_atoms())
-        entailed += any(x != y for x, y in got)
+        seen["entailed"] += any(x != y for x, y in got)
+        seen["asked several"] += len(asked) > 1
         cases += 1
-    assert cases >= 50 and entailed > 0
+    assert cases >= 50
+    for key in ("entailed", "asked several", "shared array", "absent from d"):
+        assert seen[key] > 0, (key, seen)
 
 
 @given(st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 5))
@@ -614,7 +669,7 @@ def _reference_sat(atoms):
     gdefs, unsat = _reference_gauss(sys_)
     if unsat:
         return Verdict.DISPROVED, None
-    verdict, (w,) = lia._branch_witness(atoms, sys_, gdefs)
+    verdict, (w,) = lia._branch_witness(sys_, gdefs)
     return verdict, w
 
 
@@ -748,6 +803,69 @@ def test_unknown_extension_goes_to_the_resolver_as_the_whole_conjunction():
         assert asked == [full, full, c]
     finally:
         install_unknown_resolver(None)
+
+
+def test_a_point_that_breaks_one_row_is_no_witness(monkeypatch):
+    """A back-substituted point is checked on every row as lowered: one that
+    breaks a single LE, EQ or NE row is neither the decision's witness nor
+    a generic witness. Each breaking point leaves its row's sum on the side
+    that a misread relation would accept (an EQ row at -3, an LE row at
+    +3, an NE row at 0)."""
+    # X >= 10 keeps the box probe from answering; no unit coefficient, no Gauss
+    c = conj("X >= 10, 2*X + 3*Y = 50, Z =\\= 7")
+    index = lia.reduction(c).sys.index
+    good = {"X": 10, "Y": 10, "Z": 0}
+    broken = {
+        "LE": {"X": 7, "Y": 12, "Z": 0},
+        "EQ": {"X": 10, "Y": 9, "Z": 0},
+        "NE": {"X": 10, "Y": 10, "Z": 7},
+    }
+    for point, breaks in [(good, None)] + [(p, rel) for rel, p in broken.items()]:
+        at = {index[V(n)]: value for n, value in point.items()}
+        monkeypatch.setattr(lia, "_backsubst_witness", lambda *args, at=at: dict(at))
+        held = [boxes.eval_atom(a, {V(n): x for n, x in point.items()}) for a in c.lin_atoms()]
+        assert held.count(False) == (0 if breaks is None else 1), breaks
+        r = lia.reduction(c)
+        got = satisfiable_with_witness(c, reduced=r)
+        generic = lia._generic_witnesses(lia.reduction(c))
+        if breaks is None:
+            assert got == (Verdict.PROVED, {V(n): x for n, x in point.items()})
+            assert generic[1] == ({V(n): x for n, x in point.items()},) * 2
+        else:
+            assert got == (Verdict.UNKNOWN, None), breaks
+            assert generic == (Verdict.UNKNOWN, ()), breaks
+
+
+def test_entails_atom_memoises_proved_and_disproved_on_the_reduction(monkeypatch):
+    """A second entails_atom of one atom on one reduction asks no query for
+    a Proved or a Disproved answer; an Unknown is asked again."""
+    calls = []
+    refute = lia._refute_each
+
+    def counting(*args):
+        calls.append(args)
+        return refute(*args)
+
+    monkeypatch.setattr(lia, "_refute_each", counting)
+    c = conj("X >= 0, Y >= X")
+    r = lia.reduction(c)
+    for text, want in (("Y >= 0", Verdict.PROVED), ("Y >= 1", Verdict.DISPROVED)):
+        (atom,) = conj(text).lin_atoms()
+        calls.clear()
+        assert lia.entails_atom(c, atom, reduced=r) is want
+        assert len(calls) == 1, text
+        assert lia.entails_atom(c, atom, reduced=r) is want
+        assert len(calls) == 1 and r.entailed[atom] is want, text
+        # another reduction of c has its own memo
+        assert lia.entails_atom(c, atom) is want and len(calls) == 2, text
+    # seven disequalities: beyond the case-split cap and the probe
+    c = conj("A =\\= B, B =\\= C, C =\\= D, D =\\= E, E =\\= F, F =\\= G, G =\\= A")
+    (atom,) = conj("A =< 100").lin_atoms()
+    r = lia.reduction(c)
+    calls.clear()
+    assert lia.entails_atom(c, atom, reduced=r) is Verdict.UNKNOWN
+    assert lia.entails_atom(c, atom, reduced=r) is Verdict.UNKNOWN
+    assert len(calls) == 2 and r.entailed == {}
 
 
 _ARRAYS = [Var("A", Sort.ARRAY), Var("B", Sort.ARRAY)]
@@ -958,6 +1076,7 @@ def test_lia_keeps_no_answer_between_operations():
             if not name.startswith("__") and isinstance(value, (dict, list, set))]
     assert held == []
     assert lia._EMPTY.decision is None and lia._EMPTY.generic is None
+    assert lia._EMPTY.entailed == {}
 
 
 # --- implications between quantified disjunctions ---------------------------
