@@ -21,8 +21,9 @@ variables, its Gauss definitions are substituted into them, and Gauss
 resumes, without touching the old rows. `reduction(c)` grows the empty
 reduction by c's linear atoms and records c. `_decide` then runs the box
 probe on all rows as lowered when there are at most `_PROBE_MAX_VARS`
-variables, and otherwise Fourier-Motzkin with witness back-substitution on
-each disequality branch. Since the old
+variables, and otherwise Fourier-Motzkin on each disequality branch, with
+back-substitution towards each of its target points; it returns the
+verdict with every point it verified. Since the old
 rows come first and Gauss always pivots on the first EQ row with a unit
 coefficient, a grown reduction, its answer and its witness are those of a
 reduction from scratch, however long the chain of prefixes it grew from.
@@ -31,11 +32,11 @@ starts with its parent's, so it reduces the clause it unfolds once, grows
 each child's reduction from it, and grows each grandchild's from its
 child's (`reduction(c, base=...)`).
 A reduction owns the answers asked of it, the way an incremental solver
-scopes its state to a context: its decision, its generic witnesses and its
-Proved or Disproved atom entailments are memoised on it when first asked,
-and freed with it. A caller that holds c's reduction passes it
-(`reduced=`) to the queries on c, which check only that it records c; the
-module keeps no answer between calls.
+scopes its state to a context: its decision, whose points serve both
+satisfiability and eq_set, and its Proved or Disproved atom entailments are
+memoised on it when first asked, and freed with it. A caller that holds
+c's reduction passes it (`reduced=`) to the queries on c, which check only
+that it records c; the module keeps no answer between calls.
 An entailment c -> a asks for each negation n of a whether c and n is
 satisfiable; these queries extend c's reduction, the caller's or one built
 for the call. `entails_atom` first settles what the reduction alone
@@ -61,16 +62,18 @@ since d entails anything; strategy code removes unsatisfiable clauses
 before asking.
 
 Witness filtering in eq_set (implied-equality detection as in Simplify,
-Detlefs, Nelson & Saxe, JACM 2005): for each d, eq_set first computes up to
-two integer solutions of d's linear atoms. One Fourier-Motzkin run per
-disequality branch, up to the first branch that yields the first solution,
-back-substitutes every variable towards its own distant target value, the
-i-th towards 1000*(i+1) and then towards -1000*(i+1), and a solution is
-kept only if it holds on every row of d's atoms as lowered, read by
-variable position, as is every Fourier-Motzkin point: the way a simplex
+Detlefs, Nelson & Saxe, JACM 2005, and model-based theory combination, de
+Moura & Bjorner, SMT 2007): eq_set reads the points of d's one decision,
+the one that also answers is_satisfiable. Past the box probe, one
+Fourier-Motzkin run per disequality branch, up to the first branch that
+yields the first point, back-substitutes every variable towards its own
+distant target value, the i-th towards 1000*(i+1) and then towards
+-1000*(i+1), and towards 0 only on a branch where neither gives a point.
+A point is kept only if it holds on every row of d's atoms as lowered, read
+by variable position, as is every Fourier-Motzkin point: the way a simplex
 solver checks an assignment on its own tableau rows (Dutertre & de Moura,
 "A Fast Linear-Arithmetic Solver for DPLL(T)", CAV 2006). A candidate pair
-(x, y) that a kept solution w separates, with w[x] != w[y] or with x or y
+(x, y) that a kept point w separates, with w[x] != w[y] or with x or y
 absent from d's linear atoms (w can then give it any value), is dropped
 without a query: eq_set groups b's variables by their values, and x meets
 only its own group. This cannot change the answer: w satisfies d and one
@@ -78,17 +81,16 @@ of the two negations x < y, x > y, so that negation query cannot be
 Disproved (a Disproved answer is sound over the integers),
 entails_equality cannot return Proved, and eq_set counts anything but
 Proved as "not equal". A pair
-that every kept solution leaves equal is settled by Gauss when it can be:
+that every kept point leaves equal is settled by Gauss when it can be:
 on an unsatisfiable reduction of d, or when x - y is ground 0 under d's
 Gauss definitions, it is Proved, as its two negation queries would be
 refuted. Only the rest are sent to entails_equality, and their queries
-extend that reduction of d. The solutions are memoised on the reduction,
+extend that reduction of d. The decision is memoised on the reduction,
 since pair selection asks eq_set about every atom pair of one clause
-constraint. The pairing strategy's R4 check fills the memo:
-`satisfiable_generic` decides each unfolded clause that goes on to pair
-selection with the same Fourier-Motzkin runs that give its solutions, whose
-Disproved is exactly `is_satisfiable`'s, and the clause that survives keeps
-its reduction for eq_set and the folding checks.
+constraint. The pairing strategy's R4 check makes it: each unfolded clause
+is decided once, and the clause that survives keeps its reduction, points
+included, for eq_set and the folding checks. A query that extends a
+reduction answers once and is thrown away, so it aims at 0 alone.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ DNF_CAP = 1024          # max disjuncts when distributing to DNF (2^10)
 _PROBE_BOX = 2          # quick witness probe over [-2,2]^n
 _PROBE_MAX_VARS = 6
 _FM_ROW_CAP = 20000
-_WITNESS_SPREAD = 1000  # gap between the target values of eq_set witnesses
+_WITNESS_SPREAD = 1000  # gap between the target values of a decision's points
 
 
 class Verdict(enum.Enum):
@@ -313,19 +315,18 @@ def _fm_eliminate(rows: list[tuple[dict[int, int], int]], elim: Sequence[int]):
     return rows, stages, exact
 
 
-def _backsubst_witness(
-    stages, free_idx: Iterable[int], target: Optional[Sequence[int]] = None
-) -> Optional[dict[int, int]]:
-    """Build an integer point from recorded elimination stages.
+def _backsubst_witness(stages, target: Sequence[int]) -> Optional[dict[int, int]]:
+    """Build an integer point, indexed like target, from recorded
+    elimination stages.
 
     Variables are assigned in reverse elimination order: at each stage the
     recorded rows only mention the stage variable and later-assigned ones,
     so they reduce to numeric bounds. Each variable takes its target value
-    (0 without a target) when its bounds admit it; otherwise its only bound,
-    or its lower bound when it has two. Free variables take their target.
+    when its bounds admit it; otherwise its only bound, or its lower bound
+    when it has two. Variables that no stage eliminates keep their target.
     May fail (None) when the rational interval contains no integer.
     """
-    env: dict[int, int] = {i: 0 if target is None else target[i] for i in free_idx}
+    env = dict(enumerate(target))
     for v, vrows in reversed(stages):
         lo = None
         hi = None
@@ -345,7 +346,7 @@ def _backsubst_witness(
                 lo = bound if lo is None else max(lo, bound)
         if lo is not None and hi is not None and lo > hi:
             return None
-        t = 0 if target is None else target[v]
+        t = target[v]
         if lo is None and hi is None:
             env[v] = t
         elif lo is None:
@@ -519,6 +520,10 @@ def _apply_gauss_defs(defs, env: dict[int, int]):
         env[v] = s
 
 
+# a verdict and the points that were verified on the way to it
+_Decision = tuple[Verdict, tuple[dict[Var, int], ...]]
+
+
 @dataclass(eq=False)
 class Reduction:
     """A conjunction's linear atoms, lowered and Gauss-reduced once, and the
@@ -530,13 +535,13 @@ class Reduction:
     every row as lowered), `defs` the Gauss definitions in elimination
     order, and `unsat` whether a ground row is false before or after Gauss.
     None of these changes once built, so one reduction serves any number of
-    queries and grows into any number of longer conjunctions. Three memos
-    are filled when first asked, and freed with the reduction: `decision`,
-    the verdict and witness of `satisfiable_with_witness`, `generic`, the
-    verdict and points of `_generic_witnesses`, and `entailed`, the Proved
-    or Disproved verdict of `entails_atom` per atom (an Unknown is asked
-    again). Every point is checked on `sys.rows`, the atoms' rows as
-    lowered, before it is kept.
+    queries and grows into any number of longer conjunctions. Two memos are
+    filled when first asked, and freed with the reduction: `decision`, the
+    verdict of `_decide` and every point it verified, once the resolver has
+    settled an Unknown, which `satisfiable_with_witness` and `eq_set` both
+    read; and `entailed`, the Proved or Disproved verdict of `entails_atom`
+    per atom (an Unknown is asked again). Every point is checked on
+    `sys.rows`, the atoms' rows as lowered, before it is kept.
     """
 
     conj: Optional[ConstraintConj]
@@ -544,8 +549,7 @@ class Reduction:
     sys: _System
     defs: list[tuple[int, dict[int, int], int]]
     unsat: bool
-    decision: Optional[tuple[Verdict, Optional[dict[Var, int]]]] = None
-    generic: Optional[tuple[Verdict, tuple[dict[Var, int], ...]]] = None
+    decision: Optional[_Decision] = None
     entailed: dict[LinAtom, Verdict] = field(default_factory=dict)
 
 
@@ -578,26 +582,29 @@ def _grow(
     return Reduction(conj, atoms, sys_, base.defs + defs, unsat)
 
 
-def _decide(r: Reduction) -> tuple[Verdict, Optional[dict[Var, int]]]:
-    """Satisfiability of a reduction's atoms, with a witness when Proved.
+def _decide(r: Reduction, target_signs: Sequence[int]) -> _Decision:
+    """Satisfiability of a reduction's atoms, with every point it verified.
 
     The box probe runs on the rows as lowered when there are at most
-    `_PROBE_MAX_VARS` variables, then Fourier-Motzkin on each disequality
-    branch of the rows left after Gauss.
+    `_PROBE_MAX_VARS` variables, and its point is the only one. Otherwise
+    Fourier-Motzkin runs on each disequality branch of the rows left after
+    Gauss, and back-substitutes one target per sign (`_branch_witness`):
+    the i-th variable aims at sign * _WITNESS_SPREAD * (i + 1).
     """
     if r.unsat:  # no probe point either: Gauss keeps every integer point
-        return Verdict.DISPROVED, None
-    if len(r.sys.vars) <= _PROBE_MAX_VARS:
+        return Verdict.DISPROVED, ()
+    n = len(r.sys.vars)
+    if n <= _PROBE_MAX_VARS:
         w = boxes.find_solution(boxes.BoxSystem(r.sys.vars, r.sys.rows), -_PROBE_BOX, _PROBE_BOX)
         if w is not None:
-            return Verdict.PROVED, w
-    verdict, (w,) = _branch_witness(r.sys, r.defs)
-    return verdict, w
+            return Verdict.PROVED, (w,)
+    targets = [[sign * _WITNESS_SPREAD * (i + 1) for i in range(n)] for sign in target_signs]
+    return _branch_witness(r.sys, r.defs, targets)
 
 
-def _extend(base: Reduction, extra: Sequence[LinAtom]) -> tuple[Verdict, Optional[dict[Var, int]]]:
-    """Decide base and extra without touching the base's rows again."""
-    return _decide(_grow(base, extra))
+def _extend(base: Reduction, extra: Sequence[LinAtom]) -> _Decision:
+    """Decide base and extra, aiming at 0, without touching the base's rows."""
+    return _decide(_grow(base, extra), (0,))
 
 
 def _rest(c: ConstraintConj, reduced: Reduction) -> tuple[LinAtom, ...]:
@@ -631,29 +638,24 @@ def _own(c: ConstraintConj, reduced: Optional[Reduction]) -> Reduction:
     return reduced
 
 
-def _branch_witness(
-    sys_: _System,
-    gdefs,
-    targets: Sequence[Optional[Sequence[int]]] = (None,),
-) -> tuple[Verdict, list[Optional[dict[Var, int]]]]:
+def _branch_witness(sys_: _System, gdefs, targets: Sequence[Sequence[int]]) -> _Decision:
     """Fourier-Motzkin on each disequality branch of a Gauss-reduced system.
 
     Each feasible branch back-substitutes, from its one elimination, every
-    target (indexed like sys_.vars; None aims at 0) that has no point yet,
-    and keeps a point that satisfies every row of sys_.rows, the atoms'
-    rows as lowered, read by position. The branches stop at the first
-    point for targets[0]. Returns the verdict and one point, keyed by
-    variable, or None per target: Proved when some target has a point,
-    Disproved when every branch is infeasible over the rationals, Unknown
-    otherwise.
+    target (indexed like sys_.vars) that has no point yet, the last one only
+    when no other target has one, and keeps a point that satisfies every
+    row of sys_.rows, the atoms' rows as lowered, read by position. The
+    branches stop at the first point for targets[0]. Returns the verdict and
+    the points kept, keyed by variable, in the order of their targets:
+    Proved when there is one, Disproved when every branch is infeasible over
+    the rationals, Unknown otherwise.
     """
     points: list[Optional[dict[Var, int]]] = [None] * len(targets)
     if 2 ** len(sys_.ne) > NEQ_SPLIT_CAP:
-        return Verdict.UNKNOWN, points
+        return Verdict.UNKNOWN, ()
     branches = _le_branches(sys_, sys_.ne)
-    residual = sorted(
-        {i for rows in branches for coeffs, _ in rows for i in coeffs}
-    )
+    residual = sorted({i for rows in branches for coeffs, _ in rows for i in coeffs})
+    last = len(targets) - 1
     undecided = False
     for rows in branches:
         try:
@@ -665,18 +667,19 @@ def _branch_witness(
             break
         undecided = True
         for t, target in enumerate(targets):
-            if points[t] is not None:
+            if points[t] is not None or (t == last and any(p is not None for p in points)):
                 continue
-            envi = _backsubst_witness(stages, range(len(sys_.vars)), target)
+            envi = _backsubst_witness(stages, target)
             if envi is not None:
                 _apply_gauss_defs(gdefs, envi)
                 if _rows_hold(sys_.rows, envi):
                     points[t] = {v: envi[i] for i, v in enumerate(sys_.vars)}
         if points[0] is not None:
             break
-    if any(p is not None for p in points):
-        return Verdict.PROVED, points
-    return (Verdict.UNKNOWN if undecided else Verdict.DISPROVED), points
+    kept = tuple(p for p in points if p is not None)
+    if kept:
+        return Verdict.PROVED, kept
+    return (Verdict.UNKNOWN if undecided else Verdict.DISPROVED), ()
 
 
 # optional hook consulted on Unknown verdicts, e.g. an external SMT solver
@@ -701,8 +704,18 @@ def _settle(hit, c: ConstraintConj, extra: tuple[LinAtom, ...] = ()):
     if hit[0] is Verdict.UNKNOWN and _UNKNOWN_RESOLVER is not None:
         resolved = _UNKNOWN_RESOLVER(ConstraintConj(c.atoms + extra) if extra else c)
         if resolved in (Verdict.PROVED, Verdict.DISPROVED):
-            hit = (resolved, None)
+            hit = (resolved, ())
     return hit
+
+
+def _decision(c: ConstraintConj, reduced: Reduction) -> _Decision:
+    """c's decision on its reduction: the verdict and the points of
+    `_decide`, aimed at distant targets and then at 0 (see the module
+    docstring), memoised on the reduction once the resolver has settled an
+    Unknown."""
+    if reduced.decision is None:
+        reduced.decision = _settle(_decide(reduced, (1, -1, 0)), c)
+    return reduced.decision
 
 
 def satisfiable_with_witness(
@@ -712,42 +725,16 @@ def satisfiable_with_witness(
 
     `reduced` is c's reduction when the caller has it (see `reduction`);
     otherwise c is reduced here. The decision is memoised on the reduction,
-    so asking again with it decides nothing; the witness returned is a copy.
-    The witness can be None for a Proved verdict that came from an installed
-    external resolver.
+    so asking again with it decides nothing; the witness returned is a copy
+    of its first point. The witness can be None for a Proved verdict that
+    came from an installed external resolver.
     """
-    reduced = _own(c, reduced)
-    if reduced.decision is None:
-        reduced.decision = _settle(_decide(reduced), c)
-    verdict, env = reduced.decision
-    return verdict, dict(env) if env is not None else None
+    verdict, points = _decision(c, _own(c, reduced))
+    return verdict, dict(points[0]) if points else None
 
 
 def is_satisfiable(c: ConstraintConj, *, reduced: Optional[Reduction] = None) -> Verdict:
     return satisfiable_with_witness(c, reduced=reduced)[0]
-
-
-def satisfiable_generic(c: ConstraintConj, reduced: Reduction) -> Verdict:
-    """Whether c is satisfiable, decided by the run that gives eq_set its
-    witnesses; `reduced` is c's reduction (`reduction`).
-
-    Fourier-Motzkin runs once on each disequality branch of `reduced`, and
-    the generic targets are back-substituted from it; the run is memoised
-    on the reduction, so eq_set asks for none. Disproved, every branch
-    infeasible, is exactly is_satisfiable's Disproved: `_decide` runs the
-    same eliminations on the same branches, and its box probe cannot find
-    an integer point where they find no rational one. It fills the
-    reduction's decision, so is_satisfiable on it decides nothing. Proved
-    does not: is_satisfiable's witness can differ. An Unknown is decided
-    by is_satisfiable, resolver included.
-    """
-    reduced = _own(c, reduced)
-    verdict = _generic_witnesses(reduced)[0]
-    if verdict is Verdict.DISPROVED:
-        reduced.decision = (Verdict.DISPROVED, None)
-    elif verdict is Verdict.UNKNOWN:
-        return is_satisfiable(c, reduced=reduced)
-    return verdict
 
 
 def _refute_each(
@@ -816,28 +803,6 @@ def entails_equality(
     return entails_atom(d, LinAtom(LinExpr.of(x), Rel.EQ, LinExpr.of(y)), reduced=reduced)
 
 
-def _generic_witnesses(reduced: Reduction) -> tuple[Verdict, tuple[dict[Var, int], ...]]:
-    """Integer solutions of the reduced atoms with few coincidental
-    equalities, memoised on the reduction (its `generic`).
-
-    Back-substitution aims every variable at its own target value, the
-    i-th at _WITNESS_SPREAD*(i+1) and then at -_WITNESS_SPREAD*(i+1), from
-    the same eliminations, so two variables share a value in both mostly
-    where the atoms force it. Returns the verdict of those eliminations and
-    the verified solutions: none when the atoms are unsatisfiable or beyond
-    the engine's caps.
-    """
-    if reduced.generic is None:
-        if reduced.unsat:
-            reduced.generic = Verdict.DISPROVED, ()
-        else:
-            n = len(reduced.sys.vars)
-            targets = [[sign * _WITNESS_SPREAD * (i + 1) for i in range(n)] for sign in (1, -1)]
-            verdict, points = _branch_witness(reduced.sys, reduced.defs, targets)
-            reduced.generic = verdict, tuple(w for w in points if w is not None)
-    return reduced.generic
-
-
 def eq_set(
     d: ConstraintConj, a: Atom, b: Atom, *, reduced: Optional[Reduction] = None
 ) -> tuple[tuple[Var, Var], ...]:
@@ -847,16 +812,16 @@ def eq_set(
     shared-variable pairs) and returned in lexicographic name order so
     strategy runs are deterministic. `reduced` is d's reduction when the
     caller has it; otherwise d is reduced here. A pair is settled before it
-    is asked: a pair that a generic witness of d, memoised on the
+    is asked: a pair that a point of d's decision, memoised on the
     reduction, separates is not entailed and is skipped (see the module
     docstring), so each x of a meets only the variables of b that share its
-    values under every witness, in b's order; on an unsatisfiable
-    reduction, or when x - y is ground 0 under its Gauss definitions, the
-    pair is entailed (`entails_atom`). Only the others are asked, extending
-    the reduction.
+    values under every point, in b's order; on an unsatisfiable reduction,
+    or when x - y is ground 0 under its Gauss definitions, the pair is
+    entailed (`entails_atom`). Only the others are asked, extending the
+    reduction.
     """
     reduced = _own(d, reduced)
-    witnesses = _generic_witnesses(reduced)[1]
+    witnesses = _decision(d, reduced)[1]
 
     def values(v: Var) -> Optional[tuple[int, ...]]:
         # None for a variable that no witness leaves equal to another one

@@ -199,12 +199,12 @@ def predicate_pairing(
     of Q and R are those that their clauses name.
 
     Each round unfolds a clause on its Q-atom and then on its R-atom, and
-    decides each unfolded clause once, on a reduction grown from its
-    parent's; an unsatisfiable one is deleted (rule R4). A clause that
-    still mixes Q and R atoms is decided by `lia.satisfiable_generic`,
-    which leaves the generic witnesses of `lia.eq_set` on its reduction.
-    That reduction then serves pair selection, definition matching and the
-    fold's entailment checks. A fold keeps the clause's constraint object:
+    decides each unfolded clause once (`lia.is_satisfiable`), on a
+    reduction grown from its parent's; an unsatisfiable one is deleted
+    (rule R4). The decision stays on the reduction with its points, which
+    `lia.eq_set` reads as its witnesses, and the reduction of a kept clause
+    then serves pair selection, definition matching and the fold's
+    entailment checks. A fold keeps the clause's constraint object:
     a definition's head holds every variable of its two atoms, so the
     definition has no existential variable to project. The kernel rechecks
     a deletion from the decision memoised on the reduction.
@@ -253,17 +253,11 @@ def predicate_pairing(
             c_reduced = lia.reduction(c.constraint, base=reduced)
             pos_r = next(i for i, a in enumerate(c.body) if a.pred in r_preds)
             unfolded.extend((g, c_reduced) for g in state.apply_unfold(c.cid, pos_r))
-        # silently remove clauses with unsatisfiable constraints (rule R4);
-        # the run that decides a clause that goes on to pair selection leaves
-        # the witnesses of its eq_set on its reduction
+        # silently remove clauses with unsatisfiable constraints (rule R4)
         kept: list[tuple[Clause, lia.Reduction]] = []
         for c, c_reduced in unfolded:
             r = lia.reduction(c.constraint, base=c_reduced)
-            if mixed(c):
-                verdict = lia.satisfiable_generic(c.constraint, r)
-            else:
-                verdict = lia.is_satisfiable(c.constraint, reduced=r)
-            if verdict is lia.Verdict.DISPROVED:
+            if lia.is_satisfiable(c.constraint, reduced=r) is lia.Verdict.DISPROVED:
                 state.apply_replace([c.cid], [], r)
             else:
                 kept.append((c, r))

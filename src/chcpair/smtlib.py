@@ -326,6 +326,7 @@ def _parse_expr(node, env: Mapping[str, Var], depth: int) -> LinExpr:
     op, args = _form(node, "a term")
     depth = _nest(pos, depth)
     if op == "+":
+        _arity(op, args, pos, 2, or_more=True)
         out = LinExpr.number(0)
         for a in args:
             out = out.add(_parse_expr(a, env, depth))
@@ -339,6 +340,7 @@ def _parse_expr(node, env: Mapping[str, Var], depth: int) -> LinExpr:
             out = out.sub(_parse_expr(a, env, depth))
         return out
     if op == "*":
+        _arity(op, args, pos, 2, or_more=True)
         exprs = [_parse_expr(a, env, depth) for a in args]
         consts = [e for e in exprs if e.is_const()]
         others = [e for e in exprs if not e.is_const()]
@@ -371,11 +373,7 @@ def _parse_formula(node, env: dict[str, Var], taken: set[str], depth: int) -> Qu
             nxt = _parse_expr(extra, env, depth)
             atoms.append(LinAtom(rhs, _REL_FROM_SMT[op], nxt))
             rhs = nxt
-        parts = [QuantDisj((), (ConstraintConj((a,)),)) for a in atoms]
-        out = qd_conjoin(parts)
-        if out is None:
-            raise ParseError("formula too large", *pos)
-        return out
+        return QuantDisj((), (ConstraintConj(tuple(atoms)),))
     if op == "and":
         parts = [_parse_formula(a, env, taken, depth) for a in args]
         out = qd_conjoin(parts) if parts else qd_true()
@@ -408,7 +406,11 @@ def _parse_formula(node, env: dict[str, Var], taken: set[str], depth: int) -> Qu
         _arity(op, args, pos, 2)
         inner_env = dict(env)
         bound: list[Var] = []
-        for name, sort, _ in _binders(args[0]):
+        names: set[str] = set()
+        for name, sort, bpos in _binders(args[0]):
+            if name in names:
+                raise ParseError(f"duplicate bound variable {name}", *bpos)
+            names.add(name)
             nn = fresh_name(name, taken)
             taken.add(nn)
             v = Var(nn, sort)

@@ -488,22 +488,25 @@ def _r4_atoms(rng):
 
 def test_replace_deletion_with_a_reduction_matches_the_recheck_without():
     """Over seeded random constraints, a deletion checked on the clause's
-    reduction, fresh or decided first as the strategy decides it, deletes
-    the clause or refuses with the verdict that the check without a
-    reduction gives."""
+    reduction, fresh, decided first, or grown from its first atom's and
+    decided first as the strategy decides it, deletes the clause or refuses
+    with the verdict that the check without a reduction gives."""
     rng = random.Random(16)
     seen = collections.Counter()
     for _ in range(300):
         text = "p(X,Y,Z) :- " + ", ".join(_r4_atoms(rng)) + "."
         outcomes = []
-        for how in ("none", "fresh", "decided", "generic"):
+        for how in ("none", "fresh", "decided", "grown"):
             st = TransformationState(parse_program(text))
             c = st.clause(1).constraint
-            reduced = None if how == "none" else lia.reduction(c)
-            if how == "decided":
+            reduced = None
+            if how == "grown":
+                prefix = lia.reduction(ConstraintConj(c.atoms[:1]))
+                reduced = lia.reduction(c, base=prefix)
+            elif how != "none":
+                reduced = lia.reduction(c)
+            if how in ("decided", "grown"):
                 lia.is_satisfiable(c, reduced=reduced)
-            elif how == "generic":
-                lia.satisfiable_generic(c, reduced)
             try:
                 st.apply_replace([1], [], reduced)
             except EquivalenceNotProved as e:

@@ -456,8 +456,10 @@ def _eq_set_reference(d, a, b):
 
 def _eq_set_pair_loop(d, a, b, reduced):
     """eq_set as a loop over every pair of a's and b's variables, in order,
-    that skips a pair a generic witness separates and asks the others."""
-    witnesses = lia._generic_witnesses(reduced)[1]
+    that skips a pair a point of d's decision separates and asks the
+    others."""
+    is_satisfiable(d, reduced=reduced)
+    witnesses = reduced.decision[1]
     out = []
     seen = set()
     for x in a.vars():
@@ -518,7 +520,7 @@ def test_eq_set_matches_pairwise_reference(monkeypatch):
         got = eq_set(d, a, b)
         want = _eq_set_reference(d, a, b)
         assert got == want, f"eq_set differs on {d}, {a}, {b}"
-        # with the caller's reduction, which keeps the witnesses
+        # with the caller's reduction, which keeps the decision's points
         r = lia.reduction(d)
         asked.clear()
         assert eq_set(d, a, b, reduced=r) == want, f"{d}, {a}, {b}"
@@ -526,7 +528,7 @@ def test_eq_set_matches_pairwise_reference(monkeypatch):
         asked.clear()
         assert _eq_set_pair_loop(d, a, b, lia.reduction(d)) == want
         assert got_asked == asked, f"{d}, {a}, {b}"
-        for witness in r.generic[1]:
+        for witness in r.decision[1]:
             assert all(boxes.eval_atom(at, witness) for at in d.lin_atoms())
         seen["entailed"] += any(x != y for x, y in got)
         seen["asked several"] += len(asked) > 1
@@ -654,23 +656,34 @@ def test_subst_defs_matches_one_definition_at_a_time():
         assert seen[key] >= 20, (key, seen)
 
 
-def _reference_sat(atoms):
-    """Satisfiability of the atoms decided from scratch: lower all of them,
-    probe, Gauss-reduce the whole system, then branch."""
+def _reference_sat(atoms, signs=(0,)):
+    """Satisfiability of the atoms decided from scratch, with its points:
+    lower all of them, probe, Gauss-reduce the whole system, then branch
+    towards one target per sign, the i-th variable at sign * 1000 * (i + 1).
+    The signs (0,) aim at 0 as an extension query does, and (1, -1, 0) at
+    the targets of a reduction's decision."""
     sys_ = lia._lower(atoms)
     if sys_.ground_false:
-        return Verdict.DISPROVED, None
+        return Verdict.DISPROVED, ()
     if not sys_.le and not sys_.eq and not sys_.ne:
-        return Verdict.PROVED, {v: 0 for v in sys_.vars}
+        return Verdict.PROVED, ({v: 0 for v in sys_.vars},)
     if len(sys_.vars) <= lia._PROBE_MAX_VARS:
         w = boxes.find_solution(boxes.BoxSystem(sys_.vars, sys_.rows), -2, 2)
         if w is not None:
-            return Verdict.PROVED, w
+            return Verdict.PROVED, (w,)
     gdefs, unsat = _reference_gauss(sys_)
     if unsat:
-        return Verdict.DISPROVED, None
-    verdict, (w,) = lia._branch_witness(sys_, gdefs)
-    return verdict, w
+        return Verdict.DISPROVED, ()
+    n = len(sys_.vars)
+    return lia._branch_witness(
+        sys_, gdefs, [[sign * 1000 * (i + 1) for i in range(n)] for sign in signs]
+    )
+
+
+def _first(decision):
+    """satisfiable_with_witness's answer from a decision's points."""
+    verdict, points = decision
+    return verdict, points[0] if points else None
 
 
 _POOL = [V(n) for n in ("X", "Y", "Z", "W", "U", "T", "S", "R")]
@@ -740,10 +753,11 @@ def _snapshot(reduced):
 
 
 def test_extending_a_reduced_base_matches_a_query_from_scratch():
-    """_extend of a reduced base gives the verdict and the witness of the
-    whole conjunction decided from scratch, for every kind of extra, and
-    leaves the base as it found it: one base answers several extras the
-    same in either order."""
+    """_extend of a reduced base gives the verdict and the point of the
+    whole conjunction decided from scratch towards 0, for every kind of
+    extra, and leaves the base as it found it: one base answers several
+    extras the same in either order. Where it decides, the conjunction's
+    own decision agrees."""
     rng = random.Random(48)
     seen = collections.Counter()
     deadline = time.monotonic() + 6.0
@@ -762,7 +776,8 @@ def test_extending_a_reduced_base_matches_a_query_from_scratch():
         for extra, got, again in zip(extras, forward, backward):
             want = _reference_sat(base + extra)
             assert got == want == again, (base, extra)
-            assert satisfiable_with_witness(ConstraintConj(base + extra)) == want
+            if want[0] is not Verdict.UNKNOWN:
+                assert is_satisfiable(ConstraintConj(base + extra)) is want[0], (base, extra)
             seen.update((base_kind, kind, want[0].value))
             seen["probed"] += len(lia._lower(base + extra).vars) <= lia._PROBE_MAX_VARS
         cases += 1
@@ -798,7 +813,7 @@ def test_unknown_extension_goes_to_the_resolver_as_the_whole_conjunction():
         assert asked == [full, full]
         # c itself is Unknown too; the resolver's answer is memoised on c's reduction
         assert is_satisfiable(c, reduced=r) is Verdict.DISPROVED
-        assert asked == [full, full, c] and r.decision == (Verdict.DISPROVED, None)
+        assert asked == [full, full, c] and r.decision == (Verdict.DISPROVED, ())
         assert is_satisfiable(c, reduced=r) is Verdict.DISPROVED
         assert asked == [full, full, c]
     finally:
@@ -807,10 +822,10 @@ def test_unknown_extension_goes_to_the_resolver_as_the_whole_conjunction():
 
 def test_a_point_that_breaks_one_row_is_no_witness(monkeypatch):
     """A back-substituted point is checked on every row as lowered: one that
-    breaks a single LE, EQ or NE row is neither the decision's witness nor
-    a generic witness. Each breaking point leaves its row's sum on the side
-    that a misread relation would accept (an EQ row at -3, an LE row at
-    +3, an NE row at 0)."""
+    breaks a single LE, EQ or NE row is a point neither of the decision,
+    towards any of its targets, nor of an extension query. Each breaking
+    point leaves its row's sum on the side that a misread relation would
+    accept (an EQ row at -3, an LE row at +3, an NE row at 0)."""
     # X >= 10 keeps the box probe from answering; no unit coefficient, no Gauss
     c = conj("X >= 10, 2*X + 3*Y = 50, Z =\\= 7")
     index = lia.reduction(c).sys.index
@@ -827,13 +842,15 @@ def test_a_point_that_breaks_one_row_is_no_witness(monkeypatch):
         assert held.count(False) == (0 if breaks is None else 1), breaks
         r = lia.reduction(c)
         got = satisfiable_with_witness(c, reduced=r)
-        generic = lia._generic_witnesses(lia.reduction(c))
+        extended = lia._extend(lia._EMPTY, c.lin_atoms())
         if breaks is None:
-            assert got == (Verdict.PROVED, {V(n): x for n, x in point.items()})
-            assert generic[1] == ({V(n): x for n, x in point.items()},) * 2
+            want = {V(n): x for n, x in point.items()}
+            # the two generic targets have their point; 0 is not aimed at
+            assert got == (Verdict.PROVED, want) and r.decision == (Verdict.PROVED, (want,) * 2)
+            assert extended == (Verdict.PROVED, (want,))
         else:
-            assert got == (Verdict.UNKNOWN, None), breaks
-            assert generic == (Verdict.UNKNOWN, ()), breaks
+            assert got == (Verdict.UNKNOWN, None) and r.decision == (Verdict.UNKNOWN, ()), breaks
+            assert extended == (Verdict.UNKNOWN, ()), breaks
 
 
 def test_entails_atom_memoises_proved_and_disproved_on_the_reduction(monkeypatch):
@@ -906,9 +923,10 @@ def _chain_case(rng):
 
 def test_growing_a_chain_of_prefixes_matches_a_query_from_scratch():
     """Reduce a prefix, grow it by a middle, decide the suffix: the verdict
-    and the witness are those of the whole conjunction decided from scratch,
-    decided again or read from the memo of its reduction, and no reduction
-    on the way changes."""
+    and the points are those of the whole conjunction decided from scratch,
+    decided again or read from the memo of its reduction, whether the
+    suffix is decided as the conjunction's decision or as an extension
+    query, and no reduction on the way changes."""
     rng = random.Random(90)
     seen = collections.Counter()
     deadline = time.monotonic() + 6.0
@@ -916,8 +934,9 @@ def test_growing_a_chain_of_prefixes_matches_a_query_from_scratch():
     while cases < 500 and time.monotonic() < deadline:
         kind, atoms, i, j = _chain_case(rng)
         c = ConstraintConj(atoms)
-        want = satisfiable_with_witness(c)
-        assert want == _reference_sat(c.lin_atoms()), atoms
+        decision = _reference_sat(c.lin_atoms(), (1, -1, 0))
+        want = _first(decision)
+        assert satisfiable_with_witness(c) == want, atoms
         head, mid = ConstraintConj(atoms[:i]), ConstraintConj(atoms[:j])
         r_head = lia.reduction(head)
         before_head = _snapshot(r_head)
@@ -928,7 +947,8 @@ def test_growing_a_chain_of_prefixes_matches_a_query_from_scratch():
         assert r_mid.unsat == scratch.unsat
         if not r_mid.unsat:
             assert before_mid == _snapshot(scratch), atoms
-        assert lia._extend(r_mid, c.lin_atoms()[len(r_mid.atoms):]) == want, atoms
+        extended = lia._extend(r_mid, c.lin_atoms()[len(r_mid.atoms):])
+        assert extended == _reference_sat(c.lin_atoms()), atoms
         for base in (r_head, r_mid, None):
             r = lia.reduction(c, base=base)
             got = satisfiable_with_witness(c, reduced=r)
@@ -936,7 +956,7 @@ def test_growing_a_chain_of_prefixes_matches_a_query_from_scratch():
             if got[1] is not None:
                 got[1].clear()  # the caller's copy, not the memo
             assert satisfiable_with_witness(c, reduced=r) == want  # from the memo
-            assert r.decision == want, atoms
+            assert r.decision == decision, atoms
         assert r_head.decision is None and r_mid.decision is None
         assert _snapshot(r_head) == before_head and _snapshot(r_mid) == before_mid
         seen.update((kind, want[0].value))
@@ -970,42 +990,134 @@ def test_a_reduction_of_no_prefix_is_refused():
     assert is_satisfiable(c, reduced=lia.reduction(c, base=prefix)) is Verdict.PROVED
 
 
-def test_generic_decision_disproves_exactly_what_is_satisfiable_disproves():
-    """satisfiable_generic, the R4 decision of the pairing strategy, decides
-    a conjunction from a reduction grown from a prefix's, as the strategy
-    does. It answers Disproved exactly when is_satisfiable does, over Gauss
-    refutations, more than _PROBE_MAX_VARS variables, disequalities past
-    NEQ_SPLIT_CAP and array atoms. A Disproved answer becomes the
-    reduction's decision, as is_satisfiable would make it, and a Proved one
-    does not; every witness it keeps on the reduction satisfies the
-    conjunction."""
+def _ref_branch_witness(sys_, gdefs, targets):
+    """Fourier-Motzkin branch search as the two procedures below ran it:
+    every target without a point is back-substituted on each feasible
+    branch, up to the first point for targets[0]."""
+    points = [None] * len(targets)
+    if 2 ** len(sys_.ne) > lia.NEQ_SPLIT_CAP:
+        return Verdict.UNKNOWN, points
+    branches = lia._le_branches(sys_, sys_.ne)
+    residual = sorted({i for rows in branches for coeffs, _ in rows for i in coeffs})
+    undecided = False
+    for rows in branches:
+        try:
+            _, stages, _ = lia._fm_eliminate(rows, residual)
+        except lia._Unsat:
+            continue
+        except lia._Overflow:
+            undecided = True
+            break
+        undecided = True
+        for t, target in enumerate(targets):
+            if points[t] is None:
+                envi = lia._backsubst_witness(stages, target)
+                if envi is not None:
+                    lia._apply_gauss_defs(gdefs, envi)
+                    if lia._rows_hold(sys_.rows, envi):
+                        points[t] = {v: envi[i] for i, v in enumerate(sys_.vars)}
+        if points[0] is not None:
+            break
+    if any(p is not None for p in points):
+        return Verdict.PROVED, points
+    return (Verdict.UNKNOWN if undecided else Verdict.DISPROVED), points
+
+
+def _ref_zero_decision(r):
+    """Satisfiability as is_satisfiable decided it before one decision
+    served eq_set too: the box probe, then Fourier-Motzkin towards 0."""
+    if r.unsat:
+        return Verdict.DISPROVED, None
+    if len(r.sys.vars) <= lia._PROBE_MAX_VARS:
+        w = boxes.find_solution(boxes.BoxSystem(r.sys.vars, r.sys.rows), -2, 2)
+        if w is not None:
+            return Verdict.PROVED, w
+    verdict, (w,) = _ref_branch_witness(r.sys, r.defs, [[0] * len(r.sys.vars)])
+    return verdict, w
+
+
+def _ref_generic_decision(r):
+    """The strategy's R4 decision of a mixed clause as it was made apart
+    from is_satisfiable: Fourier-Motzkin towards the two generic targets,
+    an Unknown decided by `_ref_zero_decision`; with the points it kept."""
+    if r.unsat:
+        return Verdict.DISPROVED, ()
+    n = len(r.sys.vars)
+    targets = [[sign * 1000 * (i + 1) for i in range(n)] for sign in (1, -1)]
+    verdict, points = _ref_branch_witness(r.sys, r.defs, targets)
+    if verdict is Verdict.UNKNOWN:
+        verdict = _ref_zero_decision(r)[0]
+    return verdict, tuple(w for w in points if w is not None)
+
+
+def test_one_decision_keeps_every_verdict_of_the_two_it_replaces():
+    """Differential test against the two procedures that decided a
+    reduction before (`_ref_zero_decision`, `_ref_generic_decision`), on
+    conjunctions decided from a reduction grown from a prefix's, as the
+    strategy decides them, and on a base with each extra of an extension
+    case: the one decision answers Disproved exactly when they did, keeps
+    each of their Proved answers, and may turn only an Unknown into Proved.
+    Every point it keeps satisfies the conjunction. An extension query
+    still answers as `_ref_zero_decision` did, point included."""
     rng = random.Random(91)
     seen = collections.Counter()
-    deadline = time.monotonic() + 2.0
+    install_unknown_resolver(None)
+    deadline = time.monotonic() + 4.0
+
+    def check(c, r, tag):
+        old_sat = _ref_zero_decision(lia.reduction(c))[0]
+        old_generic = _ref_generic_decision(lia.reduction(c))[0]
+        got = is_satisfiable(c, reduced=r)
+        for old in (old_sat, old_generic):
+            assert (got is Verdict.DISPROVED) == (old is Verdict.DISPROVED), c
+            assert old is not Verdict.PROVED or got is Verdict.PROVED, c
+        verdict, points = r.decision
+        assert verdict is got and (points != ()) == (got is Verdict.PROVED), c
+        for w in points:
+            assert all(boxes.eval_atom(a, w) for a in c.lin_atoms()), c
+        seen.update((tag, got.value))
+        seen["wide"] += len(r.sys.vars) > lia._PROBE_MAX_VARS
+        seen["several points"] += len(points) > 1
+
     cases = 0
     while cases < 400 and time.monotonic() < deadline:
         kind, atoms, _, j = _chain_case(rng)
         c = ConstraintConj(atoms)
-        want = is_satisfiable(c)
-        r = lia.reduction(c, base=lia.reduction(ConstraintConj(atoms[:j])))
-        got = lia.satisfiable_generic(c, r)
-        assert (got is Verdict.DISPROVED) == (want is Verdict.DISPROVED), atoms
-        if got is Verdict.DISPROVED:
-            assert r.decision == (Verdict.DISPROVED, None)
-            assert is_satisfiable(c, reduced=r) is Verdict.DISPROVED  # from the memo
-        elif r.generic[0] is Verdict.PROVED:
-            assert r.decision is None  # is_satisfiable's witness can differ
-        for w in r.generic[1]:
-            assert all(boxes.eval_atom(a, w) for a in c.lin_atoms()), atoms
-        seen.update((kind, want.value))
-        seen["array"] += len(c.lin_atoms()) < len(atoms)
-        seen["wide"] += len(r.sys.vars) > lia._PROBE_MAX_VARS
-        seen["two witnesses"] += len(r.generic[1]) == 2
+        check(c, lia.reduction(c, base=lia.reduction(ConstraintConj(atoms[:j]))), kind)
+        base_kind, _, base, extras = _extension_case(rng)
+        reduced = lia.reduction(ConstraintConj(base))
+        for extra in extras:
+            c = ConstraintConj(base + extra)
+            assert _first(lia._extend(reduced, extra)) == _ref_zero_decision(lia.reduction(c)), c
+            check(c, lia.reduction(c, base=reduced), base_kind)
         cases += 1
     assert cases >= 100
-    for key in ("plain", "ground_false_prefix", "refuted_middle", "probe", "many_ne",
-                "proved", "disproved", "unknown", "array", "wide", "two witnesses"):
+    for key in ("plain", "ground_false_prefix", "refuted_middle", "probe", "many_ne", "refuted",
+                "ground_false", "proved", "disproved", "unknown", "wide", "several points"):
         assert seen[key] >= 5, (key, seen)
+
+
+def test_eq_set_on_a_decided_reduction_runs_no_further_elimination(monkeypatch):
+    """eq_set reads the points of the decision that is_satisfiable left on
+    the reduction: it runs no Fourier-Motzkin of its own when every pair is
+    separated by a point or settled by Gauss."""
+    runs = []
+    eliminate = lia._fm_eliminate
+
+    def counted(*args):
+        runs.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(lia, "_fm_eliminate", counted)
+    # X >= 10 keeps the box probe from answering; Z = X is a Gauss definition
+    d = conj("X >= 10, Y >= X + 1, Z = X, W =< Y")
+    a, b = Atom("p", (V("X"), V("W"))), Atom("q", (V("Y"), V("Z")))
+    r = lia.reduction(d)
+    assert is_satisfiable(d, reduced=r) is Verdict.PROVED
+    assert len(runs) == 1 and len(r.decision[1]) == 2
+    runs.clear()
+    assert eq_set(d, a, b, reduced=r) == ((V("X"), V("Z")),)
+    assert runs == []
 
 
 def _refute_negations(c, atom):
@@ -1075,7 +1187,7 @@ def test_lia_keeps_no_answer_between_operations():
     held = [name for name, value in vars(lia).items()
             if not name.startswith("__") and isinstance(value, (dict, list, set))]
     assert held == []
-    assert lia._EMPTY.decision is None and lia._EMPTY.generic is None
+    assert lia._EMPTY.decision is None
     assert lia._EMPTY.entailed == {}
 
 

@@ -179,10 +179,17 @@ def test_parse_model_unsupported_construct():
     ("(define-fun p ((X)) Bool true)", 1, 16),
     ("(define-fun p ((X Int)) Bool (>= X))", 1, 30),
     ("(define-fun p ((X Int)) Bool (= (-) X))", 1, 33),
+    # + and * take two arguments or more, as - takes one or more
+    ("(define-fun p ((X Int)) Bool (= (+) X))", 1, 33),
+    ("(define-fun p ((X Int)) Bool (= (*) X))", 1, 33),
+    ("(define-fun p ((X Int)) Bool (= (+ X) X))", 1, 33),
+    ("(define-fun p ((X Int)) Bool (= X (* 2)))", 1, 35),
     ("(define-fun p ((X Int)) Bool (not (= X 0 1)))", 1, 35),
     ("(define-fun p ((X Int)) Bool (not))", 1, 30),
     ("(define-fun p ((X Int)) Bool (exists ((Y Int))))", 1, 30),
     ("(define-fun p ((X Int)) Bool (exists (Y) (= X Y)))", 1, 39),
+    # one name bound twice, refused at the second binder
+    ("(define-fun p ((X Int)) Bool (exists ((Y Int) (Y Int)) (= X Y)))", 1, 47),
     ("(declare-fun)", 1, 1),
     ("(define-fun p ((A (Array Bool Int))) Bool true)", 1, 19),
     ("(define-fun p ((X Int)) Bool true)\n(define-fun p ((X Int)) Bool false)", 2, 1),
