@@ -61,7 +61,6 @@ _MODULE_OF = {
             "SequenceReport",
             "TraceStep",
             "TransformationState",
-            "check_all_defs_unfolded",
             "classify_sequence",
         ),
         "kernel",

@@ -11,7 +11,9 @@ LE, EQ or NE. `index_rows` numbers the variables of a list of atoms by
 first occurrence and indexes their rows as (coeffs by position, k, rel);
 a `BoxSystem` holds those rows as they are. `lower_conj` does both, and
 `lia` lowers its queries through `index_rows` as well. `eval_atom`
-evaluates the same rows.
+evaluates the same rows. `subst_row` replaces a variable of a row by a
+definition of it, the one row substitution of `lia`'s Gauss elimination
+and of the oracle's, each with its own pivot rule.
 
 Enumeration runs a plan, made by `plan` for one system, box and set of
 pinned (fixed) variables. `run` takes the values as a list in variable
@@ -91,6 +93,22 @@ def lower_conj(conj: ConstraintConj, var_order: Optional[Sequence[Var]] = None) 
         raise ValueError("box systems handle linear atoms only")
     vars_, _, rows = index_rows(conj, var_order or ())
     return BoxSystem(tuple(vars_), rows)
+
+
+def subst_row(
+    coeffs: dict[int, int], k: int, v: int, a: int, dcoeffs: dict[int, int], dconst: int
+) -> tuple[dict[int, int], int]:
+    """The row's coeffs and k with its coefficient a on v replaced by
+    a * (sum(dcoeffs) + dconst); a new dict, never changing the given one.
+    Its keys keep their order, and new ones follow in dcoeffs' order."""
+    merged = dict(coeffs)
+    del merged[v]
+    for i, c in dcoeffs.items():
+        merged[i] = merged.get(i, 0) + a * c
+    for i in dcoeffs:
+        if not merged[i]:
+            del merged[i]
+    return merged, k + a * dconst
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ def _verdict_exit(v) -> int:
 
 
 def _cmd_transform(args) -> int:
-    from .kernel import check_all_defs_unfolded, classify_sequence
+    from .kernel import classify_sequence
     from .pairing import PairingConfig, iterate_pairing
 
     prog = _read_program(args.input)
@@ -79,11 +79,11 @@ def _cmd_transform(args) -> int:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    ok, offenders = check_all_defs_unfolded(res.all_steps())
+    rep = classify_sequence(res.steps)
     print(
         f"; defs introduced: {len(res.defs)}; clauses: {len(out)}; "
-        f"all defs unfolded: {ok}; foldings reversible: "
-        f"{classify_sequence(res.all_steps()).all_foldings_reversible}",
+        f"all defs unfolded: {not rep.defs_not_unfolded}; foldings reversible: "
+        f"{rep.all_foldings_reversible}",
         file=sys.stderr,
     )
     for ov in res.overlaps:
@@ -187,13 +187,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_validate_trace(args) -> int:
-    from .kernel import check_all_defs_unfolded, classify_sequence, parse_trace
+    from .kernel import classify_sequence, parse_trace
 
     steps = parse_trace(Path(args.trace).read_text(encoding="utf-8-sig"))
-    ok, offenders = check_all_defs_unfolded(steps)
     rep = classify_sequence(steps)
+    missing = list(rep.defs_not_unfolded)
+    ok = not missing
     print(f"steps: {len(steps)}")
-    print(f"all definitions unfolded: {ok}" + (f" (missing: {offenders})" if not ok else ""))
+    print(f"all definitions unfolded: {ok}" + (f" (missing: {missing})" if not ok else ""))
     print(f"no self-unfolding: {rep.no_self_unfolding}")
     print(f"all foldings reversible: {rep.all_foldings_reversible}")
     return EXIT_OK if ok else EXIT_NEGATIVE

@@ -23,10 +23,12 @@ class ArityClash(ChcError):
 
 
 class OverlapError(ChcError):
-    """A predicate is reachable from both partition roots."""
+    """A predicate is reachable from both partition roots; `goal_id`, when
+    set, is the goal that the overlap left untransformed."""
 
-    def __init__(self, pred):
+    def __init__(self, pred, goal_id=None):
         self.pred = pred
+        self.goal_id = goal_id
         super().__init__(f"predicate {pred!r} is shared between both partitions")
 
 
@@ -101,13 +103,6 @@ class CapExceeded(ChcError):
 
 class NoMixedPair(ChcError):
     pass
-
-
-class PartitionOverlap(ChcError):
-    def __init__(self, pred, goal_id=None):
-        self.pred = pred
-        self.goal_id = goal_id
-        super().__init__(f"predicate cones overlap at {pred!r}")
 
 
 # --- oracle / model checking ---------------------------------------------

@@ -46,36 +46,47 @@ class RuleKind(enum.Enum):
     CONSTRAINT_REPLACEMENT = "CONSTRAINT_REPLACEMENT"
 
 
+# per rule: the field its trace line has besides in, out and flags, which
+# holds a step's `detail`; the flag that holds its `flag`; and the fewest and
+# most inputs and outputs it has (None: no most)
+_TRACE_SHAPES = {
+    RuleKind.DEFINITION: (None, None, (0, 0), (1, 1)),
+    RuleKind.UNFOLDING: ("pos", "self_unfolding", (1, 1), (0, None)),
+    RuleKind.FOLDING: ("def", "reversible_folding", (1, 1), (1, 1)),
+    RuleKind.CONSTRAINT_REPLACEMENT: (None, None, (1, None), (0, None)),
+}
+
+
 @dataclass(frozen=True)
 class TraceStep:
+    """One rule application. `detail` is an unfolding's body position or a
+    folding's definition id, and `flag` says whether an unfolding is a
+    self-unfolding or a folding is reversible; `_TRACE_SHAPES` says which
+    rules have them (the others leave them None), and `line` reads it."""
+
     rule: RuleKind
     inputs: tuple[int, ...]
     outputs: tuple[int, ...]
-    position: Optional[int] = None
-    def_id: Optional[int] = None
-    self_unfolding: Optional[bool] = None
-    reversible_folding: Optional[bool] = None
+    detail: Optional[int] = None
+    flag: Optional[bool] = None
 
     def line(self, n: int) -> str:
-        extra = ""
-        if self.position is not None:
-            extra += f" pos={self.position}"
-        if self.def_id is not None:
-            extra += f" def={self.def_id}"
-        flags = []
-        if self.self_unfolding is not None:
-            flags.append(f"self_unfolding:{int(self.self_unfolding)}")
-        if self.reversible_folding is not None:
-            flags.append(f"reversible_folding:{int(self.reversible_folding)}")
+        field, flag, _, _ = _TRACE_SHAPES[self.rule]
+        extra = f" {field}={self.detail}" if field else ""
+        flags = f"{flag}:{int(self.flag)}" if flag else ""
         ins = ",".join(str(i) for i in self.inputs)
         outs = ",".join(str(i) for i in self.outputs)
-        return f"STEP {n} {self.rule.value} in={ins} out={outs}{extra} flags={','.join(flags)}"
+        return f"STEP {n} {self.rule.value} in={ins} out={outs}{extra} flags={flags}"
 
 
 @dataclass(frozen=True)
 class SequenceReport:
+    """Whether a sequence has no self-unfolding and only reversible
+    foldings, and the ids of the definitions it never unfolds, in order."""
+
     no_self_unfolding: bool
     all_foldings_reversible: bool
+    defs_not_unfolded: tuple[int, ...]
 
 
 def entailed(
@@ -148,15 +159,21 @@ class TransformationState:
         raise NotADefinition(f"clause {cid} is not a definition")
 
     def _step(
-        self, rule: RuleKind, inputs: Sequence[int], outputs: Sequence[Clause], **flags
+        self,
+        rule: RuleKind,
+        inputs: Sequence[int],
+        outputs: Sequence[Clause],
+        detail: Optional[int] = None,
+        flag: Optional[bool] = None,
     ) -> None:
         """Apply one rule to P_i: remove its input clauses, add its outputs
-        in order and append its trace step, with `flags` as the step's
-        extra fields."""
+        in order and append its trace step, with `detail` and `flag` as in
+        `TraceStep`."""
         for cid in inputs:
             del self.clauses[cid]
         self.clauses.update((c.cid, c) for c in outputs)
-        self.trace.append(TraceStep(rule, tuple(inputs), tuple(c.cid for c in outputs), **flags))
+        outs = tuple(c.cid for c in outputs)
+        self.trace.append(TraceStep(rule, tuple(inputs), outs, detail, flag))
 
     # -- rule R1: definition introduction --
 
@@ -249,13 +266,8 @@ class TransformationState:
                     c.body[:atom_index] + body + c.body[atom_index + 1 :],
                 )
             )
-        self._step(
-            RuleKind.UNFOLDING,
-            (cid,),
-            new_clauses,
-            position=atom_index,
-            self_unfolding=(c.head is not None and c.head.pred == target.pred),
-        )
+        self_unfolding = c.head is not None and c.head.pred == target.pred
+        self._step(RuleKind.UNFOLDING, (cid,), new_clauses, atom_index, self_unfolding)
         return new_clauses
 
     # -- rule R3: folding --
@@ -304,14 +316,7 @@ class TransformationState:
                     verdict=v,
                 )
         # existential variables of the definition and their images
-        dvars: list[Var] = []
-        for v in d.constraint.vars():
-            if v not in dvars:
-                dvars.append(v)
-        for a in d.body:
-            for v in a.args:
-                if v not in dvars:
-                    dvars.append(v)
+        dvars = list(dict.fromkeys([*d.constraint.vars(), *(v for a in d.body for v in a.args)]))
         head_vars = set(d.head.args)
         exvars = [v for v in dvars if v not in head_vars]
         images = {theta.get(v, v) for v in exvars}
@@ -385,7 +390,7 @@ class TransformationState:
                 new_body.append(a)
         reversible = def_id != cid and def_id in self.clauses
         new = Clause(self.mint_id(), c.head, e, tuple(new_body))
-        self._step(RuleKind.FOLDING, (cid,), [new], def_id=def_id, reversible_folding=reversible)
+        self._step(RuleKind.FOLDING, (cid,), [new], def_id, reversible)
         return new
 
     # -- rule R4: constraint replacement --
@@ -435,8 +440,8 @@ class TransformationState:
                 for v in d.vars()
                 if v not in ref_skel_vars
             )
-            lhs = QuantDisj(_dedup(lhs_ex), tuple(disjuncts))
-            rhs = QuantDisj(_dedup(rhs_ex), tuple(new_constraints))
+            lhs = QuantDisj(tuple(dict.fromkeys(lhs_ex)), tuple(disjuncts))
+            rhs = QuantDisj(tuple(dict.fromkeys(rhs_ex)), tuple(new_constraints))
             v = lia.equiv_quant_disj(lhs, rhs)
             if v is not Verdict.PROVED:
                 raise EquivalenceNotProved(
@@ -447,13 +452,6 @@ class TransformationState:
         ]
         self._step(RuleKind.CONSTRAINT_REPLACEMENT, group, new_clauses)
         return new_clauses
-
-
-def _dedup(vs: Iterable[Var]) -> tuple[Var, ...]:
-    seen: dict[Var, None] = {}
-    for v in vs:
-        seen.setdefault(v)
-    return tuple(seen)
 
 
 def _skeleton_vars(c: Clause) -> set[Var]:
@@ -490,33 +488,21 @@ def _match_skeleton(c: Clause, ref: Clause) -> dict[Var, Var]:
 # Trace validators
 
 
-def check_all_defs_unfolded(trace: Sequence[TraceStep]) -> tuple[bool, list[int]]:
-    """True iff every introduced definition is later unfolded."""
-    def_ids = [s.outputs[0] for s in trace if s.rule is RuleKind.DEFINITION]
-    unfolded = {s.inputs[0] for s in trace if s.rule is RuleKind.UNFOLDING}
-    offenders = [d for d in def_ids if d not in unfolded]
-    return not offenders, offenders
-
-
 def classify_sequence(trace: Sequence[TraceStep]) -> SequenceReport:
-    """Report the syntactic side conditions for completeness over a trace."""
-    no_self = all(
-        not s.self_unfolding for s in trace if s.rule is RuleKind.UNFOLDING
-    )
-    all_rev = all(
-        s.reversible_folding for s in trace if s.rule is RuleKind.FOLDING
-    )
-    return SequenceReport(no_self_unfolding=no_self, all_foldings_reversible=all_rev)
-
-
-# per rule: the field its trace line has besides in, out and flags, its
-# flag, and the fewest and most inputs and outputs it has (None: no most)
-_TRACE_SHAPES = {
-    RuleKind.DEFINITION: (None, None, (0, 0), (1, 1)),
-    RuleKind.UNFOLDING: ("pos", "self_unfolding", (1, 1), (0, None)),
-    RuleKind.FOLDING: ("def", "reversible_folding", (1, 1), (1, 1)),
-    RuleKind.CONSTRAINT_REPLACEMENT: (None, None, (1, None), (0, None)),
-}
+    """Report the syntactic side conditions for completeness over a trace,
+    in one walk; a definition counts as unfolded if any step unfolds it."""
+    no_self = all_rev = True
+    def_ids: list[int] = []
+    unfolded: set[int] = set()
+    for s in trace:
+        if s.rule is RuleKind.UNFOLDING:
+            no_self &= not s.flag
+            unfolded.add(s.inputs[0])
+        elif s.rule is RuleKind.FOLDING:
+            all_rev &= bool(s.flag)
+        elif s.rule is RuleKind.DEFINITION:
+            def_ids.append(s.outputs[0])
+    return SequenceReport(no_self, all_rev, tuple(d for d in def_ids if d not in unfolded))
 
 
 def _trace_number(text: str) -> int:
@@ -557,15 +543,7 @@ def _parse_step(line: str) -> TraceStep:
         flagged = bit == "1"
     elif fields["flags"]:
         raise ValueError(f"{rule.value} takes no flags")
-    return TraceStep(
-        rule,
-        ins,
-        outs,
-        position=_trace_number(fields["pos"]) if extra == "pos" else None,
-        def_id=_trace_number(fields["def"]) if extra == "def" else None,
-        self_unfolding=flagged if rule is RuleKind.UNFOLDING else None,
-        reversible_folding=flagged if rule is RuleKind.FOLDING else None,
-    )
+    return TraceStep(rule, ins, outs, _trace_number(fields[extra]) if extra else None, flagged)
 
 
 def parse_trace(text: str) -> list[TraceStep]:

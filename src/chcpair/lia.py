@@ -415,22 +415,6 @@ def _rows_hold(rows, env) -> bool:
     return True
 
 
-def _subst_row(
-    coeffs: dict[int, int], k: int, v: int, a: int, dcoeffs: dict[int, int], dconst: int
-):
-    """The row with its coefficient a on v replaced by a * (sum(dcoeffs) +
-    dconst); a new dict, never changing the given one. Its keys keep their
-    order, and new ones follow in dcoeffs' order."""
-    merged = dict(coeffs)
-    del merged[v]
-    for i, c in dcoeffs.items():
-        merged[i] = merged.get(i, 0) + a * c
-    for i in dcoeffs:
-        if not merged[i]:
-            del merged[i]
-    return merged, k + a * dconst
-
-
 def _subst_defs(rows, defs):
     """The rows with each Gauss definition of defs substituted in turn.
 
@@ -445,7 +429,7 @@ def _subst_defs(rows, defs):
         for v, dcoeffs, dconst in defs:
             a = coeffs.get(v)
             if a:
-                coeffs, k = _subst_row(coeffs, k, v, a, dcoeffs, dconst)
+                coeffs, k = boxes.subst_row(coeffs, k, v, a, dcoeffs, dconst)
         out.append((coeffs, k))
     return out
 
@@ -496,7 +480,7 @@ def _gauss_reduce(sys_: _System, only: Optional[set[int]] = None):
             for n, (coeffs, k) in enumerate(rows):
                 a = coeffs.get(unit)
                 if a:
-                    rows[n] = _subst_row(coeffs, k, unit, a, dcoeffs, dconst)
+                    rows[n] = boxes.subst_row(coeffs, k, unit, a, dcoeffs, dconst)
         defs.append((unit, dcoeffs, dconst))
     # ground rows may have appeared
     unsat = False

@@ -200,16 +200,6 @@ def _tester(checks: tuple[Check, ...]) -> Optional[Callable]:
     return test
 
 
-def _add(row: Row, piv: Row, m: int) -> Row:
-    """row + m * piv, where piv is an equality."""
-    coeffs = dict(row[0])
-    for i, c in piv[0].items():
-        c = coeffs.pop(i, 0) + m * c
-        if c:
-            coeffs[i] = c
-    return coeffs, row[1] + m * piv[1], row[2]
-
-
 def _eliminate(rows: list[Row], free: list[int], lo: int, hi: int):
     """(implied, defs) for the rows of a clause whose slots in `free` no
     body atom binds.
@@ -235,13 +225,16 @@ def _eliminate(rows: list[Row], free: list[int], lo: int, hi: int):
         else:
             continue
         del work[j]
+        # x = k + sum(c * x[i] for i, c in terms): substitute it, and add
+        # lo <= x <= hi.
         s = piv[0][x]
-        work = [_add(r, piv, -r[0][x] * s) if x in r[0] else r for r in work]
-        # x = k + sum(c * x[i] for i, c in terms): add lo <= x <= hi.
-        k, terms = -s * piv[1], [(i, -s * c) for i, c in piv[0].items() if i != x]
-        work.append(({i: -c for i, c in terms}, lo - k, _LE))
+        k, terms = -s * piv[1], {i: -s * c for i, c in piv[0].items() if i != x}
+        for n, r in enumerate(work):
+            if x in r[0]:
+                work[n] = (*boxes.subst_row(r[0], r[1], x, r[0][x], terms, k), r[2])
+        work.append(({i: -c for i, c in terms.items()}, lo - k, _LE))
         work.append((dict(terms), k - hi, _LE))
-        defs.append((x, k, tuple(terms)))
+        defs.append((x, k, tuple(terms.items())))
     implied = []
     exact = len(defs) == len(free)
     for r in work:

@@ -14,13 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 from . import lia
-from .errors import (
-    CapExceeded,
-    InputShapeError,
-    NoMixedPair,
-    OverlapError,
-    PartitionOverlap,
-)
+from .errors import CapExceeded, InputShapeError, NoMixedPair, OverlapError
 from .kernel import TraceStep, TransformationState, entailed
 from .syntax import (
     Atom,
@@ -81,9 +75,10 @@ class PairingResult:
     defs: Program
     steps: list[TraceStep]
     pair_log: list[PairChoice] = field(default_factory=list)
-    overlaps: list[PartitionOverlap] = field(default_factory=list)
+    overlaps: list[OverlapError] = field(default_factory=list)
 
     def all_steps(self) -> list[TraceStep]:
+        """`steps`; kept only for the benchmark harness, which reads it."""
         return self.steps
 
     def trace_text(self) -> str:
@@ -92,8 +87,7 @@ class PairingResult:
         by_index: dict[int, list[PairChoice]] = {}
         for pc in self.pair_log:
             by_index.setdefault(pc.trace_index, []).append(pc)
-        steps = self.all_steps()
-        for i, step in enumerate(steps):
+        for i, step in enumerate(self.steps):
             for pc in by_index.get(i, ()):
                 lines.append(pc.line())
             lines.append(step.line(i + 1))
@@ -354,8 +348,10 @@ def iterate_pairing(
     keeps those of the old ones, so a goal left earlier would be left again
     with the same overlaps. Two atoms of the same predicate are paired by
     duplicating that predicate's cone under renamed predicates. A pair
-    whose cones overlap (for distinct predicates) is reported as a
-    PartitionOverlap of the goal it leaves, by that goal's id in the output.
+    whose cones overlap (for distinct predicates) is reported as an
+    OverlapError of the goal it leaves, by that goal's id in the output. A
+    pair whose Q or R cone has no clause, as no clause defines its root, is
+    skipped without a report, and can leave its goal untransformed too.
 
     Between rounds the driver keeps plain lists of clauses, whose ids may
     repeat; it numbers the output and the definitions from 1, and builds a
@@ -406,6 +402,8 @@ def iterate_pairing(
                     continue
                 definite2 = definite
                 goal2 = goal
+            if not q_cl or not r_cl:
+                continue
             qr_preds = {c.head.pred for c in q_cl + r_cl}
             rest = [c for c in definite2 if c.head.pred not in qr_preds]
             reserved = {a.pred for c in definite2 + work_goals for a in c.body} | {
@@ -446,5 +444,5 @@ def iterate_pairing(
         defs=Program(renumbered(all_defs)),
         steps=all_steps,
         pair_log=all_pairs,
-        overlaps=[PartitionOverlap(pred, out_goals[k].cid) for pred, k in left],
+        overlaps=[OverlapError(pred, out_goals[k].cid) for pred, k in left],
     )

@@ -594,16 +594,11 @@ def predicate_partition(
     """Split the clauses p into the clauses of the cones reachable from q and
     from r, each in p's order.
 
-    A predicate that no clause of p names is refused with ArityClash. The
+    A root that no clause of p defines gets an empty cone of clauses. The
     two cones must be predicate-disjoint; otherwise OverlapError names a
-    shared predicate.
+    shared predicate. Both cones hold their root, so q == r always overlaps.
     """
     p = tuple(p)
-    known = {pred for c in p for pred in c.preds()}
-    if q not in known:
-        raise OverlapError(q) if q == r else ArityClash(f"unknown predicate {q!r}")
-    if r not in known:
-        raise ArityClash(f"unknown predicate {r!r}")
     qs = reachable_preds(p, q)
     rs = reachable_preds(p, r)
     shared = qs & rs

@@ -22,7 +22,6 @@ from chcpair import (
     SolverConfig,
     Var,
     bounded_lm,
-    check_all_defs_unfolded,
     check_model,
     check_tight,
     classify_sequence,
@@ -156,9 +155,8 @@ def test_criterion_5_tightness_fixtures():
 
 def test_criterion_6_trace_classification():
     st = run_sum_square_script()
-    ok, offenders = check_all_defs_unfolded(st.trace)
-    assert ok and not offenders
     rep = classify_sequence(st.trace)
+    assert rep.defs_not_unfolded == ()
     assert rep.all_foldings_reversible is False
     _report(6, "scripted trace: defs unfolded, foldings not reversible")
 

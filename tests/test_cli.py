@@ -128,6 +128,37 @@ def test_transform_then_validate_trace(tmp_path, capsys):
     assert "all foldings reversible: False" in text
 
 
+def test_validate_trace_lists_the_definitions_never_unfolded(tmp_path, capsys):
+    tr = tmp_path / "run.trace"
+    tr.write_text(
+        "STEP 1 DEFINITION in= out=4 flags=\n"
+        "STEP 2 DEFINITION in= out=5 flags=\n"
+        "STEP 3 UNFOLDING in=5 out=6,7 pos=0 flags=self_unfolding:0\n"
+        "STEP 4 DEFINITION in= out=8 flags=\n"
+        "STEP 5 FOLDING in=3 out=9 def=4 flags=reversible_folding:1\n"
+    )
+    assert run("validate-trace", tr) == 1
+    assert capsys.readouterr().out == (
+        "steps: 5\n"
+        "all definitions unfolded: False (missing: [4, 8])\n"
+        "no self-unfolding: True\n"
+        "all foldings reversible: True\n"
+    )
+
+
+@pytest.mark.parametrize("iterate", [[], ["--iterate"]])
+def test_transform_leaves_a_goal_over_a_predicate_without_clauses(tmp_path, capsys, iterate):
+    f = tmp_path / "undefined.chc"
+    f.write_text("p(X) :- X = 0.\nfalse :- X = Y, p(X), q(Y).\n")
+    assert run("transform", f, *iterate) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f.read_text()
+    assert captured.err == (
+        "; defs introduced: 0; clauses: 2; all defs unfolded: True; "
+        "foldings reversible: True\n"
+    )
+
+
 COUNTERS = """
 p(X,Y) :- X =< 0, Y = 0.
 p(X,Y) :- X > 0, X1 = X - 1, Y = Y1 + 1, p(X1,Y1).

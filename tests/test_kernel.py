@@ -13,7 +13,6 @@ from chcpair import (
     Program,
     TransformationState,
     Var,
-    check_all_defs_unfolded,
     classify_sequence,
     parse_program,
     print_clause,
@@ -172,7 +171,8 @@ def test_unfold_flags_self_unfolding():
     p = parse_program("p(X) :- X = 0.\np(X) :- X = Y + 1, p(Y).")
     st = TransformationState(p)
     st.apply_unfold(2, 0)
-    assert st.trace[-1].self_unfolding is True
+    assert st.trace[-1].flag is True
+    assert st.trace[-1].line(1).endswith(" pos=0 flags=self_unfolding:1")
 
 
 def test_unfold_renames_clashing_vars():
@@ -354,7 +354,8 @@ def test_fold_example3_goal(st):
         ),
     )
     # the definition is still present, so this fold is reversible
-    assert st.trace[-1].reversible_folding is True
+    assert st.trace[-1].flag is True
+    assert st.trace[-1].detail == d.cid
 
 
 def test_fold_requires_definition(st):
@@ -591,9 +592,8 @@ def test_replace_identity(st):
 
 def test_sum_square_script_classification(sum_square):
     st = run_sum_square_script()
-    ok, offenders = check_all_defs_unfolded(st.trace)
-    assert ok and not offenders
     rep = classify_sequence(st.trace)
+    assert rep.defs_not_unfolded == ()
     assert rep.no_self_unfolding is True
     assert rep.all_foldings_reversible is False  # the definition left P before folding
 
@@ -621,13 +621,13 @@ def test_unfolded_definition_not_flagged(sum_square):
     st.apply_definition(
         _def("su_sq(M,R0,Sum,N,S0,Sqr) :- M = Y, su(M,R0,Sum), sq(N,Y,S0,Sqr).")
     )
-    ok, offenders = check_all_defs_unfolded(st.trace)
-    assert not ok and offenders == [st.defs[0].cid]
+    assert classify_sequence(st.trace).defs_not_unfolded == (st.defs[0].cid,)
 
 
 def test_empty_trace_classifies_true():
     rep = classify_sequence([])
     assert rep.no_self_unfolding and rep.all_foldings_reversible
+    assert rep.defs_not_unfolded == ()
 
 
 def test_reversible_flag_positive():
@@ -635,18 +635,26 @@ def test_reversible_flag_positive():
     st = TransformationState(p)
     d = st.apply_definition(_def("n(X) :- p(X)."))
     st.apply_fold(1, [0], d.cid, {V("X"): V("A")})
-    assert st.trace[-1].reversible_folding is True
+    assert st.trace[-1].flag is True
     rep = classify_sequence(st.trace)
     assert rep.all_foldings_reversible is True
+    assert rep.defs_not_unfolded == (d.cid,)
 
 
 def test_trace_round_trip():
+    """parse_trace gives back every step, all five fields of it, of the
+    scripted sum_square trace and of the strategy's trace, PAIR lines
+    included, on every corpus entry with and without iteration."""
     st = run_sum_square_script()
     text = "".join(step.line(i + 1) + "\n" for i, step in enumerate(st.trace))
-    steps = parse_trace(text)
-    assert [s.rule for s in steps] == [s.rule for s in st.trace]
-    assert [s.inputs for s in steps] == [s.inputs for s in st.trace]
-    assert [s.self_unfolding for s in steps] == [s.self_unfolding for s in st.trace]
+    assert parse_trace(text) == st.trace
+    rules = set()
+    for name in corpus.NAMES:
+        for iterate in (False, True):
+            res = iterate_pairing(corpus.load(name), [], PairingConfig(iterate=iterate))
+            assert parse_trace(res.trace_text()) == res.steps, (name, iterate)
+            rules.update(s.rule for s in res.steps)
+    assert rules == set(RuleKind)
 
 
 @pytest.mark.parametrize("text, line", [
@@ -668,9 +676,7 @@ def test_parse_trace_refuses_malformed_steps_with_their_line(text, line):
 
 
 def _validate_trace(text):
-    steps = parse_trace(text)
-    check_all_defs_unfolded(steps)
-    classify_sequence(steps)
+    classify_sequence(parse_trace(text))
 
 
 def test_mutated_traces_raise_only_value_errors_with_their_line():

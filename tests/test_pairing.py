@@ -21,7 +21,7 @@ from chcpair.pairing import (
     select_pair,
 )
 from chcpair import lia
-from chcpair.kernel import check_all_defs_unfolded, classify_sequence
+from chcpair.kernel import classify_sequence
 
 from helpers import assert_programs_equal, clauses_equivalent, conj, goal_of
 
@@ -147,9 +147,9 @@ def test_ackermann_matches_golden_transf(ackermann, ackermann_golden):
 
 def test_ackermann_defs_all_unfolded(ackermann):
     res = run_ackermann(ackermann)
-    ok, offenders = check_all_defs_unfolded(res.steps)
-    assert ok and not offenders
-    assert not classify_sequence(res.steps).all_foldings_reversible
+    rep = classify_sequence(res.steps)
+    assert rep.defs_not_unfolded == ()
+    assert not rep.all_foldings_reversible
 
 
 def test_ackermann_deterministic(ackermann):
@@ -320,6 +320,23 @@ def test_iterate_reports_partition_overlap(monkeypatch, iterate):
 
 
 @pytest.mark.parametrize("iterate", [False, True])
+@pytest.mark.parametrize(
+    "text",
+    [
+        # q has no clause: the (p, q) cone pair has an empty R side
+        "p(X) :- X = 0.\nfalse :- X = Y, p(X), q(Y).\n",
+        # p has no clause: its duplicated cone is empty on both sides
+        "false :- p(X), p(Y).\n",
+    ],
+)
+def test_a_goal_over_a_predicate_without_clauses_is_left_untransformed(text, iterate):
+    p = parse_program(text)
+    res = iterate_pairing(p, [], PairingConfig(iterate=iterate))
+    assert print_program(res.transf) == print_program(p)
+    assert res.steps == [] and res.overlaps == [] and not res.defs
+
+
+@pytest.mark.parametrize("iterate", [False, True])
 def test_a_goal_paired_after_an_overlapping_pair_is_not_reported(iterate):
     p = parse_program(OVERLAP + "false :- X1 = X2, Y3 > 0, p(X1), q(X2), r(X3,Y3).\n")
     res = iterate_pairing(p, [], PairingConfig(iterate=iterate))
@@ -403,8 +420,7 @@ def test_corpus_integer_runs_terminate_within_cap():
         prog = corpus.load(name)
         res = iterate_pairing(prog, [], PairingConfig(iterate=True))
         assert len(res.defs) <= 64
-        ok, _ = check_all_defs_unfolded(res.all_steps())
-        assert ok, name
+        assert classify_sequence(res.steps).defs_not_unfolded == (), name
 
 
 def test_select_pair_breaks_ties_leftmost():
@@ -425,8 +441,8 @@ def test_iterate_pairing_runs_one_round_without_iterate():
     from chcpair import corpus
 
     p = corpus.load("fib_fundep")
-    one = iterate_pairing(p, [], PairingConfig()).all_steps()
-    full = iterate_pairing(p, [], PairingConfig(iterate=True)).all_steps()
+    one = iterate_pairing(p, [], PairingConfig()).steps
+    full = iterate_pairing(p, [], PairingConfig(iterate=True)).steps
     assert (len(one), len(full)) == (27, 73)
     assert full[: len(one)] == one
 

@@ -245,7 +245,19 @@ def test_partition_ackermann(ackermann):
 
 def test_partition_same_pred_overlaps(ackermann):
     with pytest.raises(OverlapError):
+        predicate_partition(ackermann, "ackermann1", "ackermann1")
+    # a root that no clause defines overlaps with itself too
+    with pytest.raises(OverlapError) as e:
         predicate_partition(ackermann, "ack1", "ack1")
+    assert e.value.pred == "ack1" and e.value.goal_id is None
+
+
+def test_partition_gives_a_root_without_clauses_an_empty_cone(sum_square):
+    q, r = predicate_partition(sum_square, "su", "nowhere")
+    assert {c.head.pred for c in q} == {"su"} and r == ()
+    # a predicate that only a body names has no clause either
+    p = parse_program("p(X) :- X = 0.\nfalse :- X = Y, p(X), q(Y).")
+    assert predicate_partition(p, "q", "p") == ((), (p.clauses[0],))
 
 
 def test_partition_sum_square(sum_square):
