@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -22,6 +23,19 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 
 SOLVER_ENV = "CHCPAIR_SOLVER"
+
+
+def _decimal(text: str) -> int:
+    """text as an int when it is an ASCII decimal integer, -?[0-9]+, as in
+    clause and model files; int() alone also takes underscores, surrounding
+    blanks and other scripts' digits. Raises ValueError otherwise."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+# argparse names the type in its message: "invalid int value: 'x'"
+_decimal.__name__ = "int"
 
 
 def _read_program(path: str) -> Program:
@@ -54,7 +68,7 @@ def _cmd_transform(args) -> int:
         goal = goals[0]
     else:
         try:
-            goal = prog.clause(int(args.query))
+            goal = prog.clause(_decimal(args.query))
         except (ValueError, KeyError):
             print(f"error: no clause with id {args.query!r}", file=sys.stderr)
             return EXIT_USAGE
@@ -123,7 +137,7 @@ def _cmd_check_tight(args) -> int:
 def _parse_box(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
     try:
-        return int(lo), int(hi)  # without "..", hi is "" and int raises
+        return _decimal(lo), _decimal(hi)  # without "..", hi is "" and raises
     except ValueError:
         raise ValueError(f"bad box {text!r}, expected LO..HI") from None
 
@@ -220,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("input")
     t.add_argument("--query", default="auto", help="goal clause id, or 'auto'")
     t.add_argument("--iterate", action="store_true", help="iterate over all pairs")
-    t.add_argument("--max-defs", type=int, default=64)
+    t.add_argument("--max-defs", type=_decimal, default=64)
     t.add_argument("--trace", help="write the transformation trace to a file")
     t.add_argument("-o", "--output", help="write the transformed program here")
     t.set_defaults(fn=_cmd_transform)
@@ -237,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="bounded ground evaluation")
     orc.add_argument("program")
-    orc.add_argument("--depth", type=int, required=True)
+    orc.add_argument("--depth", type=_decimal, required=True)
     orc.add_argument("--box", required=True, help="value box LO..HI, e.g. 0..3 or -1..1")
     orc.set_defaults(fn=_cmd_oracle)
 

@@ -12,25 +12,25 @@ every Proved entailment sound.
 
 A query is decided in two steps. `_grow` reduces a conjunction: it lowers
 the atoms through `boxes.index_rows` into the rows of `LinAtom.row()`
-(sum(a*v) + k rel 0 with rel LE, EQ or NE), sorts them into LE, EQ and NE
-rows and Gauss-reduces them: every EQ row with a unit coefficient defines a
-variable that is substituted away. It grows an existing reduction the way
-an incremental SMT solver pushes a scope (de Moura & Bjorner, "Z3: An
-Efficient SMT Solver", TACAS 2008): the new rows are numbered after its
-variables, its Gauss definitions are substituted into them, and Gauss
-resumes, without touching the old rows. `reduction(c)` grows the empty
-reduction by c's linear atoms and records c. `_decide` then runs the box
-probe on all rows as lowered when there are at most `_PROBE_MAX_VARS`
-variables, and otherwise Fourier-Motzkin on each disequality branch, with
-back-substitution towards each of its target points; it returns the
-verdict with every point it verified. Since the old
+(sum(a*v) + k rel 0 with rel LE, EQ or NE), keeps them in one list in atom
+order, and Gauss-reduces that list in place: every EQ row with a unit
+coefficient defines a variable that is substituted away. It grows an
+existing reduction the way an incremental SMT solver pushes a scope (de
+Moura & Bjorner, "Z3: An Efficient SMT Solver", TACAS 2008): the new rows
+are numbered after its variables, its Gauss definitions are substituted
+into them, and Gauss resumes, without touching the old rows. `reduction(c)`
+grows the empty reduction by c's linear atoms and records c. `_decide` then
+runs the box probe on all rows as lowered when there are at most
+`_PROBE_MAX_VARS` variables, and otherwise Fourier-Motzkin on each
+disequality branch, with back-substitution towards each of its target
+points; it returns the verdict with every point it verified. Since the old
 rows come first and Gauss always pivots on the first EQ row with a unit
 coefficient, a grown reduction, its answer and its witness are those of a
 reduction from scratch, however long the chain of prefixes it grew from.
-The pairing strategy relies on this: an unfolded clause's constraint
-starts with its parent's, so it reduces the clause it unfolds once, grows
-each child's reduction from it, and grows each grandchild's from its
-child's (`reduction(c, base=...)`).
+The pairing strategy relies on this: an unfolded clause's constraint starts
+with its parent's, so it reduces the clause it unfolds once, grows each
+child's reduction from it, and grows each grandchild's from its child's
+(`reduction(c, base=...)`).
 A reduction owns the answers asked of it, the way an incremental solver
 scopes its state to a context: its decision, whose points serve both
 satisfiability and eq_set, and its Proved or Disproved atom entailments are
@@ -358,46 +358,70 @@ def _backsubst_witness(stages, target: Sequence[int]) -> Optional[dict[int, int]
     return env
 
 
-@dataclass
-class _System:
+# a verdict and the points that were verified on the way to it
+_Decision = tuple[Verdict, tuple[dict[Var, int], ...]]
+
+
+@dataclass(eq=False)
+class Reduction:
+    """A conjunction's linear atoms, lowered and Gauss-reduced once, and the
+    answers asked of them.
+
+    `conj` is the conjunction it reduces (`reduction`; None for the
+    extensions that `_extend` decides once and for `_lower`'s), `atoms` its
+    linear atoms, `vars` and `index` their variables by position, `rows`
+    every atom's row as lowered, ground ones too, and `work` the rows left
+    after Gauss, one (coeffs, k, rel) list in atom order without the pivot
+    rows and the ground rows. `defs` are the Gauss definitions in
+    elimination order, and `unsat` says whether a ground row is false
+    before or after Gauss. None of these changes once built, so one
+    reduction serves any number of queries and grows into any number of
+    longer conjunctions. Two memos are filled when first asked, and freed
+    with the reduction: `decision`, the verdict of `_decide` and every point
+    it verified, once the resolver has settled an Unknown, which
+    `satisfiable_with_witness` and `eq_set` both read; and `entailed`, the
+    Proved or Disproved verdict of `entails_atom` per atom (an Unknown is
+    asked again). Every point is checked on `rows` before it is kept.
+    """
+
+    conj: Optional[ConstraintConj]
+    atoms: tuple[LinAtom, ...]
     vars: tuple[Var, ...]
     index: dict[Var, int]
     rows: list[tuple[dict[int, int], int, Rel]]
-    le: list[tuple[dict[int, int], int]]
-    eq: list[tuple[dict[int, int], int]]
-    ne: list[tuple[dict[int, int], int]]
-    ground_false: bool
+    work: list[tuple[dict[int, int], int, Rel]]
+    defs: list[tuple[int, dict[int, int], int]]
+    unsat: bool
+    decision: Optional[_Decision] = None
+    entailed: dict[LinAtom, Verdict] = field(default_factory=dict)
 
 
-def _lower(atoms: Iterable[LinAtom], var_order: Sequence[Var] = ()) -> _System:
-    """Split the atoms' indexed rows into le, eq and ne, and flag a false
-    ground row; `rows` keeps them all, ground ones too, for the box probe.
-    Variables are numbered after `var_order` as in `boxes.index_rows`."""
+def _lower(atoms: Iterable[LinAtom], var_order: Sequence[Var] = ()) -> Reduction:
+    """The atoms as a reduction before Gauss: `rows` are their indexed
+    rows, `work` those that are not ground, `unsat` flags a false ground
+    row, and there is no definition. Variables are numbered after
+    `var_order` as in `boxes.index_rows`."""
+    atoms = tuple(atoms)
     vars_, index, rows = boxes.index_rows(atoms, var_order)
-    split: dict[Rel, list] = {Rel.LE: [], Rel.EQ: [], Rel.NE: []}
-    ground_false = False
-    for coeffs, k, rel in rows:
-        if coeffs:
-            split[rel].append((coeffs, k))
-        elif not boxes.row_holds(k, rel):
-            ground_false = True
-    return _System(
-        tuple(vars_), index, rows, split[Rel.LE], split[Rel.EQ], split[Rel.NE], ground_false
-    )
+    work = [row for row in rows if row[0]]
+    unsat = not all(boxes.row_holds(k, rel) for coeffs, k, rel in rows if not coeffs)
+    return Reduction(None, atoms, tuple(vars_), index, rows, work, [], unsat)
 
 
-def _le_branches(sys_: _System, ne_rows) -> list[list[tuple[dict[int, int], int]]]:
-    """The <=-row alternatives of sys_'s LE and EQ rows and the given NE rows.
+def _le_branches(work, ne_rows) -> list[list[tuple[dict[int, int], int]]]:
+    """The <=-row alternatives of the LE and EQ rows of `work` and of the
+    given NE rows.
 
-    Every branch holds the LE rows and each EQ row in both directions, then
-    one of d <= -1 and d >= 1 for each NE row d, in every combination.
+    Every branch holds the LE rows, then each EQ row in both directions,
+    then one of d <= -1 and d >= 1 for each NE row d, in every combination.
     """
-    base = list(sys_.le)
-    for c, k in sys_.eq:
-        base.append((dict(c), k))
-        base.append(({i: -x for i, x in c.items()}, -k))
+    base = [(c, k) for c, k, rel in work if rel is Rel.LE]
+    for c, k, rel in work:
+        if rel is Rel.EQ:
+            base.append((dict(c), k))
+            base.append(({i: -x for i, x in c.items()}, -k))
     branches = [base]
-    for c, k in ne_rows:
+    for c, k, _ in ne_rows:
         lo = (dict(c), k + 1)  # d <= -1
         hi = ({i: -x for i, x in c.items()}, 1 - k)  # d >= 1
         branches = [br + [alt] for br in branches for alt in (lo, hi)]
@@ -416,7 +440,8 @@ def _rows_hold(rows, env) -> bool:
 
 
 def _subst_defs(rows, defs):
-    """The rows with each Gauss definition of defs substituted in turn.
+    """The (coeffs, k, rel) rows with each Gauss definition of defs
+    substituted in turn.
 
     Row by row: each row takes, in elimination order, the definitions whose
     variable it still mentions, and ends with the dict that substituting
@@ -425,74 +450,62 @@ def _subst_defs(rows, defs):
     if not rows or not defs:
         return rows
     out = []
-    for coeffs, k in rows:
+    for coeffs, k, rel in rows:
         for v, dcoeffs, dconst in defs:
             a = coeffs.get(v)
             if a:
                 coeffs, k = boxes.subst_row(coeffs, k, v, a, dcoeffs, dconst)
-        out.append((coeffs, k))
+        out.append((coeffs, k, rel))
     return out
 
 
-def _first_unit(eq) -> Optional[tuple[int, int]]:
-    """(row, variable) of the first unit coefficient of the first EQ row
-    that has one, in the row's own order."""
-    for idx, (coeffs, _) in enumerate(eq):
-        for i, c in coeffs.items():
-            if c == 1 or c == -1:
-                return idx, i
+def _pivot(r: Reduction, only: Optional[set[int]]) -> Optional[tuple[int, int]]:
+    """(row, variable) of the first EQ row of r.work with a unit coefficient,
+    on a variable of `only` when it is given, and of the first such
+    variable: in the row's own order, or with `only` by name."""
+    for idx, (coeffs, _, rel) in enumerate(r.work):
+        if rel is Rel.EQ:
+            units = [
+                i for i, c in coeffs.items() if (c == 1 or c == -1) and (only is None or i in only)
+            ]
+            if units:
+                return idx, units[0] if only is None else min(units, key=lambda i: r.vars[i].name)
     return None
 
 
-def _first_unit_among(sys_: _System, only: set[int]) -> Optional[tuple[int, int]]:
-    """(row, variable) of the first EQ row with a unit coefficient on a
-    variable of `only`, and of the first such variable by name."""
-    for idx, (coeffs, _) in enumerate(sys_.eq):
-        units = [i for i, c in coeffs.items() if (c == 1 or c == -1) and i in only]
-        if units:
-            return idx, min(units, key=lambda i: sys_.vars[i].name)
-    return None
+def _gauss_reduce(r: Reduction, only: Optional[set[int]] = None) -> None:
+    """Substitute away variables defined by unit-coefficient equalities,
+    rewriting `r.work` in place.
 
-
-def _gauss_reduce(sys_: _System, only: Optional[set[int]] = None):
-    """Substitute away variables defined by unit-coefficient equalities.
-
-    Each step pivots on the first EQ row with a unit coefficient, on the
-    first such variable in the row. With `only`, a set of variable indices,
-    it pivots on those variables alone, and on the first by name in a row.
-    Returns (defs, unsat) where defs is the substitution chain as
-    (var_index, coeffs, const) meaning var = sum(coeffs) + const, recorded
-    in elimination order. Rewrites, in the system's le, eq and ne lists,
-    only the rows that hold a pivot, each into a new dict.
+    Each step pivots on the first EQ row of the list with a unit
+    coefficient, on the first such variable in the row. With `only`, a set
+    of variable indices, it pivots on those variables alone, and on the
+    first by name in a row. The pivot row leaves the list, each definition,
+    var = sum(coeffs) + const as (var_index, coeffs, const), is appended to
+    `r.defs`, and only the rows that hold the pivot are rewritten, each into
+    a new dict. Then the ground rows leave the list, and a false one sets
+    `r.unsat`.
     """
-    defs: list[tuple[int, dict[int, int], int]] = []
+    work = r.work
     while True:
-        pivot = _first_unit(sys_.eq) if only is None else _first_unit_among(sys_, only)
+        pivot = _pivot(r, only)
         if pivot is None:
             break
         idx, unit = pivot
-        coeffs, k = sys_.eq.pop(idx)
+        coeffs, k, _ = work.pop(idx)
         a = coeffs[unit]
         # a*v + rest + k == 0  =>  v = -a*(rest + k)
         dcoeffs = {i: -a * c for i, c in coeffs.items() if i != unit}
         dconst = -a * k
-        for rows in (sys_.le, sys_.eq, sys_.ne):
-            for n, (coeffs, k) in enumerate(rows):
-                a = coeffs.get(unit)
-                if a:
-                    rows[n] = boxes.subst_row(coeffs, k, unit, a, dcoeffs, dconst)
-        defs.append((unit, dcoeffs, dconst))
+        for n, (coeffs, k, rel) in enumerate(work):
+            a = coeffs.get(unit)
+            if a:
+                coeffs, k = boxes.subst_row(coeffs, k, unit, a, dcoeffs, dconst)
+                work[n] = (coeffs, k, rel)
+        r.defs.append((unit, dcoeffs, dconst))
     # ground rows may have appeared
-    unsat = False
-    for bucket, rel in ((sys_.le, Rel.LE), (sys_.eq, Rel.EQ), (sys_.ne, Rel.NE)):
-        keep = []
-        for coeffs, k in bucket:
-            if coeffs:
-                keep.append((coeffs, k))
-            elif not boxes.row_holds(k, rel):
-                unsat = True
-        bucket[:] = keep
-    return defs, unsat
+    r.unsat = r.unsat or not all(boxes.row_holds(k, rel) for c, k, rel in work if not c)
+    work[:] = [row for row in work if row[0]]
 
 
 def _apply_gauss_defs(defs, env: dict[int, int]):
@@ -504,40 +517,7 @@ def _apply_gauss_defs(defs, env: dict[int, int]):
         env[v] = s
 
 
-# a verdict and the points that were verified on the way to it
-_Decision = tuple[Verdict, tuple[dict[Var, int], ...]]
-
-
-@dataclass(eq=False)
-class Reduction:
-    """A conjunction's linear atoms, lowered and Gauss-reduced once, and the
-    answers asked of them.
-
-    `conj` is the conjunction it reduces (`reduction`; None for the
-    extensions that `_extend` decides once), `atoms` its linear atoms, `sys`
-    the rows left after Gauss (its `vars` and `rows`, every variable and
-    every row as lowered), `defs` the Gauss definitions in elimination
-    order, and `unsat` whether a ground row is false before or after Gauss.
-    None of these changes once built, so one reduction serves any number of
-    queries and grows into any number of longer conjunctions. Two memos are
-    filled when first asked, and freed with the reduction: `decision`, the
-    verdict of `_decide` and every point it verified, once the resolver has
-    settled an Unknown, which `satisfiable_with_witness` and `eq_set` both
-    read; and `entailed`, the Proved or Disproved verdict of `entails_atom`
-    per atom (an Unknown is asked again). Every point is checked on
-    `sys.rows`, the atoms' rows as lowered, before it is kept.
-    """
-
-    conj: Optional[ConstraintConj]
-    atoms: tuple[LinAtom, ...]
-    sys: _System
-    defs: list[tuple[int, dict[int, int], int]]
-    unsat: bool
-    decision: Optional[_Decision] = None
-    entailed: dict[LinAtom, Verdict] = field(default_factory=dict)
-
-
-_EMPTY = Reduction(ConstraintConj(), (), _System((), {}, [], [], [], [], False), [], False)
+_EMPTY = Reduction(ConstraintConj(), (), (), {}, [], [], [], False)
 
 
 def _grow(
@@ -547,23 +527,21 @@ def _grow(
     it records `conj` as the conjunction it reduces.
 
     The extra rows are numbered after the base's variables. The base's Gauss
-    definitions are substituted into them in elimination order and Gauss
-    resumes: the base's rows come first, so a reduction from scratch would
-    take the same pivots, in the same order, and end with the same rows.
-    Past an unsatisfiable base or a false ground row Gauss does not run.
+    definitions are substituted into them in elimination order, they follow
+    the base's rows in `work`, and Gauss resumes: the base's rows come
+    first, so a reduction from scratch would take the same pivots, in the
+    same order, and end with the same rows. Past an unsatisfiable base or a
+    false ground row Gauss does not run.
     """
-    ext = _lower(extra, base.sys.vars)
-    rows = base.sys.rows + ext.rows
-    atoms = base.atoms + tuple(extra)
-    if base.unsat or ext.ground_false:
-        sys_ = _System(ext.vars, ext.index, rows, [], [], [], True)
-        return Reduction(conj, atoms, sys_, base.defs, True)
-    le, eq, ne = (_subst_defs(r, base.defs) for r in (ext.le, ext.eq, ext.ne))
-    sys_ = _System(
-        ext.vars, ext.index, rows, base.sys.le + le, base.sys.eq + eq, base.sys.ne + ne, False
+    ext = _lower(extra, base.vars)
+    r = Reduction(
+        conj, base.atoms + ext.atoms, ext.vars, ext.index, base.rows + ext.rows, [],
+        list(base.defs), base.unsat or ext.unsat,
     )
-    defs, unsat = _gauss_reduce(sys_)
-    return Reduction(conj, atoms, sys_, base.defs + defs, unsat)
+    if not r.unsat:
+        r.work = base.work + _subst_defs(ext.work, base.defs)
+        _gauss_reduce(r)
+    return r
 
 
 def _decide(r: Reduction, target_signs: Sequence[int]) -> _Decision:
@@ -577,13 +555,13 @@ def _decide(r: Reduction, target_signs: Sequence[int]) -> _Decision:
     """
     if r.unsat:  # no probe point either: Gauss keeps every integer point
         return Verdict.DISPROVED, ()
-    n = len(r.sys.vars)
+    n = len(r.vars)
     if n <= _PROBE_MAX_VARS:
-        w = boxes.find_solution(boxes.BoxSystem(r.sys.vars, r.sys.rows), -_PROBE_BOX, _PROBE_BOX)
+        w = boxes.find_solution(boxes.BoxSystem(r.vars, r.rows), -_PROBE_BOX, _PROBE_BOX)
         if w is not None:
             return Verdict.PROVED, (w,)
     targets = [[sign * _WITNESS_SPREAD * (i + 1) for i in range(n)] for sign in target_signs]
-    return _branch_witness(r.sys, r.defs, targets)
+    return _branch_witness(r, targets)
 
 
 def _extend(base: Reduction, extra: Sequence[LinAtom]) -> _Decision:
@@ -622,22 +600,23 @@ def _own(c: ConstraintConj, reduced: Optional[Reduction]) -> Reduction:
     return reduced
 
 
-def _branch_witness(sys_: _System, gdefs, targets: Sequence[Sequence[int]]) -> _Decision:
-    """Fourier-Motzkin on each disequality branch of a Gauss-reduced system.
+def _branch_witness(r: Reduction, targets: Sequence[Sequence[int]]) -> _Decision:
+    """Fourier-Motzkin on each disequality branch of a reduction's `work`.
 
     Each feasible branch back-substitutes, from its one elimination, every
-    target (indexed like sys_.vars) that has no point yet, the last one only
+    target (indexed like r.vars) that has no point yet, the last one only
     when no other target has one, and keeps a point that satisfies every
-    row of sys_.rows, the atoms' rows as lowered, read by position. The
+    row of r.rows, the atoms' rows as lowered, read by position. The
     branches stop at the first point for targets[0]. Returns the verdict and
     the points kept, keyed by variable, in the order of their targets:
     Proved when there is one, Disproved when every branch is infeasible over
     the rationals, Unknown otherwise.
     """
     points: list[Optional[dict[Var, int]]] = [None] * len(targets)
-    if 2 ** len(sys_.ne) > NEQ_SPLIT_CAP:
+    ne = [row for row in r.work if row[2] is Rel.NE]
+    if 2 ** len(ne) > NEQ_SPLIT_CAP:
         return Verdict.UNKNOWN, ()
-    branches = _le_branches(sys_, sys_.ne)
+    branches = _le_branches(r.work, ne)
     residual = sorted({i for rows in branches for coeffs, _ in rows for i in coeffs})
     last = len(targets) - 1
     undecided = False
@@ -655,9 +634,9 @@ def _branch_witness(sys_: _System, gdefs, targets: Sequence[Sequence[int]]) -> _
                 continue
             envi = _backsubst_witness(stages, target)
             if envi is not None:
-                _apply_gauss_defs(gdefs, envi)
-                if _rows_hold(sys_.rows, envi):
-                    points[t] = {v: envi[i] for i, v in enumerate(sys_.vars)}
+                _apply_gauss_defs(r.defs, envi)
+                if _rows_hold(r.rows, envi):
+                    points[t] = {v: envi[i] for i, v in enumerate(r.vars)}
         if points[0] is not None:
             break
     kept = tuple(p for p in points if p is not None)
@@ -893,14 +872,16 @@ def _rows_to_atoms(rows) -> list[LinAtom]:
 def project(c: ConstraintConj, keep: Iterable[Var]) -> QuantDisj:
     """Eliminate the variables of c outside `keep`.
 
-    The linear atoms that mention an eliminated variable are lowered once;
-    Gauss substitutes away the eliminated variables that unit-coefficient
-    equalities define, and Fourier-Motzkin the others, on each branch of
-    the disequalities that still mention one. Exact over the rationals;
-    over the integers the result can be an over-approximation, in which
-    case the returned QuantDisj carries exact=False. Array atoms touching
-    eliminated variables are dropped (over-approximation, also flagged), as
-    are the disequalities on eliminated variables past the split cap.
+    The linear atoms that mention an eliminated variable are lowered once
+    into one row list; Gauss substitutes away, in place, the eliminated
+    variables that unit-coefficient equalities define, and Fourier-Motzkin
+    the others, in order of first occurrence in the rows Gauss leaves, on
+    each branch of the disequalities that still mention one. Exact over the
+    rationals; over the integers the result can be an over-approximation,
+    in which case the returned QuantDisj carries exact=False. Array atoms
+    touching eliminated variables are dropped (over-approximation, also
+    flagged), as are the disequalities on eliminated variables past the
+    split cap.
     """
     keepset = set(keep)
     exact = True
@@ -916,30 +897,28 @@ def project(c: ConstraintConj, keep: Iterable[Var]) -> QuantDisj:
             exact = False  # dropped array atom
     if not touched:
         return QuantDisj((), (ConstraintConj(tuple(passthrough)),), exact)
-    sys_ = _lower(touched)
-    elim = {i for i, v in enumerate(sys_.vars) if v in elim_set}
-    defs, unsat = _gauss_reduce(sys_, elim)
-    if sys_.ground_false or unsat:
+    r = _lower(touched)
+    elim = {i for i, v in enumerate(r.vars) if v in elim_set}
+    _gauss_reduce(r, elim)
+    if r.unsat:
         return qd_false()
-    ne_split = [row for row in sys_.ne if not elim.isdisjoint(row[0])]
-    ne_plain = [row for row in sys_.ne if elim.isdisjoint(row[0])]
+    ne = [row for row in r.work if row[2] is Rel.NE]
+    ne_split = [row for row in ne if not elim.isdisjoint(row[0])]
+    ne_plain = [row for row in ne if elim.isdisjoint(row[0])]
     if 2 ** len(ne_split) > NEQ_SPLIT_CAP:
         # drop those disequalities instead of splitting
         ne_split = []
         exact = False
     # Fourier-Motzkin takes the variables left in order of first occurrence
-    # in the substituted rows, atoms in order and names in a row, without
-    # the dropped disequalities. Gauss has popped its pivot rows and split
-    # the others by relation, so the rows as lowered are substituted again.
+    # in the rows after Gauss, atoms in order and names in a row, without
+    # the dropped disequalities.
     order: dict[int, None] = {}
-    subst = _subst_defs([(coeffs, k) for coeffs, k, _ in sys_.rows], defs)
-    for (coeffs, _), (_, _, rel) in zip(subst, sys_.rows):
-        if rel is Rel.NE and not ne_split:
-            continue
-        for i in sorted(elim.intersection(coeffs), key=lambda i: sys_.vars[i].name):
-            order.setdefault(i)
+    for coeffs, _, rel in r.work:
+        if rel is not Rel.NE or ne_split:
+            for i in sorted(elim.intersection(coeffs), key=lambda i: r.vars[i].name):
+                order.setdefault(i)
     disjuncts = []
-    for rows in _le_branches(sys_, ne_split):
+    for rows in _le_branches(r.work, ne_split):
         try:
             rem, _, br_exact = _fm_eliminate(rows, list(order))
         except _Unsat:
@@ -948,10 +927,10 @@ def project(c: ConstraintConj, keep: Iterable[Var]) -> QuantDisj:
             # give up on this branch precisely: keep no constraint at all
             rem, br_exact = [], False
         exact = exact and br_exact
-        var_rows = [({sys_.vars[i]: cc for i, cc in row.items()}, k) for row, k in rem]
+        var_rows = [({r.vars[i]: cc for i, cc in row.items()}, k) for row, k in rem]
         datoms = list(passthrough) + _rows_to_atoms(var_rows)
-        for row, k in ne_plain:
-            datoms.append(_row_atom({sys_.vars[i]: cc for i, cc in row.items()}, k, Rel.NE))
+        for row, k, _ in ne_plain:
+            datoms.append(_row_atom({r.vars[i]: cc for i, cc in row.items()}, k, Rel.NE))
         disjuncts.append(ConstraintConj(tuple(datoms)))
     if not disjuncts:
         return qd_false()
@@ -982,18 +961,18 @@ def _entailed_atoms(reduced: Reduction, atoms: Iterable[LinAtom]) -> set[LinAtom
     does. The reduced atoms entail each of them, and any negation of one,
     added to the reduced atoms, leaves a false ground row. An atom with a
     variable outside the reduction is never ground."""
-    index = reduced.sys.index
+    index = reduced.index
     candidates = []
     rows = []
     for atom in atoms:
-        terms, k, _ = atom.row()
+        terms, k, rel = atom.row()
         if all(v in index for v, _ in terms):
             candidates.append(atom)
-            rows.append(({index[v]: c for v, c in terms}, k))
+            rows.append(({index[v]: c for v, c in terms}, k, rel))
     return {
         atom
-        for atom, (coeffs, k) in zip(candidates, _subst_defs(rows, reduced.defs))
-        if not coeffs and boxes.row_holds(k, atom.row()[2])
+        for atom, (coeffs, k, rel) in zip(candidates, _subst_defs(rows, reduced.defs))
+        if not coeffs and boxes.row_holds(k, rel)
     }
 
 

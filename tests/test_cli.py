@@ -74,7 +74,9 @@ def test_oracle_takes_a_box_with_a_negative_bound(tmp_path, capsys):
         assert capsys.readouterr().out.splitlines() == ["p(-1)", "p(0)", "p(1)"]
 
 
-@pytest.mark.parametrize("box", ["a..3", "0..", "0-3", "1.5..3", "3"])
+# int() would also take an underscore, other scripts' digits and blanks
+@pytest.mark.parametrize("box", ["a..3", "0..", "0-3", "1.5..3", "3", "0..1_0", "\u0660..\u0663",
+                                 " 0..3 ", "0.. 3"])
 def test_oracle_refuses_a_bad_box_with_its_own_message(box, capsys):
     assert run("oracle", CORPUS_DIR / "sum_upto.chc", "--depth", "2", "--box", box) == 3
     assert capsys.readouterr().err.strip() == f"error: bad box {box!r}, expected LO..HI"
@@ -216,6 +218,11 @@ def test_transform_query_by_id(tmp_path, capsys):
     assert run("transform", f, "--query", "3", "-o", out) == 0
     prog = parse_program(out.read_text())
     assert len(prog.goals()) == 2  # the other goal is carried through
+    # an id is an ASCII decimal integer, as in clause files
+    capsys.readouterr()
+    for query in (" 3", "\u0663", "0_3"):
+        assert run("transform", f, "--query", query, "-o", out) == 3
+        assert capsys.readouterr().err.strip() == f"error: no clause with id {query!r}"
 
 
 def test_check_model_proved(tmp_path, capsys):
@@ -371,7 +378,12 @@ def test_parse_error_is_usage_error(tmp_path, capsys):
         ["transform", "--bogus", "p.chc"],
         ["transform", "p.chc", "--a-classifier", "lia"],
         ["transform", "p.chc", "--max-defs", "x"],
+        ["transform", "p.chc", "--max-defs", "\u0663"],
+        ["transform", "p.chc", "--max-defs", "6_4"],
         ["oracle", "p.chc", "--box", "0..3"],
+        ["oracle", "p.chc", "--depth", "\u0662", "--box", "0..3"],
+        ["oracle", "p.chc", "--depth", "1_0", "--box", "0..3"],
+        ["oracle", "p.chc", "--depth", " 2", "--box", "0..3"],
         ["frobnicate"],
     ],
 )
@@ -382,6 +394,12 @@ def test_argument_errors_exit_with_the_usage_code(argv, capsys):
         run(*argv)
     assert exc.value.code == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_an_integer_option_keeps_argparse_message(capsys):
+    with pytest.raises(SystemExit):
+        run("oracle", "p.chc", "--depth", "1_0", "--box", "0..3")
+    assert "error: argument --depth: invalid int value: '1_0'" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):

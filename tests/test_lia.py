@@ -1,9 +1,12 @@
 import collections
+import gc
 import itertools
 import math
 import operator
 import random
 import time
+import types
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -305,20 +308,21 @@ def test_lower_and_lower_conj_share_variables_and_rows():
     rng = random.Random(46)
     for _ in range(300):
         c = _random_conj(rng)
-        sys_ = lia._lower(c.lin_atoms())
+        r = lia._lower(c.lin_atoms())
         bsys = boxes.lower_conj(c)
-        assert sys_.vars == bsys.vars
-        assert sys_.rows == bsys.rows
-        split = {Rel.LE: [], Rel.EQ: [], Rel.NE: []}
+        assert r.vars == bsys.vars
+        assert r.rows == bsys.rows
+        work = []
         ground_false = False
         for coeffs, k, rel in bsys.rows:
             if coeffs:
-                split[rel].append((coeffs, k))
+                work.append((coeffs, k, rel))
             else:
                 ground_false |= not boxes.row_holds(k, rel)
-        assert (sys_.le, sys_.eq, sys_.ne) == (split[Rel.LE], split[Rel.EQ], split[Rel.NE])
-        assert all(0 not in row.values() for row, _ in sys_.le + sys_.eq + sys_.ne)
-        assert sys_.ground_false == ground_false
+        assert r.work == work
+        assert all(0 not in row.values() for row, _, _ in r.work)
+        assert r.unsat == ground_false
+        assert r.atoms == c.lin_atoms() and r.defs == [] and r.conj is None
 
 
 def test_probe_witness_is_the_first_point_of_the_box():
@@ -575,19 +579,31 @@ def _reference_subst_rows(rows, v, dcoeffs, dconst):
     return out
 
 
-def _reference_gauss(sys_):
-    """Gauss elimination on a whole lowered system, as a from-scratch query
-    ran it: pivot on the first EQ row with a unit coefficient, substitute it
-    everywhere, start over; then drop ground rows."""
+def _buckets(vars_, work):
+    """The rows of `work` sorted into LE, EQ and NE lists of (coeffs, k),
+    each in list order, as the reference Gauss below reads them."""
+    split = {Rel.LE: [], Rel.EQ: [], Rel.NE: []}
+    for coeffs, k, rel in work:
+        split[rel].append((coeffs, k))
+    return types.SimpleNamespace(vars=vars_, le=split[Rel.LE], eq=split[Rel.EQ], ne=split[Rel.NE])
+
+
+def _reference_gauss(sys_, only=None):
+    """Gauss elimination on a whole lowered system in LE, EQ and NE lists,
+    as a from-scratch query ran it: pivot on the first EQ row with a unit
+    coefficient (with `only`, a unit coefficient on a variable of `only`,
+    the first by name), substitute it everywhere, start over; then drop
+    ground rows."""
     defs = []
     subst_rows = _reference_subst_rows
     progress = True
     while progress:
         progress = False
         for idx, (coeffs, k) in enumerate(sys_.eq):
-            unit = next((i for i, c in coeffs.items() if abs(c) == 1), None)
-            if unit is None:
+            units = [i for i, c in coeffs.items() if abs(c) == 1 and (only is None or i in only)]
+            if not units:
                 continue
+            unit = units[0] if only is None else min(units, key=lambda i: sys_.vars[i].name)
             a = coeffs[unit]
             dcoeffs = {i: -a * c for i, c in coeffs.items() if i != unit}
             dconst = -a * k
@@ -633,26 +649,101 @@ def test_subst_defs_matches_one_definition_at_a_time():
         rows = []
         for _ in range(rng.randint(0, 5)):
             keys = rng.sample(range(nvars), rng.randint(0, nvars))
-            rows.append(({i: rng.choice([-3, -1, 1, 2]) for i in keys}, rng.randint(-3, 3)))
-        before = [(list(c.items()), k) for c, k in rows]
-        want = rows
+            rows.append(({i: rng.choice([-3, -1, 1, 2]) for i in keys}, rng.randint(-3, 3),
+                         rng.choice([Rel.LE, Rel.EQ, Rel.NE])))
+        before = [(list(c.items()), k, rel) for c, k, rel in rows]
+        want = [(c, k) for c, k, _ in rows]
         for v, dcoeffs, dconst in defs:
             want = _reference_subst_rows(want, v, dcoeffs, dconst)
         got = lia._subst_defs(rows, defs)
-        assert [(list(c.items()), k) for c, k in got] == [
-            (list(c.items()), k) for c, k in want
+        # each row keeps its relation
+        assert [(list(c.items()), k, rel) for c, k, rel in got] == [
+            (list(c.items()), k, rel) for (c, k), (_, _, rel) in zip(want, rows)
         ], (rows, defs)
         # an untouched row keeps its dict, and no given dict changes
-        assert [g is w for (g, _), (w, _) in zip(got, want)] == [
-            g is c for (g, _), (c, _) in zip(got, rows)
+        assert [g is w for (g, _, _), (w, _) in zip(got, want)] == [
+            g is c for (g, _, _), (c, _, _) in zip(got, rows)
         ]
-        assert [(list(c.items()), k) for c, k in rows] == before
-        seen["untouched"] += any(g is c for (g, _), (c, _) in zip(got, rows))
-        seen["changed"] += any(g is not c for (g, _), (c, _) in zip(got, rows))
-        seen["cancel"] += any(len(g) < len(c) - 1 for (g, _), (c, _) in zip(got, rows))
+        assert [(list(c.items()), k, rel) for c, k, rel in rows] == before
+        seen["untouched"] += any(g is c for (g, _, _), (c, _, _) in zip(got, rows))
+        seen["changed"] += any(g is not c for (g, _, _), (c, _, _) in zip(got, rows))
+        seen["cancel"] += any(len(g) < len(c) - 1 for (g, _, _), (c, _, _) in zip(got, rows))
         seen["no_rows"] += not rows
         seen["no_defs"] += not defs
     for key in ("forward", "backward", "untouched", "changed", "cancel", "no_rows", "no_defs"):
+        assert seen[key] >= 20, (key, seen)
+
+
+def _reference_le_branches(sys_, ne):
+    """The <=-row branches of LE, EQ and NE lists: the LE rows, each EQ row
+    in both directions, then one side of each NE row."""
+    base = list(sys_.le)
+    for c, k in sys_.eq:
+        base += [(dict(c), k), ({i: -x for i, x in c.items()}, -k)]
+    branches = [base]
+    for c, k in ne:
+        sides = ((dict(c), k + 1), ({i: -x for i, x in c.items()}, 1 - k))
+        branches = [br + [side] for br in branches for side in sides]
+    return branches
+
+
+def _keyed(rows):
+    """Rows with their keys in order, so that a comparison sees key order."""
+    return [(list(row[0].items()),) + tuple(row[1:]) for row in rows]
+
+
+def test_gauss_on_the_one_list_matches_the_reference_on_relation_lists():
+    """_gauss_reduce on one row list gives the definitions, in the same
+    order, and the unsat flag of the reference Gauss on LE, EQ and NE lists,
+    with and without `only`; the rows it leaves, taken by relation, are the
+    reference's lists, in the same order and with the same key order; and
+    _le_branches on them gives the reference's branches. Seeded random
+    systems, ground and unit-free rows included, over variables whose names
+    are not in index order."""
+    rng = random.Random(33)
+    seen = collections.Counter()
+    deadline = time.monotonic() + 4.0
+    cases = 0
+    while cases < 3000 and time.monotonic() < deadline:
+        nvars = rng.randint(1, 7)
+        names = rng.sample("ABCDEFGHJK", nvars)
+        vars_ = tuple(V(n) for n in names)
+        work = []
+        for _ in range(rng.randint(0, 7)):
+            keys = rng.sample(range(nvars), rng.randint(0, min(nvars, 4)))
+            coeffs = {i: rng.choice([-2, -1, 1, 1, 2, 3]) for i in keys}
+            work.append((coeffs, rng.randint(-2, 2), rng.choice([Rel.LE, Rel.EQ, Rel.EQ, Rel.NE])))
+        only = None
+        if rng.random() < 0.4:
+            only = set(rng.sample(range(nvars), rng.randint(0, nvars)))
+        ref = _buckets(vars_, work)
+        want_defs, want_unsat = _reference_gauss(ref, only)
+        r = lia.Reduction(None, (), vars_, {v: i for i, v in enumerate(vars_)}, [], list(work),
+                          [], False)
+        lia._gauss_reduce(r, only)
+        assert [(v, list(dc.items()), k) for v, dc, k in r.defs] == [
+            (v, list(dc.items()), k) for v, dc, k in want_defs
+        ], (work, only)
+        assert r.unsat is want_unsat, (work, only)
+        got = _buckets(vars_, r.work)
+        for rel in ("le", "eq", "ne"):
+            assert _keyed(getattr(got, rel)) == _keyed(getattr(ref, rel)), (rel, work, only)
+        ne = [row for row in r.work if row[2] is Rel.NE][:3]
+        assert [_keyed(br) for br in lia._le_branches(r.work, ne)] == [
+            _keyed(br) for br in _reference_le_branches(ref, [(c, k) for c, k, _ in ne])
+        ], (work, only)
+        seen["only" if only is not None else "all"] += 1
+        seen["pivots"] += len(r.defs) > 1
+        unit_rels = [rel for c, _, rel in work if any(abs(x) == 1 for x in c.values())]
+        seen["a unit on a non-EQ row first"] += (
+            bool(unit_rels) and unit_rels[0] is not Rel.EQ and Rel.EQ in unit_rels)
+        seen["unit-free EQ left"] += any(rel is Rel.EQ for _, _, rel in r.work)
+        seen["unsat"] += want_unsat
+        seen["mixed"] += len({rel for _, _, rel in r.work}) == 3
+        cases += 1
+    assert cases >= 300
+    for key in ("only", "all", "pivots", "a unit on a non-EQ row first", "unit-free EQ left",
+                "unsat", "mixed"):
         assert seen[key] >= 20, (key, seen)
 
 
@@ -662,21 +753,27 @@ def _reference_sat(atoms, signs=(0,)):
     towards one target per sign, the i-th variable at sign * 1000 * (i + 1).
     The signs (0,) aim at 0 as an extension query does, and (1, -1, 0) at
     the targets of a reduction's decision."""
-    sys_ = lia._lower(atoms)
-    if sys_.ground_false:
+    lowered = lia._lower(atoms)
+    if lowered.unsat:
         return Verdict.DISPROVED, ()
-    if not sys_.le and not sys_.eq and not sys_.ne:
-        return Verdict.PROVED, ({v: 0 for v in sys_.vars},)
-    if len(sys_.vars) <= lia._PROBE_MAX_VARS:
-        w = boxes.find_solution(boxes.BoxSystem(sys_.vars, sys_.rows), -2, 2)
+    if not lowered.work:
+        return Verdict.PROVED, ({v: 0 for v in lowered.vars},)
+    if len(lowered.vars) <= lia._PROBE_MAX_VARS:
+        w = boxes.find_solution(boxes.BoxSystem(lowered.vars, lowered.rows), -2, 2)
         if w is not None:
             return Verdict.PROVED, (w,)
+    sys_ = _buckets(lowered.vars, lowered.work)
     gdefs, unsat = _reference_gauss(sys_)
     if unsat:
         return Verdict.DISPROVED, ()
-    n = len(sys_.vars)
+    # the branches read the rows by relation, so the lists' order is enough
+    work = [(c, k, rel) for rel, rows in ((Rel.LE, sys_.le), (Rel.EQ, sys_.eq),
+                                          (Rel.NE, sys_.ne)) for c, k in rows]
+    reduced = lia.Reduction(None, lowered.atoms, lowered.vars, lowered.index, lowered.rows, work,
+                            gdefs, False)
+    n = len(lowered.vars)
     return lia._branch_witness(
-        sys_, gdefs, [[sign * 1000 * (i + 1) for i in range(n)] for sign in signs]
+        reduced, [[sign * 1000 * (i + 1) for i in range(n)] for sign in signs]
     )
 
 
@@ -747,9 +844,8 @@ _NE_ORDER_CASE = (
 )
 
 
-def _snapshot(reduced):
-    s = reduced.sys
-    return repr((s.vars, s.rows, s.le, s.eq, s.ne, reduced.defs, reduced.unsat))
+def _snapshot(r):
+    return repr((r.vars, r.rows, r.work, r.defs, r.unsat))
 
 
 def test_extending_a_reduced_base_matches_a_query_from_scratch():
@@ -828,7 +924,7 @@ def test_a_point_that_breaks_one_row_is_no_witness(monkeypatch):
     accept (an EQ row at -3, an LE row at +3, an NE row at 0)."""
     # X >= 10 keeps the box probe from answering; no unit coefficient, no Gauss
     c = conj("X >= 10, 2*X + 3*Y = 50, Z =\\= 7")
-    index = lia.reduction(c).sys.index
+    index = lia.reduction(c).index
     good = {"X": 10, "Y": 10, "Z": 0}
     broken = {
         "LE": {"X": 7, "Y": 12, "Z": 0},
@@ -961,7 +1057,7 @@ def test_growing_a_chain_of_prefixes_matches_a_query_from_scratch():
         assert _snapshot(r_head) == before_head and _snapshot(r_mid) == before_mid
         seen.update((kind, want[0].value))
         seen["array"] += len(c.lin_atoms()) < len(atoms)
-        seen["probed"] += len(r_mid.sys.vars) <= lia._PROBE_MAX_VARS and not r_mid.unsat
+        seen["probed"] += len(r_mid.vars) <= lia._PROBE_MAX_VARS and not r_mid.unsat
         cases += 1
     assert cases >= 100
     for key in ("plain", "ground_false_prefix", "refuted_middle", "probe", "many_ne",
@@ -990,14 +1086,15 @@ def test_a_reduction_of_no_prefix_is_refused():
     assert is_satisfiable(c, reduced=lia.reduction(c, base=prefix)) is Verdict.PROVED
 
 
-def _ref_branch_witness(sys_, gdefs, targets):
+def _ref_branch_witness(r, targets):
     """Fourier-Motzkin branch search as the two procedures below ran it:
     every target without a point is back-substituted on each feasible
     branch, up to the first point for targets[0]."""
     points = [None] * len(targets)
-    if 2 ** len(sys_.ne) > lia.NEQ_SPLIT_CAP:
+    ne = [row for row in r.work if row[2] is Rel.NE]
+    if 2 ** len(ne) > lia.NEQ_SPLIT_CAP:
         return Verdict.UNKNOWN, points
-    branches = lia._le_branches(sys_, sys_.ne)
+    branches = lia._le_branches(r.work, ne)
     residual = sorted({i for rows in branches for coeffs, _ in rows for i in coeffs})
     undecided = False
     for rows in branches:
@@ -1013,9 +1110,9 @@ def _ref_branch_witness(sys_, gdefs, targets):
             if points[t] is None:
                 envi = lia._backsubst_witness(stages, target)
                 if envi is not None:
-                    lia._apply_gauss_defs(gdefs, envi)
-                    if lia._rows_hold(sys_.rows, envi):
-                        points[t] = {v: envi[i] for i, v in enumerate(sys_.vars)}
+                    lia._apply_gauss_defs(r.defs, envi)
+                    if lia._rows_hold(r.rows, envi):
+                        points[t] = {v: envi[i] for i, v in enumerate(r.vars)}
         if points[0] is not None:
             break
     if any(p is not None for p in points):
@@ -1028,11 +1125,11 @@ def _ref_zero_decision(r):
     served eq_set too: the box probe, then Fourier-Motzkin towards 0."""
     if r.unsat:
         return Verdict.DISPROVED, None
-    if len(r.sys.vars) <= lia._PROBE_MAX_VARS:
-        w = boxes.find_solution(boxes.BoxSystem(r.sys.vars, r.sys.rows), -2, 2)
+    if len(r.vars) <= lia._PROBE_MAX_VARS:
+        w = boxes.find_solution(boxes.BoxSystem(r.vars, r.rows), -2, 2)
         if w is not None:
             return Verdict.PROVED, w
-    verdict, (w,) = _ref_branch_witness(r.sys, r.defs, [[0] * len(r.sys.vars)])
+    verdict, (w,) = _ref_branch_witness(r, [[0] * len(r.vars)])
     return verdict, w
 
 
@@ -1042,9 +1139,9 @@ def _ref_generic_decision(r):
     an Unknown decided by `_ref_zero_decision`; with the points it kept."""
     if r.unsat:
         return Verdict.DISPROVED, ()
-    n = len(r.sys.vars)
+    n = len(r.vars)
     targets = [[sign * 1000 * (i + 1) for i in range(n)] for sign in (1, -1)]
-    verdict, points = _ref_branch_witness(r.sys, r.defs, targets)
+    verdict, points = _ref_branch_witness(r, targets)
     if verdict is Verdict.UNKNOWN:
         verdict = _ref_zero_decision(r)[0]
     return verdict, tuple(w for w in points if w is not None)
@@ -1076,7 +1173,7 @@ def test_one_decision_keeps_every_verdict_of_the_two_it_replaces():
         for w in points:
             assert all(boxes.eval_atom(a, w) for a in c.lin_atoms()), c
         seen.update((tag, got.value))
-        seen["wide"] += len(r.sys.vars) > lia._PROBE_MAX_VARS
+        seen["wide"] += len(r.vars) > lia._PROBE_MAX_VARS
         seen["several points"] += len(points) > 1
 
     cases = 0
@@ -1189,6 +1286,30 @@ def test_lia_keeps_no_answer_between_operations():
     assert held == []
     assert lia._EMPTY.decision is None
     assert lia._EMPTY.entailed == {}
+
+
+def test_no_reduction_outlives_its_operation(monkeypatch):
+    """Every reduction that `_grow` and `_lower` build during an hl1
+    transform and an hl1 model and tightness check is freed once they
+    return: no answer is memoised on a value that outlives the run."""
+    from chcpair import check_tight
+
+    refs = []
+    for name in ("_grow", "_lower"):
+        def keeping(*args, _build=getattr(lia, name), **kwargs):
+            r = _build(*args, **kwargs)
+            refs.append(weakref.ref(r))
+            return r
+
+        monkeypatch.setattr(lia, name, keeping)
+    iterate_pairing(corpus.load("hl1"), [], PairingConfig(iterate=True))
+    transformed = len(refs)
+    prog, sigma, defs = load_case("hl1.transported")
+    assert check_model(prog, sigma).overall is Verdict.PROVED
+    assert check_tight(defs, sigma) is Verdict.PROVED
+    assert transformed > 100 and len(refs) > transformed
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []
 
 
 # --- implications between quantified disjunctions ---------------------------
