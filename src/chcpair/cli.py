@@ -38,6 +38,19 @@ def _decimal(text: str) -> int:
 _decimal.__name__ = "int"
 
 
+def _seconds(text: str) -> float:
+    """text as a float when it is an ASCII decimal, [0-9]+(.[0-9]+)?;
+    float() alone also takes inf, nan, exponents, signs, underscores,
+    surrounding blanks and other scripts' digits. Raises ValueError
+    otherwise."""
+    if re.fullmatch(r"[0-9]+(\.[0-9]+)?", text) is None:
+        raise ValueError(f"invalid float value: {text!r}")
+    return float(text)
+
+
+_seconds.__name__ = "float"
+
+
 def _read_program(path: str) -> Program:
     return parse_program(Path(path).read_text(encoding="utf-8-sig"))
 
@@ -263,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     so = sub.add_parser("solve", help="run an external Horn solver")
     so.add_argument("program")
     so.add_argument("--solver", help=f"solver command (default ${SOLVER_ENV})")
-    so.add_argument("--timeout", type=float, default=60)
+    so.add_argument("--timeout", type=_seconds, default=60)
     so.add_argument("--model", help="write a sat model to this file")
     so.set_defaults(fn=_cmd_solve)
 

@@ -459,11 +459,14 @@ def _subst_defs(rows, defs):
     return out
 
 
-def _pivot(r: Reduction, only: Optional[set[int]]) -> Optional[tuple[int, int]]:
-    """(row, variable) of the first EQ row of r.work with a unit coefficient,
-    on a variable of `only` when it is given, and of the first such
-    variable: in the row's own order, or with `only` by name."""
-    for idx, (coeffs, _, rel) in enumerate(r.work):
+def _pivot(r: Reduction, only: Optional[set[int]], start: int) -> Optional[tuple[int, int]]:
+    """(row, variable) of the first EQ row of r.work from position `start`
+    on with a unit coefficient, on a variable of `only` when it is given,
+    and of the first such variable: in the row's own order, or with `only`
+    by name. The caller knows that no row before `start` has one."""
+    work = r.work
+    for idx in range(start, len(work)):
+        coeffs, _, rel = work[idx]
         if rel is Rel.EQ:
             units = [
                 i for i, c in coeffs.items() if (c == 1 or c == -1) and (only is None or i in only)
@@ -485,10 +488,17 @@ def _gauss_reduce(r: Reduction, only: Optional[set[int]] = None) -> None:
     `r.defs`, and only the rows that hold the pivot are rewritten, each into
     a new dict. Then the ground rows leave the list, and a false one sets
     `r.unsat`.
+
+    The search for the next pivot resumes where the last one stood, or at
+    the first EQ row before it that the substitution rewrote: every other
+    row before it was passed over and is unchanged, so it still has no
+    eligible unit coefficient, and the pivots are those of a search from
+    the top.
     """
     work = r.work
+    start = 0
     while True:
-        pivot = _pivot(r, only)
+        pivot = _pivot(r, only, start)
         if pivot is None:
             break
         idx, unit = pivot
@@ -497,11 +507,14 @@ def _gauss_reduce(r: Reduction, only: Optional[set[int]] = None) -> None:
         # a*v + rest + k == 0  =>  v = -a*(rest + k)
         dcoeffs = {i: -a * c for i, c in coeffs.items() if i != unit}
         dconst = -a * k
+        start = idx
         for n, (coeffs, k, rel) in enumerate(work):
             a = coeffs.get(unit)
             if a:
                 coeffs, k = boxes.subst_row(coeffs, k, unit, a, dcoeffs, dconst)
                 work[n] = (coeffs, k, rel)
+                if n < start and rel is Rel.EQ:
+                    start = n
         r.defs.append((unit, dcoeffs, dconst))
     # ground rows may have appeared
     r.unsat = r.unsat or not all(boxes.row_holds(k, rel) for c, k, rel in work if not c)

@@ -21,10 +21,16 @@ from .syntax import Atom, Clause, ConstraintConj, Program, Sort, Var, rename_apa
 
 
 class SymbolicInterpretation:
-    """Per-predicate formulas over canonical parameters; false maps to false."""
+    """Per-predicate formulas over canonical parameters; false maps to false.
+
+    `instantiate` memoises its formulas by atom in `_instances`, which lives
+    and dies with the interpretation; an interpretation never changes, so a
+    memoised formula stays right.
+    """
 
     def __init__(self, entries: Optional[Mapping[str, tuple[tuple[Var, ...], QuantDisj]]] = None):
         self._entries: dict[str, tuple[tuple[Var, ...], QuantDisj]] = {}
+        self._instances: dict[Atom, QuantDisj] = {}
         for pred, (params, formula) in (entries or {}).items():
             self._check_entry(pred, params, formula)
             self._entries[pred] = (tuple(params), formula)
@@ -56,7 +62,16 @@ class SymbolicInterpretation:
         return SymbolicInterpretation(new)
 
     def instantiate(self, atom: Atom) -> QuantDisj:
-        """The formula for an atom, with parameters renamed to its arguments."""
+        """The formula for an atom, with parameters renamed to its arguments.
+
+        Each distinct atom is instantiated once per interpretation: every
+        clause and check that asks for it again, `check_model` and
+        `check_tight` alike, gets the same formula, with its LinAtoms and
+        their memoised hashes and rows.
+        """
+        out = self._instances.get(atom)
+        if out is not None:
+            return out
         if atom.pred not in self._entries:
             return qd_true()
         params, formula = self._entries[atom.pred]
@@ -65,8 +80,8 @@ class SymbolicInterpretation:
                 f"interpretation of {atom.pred!r} has arity {len(params)}, "
                 f"atom has {len(atom.args)}"
             )
-        theta = dict(zip(params, atom.args))
-        return qd_subst(formula, theta)
+        out = self._instances[atom] = qd_subst(formula, dict(zip(params, atom.args)))
+        return out
 
 
 @dataclass(frozen=True)

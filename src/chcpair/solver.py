@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 import shlex
 import subprocess
 from dataclasses import dataclass
@@ -19,6 +20,8 @@ class SolverConfig:
     timeout_seconds: float = 60
 
     def __post_init__(self):
+        if not math.isfinite(self.timeout_seconds):
+            raise ValueError("timeout must be a finite number of seconds")
         if self.timeout_seconds < 1:
             raise ValueError("timeout must be at least one second")
 

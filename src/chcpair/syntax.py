@@ -490,7 +490,14 @@ def infer_signatures(
 
 
 class Program:
-    """An ordered set of clauses with inferred predicate signatures."""
+    """An ordered set of clauses with their predicate signatures.
+
+    The constructor checks that clause ids are distinct. Without
+    `signatures` it infers them from the clauses (`infer_signatures`);
+    given ones are taken as they are and must be those of the clauses, as
+    `parse_program`'s (from the parser's sort inference) and `definite`'s
+    (from the parent program) are.
+    """
 
     def __init__(self, clauses: Iterable[Clause], signatures: Optional[Mapping[str, tuple[Sort, ...]]] = None):
         self.clauses: tuple[Clause, ...] = tuple(clauses)
@@ -499,7 +506,7 @@ class Program:
             if c.cid in seen_ids:
                 raise ArityClash(f"duplicate clause id {c.cid}")
             seen_ids.add(c.cid)
-        self.signatures = infer_signatures(self.clauses, signatures)
+        self.signatures = infer_signatures(self.clauses) if signatures is None else dict(signatures)
         self._by_id = {c.cid: c for c in self.clauses}
 
     def __iter__(self) -> Iterator[Clause]:
@@ -521,6 +528,7 @@ class Program:
         return tuple(c for c in self.clauses if c.is_goal)
 
     def definite(self) -> "Program":
+        """The program without its goals, with every signature of this one."""
         return Program([c for c in self.clauses if not c.is_goal], self.signatures)
 
 
@@ -1098,7 +1106,9 @@ def parse_program(text: str) -> Program:
 
     Linear constraint atoms of one text are one object, from a table of
     this call alone: two calls on one text share Vars, which are interned,
-    but no atom.
+    but no atom. The Program takes `_infer_sorts`'s signatures as they are:
+    every clause variable gets its sort from the same inference, so
+    `infer_signatures` on the clauses would find them again.
     """
     tokens = _scan(text)
     decls, clauses = _grammar(text, tokens)

@@ -384,6 +384,11 @@ def test_parse_error_is_usage_error(tmp_path, capsys):
         ["oracle", "p.chc", "--depth", "\u0662", "--box", "0..3"],
         ["oracle", "p.chc", "--depth", "1_0", "--box", "0..3"],
         ["oracle", "p.chc", "--depth", " 2", "--box", "0..3"],
+        ["solve", "p.chc", "--timeout", "inf"],
+        ["solve", "p.chc", "--timeout", "nan"],
+        ["solve", "p.chc", "--timeout", "1_0"],
+        ["solve", "p.chc", "--timeout", " 5 "],
+        ["solve", "p.chc", "--timeout", "\u0665"],
         ["frobnicate"],
     ],
 )
@@ -400,6 +405,18 @@ def test_an_integer_option_keeps_argparse_message(capsys):
     with pytest.raises(SystemExit):
         run("oracle", "p.chc", "--depth", "1_0", "--box", "0..3")
     assert "error: argument --depth: invalid int value: '1_0'" in capsys.readouterr().err
+
+
+def test_timeout_takes_an_ascii_decimal(capsys):
+    """--timeout reads [0-9]+(.[0-9]+)? with argparse's message otherwise:
+    float() would take inf, which crashed the solver call, and nan."""
+    from chcpair.cli import build_parser
+
+    for text, want in (("1.5", 1.5), ("60", 60.0), ("007.250", 7.25)):
+        assert build_parser().parse_args(["solve", "p.chc", "--timeout", text]).timeout == want
+    with pytest.raises(SystemExit):
+        run("solve", "p.chc", "--timeout", "inf")
+    assert "error: argument --timeout: invalid float value: 'inf'" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):

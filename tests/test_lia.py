@@ -692,14 +692,25 @@ def _keyed(rows):
     return [(list(row[0].items()),) + tuple(row[1:]) for row in rows]
 
 
-def test_gauss_on_the_one_list_matches_the_reference_on_relation_lists():
+def test_gauss_on_the_one_list_matches_the_reference_on_relation_lists(monkeypatch):
     """_gauss_reduce on one row list gives the definitions, in the same
     order, and the unsat flag of the reference Gauss on LE, EQ and NE lists,
     with and without `only`; the rows it leaves, taken by relation, are the
     reference's lists, in the same order and with the same key order; and
     _le_branches on them gives the reference's branches. Seeded random
     systems, ground and unit-free rows included, over variables whose names
-    are not in index order."""
+    are not in index order; in some, a row before a pivot gains a unit
+    coefficient from its substitution, where the resumed pivot search must
+    step back."""
+    pivots = []
+    pivot = lia._pivot
+
+    def recorded(r, only, start=0):
+        found = pivot(r, only, start)
+        pivots.append(found and found[0])
+        return found
+
+    monkeypatch.setattr(lia, "_pivot", recorded)
     rng = random.Random(33)
     seen = collections.Counter()
     deadline = time.monotonic() + 4.0
@@ -713,6 +724,11 @@ def test_gauss_on_the_one_list_matches_the_reference_on_relation_lists():
             keys = rng.sample(range(nvars), rng.randint(0, min(nvars, 4)))
             coeffs = {i: rng.choice([-2, -1, 1, 1, 2, 3]) for i in keys}
             work.append((coeffs, rng.randint(-2, 2), rng.choice([Rel.LE, Rel.EQ, Rel.EQ, Rel.NE])))
+        if nvars > 1 and rng.random() < 0.2:
+            # 2i + 3j = k has no unit until a later i + j = k' substitutes i
+            i, j = rng.sample(range(nvars), 2)
+            work.insert(rng.randint(0, len(work)), ({i: 2, j: 3}, rng.randint(-2, 2), Rel.EQ))
+            work.append(({i: 1, j: 1}, rng.randint(-2, 2), Rel.EQ))
         only = None
         if rng.random() < 0.4:
             only = set(rng.sample(range(nvars), rng.randint(0, nvars)))
@@ -720,6 +736,7 @@ def test_gauss_on_the_one_list_matches_the_reference_on_relation_lists():
         want_defs, want_unsat = _reference_gauss(ref, only)
         r = lia.Reduction(None, (), vars_, {v: i for i, v in enumerate(vars_)}, [], list(work),
                           [], False)
+        pivots.clear()
         lia._gauss_reduce(r, only)
         assert [(v, list(dc.items()), k) for v, dc, k in r.defs] == [
             (v, list(dc.items()), k) for v, dc, k in want_defs
@@ -740,11 +757,74 @@ def test_gauss_on_the_one_list_matches_the_reference_on_relation_lists():
         seen["unit-free EQ left"] += any(rel is Rel.EQ for _, _, rel in r.work)
         seen["unsat"] += want_unsat
         seen["mixed"] += len({rel for _, _, rel in r.work}) == 3
+        steps = [idx for idx in pivots if idx is not None]
+        seen["an earlier row pivots after a substitution"] += any(
+            b < a for a, b in zip(steps, steps[1:]))
         cases += 1
     assert cases >= 300
     for key in ("only", "all", "pivots", "a unit on a non-EQ row first", "unit-free EQ left",
-                "unsat", "mixed"):
+                "unsat", "mixed", "an earlier row pivots after a substitution"):
         assert seen[key] >= 20, (key, seen)
+
+
+def _gauss_matches_the_reference(r: lia.Reduction, work, defs_before: int, unsat_before: bool,
+                                 only=None):
+    """r, Gauss-reduced, took the reference's pivots on a copy of the rows
+    it held before, and kept its rows and unsat flag."""
+    ref = _buckets(r.vars, work)
+    want_defs, want_unsat = _reference_gauss(ref, only)
+    assert [(v, list(dc.items()), k) for v, dc, k in r.defs[defs_before:]] == [
+        (v, list(dc.items()), k) for v, dc, k in want_defs
+    ], (work, only)
+    assert r.unsat is (unsat_before or want_unsat), (work, only)
+    got = _buckets(r.vars, r.work)
+    for rel in ("le", "eq", "ne"):
+        assert _keyed(getattr(got, rel)) == _keyed(getattr(ref, rel)), (rel, work, only)
+
+
+def test_a_row_before_the_pivot_pivots_once_the_substitution_gives_it_a_unit():
+    """2X + 3Y = 0 has no unit coefficient until the pivot of the row after
+    it, X + Y = 0, substitutes X = -Y into it and leaves Y = 0: the resumed
+    search steps back to it, as a search from the top would."""
+    x, y = V("X"), V("Y")
+    work = [({0: 2, 1: 3}, 0, Rel.EQ), ({0: 1, 1: 1}, 0, Rel.EQ)]
+    r = lia.Reduction(None, (), (x, y), {x: 0, y: 1}, [], list(work), [], False)
+    lia._gauss_reduce(r)
+    assert [(v, dc) for v, dc, _ in r.defs] == [(0, {1: -1}), (1, {})]
+    assert r.work == [] and not r.unsat
+    _gauss_matches_the_reference(r, work, 0, False)
+
+
+def test_every_gauss_run_of_a_transform_and_a_certify_pass_matches_the_reference(monkeypatch):
+    """Each `_gauss_reduce` call of the transform of every corpus entry and
+    of every model and tightness check of the benchmark's certify cases
+    gives the definitions, in pivot order, the rows and the unsat flag that
+    the reference Gauss gives on a copy of its input."""
+    from chcpair import check_tight
+    from test_model_goldens import NAMES
+
+    gauss = lia._gauss_reduce
+    calls = collections.Counter()
+
+    def checked(r, only=None):
+        work = [(dict(c), k, rel) for c, k, rel in r.work]
+        defs_before, unsat_before = len(r.defs), r.unsat
+        gauss(r, only)
+        _gauss_matches_the_reference(r, work, defs_before, unsat_before, only)
+        calls["all"] += 1
+        calls["pivoted"] += len(r.defs) > defs_before
+
+    monkeypatch.setattr(lia, "_gauss_reduce", checked)
+    for name in corpus.NAMES:
+        iterate_pairing(corpus.load(name), [], PairingConfig(iterate=True))
+    transformed = calls["all"]
+    for case in NAMES:
+        prog, sigma, defs = load_case(case)
+        check_model(prog, sigma)
+        if defs is not None:
+            check_tight(defs, sigma)
+    assert transformed > 1000 and calls["all"] > transformed + 300, calls
+    assert calls["pivoted"] > 1000, calls
 
 
 def _reference_sat(atoms, signs=(0,)):

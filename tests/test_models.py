@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -18,7 +20,7 @@ from chcpair.errors import ModelError, TransportError
 from chcpair.lia import Verdict, equiv_quant_disj, qd_of, qd_true
 from chcpair.models import SymbolicInterpretation
 from chcpair.oracle import OracleBudget
-from chcpair import boxes, lia
+from chcpair import boxes, lia, models
 
 from helpers import all_true_interpretation, conj, random_definite_program
 from test_model_goldens import load_case
@@ -88,6 +90,50 @@ def test_renaming_equivariance():
     from chcpair.lia import qd_subst
 
     assert qd_subst(b, back) == a
+
+
+def test_each_atom_is_instantiated_once_per_interpretation(monkeypatch):
+    """On hl1's transported model, the model check and the tightness check
+    substitute the formula of each distinct atom once (2,707 substitutions
+    of 642 atoms on the certify cases before the memo), and every clause
+    that holds an atom gets the same formula object."""
+    prog, sigma, defs = load_case("hl1.transported")
+    calls = []
+    subst = models.qd_subst
+
+    def counted(q, theta):
+        calls.append(q)
+        return subst(q, theta)
+
+    monkeypatch.setattr(models, "qd_subst", counted)
+    lia.install_unknown_resolver(None)
+    assert check_model(prog, sigma).overall is Verdict.PROVED
+    after_model = len(calls)
+    assert check_tight(defs, sigma) is Verdict.PROVED
+    atoms = [a for c in prog.clauses + defs.clauses for a in (c.head, *c.body) if a is not None]
+    distinct = set(atoms)
+    assert len(atoms) > 2 * len(distinct) and after_model > 0
+    assert len(calls) <= len(distinct)
+    done = len(calls)
+    assert all(sigma.instantiate(a) is sigma.instantiate(Atom(a.pred, a.args)) for a in atoms)
+    assert len(calls) == done
+
+
+def test_the_instantiation_memo_dies_with_its_interpretation():
+    """The formulas memoised by instantiate live on the interpretation and
+    are freed with it: no module-level table keeps them."""
+    prog, sigma, defs = load_case("hl1.transported")
+    lia.install_unknown_resolver(None)
+    assert check_model(prog, sigma).overall is Verdict.PROVED
+    assert check_tight(defs, sigma) is Verdict.PROVED
+    refs = [weakref.ref(sigma)] + [weakref.ref(q) for q in sigma._instances.values()]
+    assert len(refs) > 100
+    # a new interpretation starts with a memo of its own
+    other = sigma.with_entry(*next((p, *sigma.entry(p)) for p in sigma.preds()))
+    assert other._instances == {}
+    del sigma, other
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []
 
 
 # --- tightness ----------------------------------------------------------------

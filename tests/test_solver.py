@@ -72,6 +72,14 @@ def test_solver_config_validation():
         SolverConfig(("z3",), timeout_seconds=0)
 
 
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), float("-inf")])
+def test_solver_config_refuses_a_timeout_that_is_not_finite(seconds):
+    """NaN passes the one-second floor, since every comparison with it is
+    false, and infinity overflows the process wait: both are refused."""
+    with pytest.raises(ValueError, match="finite"):
+        SolverConfig(("z3",), timeout_seconds=seconds)
+
+
 def test_solver_config_from_command_line():
     cfg = SolverConfig.from_command_line("z3 -in -smt2", 30)
     assert cfg.command == ("z3", "-in", "-smt2")

@@ -323,3 +323,33 @@ def test_a_sorts_declaration_changes_no_parse(name):
     assert list(declared.clauses) == list(plain.clauses)
     assert list(declared.signatures.items()) == list(plain.signatures.items())
     assert _distinct_lin_atoms(declared) == _distinct_lin_atoms(plain)
+
+
+# --- the parsed signatures against a walk of the parsed clauses -------------
+
+# texts whose `:- sorts` declarations make arguments arrays
+ARRAY_TEXTS = {
+    "read and write": (":- sorts p(array, int).\n"
+                       "p(A, X) :- X = Y + 1, 2*Y - Z > 0, read(A, Y, Z), write(A, X, Z, B), "
+                       "C = B, q(X, Y, Z), r(B)."),
+    "shared array": (":- sorts p(array, int).\n"
+                     "p(A, X) :- X = Y + 1, Y > 0, read(A, Y, Z), B = A, q(X, Y, Z), "
+                     "q(Y, X, 2*Z).\nq(X, X, Y) :- X =< Y + X.\n"),
+    "declared twice": ":- sorts p(array).\n:- sorts p(array).\np(X) :- q(X).",
+    "array read": ":- sorts p(array).\np(A) :- read(A,I,U), U > 0, U < 0.",
+}
+
+
+@pytest.mark.parametrize("name", list(TEXTS) + list(ARRAY_TEXTS))
+def test_parsed_signatures_are_those_of_the_clauses(name):
+    """parse_program keeps the signatures of its sort inference without
+    walking the clauses again, and `definite` its parent's: both are the
+    signatures that `infer_signatures` finds on the clauses. (The order is
+    the sort inference's, which visits constraints before atoms.)"""
+    p = syntax.parse_program(TEXTS.get(name) or ARRAY_TEXTS[name])
+    assert p.signatures == syntax.infer_signatures(p.clauses)
+    d = p.definite()
+    assert list(d.signatures.items()) == list(p.signatures.items())
+    assert d.signatures is not p.signatures
+    assert list(d.clauses) == [c for c in p.clauses if not c.is_goal]
+    assert name not in ARRAY_TEXTS or any(Sort.ARRAY in s for s in p.signatures.values())
