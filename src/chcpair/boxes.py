@@ -11,9 +11,9 @@ LE, EQ or NE. `index_rows` numbers the variables of a list of atoms by
 first occurrence and indexes their rows as (coeffs by position, k, rel);
 a `BoxSystem` holds those rows as they are. `lower_conj` does both, and
 `lia` lowers its queries through `index_rows` as well. `eval_atom`
-evaluates the same rows. `subst_row` replaces a variable of a row by a
-definition of it, the one row substitution of `lia`'s Gauss elimination
-and of the oracle's, each with its own pivot rule.
+evaluates the same rows. `find_pivot` and `pivot`, which rewrites rows
+by `subst_row`, are the one elimination step of `lia`'s Gauss and of the
+oracle's; the pivot order is each caller's own.
 
 Enumeration runs a plan, made by `plan` for one system, box and set of
 pinned (fixed) variables. `run` takes the values as a list in variable
@@ -109,6 +109,39 @@ def subst_row(
         if not merged[i]:
             del merged[i]
     return merged, k + a * dconst
+
+
+def find_pivot(rows: Sequence[Row], start=0, only=None, key=None) -> Optional[tuple[int, int]]:
+    """(row, variable) of the first EQ row from position `start` on with a
+    coefficient of 1 or -1 on a variable of `only` (on any when it is None):
+    the row's first such variable, or with `key` the least by key."""
+    for idx in range(start, len(rows)):
+        coeffs, _, rel = rows[idx]
+        if rel is _EQ and (only is None or not only.isdisjoint(coeffs)):
+            units = [i for i, c in coeffs.items() if c in (1, -1) and (only is None or i in only)]
+            if units:
+                return idx, units[0] if key is None else min(units, key=key)
+    return None
+
+
+def pivot(rows: list[Row], idx: int, v: int) -> tuple[dict[int, int], int, int]:
+    """Eliminate v in place through rows[idx], an EQ row whose coefficient
+    on v is 1 or -1: the row leaves the list, and `subst_row` rewrites each
+    row that holds v. Returns the definition v = sum(dcoeffs) + dconst as
+    dcoeffs and dconst, and the first EQ row rewritten if it comes before
+    idx, else idx: no row before it gained or lost a unit coefficient."""
+    coeffs, k, _ = rows.pop(idx)
+    a = coeffs[v]
+    # a*v + rest + k == 0  =>  v = -a*(rest + k)
+    dcoeffs = {i: -a * c for i, c in coeffs.items() if i != v}
+    dconst = -a * k
+    start = idx
+    for n, (coeffs, k, rel) in enumerate(rows):
+        if v in coeffs:
+            rows[n] = (*subst_row(coeffs, k, v, coeffs[v], dcoeffs, dconst), rel)
+            if n < start and rel is _EQ:
+                start = n
+    return dcoeffs, dconst, start
 
 
 @dataclass(frozen=True)

@@ -165,7 +165,7 @@ def _cmd_oracle(args) -> int:
         res = oracle.false_derivable(prog, budget)
         if isinstance(res, oracle.Found):
             vals = ", ".join(f"{v.name}={x}" for v, x in res.valuation.items())
-            print(f"found: goal {res.goal_id} violated with {vals}")
+            print(f"found: goal {res.goal_id} violated" + (f" with {vals}" if vals else ""))
             return EXIT_NEGATIVE
         print("not within budget")
         return EXIT_OK

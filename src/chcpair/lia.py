@@ -55,7 +55,8 @@ as the whole conjunction.
 eliminated variable once, and `_gauss_reduce` pivots on eliminated
 variables alone, on the first by name within a row; Fourier-Motzkin then
 eliminates the others on each branch of the disequalities that mention
-one.
+one. The oracle shares the pivot search and step (in `boxes`), not the
+pivot order.
 
 Degenerate input note: on an unsatisfiable d, eq_set returns every pair,
 since d entails anything; strategy code removes unsatisfiable clauses
@@ -459,26 +460,9 @@ def _subst_defs(rows, defs):
     return out
 
 
-def _pivot(r: Reduction, only: Optional[set[int]], start: int) -> Optional[tuple[int, int]]:
-    """(row, variable) of the first EQ row of r.work from position `start`
-    on with a unit coefficient, on a variable of `only` when it is given,
-    and of the first such variable: in the row's own order, or with `only`
-    by name. The caller knows that no row before `start` has one."""
-    work = r.work
-    for idx in range(start, len(work)):
-        coeffs, _, rel = work[idx]
-        if rel is Rel.EQ:
-            units = [
-                i for i, c in coeffs.items() if (c == 1 or c == -1) and (only is None or i in only)
-            ]
-            if units:
-                return idx, units[0] if only is None else min(units, key=lambda i: r.vars[i].name)
-    return None
-
-
 def _gauss_reduce(r: Reduction, only: Optional[set[int]] = None) -> None:
     """Substitute away variables defined by unit-coefficient equalities,
-    rewriting `r.work` in place.
+    rewriting `r.work` in place by `boxes.find_pivot` and `boxes.pivot`.
 
     Each step pivots on the first EQ row of the list with a unit
     coefficient, on the first such variable in the row. With `only`, a set
@@ -496,25 +480,14 @@ def _gauss_reduce(r: Reduction, only: Optional[set[int]] = None) -> None:
     the top.
     """
     work = r.work
+    key = None if only is None else (lambda i: r.vars[i].name)
     start = 0
     while True:
-        pivot = _pivot(r, only, start)
-        if pivot is None:
+        found = boxes.find_pivot(work, start, only, key)
+        if found is None:
             break
-        idx, unit = pivot
-        coeffs, k, _ = work.pop(idx)
-        a = coeffs[unit]
-        # a*v + rest + k == 0  =>  v = -a*(rest + k)
-        dcoeffs = {i: -a * c for i, c in coeffs.items() if i != unit}
-        dconst = -a * k
-        start = idx
-        for n, (coeffs, k, rel) in enumerate(work):
-            a = coeffs.get(unit)
-            if a:
-                coeffs, k = boxes.subst_row(coeffs, k, unit, a, dcoeffs, dconst)
-                work[n] = (coeffs, k, rel)
-                if n < start and rel is Rel.EQ:
-                    start = n
+        idx, unit = found
+        dcoeffs, dconst, start = boxes.pivot(work, idx, unit)
         r.defs.append((unit, dcoeffs, dconst))
     # ground rows may have appeared
     r.unsat = r.unsat or not all(boxes.row_holds(k, rel) for c, k, rel in work if not c)

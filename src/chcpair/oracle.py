@@ -18,16 +18,17 @@ the manner of Souffle (Jordan, Scholz & Subotic, CAV 2016). A clause's
 values live in one list, a slot per variable. Its constraint is pushed
 into the join: eliminating the free slots (those no body atom binds)
 through unit-coefficient equalities, with their box bounds, leaves rows
-over the bound slots that the constraint implies. Each such row is checked
-as soon as its last slot is bound: in the index of the one atom that binds
-all its slots, as a computed key of the atom's index when it is an
-equality that fixes one of that atom's slots, or else in the join. So a
-binding that the constraint rejects is dropped before the atoms after it
-are joined, and the bindings that survive come in the same order. When the
-equalities fix every free slot, the survivors are exactly the solutions
-and the free slots are computed; otherwise a box plan enumerates them. The
-head atom is read off each solution by position. No variable is hashed in
-the loop.
+over the bound slots that the constraint implies (by the pivot search and
+step of `lia`'s Gauss, in `boxes`, on each free slot in turn). Each such
+row is checked as soon as its last slot is bound: in the index of the one
+atom that binds all its slots, as a computed key of the atom's index when
+it is an equality that fixes one of that atom's slots, or else in the
+join. So a binding that the constraint rejects is dropped before the atoms
+after it are joined, and the bindings that survive come in the same order.
+When the equalities fix every free slot, the survivors are exactly the
+solutions and the free slots are computed; otherwise a box plan enumerates
+them. The head atom is read off each solution by position. No variable is
+hashed in the loop.
 
 Each clause shape is compiled once: the head's arguments (None for a
 goal), the constraint and the body atoms' arguments, leaving out the
@@ -204,37 +205,29 @@ def _eliminate(rows: list[Row], free: list[int], lo: int, hi: int):
     """(implied, defs) for the rows of a clause whose slots in `free` no
     body atom binds.
 
-    Each free slot that has a coefficient of 1 or -1 in an equality is
-    eliminated through it: its definition replaces it in every row, and the
-    definition's box bounds [lo, hi] join the rows. `implied` holds the rows
-    left over the bound slots alone: the constraint and the box imply them.
-    The bound slots take values in the box too, so a row that every value of
-    the box satisfies is left out. When every free slot is eliminated and no
-    row is left false, `implied` is equivalent to the constraint with its
-    free slots in the box, and `defs` computes the one solution: (slot, k,
-    terms) to set in turn, each to k + sum(c * x[j] for j, c in terms).
-    Otherwise `defs` is None.
+    Each free slot in turn that has a coefficient of 1 or -1 in an equality
+    is eliminated through the first one: its definition replaces it in every
+    row, then its box bounds [lo, hi] join the rows. `implied` holds the
+    rows left over the bound slots alone: the constraint and the box imply
+    them. The bound slots take values in the box too, so a row that every
+    value of the box satisfies is left out. When every free slot is
+    eliminated and no row is left false, `implied` is equivalent to the
+    constraint with its free slots in the box, and `defs` computes the one
+    solution: (slot, k, terms) to set in turn, each to
+    k + sum(c * x[j] for j, c in terms). Otherwise `defs` is None.
     """
     free_set = set(free)
     work = list(rows)
     defs = []
     for x in free:
-        for j, piv in enumerate(work):
-            if piv[2] is _EQ and piv[0].get(x) in (1, -1):
-                break
-        else:
-            continue
-        del work[j]
-        # x = k + sum(c * x[i] for i, c in terms): substitute it, and add
-        # lo <= x <= hi.
-        s = piv[0][x]
-        k, terms = -s * piv[1], {i: -s * c for i, c in piv[0].items() if i != x}
-        for n, r in enumerate(work):
-            if x in r[0]:
-                work[n] = (*boxes.subst_row(r[0], r[1], x, r[0][x], terms, k), r[2])
-        work.append(({i: -c for i, c in terms.items()}, lo - k, _LE))
-        work.append((dict(terms), k - hi, _LE))
-        defs.append((x, k, tuple(terms.items())))
+        found = boxes.find_pivot(work, 0, {x})
+        if found is not None:
+            # x = k + sum(c * x[i] for i, c in terms): substitute it, and add
+            # lo <= x <= hi.
+            terms, k, _ = boxes.pivot(work, *found)
+            work.append(({i: -c for i, c in terms.items()}, lo - k, _LE))
+            work.append((dict(terms), k - hi, _LE))
+            defs.append((x, k, tuple(terms.items())))
     implied = []
     exact = len(defs) == len(free)
     for r in work:

@@ -66,6 +66,18 @@ def test_oracle_witness_is_independent_of_the_hash_seed():
     assert outs[0].startswith("found: goal 1 violated with ")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("p(X) :- X = 1.\nfalse :- p(X), X >= 0.\n", "found: goal 2 violated with X=1"),
+    # a goal without variables has an empty valuation
+    ("p.\nfalse :- p, p.\n", "found: goal 2 violated"),
+])
+def test_oracle_prints_the_violated_goal(tmp_path, capsys, text, line):
+    f = tmp_path / "p.chc"
+    f.write_text(text)
+    assert run("oracle", f, "--depth", "3", "--box", "-1..2") == 1
+    assert capsys.readouterr().out.splitlines() == [line]
+
+
 def test_oracle_takes_a_box_with_a_negative_bound(tmp_path, capsys):
     f = tmp_path / "p.chc"
     f.write_text("p(X) :- X = -1.\np(X) :- X = Y + 1, p(Y).\n")

@@ -703,14 +703,14 @@ def test_gauss_on_the_one_list_matches_the_reference_on_relation_lists(monkeypat
     coefficient from its substitution, where the resumed pivot search must
     step back."""
     pivots = []
-    pivot = lia._pivot
+    find_pivot = boxes.find_pivot
 
-    def recorded(r, only, start=0):
-        found = pivot(r, only, start)
+    def recorded(rows, start=0, only=None, key=None):
+        found = find_pivot(rows, start, only, key)
         pivots.append(found and found[0])
         return found
 
-    monkeypatch.setattr(lia, "_pivot", recorded)
+    monkeypatch.setattr(boxes, "find_pivot", recorded)
     rng = random.Random(33)
     seen = collections.Counter()
     deadline = time.monotonic() + 4.0

@@ -1,3 +1,4 @@
+import collections
 import gc
 import random
 import time
@@ -24,7 +25,7 @@ from chcpair import boxes, oracle
 from chcpair.errors import ArrayUnsupported
 from chcpair.oracle import ProbeReport
 from chcpair.pairing import PairingConfig, duplicate_cone, iterate_pairing
-from chcpair.syntax import Atom, Clause, renumbered
+from chcpair.syntax import Atom, Clause, Rel, renumbered
 
 from helpers import random_definite_program
 
@@ -500,3 +501,133 @@ def test_a_goal_witness_that_violates_its_constraint_is_refused(monkeypatch):
     monkeypatch.setattr(oracle._Rule, "solutions", lambda self, vals, limit: [(-1,) * len(vals)])
     with pytest.raises(RuntimeError, match=f"^goal {goal.cid}: .* violates its constraint$"):
         ev.violation()
+
+
+# --- the elimination that pushes a clause's constraint into the join ----------
+#
+# oracle._eliminate runs the pivot search and step of `boxes`, which lia's
+# Gauss runs too, but in its own order: each free slot in turn, through the
+# first EQ row with a unit coefficient on it. The reference below does the
+# same with a search-and-substitute loop of its own.
+
+
+def _reference_eliminate(rows, free, lo, hi):
+    free_set = set(free)
+    work = list(rows)
+    defs = []
+    for x in free:
+        for j, piv in enumerate(work):
+            if piv[2] is Rel.EQ and piv[0].get(x) in (1, -1):
+                break
+        else:
+            continue
+        del work[j]
+        s = piv[0][x]
+        k, terms = -s * piv[1], {i: -s * c for i, c in piv[0].items() if i != x}
+        for n, r in enumerate(work):
+            if x in r[0]:
+                work[n] = (*boxes.subst_row(r[0], r[1], x, r[0][x], terms, k), r[2])
+        work.append(({i: -c for i, c in terms.items()}, lo - k, Rel.LE))
+        work.append((dict(terms), k - hi, Rel.LE))
+        defs.append((x, k, tuple(terms.items())))
+    implied = []
+    exact = len(defs) == len(free)
+    for r in work:
+        coeffs, k, rel = r
+        if not free_set.isdisjoint(coeffs):
+            continue
+        mn = mx = k
+        for c in coeffs.values():
+            mn += c * (lo if c > 0 else hi)
+            mx += c * (hi if c > 0 else lo)
+        if rel is Rel.LE:
+            holds = mx <= 0
+        elif rel is Rel.EQ:
+            holds = mn == mx == 0
+        else:
+            holds = mn > 0 or mx < 0
+        if holds:
+            continue
+        if coeffs:
+            implied.append(r)
+        else:
+            exact = False
+    return implied, tuple(reversed(defs)) if exact else None
+
+
+def _keyed_elimination(result):
+    """An _eliminate result with every dict's keys in order, so that a
+    comparison sees key order."""
+    implied, defs = result
+    return [(list(c.items()), k, rel) for c, k, rel in implied], defs
+
+
+def _assert_eliminate_matches_the_reference(eliminate, rows, free, lo, hi):
+    before = [(list(c.items()), k, rel) for c, k, rel in rows]
+    want = _reference_eliminate(rows, free, lo, hi)
+    got = eliminate(rows, free, lo, hi)
+    assert _keyed_elimination(got) == _keyed_elimination(want), (rows, free, lo, hi)
+    assert [(list(c.items()), k, rel) for c, k, rel in rows] == before
+    return got
+
+
+def test_eliminate_matches_the_reference_on_random_systems():
+    """Seeded random systems of EQ, LE and NE rows, ground ones included,
+    with unit and non-unit coefficients over free and bound slots: the
+    implied rows and the definitions, in order and key order, are the
+    reference's. In some, a free slot's first unit equality follows a row
+    with a unit on a later free slot, where lia's order would pivot first."""
+    rng = random.Random(35)
+    seen = collections.Counter()
+    deadline = time.monotonic() + 3.0
+    cases = 0
+    while cases < 4000 and time.monotonic() < deadline:
+        nvars = rng.randint(1, 7)
+        free = sorted(rng.sample(range(nvars), rng.randint(0, nvars)))
+        rows = []
+        for _ in range(rng.randint(0, 7)):
+            keys = rng.sample(range(nvars), rng.randint(0, min(nvars, 4)))
+            coeffs = {i: rng.choice([-2, -1, 1, 1, 2, 3]) for i in keys}
+            rows.append((coeffs, rng.randint(-3, 3), rng.choice([Rel.LE, Rel.EQ, Rel.EQ, Rel.NE])))
+        lo = rng.randint(-2, 0)
+        hi = rng.randint(lo, 3)
+        implied, defs = _assert_eliminate_matches_the_reference(
+            oracle._eliminate, rows, free, lo, hi)
+        eqs = [c for c, _, rel in rows if rel is Rel.EQ]
+        units = [[i for i in free if abs(c.get(i, 0)) == 1] for c in eqs]
+        firsts = [u[0] for u in units if u]
+        seen["out of lia's order"] += any(b < a for a, b in zip(firsts, firsts[1:]))
+        seen["exact"] += defs is not None and bool(free)
+        seen["not exact"] += defs is None
+        seen["implied"] += bool(implied)
+        seen["ground"] += any(not c for c, _, _ in rows)
+        seen["non-unit"] += any(abs(x) > 1 for c in eqs for x in c.values())
+        cases += 1
+    assert cases >= 300
+    for key in ("out of lia's order", "exact", "not exact", "implied", "ground", "non-unit"):
+        assert seen[key] >= 20, (key, seen)
+
+
+# the oracle workload's entries (bench_e2e/workloads.py)
+ORACLE_NAMES = ("sum_upto", "sum_square", "sum_square_p4", "ackermann", "ackermann_transf",
+                "hl", "loop_unswitching", "fib_fundep")
+
+
+def test_eliminate_matches_the_reference_on_every_compile_of_the_oracle_workload(monkeypatch):
+    """Every _eliminate call of one probe of P0 against the frozen Pn of each
+    oracle workload entry, at the goldens' box, gives the reference's
+    implied rows and definitions."""
+    eliminate = oracle._eliminate
+    calls = collections.Counter()
+
+    def checked(rows, free, lo, hi):
+        got = _assert_eliminate_matches_the_reference(eliminate, rows, free, lo, hi)
+        calls["all"] += 1
+        calls["exact"] += got[1] is not None and bool(free)
+        return got
+
+    monkeypatch.setattr(oracle, "_eliminate", checked)
+    for name in ORACLE_NAMES:
+        pn = parse_program((PN / f"{name}.chc").read_text())
+        equisat_probe(corpus.load(name), pn, OracleBudget(6, 0, 3))
+    assert calls["all"] > 100 and calls["exact"] > 50, calls
