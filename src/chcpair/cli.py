@@ -89,12 +89,10 @@ def _cmd_transform(args) -> int:
             print(f"error: clause {args.query} is not a goal", file=sys.stderr)
             return EXIT_USAGE
     other_goals = [g for g in goals if g.cid != goal.cid]
-    definite = [c for c in prog if not c.is_goal]
     cfg = PairingConfig(max_defs=args.max_defs, iterate=args.iterate)
-    work = Program(
-        [c for c in definite] + [goal],
-    )
-    res = iterate_pairing(work, [], cfg)
+    # definite() keeps every signature of the file, so the run mints no
+    # predicate that one of the other goals uses
+    res = iterate_pairing(prog.definite(), [goal], cfg)
     out_clauses = list(res.transf) + other_goals
     out = Program(renumbered(out_clauses))
     # both files before stdout, so that a command that fails to write one

@@ -11,7 +11,7 @@ atoms of the same predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from . import lia
 from .errors import CapExceeded, InputShapeError, NoMixedPair, OverlapError
@@ -291,22 +291,19 @@ def predicate_pairing(
 
 
 def duplicate_cone(
-    clauses: Iterable[Clause], pred: str
+    clauses: Iterable[Clause], pred: str, taken: Collection[str]
 ) -> tuple[list[Clause], dict[str, str]]:
-    """Copy the clause cone of pred with predicates renamed apart from every
-    predicate of the clauses."""
+    """Copy the clause cone of pred, each predicate p renamed to the first
+    p_k, k >= 2, not in `taken`, the names in use, which the call leaves as
+    it is (no two p give one p_k)."""
     clauses = tuple(clauses)
     cone = reachable_preds(clauses, pred)
-    taken = {p for c in clauses for p in c.preds()}
     mapping: dict[str, str] = {}
     for p in sorted(cone):
         k = 2
-        name = f"{p}_{k}"
-        while name in taken:
+        while f"{p}_{k}" in taken:
             k += 1
-            name = f"{p}_{k}"
-        taken.add(name)
-        mapping[p] = name
+        mapping[p] = f"{p}_{k}"
     copies = []
     for c in clauses:
         if c.head is not None and c.head.pred in cone:
@@ -323,9 +320,11 @@ def duplicate_cone(
 
 def _rank_goal_pairs(goal: Clause) -> list[tuple[int, int]]:
     """Atom index pairs of a goal body, by descending |Eq| then position;
-    one reduction of the goal's constraint serves every pair."""
+    one reduction of the goal's constraint serves them; a lone pair needs none."""
     n = len(goal.body)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if len(pairs) == 1:
+        return pairs
     return [(i, j) for i, j, _ in _ranked_pairs(goal, pairs, lia.reduction(goal.constraint))]
 
 
@@ -347,11 +346,14 @@ def iterate_pairing(
     the round produced: a round adds clauses only for new predicates and
     keeps those of the old ones, so a goal left earlier would be left again
     with the same overlaps. Two atoms of the same predicate are paired by
-    duplicating that predicate's cone under renamed predicates. A pair
-    whose cones overlap (for distinct predicates) is reported as an
-    OverlapError of the goal it leaves, by that goal's id in the output. A
-    pair whose Q or R cone has no clause, as no clause defines its root, is
-    skipped without a report, and can leave its goal untransformed too.
+    duplicating that predicate's cone under renamed predicates, the copy
+    being the R side. Copies and definitions take no name in use: none of
+    p's signatures and the extra goals, nor, once a round has run, its new
+    names (`taken`). A pair whose cones overlap (for distinct predicates)
+    is reported as an OverlapError of the goal it leaves, by that goal's
+    id in the output. A pair whose Q or R cone has no clause, as no clause
+    defines its root, is skipped without a report, and can leave its goal
+    untransformed too.
 
     Between rounds the driver keeps plain lists of clauses, whose ids may
     repeat; it numbers the output and the definitions from 1, and builds a
@@ -366,7 +368,7 @@ def iterate_pairing(
         if not g.is_goal:
             raise InputShapeError(f"clause {g.cid} of goals is not a goal")
     extra = [g for g in goals if g not in p.clauses]
-    infer_signatures(extra, p.signatures)  # they must agree with p
+    taken = set(infer_signatures(extra, p.signatures))  # extra must agree with p
     definite = [c for c in p if not c.is_goal]
     work_goals = [c for c in p if c.is_goal] + extra
     all_steps: list[TraceStep] = []
@@ -382,8 +384,8 @@ def iterate_pairing(
         for i, j in pairs:
             pa, pb = goal.body[i].pred, goal.body[j].pred
             if pa == pb:
-                copies, mapping = duplicate_cone(definite, pb)
-                definite2 = definite + copies
+                r_cl, mapping = duplicate_cone(definite, pb, taken)
+                q_cl = [c for c in definite if c.head.pred in mapping]
                 goal2 = Clause(
                     goal.cid,
                     None,
@@ -393,23 +395,20 @@ def iterate_pairing(
                         for k, a in enumerate(goal.body)
                     ),
                 )
-                q_cl, r_cl = predicate_partition(definite2, pa, mapping[pb])
             else:
                 try:
                     q_cl, r_cl = predicate_partition(definite, pa, pb)
                 except OverlapError as ov:
                     overlap_preds.append(ov.pred)
                     continue
-                definite2 = definite
+                mapping = {}
                 goal2 = goal
             if not q_cl or not r_cl:
                 continue
             qr_preds = {c.head.pred for c in q_cl + r_cl}
-            rest = [c for c in definite2 if c.head.pred not in qr_preds]
-            reserved = {a.pred for c in definite2 + work_goals for a in c.body} | {
-                c.head.pred for c in definite2 + all_defs
-            }
-            res = predicate_pairing(goal2, q_cl, r_cl, cfg, reserved_preds=reserved)
+            rest = [c for c in definite if c.head.pred not in qr_preds]
+            res = predicate_pairing(goal2, q_cl, r_cl, cfg, reserved_preds=taken)
+            taken.update(mapping.values(), (d.head.pred for d in res.defs))
             base = len(all_steps)
             all_steps.extend(res.steps)
             all_pairs.extend(

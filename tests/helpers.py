@@ -231,6 +231,25 @@ def random_definite_program(rng: random.Random) -> Program:
     return parse_program("\n".join(lines))
 
 
+# ---------------------------------------------------------------------------
+# Parametric relational problems
+
+
+def chain(k: int) -> str:
+    """The clause text of k summing loops in sequence, under
+    self-composition: the goal pairs two runs of the sequence on equal
+    inputs and asks for different outputs. Its k-atom cone and repeated
+    cone copies are what the corpus does not reach."""
+    lines = []
+    for i in range(1, k + 1):
+        lines.append(f"l{i}(N,A,B) :- N =< 0, B = A.")
+        lines.append(f"l{i}(N,A,B) :- N > 0, A1 = A + N, N1 = N - 1, l{i}(N1,A1,B).")
+    body = ", ".join(f"l{i}(N,A{i-1},A{i})" for i in range(1, k + 1))
+    lines.append(f"prog(N,A0,A{k}) :- {body}.")
+    lines.append("false :- N1 = N2, X1 = X2, O1 =\\= O2, prog(N1,X1,O1), prog(N2,X2,O2).")
+    return "\n".join(lines) + "\n"
+
+
 _MUTANT_TOKEN = re.compile(r"\s+|[()]|[^\s()]+")
 
 
@@ -265,7 +284,7 @@ def line_chunks(paths, size=8):
     """The files' texts cut into pieces of `size` lines, for mutants that
     parse fast and still reach every line."""
     for path in paths:
-        rows = path.read_text().splitlines()
+        rows = path.read_text(encoding="utf-8").splitlines()
         for i in range(0, len(rows), size):
             yield "\n".join(rows[i:i + size]) + "\n"
 

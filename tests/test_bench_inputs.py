@@ -16,6 +16,6 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_frozen_bench_inputs_are_current():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench_e2e" / "gen_inputs.py"), "--check"],
-        cwd=ROOT, capture_output=True, text=True, timeout=120,
+        cwd=ROOT, capture_output=True, text=True, encoding="utf-8", timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_bench_smoke_is_correct():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench_e2e" / "run.py"), "--smoke"],
-        cwd=ROOT, capture_output=True, text=True, timeout=120,
+        cwd=ROOT, capture_output=True, text=True, encoding="utf-8", timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])

@@ -27,7 +27,7 @@ def test_emit_smtlib(capsys):
 
 def test_emit_refuses_reserved_smtlib_symbols(tmp_path, capsys):
     f = tmp_path / "reserved.chc"
-    f.write_text("and(_, STRING) :- _ = 0, STRING = 1.\n")
+    f.write_text("and(_, STRING) :- _ = 0, STRING = 1.\n", encoding="utf-8")
     assert run("emit", f) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -59,7 +59,8 @@ def test_oracle_witness_is_independent_of_the_hash_seed():
     outs = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, encoding="utf-8",
+                              timeout=120)
         assert proc.returncode == 1, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
@@ -73,14 +74,14 @@ def test_oracle_witness_is_independent_of_the_hash_seed():
 ])
 def test_oracle_prints_the_violated_goal(tmp_path, capsys, text, line):
     f = tmp_path / "p.chc"
-    f.write_text(text)
+    f.write_text(text, encoding="utf-8")
     assert run("oracle", f, "--depth", "3", "--box", "-1..2") == 1
     assert capsys.readouterr().out.splitlines() == [line]
 
 
 def test_oracle_takes_a_box_with_a_negative_bound(tmp_path, capsys):
     f = tmp_path / "p.chc"
-    f.write_text("p(X) :- X = -1.\np(X) :- X = Y + 1, p(Y).\n")
+    f.write_text("p(X) :- X = -1.\np(X) :- X = Y + 1, p(Y).\n", encoding="utf-8")
     for box in (["--box", "-1..1"], ["--box=-1..1"]):
         assert run("oracle", f, "--depth", "3", *box) == 0
         assert capsys.readouterr().out.splitlines() == ["p(-1)", "p(0)", "p(1)"]
@@ -96,7 +97,7 @@ def test_oracle_refuses_a_bad_box_with_its_own_message(box, capsys):
 
 def test_oracle_lists_atoms_for_definite_programs(tmp_path, capsys):
     f = tmp_path / "p.chc"
-    f.write_text("p(X) :- X = 0.\np(X) :- X = Y + 1, p(Y).\n")
+    f.write_text("p(X) :- X = 0.\np(X) :- X = Y + 1, p(Y).\n", encoding="utf-8")
     assert run("oracle", f, "--depth", "3", "--box", "0..3") == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["p(0)", "p(1)", "p(2)"]
@@ -110,9 +111,9 @@ def test_transform_writes_program_and_trace(tmp_path, capsys):
         "--query", "auto", "-o", out, "--trace", tr,
     )
     assert code == 0
-    transformed = parse_program(out.read_text())
+    transformed = parse_program(out.read_text(encoding="utf-8"))
     assert "new1" in transformed.preds() and "new2" in transformed.preds()
-    assert "PAIR" in tr.read_text()
+    assert "PAIR" in tr.read_text(encoding="utf-8")
     err = capsys.readouterr().err
     assert "defs introduced: 2" in err
 
@@ -149,7 +150,8 @@ def test_validate_trace_lists_the_definitions_never_unfolded(tmp_path, capsys):
         "STEP 2 DEFINITION in= out=5 flags=\n"
         "STEP 3 UNFOLDING in=5 out=6,7 pos=0 flags=self_unfolding:0\n"
         "STEP 4 DEFINITION in= out=8 flags=\n"
-        "STEP 5 FOLDING in=3 out=9 def=4 flags=reversible_folding:1\n"
+        "STEP 5 FOLDING in=3 out=9 def=4 flags=reversible_folding:1\n",
+        encoding="utf-8",
     )
     assert run("validate-trace", tr) == 1
     assert capsys.readouterr().out == (
@@ -163,10 +165,10 @@ def test_validate_trace_lists_the_definitions_never_unfolded(tmp_path, capsys):
 @pytest.mark.parametrize("iterate", [[], ["--iterate"]])
 def test_transform_leaves_a_goal_over_a_predicate_without_clauses(tmp_path, capsys, iterate):
     f = tmp_path / "undefined.chc"
-    f.write_text("p(X) :- X = 0.\nfalse :- X = Y, p(X), q(Y).\n")
+    f.write_text("p(X) :- X = 0.\nfalse :- X = Y, p(X), q(Y).\n", encoding="utf-8")
     assert run("transform", f, *iterate) == 0
     captured = capsys.readouterr()
-    assert captured.out == f.read_text()
+    assert captured.out == f.read_text(encoding="utf-8")
     assert captured.err == (
         "; defs introduced: 0; clauses: 2; all defs unfolded: True; "
         "foldings reversible: True\n"
@@ -183,10 +185,12 @@ q(X,Y) :- X > 0, X1 = X - 1, Y = Y1 + 1, q(X1,Y1).
 
 def test_transform_iterate_two_atom_goal(tmp_path):
     f = tmp_path / "two.chc"
-    f.write_text(COUNTERS + "false :- X1 = X2, Y1 =\\= Y2, p(X1,Y1), q(X2,Y2).\n")
+    f.write_text(
+        COUNTERS + "false :- X1 = X2, Y1 =\\= Y2, p(X1,Y1), q(X2,Y2).\n", encoding="utf-8"
+    )
     out = tmp_path / "out.chc"
     assert run("transform", f, "--iterate", "-o", out) == 0
-    assert parse_program(out.read_text()).goals()
+    assert parse_program(out.read_text(encoding="utf-8")).goals()
 
 
 def test_transform_iterate_names_the_goal_of_each_overlap(tmp_path, capsys):
@@ -195,7 +199,7 @@ def test_transform_iterate_names_the_goal_of_each_overlap(tmp_path, capsys):
     lines = [ln for ln in capsys.readouterr().err.splitlines() if "partition overlap" in ln]
     ids = [int(re.search(r": goal (\d+) left untransformed$", ln).group(1)) for ln in lines]
     assert sorted(ids) == [367, 369, 370, 372, 373, 374, 375, 376, 377]
-    assert set(ids) <= {g.cid for g in parse_program(out.read_text()).goals()}
+    assert set(ids) <= {g.cid for g in parse_program(out.read_text(encoding="utf-8")).goals()}
 
 
 @pytest.mark.xfail(
@@ -207,7 +211,8 @@ def test_transform_iterate_names_the_goal_of_each_overlap(tmp_path, capsys):
 def test_transform_iterate_goal_with_two_atoms_in_one_cone(tmp_path):
     f = tmp_path / "three.chc"
     f.write_text(
-        COUNTERS + "false :- X1 = X3, Y1 =\\= Y3, p(X1,Y1), q(X2,Y2), q(X3,Y3).\n"
+        COUNTERS + "false :- X1 = X3, Y1 =\\= Y3, p(X1,Y1), q(X2,Y2), q(X3,Y3).\n",
+        encoding="utf-8",
     )
     out = tmp_path / "out.chc"
     assert run("transform", f, "--iterate", "-o", out) == 0
@@ -215,7 +220,7 @@ def test_transform_iterate_goal_with_two_atoms_in_one_cone(tmp_path):
 
 def test_transform_query_auto_ambiguous(tmp_path, capsys):
     f = tmp_path / "two_goals.chc"
-    f.write_text("p(X) :- X = 0.\nfalse :- p(X).\nfalse :- X > 0, p(X).\n")
+    f.write_text("p(X) :- X = 0.\nfalse :- p(X).\nfalse :- X > 0, p(X).\n", encoding="utf-8")
     assert run("transform", f) == 3
     assert "exactly one goal" in capsys.readouterr().err
 
@@ -224,11 +229,12 @@ def test_transform_query_by_id(tmp_path, capsys):
     f = tmp_path / "two_goals.chc"
     f.write_text(
         "p(X) :- X = 0.\nq(X) :- X = 0.\n"
-        "false :- X = Y, p(X), q(Y).\nfalse :- X > 5, p(X).\n"
+        "false :- X = Y, p(X), q(Y).\nfalse :- X > 5, p(X).\n",
+        encoding="utf-8",
     )
     out = tmp_path / "out.chc"
     assert run("transform", f, "--query", "3", "-o", out) == 0
-    prog = parse_program(out.read_text())
+    prog = parse_program(out.read_text(encoding="utf-8"))
     assert len(prog.goals()) == 2  # the other goal is carried through
     # an id is an ASCII decimal integer, as in clause files
     capsys.readouterr()
@@ -237,11 +243,55 @@ def test_transform_query_by_id(tmp_path, capsys):
         assert capsys.readouterr().err.strip() == f"error: no clause with id {query!r}"
 
 
+# a cone that one goal pairs with itself, under a name that another goal uses
+COUNT_DOWN = "p(X) :- X = 0.\np(X) :- X > 0, X1 = X - 1, p(X1).\n"
+
+
+def test_transform_iterate_names_a_cone_copy_apart_from_the_goal(tmp_path, capsys):
+    """The goal's own p_2 is neither a cone copy of p nor a side of the pair
+    (it was both, and transform exited 3)."""
+    f = tmp_path / "same.chc"
+    f.write_text(COUNT_DOWN + "false :- X = Y, Z > 5, p(X), p(Y), p_2(Z).\n", encoding="utf-8")
+    out = tmp_path / "out.chc"
+    assert run("transform", f, "--iterate", "-o", out) == 0
+    assert capsys.readouterr().err.startswith("; defs introduced: 1;")
+
+
+def test_transform_query_mints_no_name_of_another_goal(tmp_path, capsys):
+    """--query N leaves the other goals as they are and takes none of their
+    predicates for a definition or a cone copy (it minted new1 and p_2, and
+    the untouched goal over new1 was violated on the output alone)."""
+    f = tmp_path / "new1.chc"
+    f.write_text(
+        COUNT_DOWN + "q(X) :- X = 0.\nq(X) :- X > 0, X1 = X - 1, q(X1).\n"
+        "false :- X = Y, p(X), q(Y), r(X).\nfalse :- Z > 1, new1(Z,Z).\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.chc"
+    assert run("transform", f, "--query", "5", "-o", out) == 0
+    heads = {c.head.pred for c in parse_program(out.read_text(encoding="utf-8")) if c.head}
+    assert "new1" not in heads and "new2" in heads
+    capsys.readouterr()
+    for program in (f, out):
+        assert run("oracle", program, "--depth", "8", "--box", "-1..5") == 0
+        assert capsys.readouterr().out == "not within budget\n"
+
+    f = tmp_path / "p_2.chc"
+    f.write_text(
+        COUNT_DOWN + "false :- X = Y, X < 0, p(X), p(Y).\nfalse :- Z > 2, p_2(Z).\n",
+        encoding="utf-8",
+    )
+    assert run("transform", f, "--query", "3", "-o", out) == 0
+    heads = {c.head.pred for c in parse_program(out.read_text(encoding="utf-8")) if c.head}
+    assert heads == {"p", "p_3"}
+
+
 def test_check_model_proved(tmp_path, capsys):
     model = tmp_path / "su.model"
     model.write_text(
         "(define-fun su ((M Int)(R Int)(S Int)) Bool"
-        " (or (and (>= S M) (>= S R)) (< R 0)))\n"
+        " (or (and (>= S M) (>= S R)) (< R 0)))\n",
+        encoding="utf-8",
     )
     assert run("check-model", CORPUS_DIR / "sum_upto.chc", model) == 0
     assert "overall: proved" in capsys.readouterr().out
@@ -249,20 +299,22 @@ def test_check_model_proved(tmp_path, capsys):
 
 def test_check_model_disproved(tmp_path, capsys):
     model = tmp_path / "su.model"
-    model.write_text("(define-fun su ((M Int)(R Int)(S Int)) Bool true)\n")
+    model.write_text("(define-fun su ((M Int)(R Int)(S Int)) Bool true)\n", encoding="utf-8")
     assert run("check-model", CORPUS_DIR / "sum_upto.chc", model) == 1
 
 
 def test_check_tight(tmp_path):
     defs = tmp_path / "defs.chc"
-    defs.write_text("p(X) :- q(X).\n")
+    defs.write_text("p(X) :- q(X).\n", encoding="utf-8")
     good = tmp_path / "good.model"
     good.write_text(
-        "(define-fun p ((X Int)) Bool (= X 0))\n(define-fun q ((X Int)) Bool (= X 0))\n"
+        "(define-fun p ((X Int)) Bool (= X 0))\n(define-fun q ((X Int)) Bool (= X 0))\n",
+        encoding="utf-8",
     )
     bad = tmp_path / "bad.model"
     bad.write_text(
-        "(define-fun p ((X Int)) Bool true)\n(define-fun q ((X Int)) Bool (= X 0))\n"
+        "(define-fun p ((X Int)) Bool true)\n(define-fun q ((X Int)) Bool (= X 0))\n",
+        encoding="utf-8",
     )
     assert run("check-tight", defs, good) == 0
     assert run("check-tight", defs, bad) == 1
@@ -339,9 +391,9 @@ MALFORMED_MODELS = [
 @pytest.mark.parametrize("text", MALFORMED_MODELS)
 def test_malformed_model_is_usage_error(tmp_path, capsys, text):
     model = tmp_path / "su.model"
-    model.write_text(text)
+    model.write_text(text, encoding="utf-8")
     defs = tmp_path / "defs.chc"
-    defs.write_text("su(M,R,S) :- M = R, S = 0.\n")
+    defs.write_text("su(M,R,S) :- M = R, S = 0.\n", encoding="utf-8")
     assert run("check-model", CORPUS_DIR / "sum_upto.chc", model) == 3
     assert "(line 1, column " in capsys.readouterr().err
     assert run("check-tight", defs, model) == 3
@@ -355,7 +407,7 @@ def test_malformed_model_is_usage_error(tmp_path, capsys, text):
 ])
 def test_malformed_trace_is_usage_error(tmp_path, capsys, text):
     tr = tmp_path / "bad.trace"
-    tr.write_text(text)
+    tr.write_text(text, encoding="utf-8")
     assert run("validate-trace", tr) == 3
     assert "error: trace line " in capsys.readouterr().err
 
@@ -380,7 +432,7 @@ def test_usage_error_on_missing_file(capsys):
 
 def test_parse_error_is_usage_error(tmp_path, capsys):
     f = tmp_path / "bad.chc"
-    f.write_text("p(X :- q.\n")
+    f.write_text("p(X :- q.\n", encoding="utf-8")
     assert run("emit", f) == 3
 
 
@@ -441,7 +493,7 @@ def test_help_exits_zero(capsys):
 def _readme_session():
     """(argv, shown lines) of each `$ chcpair` command of the README's
     example session, the shown lines being the ones up to the next command."""
-    after = (ROOT / "README.md").read_text().split("Example session", 1)[1]
+    after = (ROOT / "README.md").read_text(encoding="utf-8").split("Example session", 1)[1]
     block = after.split("```\n")[1]
     session = []
     for line in block.splitlines():
@@ -464,7 +516,7 @@ def test_readme_session_prints_what_it_shows(tmp_path, monkeypatch, capsys):
         main(argv)
         out, err = capsys.readouterr()
         if target is not None:
-            Path(target).write_text(out)
+            Path(target).write_text(out, encoding="utf-8")
             out = ""
         assert out.splitlines() + err.splitlines() == shown, argv
-    assert (tmp_path / "ack_pp.smt2").read_text().startswith("(set-logic HORN)")
+    assert (tmp_path / "ack_pp.smt2").read_text(encoding="utf-8").startswith("(set-logic HORN)")

@@ -49,12 +49,12 @@ def load_case(case: str):
     """(program, model, definitions or None) of a certify case."""
     if case in HANDWRITTEN:
         entry, model = HANDWRITTEN[case]
-        text = (INPUTS / "handwritten" / model).read_text()
+        text = (INPUTS / "handwritten" / model).read_text(encoding="utf-8")
         return corpus.load(entry), parse_model(text), None
     name = case.removesuffix(".transported")
-    prog = parse_program((INPUTS / "pn" / f"{name}.chc").read_text()).definite()
-    sigma = parse_model((INPUTS / "models" / f"{name}.smt2").read_text())
-    defs = parse_program((INPUTS / "defs" / f"{name}.chc").read_text())
+    prog = parse_program((INPUTS / "pn" / f"{name}.chc").read_text(encoding="utf-8")).definite()
+    sigma = parse_model((INPUTS / "models" / f"{name}.smt2").read_text(encoding="utf-8"))
+    defs = parse_program((INPUTS / "defs" / f"{name}.chc").read_text(encoding="utf-8"))
     return prog, sigma, defs
 
 
@@ -88,7 +88,7 @@ def _text(record: dict) -> str:
 
 @pytest.mark.parametrize("name", NAMES)
 def test_model_checks_match_golden(name):
-    assert _text(model_record(name)) == (GOLDEN / f"{name}.json").read_text()
+    assert _text(model_record(name)) == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
@@ -96,5 +96,5 @@ if __name__ == "__main__":
         raise SystemExit("usage: test_model_goldens.py --write")
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name in NAMES:
-        (GOLDEN / f"{name}.json").write_text(_text(model_record(name)))
+        (GOLDEN / f"{name}.json").write_text(_text(model_record(name)), encoding="utf-8")
         print(f"wrote {GOLDEN / name}.json")

@@ -315,7 +315,7 @@ def test_fib_monotonicity_probe_runs_few_box_plans(monkeypatch):
     calls = []
     run = boxes.run
     monkeypatch.setattr(boxes, "run", lambda *a, **k: calls.append(1) or run(*a, **k))
-    pn = parse_program((PN / "fib_monotonicity.chc").read_text())
+    pn = parse_program((PN / "fib_monotonicity.chc").read_text(encoding="utf-8"))
     rep = equisat_probe(corpus.load("fib_monotonicity"), pn, OracleBudget(6, 0, 3))
     assert rep.pn_budget == rep.pn_doubled == NotWithinBudget()
     assert len(calls) <= 2000
@@ -412,7 +412,7 @@ def test_shared_goal_reports_its_own_id():
 def _with_cone_copy(p, pred, extra=""):
     """p's definite clauses, a copy of pred's cone renamed apart, `extra`
     clauses, then p's goals and their copies over the renamed predicates."""
-    copies, mapping = duplicate_cone(p.definite().clauses, pred)
+    copies, mapping = duplicate_cone(p.definite().clauses, pred, p.preds())
 
     def rename(a):
         return Atom(mapping.get(a.pred, a.pred), a.args)
@@ -442,7 +442,7 @@ def test_fib_fundep_probe_compiles_each_shape_once(monkeypatch):
     compile_ = oracle._compile
     monkeypatch.setattr(oracle, "_compile", lambda *a: calls.append(a[0]) or compile_(*a))
     p0 = corpus.load("fib_fundep")
-    pn = parse_program((PN / "fib_fundep.chc").read_text())
+    pn = parse_program((PN / "fib_fundep.chc").read_text(encoding="utf-8"))
     assert len(p0) + len(pn) == 32
     equisat_probe(p0, pn, OracleBudget(6, 0, 3))
     assert len(calls) == 20
@@ -458,7 +458,7 @@ def test_probe_rules_do_not_outlive_the_probe(monkeypatch):
         return r
 
     monkeypatch.setattr(oracle, "_compile", tracked)
-    pn = parse_program((PN / "hl.chc").read_text())
+    pn = parse_program((PN / "hl.chc").read_text(encoding="utf-8"))
     rep = equisat_probe(corpus.load("hl"), pn, OracleBudget(6, 0, 3))
     assert isinstance(rep.pn_budget, Found)
     gc.collect()
@@ -628,6 +628,6 @@ def test_eliminate_matches_the_reference_on_every_compile_of_the_oracle_workload
 
     monkeypatch.setattr(oracle, "_eliminate", checked)
     for name in ORACLE_NAMES:
-        pn = parse_program((PN / f"{name}.chc").read_text())
+        pn = parse_program((PN / f"{name}.chc").read_text(encoding="utf-8"))
         equisat_probe(corpus.load(name), pn, OracleBudget(6, 0, 3))
     assert calls["all"] > 100 and calls["exact"] > 50, calls

@@ -53,7 +53,7 @@ def _result(r) -> dict:
 
 def oracle_record(name: str) -> dict:
     p0 = corpus.load(name)
-    pn = parse_program((PN / f"{name}.chc").read_text())
+    pn = parse_program((PN / f"{name}.chc").read_text(encoding="utf-8"))
     out = {}
     for b in BUDGETS[name]:
         rep = equisat_probe(p0, pn, b)
@@ -74,7 +74,7 @@ def _text(record: dict) -> str:
 
 @pytest.mark.parametrize("name", NAMES)
 def test_oracle_matches_golden(name):
-    assert _text(oracle_record(name)) == (GOLDEN / f"{name}.json").read_text()
+    assert _text(oracle_record(name)) == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
@@ -82,5 +82,5 @@ if __name__ == "__main__":
         raise SystemExit("usage: test_oracle_goldens.py --write")
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name in NAMES:
-        (GOLDEN / f"{name}.json").write_text(_text(oracle_record(name)))
+        (GOLDEN / f"{name}.json").write_text(_text(oracle_record(name)), encoding="utf-8")
         print(f"wrote {GOLDEN / name}.json")

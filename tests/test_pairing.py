@@ -23,7 +23,7 @@ from chcpair.pairing import (
 from chcpair import lia
 from chcpair.kernel import classify_sequence
 
-from helpers import assert_programs_equal, clauses_equivalent, conj, goal_of
+from helpers import assert_programs_equal, chain, clauses_equivalent, conj, goal_of
 
 V = Var
 
@@ -275,6 +275,63 @@ def test_iterate_self_pair_duplicates(hl):
         assert not ({"p"} & body_preds and {"p_2"} & body_preds)
 
 
+# a cone that one goal pairs with itself, under a name that another goal uses
+COUNT_DOWN = "p(X) :- X = 0.\np(X) :- X > 0, X1 = X - 1, p(X1).\n"
+
+
+def test_iterate_names_a_cone_copy_apart_from_every_goal():
+    """The copy of p is not named p_2, which the second goal uses, so Pn
+    keeps that goal's answer (it was violated with Z=3 on Pn only)."""
+    from chcpair.oracle import OracleBudget, equisat_probe
+
+    p = parse_program(
+        COUNT_DOWN + "false :- X = Y, X < 0, p(X), p(Y).\nfalse :- Z > 2, p_2(Z).\n"
+    )
+    res = iterate_pairing(p, [], PairingConfig(iterate=True))
+    assert "p_2" not in {c.head.pred for c in res.transf if not c.is_goal}
+    assert equisat_probe(p, res.transf, OracleBudget(6, -1, 5)).agreement
+
+
+def test_a_goal_with_one_pair_is_ranked_without_a_reduction(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the goal was reduced")
+
+    monkeypatch.setattr(lia, "reduction", refuse)
+    assert _rank_goal_pairs(_clause("false :- X = Y, p(X), q(Y).")) == [(0, 1)]
+
+
+# chain(k): defs, Pn clauses, Pn constraint atoms, SHA-256 of the printed Pn
+# and of the trace
+CHAIN = {
+    2: (3, 17, 98, "ff2c2f7df64adadf6526a9fdecab344f5e5f9b97f9725000ea971703f2625007",
+        "2c87b0fdfab6355fa7e7e06e5177296d57a2963f1f02ba0f1fdfdef91f35343d"),
+    4: (7, 33, 323, "ae938b1741982d20278984dee3bdf052cc2e0279c02783acbe88ced92b9225b9",
+        "16fd32fc09b9feb39854098571885f71ee820cdf050d5c304872bc08ce9ef493"),
+    8: (17, 69, 1126, "42afaec9870bd9abc6fc6af4aac755c9a605398e58e59c7ee68238d99d0c4d5e",
+        "1afeb008a9e1ac828718d721dcfc2366226c4c1cbaf759eca3fb5e76b9c60640"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(CHAIN))
+def test_iterate_chain_output_is_frozen(k):
+    """chain(k) ranks k-atom goals and copies cones again and again; its
+    output and trace stay as frozen, and at k <= 4 Pn keeps P0's answers."""
+    import hashlib
+
+    from chcpair.oracle import OracleBudget, equisat_probe
+
+    p0 = parse_program(chain(k))
+    res = iterate_pairing(p0, [], PairingConfig(max_defs=1000, iterate=True))
+    atoms = sum(len(c.constraint.atoms) for c in res.transf)
+    digests = tuple(
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for text in (print_program(res.transf), res.trace_text())
+    )
+    assert (len(res.defs), len(res.transf), atoms) + digests == CHAIN[k]
+    if k <= 4:
+        assert equisat_probe(p0, res.transf, OracleBudget(6, 0, 2)).agreement
+
+
 def _count_rankings(monkeypatch):
     """The goals that iterate_pairing ranks, one entry per call."""
     from chcpair import pairing
@@ -365,9 +422,10 @@ def test_cone_functions_read_any_clauses(name):
 
     p = corpus.load(name).definite()
     a, b = (x.pred for x in goal_of(corpus.load(name)).body[:2])
+    taken = {q for c in p for q in c.preds()}
     for pred in (a, b):
         assert reachable_preds(list(p), pred) == reachable_preds(p, pred)
-        assert duplicate_cone(list(p), pred) == duplicate_cone(p, pred)
+        assert duplicate_cone(list(p), pred, taken) == duplicate_cone(p, pred, taken)
     if a != b:
         assert predicate_partition(list(p), a, b) == predicate_partition(p, a, b)
 
@@ -398,7 +456,7 @@ def test_pairing_refuses_a_goal_that_disagrees_with_its_cones(sum_square):
 
 def test_duplicate_cone_renames_recursion():
     p = parse_program("p(X) :- X = 0.\np(X) :- X = Y + 1, p(Y).")
-    copies, mapping = duplicate_cone(p, "p")
+    copies, mapping = duplicate_cone(p, "p", p.preds())
     assert mapping == {"p": "p_2"}
     assert all(c.head.pred == "p_2" for c in copies)
     assert copies[1].body[0].pred == "p_2"

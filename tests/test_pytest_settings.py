@@ -14,7 +14,7 @@ def test_a_failing_given_test_reports_one_failure_under_the_suite_settings(pytes
     hypothesis's report of a failing @given test raises mypy_extensions'
     TypedDict DeprecationWarning, which, unless ignored, turns the failure
     into an INTERNALERROR that hides the falsifying example."""
-    pytester.makepyprojecttoml(PYPROJECT.read_text())
+    pytester.makepyprojecttoml(PYPROJECT.read_text(encoding="utf-8"))
     pytester.makepyfile(
         test_fails="""
         from hypothesis import given, strategies as st

@@ -267,7 +267,7 @@ def test_mutated_models_and_programs_raise_only_chc_errors():
         if not isinstance(e, ChcError) or isinstance(e, ParseError) and e.line is None
     ]
     assert not bad, bad[:3]
-    texts = [p.read_text() for p in sorted(CORPUS_DIR.glob("*.chc"))]
+    texts = [p.read_text(encoding="utf-8") for p in sorted(CORPUS_DIR.glob("*.chc"))]
     n, failures = mutant_failures(parse_program, texts, seed=13, seconds=1, most=1000)
     assert n >= 100 and failures
     bad = [(t, e) for t, e in failures if not isinstance(e, ChcError)]

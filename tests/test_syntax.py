@@ -159,7 +159,7 @@ def test_round_trip_corpus():
 def test_round_trip_frozen_programs(path):
     # the frozen transform outputs are read, never written; each is itself
     # a printed program, so it reprints byte for byte
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     p = parse_program(text)
     assert print_program(p) == text
     again = parse_program(text)
@@ -531,7 +531,8 @@ def test_a_parsed_clause_has_one_var_per_name():
     text = (":- sorts p(array, int).\n"
             "p(A, X) :- X = Y + 1, Y > 0, read(A, Y, Z), B = A, q(X, Y, Z), q(Y, X, 2*Z).\n"
             "q(X, X, Y) :- X =< Y + X.\n")
-    programs = [parse_program(text), parse_program((FROZEN[0].parent / "hl1.chc").read_text())]
+    hl1 = (FROZEN[0].parent / "hl1.chc").read_text(encoding="utf-8")
+    programs = [parse_program(text), parse_program(hl1)]
     for p in programs:
         for c in p.clauses:
             first = {}
@@ -558,12 +559,12 @@ def _lin_atoms(p):
 
 def test_equal_linear_atoms_of_one_parse_are_one_object():
     # a printed Pn repeats each clause's parent prefix in every child
-    atoms = _lin_atoms(parse_program(HL1_PN.read_text()))
+    atoms = _lin_atoms(parse_program(HL1_PN.read_text(encoding="utf-8")))
     assert len({id(a) for a in atoms}) == len(set(atoms)) < len(atoms)
 
 
 def test_two_parses_of_one_text_share_no_atom_object():
-    text = HL1_PN.read_text()
+    text = HL1_PN.read_text(encoding="utf-8")
     first, second = parse_program(text), parse_program(text)
     assert first == second
     assert not {id(a) for a in _lin_atoms(first)} & {id(a) for a in _lin_atoms(second)}
@@ -587,7 +588,7 @@ def test_parsing_keeps_no_container_at_module_level():
     level but the Var intern tables and its constant parser tables, which
     the parse leaves as they were: the atom table lived on the call."""
     constants = {name: dict(getattr(syntax, name)) for name in ("_FIXED_KINDS", "_EXPECTED", "_RELS", "_SORTS")}
-    parse_program(HL1_PN.read_text())
+    parse_program(HL1_PN.read_text(encoding="utf-8"))
     mutable = (collections.abc.MutableMapping, collections.abc.MutableSequence,
                collections.abc.MutableSet)
     held = sorted(name for name, value in vars(syntax).items()

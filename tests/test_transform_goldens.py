@@ -63,7 +63,8 @@ def test_transform_text_is_independent_of_the_hash_seed():
     for seed in ("0", "4242"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            encoding="utf-8", timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
@@ -91,12 +92,14 @@ def test_transform_text_is_independent_of_object_addresses():
     src = str(Path(chcpair.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
     expected = [
-        (GOLDEN / f"{name}{ext}").read_text() for name in names for ext in (".chc", ".trace")
+        (GOLDEN / f"{name}{ext}").read_text(encoding="utf-8")
+        for name in names
+        for ext in (".chc", ".trace")
     ]
     for seed in ("1", "2"):
         proc = subprocess.run(
             [sys.executable, "-c", script, seed, *names],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=env, capture_output=True, text=True, encoding="utf-8", timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\0")[:-1] == expected, f"allocation seed {seed}"
