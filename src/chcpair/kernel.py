@@ -89,20 +89,6 @@ class SequenceReport:
     defs_not_unfolded: tuple[int, ...]
 
 
-def entailed(
-    conj: ConstraintConj, atom, reduced: Optional[lia.Reduction] = None
-) -> Verdict:
-    """Whether conj entails atom, as folding asks it: an atom of conj is
-    Proved, a linear atom is asked of `lia.entails_atom` (`reduced` is
-    conj's reduction when the caller has it), and any other atom is
-    Unknown."""
-    if atom in conj.atoms:
-        return Verdict.PROVED
-    if isinstance(atom, LinAtom):
-        return lia.entails_atom(conj, atom, reduced=reduced)
-    return Verdict.UNKNOWN  # array atom not syntactically present
-
-
 class TransformationState:
     """P_i, Defs_i and the application trace of one transformation sequence.
 
@@ -285,6 +271,9 @@ class TransformationState:
         e starts as the clause constraint; conjuncts mentioning images of the
         definition's existential variables are dropped when still entailed by
         the remainder together with the instantiated definition constraint.
+        Both entailments, that and condition (ii), are `lia.entails_atom`'s:
+        an atom of the antecedent is entailed, an array atom it does not
+        hold is not shown entailed, and a linear atom is decided by `lia`.
         `reduced`, the reduction of the clause constraint's linear atoms
         (`lia.reduction`), serves the entailments of condition (ii).
         """
@@ -308,7 +297,7 @@ class TransformationState:
 
         # condition (ii) with e := c: c must entail every conjunct of d(theta)
         for atom in d_inst:
-            v = entailed(clause.constraint, atom, reduced)
+            v = lia.entails_atom(clause.constraint, atom, reduced=reduced)
             if v is not Verdict.PROVED:
                 raise EntailmentFailure(
                     f"clause constraint does not entail {atom!r} ({v.value})",
@@ -344,7 +333,7 @@ class TransformationState:
                     rest = ConstraintConj(
                         tuple(e_atoms[:i] + e_atoms[i + 1 :]) + d_inst.atoms
                     )
-                    if entailed(rest, atom) is Verdict.PROVED:
+                    if lia.entails_atom(rest, atom) is Verdict.PROVED:
                         e_atoms.pop(i)
                         changed = True
                         break

@@ -37,19 +37,20 @@ satisfiability and eq_set, and its Proved or Disproved atom entailments are
 memoised on it when first asked, and freed with it. A caller that holds
 c's reduction passes it (`reduced=`) to the queries on c, which check only
 that it records c; the module keeps no answer between calls.
-An entailment c -> a asks for each negation n of a whether c and n is
-satisfiable; these queries extend c's reduction, the caller's or one built
-for the call. `entails_atom` first settles what the reduction alone
-settles: an unsatisfiable reduction, or an atom whose row is ground and
-true under its Gauss definitions, is Proved without a query.
-`implies_quant_disj` settles first what Gauss alone settles. It reduces
-each disjunct c of its antecedent once and substitutes c's Gauss
-definitions into the rows of the consequent's atoms: an atom whose row
-becomes ground and true is entailed by c and is asked nothing, and a
-consequent disjunct whose atoms are all entailed proves c's case. Only the
-negations of the other atoms are asked, one query per choice of them, each
-extending c's reduction. Unknowns are handed to the installed resolver
-as the whole conjunction.
+Every entailment is decided by one core, `_entails(phi, reduced, psi_atoms)`:
+does phi entail the disjunction of the conjunctions psi? It first settles
+what phi's reduction alone settles: an unsatisfiable reduction, or a
+Disproved decision memoised on it, proves it, and an atom whose row is
+ground and true under the Gauss definitions is entailed and asked nothing,
+so a psi whose atoms are all entailed proves it too. Only the negations of
+the other atoms are asked, one query per choice of them, each extending
+phi's reduction; Unknowns are handed to the installed resolver as the whole
+conjunction. `entails_atom` asks it about one linear atom, on the caller's
+reduction or one built for the call, after the memo and the atoms of c
+itself (an array atom that c does not hold is Unknown); this is the test of
+folding and of definition matching. `implies_quant_disj` reduces each
+disjunct of its antecedent once and asks it about the consequent's
+disjuncts. Verdicts of several checks are combined by `combine` alone.
 
 `project` shares the Gauss pass. It lowers the atoms that mention an
 eliminated variable once, and `_gauss_reduce` pivots on eliminated
@@ -98,13 +99,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import boxes
 from .syntax import (
     Atom,
+    ConstraintAtom,
     ConstraintConj,
     LinAtom,
     LinExpr,
@@ -394,7 +396,7 @@ class Reduction:
     defs: list[tuple[int, dict[int, int], int]]
     unsat: bool
     decision: Optional[_Decision] = None
-    entailed: dict[LinAtom, Verdict] = field(default_factory=dict)
+    entailed: dict[ConstraintAtom, Verdict] = field(default_factory=dict)
 
 
 def _lower(atoms: Iterable[LinAtom], var_order: Sequence[Var] = ()) -> Reduction:
@@ -707,35 +709,71 @@ def _refute_each(
     return verdict
 
 
-def entails_atom(
-    c: ConstraintConj, atom: LinAtom, *, reduced: Optional[Reduction] = None
+def _entails(
+    phi: ConstraintConj, reduced: Reduction, psi_atoms: Sequence[Sequence[LinAtom]]
 ) -> Verdict:
-    """Validity of for-all(c -> atom) over the integers.
+    """Whether phi entails the disjunction of the conjunctions `psi_atoms`,
+    on phi's reduction `reduced`.
+
+    What the reduction alone settles comes first: an unsatisfiable
+    reduction, or a Disproved decision memoised on it, is Proved, and an
+    atom whose row is ground and true under its Gauss definitions is
+    entailed (`_entailed_atoms`), so it gets no negation; a psi whose atoms
+    are all entailed proves the case. Otherwise phi and not(psi1 or ... or
+    psim) must be unsatisfiable: `_refute_each` asks one query per choice
+    of a negation of an atom of each psi, in the order of `product`.
+    """
+    if reduced.unsat or (
+        reduced.decision is not None and reduced.decision[0] is Verdict.DISPROVED
+    ):
+        return Verdict.PROVED
+    entailed = _entailed_atoms(reduced, dict.fromkeys(a for atoms in psi_atoms for a in atoms))
+    neg_choices: list[list[LinAtom]] = []
+    for atoms in psi_atoms:
+        alts = [n for a in atoms if a not in entailed for n in negate_linatom(a)]
+        if not alts:
+            return Verdict.PROVED
+        neg_choices.append(alts)
+    return _refute_each(phi, product(*neg_choices), reduced)
+
+
+def combine(verdicts: Iterable[Verdict]) -> Verdict:
+    """The verdict of a conjunction of checks: Disproved at the first
+    Disproved, asking for no further verdict, else Unknown if any is
+    Unknown, else Proved."""
+    out = Verdict.PROVED
+    for v in verdicts:
+        if v is Verdict.DISPROVED:
+            return v
+        if v is Verdict.UNKNOWN:
+            out = v
+    return out
+
+
+def entails_atom(
+    c: ConstraintConj, atom: ConstraintAtom, *, reduced: Optional[Reduction] = None
+) -> Verdict:
+    """Validity of for-all(c -> atom) over the integers, for any constraint
+    atom; the one entailment test of folding and definition matching.
 
     `reduced` is c's reduction when the caller already has it (see
-    `reduction`); otherwise c is reduced here. What the reduction alone
-    settles is settled first: with an unsatisfiable reduction or a Disproved
-    decision memoised on it, or with an atom whose row is ground and true
-    under the reduction's Gauss definitions (`_entailed_atoms`), the answer
-    is Proved without a query: c, or c with each negation of the atom, is
-    unsatisfiable.
-    Otherwise the negations of the atom are asked, each extending the
-    reduction. A Proved or Disproved answer is memoised on the reduction
-    (its `entailed`), so asking again with it decides nothing; an Unknown
-    is asked again, resolver included.
+    `reduction`); otherwise c is reduced here. A Proved or Disproved answer
+    is memoised on the reduction (its `entailed`), so asking again with it
+    decides nothing; an Unknown is asked again, resolver included. Past the
+    memo, an atom of c is Proved, an array atom that c does not hold is
+    Unknown, and a linear atom goes to `_entails`, which settles what the
+    reduction alone settles and asks the atom's negations of the rest.
     """
     reduced = _own(c, reduced)
     verdict = reduced.entailed.get(atom)
     if verdict is not None:
         return verdict
-    if (
-        reduced.unsat
-        or (reduced.decision is not None and reduced.decision[0] is Verdict.DISPROVED)
-        or _entailed_atoms(reduced, (atom,))
-    ):
+    if atom in c.atoms:
         verdict = Verdict.PROVED
+    elif isinstance(atom, LinAtom):
+        verdict = _entails(c, reduced, [(atom,)])
     else:
-        verdict = _refute_each(c, ([na] for na in negate_linatom(atom)), reduced)
+        verdict = Verdict.UNKNOWN  # an array atom: no internal theory
     if verdict is not Verdict.UNKNOWN:
         reduced.entailed[atom] = verdict
     return verdict
@@ -970,13 +1008,11 @@ def _implies(lhs: QuantDisj, rhs: QuantDisj) -> Verdict:
     and one negation of an atom of each psi, for every choice of them. The
     choices are counted first, without building any atom (an EQ atom has two
     negations, any other atom one); past `DNF_CAP` the answer is Unknown.
-    Then phi is reduced once, and an atom whose row is ground and true under
-    phi's Gauss definitions is entailed: each of its negations would be
-    refuted, so it gets none (`_entailed_atoms`). A psi whose every atom is
-    entailed, or an unsatisfiable phi, proves phi -> rhs; the negations of
-    the other atoms go to `_refute_each`, which asks one query per choice.
-    An existential prefix of lhs is first renamed apart from the free
-    variables of both sides; without one, no variable is collected.
+    Then each phi is reduced once and handed to `_entails`, the core that
+    `entails_atom` shares; their verdicts are combined (`combine`) with
+    Unknown for an inexact projection of rhs. An existential prefix of lhs
+    is first renamed apart from the free variables of both sides; without
+    one, no variable is collected.
     """
     if lhs.exists:
         taken = {v.name for v in lhs.free_vars()} | {v.name for v in rhs.free_vars()}
@@ -986,36 +1022,18 @@ def _implies(lhs: QuantDisj, rhs: QuantDisj) -> Verdict:
         not isinstance(a, LinAtom) for d in lhs.disjuncts for a in d.atoms
     ):
         return Verdict.UNKNOWN  # array atoms: no internal theory
+    r_verdict = Verdict.PROVED if r_exact else Verdict.UNKNOWN
     if any(psi.is_true() for psi in rdisj):
-        # not(true) = false: the implication holds
-        return Verdict.PROVED if r_exact else Verdict.UNKNOWN
+        return r_verdict  # not(true) = false: the implication holds
     psi_atoms = [psi.lin_atoms() for psi in rdisj]
     total = 1
     for atoms in psi_atoms:
         total *= sum(2 if a.rel is Rel.EQ else 1 for a in atoms)
     if total > DNF_CAP:
         return Verdict.UNKNOWN
-    saw_unknown = not r_exact
-    for phi in lhs.disjuncts:
-        reduced = reduction(phi)
-        if reduced.unsat:
-            continue  # every choice is refuted
-        entailed = _entailed_atoms(reduced, dict.fromkeys(a for atoms in psi_atoms for a in atoms))
-        neg_choices: list[list[LinAtom]] = []
-        for atoms in psi_atoms:
-            alts = [n for a in atoms if a not in entailed for n in negate_linatom(a)]
-            if not alts:
-                break  # phi entails psi
-            neg_choices.append(alts)
-        else:
-            v = _refute_each(phi, product(*neg_choices), reduced)
-            if v is Verdict.DISPROVED:
-                return Verdict.DISPROVED
-            if v is Verdict.UNKNOWN:
-                saw_unknown = True
-    if saw_unknown:
-        return Verdict.UNKNOWN
-    return Verdict.PROVED
+    return combine(chain(
+        (r_verdict,), (_entails(phi, reduction(phi), psi_atoms) for phi in lhs.disjuncts)
+    ))
 
 
 def implies_quant_disj(lhs: QuantDisj, rhs: QuantDisj) -> Verdict:
@@ -1024,13 +1042,6 @@ def implies_quant_disj(lhs: QuantDisj, rhs: QuantDisj) -> Verdict:
 
 
 def equiv_quant_disj(lhs: QuantDisj, rhs: QuantDisj) -> Verdict:
-    """Validity of the biconditional between two quantified disjunctions."""
-    a = _implies(lhs, rhs)
-    if a is Verdict.DISPROVED:
-        return Verdict.DISPROVED
-    b = _implies(rhs, lhs)
-    if b is Verdict.DISPROVED:
-        return Verdict.DISPROVED
-    if a is Verdict.PROVED and b is Verdict.PROVED:
-        return Verdict.PROVED
-    return Verdict.UNKNOWN
+    """Validity of the biconditional between two quantified disjunctions;
+    the second direction is not asked once the first is Disproved."""
+    return combine(_implies(a, b) for a, b in ((lhs, rhs), (rhs, lhs)))

@@ -11,8 +11,8 @@ replacement transport models unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence
 
 from . import lia
 from .errors import ModelError, TransportError
@@ -97,16 +97,6 @@ class ModelCheckResult:
         raise KeyError(cid)
 
 
-def _combine(verdicts: Iterable[Verdict]) -> Verdict:
-    out = Verdict.PROVED
-    for v in verdicts:
-        if v is Verdict.DISPROVED:
-            return Verdict.DISPROVED
-        if v is Verdict.UNKNOWN:
-            out = Verdict.UNKNOWN
-    return out
-
-
 def _clause_body_formula(c: Clause, sigma: SymbolicInterpretation) -> Optional[QuantDisj]:
     parts = [qd_of(c.constraint)]
     parts.extend(sigma.instantiate(a) for a in c.body)
@@ -129,7 +119,7 @@ def check_model(p: Program, sigma: SymbolicInterpretation) -> ModelCheckResult:
             continue
         head = qd_false() if c.head is None else sigma.instantiate(c.head)
         per.append((c.cid, lia.implies_quant_disj(body, head)))
-    return ModelCheckResult(_combine(v for _, v in per), tuple(per), defaulted)
+    return ModelCheckResult(lia.combine(v for _, v in per), tuple(per), defaulted)
 
 
 def check_tight(defs: Program, sigma: SymbolicInterpretation) -> Verdict:
@@ -155,7 +145,7 @@ def check_tight(defs: Program, sigma: SymbolicInterpretation) -> Verdict:
         exists = tuple(v for v in rhs_open.free_vars() if v not in head_vars)
         rhs = QuantDisj(rhs_open.exists + exists, rhs_open.disjuncts, rhs_open.exact)
         verdicts.append(lia.equiv_quant_disj(lhs, rhs))
-    return _combine(verdicts)
+    return lia.combine(verdicts)
 
 
 def transport_definition(sigma: SymbolicInterpretation, d: Clause) -> SymbolicInterpretation:
@@ -208,9 +198,6 @@ def transport_unfold_inverse(
     if unfolded_head is not None and unfolded_head == pred:
         raise TransportError("the inverse construction requires a non-self-unfolding")
     if not matching:
-        import logging
-
-        logging.getLogger(__name__).debug("unfold-inverse of %s with no clauses: using false", pred)
         params_guess: tuple[Var, ...] = ()
         if sigma_after.defines(pred):
             params_guess = sigma_after.entry(pred)[0]

@@ -1,11 +1,11 @@
 """The predicate pairing strategy and its iterated driver.
 
-One pairing run takes a goal false <- c, q(X), r(Y) plus two predicate-
-disjoint programs and eliminates every mixed Q/R body by introducing new
-predicates for pairs of atoms sharing a maximal set of entailed argument
-equalities, then folding. The driver iterates runs over goals whose bodies
-mix several predicate cones, duplicating a cone when a goal pairs two
-atoms of the same predicate.
+One pairing run takes a goal false <- c, q(X), r(Y), ... with at least one
+atom of each of two predicate-disjoint programs and eliminates every mixed
+Q/R body by introducing new predicates for pairs of atoms sharing a maximal
+set of entailed argument equalities, then folding. The driver iterates
+runs over goals whose bodies mix several predicate cones, duplicating a
+cone when a goal pairs two atoms of the same predicate.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Collection, Iterable, Optional, Sequence
 
 from . import lia
 from .errors import CapExceeded, InputShapeError, NoMixedPair, OverlapError
-from .kernel import TraceStep, TransformationState, entailed
+from .kernel import TraceStep, TransformationState
 from .syntax import (
     Atom,
     Clause,
@@ -137,9 +137,10 @@ def find_matching_def(
 
     Matching builds the substitution from the definition's body onto (a, b)
     and requires d to entail each atom of the instantiated definition
-    constraint, by the fold's own test (`kernel.entailed`); the full folding
-    side conditions are re-checked by the kernel at apply time. `reduced`
-    is the reduction of d when the caller has it.
+    constraint, by the fold's own test (`lia.entails_atom`); the full
+    folding side conditions are re-checked by the kernel at apply time,
+    whose entailments then hit the answers memoised on `reduced`, the
+    reduction of d when the caller has it.
     """
     for defc in reversed(list(defs)):
         if len(defc.body) != 2:
@@ -154,7 +155,7 @@ def find_matching_def(
                 ok = False
                 break
         if ok and all(
-            entailed(d, atom, reduced) is lia.Verdict.PROVED
+            lia.entails_atom(d, atom, reduced=reduced) is lia.Verdict.PROVED
             for atom in defc.constraint.subst(theta)
         ):
             return defc.cid, theta
@@ -190,18 +191,23 @@ def predicate_pairing(
 ) -> PairingResult:
     """Run the pairing strategy on one goal over two disjoint programs, each
     any iterable of definite clauses (a Program among them); the predicates
-    of Q and R are those that their clauses name.
+    of Q and R are those that their clauses name. The goal must hold a
+    Q-atom and an R-atom (InputShapeError otherwise); it may hold more of
+    each, and atoms of neither program, which stay in its body.
 
-    Each round unfolds a clause on its Q-atom and then on its R-atom, and
-    decides each unfolded clause once (`lia.is_satisfiable`), on a
-    reduction grown from its parent's; an unsatisfiable one is deleted
-    (rule R4). The decision stays on the reduction with its points, which
-    `lia.eq_set` reads as its witnesses, and the reduction of a kept clause
-    then serves pair selection, definition matching and the fold's
-    entailment checks. A fold keeps the clause's constraint object:
-    a definition's head holds every variable of its two atoms, so the
-    definition has no existential variable to project. The kernel rechecks
-    a deletion from the decision memoised on the reduction.
+    Each round unfolds a clause on its first Q-atom and then on its first
+    R-atom; the fold loop then pairs a Q-atom with an R-atom of each
+    unfolded clause (`select_pair`) until its body no longer mixes them,
+    the goal's other atoms included. Each unfolded clause is decided once
+    (`lia.is_satisfiable`), on a reduction grown from its parent's; an
+    unsatisfiable one is deleted (rule R4). The decision stays on the
+    reduction with its points, which `lia.eq_set` reads as its witnesses,
+    and the reduction of a kept clause then serves pair selection,
+    definition matching and the fold's entailment checks. A fold keeps the
+    clause's constraint object: a definition's head holds every variable of
+    its two atoms, so the definition has no existential variable to
+    project. The kernel rechecks a deletion from the decision memoised on
+    the reduction.
 
     `transf` lists the clauses in the strategy's order: Q's, R's, then each
     clause of the goal's unfolding as its fold loop ends. It is the one
@@ -215,12 +221,14 @@ def predicate_pairing(
         raise InputShapeError(f"input programs share predicate {sorted(shared)[0]!r}")
     if any(c.is_goal for c in q_prog + r_prog):
         raise InputShapeError("input programs must be definite")
-    qa = [i for i, a in enumerate(c_init.body) if a.pred in q_preds]
-    ra = [i for i, a in enumerate(c_init.body) if a.pred in r_preds]
-    if len(qa) != 1 or len(ra) != 1:
-        raise InputShapeError(
-            "the initial clause must contain exactly one Q-atom and one R-atom"
+
+    def mixed(c: Clause) -> bool:
+        return any(a.pred in q_preds for a in c.body) and any(
+            a.pred in r_preds for a in c.body
         )
+
+    if not mixed(c_init):
+        raise InputShapeError("the initial clause must contain a Q-atom and an R-atom")
 
     # assemble P_0 with fresh sequential ids: Q, R, then the goal
     renum = renumbered(q_prog + r_prog + (c_init,))
@@ -229,11 +237,6 @@ def predicate_pairing(
     in_cls: list[Clause] = [renum[-1]]
     pair_log: list[PairChoice] = []
     transf_ids: list[int] = [c.cid for c in renum[:-1]]
-
-    def mixed(c: Clause) -> bool:
-        return any(a.pred in q_preds for a in c.body) and any(
-            a.pred in r_preds for a in c.body
-        )
 
     while in_cls:
         clause = in_cls.pop(0)

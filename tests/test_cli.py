@@ -202,12 +202,6 @@ def test_transform_iterate_names_the_goal_of_each_overlap(tmp_path, capsys):
     assert set(ids) <= {g.cid for g in parse_program(out.read_text(encoding="utf-8")).goals()}
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="iterate_pairing takes one atom per cone: exit 3, 'the initial clause "
-    "must contain exactly one Q-atom and one R-atom' (ROADMAP item 4)",
-)
 def test_transform_iterate_goal_with_two_atoms_in_one_cone(tmp_path):
     f = tmp_path / "three.chc"
     f.write_text(

@@ -1061,6 +1061,23 @@ def test_entails_atom_memoises_proved_and_disproved_on_the_reduction(monkeypatch
     assert len(calls) == 2 and r.entailed == {}
 
 
+def test_entails_atom_settles_an_atom_of_the_constraint_and_array_atoms(monkeypatch):
+    """An atom that c holds is Proved, an array atom or a linear one, with
+    or without the caller's reduction, and a linear one asks no query; an
+    array atom that c does not hold is Unknown."""
+    def no_query(*args):
+        raise AssertionError("an atom of the constraint was asked")
+
+    c = conj("read(A,I,V), X = V, X >= 1")
+    read, _, bound = c.atoms
+    monkeypatch.setattr(lia, "_refute_each", no_query)
+    for reduced in (None, lia.reduction(c)):
+        assert lia.entails_atom(c, read, reduced=reduced) is Verdict.PROVED
+        assert lia.entails_atom(c, bound, reduced=reduced) is Verdict.PROVED
+        other = ReadAtom(read.arr, read.idx, Var("W"))
+        assert lia.entails_atom(c, other, reduced=reduced) is Verdict.UNKNOWN
+
+
 _ARRAYS = [Var("A", Sort.ARRAY), Var("B", Sort.ARRAY)]
 
 

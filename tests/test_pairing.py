@@ -292,6 +292,49 @@ def test_iterate_names_a_cone_copy_apart_from_every_goal():
     assert equisat_probe(p, res.transf, OracleBudget(6, -1, 5)).agreement
 
 
+# one counter under two names, p and q
+COUNTERS = """
+p(X,Y) :- X =< 0, Y = 0.
+p(X,Y) :- X > 0, X1 = X - 1, Y = Y1 + 1, p(X1,Y1).
+q(X,Y) :- X =< 0, Y = 0.
+q(X,Y) :- X > 0, X1 = X - 1, Y = Y1 + 1, q(X1,Y1).
+"""
+
+# f(N,S): S is the sum of N down to 0
+SUM_DOWN = "f(N,S) :- N =< 0, S = 0.\nf(N,S) :- N > 0, N1 = N - 1, S = S1 + N, f(N1,S1).\n"
+
+
+def test_iterate_pairs_a_goal_with_two_atoms_in_one_cone():
+    """The pair (p, q) is run with the second q-atom left in the goal's
+    body: the fold loop pairs what it can, and the goal left mixing new1's
+    cone with q is reported as an overlap, not refused."""
+    from chcpair.oracle import OracleBudget, equisat_probe
+
+    p0 = parse_program(
+        COUNTERS + "false :- X1 = X3, Y1 =\\= Y3, p(X1,Y1), q(X2,Y2), q(X3,Y3).\n"
+    )
+    res = iterate_pairing(p0, [], PairingConfig(iterate=True))
+    assert (len(res.defs), len(res.transf)) == (1, 13)
+    assert [(ov.pred, ov.goal_id) for ov in res.overlaps] == [("q", 13)]
+    assert {g.cid: len(g.body) for g in res.transf.goals()} == {11: 1, 12: 1, 13: 2}
+    assert equisat_probe(p0, res.transf, OracleBudget(5, -1, 3)).agreement
+
+
+def test_iterate_pairs_a_goal_with_three_atoms_of_one_predicate():
+    """Three copies of f: the first round pairs two of them, with the third
+    left in the body, and the next round pairs the definition with it."""
+    from chcpair.oracle import OracleBudget, equisat_probe
+
+    p0 = parse_program(
+        SUM_DOWN + "false :- N1 = N2, N2 = N3, S1 =\\= S3, f(N1,S1), f(N2,S2), f(N3,S3).\n"
+    )
+    res = iterate_pairing(p0, [], PairingConfig(iterate=True))
+    assert (len(res.defs), len(res.transf)) == (2, 13)
+    assert res.overlaps == []
+    assert {g.cid: len(g.body) for g in res.transf.goals()} == {11: 1, 12: 1, 13: 1}
+    assert equisat_probe(p0, res.transf, OracleBudget(5, -1, 3)).agreement
+
+
 def test_a_goal_with_one_pair_is_ranked_without_a_reduction(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the goal was reduced")

@@ -11,7 +11,7 @@ from chcpair import (
     parse_program,
     print_model,
 )
-from chcpair.errors import ChcError, ParseError
+from chcpair.errors import ChcError, ParseError, SortMismatch
 from chcpair.lia import QuantDisj, Verdict, equiv_quant_disj, qd_false, qd_of, qd_true
 from chcpair.models import SymbolicInterpretation
 from chcpair import corpus, smtlib
@@ -200,6 +200,35 @@ def test_parse_model_refuses_malformed_forms_at_their_position(text, line, col):
     with pytest.raises(ParseError) as e:
         parse_model(text)
     assert (e.value.line, e.value.col) == (line, col)
+
+
+def _or_pairs(n: int) -> str:
+    """n two-way disjunctions: their conjunction has 2**n disjuncts."""
+    return " ".join(f"(or (= X {2 * i}) (= X {2 * i + 1}))" for i in range(n))
+
+
+@pytest.mark.parametrize("text, message, col", [
+    ("(define-fun (p) ((x Int)) Bool true)", "expected a predicate name", 13),
+    ("(define-fun p x Bool true)", "expected a list of binders (name sort)", 15),
+    ("(define-fun p ((x Int) (y Int)) Bool (= (* x y) 0))",
+     "nonlinear product in model formula", 41),
+    # 2**11 disjuncts, past lia.DNF_CAP; ten pairs, 2**10, are taken
+    (f"(define-fun p ((X Int)) Bool (and {_or_pairs(11)}))",
+     "conjunction exceeds the disjunct cap", 30),
+    ("(define-fun p ((X Int)) Bool (not (and (= X 0) (= X 1))))",
+     "negation is only supported on atoms", 35),
+])
+def test_parse_model_refuses_what_it_cannot_represent(text, message, col):
+    with pytest.raises(ParseError) as e:
+        parse_model(text)
+    assert str(e.value) == f"{message} (line 1, column {col})"
+
+
+def test_parse_model_refuses_an_array_in_arithmetic_and_takes_ten_or_pairs():
+    with pytest.raises(SortMismatch, match="^array variable a in arithmetic$"):
+        parse_model("(define-fun p ((a (Array Int Int))) Bool (= a 0))")
+    _, f = parse_model(f"(define-fun p ((X Int)) Bool (and {_or_pairs(10)}))").entry("p")
+    assert len(f.disjuncts) == 1024
 
 
 def _nested(kind: str, n: int) -> str:
