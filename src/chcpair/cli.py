@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success (or Proved/Sat), 1 Disproved/Unsat (or a violation
-witness found), 2 Unknown/Timeout, 3 usage or input errors.
+witness found), 2 Unknown/Timeout, 3 usage or input errors, 141 stdout
+closed before the output was written (as `chcpair emit P | head -1` may
+find it; a shell reports 141 for a command that SIGPIPE ends). Such a run
+ends without a message.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
+EXIT_CLOSED_STDOUT = 141
 
 SOLVER_ENV = "CHCPAIR_SOLVER"
 
@@ -304,7 +308,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(_glue_box(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # nothing reaches stdout any more: send it to devnull, so that the
+        # interpreter's last flush of what is buffered fails neither
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except (ChcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

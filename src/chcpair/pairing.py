@@ -184,30 +184,37 @@ def _pair_def_clause(a: Atom, b: Atom, eqs, name: str) -> Clause:
 
 def predicate_pairing(
     c_init: Clause,
+    pair: tuple[int, int],
     q_prog: Iterable[Clause],
     r_prog: Iterable[Clause],
     cfg: PairingConfig = PairingConfig(),
     reserved_preds: Iterable[str] = (),
+    reduced: Optional[lia.Reduction] = None,
 ) -> PairingResult:
     """Run the pairing strategy on one goal over two disjoint programs, each
     any iterable of definite clauses (a Program among them); the predicates
-    of Q and R are those that their clauses name. The goal must hold a
-    Q-atom and an R-atom (InputShapeError otherwise); it may hold more of
-    each, and atoms of neither program, which stay in its body.
+    of Q and R are those that their clauses name. `pair` holds the body
+    positions (i, j) of a Q-atom and an R-atom of the goal (InputShapeError
+    for a position out of range or an atom of the wrong side); its other
+    atoms, of either program or of neither, stay in its body. `reduced` is
+    the goal constraint's reduction when the caller has it, as
+    `iterate_pairing` has from ranking the goal's pairs.
 
-    Each round unfolds a clause on its first Q-atom and then on its first
-    R-atom; the fold loop then pairs a Q-atom with an R-atom of each
-    unfolded clause (`select_pair`) until its body no longer mixes them,
-    the goal's other atoms included. Each unfolded clause is decided once
-    (`lia.is_satisfiable`), on a reduction grown from its parent's; an
-    unsatisfiable one is deleted (rule R4). The decision stays on the
-    reduction with its points, which `lia.eq_set` reads as its witnesses,
-    and the reduction of a kept clause then serves pair selection,
-    definition matching and the fold's entailment checks. A fold keeps the
-    clause's constraint object: a definition's head holds every variable of
-    its two atoms, so the definition has no existential variable to
-    project. The kernel rechecks a deletion from the decision memoised on
-    the reduction.
+    Each round unfolds a clause on its pair, the goal on `pair` and a new
+    definition on its two body atoms: the Q-atom first, then the R-atom of
+    each child, shifted by the child's change in body length when it follows
+    the Q-atom. The fold loop then pairs a Q-atom with an R-atom of each
+    unfolded clause (`select_pair`) until its body no longer mixes them, the
+    goal's other atoms included. Each unfolded clause is decided once
+    (`lia.is_satisfiable`), on a reduction grown from its parent's, and so
+    from the clause's own; an unsatisfiable one is deleted (rule R4). The
+    decision stays on the reduction with its points, which `lia.eq_set`
+    reads as its witnesses, and the reduction of a kept clause then serves
+    pair selection, definition matching and the fold's entailment checks. A
+    fold keeps the clause's constraint object: a definition's head holds
+    every variable of its two atoms, so the definition has no existential
+    variable to project. The kernel rechecks a deletion from the decision
+    memoised on the reduction.
 
     `transf` lists the clauses in the strategy's order: Q's, R's, then each
     clause of the goal's unfolding as its fold loop ends. It is the one
@@ -227,29 +234,36 @@ def predicate_pairing(
             a.pred in r_preds for a in c.body
         )
 
-    if not mixed(c_init):
-        raise InputShapeError("the initial clause must contain a Q-atom and an R-atom")
+    i, j = pair
+    n = len(c_init.body)
+    if not (0 <= i < n and 0 <= j < n):
+        raise InputShapeError(f"the initial clause has no body atom pair {pair}")
+    if c_init.body[i].pred not in q_preds or c_init.body[j].pred not in r_preds:
+        raise InputShapeError(f"the initial clause's pair {pair} is not a Q-atom and an R-atom")
 
     # assemble P_0 with fresh sequential ids: Q, R, then the goal
     renum = renumbered(q_prog + r_prog + (c_init,))
     state = TransformationState(renum)
     state.seen_preds |= set(reserved_preds)
-    in_cls: list[Clause] = [renum[-1]]
+    # each clause to unfold, with its (Q, R) pair and its reduction if built
+    in_cls: list[tuple[Clause, tuple[int, int], Optional[lia.Reduction]]] = [
+        (renum[-1], pair, reduced)
+    ]
     pair_log: list[PairChoice] = []
     transf_ids: list[int] = [c.cid for c in renum[:-1]]
 
     while in_cls:
-        clause = in_cls.pop(0)
-        pos_q = next(i for i, a in enumerate(clause.body) if a.pred in q_preds)
+        clause, (pos_q, pos_r), reduced = in_cls.pop(0)
         # an unfolded constraint extends its parent's (see apply_unfold), so
         # each grandchild is decided from its Q-child's reduction, grown from
         # the clause's own
-        reduced = lia.reduction(clause.constraint)
+        if reduced is None:
+            reduced = lia.reduction(clause.constraint)
         unfolded: list[tuple[Clause, lia.Reduction]] = []
         for c in state.apply_unfold(clause.cid, pos_q):
             c_reduced = lia.reduction(c.constraint, base=reduced)
-            pos_r = next(i for i, a in enumerate(c.body) if a.pred in r_preds)
-            unfolded.extend((g, c_reduced) for g in state.apply_unfold(c.cid, pos_r))
+            c_pos_r = pos_r + len(c.body) - len(clause.body) if pos_r > pos_q else pos_r
+            unfolded.extend((g, c_reduced) for g in state.apply_unfold(c.cid, c_pos_r))
         # silently remove clauses with unsatisfiable constraints (rule R4)
         kept: list[tuple[Clause, lia.Reduction]] = []
         for c, c_reduced in unfolded:
@@ -275,7 +289,7 @@ def predicate_pairing(
                         _pair_def_clause(a, b, eqs, _fresh_pred(state))
                     )
                     def_id, theta = intro.cid, {v: v for v in intro.vars()}
-                    in_cls.append(intro)
+                    in_cls.append((intro, (0, 1), None))
                 e = state.apply_fold(e.cid, [pos_a, pos_b], def_id, theta, r)
             transf_ids.append(e.cid)
 
@@ -321,14 +335,16 @@ def duplicate_cone(
     return copies, mapping
 
 
-def _rank_goal_pairs(goal: Clause) -> list[tuple[int, int]]:
-    """Atom index pairs of a goal body, by descending |Eq| then position;
-    one reduction of the goal's constraint serves them; a lone pair needs none."""
+def _rank_goal_pairs(goal: Clause) -> tuple[list[tuple[int, int]], Optional[lia.Reduction]]:
+    """Atom index pairs (i, j), i < j, of a goal body, by descending |Eq|
+    then position, and the one reduction of the goal's constraint that
+    ranked them, for the round to grow from; a lone pair needs none (None)."""
     n = len(goal.body)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if len(pairs) == 1:
-        return pairs
-    return [(i, j) for i, j, _ in _ranked_pairs(goal, pairs, lia.reduction(goal.constraint))]
+        return pairs, None
+    reduced = lia.reduction(goal.constraint)
+    return [(i, j) for i, j, _ in _ranked_pairs(goal, pairs, reduced)], reduced
 
 
 def iterate_pairing(
@@ -344,15 +360,18 @@ def iterate_pairing(
     agree with p's predicate signatures (ArityClash or SortMismatch
     otherwise).
 
-    The goals are scanned once, in order. A goal is left when none of its
-    pairs can be transformed. After a round, the scan resumes at the goals
-    the round produced: a round adds clauses only for new predicates and
-    keeps those of the old ones, so a goal left earlier would be left again
-    with the same overlaps. Two atoms of the same predicate are paired by
-    duplicating that predicate's cone under renamed predicates, the copy
-    being the R side. Copies and definitions take no name in use: none of
-    p's signatures and the extra goals, nor, once a round has run, its new
-    names (`taken`). A pair whose cones overlap (for distinct predicates)
+    The goals are scanned once, in order. A goal's atom pairs are ranked by
+    |Eq| (`_rank_goal_pairs`), and the first that can be transformed is the
+    pair that its round unfolds (`predicate_pairing`), the earlier atom on
+    the Q side, from the reduction that ranked it. A goal is left when none
+    of its pairs can be transformed. After a round, the scan resumes at the
+    goals the round produced: a round adds clauses only for new predicates
+    and keeps those of the old ones, so a goal left earlier would be left
+    again with the same overlaps. Two atoms of the same predicate are
+    paired by duplicating that predicate's cone under renamed predicates,
+    the copy being the R side. Copies and definitions take no name in use:
+    none of p's signatures and the extra goals, nor, once a round has run,
+    its new names (`taken`). A pair whose cones overlap (for distinct predicates)
     is reported as an OverlapError of the goal it leaves, by that goal's
     id in the output. A pair whose Q or R cone has no clause, as no clause
     defines its root, is skipped without a report, and can leave its goal
@@ -383,7 +402,7 @@ def iterate_pairing(
     while gi < len(work_goals):
         goal = work_goals[gi]
         overlap_preds: list[str] = []
-        pairs = _rank_goal_pairs(goal) if len(goal.body) >= 2 else []
+        pairs, reduced = _rank_goal_pairs(goal) if len(goal.body) >= 2 else ([], None)
         for i, j in pairs:
             pa, pb = goal.body[i].pred, goal.body[j].pred
             if pa == pb:
@@ -410,7 +429,9 @@ def iterate_pairing(
                 continue
             qr_preds = {c.head.pred for c in q_cl + r_cl}
             rest = [c for c in definite if c.head.pred not in qr_preds]
-            res = predicate_pairing(goal2, q_cl, r_cl, cfg, reserved_preds=taken)
+            res = predicate_pairing(
+                goal2, (i, j), q_cl, r_cl, cfg, reserved_preds=taken, reduced=reduced
+            )
             taken.update(mapping.values(), (d.head.pred for d in res.defs))
             base = len(all_steps)
             all_steps.extend(res.steps)

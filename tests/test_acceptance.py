@@ -62,7 +62,7 @@ def _run_ackermann():
     prog = corpus.load("ackermann")
     goal = goal_of(prog)
     q, r = predicate_partition(prog, "ackermann1", "ackermann2")
-    return predicate_pairing(goal, q, r, PairingConfig())
+    return predicate_pairing(goal, (0, 1), q, r, PairingConfig())
 
 
 def test_criterion_1_golden_ackermann_derivation():
@@ -257,10 +257,10 @@ def test_criterion_8c_transport_on_corpus_traces():
     runs = []
     ack = corpus.load("ackermann")
     q, r = predicate_partition(ack, "ackermann1", "ackermann2")
-    runs.append(predicate_pairing(goal_of(ack), q, r, PairingConfig()))
+    runs.append(predicate_pairing(goal_of(ack), (0, 1), q, r, PairingConfig()))
     ss = corpus.load("sum_square")
     q, r = predicate_partition(ss, "su", "sq")
-    runs.append(predicate_pairing(goal_of(ss), q, r, PairingConfig()))
+    runs.append(predicate_pairing(goal_of(ss), (0, 1), q, r, PairingConfig()))
     n_steps = 0
     for res in runs:
         new_preds = {d.head.pred for d in res.defs}

@@ -345,6 +345,37 @@ def _run_strict(*argv) -> subprocess.CompletedProcess:
                           text=True, encoding="utf-8", timeout=120)
 
 
+@pytest.mark.parametrize("command", ["oracle", "emit", "transform", "validate-trace"])
+def test_a_closed_stdout_ends_the_run_quietly(tmp_path, command):
+    """A stdout whose reader has gone, as under `| head -1`, is not a usage
+    error: the run exits 141 with nothing on stderr, no traceback and no
+    "Exception ignored" at shutdown."""
+    facts = tmp_path / "facts.chc"
+    facts.write_text("p(X) :- X = 0.\np(X) :- X = 1.\n", encoding="utf-8")
+    trace = tmp_path / "ack.trace"
+    assert run("transform", CORPUS_DIR / "ackermann.chc", "--trace", trace,
+               "-o", tmp_path / "ack.chc") == 0
+    argv = {
+        "oracle": ["oracle", facts, "--depth", "2", "--box", "0..2"],
+        "emit": ["emit", CORPUS_DIR / "hl1.chc"],
+        "transform": ["transform", CORPUS_DIR / "ackermann.chc"],
+        "validate-trace": ["validate-trace", trace],
+    }[command]
+    src = str(Path(chcpair.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "chcpair.cli"] + [str(a) for a in argv],
+            env=env, stdout=w, stderr=subprocess.PIPE, text=True, encoding="utf-8",
+            timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 def test_files_are_read_and_written_without_the_locale(tmp_path):
     """Every file the CLI opens names its encoding, so a run that turns
     EncodingWarning into an error still succeeds."""

@@ -37,6 +37,7 @@ from chcpair import (
 )
 from chcpair import lia
 from chcpair.lia import Verdict, qd_of, satisfiable_with_witness
+from chcpair.errors import SortMismatch
 from chcpair.syntax import ReadAtom, false_atom, fresh_name, print_constraint_atom
 
 from helpers import conj
@@ -106,6 +107,18 @@ def test_entails_equality_examples():
 def test_entails_equality_through_chains():
     d = conj("Y1 = N1 - 1, Y2 = N2 - 1, N1 = N2")
     assert entails_equality(d, V("Y1"), V("Y2")) is Verdict.PROVED
+
+
+def test_entails_equality_refuses_arrays_and_proves_a_variable_equal_to_itself(monkeypatch):
+    a, b = Var("A", Sort.ARRAY), Var("B", Sort.ARRAY)
+    with pytest.raises(SortMismatch, match="defined on Int variables"):
+        entails_equality(conj("X > 0"), a, b)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a query was asked")
+
+    monkeypatch.setattr(lia, "entails_atom", refuse)
+    assert entails_equality(conj("X > 0"), V("X"), V("X")) is Verdict.PROVED
 
 
 D15 = conj(
@@ -195,6 +208,12 @@ def test_equiv_of_disjunctions():
     lhs = QuantDisj((), (conj("X >= 1"), conj("X =< -1")))
     rhs = qd_of(conj("X =\\= 0"))
     assert equiv_quant_disj(lhs, rhs) is Verdict.PROVED
+
+
+def test_implies_with_a_read_atom_in_the_antecedent_is_unknown():
+    read = ReadAtom(Var("A", Sort.ARRAY), V("I"), V("W"))
+    lhs = QuantDisj((), (ConstraintConj((read,)),))
+    assert lia.implies_quant_disj(lhs, qd_of(conj("W >= 0"))) is Verdict.UNKNOWN
 
 
 # --- negate -----------------------------------------------------------------

@@ -101,6 +101,17 @@ def test_false_derivable_trivial_goal():
     assert isinstance(false_derivable(p, OracleBudget(1, 0, 1)), Found)
 
 
+def test_false_derivable_zero_arity_goal():
+    p = parse_program("p.\nq :- X = 1, p.\nfalse :- q.\n")
+    assert false_derivable(p, OracleBudget(3, 0, 2)) == Found(goal_id=3, valuation={})
+
+
+def test_false_derivable_refuses_array_variables():
+    p = parse_program(":- sorts p(array).\np(A) :- q(A).\nq(B) :- B = C.")
+    with pytest.raises(ArrayUnsupported, match="clause 1 has array variables"):
+        false_derivable(p, OracleBudget(3, 0, 2))
+
+
 def test_equisat_probe_identical(hl):
     rep = equisat_probe(hl, hl, OracleBudget(4, 0, 3))
     assert rep.agreement

@@ -10,7 +10,7 @@ from chcpair import (
     predicate_partition,
     print_program,
 )
-from chcpair.errors import ArityClash, CapExceeded, InputShapeError, NoMixedPair
+from chcpair.errors import ArityClash, CapExceeded, InputShapeError, NoMixedPair, SortMismatch
 from chcpair.pairing import (
     PairingConfig,
     _rank_goal_pairs,
@@ -35,7 +35,7 @@ def _clause(text):
 def run_ackermann(ackermann, **cfg):
     goal = goal_of(ackermann)
     q, r = predicate_partition(ackermann, "ackermann1", "ackermann2")
-    return predicate_pairing(goal, q, r, PairingConfig(**cfg))
+    return predicate_pairing(goal, (0, 1), q, r, PairingConfig(**cfg))
 
 
 # --- select_pair ------------------------------------------------------------
@@ -190,7 +190,7 @@ def test_pair_log_records_choices(ackermann):
 def test_sum_square_pairing(sum_square):
     goal = goal_of(sum_square)
     q, r = predicate_partition(sum_square, "su", "sq")
-    res = predicate_pairing(goal, q, r, PairingConfig())
+    res = predicate_pairing(goal, (0, 1), q, r, PairingConfig())
     # the first definition collects all three entailed equalities
     assert len(res.defs) == 2
     d1 = res.defs.clauses[0]
@@ -214,7 +214,7 @@ def test_pairing_with_undefined_predicate():
     q = parse_program("qq(X) :- qa(X).")
     r = parse_program("rr(X) :- X = 0.")
     goal = _clause("false :- X = Y, qa(X), rr(Y).")
-    res = predicate_pairing(goal, q, r, PairingConfig())
+    res = predicate_pairing(goal, (0, 1), q, r, PairingConfig())
     assert len(res.defs) == 0
     assert len(res.transf) == len(q) + len(r)
 
@@ -223,7 +223,7 @@ def test_pairing_rejects_shared_preds():
     q = parse_program("p(X) :- X = 0.")
     goal = _clause("false :- p(X), p(Y).")
     with pytest.raises(InputShapeError):
-        predicate_pairing(goal, q, q, PairingConfig())
+        predicate_pairing(goal, (0, 1), q, q, PairingConfig())
 
 
 def test_pairing_rejects_goalless_shape():
@@ -231,7 +231,7 @@ def test_pairing_rejects_goalless_shape():
     r = parse_program("s(X) :- X = 0.")
     goal = _clause("false :- p(X), p(Y).")
     with pytest.raises(InputShapeError):
-        predicate_pairing(goal, q, r, PairingConfig())
+        predicate_pairing(goal, (0, 1), q, r, PairingConfig())
 
 
 # --- iterated driver -----------------------------------------------------------
@@ -305,19 +305,45 @@ SUM_DOWN = "f(N,S) :- N =< 0, S = 0.\nf(N,S) :- N > 0, N1 = N - 1, S = S1 + N, f
 
 
 def test_iterate_pairs_a_goal_with_two_atoms_in_one_cone():
-    """The pair (p, q) is run with the second q-atom left in the goal's
-    body: the fold loop pairs what it can, and the goal left mixing new1's
-    cone with q is reported as an overlap, not refused."""
+    """The round unfolds the pair that ranks first, p(X1,Y1) with
+    q(X3,Y3), which X1 = X3 links, with q(X2,Y2) left in the goal's body:
+    in each child of the p-unfolding, q(X3,Y3) is the R-atom unfolded, at
+    position 1 behind p's base case and 2 behind its recursive case. The
+    next round pairs the definition with q(X2,Y2), and no goal is left."""
     from chcpair.oracle import OracleBudget, equisat_probe
 
     p0 = parse_program(
         COUNTERS + "false :- X1 = X3, Y1 =\\= Y3, p(X1,Y1), q(X2,Y2), q(X3,Y3).\n"
     )
     res = iterate_pairing(p0, [], PairingConfig(iterate=True))
-    assert (len(res.defs), len(res.transf)) == (1, 13)
-    assert [(ov.pred, ov.goal_id) for ov in res.overlaps] == [("q", 13)]
-    assert {g.cid: len(g.body) for g in res.transf.goals()} == {11: 1, 12: 1, 13: 2}
+    assert [(s.rule.name, s.detail) for s in res.steps[:3]] == [
+        ("UNFOLDING", 0), ("UNFOLDING", 1), ("UNFOLDING", 2)
+    ]
+    assert (len(res.defs), len(res.transf)) == (2, 12)
+    assert res.overlaps == []
+    assert {g.cid: len(g.body) for g in res.transf.goals()} == {11: 1, 12: 1}
     assert equisat_probe(p0, res.transf, OracleBudget(5, -1, 3)).agreement
+
+
+def test_a_round_reduces_a_goal_of_three_atoms_once(monkeypatch):
+    """The round grows its children's reductions from the one that ranked
+    the goal's pairs: the goal's constraint is reduced from scratch once
+    (twice when the round reduced it again)."""
+    p0 = parse_program(
+        COUNTERS + "false :- X1 = X3, Y1 =\\= Y3, p(X1,Y1), q(X2,Y2), q(X3,Y3).\n"
+    )
+    goal = p0.goals()[0]
+    fresh = []
+    reduction = lia.reduction
+
+    def counted(c, *, base=None):
+        if base is None and c == goal.constraint:
+            fresh.append(c)
+        return reduction(c, base=base)
+
+    monkeypatch.setattr(lia, "reduction", counted)
+    res = iterate_pairing(p0, [], PairingConfig())
+    assert res.steps and len(fresh) == 1
 
 
 def test_iterate_pairs_a_goal_with_three_atoms_of_one_predicate():
@@ -340,7 +366,7 @@ def test_a_goal_with_one_pair_is_ranked_without_a_reduction(monkeypatch):
         raise AssertionError("the goal was reduced")
 
     monkeypatch.setattr(lia, "reduction", refuse)
-    assert _rank_goal_pairs(_clause("false :- X = Y, p(X), q(Y).")) == [(0, 1)]
+    assert _rank_goal_pairs(_clause("false :- X = Y, p(X), q(Y).")) == ([(0, 1)], None)
 
 
 # chain(k): defs, Pn clauses, Pn constraint atoms, SHA-256 of the printed Pn
@@ -352,6 +378,12 @@ CHAIN = {
         "16fd32fc09b9feb39854098571885f71ee820cdf050d5c304872bc08ce9ef493"),
     8: (17, 69, 1126, "42afaec9870bd9abc6fc6af4aac755c9a605398e58e59c7ee68238d99d0c4d5e",
         "1afeb008a9e1ac828718d721dcfc2366226c4c1cbaf759eca3fb5e76b9c60640"),
+    12: (30, 115, 3512, "f4b755ae73f420c54e9254e0bddc655483e4343ac44d05c0f0e0297af464ecbd",
+         "e49c2e5895a166b7955279ab32de76b26915deb26947ab2254be4e2d0ba4e503"),
+    16: (43, 153, 4113, "71ea29162d386bc181748c1a1df81e362c08b00d81d3aac67021524001560e58",
+         "efa5ed9655ac315b38533e48f55371b51d06c92aea2512798bcfda6f8028ae89"),
+    24: (76, 255, 12733, "6b6ef177b290d32e60db8c8c98b5b03ecfa53f04db397d5c8fe49c79b06b1b29",
+         "5b795ef3dc87b3d99f092f87595bf541b8b45bee14733ce7aec638c992b73b52"),
 }
 
 
@@ -484,8 +516,8 @@ def test_pairing_reads_clause_tuples_as_programs(name, q, r):
     p = corpus.load(name)
     q_cl, r_cl = predicate_partition(p, q, r)
     assert isinstance(q_cl, tuple) and isinstance(r_cl, tuple)
-    a = predicate_pairing(goal_of(p), q_cl, r_cl)
-    b = predicate_pairing(goal_of(p), Program(q_cl), Program(r_cl))
+    a = predicate_pairing(goal_of(p), (0, 1), q_cl, r_cl)
+    b = predicate_pairing(goal_of(p), (0, 1), Program(q_cl), Program(r_cl))
     assert print_program(a.transf) == print_program(b.transf)
     assert a.trace_text() == b.trace_text()
 
@@ -494,7 +526,7 @@ def test_pairing_refuses_a_goal_that_disagrees_with_its_cones(sum_square):
     q, r = predicate_partition(sum_square, "su", "sq")
     goal = _clause("false :- X = Y, su(X,R,S), sq(Y,Z).")
     with pytest.raises(ArityClash, match="'sq' used with arity 2 and 4"):
-        predicate_pairing(goal, q, r)
+        predicate_pairing(goal, (0, 1), q, r)
 
 
 def test_duplicate_cone_renames_recursion():
@@ -535,7 +567,9 @@ def test_rank_goal_pairs_orders_by_equalities_then_position():
     goal = _clause("false :- A = C, C = E, D = F, p(A,B), q(C,D), r(E,F).")
     assert [len(lia.eq_set(goal.constraint, goal.body[i], goal.body[j]))
             for i, j in ((0, 1), (0, 2), (1, 2))] == [1, 1, 2]
-    assert _rank_goal_pairs(goal) == [(1, 2), (0, 1), (0, 2)]
+    pairs, reduced = _rank_goal_pairs(goal)
+    assert pairs == [(1, 2), (0, 1), (0, 2)]
+    assert reduced.conj == goal.constraint
 
 
 def test_iterate_pairing_runs_one_round_without_iterate():
@@ -561,11 +595,32 @@ def test_iterate_pairing_checks_extra_goals_against_the_program(sum_upto):
         iterate_pairing(sum_upto, [definite], PairingConfig())
 
 
+def test_iterate_pairing_refuses_an_extra_goal_of_conflicting_sorts():
+    p = parse_program("p(X) :- X = 0.\nfalse :- p(X).\n")
+    extra = _clause("false :- read(A, I, V), p(A).")  # A is an array, p's X an int
+    with pytest.raises(SortMismatch, match="predicate 'p' used with conflicting sorts"):
+        iterate_pairing(p, [extra], PairingConfig())
+
+
+@pytest.mark.parametrize("pair", [(0, 2), (-1, 1), (1, 0), (0, 0), (1, 1)])
+def test_pairing_refuses_a_pair_that_is_not_a_q_atom_and_an_r_atom(sum_square, pair):
+    q, r = predicate_partition(sum_square, "su", "sq")
+    with pytest.raises(InputShapeError, match="the initial clause"):
+        predicate_pairing(goal_of(sum_square), pair, q, r)
+
+
+def test_pairing_refuses_a_goal_among_its_clauses(sum_square):
+    q, r = predicate_partition(sum_square, "su", "sq")
+    q_goal = _clause("false :- su(X,R,S).")
+    with pytest.raises(InputShapeError, match="input programs must be definite"):
+        predicate_pairing(goal_of(sum_square), (0, 1), q + (q_goal,), r)
+
+
 def test_pairing_accepts_swapped_goal_atoms(ackermann, ackermann_golden):
     goal = goal_of(ackermann)
     swapped = Clause(goal.cid, None, goal.constraint, (goal.body[1], goal.body[0]))
     q, r = predicate_partition(ackermann, "ackermann1", "ackermann2")
-    res = predicate_pairing(swapped, q, r, PairingConfig())
+    res = predicate_pairing(swapped, (1, 0), q, r, PairingConfig())
     assert_programs_equal(res.transf, ackermann_golden)
 
 

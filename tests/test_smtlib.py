@@ -41,6 +41,13 @@ def test_emit_goal_implies_false(sum_upto):
     assert ") false))" in out.splitlines()[2]
 
 
+def test_emit_zero_arity_predicates():
+    lines = emit_smtlib(parse_program("p.\nq :- X = 1, p.\nfalse :- q.\n")).splitlines()
+    assert "(declare-fun p () Bool)" in lines
+    assert "(assert (=> true p))" in lines
+    assert "(assert (=> q false))" in lines
+
+
 def test_emit_array_select_store():
     p = corpus.load("array_loop")
     out = emit_smtlib(p)

@@ -103,6 +103,7 @@ PARSE_ERRORS = [
     ("p(X,Y) :- Y = X*Y.", "expected 'int', found 'Y'", 1, 17),
     ("p(X :- q(X).", "expected ')', found ':-'", 1, 5),
     (":- foo p(int).", "unknown directive 'foo'", 1, 4),
+    (":- sorts (int).", "expected 'ident', found '('", 1, 10),
     (":- sorts p(real).", "unknown sort 'real'", 1, 12),
     (":- sorts p(int,\n  bool).", "unknown sort 'bool'", 2, 3),
     ("p(A) :-\n read(A, I).", "read takes 3 variables", 2, 2),
@@ -115,6 +116,19 @@ def test_parse_errors_carry_position():
             parse_program(text)
         assert (e.value.line, e.value.col) == (line, col), text
         assert str(e.value) == f"{message} (line {line}, column {col})"
+
+
+def test_zero_arity_predicates_print_back_byte_for_byte():
+    text = "p.\nq :- X = 1, p.\nfalse :- q.\n"
+    p = parse_program(text)
+    assert print_program(p) == text
+    assert parse_program(print_program(p)) == p
+
+
+def test_program_refuses_a_duplicate_clause_id():
+    (c,) = parse_program("p(X) :- X = 0.").clauses
+    with pytest.raises(ArityClash, match="duplicate clause id 1"):
+        Program([c, c])
 
 
 def test_arity_clash_detected():
