@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success (or Proved/Sat), 1 Disproved/Unsat (or a violation
-witness found), 2 Unknown/Timeout, 3 usage or input errors, 141 stdout
+witness found), 2 Unknown/Timeout (or a transform that used up its
+--max-defs budget), 3 usage or input errors, 141 stdout
 closed before the output was written (as `chcpair emit P | head -1` may
 find it; a shell reports 141 for a command that SIGPIPE ends). Such a run
 ends without a message.
@@ -17,7 +18,7 @@ from pathlib import Path
 
 # each command imports the modules it needs in its handler, so that a run
 # loads only those
-from .errors import ChcError
+from .errors import CapExceeded, ChcError
 from .syntax import Program, parse_program, print_program, renumbered
 
 EXIT_OK = 0
@@ -318,7 +319,8 @@ def main(argv=None) -> int:
         return EXIT_CLOSED_STDOUT
     except (ChcError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # a used-up definitions budget is giving up, as a timeout is
+        return EXIT_UNKNOWN if isinstance(exc, CapExceeded) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -172,14 +172,11 @@ def _fresh_pred(state: TransformationState) -> str:
 
 
 def _pair_def_clause(a: Atom, b: Atom, eqs, name: str) -> Clause:
-    args: list[Var] = []
-    for v in a.args + b.args:
-        if v not in args:
-            args.append(v)
+    args = tuple(dict.fromkeys(a.args + b.args))
     e_atoms = tuple(
         LinAtom(LinExpr.of(x), Rel.EQ, LinExpr.of(y)) for x, y in eqs if x != y
     )
-    return Clause(0, Atom(name, tuple(args)), ConstraintConj(e_atoms), (a, b))
+    return Clause(0, Atom(name, args), ConstraintConj(e_atoms), (a, b))
 
 
 def predicate_pairing(
@@ -367,15 +364,17 @@ def iterate_pairing(
     of its pairs can be transformed. After a round, the scan resumes at the
     goals the round produced: a round adds clauses only for new predicates
     and keeps those of the old ones, so a goal left earlier would be left
-    again with the same overlaps. Two atoms of the same predicate are
-    paired by duplicating that predicate's cone under renamed predicates,
-    the copy being the R side. Copies and definitions take no name in use:
+    again with the same overlaps. Every pair's Q and R sides come from one
+    `predicate_partition` of the definite clauses. For two atoms of the same
+    predicate those clauses also hold a copy of its cone under renamed
+    predicates (`duplicate_cone`), and the R-atom is renamed into the copy,
+    whose cone is the R side. Copies and definitions take no name in use:
     none of p's signatures and the extra goals, nor, once a round has run,
-    its new names (`taken`). A pair whose cones overlap (for distinct predicates)
-    is reported as an OverlapError of the goal it leaves, by that goal's
-    id in the output. A pair whose Q or R cone has no clause, as no clause
-    defines its root, is skipped without a report, and can leave its goal
-    untransformed too.
+    its new names (`taken`), so a copy never overlaps its original. A pair
+    whose cones overlap is reported as an OverlapError of the goal it
+    leaves, by that goal's id in the output. A pair whose Q or R cone has
+    no clause, as no clause defines its root, is skipped without a report,
+    and can leave its goal untransformed too.
 
     Between rounds the driver keeps plain lists of clauses, whose ids may
     repeat; it numbers the output and the definitions from 1, and builds a
@@ -405,26 +404,17 @@ def iterate_pairing(
         pairs, reduced = _rank_goal_pairs(goal) if len(goal.body) >= 2 else ([], None)
         for i, j in pairs:
             pa, pb = goal.body[i].pred, goal.body[j].pred
-            if pa == pb:
-                r_cl, mapping = duplicate_cone(definite, pb, taken)
-                q_cl = [c for c in definite if c.head.pred in mapping]
-                goal2 = Clause(
-                    goal.cid,
-                    None,
-                    goal.constraint,
-                    tuple(
-                        Atom(mapping[a.pred], a.args) if k == j else a
-                        for k, a in enumerate(goal.body)
-                    ),
-                )
-            else:
-                try:
-                    q_cl, r_cl = predicate_partition(definite, pa, pb)
-                except OverlapError as ov:
-                    overlap_preds.append(ov.pred)
-                    continue
-                mapping = {}
-                goal2 = goal
+            copies, mapping = duplicate_cone(definite, pb, taken) if pa == pb else ([], {})
+            try:
+                q_cl, r_cl = predicate_partition(definite + copies, pa, mapping.get(pb, pb))
+            except OverlapError as ov:
+                overlap_preds.append(ov.pred)
+                continue
+            goal2 = goal
+            if mapping:
+                body = list(goal.body)
+                body[j] = Atom(mapping[pb], body[j].args)
+                goal2 = replace(goal, body=tuple(body))
             if not q_cl or not r_cl:
                 continue
             qr_preds = {c.head.pred for c in q_cl + r_cl}

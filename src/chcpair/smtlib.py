@@ -140,11 +140,9 @@ def emit_smtlib(p: Program) -> str:
     serves the atoms that clauses share.
     """
     lines = ["(set-logic HORN)"]
-    seen: list[str] = []
-    for c in p.clauses:
-        for a in ([c.head] if c.head is not None else []) + list(c.body):
-            if a.pred not in seen:
-                seen.append(a.pred)
+    seen = list(dict.fromkeys(
+        a.pred for c in p.clauses for a in (() if c.head is None else (c.head,)) + c.body
+    ))
     _check_symbols(seen)
     for pred in seen:
         sig = p.signatures[pred]
@@ -173,12 +171,8 @@ def emit_smtlib(p: Program) -> str:
 def emit_lia_query(c: ConstraintConj) -> str:
     """Render a conjunction's linear part as a QF_LIA satisfiability query."""
     lines = ["(set-logic QF_LIA)"]
-    seen: list[Var] = []
     atoms = [a for a in c if isinstance(a, LinAtom)]
-    for a in atoms:
-        for v in a.vars():
-            if v not in seen:
-                seen.append(v)
+    seen = list(dict.fromkeys(v for a in atoms for v in a.vars()))
     _check_symbols([v.name for v in seen])
     for v in seen:
         lines.append(f"(declare-const {v.name} Int)")

@@ -132,6 +132,25 @@ def test_transform_that_cannot_write_its_trace_prints_no_program(tmp_path, capsy
     assert capsys.readouterr().out == ""
 
 
+def test_a_used_up_definitions_budget_exits_unknown(tmp_path):
+    """A run that needs more definitions than --max-defs gives up, as a
+    timeout does: it exits 2, not 3, and writes no program and no trace."""
+    fib = CORPUS_DIR / "fib_injectivity.chc"
+    out, tr = tmp_path / "out.chc", tmp_path / "run.trace"
+    proc = _run_strict("transform", fib, "--iterate", "--max-defs", "22", "-o", out,
+                       "--trace", tr)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: definition cap 22 reached\n"
+    assert not out.exists() and not tr.exists()
+    proc = _run_strict("transform", fib, "--iterate", "--max-defs", "23")
+    assert proc.returncode == 0, proc.stderr
+    assert "defs introduced: 23;" in proc.stderr
+    # a budget of no definitions is still a usage error
+    proc = _run_strict("transform", fib, "--iterate", "--max-defs", "0")
+    assert (proc.returncode, proc.stderr) == (3, "error: max_defs must be positive\n")
+
+
 def test_transform_then_validate_trace(tmp_path, capsys):
     out = tmp_path / "out.chc"
     tr = tmp_path / "run.trace"

@@ -361,6 +361,31 @@ def test_iterate_pairs_a_goal_with_three_atoms_of_one_predicate():
     assert equisat_probe(p0, res.transf, OracleBudget(5, -1, 3)).agreement
 
 
+@pytest.mark.parametrize("iterate, defs, clauses, goal_atoms", [
+    (False, 1, 9, 2),
+    (True, 2, 11, 1),
+])
+def test_a_same_predicate_pair_whose_cone_holds_the_third_atom(iterate, defs, clauses,
+                                                                goal_atoms):
+    """The pair p, p ranks first; its copy renames p's whole cone, r with
+    it, so r(X3,Y3), left in the body, stays on the Q side's r. With
+    iterate, the next round pairs the definition with it."""
+    from chcpair.oracle import OracleBudget, equisat_probe
+
+    p0 = parse_program(
+        "r(X,Y) :- X =< 0, Y = 0.\n"
+        "r(X,Y) :- X > 0, X1 = X - 1, Y = Y1 + 1, r(X1,Y1).\n"
+        "p(X,Y) :- r(X,Y).\n"
+        "false :- X1 = X2, X3 = X1, Y1 =\\= Y2, Y3 > Y1, p(X1,Y1), p(X2,Y2), r(X3,Y3).\n"
+    )
+    res = iterate_pairing(p0, [], PairingConfig(iterate=iterate))
+    assert {"p_2", "r_2"} <= res.transf.preds()
+    assert (len(res.defs), len(res.transf)) == (defs, clauses)
+    assert [len(g.body) for g in res.transf.goals()] == [goal_atoms]
+    assert res.overlaps == []
+    assert equisat_probe(p0, res.transf, OracleBudget(4, -1, 3)).agreement
+
+
 def test_a_goal_with_one_pair_is_ranked_without_a_reduction(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the goal was reduced")
