@@ -8,17 +8,17 @@ with ascending values.
 
 Rows come from `LinAtom.row()`, the one place that turns a relation into
 LE, EQ or NE. `index_rows` numbers the variables of a list of atoms by
-first occurrence and indexes their rows as (coeffs by position, k, rel);
-a `BoxSystem` holds those rows as they are. `lower_conj` does both, and
-`lia` lowers its queries through `index_rows` as well. `eval_atom`
-evaluates the same rows. `find_pivot` and `pivot`, which rewrites rows
-by `subst_row`, are the one elimination step of `lia`'s Gauss and of the
-oracle's; the pivot order is each caller's own.
+first occurrence and indexes their rows as (coeffs by position, k, rel).
+It is the one lowering: `lia`, the oracle and the enumeration below take
+its variables and rows as they are. `eval_atom` evaluates the same rows.
+`find_pivot` and `pivot`, which rewrites rows by `subst_row`, are the one
+elimination step of `lia`'s Gauss and of the oracle's; the pivot order is
+each caller's own.
 
-Enumeration runs a plan, made by `plan` for one system, box and set of
-pinned (fixed) variables. `run` takes the values as a list in variable
-order and returns tuples; `solutions` plans and runs for values keyed by
-variable. Per plan:
+Enumeration runs a plan, made by `plan` for one system of rows, box and
+set of pinned (fixed) variables. `run` takes the values as a list in
+variable order and returns tuples; `solutions` plans and runs for values
+keyed by variable. Per plan:
 
 - the pinned columns fold into the row constants; only free variables are
   enumerated, in variable order;
@@ -53,15 +53,6 @@ Row = tuple[dict[int, int], int, Rel]
 _LE, _EQ, _NE = Rel.LE, Rel.EQ, Rel.NE
 
 
-@dataclass
-class BoxSystem:
-    """A conjunction of linear atoms lowered to rows over `vars`: each row
-    is (coeffs by position, k, rel), as `index_rows` makes it."""
-
-    vars: tuple[Var, ...]
-    rows: Sequence[Row]
-
-
 def index_rows(
     atoms: Iterable[LinAtom], var_order: Sequence[Var] = ()
 ) -> tuple[list[Var], dict[Var, int], list[Row]]:
@@ -82,17 +73,6 @@ def index_rows(
             coeffs[i] = c
         rows.append((coeffs, k, rel))
     return vars_, index, rows
-
-
-def lower_conj(conj: ConstraintConj, var_order: Optional[Sequence[Var]] = None) -> BoxSystem:
-    """Lower the linear part of a conjunction for box evaluation.
-
-    Array atoms are not allowed here; callers strip or reject them first.
-    """
-    if not all(isinstance(atom, LinAtom) for atom in conj):
-        raise ValueError("box systems handle linear atoms only")
-    vars_, _, rows = index_rows(conj, var_order or ())
-    return BoxSystem(tuple(vars_), rows)
 
 
 def subst_row(
@@ -167,14 +147,13 @@ class Plan:
     levels: tuple[tuple[int, tuple, tuple], ...]
 
 
-def plan(sys_: BoxSystem, lo: int, hi: int, pinned: tuple[int, ...]) -> Plan:
-    """The plan of `sys_` in [lo, hi] with the variables at positions
-    `pinned` (ascending) fixed."""
-    n = len(sys_.vars)
-    rels = [rel for _, _, rel in sys_.rows]
+def plan(n: int, rows: Sequence[Row], lo: int, hi: int, pinned: tuple[int, ...]) -> Plan:
+    """The plan of `rows` over n variables in [lo, hi] with the variables
+    at positions `pinned` (ascending) fixed."""
+    rels = [rel for _, _, rel in rows]
     # cols[v]: the (row, coeff) pairs of v's nonzero coefficients, in row order
     cols: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for r, (coeffs, _, _) in enumerate(sys_.rows):
+    for r, (coeffs, _, _) in enumerate(rows):
         for v, c in coeffs.items():
             if c:
                 cols[v].append((r, c))
@@ -203,7 +182,7 @@ def plan(sys_: BoxSystem, lo: int, hi: int, pinned: tuple[int, ...]) -> Plan:
             if rels[r] is not _NE or last[r] == v:
                 checks.append((r, c, rels[r], rem[r][0], rem[r][1]))
         levels.append((v, tuple(cols[v]), tuple(checks)))
-    consts = tuple([k for _, k, _ in sys_.rows])
+    consts = tuple([k for _, k, _ in rows])
     pins = tuple(tuple(cols[v]) for v in pinned)
     return Plan(consts, lo, hi, pinned, pins, start, tuple(levels))
 
@@ -290,27 +269,33 @@ def run(plan: Plan, vals: list, limit: int = 2**62) -> list[tuple]:
 
 
 def solutions(
-    sys_: BoxSystem,
+    vars_: Sequence[Var],
+    rows: Sequence[Row],
     lo: int,
     hi: int,
     fixed: Optional[Mapping[Var, int]] = None,
     limit: int = 2**62,
 ) -> list[dict[Var, int]]:
-    """All assignments (as dicts) in the box satisfying the system.
+    """All assignments (as dicts) in the box satisfying the rows over
+    `vars_`, as `index_rows` lowers them.
 
     Variables in `fixed` keep their given value, inside the box or not. At
     most `limit` assignments come back, the lexicographically first ones.
     """
-    vs = sys_.vars
-    vals = [fixed.get(v) for v in vs] if fixed else [None] * len(vs)
+    vals = [fixed.get(v) for v in vars_] if fixed else [None] * len(vars_)
     pinned = tuple([i for i, x in enumerate(vals) if x is not None])
-    return [dict(zip(vs, tup)) for tup in run(plan(sys_, lo, hi, pinned), vals, limit)]
+    got = run(plan(len(vars_), rows, lo, hi, pinned), vals, limit)
+    return [dict(zip(vars_, tup)) for tup in got]
 
 
 def find_solution(
-    sys_: BoxSystem, lo: int, hi: int, fixed: Optional[Mapping[Var, int]] = None
+    vars_: Sequence[Var],
+    rows: Sequence[Row],
+    lo: int,
+    hi: int,
+    fixed: Optional[Mapping[Var, int]] = None,
 ) -> Optional[dict[Var, int]]:
-    got = solutions(sys_, lo, hi, fixed, limit=1)
+    got = solutions(vars_, rows, lo, hi, fixed, limit=1)
     return got[0] if got else None
 
 

@@ -545,7 +545,7 @@ def _decide(r: Reduction, target_signs: Sequence[int]) -> _Decision:
         return Verdict.DISPROVED, ()
     n = len(r.vars)
     if n <= _PROBE_MAX_VARS:
-        w = boxes.find_solution(boxes.BoxSystem(r.vars, r.rows), -_PROBE_BOX, _PROBE_BOX)
+        w = boxes.find_solution(r.vars, r.rows, -_PROBE_BOX, _PROBE_BOX)
         if w is not None:
             return Verdict.PROVED, (w,)
     targets = [[sign * _WITNESS_SPREAD * (i + 1) for i in range(n)] for sign in target_signs]
@@ -721,7 +721,9 @@ def _entails(
     entailed (`_entailed_atoms`), so it gets no negation; a psi whose atoms
     are all entailed proves the case. Otherwise phi and not(psi1 or ... or
     psim) must be unsatisfiable: `_refute_each` asks one query per choice
-    of a negation of an atom of each psi, in the order of `product`.
+    of a negation of an atom of each psi, in the order of `product`. Past
+    `DNF_CAP` choices, counted after those shortcuts, the answer is
+    Unknown.
     """
     if reduced.unsat or (
         reduced.decision is not None and reduced.decision[0] is Verdict.DISPROVED
@@ -729,11 +731,15 @@ def _entails(
         return Verdict.PROVED
     entailed = _entailed_atoms(reduced, dict.fromkeys(a for atoms in psi_atoms for a in atoms))
     neg_choices: list[list[LinAtom]] = []
+    total = 1
     for atoms in psi_atoms:
         alts = [n for a in atoms if a not in entailed for n in negate_linatom(a)]
         if not alts:
             return Verdict.PROVED
         neg_choices.append(alts)
+        total *= len(alts)
+    if total > DNF_CAP:
+        return Verdict.UNKNOWN
     return _refute_each(phi, product(*neg_choices), reduced)
 
 
@@ -1005,14 +1011,13 @@ def _implies(lhs: QuantDisj, rhs: QuantDisj) -> Verdict:
 
     lhs -> rhs holds when, for each disjunct phi of lhs, phi and not(psi1 or
     ... or psim) is unsatisfiable for the disjuncts psi of rhs, that is, phi
-    and one negation of an atom of each psi, for every choice of them. The
-    choices are counted first, without building any atom (an EQ atom has two
-    negations, any other atom one); past `DNF_CAP` the answer is Unknown.
-    Then each phi is reduced once and handed to `_entails`, the core that
-    `entails_atom` shares; their verdicts are combined (`combine`) with
-    Unknown for an inexact projection of rhs. An existential prefix of lhs
-    is first renamed apart from the free variables of both sides; without
-    one, no variable is collected.
+    and one negation of an atom of each psi, for every choice of them. Each
+    phi is reduced once and handed to `_entails`, the core that
+    `entails_atom` shares, which counts the choices against `DNF_CAP` once
+    the atoms that phi entails are dropped; their verdicts are combined
+    (`combine`) with Unknown for an inexact projection of rhs. An
+    existential prefix of lhs is first renamed apart from the free
+    variables of both sides; without one, no variable is collected.
     """
     if lhs.exists:
         taken = {v.name for v in lhs.free_vars()} | {v.name for v in rhs.free_vars()}
@@ -1026,11 +1031,6 @@ def _implies(lhs: QuantDisj, rhs: QuantDisj) -> Verdict:
     if any(psi.is_true() for psi in rdisj):
         return r_verdict  # not(true) = false: the implication holds
     psi_atoms = [psi.lin_atoms() for psi in rdisj]
-    total = 1
-    for atoms in psi_atoms:
-        total *= sum(2 if a.rel is Rel.EQ else 1 for a in atoms)
-    if total > DNF_CAP:
-        return Verdict.UNKNOWN
     return combine(chain(
         (r_verdict,), (_entails(phi, reduction(phi), psi_atoms) for phi in lhs.disjuncts)
     ))

@@ -145,9 +145,8 @@ class _Rule:
         return [tuple(vals)]
 
 
-# A row is (coeffs by position, k, rel), for sum(c * x[i]) + k rel 0; a
-# check is the same row as (k, ((i, c), ...), rel), hashable.
-Row = tuple[dict[int, int], int, Rel]
+# A check is a `boxes.Row` (coeffs by position, k, rel), for
+# sum(c * x[i]) + k rel 0, as (k, ((i, c), ...), rel), hashable.
 Check = tuple[int, tuple[tuple[int, int], ...], Rel]
 
 
@@ -201,7 +200,7 @@ def _tester(checks: tuple[Check, ...]) -> Optional[Callable]:
     return test
 
 
-def _eliminate(rows: list[Row], free: list[int], lo: int, hi: int):
+def _eliminate(rows: list[boxes.Row], free: list[int], lo: int, hi: int):
     """(implied, defs) for the rows of a clause whose slots in `free` no
     body atom binds.
 
@@ -329,7 +328,7 @@ def _compile(c: Clause, lo: int, hi: int) -> _Rule:
     if defs is None:
         # The join checks the rows over bound slots alone.
         box = [r for r in rows if not r[0] or any(i not in binder for i in r[0])]
-        plan = boxes.plan(boxes.BoxSystem(tuple(vars_), box), lo, hi, tuple(sorted(binder)))
+        plan = boxes.plan(len(vars_), box, lo, hi, tuple(sorted(binder)))
     return _Rule(c.cid, pred, head, tuple(atoms), tuple(vars_), defs, plan)
 
 

@@ -195,8 +195,8 @@ def test_criterion_8a_engine_vs_enumeration():
             )
         )
         verdict, witness = satisfiable_with_witness(c)
-        sys_ = boxes.lower_conj(c)
-        brute = boxes.find_solution(sys_, -6, 6)
+        vs, _, rows = boxes.index_rows(c)
+        brute = boxes.find_solution(vs, rows, -6, 6)
         if verdict is Verdict.DISPROVED:
             disproved += 1
             if brute is not None:

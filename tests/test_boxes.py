@@ -8,26 +8,25 @@ from chcpair import LinAtom, LinExpr, Rel, Var, boxes
 from helpers import conj
 
 
-def _brute_force(sys_, lo, hi, fixed, limit):
+def _brute_force(vs, rows, lo, hi, fixed, limit):
     """Every point of the box, pinned variables held, in lexicographic order."""
-    ranges = [
-        [fixed[v]] if v in fixed else range(lo, hi + 1) for v in sys_.vars
-    ]
+    ranges = [[fixed[v]] if v in fixed else range(lo, hi + 1) for v in vs]
     out = []
     for point in itertools.product(*ranges):
         if all(
             _REL_OPS[rel](k + sum(c * point[i] for i, c in coeffs.items()), 0)
-            for coeffs, k, rel in sys_.rows
+            for coeffs, k, rel in rows
         ):
-            out.append(dict(zip(sys_.vars, point)))
+            out.append(dict(zip(vs, point)))
             if len(out) >= limit:
                 break
     return out
 
 
 def _random_system(rng):
-    """Sparse rows (coeffs by position, k, rel); some zero coefficients are
-    kept in the row, and a row may have no nonzero coefficient at all."""
+    """(vars, rows) with sparse rows (coeffs by position, k, rel); some zero
+    coefficients are kept in the row, and a row may have no nonzero
+    coefficient at all."""
     nvars = rng.randint(0, 4)
     rows = []
     for _ in range(rng.randint(0, 5)):
@@ -40,7 +39,7 @@ def _random_system(rng):
         rel = rng.choice([Rel.LE, Rel.LE, Rel.EQ, Rel.NE])
         rows.append((coeffs, rng.randint(-6, 6), rel))
     vs = tuple(Var(f"V{i}") for i in range(nvars))
-    return boxes.BoxSystem(vs, rows)
+    return vs, rows
 
 
 def test_solutions_match_brute_force():
@@ -49,22 +48,22 @@ def test_solutions_match_brute_force():
     systems = queries = found = 0
     seen = {"ne": False, "no_vars": False, "outside": False, "zero": False, "ground": False}
     while systems < 400 and time.monotonic() < deadline:
-        sys_ = _random_system(rng)
-        seen["ne"] |= any(rel is Rel.NE for _, _, rel in sys_.rows)
-        seen["no_vars"] |= not sys_.vars
-        seen["zero"] |= any(0 in coeffs.values() for coeffs, _, _ in sys_.rows)
-        seen["ground"] |= any(not any(coeffs.values()) for coeffs, _, _ in sys_.rows)
+        vs, rows = _random_system(rng)
+        seen["ne"] |= any(rel is Rel.NE for _, _, rel in rows)
+        seen["no_vars"] |= not vs
+        seen["zero"] |= any(0 in coeffs.values() for coeffs, _, _ in rows)
+        seen["ground"] |= any(not any(coeffs.values()) for coeffs, _, _ in rows)
         # one system, several boxes and pinned sets
         for _ in range(3):
             lo = rng.randint(-3, 1)
             hi = lo + rng.randint(-1, 4)
-            fixed = {v: rng.randint(-5, 5) for v in sys_.vars if rng.random() < 0.35}
+            fixed = {v: rng.randint(-5, 5) for v in vs if rng.random() < 0.35}
             seen["outside"] |= any(not lo <= x <= hi for x in fixed.values())
             for limit in (1, 2, 2**62):
-                want = _brute_force(sys_, lo, hi, fixed, limit)
-                got = boxes.solutions(sys_, lo, hi, fixed=fixed, limit=limit)
-                assert got == want, (sys_, lo, hi, fixed, limit)
-                assert [list(d) for d in got] == [list(sys_.vars)] * len(got)
+                want = _brute_force(vs, rows, lo, hi, fixed, limit)
+                got = boxes.solutions(vs, rows, lo, hi, fixed=fixed, limit=limit)
+                assert got == want, (vs, rows, lo, hi, fixed, limit)
+                assert [list(d) for d in got] == [list(vs)] * len(got)
                 queries += 1
                 found += bool(got)
         systems += 1
@@ -73,27 +72,27 @@ def test_solutions_match_brute_force():
 
 
 def test_lowering_and_enumeration():
-    sys_ = boxes.lower_conj(conj("X > 0, X =< Y, Y < 3"))
-    sols = boxes.solutions(sys_, -3, 3)
+    vs, _, rows = boxes.index_rows(conj("X > 0, X =< Y, Y < 3"))
+    sols = boxes.solutions(vs, rows, -3, 3)
     pts = {(s[Var("X")], s[Var("Y")]) for s in sols}
     assert pts == {(1, 1), (1, 2), (2, 2)}
 
 
 def test_fixed_variables():
-    sys_ = boxes.lower_conj(conj("X = Y + 1"))
-    sols = boxes.solutions(sys_, -3, 3, fixed={Var("Y"): 2})
+    vs, _, rows = boxes.index_rows(conj("X = Y + 1"))
+    sols = boxes.solutions(vs, rows, -3, 3, fixed={Var("Y"): 2})
     assert [s[Var("X")] for s in sols] == [3]
 
 
 def test_disequality_rows():
-    sys_ = boxes.lower_conj(conj("X =\\= 0"))
-    vals = sorted(s[Var("X")] for s in boxes.solutions(sys_, -1, 1))
+    vs, _, rows = boxes.index_rows(conj("X =\\= 0"))
+    vals = sorted(s[Var("X")] for s in boxes.solutions(vs, rows, -1, 1))
     assert vals == [-1, 1]
 
 
 def test_limit():
-    sys_ = boxes.lower_conj(conj("X >= -5"))
-    assert len(boxes.solutions(sys_, -5, 5, limit=3)) == 3
+    vs, _, rows = boxes.index_rows(conj("X >= -5"))
+    assert len(boxes.solutions(vs, rows, -5, 5, limit=3)) == 3
 
 
 def test_eval_conj():
@@ -105,8 +104,8 @@ def test_eval_conj():
 def test_big_coefficients_fall_back_to_pure():
     big = 2**45
     c = conj(f"{big}*X = {big}")
-    sys_ = boxes.lower_conj(c)
-    sols = boxes.solutions(sys_, -2, 2)
+    vs, _, rows = boxes.index_rows(c)
+    sols = boxes.solutions(vs, rows, -2, 2)
     assert [s[Var("X")] for s in sols] == [1]
 
 

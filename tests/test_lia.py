@@ -277,8 +277,8 @@ def _random_conj(rng, nvars=4, natoms=4):
 
 
 def brute_force_box_sat(c, lo, hi):
-    sys_ = boxes.lower_conj(c)
-    return boxes.find_solution(sys_, lo, hi) is not None
+    vs, _, rows = boxes.index_rows(c)
+    return boxes.find_solution(vs, rows, lo, hi) is not None
 
 
 def test_sat_verdicts_never_contradict_enumeration():
@@ -301,8 +301,8 @@ def test_entails_equality_agrees_with_enumeration():
     for _ in range(150):
         c = _random_conj(rng)
         v = entails_equality(c, x, y)
-        sys_ = boxes.lower_conj(c, var_order=[x, y])
-        sols = boxes.solutions(sys_, -6, 6)
+        vs, _, rows = boxes.index_rows(c, [x, y])
+        sols = boxes.solutions(vs, rows, -6, 6)
         if v is Verdict.PROVED:
             assert all(s[x] == s[y] for s in sols)
             checked += 1
@@ -323,17 +323,17 @@ def test_entails_equality_agrees_with_enumeration():
     assert checked > 0 and disproved > 0
 
 
-def test_lower_and_lower_conj_share_variables_and_rows():
+def test_lower_and_index_rows_share_variables_and_rows():
     rng = random.Random(46)
     for _ in range(300):
         c = _random_conj(rng)
         r = lia._lower(c.lin_atoms())
-        bsys = boxes.lower_conj(c)
-        assert r.vars == bsys.vars
-        assert r.rows == bsys.rows
+        vs, index, rows = boxes.index_rows(c)
+        assert r.vars == tuple(vs) and r.index == index
+        assert r.rows == rows
         work = []
         ground_false = False
-        for coeffs, k, rel in bsys.rows:
+        for coeffs, k, rel in rows:
             if coeffs:
                 work.append((coeffs, k, rel))
             else:
@@ -431,8 +431,8 @@ def test_project_overapproximates_integer_points():
             continue
         keep = set(rng.sample(vs, rng.randint(0, len(vs) - 1)))
         q = project(c, keep)
-        sys_ = boxes.lower_conj(c, var_order=vs)
-        for s in boxes.solutions(sys_, -4, 4, limit=50):
+        vs, _, rows = boxes.index_rows(c, vs)
+        for s in boxes.solutions(vs, rows, -4, 4, limit=50):
             restricted = {v: s[v] for v in keep}
             assert any(
                 boxes.eval_conj(d, {**{v: 0 for v in d.vars()}, **restricted})
@@ -858,7 +858,7 @@ def _reference_sat(atoms, signs=(0,)):
     if not lowered.work:
         return Verdict.PROVED, ({v: 0 for v in lowered.vars},)
     if len(lowered.vars) <= lia._PROBE_MAX_VARS:
-        w = boxes.find_solution(boxes.BoxSystem(lowered.vars, lowered.rows), -2, 2)
+        w = boxes.find_solution(lowered.vars, lowered.rows, -2, 2)
         if w is not None:
             return Verdict.PROVED, (w,)
     sys_ = _buckets(lowered.vars, lowered.work)
@@ -1181,6 +1181,11 @@ def test_growing_a_chain_of_prefixes_matches_a_query_from_scratch():
         assert seen[key] >= 5, (key, seen)
 
 
+def test_a_quantified_disjunction_has_a_disjunct():
+    with pytest.raises(ValueError, match="at least one disjunct"):
+        QuantDisj((), ())
+
+
 def test_a_reduction_of_no_prefix_is_refused():
     c = conj("X >= 0, Y >= X, X =< 3")
     for other in (conj("Y >= X"), conj("X >= 0, Y >= X, X =< 3, Y =< 9"), conj("X >= 1")):
@@ -1242,7 +1247,7 @@ def _ref_zero_decision(r):
     if r.unsat:
         return Verdict.DISPROVED, None
     if len(r.vars) <= lia._PROBE_MAX_VARS:
-        w = boxes.find_solution(boxes.BoxSystem(r.vars, r.rows), -2, 2)
+        w = boxes.find_solution(r.vars, r.rows, -2, 2)
         if w is not None:
             return Verdict.PROVED, w
     verdict, (w,) = _ref_branch_witness(r, [[0] * len(r.vars)])
@@ -1432,8 +1437,10 @@ def test_no_reduction_outlives_its_operation(monkeypatch):
 
 def _implies_reference(lhs, rhs):
     """for-all(lhs -> rhs) with one `_extend` of the antecedent disjunct's
-    reduction per choice of a negated atom from each consequent disjunct,
-    the cap applied to the choices of each antecedent disjunct."""
+    reduction per choice of a negated atom from each consequent disjunct.
+    An unsatisfiable antecedent disjunct entails anything; otherwise the
+    atoms that it entails (`_entailed_atoms`) are dropped, and the cap is
+    applied to the choices left for that disjunct."""
     taken = {v.name for v in lhs.free_vars()} | {v.name for v in rhs.free_vars()}
     lhs = lia.qd_rename_exists_fresh(lhs, taken)
     rdisj, r_exact = lia._flatten_exists(rhs)
@@ -1441,11 +1448,17 @@ def _implies_reference(lhs, rhs):
     for phi in lhs.disjuncts:
         if any(psi.is_true() for psi in rdisj):
             continue
-        choices = [[n for a in psi.lin_atoms() for n in negate_linatom(a)] for psi in rdisj]
+        base = lia.reduction(phi)
+        if base.unsat:
+            continue
+        entailed = lia._entailed_atoms(base, [a for psi in rdisj for a in psi.lin_atoms()])
+        choices = [
+            [n for a in psi.lin_atoms() if a not in entailed for n in negate_linatom(a)]
+            for psi in rdisj
+        ]
         if math.prod(len(alts) for alts in choices) > lia.DNF_CAP:
             saw_unknown = True
             continue
-        base = lia.reduction(phi)
         for extra in itertools.product(*choices):
             verdict, _ = lia._extend(base, extra)
             if verdict is Verdict.PROVED:
@@ -1531,13 +1544,29 @@ def _implication_case(rng):
     return tags, QuantDisj((), tuple(phis)), QuantDisj(exists, tuple(psis))
 
 
-# an unsatisfiable antecedent and more than DNF_CAP choices: Unknown,
-# although every choice would be refuted
+# an unsatisfiable antecedent and more than DNF_CAP choices: Proved, as an
+# unsatisfiable antecedent entails anything, before any choice is counted
 _UNSAT_PAST_THE_CAP = (
     {"cap", "unsat_phi", "fixed"},
     qd_of(conj("X = Y, X = Y + 1")),
     QuantDisj((), tuple(conj(f"X = {k}, Y = {k}") for k in range(6))),
 )
+
+
+def test_entailed_atoms_do_not_count_against_the_cap():
+    """The cap counts the negation choices left once the atoms that the
+    antecedent entails are dropped: four consequent disjuncts of four
+    equalities make 8**4 choices, but the antecedent entails every atom of
+    one of them, which proves the case; without that disjunct the choices
+    stay past the cap."""
+    install_unknown_resolver(None)
+    rhs = QuantDisj(
+        (), tuple(conj(f"X = {k}, Y = {k}, Z = {k}, W = {k}") for k in range(4))
+    )
+    assert lia.implies_quant_disj(qd_of(conj("X = 1, Y = 1, Z = 1, W = 1")), rhs) is (
+        Verdict.PROVED
+    )
+    assert lia.implies_quant_disj(qd_of(conj("X = 9")), rhs) is Verdict.UNKNOWN
 
 
 def test_implications_match_one_query_per_negation_choice():
@@ -1560,8 +1589,8 @@ def test_implications_match_one_query_per_negation_choice():
         assert lia.equiv_quant_disj(lhs, rhs) is _equiv_reference(lhs, rhs), (lhs, rhs)
         seen.update(tags)
         seen[got.value] += 1
-        if tags >= {"cap", "unsat_phi"}:
-            assert got is Verdict.UNKNOWN
+        if tags >= {"cap", "unsat_phi", "fixed"}:
+            assert got is Verdict.PROVED
             seen["unsat_past_the_cap"] += 1
         cases += 1
     assert cases >= 200

@@ -18,7 +18,7 @@ from chcpair import (
 )
 from chcpair.errors import ModelError, TransportError
 from chcpair.lia import Verdict, equiv_quant_disj, qd_of, qd_true
-from chcpair.models import SymbolicInterpretation
+from chcpair.models import ModelCheckResult, SymbolicInterpretation
 from chcpair.oracle import OracleBudget
 from chcpair import boxes, lia, models
 
@@ -80,6 +80,30 @@ def test_check_model_arity_mismatch(sum_upto):
     sigma = SymbolicInterpretation({"su": ((V("A"),), qd_true())})
     with pytest.raises(ModelError):
         check_model(sum_upto, sigma)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: SymbolicInterpretation({"p": ((V("X"), V("X")), qd_true())}),
+         ModelError, "canonical parameters must be distinct"),
+        (lambda: SymbolicInterpretation({"p": ((V("X"),), qd_of(conj("Y = 1")))}),
+         ModelError, r"free variables outside the parameters: \['Y'\]"),
+        (lambda: ModelCheckResult(Verdict.PROVED, ((1, Verdict.PROVED),)).verdict_for(9),
+         KeyError, "9"),
+        (lambda: transport_definition(
+            SymbolicInterpretation({}), parse_program("false :- X = 1.").clauses[0]),
+         TransportError, "definitions have head atoms"),
+        (lambda: transport_unfold_inverse(
+            SymbolicInterpretation({}), "p", parse_program("q(X) :- X = 1.").clauses),
+         TransportError, "must define the unfolded predicate"),
+    ],
+    ids=["repeated-parameter", "free-variable", "unknown-clause", "goal-as-definition",
+         "clause-of-another-predicate"],
+)
+def test_model_entry_points_refuse_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_renaming_equivariance():

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from chcpair import (
-    ConstraintConj,
     Found,
     GroundAtom,
     NotWithinBudget,
@@ -186,7 +185,9 @@ def _reference_bindings(body, facts_per_pred, delta_per_pred, need_delta):
 
 
 def _system(c):
-    return boxes.lower_conj(ConstraintConj(c.constraint.lin_atoms()), var_order=c.vars())
+    """(vars, rows) of c's linear atoms, c's variables first."""
+    vs, _, rows = boxes.index_rows(c.constraint.lin_atoms(), c.vars())
+    return vs, rows
 
 
 def _reference_lm(p, b):
@@ -196,7 +197,7 @@ def _reference_lm(p, b):
         new = {}
         for c in p.clauses:
             for env in _reference_bindings(c.body, total, delta, need_delta=level > 0):
-                for full in boxes.solutions(systems[c.cid], b.lo, b.hi, fixed=env):
+                for full in boxes.solutions(*systems[c.cid], b.lo, b.hi, fixed=env):
                     vals = tuple(full[v] for v in c.head.args)
                     if all(b.lo <= x <= b.hi for x in vals):
                         if vals not in total.get(c.head.pred, set()):
@@ -214,7 +215,7 @@ def _reference_violated(p, b):
     for ga in _reference_lm(p.definite(), b):
         facts.setdefault(ga.pred, set()).add(ga.args)
     return any(
-        boxes.find_solution(_system(goal), b.lo, b.hi, fixed=env) is not None
+        boxes.find_solution(*_system(goal), b.lo, b.hi, fixed=env) is not None
         for goal in p.goals()
         for env in _reference_bindings(goal.body, facts, {}, need_delta=False)
     )

@@ -164,6 +164,11 @@ def test_ackermann_cap(ackermann):
         run_ackermann(ackermann, max_defs=1)
 
 
+def test_a_definitions_budget_is_positive():
+    with pytest.raises(ValueError, match="max_defs must be positive"):
+        PairingConfig(max_defs=0)
+
+
 def test_max_defs_bounds_the_whole_run():
     """fib_injectivity makes 23 definitions over its rounds, at most 14 in
     one round: the cap counts those of every round."""

@@ -518,6 +518,11 @@ def test_row_matches_the_difference_of_its_sides():
 
 # --- sort declarations and shared variables ---------------------------------
 
+def test_an_array_is_not_equated_with_an_integer():
+    with pytest.raises(SortMismatch, match="cannot equate"):
+        syntax.eq_atom(Var("A", Sort.ARRAY), Var("X"))
+
+
 def test_conflicting_sorts_redeclaration_is_refused():
     # a bug fix: the later declaration used to overwrite the earlier one
     with pytest.raises(SortMismatch) as e:
